@@ -1,6 +1,8 @@
 // Package repro's root benchmark harness: one benchmark per figure and
-// per quantitative claim of the paper (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for recorded results).
+// per quantitative claim of the paper. These are go-test benchmarks for
+// work on one figure at a time; the repo's benchmark of record, with
+// its workloads, metrics and committed baseline, is bench/ (see
+// bench/README.md).
 //
 // Run with:
 //

@@ -1,7 +1,8 @@
 // Command benchreport regenerates every figure and quantitative claim
 // of the paper at a configurable scale and prints a table of
-// paper-claim vs measured values — the harness behind EXPERIMENTS.md.
-// PNG artifacts for the figures land in the -artifacts directory.
+// paper-claim vs measured values. PNG artifacts for the figures land in
+// the -artifacts directory. Performance is measured by the benchmark in
+// bench/ (see bench/README.md), not here.
 //
 // Usage:
 //

@@ -60,6 +60,7 @@ type viewJob struct {
 	fb         *render.Framebuffer
 	points     int64
 	samples    int64
+	fetched    int64 // of samples, those that read voxels
 }
 
 func main() {
@@ -152,7 +153,7 @@ func main() {
 				return j, err
 			}
 			j.renderTime = time.Since(start)
-			j.fb, j.points, j.samples = fb, rast.PointCount, vr.SampleCount
+			j.fb, j.points, j.samples, j.fetched = fb, rast.PointCount, vr.SampleCount, vr.FetchCount
 			return j, nil
 		})
 	// Stage 3: encode PNGs in frame order, recycling framebuffers.
@@ -166,10 +167,10 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: load %v (%.1f MB/s), render %v (%d points, %d volume samples) -> %s\n",
+		fmt.Printf("%s: load %v (%.1f MB/s), render %v (%d points, %d/%d volume samples fetched) -> %s\n",
 			j.path, j.loadTime,
 			float64(j.rep.SizeBytes())/j.loadTime.Seconds()/1e6,
-			j.renderTime, j.points, j.samples, dst)
+			j.renderTime, j.points, j.fetched, j.samples, dst)
 		return nil
 	})
 	if err := pl.Wait(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/beam"
 	"repro/internal/pipeline"
 	"repro/internal/remote"
 )
@@ -281,7 +282,25 @@ func TestStreamFleetAllWorkersDown(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	long := append(frames, frames...) // 6 frames
-	s := p.StreamFrames(context.Background(), FrameSliceSource(long...), StreamOptions{
+	// The source holds frames 1-5 back until the fleet is down: however
+	// fast the stages are, those frames meet a dead fleet.
+	outage := make(chan struct{})
+	source := func(ctx context.Context, emit func(beam.Frame) bool) error {
+		for i, f := range long {
+			if i == 1 {
+				select {
+				case <-outage:
+				case <-ctx.Done():
+					return nil
+				}
+			}
+			if !emit(f) {
+				return nil
+			}
+		}
+		return nil
+	}
+	s := p.StreamFrames(context.Background(), source, StreamOptions{
 		ExtractAddrs:   []string{w1.Addr(), w2.Addr()},
 		ExtractWorkers: 2,
 		ExtractPolicy: &remote.FleetOptions{
@@ -295,6 +314,7 @@ func TestStreamFleetAllWorkersDown(t *testing.T) {
 	}
 	w1.Close()
 	w2.Close()
+	close(outage)
 	for range s.Out {
 	}
 	if err := s.Wait(); err == nil {

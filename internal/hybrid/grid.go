@@ -59,14 +59,54 @@ func (g *Grid) Set(x, y, z int, v float32) {
 // p, or 0 outside the bounds — the software equivalent of a hardware
 // 3-D texture fetch.
 func (g *Grid) Sample(p vec.V3) float64 {
-	if !g.Bounds.Contains(p) {
+	s := g.Sampler()
+	return s.Sample(p)
+}
+
+// Sampler is Grid.Sample for many positions in one grid: the bounds,
+// their extents and the resolution are read once. The grid must not be
+// resized or re-bounded while a Sampler is in use.
+type Sampler struct {
+	g              *Grid
+	min, max, size vec.V3
+	nx, ny, nz     float64 // the resolution
+}
+
+// Sampler returns a sampler over the grid as it is now.
+func (g *Grid) Sampler() Sampler {
+	return Sampler{
+		g:   g,
+		min: g.Bounds.Min, max: g.Bounds.Max, size: g.Bounds.Size(),
+		nx: float64(g.Nx), ny: float64(g.Ny), nz: float64(g.Nz),
+	}
+}
+
+// Sample is Grid.Sample. A sample at continuous voxel coordinate f
+// along an axis reads voxels floor(f) and floor(f)+1, clamped to the
+// grid; volren's brick mask is built on that footprint.
+func (s *Sampler) Sample(p vec.V3) float64 {
+	if !(p.X >= s.min.X && p.X <= s.max.X &&
+		p.Y >= s.min.Y && p.Y <= s.max.Y &&
+		p.Z >= s.min.Z && p.Z <= s.max.Z) {
 		return 0
 	}
-	n := g.Bounds.Normalize(p)
+	// AABB.Normalize: a flat axis maps to the middle of the grid. The
+	// quotients stay divisions by the extent: a reciprocal multiply
+	// rounds differently.
+	nx, ny, nz := 0.5, 0.5, 0.5
+	if s.size.X > 0 {
+		nx = (p.X - s.min.X) / s.size.X
+	}
+	if s.size.Y > 0 {
+		ny = (p.Y - s.min.Y) / s.size.Y
+	}
+	if s.size.Z > 0 {
+		nz = (p.Z - s.min.Z) / s.size.Z
+	}
 	// Voxel centers sit at (i+0.5)/N; convert to continuous voxel coords.
-	fx := n.X*float64(g.Nx) - 0.5
-	fy := n.Y*float64(g.Ny) - 0.5
-	fz := n.Z*float64(g.Nz) - 0.5
+	fx := nx*s.nx - 0.5
+	fy := ny*s.ny - 0.5
+	fz := nz*s.nz - 0.5
 	x0 := int(math.Floor(fx))
 	y0 := int(math.Floor(fy))
 	z0 := int(math.Floor(fz))
@@ -74,13 +114,24 @@ func (g *Grid) Sample(p vec.V3) float64 {
 	ty := fy - float64(y0)
 	tz := fz - float64(z0)
 
-	lerp := func(a, b float32, t float64) float64 {
-		return float64(a) + t*(float64(b)-float64(a))
+	g := s.g
+	var v000, v100, v010, v110, v001, v101, v011, v111 float32
+	if x0 >= 0 && x0 < g.Nx-1 && y0 >= 0 && y0 < g.Ny-1 && z0 >= 0 && z0 < g.Nz-1 {
+		// Interior: all eight voxels exist, so nothing is clamped.
+		lo := g.Data[(z0*g.Ny+y0)*g.Nx+x0:]
+		hi := lo[g.Ny*g.Nx:]
+		v000, v100, v010, v110 = lo[0], lo[1], lo[g.Nx], lo[g.Nx+1]
+		v001, v101, v011, v111 = hi[0], hi[1], hi[g.Nx], hi[g.Nx+1]
+	} else {
+		v000, v100 = g.At(x0, y0, z0), g.At(x0+1, y0, z0)
+		v010, v110 = g.At(x0, y0+1, z0), g.At(x0+1, y0+1, z0)
+		v001, v101 = g.At(x0, y0, z0+1), g.At(x0+1, y0, z0+1)
+		v011, v111 = g.At(x0, y0+1, z0+1), g.At(x0+1, y0+1, z0+1)
 	}
-	c00 := lerp(g.At(x0, y0, z0), g.At(x0+1, y0, z0), tx)
-	c10 := lerp(g.At(x0, y0+1, z0), g.At(x0+1, y0+1, z0), tx)
-	c01 := lerp(g.At(x0, y0, z0+1), g.At(x0+1, y0, z0+1), tx)
-	c11 := lerp(g.At(x0, y0+1, z0+1), g.At(x0+1, y0+1, z0+1), tx)
+	c00 := float64(v000) + tx*(float64(v100)-float64(v000))
+	c10 := float64(v010) + tx*(float64(v110)-float64(v010))
+	c01 := float64(v001) + tx*(float64(v101)-float64(v001))
+	c11 := float64(v011) + tx*(float64(v111)-float64(v011))
 	c0 := c00 + ty*(c10-c00)
 	c1 := c01 + ty*(c11-c01)
 	return c0 + tz*(c1-c0)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -567,5 +568,148 @@ func TestOutputSizeIndependentOfInputSize(t *testing.T) {
 	ratio := float64(b) / float64(a)
 	if ratio > 1.25 || ratio < 0.75 {
 		t.Errorf("hybrid sizes %d vs %d (ratio %.2f) for 4x different inputs", a, b, ratio)
+	}
+}
+
+// referenceSample is Grid.Sample as it was before Sampler: bounds
+// re-read per call, every voxel through the clamping At.
+func referenceSample(g *Grid, p vec.V3) float64 {
+	if !g.Bounds.Contains(p) {
+		return 0
+	}
+	n := g.Bounds.Normalize(p)
+	fx := n.X*float64(g.Nx) - 0.5
+	fy := n.Y*float64(g.Ny) - 0.5
+	fz := n.Z*float64(g.Nz) - 0.5
+	x0 := int(math.Floor(fx))
+	y0 := int(math.Floor(fy))
+	z0 := int(math.Floor(fz))
+	tx := fx - float64(x0)
+	ty := fy - float64(y0)
+	tz := fz - float64(z0)
+
+	lerp := func(a, b float32, t float64) float64 {
+		return float64(a) + t*(float64(b)-float64(a))
+	}
+	c00 := lerp(g.At(x0, y0, z0), g.At(x0+1, y0, z0), tx)
+	c10 := lerp(g.At(x0, y0+1, z0), g.At(x0+1, y0+1, z0), tx)
+	c01 := lerp(g.At(x0, y0, z0+1), g.At(x0+1, y0, z0+1), tx)
+	c11 := lerp(g.At(x0, y0+1, z0+1), g.At(x0+1, y0+1, z0+1), tx)
+	c0 := c00 + ty*(c10-c00)
+	c1 := c01 + ty*(c11-c01)
+	return c0 + tz*(c1-c0)
+}
+
+// TestSampleMatchesReference holds the sampler's interior fast path to
+// the clamped path bit for bit: inside, on faces and corners, in the
+// half-voxel rim where the clamps act, and just outside.
+func TestSampleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	boxes := []vec.AABB{
+		vec.Box(vec.New(-1, -0.8, -1.2), vec.New(1, 0.8, 1.2)),
+		vec.Box(vec.New(3.1, -7, 0.001), vec.New(3.4, 11, 0.002)),
+		vec.Box(vec.New(-1, -1, 0), vec.New(1, 1, 0)), // flat: sampled at mid-grid
+	}
+	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 9, 17}, {16, 16, 16}} {
+		for _, box := range boxes {
+			g, err := NewGrid(dims[0], dims[1], dims[2], box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range g.Data {
+				g.Data[i] = rng.Float32() - 0.2
+			}
+			s := g.Sampler()
+			size := box.Size()
+			for i := 0; i < 4000; i++ {
+				// u in [-0.05, 1.05], snapped to a face one time in four.
+				u := [3]float64{}
+				for k := range u {
+					u[k] = -0.05 + 1.1*rng.Float64()
+					switch rng.Intn(8) {
+					case 0:
+						u[k] = 0
+					case 1:
+						u[k] = 1
+					}
+				}
+				p := vec.New(box.Min.X+u[0]*size.X, box.Min.Y+u[1]*size.Y, box.Min.Z+u[2]*size.Z)
+				got, want := s.Sample(p), referenceSample(g, p)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(g.Sample(p)) != math.Float64bits(want) {
+					t.Fatalf("%v grid over %v at %v: Sample %v, reference %v", dims, box, p, got, want)
+				}
+			}
+		}
+	}
+	nan := math.NaN()
+	g, _ := NewGrid(4, 4, 4, boxes[0])
+	if v := g.Sample(vec.New(nan, 0, 0)); v != 0 {
+		t.Errorf("NaN position sampled %v, want 0", v)
+	}
+}
+
+// TestScalarTFEvalMatchesSearch holds the linear stop scan to the
+// binary search it replaced, stop positions included.
+func TestScalarTFEvalMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(7)
+		pos, val := make([]float64, n), make([]float64, n)
+		for i := range pos {
+			pos[i], val[i] = rng.Float64(), rng.Float64()
+		}
+		sort.Float64s(pos)
+		tf, err := NewScalarTF(pos, val)
+		if err != nil {
+			continue // two equal positions
+		}
+		xs := append([]float64{-0.5, 0, 1, 1.5}, pos...)
+		for i := 0; i < 50; i++ {
+			xs = append(xs, rng.Float64())
+		}
+		for _, x := range xs {
+			want := val[0]
+			if x >= pos[n-1] {
+				want = val[n-1]
+			} else if x > pos[0] {
+				i := sort.SearchFloat64s(pos, x)
+				want = val[i-1] + (x-pos[i-1])/(pos[i]-pos[i-1])*(val[i]-val[i-1])
+			}
+			if got := tf.Eval(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("stops %v: Eval(%v) = %v, search gives %v", pos, x, got, want)
+			}
+		}
+		if got := tf.Eval(math.NaN()); got == got {
+			t.Fatalf("Eval(NaN) = %v, want NaN", got)
+		}
+	}
+}
+
+// TestVolumeRGBATransparentIsZero: a sample without opacity returns
+// the zero color without a ramp lookup, which is also what keeps a NaN
+// density from indexing the ramp.
+func TestVolumeRGBATransparentIsZero(t *testing.T) {
+	vol, err := StepRamp(0.2, 0.6, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := NewLinkedTF(vol, HeatMap(), 0.12, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, domain := range []func(float64) float64{nil, LogDomain(1e4)} {
+		tf.Domain = domain
+		for _, d := range []float64{0, 1e-9, math.NaN()} {
+			if c := tf.VolumeRGBA(d); c != (RGBA{}) {
+				t.Errorf("VolumeRGBA(%v) = %v, want zero", d, c)
+			}
+		}
+		c := tf.VolumeRGBA(0.9)
+		x := tf.MapDensity(0.9)
+		want := tf.Color.Eval(x)
+		want.A = tf.Volume.Eval(x) * tf.OpacityScale
+		if c != want || c.A <= 0 {
+			t.Errorf("VolumeRGBA(0.9) = %v, want %v", c, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package hybrid
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RGBA is a straight (non-premultiplied) floating-point color.
@@ -84,7 +83,13 @@ func (tf *ScalarTF) Eval(x float64) float64 {
 	if x >= tf.Pos[last] {
 		return tf.Val[last]
 	}
-	i := sort.SearchFloat64s(tf.Pos, x)
+	// A transfer function has a handful of stops: scan for the first at
+	// or above x. Pos[0] < x < Pos[last] bounds the scan; a NaN x stops
+	// it at once and comes back as NaN.
+	i := 1
+	for tf.Pos[i] < x {
+		i++
+	}
 	// Pos[i-1] < x <= Pos[i]
 	t := (x - tf.Pos[i-1]) / (tf.Pos[i] - tf.Pos[i-1])
 	return tf.Val[i-1] + t*(tf.Val[i]-tf.Val[i-1])
@@ -257,11 +262,18 @@ func (l *LinkedTF) SetPointStop(i int, v float64) error {
 }
 
 // VolumeRGBA returns the volume transfer function's color and opacity
-// at normalized density d (after the optional domain remap).
+// at normalized density d (after the optional domain remap). The
+// opacity is evaluated first: where it is not positive (or d is NaN)
+// the sample composites nothing and the zero RGBA is returned without
+// a color lookup.
 func (l *LinkedTF) VolumeRGBA(d float64) RGBA {
 	x := l.mapD(d)
+	a := l.Volume.Eval(x) * l.OpacityScale
+	if !(a > 0) {
+		return RGBA{}
+	}
 	c := l.Color.Eval(x)
-	c.A = l.Volume.Eval(x) * l.OpacityScale
+	c.A = a
 	return c
 }
 

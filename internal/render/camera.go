@@ -87,21 +87,46 @@ func (c Camera) WorldToScreen(p vec.V3, w, h int) (sx, sy, depth float64, ok boo
 func (c Camera) ViewDir(p vec.V3) vec.V3 { return c.Eye.Sub(p).Norm() }
 
 // Ray returns the world-space origin and unit direction of the viewing
-// ray through pixel (px, py) of a w x h image — the ray generator of
-// the volume ray caster.
+// ray through pixel (px, py) of a w x h image.
 func (c Camera) Ray(px, py, w, h int) (origin, dir vec.V3) {
-	ndcX := 2*(float64(px)+0.5)/float64(w) - 1
-	ndcY := 1 - 2*(float64(py)+0.5)/float64(h)
-	tan := math.Tan(c.Fovy / 2)
-	// View-space direction through the pixel.
-	vd := vec.New(ndcX*tan*c.Aspect, ndcY*tan, -1)
+	g := c.Rays(w, h)
+	return g.Ray(px, py)
+}
+
+// RayGen is the ray generator of the volume ray caster: Camera.Ray for
+// one image size, with the terms that do not depend on the pixel
+// (tan(fovy/2) and the camera basis) computed once.
+type RayGen struct {
+	eye, s, u, nf vec.V3
+	tan, aspect   float64
+	w, h          float64
+}
+
+// Rays returns the ray generator for a w x h image.
+func (c Camera) Rays(w, h int) RayGen {
 	// The view matrix rows hold the camera basis (s, u, -f); its
 	// rotation inverse is the transpose.
-	s := vec.New(c.View[0], c.View[1], c.View[2])
-	u := vec.New(c.View[4], c.View[5], c.View[6])
-	nf := vec.New(c.View[8], c.View[9], c.View[10]) // -f
-	world := s.Scale(vd.X).Add(u.Scale(vd.Y)).Add(nf.Scale(vd.Z))
-	return c.Eye, world.Norm()
+	return RayGen{
+		eye:    c.Eye,
+		s:      vec.New(c.View[0], c.View[1], c.View[2]),
+		u:      vec.New(c.View[4], c.View[5], c.View[6]),
+		nf:     vec.New(c.View[8], c.View[9], c.View[10]), // -f
+		tan:    math.Tan(c.Fovy / 2),
+		aspect: c.Aspect,
+		w:      float64(w),
+		h:      float64(h),
+	}
+}
+
+// Ray returns the world-space origin and unit direction of the viewing
+// ray through pixel (px, py).
+func (g *RayGen) Ray(px, py int) (origin, dir vec.V3) {
+	ndcX := 2*(float64(px)+0.5)/g.w - 1
+	ndcY := 1 - 2*(float64(py)+0.5)/g.h
+	// View-space direction through the pixel.
+	vd := vec.New(ndcX*g.tan*g.aspect, ndcY*g.tan, -1)
+	world := g.s.Scale(vd.X).Add(g.u.Scale(vd.Y)).Add(g.nf.Scale(vd.Z))
+	return g.eye, world.Norm()
 }
 
 // ViewZ returns the view-space z coordinate of a world point (negative

@@ -304,3 +304,33 @@ func TestPixelRadiusShrinksWithDistance(t *testing.T) {
 		t.Errorf("pixel radius near %v <= far %v", near, far)
 	}
 }
+
+// TestRaysMatchPerPixelFormula holds the hoisted ray generator to the
+// per-pixel formula Camera.Ray used to evaluate, bit for bit.
+func TestRaysMatchPerPixelFormula(t *testing.T) {
+	cam, err := NewCamera(vec.New(2.6, -1.9, 3.1), vec.New(0.2, 0.1, -0.3), vec.New(0, 1, 0),
+		math.Pi/3.7, 1.6, 0.1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w, h = 37, 23
+	rays := cam.Rays(w, h)
+	for py := 0; py < h; py++ {
+		for px := 0; px < w; px++ {
+			ndcX := 2*(float64(px)+0.5)/float64(w) - 1
+			ndcY := 1 - 2*(float64(py)+0.5)/float64(h)
+			tan := math.Tan(cam.Fovy / 2)
+			vd := vec.New(ndcX*tan*cam.Aspect, ndcY*tan, -1)
+			s := vec.New(cam.View[0], cam.View[1], cam.View[2])
+			u := vec.New(cam.View[4], cam.View[5], cam.View[6])
+			nf := vec.New(cam.View[8], cam.View[9], cam.View[10])
+			want := s.Scale(vd.X).Add(u.Scale(vd.Y)).Add(nf.Scale(vd.Z)).Norm()
+
+			origin, dir := rays.Ray(px, py)
+			o2, d2 := cam.Ray(px, py, w, h)
+			if origin != cam.Eye || o2 != cam.Eye || dir != want || d2 != want {
+				t.Fatalf("pixel %d,%d: Rays gives %v, Camera.Ray %v, formula %v", px, py, dir, d2, want)
+			}
+		}
+	}
+}

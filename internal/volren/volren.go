@@ -5,6 +5,32 @@
 // termination, and correct interleaving with opaque geometry already
 // in the depth buffer (so halo points occlude and are occluded by the
 // volume exactly as in Fig 4).
+//
+// # Empty-space skipping
+//
+// A beam is a compact body in a mostly empty bounding box, so most
+// samples of a plain march read eight zero voxels and composite
+// nothing. Each Render therefore scans the grid once into a mask of
+// bricks (4 voxels on a side) and walks every ray through it brick by
+// brick: in an occupied brick it samples as a plain march does, in an
+// empty one it only advances the ray parameter and the sample count.
+// The picture, the depth buffer and SampleCount are those of the plain
+// march bit for bit (the tests keep that march as their oracle), because
+//
+//   - the ray parameter advances by the same recurrence t += step
+//     through empty and occupied bricks alike, so every sample that is
+//     fetched sits at the position the plain march gives it;
+//   - a brick is empty only if every voxel within 2 voxels of it is
+//     exactly zero (a NaN or a negative voxel is not), which covers the
+//     one voxel beyond the brick a trilinear sample reads, clamp-to-edge
+//     included, and leaves a further voxel for the rounding of the
+//     brick walk;
+//   - a trilinear interpolation of eight zeros is exactly zero, and a
+//     zero sample is one the plain march drops before the transfer
+//     function.
+//
+// FetchCount over SampleCount is the share of samples that still read
+// voxels; on bounds with a flat axis it is all of them.
 package volren
 
 import (
@@ -34,8 +60,12 @@ type Renderer struct {
 
 	// SampleCount accumulates how many volume samples the last Render
 	// took; it is the cost metric the Fig 1 experiment reports (256^3
-	// full-res casting vs 64^3 hybrid casting).
+	// full-res casting vs 64^3 hybrid casting). Samples stepped over in
+	// empty bricks count: the number does not depend on the skipping.
 	SampleCount int64
+	// FetchCount is how many of the last Render's samples read voxels,
+	// the rest having been stepped over in empty bricks. Read-only.
+	FetchCount int64
 }
 
 // New returns a renderer over the given grid and transfer functions.
@@ -50,31 +80,49 @@ func New(grid *hybrid.Grid, tf *hybrid.LinkedTF) (*Renderer, error) {
 // opaque geometry composite the volume only in front of that geometry.
 // The color result is blended over the existing framebuffer contents.
 func (r *Renderer) Render(fb *render.Framebuffer, cam render.Camera) {
-	voxel := r.Grid.Bounds.Size().X / float64(r.Grid.Nx)
-	if s := r.Grid.Bounds.Size().Y / float64(r.Grid.Ny); s < voxel {
-		voxel = s
+	r.SampleCount, r.FetchCount = 0, 0
+	voxel := voxelEdge(r.Grid)
+	if math.IsInf(voxel, 1) {
+		return // a point has nothing to march through
 	}
-	if s := r.Grid.Bounds.Size().Z / float64(r.Grid.Nz); s < voxel {
-		voxel = s
+	c := caster{
+		fb: fb, cam: cam, rays: cam.Rays(fb.W, fb.H),
+		bounds: r.Grid.Bounds, vol: r.Grid.Sampler(), bricks: newBrickMask(r.Grid),
+		tf: r.TF, jitter: r.Jitter,
+		step: voxel * r.stepScale(), refStep: voxel,
 	}
-	step := voxel * r.stepScale()
-	refStep := voxel
 
-	counts := make([]int64, fb.H)
+	counts := make([]int64, 2*fb.H) // per scanline: samples, fetches
 	par.ForChunks(fb.H, r.Workers, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			var n int64
+			var n, f int64
 			for x := 0; x < fb.W; x++ {
-				n += r.castPixel(fb, cam, x, y, step, refStep)
+				dn, df := c.castPixel(x, y)
+				n += dn
+				f += df
 			}
-			counts[y] = n
+			counts[2*y], counts[2*y+1] = n, f
 		}
 	})
-	var total int64
-	for _, c := range counts {
-		total += c
+	for y := 0; y < fb.H; y++ {
+		r.SampleCount += counts[2*y]
+		r.FetchCount += counts[2*y+1]
 	}
-	r.SampleCount = total
+}
+
+// voxelEdge returns the smallest voxel edge of the grid, which the
+// sampling distance follows, or +Inf if the bounds have no extent. A
+// flat axis has no edge to follow (AABB.Normalize samples it at
+// mid-grid).
+func voxelEdge(g *hybrid.Grid) float64 {
+	size := g.Bounds.Size()
+	voxel := math.Inf(1)
+	for axis, n := range [3]int{g.Nx, g.Ny, g.Nz} {
+		if s := size.Component(axis); s > 0 {
+			voxel = min(voxel, s/float64(n))
+		}
+	}
+	return voxel
 }
 
 func (r *Renderer) stepScale() float64 {
@@ -84,18 +132,188 @@ func (r *Renderer) stepScale() float64 {
 	return r.StepScale
 }
 
-// castPixel marches one ray and blends the result over the pixel.
-// It returns the number of volume samples taken.
-func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, x, y int, step, refStep float64) int64 {
-	origin, dir := cam.Ray(x, y, fb.W, fb.H)
-	tEnter, tExit, hit := r.Grid.Bounds.IntersectRay(origin, dir)
+// brick is the edge of a mask brick in voxels and brickHalo how far a
+// brick's footprint is grown before it is tested for emptiness. A
+// sample inside a brick reads at most one voxel beyond it
+// (hybrid.Sampler), so a halo of 2 leaves a sample free to sit up to a
+// whole voxel outside the brick the march believes it is in — many
+// orders more than the rounding of the brick walk can misplace it.
+const (
+	brick     = 4
+	brickHalo = 2
+)
+
+// brickMask marks the bricks of a grid a ray may step through without
+// reading voxels.
+type brickMask struct {
+	occupied   []bool // (bz*ny+by)*nx+bx
+	nx, ny, nz int
+	min        vec.V3 // the grid's lower corner
+	size       vec.V3 // world extent of one brick
+}
+
+// newBrickMask scans the grid once. A brick is left unoccupied only if
+// every voxel within brickHalo of its footprint is exactly zero; voxels
+// outside the grid read as the edge voxel (clamp-to-edge), which the
+// grown footprint already holds. NaN and negative voxels are not zero.
+// On bounds with a flat axis world position does not determine the
+// brick, and the mask is a single occupied brick without extent: the
+// march fetches every sample.
+func newBrickMask(g *hybrid.Grid) brickMask {
+	size := g.Bounds.Size()
+	if !(size.X > 0 && size.Y > 0 && size.Z > 0) {
+		return brickMask{occupied: []bool{true}, nx: 1, ny: 1, nz: 1}
+	}
+	m := brickMask{
+		nx:  (g.Nx + brick - 1) / brick,
+		ny:  (g.Ny + brick - 1) / brick,
+		nz:  (g.Nz + brick - 1) / brick,
+		min: g.Bounds.Min,
+		size: vec.New(
+			size.X/float64(g.Nx)*brick,
+			size.Y/float64(g.Ny)*brick,
+			size.Z/float64(g.Nz)*brick),
+	}
+	m.occupied = make([]bool, m.nx*m.ny*m.nz)
+	// Voxel v is in the grown footprint of bricks (v-halo)/brick to
+	// (v+halo)/brick. Each voxel row is reduced to a row of bricks
+	// first, then stored into the brick rows its y and z touch.
+	row := make([]bool, m.nx)
+	for z := 0; z < g.Nz; z++ {
+		bz0, bz1 := brickSpan(z, m.nz)
+		for y := 0; y < g.Ny; y++ {
+			any := false
+			for x, v := range g.Data[(z*g.Ny+y)*g.Nx:][:g.Nx] {
+				if v != 0 {
+					bx0, bx1 := brickSpan(x, m.nx)
+					row[bx0], row[bx1] = true, true
+					any = true
+				}
+			}
+			if !any {
+				continue
+			}
+			by0, by1 := brickSpan(y, m.ny)
+			for bz := bz0; bz <= bz1; bz++ {
+				for by := by0; by <= by1; by++ {
+					dst := m.occupied[(bz*m.ny+by)*m.nx:][:m.nx]
+					for bx, o := range row {
+						if o {
+							dst[bx] = true
+						}
+					}
+				}
+			}
+			for bx := range row {
+				row[bx] = false
+			}
+		}
+	}
+	return m
+}
+
+// brickSpan returns the first and last of the n bricks along an axis
+// whose grown footprint holds voxel v (they differ by at most one).
+func brickSpan(v, n int) (lo, hi int) {
+	return max(v-brickHalo, 0) / brick, min((v+brickHalo)/brick, n-1)
+}
+
+// brickWalk steps one ray through the bricks of a mask, brick by brick
+// (a 3-D DDA).
+type brickWalk struct {
+	idx    int        // index of the current brick in occupied
+	next   [3]float64 // ray parameter at which the ray leaves the brick, per axis
+	delta  [3]float64 // ray parameter between two brick faces, per axis
+	stride [3]int     // idx change per brick crossed, per axis
+	left   [3]int     // bricks ahead of the current one, per axis
+}
+
+// start places the walk in the brick holding origin + t*dir, a point
+// inside the grid.
+func (m *brickMask) start(origin, dir vec.V3, t float64) brickWalk {
+	var w brickWalk
+	n := [3]int{m.nx, m.ny, m.nz}
+	stride := [3]int{1, m.nx, m.nx * m.ny}
+	for axis := 0; axis < 3; axis++ {
+		o, d := origin.Component(axis), dir.Component(axis)
+		lo, size := m.min.Component(axis), m.size.Component(axis)
+		w.next[axis] = math.Inf(1)
+		if d == 0 || n[axis] == 1 {
+			continue // no face to cross on this axis
+		}
+		b := int(math.Floor((o + t*d - lo) / size))
+		b = max(0, min(b, n[axis]-1))
+		w.idx += b * stride[axis]
+		if d > 0 {
+			w.next[axis] = (lo + float64(b+1)*size - o) / d
+			w.delta[axis] = size / d
+			w.stride[axis] = stride[axis]
+			w.left[axis] = n[axis] - 1 - b
+		} else {
+			w.next[axis] = (lo + float64(b)*size - o) / d
+			w.delta[axis] = size / -d
+			w.stride[axis] = -stride[axis]
+			w.left[axis] = b
+		}
+	}
+	return w
+}
+
+// exit returns the ray parameter at which the ray leaves the current
+// brick and the axis of the face it leaves through.
+func (w *brickWalk) exit() (t float64, axis int) {
+	axis = 2
+	if w.next[0] <= w.next[1] && w.next[0] <= w.next[2] {
+		axis = 0
+	} else if w.next[1] <= w.next[2] {
+		axis = 1
+	}
+	return w.next[axis], axis
+}
+
+// cross moves the walk through the face on the given axis. Past the
+// last brick of an axis the walk stays where it is and that axis never
+// exits again, so samples that rounding leaves beyond the computed exit
+// of the grid are marched in the edge brick, and a walk always ends.
+func (w *brickWalk) cross(axis int) {
+	if w.left[axis] == 0 {
+		w.next[axis] = math.Inf(1)
+		return
+	}
+	w.left[axis]--
+	w.idx += w.stride[axis]
+	w.next[axis] += w.delta[axis]
+}
+
+// caster holds what one Render's rays share.
+type caster struct {
+	fb     *render.Framebuffer
+	cam    render.Camera
+	rays   render.RayGen
+	bounds vec.AABB
+	vol    hybrid.Sampler
+	bricks brickMask
+	tf     *hybrid.LinkedTF
+	jitter bool
+	// step is the sampling distance and refStep the distance the
+	// transfer function's opacity refers to.
+	step, refStep float64
+}
+
+// castPixel marches one ray and blends the result over the pixel. It
+// returns the number of volume samples taken and how many of them read
+// voxels.
+func (c *caster) castPixel(x, y int) (samples, fetches int64) {
+	origin, dir := c.rays.Ray(x, y)
+	tEnter, tExit, hit := c.bounds.IntersectRay(origin, dir)
 	if !hit || tExit <= 0 {
-		return 0
+		return 0, 0
 	}
-	if tEnter < cam.Near {
-		tEnter = cam.Near
+	if tEnter < c.cam.Near {
+		tEnter = c.cam.Near
 	}
-	if r.Jitter {
+	step := c.step
+	if c.jitter {
 		// Deterministic per-pixel jitter from a hash of the coordinates.
 		h := uint32(x)*374761393 + uint32(y)*668265263
 		h = (h ^ (h >> 13)) * 1274126177
@@ -103,48 +321,66 @@ func (r *Renderer) castPixel(fb *render.Framebuffer, cam render.Camera, x, y int
 	}
 
 	// Existing opaque geometry limits the march.
-	zGeom := fb.DepthAt(x, y)
+	zGeom := c.fb.DepthAt(x, y)
 	geomLimit := math.Inf(1)
 	if !math.IsInf(float64(zGeom), 1) {
 		// Convert the stored NDC depth back to a ray parameter limit by
 		// bisection over view-space depth (monotonic), cheap enough at
 		// per-pixel granularity and exact at convergence.
-		geomLimit = r.rayLimitForDepth(cam, origin, dir, float64(zGeom), tEnter, tExit)
+		geomLimit = rayLimitForDepth(c.cam, origin, dir, float64(zGeom), tEnter, tExit)
 	}
 
 	end := math.Min(tExit, geomLimit)
-	var cr, cg, cb, ca float64 // premultiplied accumulation
-	samples := int64(0)
-	for t := tEnter; t < end && ca < 0.99; t += step {
-		p := origin.Add(dir.Scale(t))
-		d := r.Grid.Sample(p)
-		samples++
-		if d <= 0 {
-			continue
+	t := tEnter
+	walk := c.bricks.start(origin, dir, t)
+	exponent := step / c.refStep // opacity correction for the step length
+	var cr, cg, cb, ca float64   // premultiplied accumulation
+	// t advances by the one recurrence t += step whether a sample is
+	// fetched or stepped over, so every sample sits where a march
+	// without the mask would put it.
+	for t < end && ca < 0.99 {
+		brickEnd, axis := walk.exit()
+		lim := min(end, brickEnd)
+		if !c.bricks.occupied[walk.idx] {
+			// Every voxel such a sample could read is zero, and so is
+			// the sample: it would composite nothing.
+			for t < lim {
+				t += step
+				samples++
+			}
+		} else {
+			for ; t < lim && ca < 0.99; t += step {
+				d := c.vol.Sample(origin.Add(dir.Scale(t)))
+				samples++
+				fetches++
+				if d <= 0 {
+					continue
+				}
+				s := c.tf.VolumeRGBA(d)
+				if s.A <= 0 {
+					continue
+				}
+				alpha := 1 - math.Pow(1-s.A, exponent)
+				w := (1 - ca) * alpha
+				cr += w * s.R
+				cg += w * s.G
+				cb += w * s.B
+				ca += w
+			}
 		}
-		s := r.TF.VolumeRGBA(d)
-		if s.A <= 0 {
-			continue
-		}
-		// Opacity correction for the step length.
-		alpha := 1 - math.Pow(1-s.A, step/refStep)
-		w := (1 - ca) * alpha
-		cr += w * s.R
-		cg += w * s.G
-		cb += w * s.B
-		ca += w
+		walk.cross(axis)
 	}
 	if ca <= 0 {
-		return samples
+		return samples, fetches
 	}
 	// Composite the accumulated (premultiplied) color over the pixel.
-	r.blendOver(fb, x, y, cr, cg, cb, ca)
-	return samples
+	blendOver(c.fb, x, y, cr, cg, cb, ca)
+	return samples, fetches
 }
 
 // rayLimitForDepth finds the ray parameter whose NDC depth equals
 // zNDC, by bisection over [tLo, tHi].
-func (r *Renderer) rayLimitForDepth(cam render.Camera, origin, dir vec.V3, zNDC, tLo, tHi float64) float64 {
+func rayLimitForDepth(cam render.Camera, origin, dir vec.V3, zNDC, tLo, tHi float64) float64 {
 	// Depth is increasing in t (farther along the ray = deeper).
 	lo, hi := tLo, tHi
 	if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(hi)))) <= zNDC {
@@ -165,7 +401,7 @@ func (r *Renderer) rayLimitForDepth(cam render.Camera, origin, dir vec.V3, zNDC,
 }
 
 // blendOver composites premultiplied (cr,cg,cb,ca) over pixel (x,y).
-func (r *Renderer) blendOver(fb *render.Framebuffer, x, y int, cr, cg, cb, ca float64) {
+func blendOver(fb *render.Framebuffer, x, y int, cr, cg, cb, ca float64) {
 	i := (y*fb.W + x) * 4
 	fb.Color[i] = float32(cr) + fb.Color[i]*float32(1-ca)
 	fb.Color[i+1] = float32(cg) + fb.Color[i+1]*float32(1-ca)

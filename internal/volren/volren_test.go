@@ -1,9 +1,11 @@
 package volren
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/hybrid"
 	"repro/internal/octree"
@@ -291,5 +293,504 @@ func TestRenderHybridDynamicValidation(t *testing.T) {
 	attr := func(int64) float64 { return 0 }
 	if _, _, err := RenderHybridDynamic(rep, tf, fb, cam, 1, attr, hybrid.GrayMap()); err == nil {
 		t.Error("representation without orig indices accepted")
+	}
+}
+
+// referenceRender is the ray march as it was before the brick mask,
+// kept verbatim as the oracle: one goroutine, every sample fetched with
+// Grid.Sample, Camera.Ray per pixel. Only the voxel size is Render's
+// (voxelEdge: the smallest non-flat axis), so that flat bounds have an
+// oracle too; on other bounds it is the old minimum of three. It
+// returns the sample count.
+func referenceRender(r *Renderer, fb *render.Framebuffer, cam render.Camera) int64 {
+	voxel := voxelEdge(r.Grid)
+	if math.IsInf(voxel, 1) {
+		return 0
+	}
+	step := voxel * r.stepScale()
+	refStep := voxel
+	var total int64
+	for y := 0; y < fb.H; y++ {
+		for x := 0; x < fb.W; x++ {
+			total += referenceCastPixel(r, fb, cam, x, y, step, refStep)
+		}
+	}
+	return total
+}
+
+func referenceCastPixel(r *Renderer, fb *render.Framebuffer, cam render.Camera, x, y int, step, refStep float64) int64 {
+	origin, dir := cam.Ray(x, y, fb.W, fb.H)
+	tEnter, tExit, hit := r.Grid.Bounds.IntersectRay(origin, dir)
+	if !hit || tExit <= 0 {
+		return 0
+	}
+	if tEnter < cam.Near {
+		tEnter = cam.Near
+	}
+	if r.Jitter {
+		// Deterministic per-pixel jitter from a hash of the coordinates.
+		h := uint32(x)*374761393 + uint32(y)*668265263
+		h = (h ^ (h >> 13)) * 1274126177
+		tEnter += step * float64(h%1024) / 1024
+	}
+
+	// Existing opaque geometry limits the march.
+	zGeom := fb.DepthAt(x, y)
+	geomLimit := math.Inf(1)
+	if !math.IsInf(float64(zGeom), 1) {
+		geomLimit = rayLimitForDepth(cam, origin, dir, float64(zGeom), tEnter, tExit)
+	}
+
+	end := math.Min(tExit, geomLimit)
+	var cr, cg, cb, ca float64 // premultiplied accumulation
+	samples := int64(0)
+	for t := tEnter; t < end && ca < 0.99; t += step {
+		p := origin.Add(dir.Scale(t))
+		d := r.Grid.Sample(p)
+		samples++
+		if d <= 0 {
+			continue
+		}
+		s := r.TF.VolumeRGBA(d)
+		if s.A <= 0 {
+			continue
+		}
+		// Opacity correction for the step length.
+		alpha := 1 - math.Pow(1-s.A, step/refStep)
+		w := (1 - ca) * alpha
+		cr += w * s.R
+		cg += w * s.G
+		cb += w * s.B
+		ca += w
+	}
+	if ca <= 0 {
+		return samples
+	}
+	blendOver(fb, x, y, cr, cg, cb, ca)
+	return samples
+}
+
+func cloneFB(fb *render.Framebuffer) *render.Framebuffer {
+	return &render.Framebuffer{
+		W: fb.W, H: fb.H,
+		Color: append([]float32(nil), fb.Color...),
+		Depth: append([]float32(nil), fb.Depth...),
+	}
+}
+
+// sameBits reports the first index at which two float32 slices differ
+// bit for bit (NaN payloads included), or -1.
+func sameBits(a, b []float32) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkAgainstReference renders with r into a copy of base and demands
+// the reference's picture, depth and sample count. It returns the
+// renderer's picture.
+func checkAgainstReference(t *testing.T, r *Renderer, base *render.Framebuffer, cam render.Camera) *render.Framebuffer {
+	t.Helper()
+	want := cloneFB(base)
+	wantSamples := referenceRender(r, want, cam)
+	got := cloneFB(base)
+	r.Render(got, cam)
+	if i := sameBits(got.Color, want.Color); i >= 0 {
+		t.Errorf("color differs at float %d (pixel %d,%d): %v, reference %v",
+			i, i/4%got.W, i/4/got.W, got.Color[i], want.Color[i])
+	}
+	if i := sameBits(got.Depth, want.Depth); i >= 0 {
+		t.Errorf("depth differs at pixel %d,%d", i%got.W, i/got.W)
+	}
+	if r.SampleCount != wantSamples {
+		t.Errorf("SampleCount %d, reference %d", r.SampleCount, wantSamples)
+	}
+	if r.FetchCount < 0 || r.FetchCount > r.SampleCount {
+		t.Errorf("FetchCount %d outside [0, SampleCount %d]", r.FetchCount, r.SampleCount)
+	}
+	return got
+}
+
+// marchTF is translucent enough that rays cross the whole grid and
+// opaque enough that some terminate early.
+func marchTF(t testing.TB) *hybrid.LinkedTF {
+	t.Helper()
+	vol, err := hybrid.StepRamp(0.05, 0.2, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := hybrid.NewLinkedTF(vol, hybrid.HeatMap(), 0.15, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tf
+}
+
+type gridCase struct {
+	name string
+	grid *hybrid.Grid
+}
+
+// matrixGrids builds the grids of the differential test. The bounds
+// are not a cube, so the three axes have different voxel and brick
+// sizes.
+func matrixGrids(t *testing.T) []gridCase {
+	t.Helper()
+	bounds := vec.Box(vec.New(-1, -0.8, -1.2), vec.New(1, 0.8, 1.2))
+	mk := func(nx, ny, nz int, fill func(g *hybrid.Grid, rng *rand.Rand)) *hybrid.Grid {
+		g, err := hybrid.NewGrid(nx, ny, nz, bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fill != nil {
+			fill(g, rand.New(rand.NewSource(int64(nx*ny*nz))))
+		}
+		return g
+	}
+	blob := func(g *hybrid.Grid, rng *rand.Rand) {
+		for z := 0; z < g.Nz; z++ {
+			for y := 0; y < g.Ny; y++ {
+				for x := 0; x < g.Nx; x++ {
+					fx := (float64(x)+0.5)/float64(g.Nx) - 0.45
+					fy := (float64(y)+0.5)/float64(g.Ny) - 0.55
+					fz := (float64(z)+0.5)/float64(g.Nz) - 0.5
+					if r2 := fx*fx + fy*fy + fz*fz; r2 < 0.05 {
+						g.Set(x, y, z, float32(1-r2/0.05))
+					}
+				}
+			}
+		}
+	}
+	return []gridCase{
+		{"zero", mk(12, 12, 12, nil)},
+		{"dense", mk(12, 12, 12, func(g *hybrid.Grid, rng *rand.Rand) {
+			for i := range g.Data {
+				g.Data[i] = 0.02 + 0.3*rng.Float32()
+			}
+		})},
+		{"cornerBrick", mk(12, 12, 12, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(11, 0, 11, 0.8) })},
+		{"edgeBrick", mk(12, 12, 12, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(5, 1, 10, 0.8) })},
+		{"halo", mk(16, 16, 16, func(g *hybrid.Grid, rng *rand.Rand) {
+			blob(g, rng)
+			for i := 0; i < 40; i++ {
+				g.Data[rng.Intn(len(g.Data))] = 0.3 * rng.Float32()
+			}
+		})},
+		{"negativeNaN", mk(12, 12, 12, func(g *hybrid.Grid, rng *rand.Rand) {
+			blob(g, rng)
+			g.Set(1, 2, 1, -0.5)
+			g.Set(2, 2, 1, 0.9) // next to the negative voxel: lerps of either sign
+			g.Set(9, 9, 2, float32(math.NaN()))
+			g.Set(6, 5, 6, float32(math.NaN())) // inside the blob
+			g.Set(0, 11, 11, -1)
+		})},
+		{"5x9x17", mk(5, 9, 17, blob)},
+		{"1x1x1", mk(1, 1, 1, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(0, 0, 0, 0.7) })},
+	}
+}
+
+type camCase struct {
+	name string
+	cam  render.Camera
+}
+
+func matrixCams(t *testing.T, w, h int) []camCase {
+	t.Helper()
+	mk := func(eye, target vec.V3, near float64) render.Camera {
+		cam, err := render.NewCamera(eye, target, vec.New(0, 1, 0), math.Pi/3, float64(w)/float64(h), near, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cam
+	}
+	cams := []camCase{
+		{"outside", mk(vec.New(2.6, 1.9, 3.1), vec.New(0, 0, 0), 0.1)},
+		{"inside", mk(vec.New(0.1, -0.05, 0.2), vec.New(1, 0.3, -0.4), 0.05)},
+		// The near plane lies inside the volume: rays start mid-brick.
+		{"nearClipped", mk(vec.New(0.3, 0.2, 2.6), vec.New(0, 0, 0), 1.9)},
+		// Looking down -z with odd image sizes: the centre column has
+		// dir.X == 0, the centre row dir.Y == 0, the centre pixel both.
+		{"axisAligned", mk(vec.New(0, 0, 4), vec.New(0, 0, 0), 0.1)},
+	}
+	_, dir := cams[3].cam.Ray(w/2, h/2, w, h)
+	if dir.X != 0 || dir.Y != 0 {
+		t.Fatalf("axis-aligned camera's centre ray is %v, want exactly -z", dir)
+	}
+	return cams
+}
+
+// TestRayCastMatchesReference is the exactness claim of the brick mask:
+// over grids, views and settings chosen to reach every branch of the
+// brick walk, Render writes the reference march's bits and counts its
+// samples.
+func TestRayCastMatchesReference(t *testing.T) {
+	const w, h = 23, 17 // odd, so the centre ray of axisAligned is exact
+	tf := marchTF(t)
+	cams := matrixCams(t, w, h)
+	splats := []vec.V3{vec.New(0.2, 0.1, 0.3), vec.New(-0.5, 0.4, -0.6), vec.New(0, 0, 1.1), vec.New(0.6, -0.3, -1.3)}
+	for _, gc := range matrixGrids(t) {
+		for _, cc := range cams {
+			for _, withSplats := range []bool{false, true} {
+				base, err := render.NewFramebuffer(w, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if withSplats {
+					rast := render.NewRasterizer(base, cc.cam)
+					rast.Mode = render.BlendOpaque
+					for _, p := range splats {
+						rast.DrawPoint(p, 2.5, hybrid.RGBA{R: 1, G: 0.5, A: 1})
+					}
+				}
+				for _, stepScale := range []float64{0.25, 0.37, 0.5, 1} {
+					for _, jitter := range []bool{false, true} {
+						for _, workers := range []int{1, 2, 7} {
+							name := fmt.Sprintf("%s/%s/splats=%v/step=%v/jitter=%v/workers=%d",
+								gc.name, cc.name, withSplats, stepScale, jitter, workers)
+							r, err := New(gc.grid, tf)
+							if err != nil {
+								t.Fatal(err)
+							}
+							r.StepScale, r.Jitter, r.Workers = stepScale, jitter, workers
+							before := t.Failed()
+							checkAgainstReference(t, r, base, cc.cam)
+							if !before && t.Failed() {
+								t.Fatalf("first mismatch: %s", name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzRayCastMatchesReference draws the grid, its bounds, the camera
+// and the settings from a seed.
+func FuzzRayCastMatchesReference(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		f.Add(seed)
+	}
+	tf := marchTF(f)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		lo := vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+		ext := vec.New(0.2+2*rng.Float64(), 0.2+2*rng.Float64(), 0.2+2*rng.Float64())
+		g, err := hybrid.NewGrid(1+rng.Intn(20), 1+rng.Intn(20), 1+rng.Intn(20), vec.Box(lo, lo.Add(ext)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A few filled boxes in an otherwise empty grid, so that both
+		// empty and occupied bricks are met at any fill.
+		for k := rng.Intn(4); k > 0; k-- {
+			x0, y0, z0 := rng.Intn(g.Nx), rng.Intn(g.Ny), rng.Intn(g.Nz)
+			x1, y1, z1 := x0+rng.Intn(g.Nx-x0), y0+rng.Intn(g.Ny-y0), z0+rng.Intn(g.Nz-z0)
+			for z := z0; z <= z1; z++ {
+				for y := y0; y <= y1; y++ {
+					for x := x0; x <= x1; x++ {
+						g.Set(x, y, z, rng.Float32()-0.1)
+					}
+				}
+			}
+		}
+		center := g.Bounds.Center()
+		eye := center.Add(vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(ext.Len() * rng.Float64() * 1.5))
+		target := center.Add(vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(0.3))
+		w, h := 9+rng.Intn(12), 9+rng.Intn(12)
+		cam, err := render.NewCamera(eye, target, vec.New(0, 1, 0), math.Pi/3, float64(w)/float64(h), 0.01+0.5*rng.Float64(), 50)
+		if err != nil {
+			t.Skip(err)
+		}
+		base, err := render.NewFramebuffer(w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			rast := render.NewRasterizer(base, cam)
+			rast.Mode = render.BlendOpaque
+			rast.DrawPoint(center, 3, hybrid.RGBA{B: 1, A: 1})
+		}
+		r, err := New(g, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.StepScale = 0.2 + rng.Float64()
+		r.Jitter = rng.Intn(2) == 0
+		r.Workers = 1 + rng.Intn(4)
+		checkAgainstReference(t, r, base, cam)
+	})
+}
+
+// TestFetchCountShowsSkipping pins what the mask is for: around a
+// compact body most samples read no voxel, and in an empty grid none
+// does and no pixel is written.
+func TestFetchCountShowsSkipping(t *testing.T) {
+	cam := testCam(t)
+	r, err := New(solidGrid(t, 64), testTF(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, _ := render.NewFramebuffer(64, 64)
+	r.Render(fb, cam)
+	if r.FetchCount == 0 || r.FetchCount > r.SampleCount/2 {
+		t.Errorf("ball in a 64^3 grid: %d of %d samples fetched, want at most half", r.FetchCount, r.SampleCount)
+	}
+
+	empty, err := hybrid.NewGrid(64, 64, 64, vec.Box(vec.New(-1, -1, -1), vec.New(1, 1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err = New(empty, testTF(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fb.Color {
+		fb.Color[i] = float32(i%7) / 8
+	}
+	before := cloneFB(fb)
+	r.Render(fb, cam)
+	if r.SampleCount == 0 || r.FetchCount != 0 {
+		t.Errorf("empty grid: %d of %d samples fetched, want 0 of many", r.FetchCount, r.SampleCount)
+	}
+	if i := sameBits(fb.Color, before.Color); i >= 0 {
+		t.Errorf("empty grid: color %d written", i)
+	}
+}
+
+// TestFlatBoundsRender is the regression test for grids whose bounds
+// are flat along an axis. The voxel size used to be the minimum over
+// all three axes, so such a grid had step 0: with empty data the rays
+// in the plane never left the march, and with data 0/0 went through
+// math.Pow into Color.
+func TestFlatBoundsRender(t *testing.T) {
+	flat := vec.Box(vec.New(-1, -1, 0), vec.New(1, 1, 0))
+	// The camera sits in the plane, z up: the centre row's rays have
+	// dir.Z == 0 and run through the grid edge-on.
+	cam, err := render.NewCamera(vec.New(3, 0, 0), vec.New(0, 0, 0), vec.New(0, 0, 1), math.Pi/3, 1, 0.1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fill := range []float32{0, 0.6} {
+		g, err := hybrid.NewGrid(8, 8, 8, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.Data {
+			g.Data[i] = fill
+		}
+		r, err := New(g, marchTF(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, _ := render.NewFramebuffer(15, 15)
+		var fb *render.Framebuffer
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fb = checkAgainstReference(t, r, base, cam)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("fill %v: Render does not return", fill)
+		}
+		if r.SampleCount == 0 || r.FetchCount != r.SampleCount {
+			t.Errorf("fill %v: %d samples, %d fetched; flat bounds have no mask, so want all of some", fill, r.SampleCount, r.FetchCount)
+		}
+		for i, c := range fb.Color {
+			if c != c {
+				t.Fatalf("fill %v: NaN in color %d", fill, i)
+			}
+		}
+		if lit := fb.At(7, 7).A > 0; lit != (fill > 0) {
+			t.Errorf("fill %v: centre pixel lit = %v", fill, lit)
+		}
+	}
+
+	// Flat along every axis: nothing to march.
+	g, err := hybrid.NewGrid(2, 2, 2, vec.Box(vec.New(1, 1, 1), vec.New(1, 1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Data[0] = 1
+	r, err := New(g, marchTF(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SampleCount = 5
+	fb, _ := render.NewFramebuffer(9, 9)
+	r.Render(fb, testCam(t))
+	if r.SampleCount != 0 || fb.CoveredPixels(0) != 0 {
+		t.Errorf("point bounds: %d samples, %d pixels covered, want none", r.SampleCount, fb.CoveredPixels(0))
+	}
+}
+
+// BenchmarkRayCast times Renderer.Render alone at the benchmark's
+// thin-client size. beam is what the hybrid pipeline casts (a compact
+// core in a mostly empty box); dense has no empty brick, so it bounds
+// what the mask and the brick walk cost where they cannot help; empty
+// is the skip loop alone.
+func BenchmarkRayCast(b *testing.B) {
+	const res, size = 64, 192
+	bounds := vec.Box(vec.New(-1, -1, -1), vec.New(1, 1, 1))
+	rng := rand.New(rand.NewSource(3))
+	pts := make([]vec.V3, 100000)
+	for i := range pts {
+		if i%200 != 0 {
+			pts[i] = vec.New(rng.NormFloat64()*0.08, rng.NormFloat64()*0.12, rng.NormFloat64()*0.1)
+		} else {
+			pts[i] = vec.New(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3, rng.NormFloat64()*0.3)
+		}
+	}
+	beam, err := hybrid.Splat(pts, bounds, res, res, res, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	beam.Normalize()
+	dense, _ := hybrid.NewGrid(res, res, res, bounds)
+	for i := range dense.Data {
+		dense.Data[i] = 0.01 + 0.2*rng.Float32()
+	}
+	empty, _ := hybrid.NewGrid(res, res, res, bounds)
+
+	// Low opacity over a log domain, as DefaultTF: rays run deep.
+	vol, err := hybrid.StepRamp(0.2, 0.6, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tf, err := hybrid.NewLinkedTF(vol, hybrid.HeatMap(), 0.12, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tf.Domain = hybrid.LogDomain(1e4)
+	cam, err := render.LookAtBounds(bounds, vec.New(0.3, 0.2, 1), math.Pi/3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []gridCase{{"beam", beam}, {"dense", dense}, {"empty", empty}} {
+		b.Run(c.name, func(b *testing.B) {
+			r, err := New(c.grid, tf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fb, err := render.NewFramebuffer(size, size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fb.Clear(hybrid.RGBA{})
+				r.Render(fb, cam)
+			}
+			b.ReportMetric(float64(r.SampleCount)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+			b.ReportMetric(float64(r.FetchCount)/float64(r.SampleCount), "fetch_share")
+		})
 	}
 }

@@ -238,12 +238,15 @@ func (m *brickMask) start(origin, dir vec.V3, t float64) brickWalk {
 		o, d := origin.Component(axis), dir.Component(axis)
 		lo, size := m.min.Component(axis), m.size.Component(axis)
 		w.next[axis] = math.Inf(1)
-		if d == 0 || n[axis] == 1 {
-			continue // no face to cross on this axis
+		if n[axis] == 1 {
+			continue // one brick, no face to cross
 		}
 		b := int(math.Floor((o + t*d - lo) / size))
 		b = max(0, min(b, n[axis]-1))
 		w.idx += b * stride[axis]
+		if d == 0 {
+			continue // the ray stays in brick b of this axis
+		}
 		if d > 0 {
 			w.next[axis] = (lo + float64(b+1)*size - o) / d
 			w.delta[axis] = size / d

@@ -301,7 +301,10 @@ func TestRenderHybridDynamicValidation(t *testing.T) {
 // Grid.Sample, Camera.Ray per pixel. Only the voxel size is Render's
 // (voxelEdge: the smallest non-flat axis), so that flat bounds have an
 // oracle too; on other bounds it is the old minimum of three. It
-// returns the sample count.
+// returns the sample count. referenceVisit, when set, is called with
+// the position of every sample the reference takes.
+var referenceVisit func(p vec.V3)
+
 func referenceRender(r *Renderer, fb *render.Framebuffer, cam render.Camera) int64 {
 	voxel := voxelEdge(r.Grid)
 	if math.IsInf(voxel, 1) {
@@ -348,6 +351,9 @@ func referenceCastPixel(r *Renderer, fb *render.Framebuffer, cam render.Camera, 
 		p := origin.Add(dir.Scale(t))
 		d := r.Grid.Sample(p)
 		samples++
+		if referenceVisit != nil {
+			referenceVisit(p)
+		}
 		if d <= 0 {
 			continue
 		}
@@ -392,13 +398,99 @@ func sameBits(a, b []float32) int {
 	return -1
 }
 
+// bricksByDefinition is the brick mask written down from its
+// definition, one brick at a time: a brick is occupied if any voxel
+// within brickHalo of its footprint, read clamp-to-edge, is not exactly
+// zero. It shares nothing with newBrickMask but the two constants.
+type bricksByDefinition struct {
+	occupied []bool
+	n        [3]int
+	min      vec.V3
+	size     vec.V3 // world extent of one brick; zero on flat bounds
+}
+
+func bricksOf(g *hybrid.Grid) bricksByDefinition {
+	size := g.Bounds.Size()
+	if !(size.X > 0 && size.Y > 0 && size.Z > 0) {
+		return bricksByDefinition{occupied: []bool{true}, n: [3]int{1, 1, 1}}
+	}
+	m := bricksByDefinition{
+		n:    [3]int{(g.Nx + brick - 1) / brick, (g.Ny + brick - 1) / brick, (g.Nz + brick - 1) / brick},
+		min:  g.Bounds.Min,
+		size: vec.New(size.X/float64(g.Nx)*brick, size.Y/float64(g.Ny)*brick, size.Z/float64(g.Nz)*brick),
+	}
+	clamp := func(v, n int) int { return max(0, min(v, n-1)) }
+	for bz := 0; bz < m.n[2]; bz++ {
+		for by := 0; by < m.n[1]; by++ {
+			for bx := 0; bx < m.n[0]; bx++ {
+				occ := false
+				for z := bz*brick - brickHalo; z < (bz+1)*brick+brickHalo; z++ {
+					for y := by*brick - brickHalo; y < (by+1)*brick+brickHalo; y++ {
+						for x := bx*brick - brickHalo; x < (bx+1)*brick+brickHalo; x++ {
+							if g.At(clamp(x, g.Nx), clamp(y, g.Ny), clamp(z, g.Nz)) != 0 {
+								occ = true
+							}
+						}
+					}
+				}
+				m.occupied = append(m.occupied, occ)
+			}
+		}
+	}
+	return m
+}
+
+// fetchBounds classifies a sample position by the bricks it lies in: in
+// an occupied brick for certain (the march must fetch it), or possibly
+// (it may). Only a position within a billionth of a brick of a brick
+// face, where the rounding of the brick walk decides, lies in more than
+// one.
+func (m *bricksByDefinition) fetchBounds(p vec.V3) (must, may bool) {
+	var cand [3][2]int
+	for axis := 0; axis < 3; axis++ {
+		size := m.size.Component(axis)
+		if size == 0 {
+			continue // flat bounds: the one brick
+		}
+		rel := (p.Component(axis) - m.min.Component(axis)) / size
+		for k, eps := range [2]float64{-1e-9, 1e-9} {
+			cand[axis][k] = max(0, min(int(math.Floor(rel+eps)), m.n[axis]-1))
+		}
+	}
+	must = true
+	for _, bz := range cand[2] {
+		for _, by := range cand[1] {
+			for _, bx := range cand[0] {
+				occ := m.occupied[(bz*m.n[1]+by)*m.n[0]+bx]
+				must = must && occ
+				may = may || occ
+			}
+		}
+	}
+	return must, may
+}
+
 // checkAgainstReference renders with r into a copy of base and demands
-// the reference's picture, depth and sample count. It returns the
-// renderer's picture.
+// the reference's picture, depth and sample count, and a FetchCount that
+// is the number of reference samples in occupied bricks: a ray walked
+// through the wrong bricks either loses pixels or fetches what it need
+// not. It returns the renderer's picture.
 func checkAgainstReference(t *testing.T, r *Renderer, base *render.Framebuffer, cam render.Camera) *render.Framebuffer {
 	t.Helper()
+	bricks := bricksOf(r.Grid)
+	var mustFetch, mayFetch int64
+	referenceVisit = func(p vec.V3) {
+		must, may := bricks.fetchBounds(p)
+		if must {
+			mustFetch++
+		}
+		if may {
+			mayFetch++
+		}
+	}
 	want := cloneFB(base)
 	wantSamples := referenceRender(r, want, cam)
+	referenceVisit = nil
 	got := cloneFB(base)
 	r.Render(got, cam)
 	if i := sameBits(got.Color, want.Color); i >= 0 {
@@ -411,8 +503,9 @@ func checkAgainstReference(t *testing.T, r *Renderer, base *render.Framebuffer, 
 	if r.SampleCount != wantSamples {
 		t.Errorf("SampleCount %d, reference %d", r.SampleCount, wantSamples)
 	}
-	if r.FetchCount < 0 || r.FetchCount > r.SampleCount {
-		t.Errorf("FetchCount %d outside [0, SampleCount %d]", r.FetchCount, r.SampleCount)
+	if r.FetchCount < mustFetch || r.FetchCount > mayFetch {
+		t.Errorf("FetchCount %d, but the reference has %d to %d samples in occupied bricks",
+			r.FetchCount, mustFetch, mayFetch)
 	}
 	return got
 }
@@ -439,7 +532,10 @@ type gridCase struct {
 
 // matrixGrids builds the grids of the differential test. The bounds
 // are not a cube, so the three axes have different voxel and brick
-// sizes.
+// sizes. The small grids have 3 or 4 bricks on an axis and hardly an
+// empty one next to an occupied one; the two 32^3 grids have 8, a body
+// in the middle and empty bricks all around it, so a ray walked through
+// any brick but its own shows.
 func matrixGrids(t *testing.T) []gridCase {
 	t.Helper()
 	bounds := vec.Box(vec.New(-1, -0.8, -1.2), vec.New(1, 0.8, 1.2))
@@ -491,6 +587,8 @@ func matrixGrids(t *testing.T) []gridCase {
 			g.Set(0, 11, 11, -1)
 		})},
 		{"5x9x17", mk(5, 9, 17, blob)},
+		{"centred32", mk(32, 32, 32, blob)},
+		{"centreVoxel32", mk(32, 32, 32, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(16, 16, 16, 0.8) })},
 		{"1x1x1", mk(1, 1, 1, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(0, 0, 0, 0.7) })},
 	}
 }
@@ -525,10 +623,28 @@ func matrixCams(t *testing.T, w, h int) []camCase {
 	return cams
 }
 
+// TestBrickMaskMatchesDefinition compares the one-pass mask with the
+// definition applied brick by brick.
+func TestBrickMaskMatchesDefinition(t *testing.T) {
+	grids := append(matrixGrids(t), gridCase{"ball64", solidGrid(t, 64)})
+	for _, gc := range grids {
+		got, want := newBrickMask(gc.grid), bricksOf(gc.grid)
+		if [3]int{got.nx, got.ny, got.nz} != want.n {
+			t.Fatalf("%s: %dx%dx%d bricks, want %v", gc.name, got.nx, got.ny, got.nz, want.n)
+		}
+		for i := range want.occupied {
+			if got.occupied[i] != want.occupied[i] {
+				t.Errorf("%s: brick %d occupied = %v, by definition %v", gc.name, i, got.occupied[i], want.occupied[i])
+				break
+			}
+		}
+	}
+}
+
 // TestRayCastMatchesReference is the exactness claim of the brick mask:
 // over grids, views and settings chosen to reach every branch of the
-// brick walk, Render writes the reference march's bits and counts its
-// samples.
+// brick walk, Render writes the reference march's bits, counts its
+// samples and fetches those of them that lie in occupied bricks.
 func TestRayCastMatchesReference(t *testing.T) {
 	const w, h = 23, 17 // odd, so the centre ray of axisAligned is exact
 	tf := marchTF(t)
@@ -603,6 +719,14 @@ func FuzzRayCastMatchesReference(f *testing.F) {
 		eye := center.Add(vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(ext.Len() * rng.Float64() * 1.5))
 		target := center.Add(vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(0.3))
 		w, h := 9+rng.Intn(12), 9+rng.Intn(12)
+		if rng.Intn(4) == 0 {
+			// Look along the grid's x or z axis into an odd-sized image:
+			// the centre row and column have a direction component
+			// exactly 0.
+			axis := 2 * rng.Intn(2)
+			eye = target.WithComponent(axis, target.Component(axis)+ext.Len()*(rng.Float64()*3-1.5))
+			w, h = w|1, h|1
+		}
 		cam, err := render.NewCamera(eye, target, vec.New(0, 1, 0), math.Pi/3, float64(w)/float64(h), 0.01+0.5*rng.Float64(), 50)
 		if err != nil {
 			t.Skip(err)
@@ -625,6 +749,32 @@ func FuzzRayCastMatchesReference(f *testing.F) {
 		r.Workers = 1 + rng.Intn(4)
 		checkAgainstReference(t, r, base, cam)
 	})
+}
+
+// TestAxisAlignedRaysFindTheirBrick casts down -z at a ball in the
+// middle of a 64^3 grid into an odd-sized image: the centre row's rays
+// have dir.Y == 0, the centre column's dir.X == 0, and both pass
+// through the ball, 8 bricks from the empty bricks at the grid's faces.
+// A walk that does not place such a ray on the axis it never moves
+// along leaves a transparent cross in the picture.
+func TestAxisAlignedRaysFindTheirBrick(t *testing.T) {
+	cam := testCam(t)
+	const size = 63
+	_, dir := cam.Ray(size/2, size/2, size, size)
+	if dir.X != 0 || dir.Y != 0 {
+		t.Fatalf("centre ray is %v, want exactly -z", dir)
+	}
+	r, err := New(solidGrid(t, 64), marchTF(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := render.NewFramebuffer(size, size)
+	fb := checkAgainstReference(t, r, base, cam)
+	for _, px := range [][2]int{{size / 2, size / 2}, {size/2 + 9, size / 2}, {size / 2, size/2 - 9}} {
+		if fb.At(px[0], px[1]).A <= 0 {
+			t.Errorf("pixel %v, where a ray along a grid axis meets the ball, is transparent", px)
+		}
+	}
 }
 
 // TestFetchCountShowsSkipping pins what the mask is for: around a

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/emsim"
 	"repro/internal/fieldline"
@@ -33,6 +34,17 @@ func main() {
 		out       = flag.String("out", "cavity", "output path prefix")
 	)
 	flag.Parse()
+	// A run that cannot simulate anything is an error, not an empty
+	// success: -periods -1 used to print all-zero snapshots and
+	// -snapshots 0 nothing at all, both with exit status 0.
+	switch {
+	case !(*periods > 0) || math.IsInf(*periods, 0):
+		log.Fatalf("-periods must be a positive number of drive periods, got %g", *periods)
+	case *snapshots < 1:
+		log.Fatalf("-snapshots must be at least 1, got %d", *snapshots)
+	case *lines < 0:
+		log.Fatalf("-lines must be 0 (no tracing) or more, got %d", *lines)
+	}
 
 	cav := hexmesh.DefaultCavity(*res)
 	if *cells != 3 {

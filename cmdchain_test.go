@@ -3,15 +3,22 @@ package repro
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"image/png"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/beam"
 	"repro/internal/core"
+	"repro/internal/emsim"
+	"repro/internal/hexmesh"
 	"repro/internal/hybrid"
+	"repro/internal/lineio"
 	"repro/internal/pario"
 )
 
@@ -145,5 +152,178 @@ func TestCmdChainSmoke(t *testing.T) {
 		if err == nil {
 			t.Errorf("corrupted %s read back without error", filepath.Base(victim))
 		}
+	}
+}
+
+// buildCommands compiles the named commands of this module into a
+// temporary directory and returns it.
+func buildCommands(t *testing.T, names ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	args := []string{"build", "-o", dir + string(filepath.Separator)}
+	for _, n := range names {
+		args = append(args, "./cmd/"+n)
+	}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return dir
+}
+
+// runCommand runs one built command and returns its output streams and
+// exit status.
+func runCommand(t *testing.T, bin string, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var so, se bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &so, &se
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &ee):
+		exit = ee.ExitCode()
+	default:
+		t.Fatalf("%s %v: %v", filepath.Base(bin), args, err)
+	}
+	return so.String(), se.String(), exit
+}
+
+// TestCmdFieldChain drives the §3 commands as a user does: emsim solves
+// and writes one .acfl line file per snapshot, linerender draws one.
+// Flag misuse must fail with a named error and exit status 1 (it used
+// to "succeed": -periods -1 printed all-zero snapshots, -snapshots 0
+// printed nothing, both with status 0); every file must round-trip
+// CRC-exact; a flipped byte must be refused.
+func TestCmdFieldChain(t *testing.T) {
+	bin := buildCommands(t, "emsim", "linerender")
+	emsim, linerender := filepath.Join(bin, "emsim"), filepath.Join(bin, "linerender")
+	dir := t.TempDir()
+
+	for _, c := range []struct {
+		args []string
+		name string // the flag the error must name
+	}{
+		{[]string{"-periods", "-1", "-snapshots", "2"}, "-periods"},
+		{[]string{"-periods", "0"}, "-periods"},
+		{[]string{"-periods", "NaN"}, "-periods"},
+		{[]string{"-periods", "+Inf"}, "-periods"},
+		{[]string{"-snapshots", "0"}, "-snapshots"},
+		{[]string{"-snapshots", "-3"}, "-snapshots"},
+		{[]string{"-lines", "-1"}, "-lines"},
+	} {
+		args := append([]string{"-res", "4", "-out", filepath.Join(dir, "bad")}, c.args...)
+		stdout, stderr, exit := runCommand(t, emsim, args...)
+		if exit != 1 {
+			t.Errorf("emsim %v: exit status %d, want 1", c.args, exit)
+		}
+		if !strings.Contains(stderr, "emsim: "+c.name) {
+			t.Errorf("emsim %v: error %q does not name %s", c.args, strings.TrimSpace(stderr), c.name)
+		}
+		if strings.Contains(stdout, "snapshot") {
+			t.Errorf("emsim %v: printed snapshots before failing:\n%s", c.args, stdout)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "bad*")); len(left) != 0 {
+		t.Errorf("refused runs left files behind: %v", left)
+	}
+
+	// emsim → .acfl.
+	prefix := filepath.Join(dir, "cav")
+	stdout, stderr, exit := runCommand(t, emsim, "-res", "6", "-periods", "3", "-snapshots", "2", "-lines", "25", "-out", prefix)
+	if exit != 0 {
+		t.Fatalf("emsim: exit status %d\n%s", exit, stderr)
+	}
+	if strings.Count(stdout, "snapshot ") != 2 || strings.Contains(stdout, "energy 0,") {
+		t.Errorf("emsim output does not show two live snapshots:\n%s", stdout)
+	}
+	var files []string
+	for snap := 0; snap < 2; snap++ {
+		path := fmt.Sprintf("%s_snap%02d.acfl", prefix, snap)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := lineio.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s failed its CRC-validated read: %v", filepath.Base(path), err)
+		}
+		if len(lines) == 0 || len(lines) > 25 {
+			t.Fatalf("%s holds %d lines, want 1..25", filepath.Base(path), len(lines))
+		}
+		var again bytes.Buffer
+		if err := lineio.Write(&again, lines); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) || lineio.LinesBytes(lines) != int64(len(data)) {
+			t.Errorf("%s is not byte-identical after a read/write round trip", filepath.Base(path))
+		}
+		files = append(files, path)
+	}
+
+	// .acfl → linerender → PNG.
+	pic := filepath.Join(dir, "pic.png")
+	stdout, stderr, exit = runCommand(t, linerender, "-in", files[1], "-tech", "sos", "-size", "64", "-out", pic)
+	if exit != 0 {
+		t.Fatalf("linerender: exit status %d\n%s", exit, stderr)
+	}
+	if !strings.Contains(stdout, "triangles") {
+		t.Errorf("linerender reported no statistics:\n%s", stdout)
+	}
+	f, err := os.Open(pic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := png.Decode(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("linerender wrote an unreadable PNG: %v", err)
+	}
+	if b := img.Bounds(); b.Dx() != 64 || b.Dy() != 64 {
+		t.Errorf("picture is %dx%d, want 64x64", b.Dx(), b.Dy())
+	}
+
+	// A flipped byte anywhere in the file is refused by name, status 1.
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	bad := filepath.Join(dir, "flipped.acfl")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, exit = runCommand(t, linerender, "-in", bad, "-out", filepath.Join(dir, "never.png"))
+	if exit != 1 || !strings.Contains(stderr, "linerender: lineio:") {
+		t.Errorf("linerender on a corrupted file: exit status %d, error %q; want 1 and a lineio error", exit, strings.TrimSpace(stderr))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "never.png")); err == nil {
+		t.Error("linerender wrote a picture from a corrupted file")
+	}
+}
+
+// TestAdvancePeriodsIgnoresNonsense pins the library side of the same
+// bug: a non-positive or non-finite period count advances nothing —
+// stated in AdvancePeriods, not left to what int(math.Ceil(NaN))
+// happens to be on the platform.
+func TestAdvancePeriodsIgnoresNonsense(t *testing.T) {
+	cav := hexmesh.DefaultCavity(4)
+	mesh, err := hexmesh.BuildCavity(cav)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := emsim.New(emsim.DefaultConfig(mesh, cav))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []float64{0, -1, -1e300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sim.AdvancePeriods(n)
+		if sim.Step() != 0 || sim.Time() != 0 {
+			t.Fatalf("AdvancePeriods(%g) advanced to step %d, t=%g", n, sim.Step(), sim.Time())
+		}
+	}
+	sim.AdvancePeriods(0.5)
+	if sim.Step() == 0 {
+		t.Fatal("AdvancePeriods(0.5) advanced nothing")
 	}
 }

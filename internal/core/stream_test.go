@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/beam"
 	"repro/internal/hybrid"
+	"repro/internal/render"
+	"repro/internal/seeding"
 	"repro/internal/sos"
+	"repro/internal/vec"
 )
 
 // streamFixture returns a small fixed-seed pipeline and three
@@ -273,6 +278,114 @@ func TestFieldStream(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("got %d frames, want 2", n)
+	}
+}
+
+// TestFieldStreamMatchesSerial: the §3 stream is the serial chain.
+// Every frame StreamSolve delivers — the picture's colour and depth
+// bits, the render statistics, and every traced line's points, tangents
+// and strengths — equals what the one-frame-at-a-time loop
+// AdvancePeriods → Snapshot → TraceE → RenderLines produces from a fresh
+// solver, at every trace and render stage worker count.
+func TestFieldStreamMatchesSerial(t *testing.T) {
+	const (
+		cells, lines, frames = 6, 40, 4
+		periods              = 0.5
+		size                 = 96
+	)
+	view := vec.New(0.8, 0.45, 0.9)
+
+	type serialFrame struct {
+		res   *seeding.Result
+		fb    *render.Framebuffer
+		stats sos.Stats
+	}
+	ref := NewFieldPipeline(cells, lines)
+	if _, err := ref.Solve(0); err != nil { // builds the solver, advances nothing
+		t.Fatal(err)
+	}
+	if ref.Sim().Step() != 0 {
+		t.Fatalf("Solve(0) advanced the solver to step %d", ref.Sim().Step())
+	}
+	var want []serialFrame
+	for i := 0; i < frames; i++ {
+		ref.Sim().AdvancePeriods(periods)
+		res, err := ref.TraceE(ref.Sim().Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, st, err := ref.RenderLines(res.Lines, sos.TechSOS, size, size, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Lines) == 0 || st.Fragments == 0 {
+			t.Fatalf("serial frame %d: %d lines, %d fragments", i, len(res.Lines), st.Fragments)
+		}
+		want = append(want, serialFrame{res, fb, st})
+	}
+
+	bits3 := func(a, b vec.V3) bool {
+		return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+			math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+			math.Float64bits(a.Z) == math.Float64bits(b.Z)
+	}
+	for _, traceWorkers := range []int{1, 2} {
+		for _, renderWorkers := range []int{1, 2} {
+			label := fmt.Sprintf("trace=%d/render=%d", traceWorkers, renderWorkers)
+			p := NewFieldPipeline(cells, lines)
+			s, err := p.StreamSolve(context.Background(), FieldStreamOptions{
+				Frames: frames, PeriodsPerFrame: periods, TraceWorkers: traceWorkers, Buffer: 2,
+				Render: &FieldRenderOptions{Technique: sos.TechSOS, Width: size, Height: size, ViewDir: view, Workers: renderWorkers},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for r := range s.Out {
+				if r.Index != n || n >= frames {
+					t.Fatalf("%s: frame %d arrived as number %d", label, r.Index, n)
+				}
+				w := want[n]
+				n++
+				if r.Stats.Triangles != w.stats.Triangles || r.Stats.Fragments != w.stats.Fragments || r.Stats.Lines != w.stats.Lines {
+					t.Errorf("%s frame %d: %d lines / %d triangles / %d fragments, serial %d / %d / %d", label, r.Index,
+						r.Stats.Lines, r.Stats.Triangles, r.Stats.Fragments, w.stats.Lines, w.stats.Triangles, w.stats.Fragments)
+				}
+				for i := range w.fb.Color {
+					if math.Float32bits(r.FB.Color[i]) != math.Float32bits(w.fb.Color[i]) {
+						t.Fatalf("%s frame %d: color[%d] = %v, serial %v", label, r.Index, i, r.FB.Color[i], w.fb.Color[i])
+					}
+				}
+				for i := range w.fb.Depth {
+					if math.Float32bits(r.FB.Depth[i]) != math.Float32bits(w.fb.Depth[i]) {
+						t.Fatalf("%s frame %d: depth[%d] = %v, serial %v", label, r.Index, i, r.FB.Depth[i], w.fb.Depth[i])
+					}
+				}
+				if len(r.E.Lines) != len(w.res.Lines) {
+					t.Fatalf("%s frame %d: %d lines, serial %d", label, r.Index, len(r.E.Lines), len(w.res.Lines))
+				}
+				for li, l := range r.E.Lines {
+					wl := w.res.Lines[li]
+					if l.NumPoints() != wl.NumPoints() || len(l.Tangents) != len(wl.Tangents) ||
+						len(l.Strengths) != len(wl.Strengths) || l.Closed != wl.Closed ||
+						r.E.SeedElement[li] != w.res.SeedElement[li] {
+						t.Fatalf("%s frame %d line %d: shape or seed differs from serial", label, r.Index, li)
+					}
+					for i := range l.Points {
+						if !bits3(l.Points[i], wl.Points[i]) || !bits3(l.Tangents[i], wl.Tangents[i]) ||
+							math.Float64bits(l.Strengths[i]) != math.Float64bits(wl.Strengths[i]) {
+							t.Fatalf("%s frame %d line %d sample %d differs from serial", label, r.Index, li, i)
+						}
+					}
+				}
+			}
+			if err := s.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if n != frames {
+				t.Fatalf("%s: %d frames, want %d", label, n, frames)
+			}
+		}
 	}
 }
 

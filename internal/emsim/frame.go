@@ -8,7 +8,8 @@ import (
 )
 
 // FieldFrame is one time step of cell-centered electric and magnetic
-// fields over the mesh — the data product the field-line visualization
+// fields over the mesh, as Sim.Snapshot returns it — the data product
+// the field-line visualization
 // pipeline consumes, and the unit of the paper's storage arithmetic
 // ("it would take about 80 megabytes of storage space to save one time
 // step of the electric and magnetic fields together" for 1.6M
@@ -19,6 +20,10 @@ type FieldFrame struct {
 	B    []vec.V3
 	Step int
 	Time float64
+
+	// cells is the solver's padded lattice → element index + 1 table
+	// (read-only, shared by every snapshot of one Sim).
+	cells []int32
 }
 
 // Snapshot averages the staggered Yee components to element centers
@@ -31,6 +36,8 @@ func (s *Sim) Snapshot() *FieldFrame {
 		B:    make([]vec.V3, m.NumElements()),
 		Step: s.step,
 		Time: s.time,
+
+		cells: s.cells,
 	}
 	for e := range m.Elements {
 		el := &m.Elements[e]
@@ -73,6 +80,16 @@ func (f *FieldFrame) sampleField(field []vec.V3, p vec.V3) vec.V3 {
 	tx := fx - float64(i0)
 	ty := fy - float64(j0)
 	tz := fz - float64(k0)
+	// The eight corners (i0..i0+1, j0..j0+1, k0..k0+1) are read from the
+	// padded cell table, where a corner one cell outside the lattice is
+	// conductor like any other: one range test and one base index serve
+	// all eight. A base corner further out has every corner outside.
+	nx, ny, nz := m.Nx, m.Ny, m.Nz
+	if uint(i0+1) > uint(nx) || uint(j0+1) > uint(ny) || uint(k0+1) > uint(nz) {
+		return vec.V3{}
+	}
+	px, py := nx+2, ny+2
+	base := ((k0+1)*py+j0+1)*px + i0 + 1
 	var acc vec.V3
 	for dk := 0; dk < 2; dk++ {
 		wz := tz
@@ -84,16 +101,17 @@ func (f *FieldFrame) sampleField(field []vec.V3, p vec.V3) vec.V3 {
 			if dj == 0 {
 				wy = 1 - ty
 			}
+			row := f.cells[base+(dk*py+dj)*px:][:2]
 			for di := 0; di < 2; di++ {
 				wx := tx
 				if di == 0 {
 					wx = 1 - tx
 				}
-				e := m.ElementIndexAt(i0+di, j0+dj, k0+dk)
-				if e < 0 {
+				e := row[di]
+				if e == 0 {
 					continue // conductor contributes zero
 				}
-				acc = acc.Add(field[e].Scale(wx * wy * wz))
+				acc = acc.Add(field[e-1].Scale(wx * wy * wz))
 			}
 		}
 	}

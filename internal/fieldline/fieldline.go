@@ -104,43 +104,78 @@ func dirAt(f Field, p vec.V3) (vec.V3, float64) {
 	return v.Scale(1 / mag), mag
 }
 
-// Trace integrates a field line from seed in the given direction
-// (+1 with the field, -1 against it) using RK4 on the normalized
-// field. The seed itself is the first sample.
-func Trace(f Field, seed vec.V3, cfg Config, sign float64) (*Line, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// Slab is flat, append-only storage for the samples of many lines: a
+// caller that traces thousands of lines (the seeding loop) appends them
+// all to one slab and hands out windows into it, where a Line of its
+// own per attempt would cost three growing slices each. The three
+// slices always have equal length.
+type Slab struct {
+	Points    []vec.V3
+	Tangents  []vec.V3
+	Strengths []float64
+}
+
+// Len returns the number of samples in the slab.
+func (s *Slab) Len() int { return len(s.Points) }
+
+// Truncate drops every sample from index n on — how a caller rolls back
+// an attempt it does not keep.
+func (s *Slab) Truncate(n int) {
+	s.Points, s.Tangents, s.Strengths = s.Points[:n], s.Tangents[:n], s.Strengths[:n]
+}
+
+// Line returns samples [lo, hi) as a line. The line is a window into
+// the slab, not a copy: it is valid for as long as the slab's arrays
+// are, and appending to it reallocates instead of overwriting the
+// slab's next line. Take windows once the slab has stopped growing, or
+// earlier ones keep superseded arrays alive.
+func (s *Slab) Line(lo, hi int, closed bool) Line {
+	return Line{
+		Points:    s.Points[lo:hi:hi],
+		Tangents:  s.Tangents[lo:hi:hi],
+		Strengths: s.Strengths[lo:hi:hi],
+		Closed:    closed,
 	}
+}
+
+// AppendTrace integrates like Trace, appending the samples to the slab,
+// and reports whether the line closed on itself. cfg must be valid.
+func (s *Slab) AppendTrace(f Field, seed vec.V3, cfg Config, sign float64) (closed bool) {
+	d, mag := dirAt(f, seed)
+	return s.appendTrace(f, seed, d, mag, cfg, sign)
+}
+
+// appendTrace is AppendTrace given the field direction and magnitude at
+// the seed, which TraceBoth samples once for both directions.
+func (s *Slab) appendTrace(f Field, seed, d vec.V3, mag float64, cfg Config, sign float64) (closed bool) {
 	if sign >= 0 {
 		sign = 1
 	} else {
 		sign = -1
 	}
-	line := &Line{}
 	p := seed
 	for step := 0; step <= cfg.MaxSteps; step++ {
-		d, mag := dirAt(f, p)
+		if step > 0 {
+			d, mag = dirAt(f, p)
+		}
 		if mag < cfg.MinMag || mag == 0 {
 			break
 		}
 		if cfg.Domain != nil && !cfg.Domain(p) {
 			break
 		}
-		line.Points = append(line.Points, p)
-		line.Tangents = append(line.Tangents, d.Scale(sign))
-		line.Strengths = append(line.Strengths, mag)
+		s.Points = append(s.Points, p)
+		s.Tangents = append(s.Tangents, d.Scale(sign))
+		s.Strengths = append(s.Strengths, mag)
 
 		if cfg.CloseLoop && step >= 8 && p.Dist(seed) < cfg.Step {
-			line.Closed = true
-			break
+			return true
 		}
 
-		// RK4 on dp/ds = sign * v(p)/|v(p)|.
+		// RK4 on dp/ds = sign * v(p)/|v(p)|. The first stage is the
+		// direction just recorded: At is a pure function of p.
 		h := cfg.Step
-		k1, m1 := dirAt(f, p)
-		if m1 == 0 {
-			break
-		}
+		k1 := d
 		k2, m2 := dirAt(f, p.Add(k1.Scale(sign*h/2)))
 		if m2 == 0 {
 			break
@@ -159,7 +194,42 @@ func Trace(f Field, seed vec.V3, cfg Config, sign float64) (*Line, error) {
 		}
 		p = p.Add(delta)
 	}
-	return line, nil
+	return false
+}
+
+// AppendTraceBoth integrates like TraceBoth, appending the joined line
+// to the slab in place: the backward half is traced, reversed where it
+// lies (dropping the seed, which the forward half holds, and flipping
+// its tangents to point along the line's forward direction), and the
+// forward half follows it. cfg must be valid.
+func (s *Slab) AppendTraceBoth(f Field, seed vec.V3, cfg Config) (closed bool) {
+	d, mag := dirAt(f, seed)
+	lo := s.Len()
+	closed = s.appendTrace(f, seed, d, mag, cfg, -1)
+	if hi := s.Len(); hi > lo {
+		for i, j := lo, hi-1; i < j; i, j = i+1, j-1 {
+			s.Points[i], s.Points[j] = s.Points[j], s.Points[i]
+			s.Tangents[i], s.Tangents[j] = s.Tangents[j], s.Tangents[i]
+			s.Strengths[i], s.Strengths[j] = s.Strengths[j], s.Strengths[i]
+		}
+		s.Truncate(hi - 1)
+		for i := lo; i < hi-1; i++ {
+			s.Tangents[i] = s.Tangents[i].Neg()
+		}
+	}
+	return s.appendTrace(f, seed, d, mag, cfg, +1) || closed
+}
+
+// Trace integrates a field line from seed in the given direction
+// (+1 with the field, -1 against it) using RK4 on the normalized
+// field. The seed itself is the first sample.
+func Trace(f Field, seed vec.V3, cfg Config, sign float64) (*Line, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var s Slab
+	closed := s.AppendTrace(f, seed, cfg, sign)
+	return &Line{Points: s.Points, Tangents: s.Tangents, Strengths: s.Strengths, Closed: closed}, nil
 }
 
 // TraceAll integrates one line per seed concurrently on par.ForChunks
@@ -212,27 +282,12 @@ func TraceBothAll(f Field, seeds []vec.V3, cfg Config, workers int) ([]*Line, er
 // two halves into a single line through the seed — the standard way to
 // center a streamline on its seed point.
 func TraceBoth(f Field, seed vec.V3, cfg Config) (*Line, error) {
-	back, err := Trace(f, seed, cfg, -1)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fwd, err := Trace(f, seed, cfg, +1)
-	if err != nil {
-		return nil, err
-	}
-	line := &Line{}
-	// Backward half reversed (excluding the seed, which forward holds),
-	// with tangents flipped to point along the line's forward direction.
-	for i := len(back.Points) - 1; i >= 1; i-- {
-		line.Points = append(line.Points, back.Points[i])
-		line.Tangents = append(line.Tangents, back.Tangents[i].Neg())
-		line.Strengths = append(line.Strengths, back.Strengths[i])
-	}
-	line.Points = append(line.Points, fwd.Points...)
-	line.Tangents = append(line.Tangents, fwd.Tangents...)
-	line.Strengths = append(line.Strengths, fwd.Strengths...)
-	line.Closed = back.Closed || fwd.Closed
-	return line, nil
+	var s Slab
+	closed := s.AppendTraceBoth(f, seed, cfg)
+	return &Line{Points: s.Points, Tangents: s.Tangents, Strengths: s.Strengths, Closed: closed}, nil
 }
 
 // Resample returns a copy of the line with at most maxPoints samples,

@@ -218,6 +218,210 @@ func linesEqual(a, b *Line) bool {
 	return true
 }
 
+// refTrace is Trace as this package shipped it before lines were traced
+// into slabs, verbatim: a Line of its own per call and five field
+// samples per step. It is the oracle of TestTraceMatchesReference.
+func refTrace(f Field, seed vec.V3, cfg Config, sign float64) (*Line, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if sign >= 0 {
+		sign = 1
+	} else {
+		sign = -1
+	}
+	line := &Line{}
+	p := seed
+	for step := 0; step <= cfg.MaxSteps; step++ {
+		d, mag := dirAt(f, p)
+		if mag < cfg.MinMag || mag == 0 {
+			break
+		}
+		if cfg.Domain != nil && !cfg.Domain(p) {
+			break
+		}
+		line.Points = append(line.Points, p)
+		line.Tangents = append(line.Tangents, d.Scale(sign))
+		line.Strengths = append(line.Strengths, mag)
+
+		if cfg.CloseLoop && step >= 8 && p.Dist(seed) < cfg.Step {
+			line.Closed = true
+			break
+		}
+
+		// RK4 on dp/ds = sign * v(p)/|v(p)|.
+		h := cfg.Step
+		k1, m1 := dirAt(f, p)
+		if m1 == 0 {
+			break
+		}
+		k2, m2 := dirAt(f, p.Add(k1.Scale(sign*h/2)))
+		if m2 == 0 {
+			break
+		}
+		k3, m3 := dirAt(f, p.Add(k2.Scale(sign*h/2)))
+		if m3 == 0 {
+			break
+		}
+		k4, m4 := dirAt(f, p.Add(k3.Scale(sign*h)))
+		if m4 == 0 {
+			break
+		}
+		delta := k1.Add(k2.Scale(2)).Add(k3.Scale(2)).Add(k4).Scale(sign * h / 6)
+		if !delta.IsFinite() || delta.Len() == 0 {
+			break
+		}
+		p = p.Add(delta)
+	}
+	return line, nil
+}
+
+// refTraceBoth is the old TraceBoth, verbatim: two traces copied into a
+// third line.
+func refTraceBoth(f Field, seed vec.V3, cfg Config) (*Line, error) {
+	back, err := refTrace(f, seed, cfg, -1)
+	if err != nil {
+		return nil, err
+	}
+	fwd, err := refTrace(f, seed, cfg, +1)
+	if err != nil {
+		return nil, err
+	}
+	line := &Line{}
+	// Backward half reversed (excluding the seed, which forward holds),
+	// with tangents flipped to point along the line's forward direction.
+	for i := len(back.Points) - 1; i >= 1; i-- {
+		line.Points = append(line.Points, back.Points[i])
+		line.Tangents = append(line.Tangents, back.Tangents[i].Neg())
+		line.Strengths = append(line.Strengths, back.Strengths[i])
+	}
+	line.Points = append(line.Points, fwd.Points...)
+	line.Tangents = append(line.Tangents, fwd.Tangents...)
+	line.Strengths = append(line.Strengths, fwd.Strengths...)
+	line.Closed = back.Closed || fwd.Closed
+	return line, nil
+}
+
+// bitsEqual is linesEqual on the bit patterns, so that a flipped zero
+// sign or a NaN cannot pass.
+func bitsEqual(a, b *Line) bool {
+	if a.NumPoints() != b.NumPoints() || a.Closed != b.Closed ||
+		len(a.Tangents) != len(b.Tangents) || len(a.Strengths) != len(b.Strengths) {
+		return false
+	}
+	v3 := func(p, q vec.V3) bool {
+		return math.Float64bits(p.X) == math.Float64bits(q.X) &&
+			math.Float64bits(p.Y) == math.Float64bits(q.Y) &&
+			math.Float64bits(p.Z) == math.Float64bits(q.Z)
+	}
+	for i := range a.Points {
+		if !v3(a.Points[i], b.Points[i]) || !v3(a.Tangents[i], b.Tangents[i]) ||
+			math.Float64bits(a.Strengths[i]) != math.Float64bits(b.Strengths[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTraceMatchesReference: tracing into a slab — one field sample
+// fewer per step, the seed sampled once for both directions, the
+// backward half reversed in place — returns the reference tracer's
+// lines bit for bit, for every way a line can end: step budget, loop
+// closure, weak field, domain exit, a null at the seed, a null met by
+// an inner RK4 stage, and a back half of no, one and many samples.
+func TestTraceMatchesReference(t *testing.T) {
+	// axisNull vanishes on a slab around x = 1, so lines run into a null
+	// mid-step.
+	axisNull := func(p vec.V3) vec.V3 {
+		if math.Abs(p.X-1) < 0.03 {
+			return vec.V3{}
+		}
+		return vec.New(1, 0.3*math.Sin(3*p.X), -0.2)
+	}
+	halfSpace := func(p vec.V3) bool { return p.X > -0.4 && p.X < 0.9 }
+	cases := []struct {
+		name  string
+		f     func(vec.V3) vec.V3
+		cfg   Config
+		seeds []vec.V3
+	}{
+		{"uniform/budget", uniformX, Config{Step: 0.1, MaxSteps: 40}, []vec.V3{vec.New(0, 1, 2)}},
+		{"circular/closes", circular, Config{Step: 0.05, MaxSteps: 400, CloseLoop: true},
+			[]vec.V3{vec.New(1, 0, 0), vec.New(0.3, 0.2, 1), vec.New(0, 0, 0)}},
+		{"radial/weak", radial, Config{Step: 0.05, MaxSteps: 300, MinMag: 0.2},
+			[]vec.V3{vec.New(0.5, 0, 0), vec.New(0.1, 0.2, 0.3), vec.New(3, 0, 0), vec.New(0, 0, 0)}},
+		{"uniform/domain", uniformX, Config{Step: 0.1, MaxSteps: 100, Domain: halfSpace},
+			[]vec.V3{vec.New(0, 0, 0), vec.New(-0.39, 0, 0), vec.New(0.89, 0, 0), vec.New(-0.4, 0, 0), vec.New(2, 0, 0)}},
+		{"null/midstep", axisNull, Config{Step: 0.05, MaxSteps: 100},
+			[]vec.V3{vec.New(0, 0, 0), vec.New(0.96, 0, 0), vec.New(1.04, 0, 0), vec.New(1, 0, 0), vec.New(1.5, 0, 0)}},
+	}
+	for _, c := range cases {
+		f := FieldFunc(c.f)
+		var slab Slab
+		type window struct {
+			lo, hi int
+			closed bool
+		}
+		var wins []window
+		var wantBoth []*Line
+		for _, seed := range c.seeds {
+			for _, sign := range []float64{+1, -1} {
+				want, err := refTrace(f, seed, c.cfg, sign)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Trace(f, seed, c.cfg, sign)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bitsEqual(got, want) {
+					t.Errorf("%s: Trace(%v, %+g): %d points (closed %v), reference %d (closed %v) or samples differ",
+						c.name, seed, sign, got.NumPoints(), got.Closed, want.NumPoints(), want.Closed)
+				}
+			}
+			want, err := refTraceBoth(f, seed, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := TraceBoth(f, seed, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(got, want) {
+				t.Errorf("%s: TraceBoth(%v): %d points (closed %v), reference %d (closed %v) or samples differ",
+					c.name, seed, got.NumPoints(), got.Closed, want.NumPoints(), want.Closed)
+			}
+			// The same lines appended to one shared slab.
+			lo := slab.Len()
+			closed := slab.AppendTraceBoth(f, seed, c.cfg)
+			wins = append(wins, window{lo, slab.Len(), closed})
+			wantBoth = append(wantBoth, want)
+		}
+		for i, w := range wins {
+			l := slab.Line(w.lo, w.hi, w.closed)
+			if !bitsEqual(&l, wantBoth[i]) {
+				t.Errorf("%s: slab window %d differs from the reference line", c.name, i)
+			}
+		}
+	}
+	// A window must not let an append run into its neighbour.
+	var slab Slab
+	cfg := Config{Step: 0.1, MaxSteps: 5}
+	slab.AppendTrace(FieldFunc(uniformX), vec.New(0, 0, 0), cfg, +1)
+	mid := slab.Len()
+	slab.AppendTrace(FieldFunc(uniformX), vec.New(0, 1, 0), cfg, +1)
+	first := slab.Line(0, mid, false)
+	first.Points = append(first.Points, vec.New(9, 9, 9))
+	if slab.Points[mid] != vec.New(0, 1, 0) {
+		t.Error("appending to a window overwrote the next line's first point")
+	}
+	// Truncate rolls an attempt back.
+	slab.Truncate(mid)
+	if slab.Len() != mid || len(slab.Tangents) != mid || len(slab.Strengths) != mid {
+		t.Errorf("after Truncate(%d): %d/%d/%d samples", mid, slab.Len(), len(slab.Tangents), len(slab.Strengths))
+	}
+}
+
 // TestTraceAllMatchesSerial: the parallel batch must return exactly
 // the lines serial tracing produces, in seed order, at every worker
 // count.

@@ -63,12 +63,13 @@ func LookAtBounds(b vec.AABB, dir vec.V3, fovy, aspect float64) (Camera, error) 
 }
 
 // viewSpace transforms a world point into view space (camera at origin
-// looking down -Z).
-func (c Camera) viewSpace(p vec.V3) vec.V3 { return c.View.Apply(p) }
+// looking down -Z). It, project and ViewDir run once per vertex or per
+// fragment and take the camera by pointer: a Camera is 300 bytes.
+func (c *Camera) viewSpace(p vec.V3) vec.V3 { return c.View.Apply(p) }
 
 // project maps a view-space point to screen coordinates and depth.
 // ok is false when the point is on or behind the near plane.
-func (c Camera) project(v vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
+func (c *Camera) project(v vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
 	if v.Z >= -c.Near {
 		return 0, 0, 0, false
 	}
@@ -84,7 +85,7 @@ func (c Camera) WorldToScreen(p vec.V3, w, h int) (sx, sy, depth float64, ok boo
 }
 
 // ViewDir returns the unit vector from p toward the camera eye.
-func (c Camera) ViewDir(p vec.V3) vec.V3 { return c.Eye.Sub(p).Norm() }
+func (c *Camera) ViewDir(p vec.V3) vec.V3 { return c.Eye.Sub(p).Norm() }
 
 // Ray returns the world-space origin and unit direction of the viewing
 // ray through pixel (px, py) of a w x h image.

@@ -495,78 +495,109 @@ func (r *Rasterizer) DrawLine(p0, p1 vec.V3, width float64, c0, c1 hybrid.RGBA) 
 
 // ---- triangles -------------------------------------------------------
 
-// clipVert is a view-space vertex used during near-plane clipping.
-type clipVert struct {
-	pos   vec.V3 // view space
-	world vec.V3
-	n     vec.V3
-	uv    [2]float64
-	color hybrid.RGBA
+// tvert is a submitted vertex after the view and projection transforms.
+// A flush transforms every vertex once, however many triangles index it
+// (a strip vertex is in up to three).
+type tvert struct {
+	pos     vec.V3  // view space
+	x, y, d float64 // screen position and projected depth, valid when ok
+	w       float64 // inverse view-space depth, for perspective-correct interpolation
+	ok      bool    // in front of the near plane
 }
 
-func lerpClip(a, b clipVert, t float64) clipVert {
-	return clipVert{
-		pos:   a.pos.Lerp(b.pos, t),
-		world: a.world.Lerp(b.world, t),
-		n:     a.n.Lerp(b.n, t),
-		uv:    [2]float64{a.uv[0] + t*(b.uv[0]-a.uv[0]), a.uv[1] + t*(b.uv[1]-a.uv[1])},
-		color: a.color.Lerp(b.color, t),
-	}
+// transformVertex fills t from a world position; projectVertex from
+// t.pos, for a vertex made in view space by clipping.
+func (r *Rasterizer) transformVertex(world vec.V3, t *tvert) {
+	t.pos = r.Cam.viewSpace(world)
+	r.projectVertex(t)
 }
 
-// clipTriangle Sutherland-Hodgman clips the triangle against the near
-// plane into dst (reused to avoid allocation) and returns the clipped
-// polygon, which has at most 4 vertices.
-func (r *Rasterizer) clipTriangle(v0, v1, v2 Vertex, dst []clipVert) []clipVert {
-	poly := [3]clipVert{
-		{pos: r.Cam.viewSpace(v0.Pos), world: v0.Pos, n: v0.N, uv: v0.UV, color: v0.Color},
-		{pos: r.Cam.viewSpace(v1.Pos), world: v1.Pos, n: v1.N, uv: v1.UV, color: v1.Color},
-		{pos: r.Cam.viewSpace(v2.Pos), world: v2.Pos, n: v2.N, uv: v2.UV, color: v2.Color},
-	}
-	nz := -r.Cam.Near
-	clipped := dst[:0]
-	for i := 0; i < len(poly); i++ {
-		cur, next := poly[i], poly[(i+1)%len(poly)]
-		curIn := cur.pos.Z < nz
-		nextIn := next.pos.Z < nz
-		if curIn {
-			clipped = append(clipped, cur)
-		}
-		if curIn != nextIn {
-			t := (nz - cur.pos.Z) / (next.pos.Z - cur.pos.Z)
-			clipped = append(clipped, lerpClip(cur, next, t))
-		}
-	}
-	return clipped
+func (r *Rasterizer) projectVertex(t *tvert) {
+	t.x, t.y, t.d, t.ok = r.Cam.project(t.pos, r.FB.W, r.FB.H)
+	t.w = -1 / t.pos.Z
 }
 
-// triSetup is one projected, screen-clipped raster triangle with its
-// edge functions in affine form: wk(x, y) = basek + x·dwkdx + y·dwkdy
-// evaluated at pixel centers (w2 = 1 - w0 - w1). The affine form makes
-// every pixel's coverage and weights a pure function of its
-// coordinates, so tile and full-screen iteration agree bitwise while
-// each row costs just one multiply-add per edge to step.
+// overflow holds what near-plane clipping adds to the submitted
+// geometry: the vertices interpolated onto the plane and, when a
+// clipped triangle becomes a quad, its second triangle. A triangle in
+// front of the plane adds nothing, so the arrays stay empty unless the
+// camera is inside the scene.
+type overflow struct {
+	verts []Vertex
+	tv    []tvert
+	tris  []triSetup
+}
+
+func (o *overflow) reset() {
+	o.verts, o.tv, o.tris = o.verts[:0], o.tv[:0], o.tris[:0]
+}
+
+// triSource is the vertex storage the indices of a triSetup refer to:
+// index i >= 0 is submitted vertex i, index i < 0 is overflow vertex ^i.
+type triSource struct {
+	verts []Vertex
+	tv    []tvert
+	over  *overflow
+}
+
+func (t *triSource) vertex(i int32) (*Vertex, *tvert) {
+	if i >= 0 {
+		return &t.verts[i], &t.tv[i]
+	}
+	return &t.over.verts[^i], &t.over.tv[^i]
+}
+
+// clipLerp appends the vertex a fraction t of the way from a to b — the
+// intersection of edge a→b with the near plane — to the overflow and
+// returns its index.
+func (r *Rasterizer) clipLerp(src *triSource, a, b int32, t float64) int32 {
+	va, ta := src.vertex(a)
+	vb, tb := src.vertex(b)
+	v := Vertex{
+		Pos:   va.Pos.Lerp(vb.Pos, t),
+		N:     va.N.Lerp(vb.N, t),
+		UV:    [2]float64{va.UV[0] + t*(vb.UV[0]-va.UV[0]), va.UV[1] + t*(vb.UV[1]-va.UV[1])},
+		Color: va.Color.Lerp(vb.Color, t),
+	}
+	tv := tvert{pos: ta.pos.Lerp(tb.pos, t)}
+	r.projectVertex(&tv)
+	o := src.over
+	o.verts = append(o.verts, v)
+	o.tv = append(o.tv, tv)
+	return ^int32(len(o.verts) - 1)
+}
+
+// triSetup is one projected, screen-clipped raster triangle: the
+// indices of its three vertices (see triSource) and its edge functions
+// in affine form, wk(x, y) = basek + x·dwkdx + y·dwkdy evaluated at
+// pixel centers (w2 = 1 - w0 - w1). The affine form makes every pixel's
+// coverage and weights a pure function of its coordinates, so tile and
+// full-screen iteration agree bitwise while each row costs just one
+// multiply-add per edge to step. Attributes, depths and inverse depths
+// are read through the indices, not copied in.
 type triSetup struct {
-	a, b, c             clipVert
-	ad, bd, cd          float64 // projected depths
-	aw, bw, cw          float64 // inverse view-space depths
+	v                   [3]int32
+	next                int32 // index in overflow.tris of the clipped quad's second triangle, or -1
 	base0, dw0dx, dw0dy float64
 	base1, dw1dx, dw1dy float64
-	x0, y0, x1, y1      int // bounding box clamped to the screen
+	x0, y0, x1, y1      int // bounding box clamped to the screen; x1 < x0 marks an empty record
 }
 
-// setupTriangle projects one near-clipped view-space triangle and
-// derives its edge coefficients. ok=false when the triangle is behind
-// the near plane, degenerate, or entirely off screen — the early
-// rejection that keeps off-screen geometry out of the per-pixel loop.
-func (r *Rasterizer) setupTriangle(a, b, c clipVert, s *triSetup) bool {
-	w, h := r.FB.W, r.FB.H
-	ax, ay, ad, ok0 := r.Cam.project(a.pos, w, h)
-	bx, by, bd, ok1 := r.Cam.project(b.pos, w, h)
-	cx, cy, cd, ok2 := r.Cam.project(c.pos, w, h)
-	if !ok0 || !ok1 || !ok2 {
+// setupTriangle derives the edge coefficients of one triangle of
+// transformed vertices. ok=false when a vertex is on or behind the near
+// plane, or the triangle is entirely off screen or degenerate — the
+// early rejection that keeps such geometry out of the per-pixel loop.
+func (r *Rasterizer) setupTriangle(src *triSource, a, b, c int32, s *triSetup) bool {
+	_, ta := src.vertex(a)
+	_, tb := src.vertex(b)
+	_, tc := src.vertex(c)
+	if !ta.ok || !tb.ok || !tc.ok {
 		return false
 	}
+	w, h := r.FB.W, r.FB.H
+	ax, ay := ta.x, ta.y
+	bx, by := tb.x, tb.y
+	cx, cy := tc.x, tc.y
 	minX := int(math.Floor(math.Min(ax, math.Min(bx, cx))))
 	maxX := int(math.Ceil(math.Max(ax, math.Max(bx, cx))))
 	minY := int(math.Floor(math.Min(ay, math.Min(by, cy))))
@@ -591,10 +622,8 @@ func (r *Rasterizer) setupTriangle(a, b, c clipVert, s *triSetup) bool {
 		return false
 	}
 	invArea := 1 / area
-	s.a, s.b, s.c = a, b, c
-	s.ad, s.bd, s.cd = ad, bd, cd
-	// Inverse view-space depth for perspective-correct interpolation.
-	s.aw, s.bw, s.cw = -1/a.pos.Z, -1/b.pos.Z, -1/c.pos.Z
+	s.v = [3]int32{a, b, c}
+	s.next = -1
 	s.base0 = (bx*cy - by*cx) * invArea
 	s.dw0dx = (by - cy) * invArea
 	s.dw0dy = (cx - bx) * invArea
@@ -605,9 +634,61 @@ func (r *Rasterizer) setupTriangle(a, b, c clipVert, s *triSetup) bool {
 	return true
 }
 
+// setupClipped clips triangle (i0, i1, i2) against the near plane and
+// sets up what is left: nothing, one triangle, or the two triangles of
+// a quad. The first goes to s; the second is appended to the overflow
+// and linked from s.next. It returns how many were set up; with none, s
+// is marked empty.
+//
+// A triangle wholly in front of the plane — every triangle, unless the
+// camera is inside the scene — is its own clip result and skips the
+// polygon walk. Otherwise the walk is Sutherland-Hodgman over vertex
+// indices, the intersections appended to the overflow by clipLerp. The
+// polygon (at most four vertices) is fanned from its first vertex.
+func (r *Rasterizer) setupClipped(src *triSource, i0, i1, i2 int32, s *triSetup) int {
+	nz := -r.Cam.Near
+	poly, n := [4]int32{i0, i1, i2}, 3
+	in := [3]bool{src.tv[i0].pos.Z < nz, src.tv[i1].pos.Z < nz, src.tv[i2].pos.Z < nz}
+	if !(in[0] && in[1] && in[2]) {
+		tri := poly
+		n = 0
+		for i := 0; i < 3; i++ {
+			j := (i + 1) % 3
+			if in[i] {
+				poly[n] = tri[i]
+				n++
+			}
+			if in[i] != in[j] {
+				cz, nextZ := src.tv[tri[i]].pos.Z, src.tv[tri[j]].pos.Z
+				poly[n] = r.clipLerp(src, tri[i], tri[j], (nz-cz)/(nextZ-cz))
+				n++
+			}
+		}
+	}
+	done := 0
+	for j := 1; j+1 < n; j++ {
+		if done == 0 {
+			if r.setupTriangle(src, poly[0], poly[j], poly[j+1], s) {
+				done = 1
+			}
+			continue
+		}
+		var second triSetup
+		if r.setupTriangle(src, poly[0], poly[j], poly[j+1], &second) {
+			s.next = int32(len(src.over.tris))
+			src.over.tris = append(src.over.tris, second)
+			done = 2
+		}
+	}
+	if done == 0 {
+		s.x0, s.x1 = 0, -1
+	}
+	return done
+}
+
 // rasterTriangle fills the triangle inside e's rect with
 // perspective-correct attribute interpolation.
-func rasterTriangle(s *triSetup, e *emitCtx) {
+func rasterTriangle(s *triSetup, src *triSource, e *emitCtx) {
 	r := e.r
 	x0, y0, x1, y1 := s.x0, s.y0, s.x1, s.y1
 	if x0 < e.x0 {
@@ -622,6 +703,9 @@ func rasterTriangle(s *triSetup, e *emitCtx) {
 	if y1 > e.y1 {
 		y1 = e.y1
 	}
+	a, ta := src.vertex(s.v[0])
+	b, tb := src.vertex(s.v[1])
+	c, tc := src.vertex(s.v[2])
 	for py := y0; py <= y1; py++ {
 		y := float64(py) + 0.5
 		row0 := s.base0 + y*s.dw0dy
@@ -634,25 +718,25 @@ func rasterTriangle(s *triSetup, e *emitCtx) {
 			if w0 < 0 || w1 < 0 || w2 < 0 {
 				continue
 			}
-			depth := w0*s.ad + w1*s.bd + w2*s.cd
+			depth := w0*ta.d + w1*tb.d + w2*tc.d
 			// Perspective-correct weights.
-			pw := w0*s.aw + w1*s.bw + w2*s.cw
-			u0 := w0 * s.aw / pw
-			u1 := w1 * s.bw / pw
-			u2 := w2 * s.cw / pw
+			pw := w0*ta.w + w1*tb.w + w2*tc.w
+			u0 := w0 * ta.w / pw
+			u1 := w1 * tb.w / pw
+			u2 := w2 * tc.w / pw
 
 			col := hybrid.RGBA{
-				R: u0*s.a.color.R + u1*s.b.color.R + u2*s.c.color.R,
-				G: u0*s.a.color.G + u1*s.b.color.G + u2*s.c.color.G,
-				B: u0*s.a.color.B + u1*s.b.color.B + u2*s.c.color.B,
-				A: u0*s.a.color.A + u1*s.b.color.A + u2*s.c.color.A,
+				R: u0*a.Color.R + u1*b.Color.R + u2*c.Color.R,
+				G: u0*a.Color.G + u1*b.Color.G + u2*c.Color.G,
+				B: u0*a.Color.B + u1*b.Color.B + u2*c.Color.B,
+				A: u0*a.Color.A + u1*b.Color.A + u2*c.Color.A,
 			}
 			if r.Shade != nil {
-				world := s.a.world.Scale(u0).Add(s.b.world.Scale(u1)).Add(s.c.world.Scale(u2))
+				world := a.Pos.Scale(u0).Add(b.Pos.Scale(u1)).Add(c.Pos.Scale(u2))
 				frag := Fragment{
 					Pos:     world,
-					N:       s.a.n.Scale(u0).Add(s.b.n.Scale(u1)).Add(s.c.n.Scale(u2)),
-					UV:      [2]float64{u0*s.a.uv[0] + u1*s.b.uv[0] + u2*s.c.uv[0], u0*s.a.uv[1] + u1*s.b.uv[1] + u2*s.c.uv[1]},
+					N:       a.N.Scale(u0).Add(b.N.Scale(u1)).Add(c.N.Scale(u2)),
+					UV:      [2]float64{u0*a.UV[0] + u1*b.UV[0] + u2*c.UV[0], u0*a.UV[1] + u1*b.UV[1] + u2*c.UV[1]},
 					Color:   col,
 					ViewDir: r.Cam.ViewDir(world),
 				}
@@ -666,22 +750,33 @@ func rasterTriangle(s *triSetup, e *emitCtx) {
 	}
 }
 
+// drawSetup rasterizes what setupClipped made of one triangle into e.
+func drawSetup(n int, s *triSetup, src *triSource, e *emitCtx) {
+	if n >= 1 {
+		rasterTriangle(s, src, e)
+	}
+	if n == 2 {
+		rasterTriangle(&src.over.tris[s.next], src, e)
+	}
+}
+
 // DrawTriangle rasterizes one triangle with perspective-correct
-// attribute interpolation and near-plane clipping.
+// attribute interpolation and near-plane clipping. It is the batched
+// path's kernels run on a three-vertex source, which is why the two
+// agree bit for bit.
 func (r *Rasterizer) DrawTriangle(v0, v1, v2 Vertex) {
 	r.TriangleCount++
-	var clipBuf [4]clipVert
-	clipped := r.clipTriangle(v0, v1, v2, clipBuf[:])
-	if len(clipped) < 3 {
-		return
+	verts := [3]Vertex{v0, v1, v2}
+	var tv [3]tvert
+	for i := range verts {
+		r.transformVertex(verts[i].Pos, &tv[i])
 	}
-	e := r.screenCtx()
+	var over overflow // allocates only if the near plane cuts the triangle
+	src := triSource{verts: verts[:], tv: tv[:], over: &over}
 	var s triSetup
-	for i := 1; i+1 < len(clipped); i++ {
-		if r.setupTriangle(clipped[0], clipped[i], clipped[i+1], &s) {
-			rasterTriangle(&s, &e)
-		}
-	}
+	n := r.setupClipped(&src, 0, 1, 2, &s)
+	e := r.screenCtx()
+	drawSetup(n, &s, &src, &e)
 	r.FragmentCount += e.frags
 }
 

@@ -120,4 +120,42 @@ func BenchmarkRasterTriangles(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("batch/workers=%d", w), func(b *testing.B) { run(b, w, true) })
 	}
+
+	// substrip is the field_stream frame: 1000 strips of 24 points, 46k
+	// triangles at 384², each about half a pixel wide and a pixel and a
+	// half long, so a triangle yields about one fragment and the cost is
+	// set-up, not fill. Scratch comes from the package's free list, so
+	// B/op is the same whenever the collector runs.
+	b.Run("substrip", func(b *testing.B) {
+		const size = 384
+		rng := lcg(11)
+		px := 2 * 6 * math.Tan(math.Pi/6) / size // world units per pixel at the target
+		strips := make([][]Vertex, 1000)
+		for i := range strips {
+			strip := make([]Vertex, 48)
+			x0, y0, z0 := rng.rangeF(-3, 2), rng.rangeF(-3, 3), rng.rangeF(-1, 1)
+			for j := range strip {
+				strip[j] = Vertex{
+					Pos:   vec.New(x0+float64(j/2)*1.5*px, y0+float64(j%2)*0.5*px, z0),
+					N:     vec.New(0, 1, 0),
+					UV:    [2]float64{float64(j%2)*2 - 1, 0.5},
+					Color: hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1},
+				}
+			}
+			strips[i] = strip
+		}
+		fb, _ := NewFramebuffer(size, size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var tris, frags int64
+		for i := 0; i < b.N; i++ {
+			fb.Clear(hybrid.RGBA{})
+			r := NewRasterizer(fb, cam)
+			r.Workers = 2
+			r.DrawTriangleStripBatch(strips)
+			tris, frags = r.TriangleCount, r.FragmentCount
+		}
+		b.ReportMetric(float64(tris), "triangles")
+		b.ReportMetric(float64(frags), "fragments")
+	})
 }

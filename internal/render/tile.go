@@ -63,6 +63,23 @@ type LineSeg struct {
 // issuing the same sequence of immediate Draw* calls, at every worker
 // count. Stats are folded into the rasterizer at Flush. A batch may be
 // reused after Flush; it keeps its capacity.
+//
+// Triangles are indexed: a submitted triangle is three indices into the
+// batch's vertex array, so the vertices a strip shares are stored, and
+// at Flush transformed, once. Flush turns each triangle into one
+// triSetup record holding the same three indices plus its edge
+// coefficients; attributes are read through the indices when a fragment
+// needs them. Only a triangle the near plane cuts needs more — its
+// interpolated vertices and, for a quad, a second record — and those go
+// to an overflow array per setup chunk (see overflow), addressed by
+// negative indices.
+//
+// A batch owns its submission buffers. Everything a Flush allocates
+// beyond them — transformed vertices, records, overflow, tile pairs —
+// is scratch borrowed from the package's free list and returned before
+// Flush does; the typed entry points (DrawLineBatch, DrawTriangleBatch,
+// DrawTriangleStripBatch, DrawTriangleStripBatchFunc) borrow their
+// whole batch from it.
 type Batch struct {
 	r      *Rasterizer
 	prims  []batchPrim
@@ -70,6 +87,8 @@ type Batch struct {
 	lines  []linePrim
 	tris   []triPrim
 	verts  []Vertex
+
+	sc *flushScratch // the scratch this batch is part of, for a borrowed batch
 }
 
 // NewBatch returns an empty batch bound to the rasterizer.
@@ -98,15 +117,21 @@ func (b *Batch) Triangle(v0, v1, v2 Vertex) {
 // TriangleStrip submits a strip with the same alternating winding as
 // DrawTriangleStrip: (0,1,2), (2,1,3), (2,3,4), ...
 func (b *Batch) TriangleStrip(verts []Vertex) {
-	base := int32(len(b.verts))
+	base := len(b.verts)
 	b.verts = append(b.verts, verts...)
-	for i := 0; i+2 < len(verts); i++ {
-		v0, v1 := base+int32(i), base+int32(i)+1
+	b.stripTriangles(base, len(verts))
+}
+
+// stripTriangles submits the n-2 triangles of the strip held in
+// b.verts[base : base+n].
+func (b *Batch) stripTriangles(base, n int) {
+	for i := 0; i+2 < n; i++ {
+		v0, v1 := int32(base+i), int32(base+i+1)
 		if i%2 == 1 {
 			v0, v1 = v1, v0
 		}
 		b.prims = append(b.prims, batchPrim{kindTri, int32(len(b.tris))})
-		b.tris = append(b.tris, triPrim{v0, v1, base + int32(i) + 2})
+		b.tris = append(b.tris, triPrim{v0, v1, int32(base + i + 2)})
 	}
 }
 
@@ -122,13 +147,18 @@ func (b *Batch) reset() {
 // tileRun is one tile's contiguous slice of the binned pair array.
 type tileRun struct{ lo, hi int }
 
-// flushScratch holds the reusable working storage of one Flush. It is
-// recycled through a sync.Pool so steady-state rendering (a flush per
-// frame) allocates almost nothing.
+// flushScratch holds the reusable working storage of one flush —
+// Batch.Flush or DrawPointBatch — and the submission buffers of a
+// borrowed batch.
 type flushScratch struct {
+	batch Batch
+
 	pts   []pointSetup
 	lns   []lineSetup
+	tv    []tvert
 	tris  []triSetup
+	over  []overflow
+	stats [][3]int64
 	offs  []int
 	pairs []sortx.KV
 	sscr  []sortx.KV
@@ -136,7 +166,42 @@ type flushScratch struct {
 	frags []int64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
+// scratchList is the free list every flush borrows its scratch from. It
+// is a plain bounded list and not a sync.Pool because the collector
+// empties a pool: a stream that flushes once a frame then re-allocated
+// (and zeroed) megabytes of scratch whenever a collection fell between
+// two frames, which made its allocation volume a function of GC timing.
+// Here a scratch stays until it is reused. The list keeps at most
+// maxFreeScratch of them — each as large as the largest flush it has
+// served, a few MB for a 50k-triangle frame — and lets the collector
+// have any beyond that, so what the package retains is bounded by the
+// number of flushes in flight at once, capped.
+var scratchList struct {
+	sync.Mutex
+	free []*flushScratch
+}
+
+const maxFreeScratch = 4
+
+func getScratch() *flushScratch {
+	scratchList.Lock()
+	defer scratchList.Unlock()
+	if n := len(scratchList.free); n > 0 {
+		sc := scratchList.free[n-1]
+		scratchList.free[n-1] = nil
+		scratchList.free = scratchList.free[:n-1]
+		return sc
+	}
+	return new(flushScratch)
+}
+
+func putScratch(sc *flushScratch) {
+	scratchList.Lock()
+	defer scratchList.Unlock()
+	if len(scratchList.free) < maxFreeScratch {
+		scratchList.free = append(scratchList.free, sc)
+	}
+}
 
 // grow returns s resized to n elements, reallocating only when the
 // capacity is insufficient. Contents are unspecified.
@@ -156,9 +221,10 @@ func tileSpan(x0, y0, x1, y1 int) int {
 // empties the batch. The phases all run on r.Workers goroutines
 // (0 = par.Workers()):
 //
-//  1. setup — primitives are projected and screen-culled in parallel;
-//     every primitive owns a fixed slot in the setup arrays, so no
-//     ordering work is needed afterwards;
+//  1. setup — every submitted vertex is transformed once, then
+//     primitives are projected and screen-culled in parallel; every
+//     primitive owns a fixed slot in the setup arrays, so no ordering
+//     work is needed afterwards;
 //  2. binning — each visible record expands into (tile key, sequence)
 //     pairs which a stable sortx radix pass groups by tile, keeping
 //     submission order inside every tile;
@@ -179,31 +245,49 @@ func (b *Batch) Flush() {
 	if workers <= 0 {
 		workers = par.Workers()
 	}
+	sc := b.sc
+	if sc == nil {
+		sc = getScratch()
+		defer putScratch(sc)
+	}
+	defer b.reset()
+
+	// Phase 1a — transform every vertex once.
+	tv := grow(&sc.tv, len(b.verts))
+	par.ForChunks(len(b.verts), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r.transformVertex(b.verts[i].Pos, &tv[i])
+		}
+	})
 	if workers == 1 {
 		// One worker gains nothing from binning: replay the submission
-		// immediately. The immediate methods ARE the reference the
-		// tile path reproduces, so the output is identical.
-		b.flushSerial()
+		// through the immediate-mode kernels, which ARE the reference
+		// the tile path reproduces, so the output is identical.
+		b.flushSerial(tv, sc)
 		return
 	}
-	sc := scratchPool.Get().(*flushScratch)
 
-	// Phase 1 — parallel setup into slot-indexed arrays. offs[i+1]
-	// temporarily holds prim i's pair count; invalid triangle fan
-	// slots carry an empty-bbox sentinel (x1 < x0).
+	// Phase 1b — parallel setup into slot-indexed arrays. offs[i+1]
+	// temporarily holds prim i's pair count; an empty triangle record
+	// carries an empty-bbox sentinel (x1 < x0). Each setup chunk has its
+	// own overflow, found again from a prim's index as over[i/chunk].
 	pts := grow(&sc.pts, len(b.points))
 	lns := grow(&sc.lns, len(b.lines))
-	tris := grow(&sc.tris, 2*len(b.tris))
+	tris := grow(&sc.tris, len(b.tris))
 	offs := grow(&sc.offs, n+1)
 	nw := workers
 	if nw > n {
 		nw = n
 	}
 	chunk := (n + nw - 1) / nw
-	stats := make([][3]int64, nw)
+	stats := grow(&sc.stats, nw)
+	over := grow(&sc.over, nw)
 	par.ForChunks(n, nw, func(lo, hi int) {
 		st := &stats[lo/chunk]
-		var clipBuf [4]clipVert
+		*st = [3]int64{}
+		ov := &over[lo/chunk]
+		ov.reset()
+		src := triSource{verts: b.verts, tv: tv, over: ov}
 		for i := lo; i < hi; i++ {
 			pr := b.prims[i]
 			cnt := 0
@@ -230,18 +314,13 @@ func (b *Batch) Flush() {
 				}
 			case kindTri:
 				st[2]++
-				tris[2*pr.idx].x0, tris[2*pr.idx].x1 = 0, -1
-				tris[2*pr.idx+1].x0, tris[2*pr.idx+1].x1 = 0, -1
 				tp := b.tris[pr.idx]
-				clipped := r.clipTriangle(b.verts[tp.i0], b.verts[tp.i1], b.verts[tp.i2], clipBuf[:])
-				sub := 0
-				for j := 1; j+1 < len(clipped) && sub < 2; j++ {
-					s := &tris[2*pr.idx+int32(sub)]
-					if r.setupTriangle(clipped[0], clipped[j], clipped[j+1], s) {
-						cnt += tileSpan(s.x0, s.y0, s.x1, s.y1)
-						sub++
-					} else {
-						s.x0, s.x1 = 0, -1
+				s := &tris[pr.idx]
+				if r.setupClipped(&src, tp.i0, tp.i1, tp.i2, s) > 0 {
+					cnt = tileSpan(s.x0, s.y0, s.x1, s.y1)
+					if s.next >= 0 {
+						s2 := &ov.tris[s.next]
+						cnt += tileSpan(s2.x0, s2.y0, s2.x1, s2.y1)
 					}
 				}
 			}
@@ -261,15 +340,13 @@ func (b *Batch) Flush() {
 	}
 	nPairs := offs[n]
 	if nPairs == 0 {
-		b.reset()
-		scratchPool.Put(sc)
 		return
 	}
 
 	// Phase 2 — expand records into (tile, sequence) pairs and group
 	// them by tile with the stable radix sort. The sequence value
-	// encodes (prim index, fan slot), so ascending order inside a tile
-	// is exactly submission order.
+	// encodes (prim index, which triangle of a clipped quad), so
+	// ascending order inside a tile is exactly submission order.
 	tw := (r.FB.W + TileSize - 1) / TileSize
 	pairs := grow(&sc.pairs, nPairs)
 	emitPairs := func(o int, x0, y0, x1, y1 int, seq int64) int {
@@ -296,29 +373,18 @@ func (b *Batch) Flush() {
 				s := &lns[pr.idx]
 				emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
 			case kindTri:
-				for sub := 0; sub < 2; sub++ {
-					s := &tris[2*pr.idx+int32(sub)]
-					if s.x1 < s.x0 {
-						continue
-					}
-					o = emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1|int64(sub))
+				s := &tris[pr.idx]
+				o = emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
+				if s.next >= 0 {
+					s2 := &over[i/chunk].tris[s.next]
+					emitPairs(o, s2.x0, s2.y0, s2.x1, s2.y1, int64(i)<<1|1)
 				}
 			}
 		}
 	})
 	sscr := grow(&sc.sscr, nPairs)
 	sortx.PairsScratch(pairs, sscr, workers)
-
-	// Tile run boundaries over the sorted pairs.
-	runs := sc.runs[:0]
-	lo := 0
-	for i := 1; i <= nPairs; i++ {
-		if i == nPairs || pairs[i].K != pairs[lo].K {
-			runs = append(runs, tileRun{lo, i})
-			lo = i
-		}
-	}
-	sc.runs = runs
+	runs := tileRuns(sc, pairs)
 
 	// Phase 3 — rasterize tiles concurrently, one owner per tile.
 	if r.fragmentSink != nil {
@@ -326,28 +392,26 @@ func (b *Batch) Flush() {
 	}
 	frags := grow(&sc.frags, len(runs))
 	par.ForChunks(len(runs), workers, func(rlo, rhi int) {
+		src := triSource{verts: b.verts, tv: tv}
 		for ri := rlo; ri < rhi; ri++ {
 			run := runs[ri]
-			tile := int(pairs[run.lo].K)
-			tx, ty := tile%tw, tile/tw
-			e := emitCtx{
-				r:     r,
-				x0:    tx * TileSize,
-				y0:    ty * TileSize,
-				x1:    min(tx*TileSize+TileSize-1, r.FB.W-1),
-				y1:    min(ty*TileSize+TileSize-1, r.FB.H-1),
-				shard: ri,
-			}
+			e := tileCtx(r, int(pairs[run.lo].K), tw, ri)
 			for pi := run.lo; pi < run.hi; pi++ {
 				seq := pairs[pi].V
-				pr := b.prims[seq>>1]
+				i := int(seq >> 1)
+				pr := b.prims[i]
 				switch pr.kind {
 				case kindPoint:
 					rasterPoint(&pts[pr.idx], &e)
 				case kindLine:
 					rasterLine(&lns[pr.idx], &e)
 				case kindTri:
-					rasterTriangle(&tris[2*pr.idx+int32(seq&1)], &e)
+					src.over = &over[i/chunk]
+					s := &tris[pr.idx]
+					if seq&1 == 1 {
+						s = &src.over.tris[s.next]
+					}
+					rasterTriangle(s, &src, &e)
 				}
 			}
 			frags[ri] = e.frags
@@ -359,14 +423,47 @@ func (b *Batch) Flush() {
 	for _, f := range frags {
 		r.FragmentCount += f
 	}
-	b.reset()
-	scratchPool.Put(sc)
 }
 
-// flushSerial replays the batch through the immediate-mode path — the
-// single-worker fallback.
-func (b *Batch) flushSerial() {
+// tileRuns returns the boundaries of each tile's run in the sorted
+// pairs, in sc.runs.
+func tileRuns(sc *flushScratch, pairs []sortx.KV) []tileRun {
+	runs := sc.runs[:0]
+	lo := 0
+	for i := 1; i <= len(pairs); i++ {
+		if i == len(pairs) || pairs[i].K != pairs[lo].K {
+			runs = append(runs, tileRun{lo, i})
+			lo = i
+		}
+	}
+	sc.runs = runs
+	return runs
+}
+
+// tileCtx returns the emit context of one tile: its rect clipped to the
+// screen, and the run index as the sink shard.
+func tileCtx(r *Rasterizer, tile, tw, shard int) emitCtx {
+	tx, ty := tile%tw, tile/tw
+	return emitCtx{
+		r:     r,
+		x0:    tx * TileSize,
+		y0:    ty * TileSize,
+		x1:    min(tx*TileSize+TileSize-1, r.FB.W-1),
+		y1:    min(ty*TileSize+TileSize-1, r.FB.H-1),
+		shard: shard,
+	}
+}
+
+// flushSerial replays the batch in submission order on the calling
+// goroutine through the immediate-mode kernels — the single-worker
+// path. Triangles read the vertices Flush has already transformed, so
+// a strip's shared vertices are transformed once here too.
+func (b *Batch) flushSerial(tv []tvert, sc *flushScratch) {
 	r := b.r
+	ov := &grow(&sc.over, 1)[0]
+	src := triSource{verts: b.verts, tv: tv, over: ov}
+	e := r.screenCtx()
+	var s triSetup
 	for _, pr := range b.prims {
 		switch pr.kind {
 		case kindPoint:
@@ -376,26 +473,29 @@ func (b *Batch) flushSerial() {
 			lp := &b.lines[pr.idx]
 			r.DrawLine(lp.p0, lp.p1, lp.width, lp.c0, lp.c1)
 		case kindTri:
+			r.TriangleCount++
 			tp := b.tris[pr.idx]
-			r.DrawTriangle(b.verts[tp.i0], b.verts[tp.i1], b.verts[tp.i2])
+			ov.reset()
+			drawSetup(r.setupClipped(&src, tp.i0, tp.i1, tp.i2, &s), &s, &src, &e)
 		}
 	}
-	b.reset()
+	r.FragmentCount += e.frags
 }
 
-// batchPool recycles the batches behind the typed entry points so a
-// flush per frame reuses its submission buffers.
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
-
+// getBatch borrows a scratch from the free list and returns the batch
+// inside it, bound to r; putBatch returns both. The typed entry points
+// use the pair so that a flush per frame reuses its submission buffers
+// as well as its working storage.
 func getBatch(r *Rasterizer) *Batch {
-	b := batchPool.Get().(*Batch)
-	b.r = r
+	sc := getScratch()
+	b := &sc.batch
+	b.r, b.sc = r, sc
 	return b
 }
 
 func putBatch(b *Batch) {
 	b.r = nil
-	batchPool.Put(b)
+	putScratch(b.sc)
 }
 
 // DrawPointBatch splats every point through the tile-parallel backend;
@@ -421,7 +521,8 @@ func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
 		}
 		return
 	}
-	sc := scratchPool.Get().(*flushScratch)
+	sc := getScratch()
+	defer putScratch(sc)
 
 	// Pass 1 — project, cull, and count covered tiles per splat.
 	offs := grow(&sc.offs, n+1)
@@ -457,7 +558,6 @@ func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
 	}
 	nPairs := offs[n]
 	if nPairs == 0 {
-		scratchPool.Put(sc)
 		return
 	}
 
@@ -483,15 +583,7 @@ func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
 	})
 	sscr := grow(&sc.sscr, nPairs)
 	sortx.PairsScratch(pairs, sscr, workers)
-	runs := sc.runs[:0]
-	lo := 0
-	for i := 1; i <= nPairs; i++ {
-		if i == nPairs || pairs[i].K != pairs[lo].K {
-			runs = append(runs, tileRun{lo, i})
-			lo = i
-		}
-	}
-	sc.runs = runs
+	runs := tileRuns(sc, pairs)
 
 	// Pass 3 — rasterize tiles concurrently, replaying each tile's
 	// splats in submission order.
@@ -503,16 +595,7 @@ func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
 		var s pointSetup
 		for ri := rlo; ri < rhi; ri++ {
 			run := runs[ri]
-			tile := int(pairs[run.lo].K)
-			tx, ty := tile%tw, tile/tw
-			e := emitCtx{
-				r:     r,
-				x0:    tx * TileSize,
-				y0:    ty * TileSize,
-				x1:    min(tx*TileSize+TileSize-1, r.FB.W-1),
-				y1:    min(ty*TileSize+TileSize-1, r.FB.H-1),
-				shard: ri,
-			}
+			e := tileCtx(r, int(pairs[run.lo].K), tw, ri)
 			for pi := run.lo; pi < run.hi; pi++ {
 				sp := &splats[pairs[pi].V]
 				r.setupPoint(sp.Pos, sp.Radius, sp.Color, &s)
@@ -527,7 +610,6 @@ func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
 	for _, f := range frags {
 		r.FragmentCount += f
 	}
-	scratchPool.Put(sc)
 }
 
 // DrawLineBatch draws every segment through the tile-parallel backend;
@@ -555,10 +637,40 @@ func (r *Rasterizer) DrawTriangleBatch(tris []Vertex) {
 // DrawTriangleStripBatch draws the given strips, in order, through the
 // tile-parallel backend; equivalent to DrawTriangleStrip per strip.
 func (r *Rasterizer) DrawTriangleStripBatch(strips [][]Vertex) {
-	b := getBatch(r)
-	for _, s := range strips {
-		b.TriangleStrip(s)
+	counts := make([]int, len(strips))
+	for k, s := range strips {
+		counts[k] = len(s)
 	}
+	r.DrawTriangleStripBatchFunc(counts, func(k int, dst []Vertex) { copy(dst, strips[k]) })
+}
+
+// DrawTriangleStripBatchFunc draws len(counts) strips, in order, whose
+// vertices the caller generates in place: strip k has counts[k]
+// vertices and fill(k, dst) must write every one of them to dst, which
+// is the batch's own vertex storage (its previous contents are
+// unspecified). fill is called once per strip, concurrently on
+// r.Workers goroutines, so it must only read shared state. This is how
+// a caller that computes its vertices (sos.BuildStrip) avoids a slice
+// per strip and a copy of each into the batch.
+func (r *Rasterizer) DrawTriangleStripBatchFunc(counts []int, fill func(strip int, dst []Vertex)) {
+	b := getBatch(r)
+	total := 0
+	for _, c := range counts {
+		b.stripTriangles(total, c)
+		total += c
+	}
+	b.verts = grow(&b.verts, total)
+	verts := b.verts
+	par.ForChunks(len(counts), r.Workers, func(lo, hi int) {
+		off := 0
+		for _, c := range counts[:lo] {
+			off += c
+		}
+		for k := lo; k < hi; k++ {
+			fill(k, verts[off:off+counts[k]:off+counts[k]])
+			off += counts[k]
+		}
+	})
 	b.Flush()
 	putBatch(b)
 }

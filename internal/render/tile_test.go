@@ -63,6 +63,41 @@ func paintScene(p scenePainter) {
 		}
 		p.strip(strip)
 	}
+	// ribbon builds a strip the way sos does: pairs of vertices either
+	// side of a polyline from a, in steps of d, half apart.
+	ribbon := func(a, d, half vec.V3, n int) []Vertex {
+		strip := make([]Vertex, 0, 2*n)
+		for j := 0; j < n; j++ {
+			pt := a.Add(d.Scale(float64(j)))
+			c := col()
+			strip = append(strip,
+				Vertex{Pos: pt.Sub(half), N: half.Norm(), UV: [2]float64{-1, rng.next()}, Color: c},
+				Vertex{Pos: pt.Add(half), N: half.Norm(), UV: [2]float64{+1, rng.next()}, Color: c})
+		}
+		return strip
+	}
+	// Long sub-pixel strips, the field-line workload: a pixel is about
+	// 0.036 world units at the target, the strips are half a pixel wide
+	// and step a pixel and a half, so a triangle covers about one pixel
+	// centre or none and every vertex is shared by three triangles.
+	for i := 0; i < 12; i++ {
+		a := vec.New(rng.rangeF(-2.5, 0), rng.rangeF(-2, 2), rng.rangeF(-1, 1))
+		d := vec.New(rng.rangeF(0.03, 0.05), rng.rangeF(-0.02, 0.02), rng.rangeF(-0.01, 0.01))
+		p.strip(ribbon(a, d, vec.New(0, 0.01, 0), 60))
+	}
+	// Strips that run through the near plane (z = 4.9) to behind the
+	// eye: their triangles are clipped with one and with two vertices
+	// behind the plane — the overflow path — and the last are culled.
+	for i := 0; i < 3; i++ {
+		a := vec.New(rng.rangeF(-0.3, 0.3), rng.rangeF(-0.3, 0.3), 3.5)
+		p.strip(ribbon(a, vec.New(0.01, 0.005, 0.13), vec.New(0.04, 0.02, 0), 16))
+	}
+	// A strip with repeated vertices: zero-area triangles (two corners
+	// coincide) in the middle of live ones.
+	degenerate := ribbon(vec.New(-1, -1, 0), vec.New(0.2, 0.1, 0), vec.New(0, 0.15, 0), 8)
+	degenerate[5], degenerate[6] = degenerate[4], degenerate[4]
+	degenerate[11] = degenerate[10]
+	p.strip(degenerate)
 }
 
 type immediatePainter struct{ r *Rasterizer }

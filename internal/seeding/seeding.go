@@ -22,7 +22,6 @@
 package seeding
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -63,6 +62,13 @@ func (c Config) Validate() error {
 // for any n is the correct n-line incremental rendering: the set of
 // lines in each prefix is by construction a superset of every shorter
 // prefix, and density tracks field magnitude at every prefix.
+//
+// The result owns its lines' storage: every sample of every line lives
+// in one flat slab, and each entry of Lines is a window into it. A line
+// is therefore valid for as long as the Result (or the line itself) is
+// reachable, costs no allocation of its own, and must be treated as
+// read-only — appending to its slices reallocates them, writing through
+// them edits the result.
 type Result struct {
 	Lines []*fieldline.Line
 	// SeedElement records which element each line was seeded in.
@@ -71,6 +77,12 @@ type Result struct {
 	Visits []float64
 	// Desired is the target line count per element after rescaling.
 	Desired []float64
+	// Attempts counts the seed points tried: the kept lines plus the
+	// degenerate seeds (field null at the sample) that were rolled back.
+	Attempts int
+
+	slab  fieldline.Slab   // the samples of every line, in order
+	lines []fieldline.Line // the windows Lines points at
 }
 
 // need is a heap entry; stale entries are discarded lazily.
@@ -79,18 +91,62 @@ type need struct {
 	priority float64
 }
 
+// needHeap is a max-heap on priority. init, push and pop are
+// container/heap's Init, Push and Pop written out for the concrete
+// element type — the same sift order, so the same element wins every
+// tie, without boxing each entry in an interface.
 type needHeap []need
 
-func (h needHeap) Len() int            { return len(h) }
-func (h needHeap) Less(i, j int) bool  { return h[i].priority > h[j].priority }
-func (h needHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *needHeap) Push(x interface{}) { *h = append(*h, x.(need)) }
-func (h *needHeap) Pop() interface{} {
+func (h needHeap) less(i, j int) bool { return h[i].priority > h[j].priority }
+
+func (h needHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *needHeap) push(x need) {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
+}
+
+func (h *needHeap) pop() need {
 	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h needHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h needHeap) down(i0, n int) {
+	i := i0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j+1 < n && h.less(j+1, j) {
+			j++ // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // SeedLines runs the strategy over the mesh with per-element intensity
@@ -153,59 +209,87 @@ func SeedLines(mesh *hexmesh.Mesh, field fieldline.Field, intensity func(e int) 
 			h = append(h, need{e, desired[e]})
 		}
 	}
-	heap.Init(&h)
+	h.init()
+
+	// Every attempt traces straight into the result's slab; one that is
+	// not kept is rolled back, so an attempt allocates nothing. A kept
+	// line is recorded as its end offset (it starts where the previous
+	// one ends) and the windows are cut once the slab has stopped
+	// growing. lastLine[e] is the 1-based number of the last line that
+	// visited element e — the per-line visited set, without a map.
+	//
+	// The slab starts with room for a typical run (32 samples a line, for
+	// at most 2048 lines: 3.5 MB) and grows from there; regrowing it from
+	// nothing every frame cost a fifth of the steady-state loop.
+	slab := &res.slab
+	reserve := 32 * min(cfg.TotalLines, 2048)
+	slab.Points = make([]vec.V3, 0, reserve)
+	slab.Tangents = make([]vec.V3, 0, reserve)
+	slab.Strengths = make([]float64, 0, reserve)
+	var ends []int
+	var closed []bool
+	lastLine := make([]int32, n)
 
 	rngState := cfg.Seed | 1
-	for len(res.Lines) < cfg.TotalLines && h.Len() > 0 {
-		top := heap.Pop(&h).(need)
+	for len(ends) < cfg.TotalLines && len(h) > 0 {
+		top := h.pop()
 		cur := desired[top.element] - res.Visits[top.element]
 		if top.priority != cur {
 			// Stale priority (the element was visited by another line
 			// since it was pushed): reinsert with the current need.
-			heap.Push(&h, need{top.element, cur})
+			h.push(need{top.element, cur})
 			continue
 		}
 
 		// Step 2: random seed point inside the neediest element.
 		seedPt := mesh.RandomPointIn(top.element, &rngState)
-		var line *fieldline.Line
-		var err error
+		res.Attempts++
+		lo := slab.Len()
+		var loop bool
 		if cfg.Bidirectional {
-			line, err = fieldline.TraceBoth(field, seedPt, trace)
+			loop = slab.AppendTraceBoth(field, seedPt, trace)
 		} else {
-			line, err = fieldline.Trace(field, seedPt, trace, +1)
+			loop = slab.AppendTrace(field, seedPt, trace, +1)
 		}
-		if err != nil {
-			return nil, err
-		}
-		if line.NumPoints() < 2 {
+		if slab.Len()-lo < 2 {
 			// Degenerate seed (field null at the sample); charge the
 			// element one visit so repeated selection converges away.
+			slab.Truncate(lo)
 			res.Visits[top.element]++
-			heap.Push(&h, need{top.element, desired[top.element] - res.Visits[top.element]})
+			h.push(need{top.element, desired[top.element] - res.Visits[top.element]})
 			continue
 		}
 
 		// Step 3: decrement desired counts along the path (each element
 		// at most once per line).
-		visited := map[int]bool{}
-		for _, p := range line.Points {
-			if e := mesh.Locate(p); e >= 0 && !visited[e] {
-				visited[e] = true
+		this := int32(len(ends) + 1)
+		for _, p := range slab.Points[lo:] {
+			if e := mesh.Locate(p); e >= 0 && lastLine[e] != this {
+				lastLine[e] = this
 				res.Visits[e]++
 			}
 		}
-		if !visited[top.element] {
+		if lastLine[top.element] != this {
 			res.Visits[top.element]++
 		}
 		// Reinsert with the updated (possibly negative) need: the paper
 		// stops at the total line budget, not when needs reach zero, so
 		// relative need keeps steering seeds toward under-served strong
 		// regions for the whole run.
-		heap.Push(&h, need{top.element, desired[top.element] - res.Visits[top.element]})
+		h.push(need{top.element, desired[top.element] - res.Visits[top.element]})
 
-		res.Lines = append(res.Lines, line)
+		ends = append(ends, slab.Len())
+		closed = append(closed, loop)
 		res.SeedElement = append(res.SeedElement, top.element)
+	}
+
+	res.lines = make([]fieldline.Line, len(ends))
+	res.Lines = make([]*fieldline.Line, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		res.lines[i] = slab.Line(lo, hi, closed[i])
+		res.Lines[i] = &res.lines[i]
+		lo = hi
 	}
 	return res, nil
 }

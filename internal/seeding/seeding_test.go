@@ -1,9 +1,11 @@
 package seeding
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 
+	"repro/internal/emsim"
 	"repro/internal/fieldline"
 	"repro/internal/hexmesh"
 	"repro/internal/vec"
@@ -287,5 +289,147 @@ func TestSeedingOnCavityMesh(t *testing.T) {
 				t.Fatalf("line %d escaped into conductor at %v", li, p)
 			}
 		}
+	}
+}
+
+// boxedHeap is needHeap behind container/heap's interface — what the
+// seeding loop used before its heap was written out for the concrete
+// type, and so the definition of the order it must keep.
+type boxedHeap []need
+
+func (h boxedHeap) Len() int            { return len(h) }
+func (h boxedHeap) Less(i, j int) bool  { return h[i].priority > h[j].priority }
+func (h boxedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x interface{}) { *h = append(*h, x.(need)) }
+func (h *boxedHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	item := old[n-1]
+	*h = old[:n-1]
+	return item
+}
+
+// TestNeedHeapMatchesContainerHeap: the concrete heap pops the same
+// element as container/heap after every operation of a long random
+// schedule full of equal priorities — ties are where a different sift
+// order would show, and the seeding order depends on them.
+func TestNeedHeapMatchesContainerHeap(t *testing.T) {
+	rng := uint64(99)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	var a needHeap
+	var b boxedHeap
+	for e := 0; e < 500; e++ {
+		x := need{e, float64(next(8))} // eight distinct priorities: ties everywhere
+		a = append(a, x)
+		b = append(b, x)
+	}
+	a.init()
+	heap.Init(&b)
+	for op := 0; op < 20000; op++ {
+		if len(a) != len(b) {
+			t.Fatalf("op %d: lengths %d and %d", op, len(a), len(b))
+		}
+		if len(a) > 0 && next(3) > 0 {
+			x, y := a.pop(), heap.Pop(&b).(need)
+			if x != y {
+				t.Fatalf("op %d: popped %+v, container/heap %+v", op, x, y)
+			}
+			if next(2) == 0 { // the loop's own pattern: pop, then push the same element back lower
+				x.priority -= float64(next(3))
+				a.push(x)
+				heap.Push(&b, x)
+			}
+		} else {
+			x := need{1000 + op, float64(next(8)) - 3}
+			a.push(x)
+			heap.Push(&b, x)
+		}
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("heap arrays differ at %d: %+v, container/heap %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestResultLinesAreSlabWindows: every line is a window into one slab
+// the result owns — consecutive, covering it exactly, and capped so an
+// append to one line cannot reach the next.
+func TestResultLinesAreSlabWindows(t *testing.T) {
+	m := boxMesh(t, 6)
+	res, err := SeedLines(m, fieldline.FieldFunc(splitField),
+		func(e int) float64 { return splitField(m.Elements[e].Center).Len() }, defaultCfg(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for i, l := range res.Lines {
+		n := l.NumPoints()
+		if n < 2 || len(l.Tangents) != n || len(l.Strengths) != n {
+			t.Fatalf("line %d: %d/%d/%d samples", i, n, len(l.Tangents), len(l.Strengths))
+		}
+		if &l.Points[0] != &res.slab.Points[off] || &l.Tangents[0] != &res.slab.Tangents[off] || &l.Strengths[0] != &res.slab.Strengths[off] {
+			t.Fatalf("line %d does not start at slab offset %d", i, off)
+		}
+		if cap(l.Points) != n || cap(l.Tangents) != n || cap(l.Strengths) != n {
+			t.Fatalf("line %d: capacity runs past its window", i)
+		}
+		off += n
+	}
+	if off != res.slab.Len() {
+		t.Errorf("lines cover %d samples, slab holds %d: a rolled-back attempt leaked", off, res.slab.Len())
+	}
+	if res.Attempts < len(res.Lines) {
+		t.Errorf("%d attempts for %d lines", res.Attempts, len(res.Lines))
+	}
+}
+
+// BenchmarkSeedLines times the seeding loop on the benchmark's
+// structure (3-cell cavity, 16 cells per radius, 1000 bidirectional
+// lines) over two snapshots of one solve: frame 0, a quarter period in,
+// where the field has only just entered through the ports and most
+// seed attempts are degenerate, and a steady frame four periods in.
+// attempts/op against the 1000 lines kept is the work the ramp wastes.
+func BenchmarkSeedLines(b *testing.B) {
+	cav := hexmesh.DefaultCavity(16)
+	m, err := hexmesh.BuildCavity(cav)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := emsim.New(emsim.DefaultConfig(m, cav))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		periods float64
+	}{{"frame0", 0.25}, {"steady", 3.75}} {
+		sim.AdvancePeriods(c.periods)
+		frame := sim.Snapshot()
+		cfg := Config{
+			TotalLines:    1000,
+			Trace:         fieldline.Config{Step: m.MinSpacing() / 2, MaxSteps: 600, MinMag: frame.MaxE() * 1e-4},
+			Seed:          1,
+			Bidirectional: true,
+		}
+		field := fieldline.FieldFunc(frame.SampleE)
+		intensity := func(e int) float64 { return frame.ElementEMagnitude(e) }
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var attempts, points int
+			for i := 0; i < b.N; i++ {
+				res, err := SeedLines(m, field, intensity, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				attempts = res.Attempts
+				points = res.slab.Len()
+			}
+			b.ReportMetric(float64(attempts), "attempts/op")
+			b.ReportMetric(float64(points), "points/op")
+		})
 	}
 }

@@ -48,9 +48,31 @@ type StripParams struct {
 // field strength. Degenerate samples (tangent parallel to the view)
 // reuse the previous side vector, keeping the strip continuous.
 func BuildStrip(line *fieldline.Line, eye vec.V3, p StripParams) []render.Vertex {
-	n := line.NumPoints()
-	if n < 2 {
+	n := StripVertices(line.NumPoints())
+	if n == 0 {
 		return nil
+	}
+	verts := make([]render.Vertex, n)
+	FillStrip(verts, line, eye, p)
+	return verts
+}
+
+// StripVertices returns the vertex count of the strip of a line with n
+// points: two per point, none for a line too short to draw.
+func StripVertices(n int) int {
+	if n < 2 {
+		return 0
+	}
+	return 2 * n
+}
+
+// FillStrip is BuildStrip into storage the caller provides:
+// len(dst) must be StripVertices(line.NumPoints()). RenderLines uses it
+// to build every strip straight into the rasterizer's vertex array.
+func FillStrip(dst []render.Vertex, line *fieldline.Line, eye vec.V3, p StripParams) {
+	n := len(dst) / 2
+	if n == 0 {
+		return
 	}
 	maxS := p.MaxStrength
 	if maxS <= 0 {
@@ -59,7 +81,6 @@ func BuildStrip(line *fieldline.Line, eye vec.V3, p StripParams) []render.Vertex
 	if maxS == 0 {
 		maxS = 1
 	}
-	verts := make([]render.Vertex, 0, 2*n)
 	var prevSide vec.V3
 	havePrev := false
 	for i := 0; i < n; i++ {
@@ -95,12 +116,9 @@ func BuildStrip(line *fieldline.Line, eye vec.V3, p StripParams) []render.Vertex
 		half := side.Scale(p.Width / 2)
 		// The vertex normal slot carries the side vector for the tube
 		// shader's normal reconstruction.
-		verts = append(verts,
-			render.Vertex{Pos: pt.Sub(half), N: side, UV: [2]float64{-1, strength}, Color: color},
-			render.Vertex{Pos: pt.Add(half), N: side, UV: [2]float64{+1, strength}, Color: color},
-		)
+		dst[2*i] = render.Vertex{Pos: pt.Sub(half), N: side, UV: [2]float64{-1, strength}, Color: color}
+		dst[2*i+1] = render.Vertex{Pos: pt.Add(half), N: side, UV: [2]float64{+1, strength}, Color: color}
 	}
-	return verts
 }
 
 // StripTriangles returns the triangle count of the self-orienting

@@ -136,20 +136,24 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 	}
 	mat := render.DefaultPhong()
 
-	// buildStrips assembles strips concurrently (BuildStrip is a pure
-	// function of one line) in the given submission order.
-	buildStrips := func(ls []*fieldline.Line, order []int, params StripParams) [][]render.Vertex {
-		strips := make([][]render.Vertex, len(order))
-		par.For(len(order), opts.Workers, func(k int) {
-			strips[k] = BuildStrip(ls[order[k]], cam.Eye, params)
+	// drawStripsIn draws the lines' strips in the given submission order.
+	// The rasterizer reserves every strip's vertices in its own batch and
+	// calls FillStrip (a pure function of one line) concurrently to
+	// build them in place.
+	drawStripsIn := func(ls []*fieldline.Line, order []int, params StripParams) {
+		counts := make([]int, len(order))
+		for k, li := range order {
+			counts[k] = StripVertices(ls[li].NumPoints())
+		}
+		rast.DrawTriangleStripBatchFunc(counts, func(k int, dst []render.Vertex) {
+			FillStrip(dst, ls[order[k]], cam.Eye, params)
 		})
-		return strips
 	}
 
 	drawStrips := func(ls []*fieldline.Line, shader render.Shader, params StripParams, blend render.BlendMode) {
 		rast.Mode = blend
 		rast.Shade = shader
-		rast.DrawTriangleStripBatch(buildStrips(ls, SortByDepth(ls, cam.Eye), params))
+		drawStripsIn(ls, SortByDepth(ls, cam.Eye), params)
 	}
 
 	switch tech {
@@ -247,8 +251,7 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 			for i := range order {
 				order[i] = i
 			}
-			rast.DrawTriangleStripBatch(buildStrips(context, order,
-				StripParams{Width: opts.Width, Color: ctxColor}))
+			drawStripsIn(context, order, StripParams{Width: opts.Width, Color: ctxColor})
 			restore()
 			oit.Resolve(fb)
 		} else {

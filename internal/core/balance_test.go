@@ -105,30 +105,7 @@ func TestStreamBalancePlacementBitIdentical(t *testing.T) {
 	defer w.Close()
 	before := runtime.NumGoroutine()
 
-	// The source holds frames 3, 6 and 9 back until the flip before them
-	// has been made: however fast the stages are, each placement serves
-	// three frames (the test used to fail one run in fifty when all
-	// twelve were extracted before the first flip).
-	var flips [3]chan struct{}
-	for i := range flips {
-		flips[i] = make(chan struct{})
-	}
-	source := func(ctx context.Context, emit func(beam.Frame) bool) error {
-		for i, f := range long {
-			if i%3 == 0 && i > 0 {
-				select {
-				case <-flips[i/3-1]:
-				case <-ctx.Done():
-					return nil
-				}
-			}
-			if !emit(f) {
-				return nil
-			}
-		}
-		return nil
-	}
-	s := p.StreamFrames(context.Background(), source, StreamOptions{
+	s := p.StreamFrames(context.Background(), FrameSliceSource(long...), StreamOptions{
 		ExtractAddrs:   []string{w.Addr()},
 		ExtractWorkers: 2,
 		Buffer:         2,
@@ -167,13 +144,10 @@ func TestStreamBalancePlacementBitIdentical(t *testing.T) {
 			if !pl.SetStagePlacement("extract", true) {
 				t.Error("SetStagePlacement(remote) refused")
 			}
-			close(flips[0])
 		case 6:
 			pl.SetStagePlacement("extract", false)
-			close(flips[1])
 		case 9:
 			pl.SetStagePlacement("extract", true)
-			close(flips[2])
 		}
 	}
 	if err := s.Wait(); err != nil {

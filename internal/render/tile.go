@@ -280,11 +280,14 @@ func (b *Batch) Flush() {
 		nw = n
 	}
 	chunk := (n + nw - 1) / nw
+	// ForChunks runs fewer than nw chunks when fewer already cover n
+	// (5 prims on 4 workers: 3 chunks of 2), so the counters are zeroed
+	// here and not by the chunk that owns them.
 	stats := grow(&sc.stats, nw)
+	clear(stats)
 	over := grow(&sc.over, nw)
 	par.ForChunks(n, nw, func(lo, hi int) {
 		st := &stats[lo/chunk]
-		*st = [3]int64{}
 		ov := &over[lo/chunk]
 		ov.reset()
 		src := triSource{verts: b.verts, tv: tv, over: ov}
@@ -635,7 +638,11 @@ func (r *Rasterizer) DrawTriangleBatch(tris []Vertex) {
 }
 
 // DrawTriangleStripBatch draws the given strips, in order, through the
-// tile-parallel backend; equivalent to DrawTriangleStrip per strip.
+// tile-parallel backend; equivalent to DrawTriangleStrip per strip. It
+// is DrawTriangleStripBatchFunc for strips that already exist as
+// slices; the field-line renderer generates its vertices and calls
+// that directly, so this form is kept for the entry-point equivalence
+// test and the strip benchmarks, not for a product caller.
 func (r *Rasterizer) DrawTriangleStripBatch(strips [][]Vertex) {
 	counts := make([]int, len(strips))
 	for k, s := range strips {
@@ -650,7 +657,7 @@ func (r *Rasterizer) DrawTriangleStripBatch(strips [][]Vertex) {
 // is the batch's own vertex storage (its previous contents are
 // unspecified). fill is called once per strip, concurrently on
 // r.Workers goroutines, so it must only read shared state. This is how
-// a caller that computes its vertices (sos.BuildStrip) avoids a slice
+// a caller that computes its vertices (sos.RenderLines) avoids a slice
 // per strip and a copy of each into the batch.
 func (r *Rasterizer) DrawTriangleStripBatchFunc(counts []int, fill func(strip int, dst []Vertex)) {
 	b := getBatch(r)

@@ -246,6 +246,69 @@ func TestBatchEntryPointsMatchImmediate(t *testing.T) {
 	}
 }
 
+// TestSmallFlushAfterLargeCountsExactly: flush scratch is reused with
+// whatever the previous flush left in it, and a flush of n primitives
+// on w workers runs fewer than w setup chunks when ceil(n/w) chunks of
+// that size already cover n (5 on 4 workers runs 3, 49 on 8 runs 7).
+// The primitive counters of a small batch flushed after a large one
+// must still equal the serial ones.
+func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
+	const w, h = 96, 96
+	cam, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, 1, 0.1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := lcg(11)
+	paint := func(p scenePainter, n int) {
+		for i := 0; i < n; i++ {
+			a := vec.New(rng.rangeF(-2, 2), rng.rangeF(-2, 2), rng.rangeF(-1, 1))
+			c := hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1}
+			switch i % 3 {
+			case 0:
+				p.triangle(
+					Vertex{Pos: a, Color: c},
+					Vertex{Pos: a.Add(vec.New(0.3, 0, 0)), Color: c},
+					Vertex{Pos: a.Add(vec.New(0, 0.3, 0)), Color: c})
+			case 1:
+				p.point(a, 2, c)
+			case 2:
+				p.line(a, a.Add(vec.New(0.4, 0.2, 0)), 1, c, c)
+			}
+		}
+	}
+	for _, tc := range []struct{ workers, small int }{{4, 5}, {8, 49}, {3, 4}} {
+		seed := rng
+		fbSerial, _ := NewFramebuffer(w, h)
+		serial := NewRasterizer(fbSerial, cam)
+		paint(immediatePainter{serial}, 3000)
+		serial.ResetStats()
+		paint(immediatePainter{serial}, tc.small)
+
+		rng = seed
+		fb, _ := NewFramebuffer(w, h)
+		rast := NewRasterizer(fb, cam)
+		rast.Workers = tc.workers
+		batch := rast.NewBatch()
+		paint(batchPainter{batch}, 3000)
+		batch.Flush()
+		rast.ResetStats()
+		paint(batchPainter{batch}, tc.small)
+		batch.Flush()
+
+		label := fmt.Sprintf("workers=%d/small=%d", tc.workers, tc.small)
+		framebuffersEqual(t, label, fbSerial, fb)
+		if rast.FragmentCount != serial.FragmentCount ||
+			rast.PointCount != serial.PointCount ||
+			rast.LineCount != serial.LineCount ||
+			rast.TriangleCount != serial.TriangleCount {
+			t.Errorf("%s: stats (f=%d p=%d l=%d t=%d) != serial (f=%d p=%d l=%d t=%d)",
+				label,
+				rast.FragmentCount, rast.PointCount, rast.LineCount, rast.TriangleCount,
+				serial.FragmentCount, serial.PointCount, serial.LineCount, serial.TriangleCount)
+		}
+	}
+}
+
 // TestOITBatchMatchesSerialResolve: capturing transparent geometry
 // through the OIT buffer from the batched tile path must fill the
 // buffer identically to the serial capture — same resolved image,

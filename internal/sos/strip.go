@@ -47,29 +47,33 @@ type StripParams struct {
 // profile parameter the shader consumes); UV[1] carries normalized
 // field strength. Degenerate samples (tangent parallel to the view)
 // reuse the previous side vector, keeping the strip continuous.
+//
+// BuildStrip is the one-line form, for a caller that wants the vertices
+// themselves (the triangle-economy benchmark, the geometry tests). Both
+// it and RenderLines are fillStrip underneath; RenderLines has it write
+// into the rasterizer's vertex array instead of a slice per line.
 func BuildStrip(line *fieldline.Line, eye vec.V3, p StripParams) []render.Vertex {
-	n := StripVertices(line.NumPoints())
+	n := stripVertices(line.NumPoints())
 	if n == 0 {
 		return nil
 	}
 	verts := make([]render.Vertex, n)
-	FillStrip(verts, line, eye, p)
+	fillStrip(verts, line, eye, p)
 	return verts
 }
 
-// StripVertices returns the vertex count of the strip of a line with n
+// stripVertices returns the vertex count of the strip of a line with n
 // points: two per point, none for a line too short to draw.
-func StripVertices(n int) int {
+func stripVertices(n int) int {
 	if n < 2 {
 		return 0
 	}
 	return 2 * n
 }
 
-// FillStrip is BuildStrip into storage the caller provides:
-// len(dst) must be StripVertices(line.NumPoints()). RenderLines uses it
-// to build every strip straight into the rasterizer's vertex array.
-func FillStrip(dst []render.Vertex, line *fieldline.Line, eye vec.V3, p StripParams) {
+// fillStrip builds the strip into storage the caller provides:
+// len(dst) must be stripVertices(line.NumPoints()).
+func fillStrip(dst []render.Vertex, line *fieldline.Line, eye vec.V3, p StripParams) {
 	n := len(dst) / 2
 	if n == 0 {
 		return

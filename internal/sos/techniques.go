@@ -138,15 +138,15 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 
 	// drawStripsIn draws the lines' strips in the given submission order.
 	// The rasterizer reserves every strip's vertices in its own batch and
-	// calls FillStrip (a pure function of one line) concurrently to
+	// calls fillStrip (a pure function of one line) concurrently to
 	// build them in place.
 	drawStripsIn := func(ls []*fieldline.Line, order []int, params StripParams) {
 		counts := make([]int, len(order))
 		for k, li := range order {
-			counts[k] = StripVertices(ls[li].NumPoints())
+			counts[k] = stripVertices(ls[li].NumPoints())
 		}
 		rast.DrawTriangleStripBatchFunc(counts, func(k int, dst []render.Vertex) {
-			FillStrip(dst, ls[order[k]], cam.Eye, params)
+			fillStrip(dst, ls[order[k]], cam.Eye, params)
 		})
 	}
 

@@ -1,146 +1,180 @@
 package hybrid
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
+	"io"
+	"os"
 
 	"repro/internal/vec"
+	"repro/internal/wire"
 )
 
-// AppendBinary appends the representation's wire encoding to dst and
-// returns the extended slice. The bytes are identical to what Write
-// produces (asserted by tests), but the encoder works append-style
-// into a caller-owned buffer — no bufio layer, no per-field temporary
-// allocations — so hot paths (the remote service's frame cache, the
-// distributed-stage reply path) can recycle one buffer across frames.
-func (r *Representation) AppendBinary(dst []byte) []byte {
-	need := int(r.SizeBytes())
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	start := len(dst)
-	le := binary.LittleEndian
+// The .achy encoding, on disk and on the wire (little-endian):
+//
+//	magic "ACHY" | u64 version | 6 f64 bounds | f64 threshold |
+//	f64 maxLeafD | 3 i64 dims | nx·ny·nz f32 | i64 n | n × (3 f64) |
+//	n × f32 | n × i64 | u32 crc32 (all preceding bytes)
+//
+// AppendBinary is its one encoder and DecodeBinary its one decoder;
+// Write, Read, WriteFile, ReadFile and FileComplete all go through them.
 
-	dst = append(dst, magicHybrid[:]...)
-	dst = le.AppendUint64(dst, hybridVersion)
-	for _, f := range []float64{
-		r.Bounds.Min.X, r.Bounds.Min.Y, r.Bounds.Min.Z,
-		r.Bounds.Max.X, r.Bounds.Max.Y, r.Bounds.Max.Z,
-		r.Threshold, r.MaxLeafD,
-	} {
-		dst = le.AppendUint64(dst, math.Float64bits(f))
+var magicHybrid = [4]byte{'A', 'C', 'H', 'Y'}
+
+const (
+	hybridVersion = 2
+	// headerBytes is the fixed prelude readHeader consumes: magic,
+	// version, bounds, thresholds, dims.
+	headerBytes = 4 + 8 + 8*8 + 3*8
+	pointBytes  = 24 + 4 + 8 // position, density, source index
+)
+
+// SizeBytes returns the serialized payload size: the number behind the
+// paper's "hybrid data smaller than 100MB" and frame-cache claims.
+func (r *Representation) SizeBytes() int64 {
+	return headerBytes + r.Volume.SizeBytes() + 8 + int64(len(r.Points))*24 +
+		int64(len(r.PointDensity))*4 + int64(len(r.OrigIndex))*8 + 4
+}
+
+// AppendBinary appends the representation's encoding to dst and returns
+// the extended slice, so hot paths (the remote service's frame cache,
+// the distributed-stage reply path) recycle one buffer across frames.
+func (r *Representation) AppendBinary(dst []byte) []byte {
+	dst = wire.Grow(dst, int(r.SizeBytes()))
+	start := len(dst)
+	dst = wire.Begin(dst, magicHybrid, hybridVersion, 8)
+	dst = wire.V3s(dst, r.Bounds.Min, r.Bounds.Max)
+	dst = wire.F64s(dst, r.Threshold, r.MaxLeafD)
+	dst = wire.I64s(dst, int64(r.Volume.Nx), int64(r.Volume.Ny), int64(r.Volume.Nz))
+	dst = wire.F32s(dst, r.Volume.Data...)
+	dst = wire.I64(dst, int64(len(r.Points)))
+	dst = wire.V3s(dst, r.Points...)
+	dst = wire.F32s(dst, r.PointDensity...)
+	dst = wire.I64s(dst, r.OrigIndex...)
+	return wire.Finish(dst, start)
+}
+
+// header is the fixed prelude of an encoding.
+type header struct {
+	bounds              vec.AABB
+	threshold, maxLeafD float64
+	dims                [3]int64
+}
+
+// readHeader consumes the prelude. It is shared by DecodeBinary and
+// FileComplete, which holds only those headerBytes.
+func readHeader(rd *wire.Reader) header {
+	h := header{bounds: vec.Box(rd.V3(), rd.V3()), threshold: rd.F64(), maxLeafD: rd.F64()}
+	rd.I64s(h.dims[:])
+	return h
+}
+
+// voxels returns the grid's voxel count, or false when a dim is not
+// positive or the float32 volume would not fit in avail bytes — checked
+// by division, so hostile dims cannot overflow the product.
+func (h *header) voxels(avail int64) (int64, bool) {
+	fit := avail / 4
+	for _, d := range h.dims {
+		if d < 1 {
+			return 0, false
+		}
+		fit /= d
 	}
-	for _, d := range []int64{int64(r.Volume.Nx), int64(r.Volume.Ny), int64(r.Volume.Nz)} {
-		dst = le.AppendUint64(dst, uint64(d))
-	}
-	for _, v := range r.Volume.Data {
-		dst = le.AppendUint32(dst, math.Float32bits(v))
-	}
-	dst = le.AppendUint64(dst, uint64(len(r.Points)))
-	for _, p := range r.Points {
-		dst = le.AppendUint64(dst, math.Float64bits(p.X))
-		dst = le.AppendUint64(dst, math.Float64bits(p.Y))
-		dst = le.AppendUint64(dst, math.Float64bits(p.Z))
-	}
-	for _, d := range r.PointDensity {
-		dst = le.AppendUint32(dst, math.Float32bits(d))
-	}
-	for _, i := range r.OrigIndex {
-		dst = le.AppendUint64(dst, uint64(i))
-	}
-	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return h.dims[0] * h.dims[1] * h.dims[2], fit >= 1
 }
 
 // DecodeBinary decodes one representation from p, which must hold
-// exactly the encoding (as produced by Write or AppendBinary),
-// verifying the trailing checksum. The result copies everything out of
-// p, so the caller may recycle the buffer immediately.
+// exactly the encoding, verifying the trailing checksum. The result
+// copies everything out of p, so the caller may recycle the buffer
+// immediately.
 func DecodeBinary(p []byte) (*Representation, error) {
-	le := binary.LittleEndian
-	// Fixed prelude: magic, version, 8 floats, 3 dims.
-	const prelude = 4 + 8 + 8*8 + 3*8
-	if len(p) < prelude+8+4 {
-		return nil, fmt.Errorf("hybrid: encoding truncated (%d bytes)", len(p))
+	rd := wire.Open("hybrid: representation", p, magicHybrid, hybridVersion, 8, true)
+	h := readHeader(&rd)
+	// The volume must be in the buffer before the grid is allocated.
+	if _, ok := h.voxels(int64(rd.Len())); !ok {
+		rd.Fail("volume dims %v do not fit the %d bytes left", h.dims, rd.Len())
 	}
-	if [4]byte(p[:4]) != magicHybrid {
-		return nil, fmt.Errorf("hybrid: bad magic %q", p[:4])
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
-	if v := le.Uint64(p[4:]); v != hybridVersion {
-		return nil, fmt.Errorf("hybrid: unsupported version %d", v)
-	}
-	var f [8]float64
-	for i := range f {
-		f[i] = math.Float64frombits(le.Uint64(p[12+8*i:]))
-	}
-	r := &Representation{
-		Bounds:    vec.Box(vec.New(f[0], f[1], f[2]), vec.New(f[3], f[4], f[5])),
-		Threshold: f[6],
-		MaxLeafD:  f[7],
-	}
-	var dims [3]int64
-	for i := range dims {
-		dims[i] = int64(le.Uint64(p[76+8*i:]))
-		if dims[i] < 1 || dims[i] > 1<<33 {
-			return nil, fmt.Errorf("hybrid: implausible volume dims %v", dims)
-		}
-	}
-	voxels := dims[0] * dims[1]
-	if voxels/dims[1] != dims[0] || voxels*dims[2]/dims[2] != voxels || voxels*dims[2] > 1<<33 {
-		return nil, fmt.Errorf("hybrid: implausible volume dims %v", dims)
-	}
-	voxels *= dims[2]
-	// Validate sizes against the buffer before allocating the grid, so a
-	// hostile dims field cannot force an arbitrary allocation.
-	off := int64(prelude)
-	rest := int64(len(p)) - off
-	volBytes := voxels * 4
-	if rest < volBytes+8+4 {
-		return nil, fmt.Errorf("hybrid: encoding truncated inside volume (%d bytes left, volume needs %d)", rest, volBytes)
-	}
-	vol, err := NewGrid(int(dims[0]), int(dims[1]), int(dims[2]), r.Bounds)
+	vol, err := NewGrid(int(h.dims[0]), int(h.dims[1]), int(h.dims[2]), h.bounds)
 	if err != nil {
 		return nil, err
 	}
-	for i := range vol.Data {
-		vol.Data[i] = math.Float32frombits(le.Uint32(p[off+int64(i)*4:]))
+	rd.F32s(vol.Data)
+	n := rd.Count(rd.I64(), pointBytes)
+	r := &Representation{
+		Bounds: h.bounds, Threshold: h.threshold, MaxLeafD: h.maxLeafD, Volume: vol,
+		Points: make([]vec.V3, n), PointDensity: make([]float32, n), OrigIndex: make([]int64, n),
 	}
-	off += volBytes
-	r.Volume = vol
-	n := int64(le.Uint64(p[off:]))
-	off += 8
-	if n < 0 || n > 1<<40 {
-		return nil, fmt.Errorf("hybrid: implausible point count %d", n)
-	}
-	// Exactly the point arrays and the checksum must remain.
-	if int64(len(p))-off != n*(24+4+8)+4 {
-		return nil, fmt.Errorf("hybrid: encoding is %d bytes, want %d for %d points",
-			len(p), off+n*36+4, n)
-	}
-	r.Points = make([]vec.V3, n)
-	for i := range r.Points {
-		r.Points[i] = vec.New(
-			math.Float64frombits(le.Uint64(p[off:])),
-			math.Float64frombits(le.Uint64(p[off+8:])),
-			math.Float64frombits(le.Uint64(p[off+16:])),
-		)
-		off += 24
-	}
-	r.PointDensity = make([]float32, n)
-	for i := range r.PointDensity {
-		r.PointDensity[i] = math.Float32frombits(le.Uint32(p[off:]))
-		off += 4
-	}
-	r.OrigIndex = make([]int64, n)
-	for i := range r.OrigIndex {
-		r.OrigIndex[i] = int64(le.Uint64(p[off:]))
-		off += 8
-	}
-	if got, want := le.Uint32(p[off:]), crc32.ChecksumIEEE(p[:off]); got != want {
-		return nil, fmt.Errorf("hybrid: checksum mismatch (buffer %08x, computed %08x)", got, want)
+	rd.V3s(r.Points)
+	rd.F32s(r.PointDensity)
+	rd.I64s(r.OrigIndex)
+	if err := rd.Done(); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// Write serializes the representation to w.
+func (r *Representation) Write(w io.Writer) error {
+	if _, err := w.Write(r.AppendBinary(nil)); err != nil {
+		return fmt.Errorf("hybrid: writing representation: %w", err)
+	}
+	return nil
+}
+
+// Read deserializes a representation written by Write, verifying the
+// checksum.
+func Read(rd io.Reader) (*Representation, error) {
+	p, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("hybrid: reading representation: %w", err)
+	}
+	return DecodeBinary(p)
+}
+
+// ReadFile reads a representation from the named file.
+func ReadFile(path string) (*Representation, error) {
+	p, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("hybrid: %w", err)
+	}
+	return DecodeBinary(p)
+}
+
+// FileComplete reports whether the named file is a structurally
+// complete hybrid frame: correct magic and version, and a byte length
+// exactly accounting for the volume, point arrays and trailing CRC its
+// header promises. It costs two small reads — no decode, no CRC pass —
+// which is what lets a DirStore scan of thousands of frames skip the
+// partial leftovers of a killed (pre-atomic-rename) writer without
+// reading them.
+func FileComplete(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return false
+	}
+	var head [headerBytes]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return false
+	}
+	rd := wire.Open("hybrid: file header", head[:], magicHybrid, hybridVersion, 8, false)
+	h := readHeader(&rd)
+	points := st.Size() - headerBytes - 8 - 4 // what the count and the CRC leave
+	voxels, ok := h.voxels(points)
+	if rd.Err() != nil || !ok {
+		return false
+	}
+	var cnt [8]byte
+	if _, err := f.ReadAt(cnt[:], headerBytes+4*voxels); err != nil {
+		return false
+	}
+	rd = wire.NewReader("hybrid: point count", cnt[:])
+	n := rd.I64()
+	return n >= 0 && n <= points/pointBytes && 4*voxels+n*pointBytes == points
 }

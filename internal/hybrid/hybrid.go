@@ -1,11 +1,7 @@
 package hybrid
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -101,152 +97,10 @@ func Extract(t *octree.Tree, cfg ExtractConfig) (*Representation, error) {
 // NumPoints returns the number of halo points kept.
 func (r *Representation) NumPoints() int { return len(r.Points) }
 
-// SizeBytes returns the serialized payload size: the number behind the
-// paper's "hybrid data smaller than 100MB" and frame-cache claims.
-func (r *Representation) SizeBytes() int64 {
-	const header = 4 + 8 + 6*8 + 8 + 8 + 3*8 + 8 + 4 // magic, version, bounds, thresholds, dims, count, crc
-	return header + r.Volume.SizeBytes() + int64(len(r.Points))*24 +
-		int64(len(r.PointDensity))*4 + int64(len(r.OrigIndex))*8
-}
-
 // CompressionFactor returns rawBytes / SizeBytes for a raw frame of n
 // particles at 48 bytes each.
 func (r *Representation) CompressionFactor(n int64) float64 {
 	return float64(n*48) / float64(r.SizeBytes())
-}
-
-var magicHybrid = [4]byte{'A', 'C', 'H', 'Y'}
-
-const hybridVersion = 2
-
-// Write serializes the representation with a trailing CRC-32.
-func (r *Representation) Write(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, crc)
-	if _, err := mw.Write(magicHybrid[:]); err != nil {
-		return fmt.Errorf("hybrid: writing magic: %w", err)
-	}
-	le := binary.LittleEndian
-	write := func(v any) error { return binary.Write(mw, le, v) }
-	if err := write(uint64(hybridVersion)); err != nil {
-		return err
-	}
-	for _, f := range []float64{
-		r.Bounds.Min.X, r.Bounds.Min.Y, r.Bounds.Min.Z,
-		r.Bounds.Max.X, r.Bounds.Max.Y, r.Bounds.Max.Z,
-		r.Threshold, r.MaxLeafD,
-	} {
-		if err := write(f); err != nil {
-			return err
-		}
-	}
-	for _, d := range []int64{int64(r.Volume.Nx), int64(r.Volume.Ny), int64(r.Volume.Nz)} {
-		if err := write(d); err != nil {
-			return err
-		}
-	}
-	if err := write(r.Volume.Data); err != nil {
-		return err
-	}
-	if err := write(int64(len(r.Points))); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
-		if err := write([3]float64{p.X, p.Y, p.Z}); err != nil {
-			return err
-		}
-	}
-	if err := write(r.PointDensity); err != nil {
-		return err
-	}
-	if err := write(r.OrigIndex); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, le, crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a representation written by Write, verifying the
-// checksum.
-func Read(rd io.Reader) (*Representation, error) {
-	br := bufio.NewReaderSize(rd, 1<<20)
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-	le := binary.LittleEndian
-	var magic [4]byte
-	if _, err := io.ReadFull(tr, magic[:]); err != nil {
-		return nil, fmt.Errorf("hybrid: reading magic: %w", err)
-	}
-	if magic != magicHybrid {
-		return nil, fmt.Errorf("hybrid: bad magic %q", magic[:])
-	}
-	read := func(v any) error { return binary.Read(tr, le, v) }
-	var version uint64
-	if err := read(&version); err != nil {
-		return nil, err
-	}
-	if version != hybridVersion {
-		return nil, fmt.Errorf("hybrid: unsupported version %d", version)
-	}
-	var f [8]float64
-	if err := read(&f); err != nil {
-		return nil, err
-	}
-	r := &Representation{
-		Bounds:    vec.Box(vec.New(f[0], f[1], f[2]), vec.New(f[3], f[4], f[5])),
-		Threshold: f[6],
-		MaxLeafD:  f[7],
-	}
-	var dims [3]int64
-	if err := read(&dims); err != nil {
-		return nil, err
-	}
-	if dims[0] < 1 || dims[1] < 1 || dims[2] < 1 || dims[0]*dims[1]*dims[2] > 1<<33 {
-		return nil, fmt.Errorf("hybrid: implausible volume dims %v", dims)
-	}
-	vol, err := NewGrid(int(dims[0]), int(dims[1]), int(dims[2]), r.Bounds)
-	if err != nil {
-		return nil, err
-	}
-	if err := read(vol.Data); err != nil {
-		return nil, err
-	}
-	r.Volume = vol
-	var n int64
-	if err := read(&n); err != nil {
-		return nil, err
-	}
-	if n < 0 || n > 1<<40 {
-		return nil, fmt.Errorf("hybrid: implausible point count %d", n)
-	}
-	r.Points = make([]vec.V3, n)
-	for i := range r.Points {
-		var p [3]float64
-		if err := read(&p); err != nil {
-			return nil, err
-		}
-		r.Points[i] = vec.New(p[0], p[1], p[2])
-	}
-	r.PointDensity = make([]float32, n)
-	if err := read(&r.PointDensity); err != nil {
-		return nil, err
-	}
-	r.OrigIndex = make([]int64, n)
-	if err := read(&r.OrigIndex); err != nil {
-		return nil, err
-	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(br, le, &got); err != nil {
-		return nil, fmt.Errorf("hybrid: reading checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("hybrid: checksum mismatch (file %08x, computed %08x)", got, want)
-	}
-	return r, nil
 }
 
 // WriteFile writes the representation to the named file, atomically:
@@ -280,67 +134,6 @@ func (r *Representation) WriteFile(path string) error {
 		return fmt.Errorf("hybrid: %w", err)
 	}
 	return nil
-}
-
-// FileComplete reports whether the named file is a structurally
-// complete hybrid frame: correct magic and version, and a byte length
-// exactly accounting for the volume, point arrays and trailing CRC its
-// header promises. It costs two small reads — no decode, no CRC pass —
-// which is what lets a DirStore scan of thousands of frames skip the
-// partial leftovers of a killed (pre-atomic-rename) writer without
-// reading them.
-func FileComplete(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return false
-	}
-	size := st.Size()
-	const header = 4 + 8 + 8*8 + 3*8 // magic, version, bounds+thresholds, dims
-	var head [header]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return false
-	}
-	if [4]byte(head[:4]) != magicHybrid {
-		return false
-	}
-	le := binary.LittleEndian
-	if le.Uint64(head[4:12]) != hybridVersion {
-		return false
-	}
-	nx := int64(le.Uint64(head[76:84]))
-	ny := int64(le.Uint64(head[84:92]))
-	nz := int64(le.Uint64(head[92:100]))
-	if nx < 0 || ny < 0 || nz < 0 || nx*ny*nz < 0 {
-		return false
-	}
-	volBytes := nx * ny * nz * 4
-	if volBytes < 0 || header+volBytes+8 > size {
-		return false
-	}
-	var cnt [8]byte
-	if _, err := f.ReadAt(cnt[:], header+volBytes); err != nil {
-		return false
-	}
-	n := int64(le.Uint64(cnt[:]))
-	if n < 0 || n > size { // bound before multiplying: n is untrusted
-		return false
-	}
-	return size == header+volBytes+8+n*24+n*4+n*8+4
-}
-
-// ReadFile reads a representation from the named file.
-func ReadFile(path string) (*Representation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
 }
 
 // SelectPoints applies the point transfer function: for each halo

@@ -14,146 +14,101 @@
 package lineio
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"repro/internal/fieldline"
 	"repro/internal/vec"
+	"repro/internal/wire"
 )
+
+// The .acfl encoding (little-endian):
+//
+//	magic "ACFL" | u32 version | u32 count |
+//	count × (u32 npts | u8 closed | npts × (4 f32: point, strength)) |
+//	u32 crc32 (all preceding bytes)
 
 var magic = [4]byte{'A', 'C', 'F', 'L'}
 
 const version = 1
 
-// Write serializes the lines to w.
-func Write(w io.Writer, lines []*fieldline.Line) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, crc)
-	le := binary.LittleEndian
-	if _, err := mw.Write(magic[:]); err != nil {
-		return fmt.Errorf("lineio: writing magic: %w", err)
-	}
-	put := func(v any) error { return binary.Write(mw, le, v) }
-	if err := put(uint32(version)); err != nil {
-		return err
-	}
-	if err := put(uint32(len(lines))); err != nil {
-		return err
-	}
+// Append appends the lines' encoding to dst — the format's one encoder.
+func Append(dst []byte, lines []*fieldline.Line) []byte {
+	dst = wire.Grow(dst, int(LinesBytes(lines)))
+	start := len(dst)
+	dst = wire.Begin(dst, magic, version, 4)
+	dst = wire.U32(dst, uint32(len(lines)))
 	for _, l := range lines {
-		if err := put(uint32(l.NumPoints())); err != nil {
-			return err
-		}
-		closed := uint8(0)
-		if l.Closed {
-			closed = 1
-		}
-		if err := put(closed); err != nil {
-			return err
-		}
+		dst = wire.U32(dst, uint32(l.NumPoints()))
+		dst = wire.Bool(dst, l.Closed)
 		for i, p := range l.Points {
-			rec := [4]float32{float32(p.X), float32(p.Y), float32(p.Z), float32(l.Strengths[i])}
-			if err := put(rec); err != nil {
-				return err
-			}
+			dst = wire.F32s(dst, float32(p.X), float32(p.Y), float32(p.Z), float32(l.Strengths[i]))
 		}
 	}
-	if err := binary.Write(bw, le, crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return wire.Finish(dst, start)
 }
 
-// Read deserializes lines written by Write, recomputing unit tangents
-// from central differences of the stored points.
-func Read(r io.Reader) ([]*fieldline.Line, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-	le := binary.LittleEndian
-	var m [4]byte
-	if _, err := io.ReadFull(tr, m[:]); err != nil {
-		return nil, fmt.Errorf("lineio: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("lineio: bad magic %q", m[:])
-	}
-	get := func(v any) error { return binary.Read(tr, le, v) }
-	var ver, count uint32
-	if err := get(&ver); err != nil {
-		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("lineio: unsupported version %d", ver)
-	}
-	if err := get(&count); err != nil {
-		return nil, err
-	}
-	if count > 1<<28 {
-		return nil, fmt.Errorf("lineio: implausible line count %d", count)
-	}
-	lines := make([]*fieldline.Line, 0, count)
-	for li := uint32(0); li < count; li++ {
-		var n uint32
-		if err := get(&n); err != nil {
-			return nil, fmt.Errorf("lineio: reading line %d header: %w", li, err)
+// Decode decodes lines from p, which must hold exactly one encoding —
+// the format's one decoder. It verifies the checksum and recomputes
+// unit tangents from central differences of the stored points.
+func Decode(p []byte) ([]*fieldline.Line, error) {
+	rd := wire.Open("lineio: line set", p, magic, version, 4, true)
+	lines := make([]*fieldline.Line, rd.Count(int64(rd.U32()), 5))
+	for i := 0; i < len(lines) && rd.Err() == nil; i++ {
+		n := rd.Count(int64(rd.U32()), 16)
+		l := &fieldline.Line{
+			Closed:    rd.Bool(),
+			Points:    make([]vec.V3, n),
+			Strengths: make([]float64, n),
 		}
-		if n > 1<<26 {
-			return nil, fmt.Errorf("lineio: implausible point count %d", n)
-		}
-		var closed uint8
-		if err := get(&closed); err != nil {
-			return nil, err
-		}
-		l := &fieldline.Line{Closed: closed != 0}
-		for i := uint32(0); i < n; i++ {
+		for j := range l.Points {
 			var rec [4]float32
-			if err := get(&rec); err != nil {
-				return nil, fmt.Errorf("lineio: reading line %d point %d: %w", li, i, err)
-			}
-			l.Points = append(l.Points, vecFrom(rec))
-			l.Strengths = append(l.Strengths, float64(rec[3]))
+			rd.F32s(rec[:])
+			l.Points[j] = vec.New(float64(rec[0]), float64(rec[1]), float64(rec[2]))
+			l.Strengths[j] = float64(rec[3])
 		}
 		recomputeTangents(l)
-		lines = append(lines, l)
+		lines[i] = l
 	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(br, le, &got); err != nil {
-		return nil, fmt.Errorf("lineio: reading checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("lineio: checksum mismatch (file %08x, computed %08x)", got, want)
+	if err := rd.Done(); err != nil {
+		return nil, err
 	}
 	return lines, nil
 }
 
+// Write serializes the lines to w.
+func Write(w io.Writer, lines []*fieldline.Line) error {
+	if _, err := w.Write(Append(nil, lines)); err != nil {
+		return fmt.Errorf("lineio: writing lines: %w", err)
+	}
+	return nil
+}
+
+// Read deserializes lines written by Write.
+func Read(r io.Reader) ([]*fieldline.Line, error) {
+	p, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("lineio: reading lines: %w", err)
+	}
+	return Decode(p)
+}
+
 // WriteFile / ReadFile are the file-path conveniences.
 func WriteFile(path string, lines []*fieldline.Line) error {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, Append(nil, lines), 0o666); err != nil {
 		return fmt.Errorf("lineio: %w", err)
 	}
-	defer f.Close()
-	if err := Write(f, lines); err != nil {
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // ReadFile reads a line file written by WriteFile.
 func ReadFile(path string) ([]*fieldline.Line, error) {
-	f, err := os.Open(path)
+	p, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("lineio: %w", err)
 	}
-	defer f.Close()
-	return Read(f)
+	return Decode(p)
 }
 
 // LinesBytes returns the exact encoded size of the given lines.
@@ -172,10 +127,6 @@ func SavingFactor(rawFieldBytes, lineBytes int64) float64 {
 		return 0
 	}
 	return float64(rawFieldBytes) / float64(lineBytes)
-}
-
-func vecFrom(rec [4]float32) vec.V3 {
-	return vec.New(float64(rec[0]), float64(rec[1]), float64(rec[2]))
 }
 
 // recomputeTangents rebuilds unit tangents from central differences of

@@ -190,11 +190,7 @@ func (s *rawLiveStore) publish() {
 // the full-frame bytes (reported as fullframe-B for comparison).
 func BenchmarkFanOut(b *testing.B) {
 	reps := correlatedReps(b, 4)
-	enc, err := encodeRep(reps[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	full := int64(len(enc))
+	full := int64(len(reps[0].AppendBinary(nil)))
 	// ~5ms per frame at this size, as in BenchmarkRemoteFetch.
 	throttle := full * 200
 

@@ -2,9 +2,7 @@ package remote
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -238,10 +236,10 @@ func (c *Client) readLoop() {
 		}
 		c.lastInbound.Store(time.Now().UnixNano())
 		if msg.op == opNotify {
-			if len(msg.payload) != 8 {
+			frames, err := decodeCount(msg.payload)
+			if err != nil {
 				continue
 			}
-			frames := int(binary.LittleEndian.Uint64(msg.payload))
 			c.mu.Lock()
 			sub := c.subs[msg.reqID]
 			c.mu.Unlock()
@@ -251,21 +249,16 @@ func (c *Client) readLoop() {
 			continue
 		}
 		if msg.op == opNotifyFrame {
-			if len(msg.payload) < notifyFrameHeader {
+			u, err := decodeNotifyFrame(msg.payload)
+			if err != nil {
 				continue
 			}
-			frames := int(binary.LittleEndian.Uint64(msg.payload))
-			index := int(binary.LittleEndian.Uint32(msg.payload[8:]))
 			c.mu.Lock()
 			sub := c.subs[msg.reqID]
 			c.mu.Unlock()
 			if sub != nil {
-				sub.deliverFrame(FrameUpdate{
-					Frames:  frames,
-					Index:   index,
-					Payload: msg.payload[notifyFrameHeader:],
-				})
-				sub.deliver(frames)
+				sub.deliverFrame(u)
+				sub.deliver(u.Frames)
 			}
 			continue
 		}
@@ -406,40 +399,39 @@ func (c *Client) NumFrames() (int, error) {
 	return li.Frames, err
 }
 
+// get runs one Get round trip for frame i's wire encoding.
+func (c *Client) get(i int) (message, error) {
+	msg, err := c.roundTrip(opGet, encodeIndex(i))
+	if err == nil && msg.op != opGetOK {
+		err = fmt.Errorf("remote: unexpected get response %#02x", msg.op)
+	}
+	return msg, err
+}
+
 // FetchFrame downloads and decodes frame i, returning the
 // representation, the transfer size and the (throttled) elapsed time —
 // the "10 seconds for a 100MB time step" measurement of §2.5.
 func (c *Client) FetchFrame(i int) (*hybrid.Representation, int64, time.Duration, error) {
 	start := time.Now()
-	payload := make([]byte, 4)
-	binary.LittleEndian.PutUint32(payload, uint32(i))
-	msg, err := c.roundTrip(opGet, payload)
+	msg, err := c.get(i)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if msg.op != opGetOK {
-		return nil, 0, 0, fmt.Errorf("remote: unexpected get response %#02x", msg.op)
-	}
-	rep, err := hybrid.Read(bytes.NewReader(msg.payload))
+	rep, err := hybrid.DecodeBinary(msg.payload)
+	size := int64(len(msg.payload))
+	msg.recycle() // DecodeBinary copies; the reply buffer is free again
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return rep, int64(len(msg.payload)), time.Since(start), nil
+	return rep, size, time.Since(start), nil
 }
 
 // fetchEncoded downloads frame i's raw wire encoding without decoding
-// it — the full-frame leg of the delta protocol.
+// it — the full-frame leg of the delta protocol. It must not recycle
+// the reply buffer: the payload becomes the caller's delta base.
 func (c *Client) fetchEncoded(i int) ([]byte, error) {
-	payload := make([]byte, 4)
-	binary.LittleEndian.PutUint32(payload, uint32(i))
-	msg, err := c.roundTrip(opGet, payload)
-	if err != nil {
-		return nil, err
-	}
-	if msg.op != opGetOK {
-		return nil, fmt.Errorf("remote: unexpected get response %#02x", msg.op)
-	}
-	return msg.payload, nil
+	msg, err := c.get(i)
+	return msg.payload, err
 }
 
 // FetchFrameDelta downloads frame i as an XOR-residual against frame
@@ -725,7 +717,7 @@ func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
 		}
 	}()
 
-	var payload []byte // empty = legacy count-only subscribe
+	var payload []byte // empty = count-only subscribe
 	if opts.InlineFrames {
 		payload = []byte{subFlagInline}
 	}
@@ -744,11 +736,12 @@ func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
 			sub.Close()
 			return nil, fmt.Errorf("remote: server error: %s", msg.payload)
 		}
-		if msg.op != opSubscribeOK || len(msg.payload) != 8 {
+		frames, err := decodeCount(msg.payload)
+		if msg.op != opSubscribeOK || err != nil {
 			sub.Close()
 			return nil, fmt.Errorf("remote: unexpected subscribe response %#02x", msg.op)
 		}
-		sub.deliver(int(binary.LittleEndian.Uint64(msg.payload)))
+		sub.deliver(frames)
 		return sub, nil
 	}
 	select {

@@ -1,9 +1,7 @@
 package remote
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sync"
 
@@ -11,6 +9,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/octree"
 	"repro/internal/vec"
+	"repro/internal/wire"
 )
 
 // The Compute verb ships one stage invocation to a Worker:
@@ -83,21 +82,18 @@ func appendComputeHeader(dst []byte, kernel string) ([]byte, error) {
 	if len(kernel) == 0 || len(kernel) > maxKernelName {
 		return dst, fmt.Errorf("remote: kernel name %q length out of range [1, %d]", kernel, maxKernelName)
 	}
-	dst = append(dst, byte(len(kernel)))
-	return append(dst, kernel...), nil
+	return wire.Str8(dst, kernel), nil
 }
 
 // decodeComputeRequest splits a Compute payload into the kernel name
 // and its blob. The blob aliases p.
 func decodeComputeRequest(p []byte) (kernel string, blob []byte, err error) {
-	if len(p) < 1 {
-		return "", nil, fmt.Errorf("remote: empty compute payload")
+	rd := wire.NewReader("remote: compute payload", p)
+	if kernel = rd.Str8(); kernel == "" {
+		rd.Fail("empty kernel name")
 	}
-	n := int(p[0])
-	if n == 0 || len(p) < 1+n {
-		return "", nil, fmt.Errorf("remote: compute payload truncated inside kernel name (%d bytes, name %d)", len(p), n)
-	}
-	return string(p[1 : 1+n]), p[1+n:], nil
+	blob = rd.Take(rd.Len())
+	return kernel, blob, rd.Err()
 }
 
 // ---- hybrid-extraction kernel blob ----------------------------------
@@ -121,44 +117,47 @@ func decodeComputeRequest(p []byte) (kernel string, blob []byte, err error) {
 
 var magicPointSet = [4]byte{'A', 'C', 'P', 'T'}
 
-const (
-	pointSetVersion = 1
-	// extractReqFixed is the blob size without the points: magic,
-	// version, 8 config words, count, crc.
-	extractReqFixed = 4 + 4 + 8*8 + 8 + 4
-)
+const pointSetVersion = 1
 
 // appendExtractRequest appends the extract kernel's request blob.
 func appendExtractRequest(dst []byte, pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig) []byte {
-	need := extractReqFixed + 24*len(pts)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = wire.Grow(dst, 84+24*len(pts)) // exact, so a pooled buffer of the last frame's size fits
 	start := len(dst)
-	le := binary.LittleEndian
-	dst = append(dst, magicPointSet[:]...)
-	dst = le.AppendUint32(dst, pointSetVersion)
-	for _, v := range []uint64{
-		uint64(int64(tcfg.MaxLevel)),
-		uint64(int64(tcfg.LeafCap)),
-		uint64(int64(tcfg.Workers)),
-		math.Float64bits(tcfg.Pad),
-		uint64(int64(ecfg.VolumeRes)),
-		math.Float64bits(ecfg.Threshold),
-		uint64(ecfg.Budget),
-		uint64(int64(ecfg.Workers)),
-	} {
-		dst = le.AppendUint64(dst, v)
+	dst = wire.Begin(dst, magicPointSet, pointSetVersion, 4)
+	dst = wire.I64s(dst, int64(tcfg.MaxLevel), int64(tcfg.LeafCap), int64(tcfg.Workers))
+	dst = wire.F64s(dst, tcfg.Pad)
+	dst = wire.I64(dst, int64(ecfg.VolumeRes))
+	dst = wire.F64s(dst, ecfg.Threshold)
+	dst = wire.I64s(dst, ecfg.Budget, int64(ecfg.Workers), int64(len(pts)))
+	dst = wire.V3s(dst, pts...)
+	return wire.Finish(dst, start)
+}
+
+// decodeExtractRequest parses an extract request blob, verifying the
+// checksum. The returned points reuse scratch's backing array when it
+// is large enough; nothing aliases p, so the caller may recycle the
+// blob immediately.
+func decodeExtractRequest(p []byte, scratch []vec.V3) (pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig, err error) {
+	rd := wire.Open("remote: extract request", p, magicPointSet, pointSetVersion, 4, true)
+	tcfg = octree.Config{
+		MaxLevel: int(rd.I64()),
+		LeafCap:  int(rd.I64()),
+		Workers:  int(rd.I64()),
+		Pad:      rd.F64(),
 	}
-	dst = le.AppendUint64(dst, uint64(int64(len(pts))))
-	for _, p := range pts {
-		dst = le.AppendUint64(dst, math.Float64bits(p.X))
-		dst = le.AppendUint64(dst, math.Float64bits(p.Y))
-		dst = le.AppendUint64(dst, math.Float64bits(p.Z))
+	ecfg = hybrid.ExtractConfig{
+		VolumeRes: int(rd.I64()),
+		Threshold: rd.F64(),
+		Budget:    rd.I64(),
+		Workers:   int(rd.I64()),
 	}
-	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	if n := rd.Count(rd.I64(), 24); cap(scratch) >= n {
+		pts = scratch[:n]
+	} else {
+		pts = make([]vec.V3, n)
+	}
+	rd.V3s(pts)
+	return pts, tcfg, ecfg, rd.Done()
 }
 
 // ---- field-line trace kernel blob -----------------------------------
@@ -219,99 +218,46 @@ func (s FieldSpec) Field() (fieldline.Field, error) {
 // worker fields — TraceAll is bit-identical at every worker count, so
 // this only matters for the worker's scheduling, not the result.
 
-var magicFieldSeeds = [4]byte{'A', 'C', 'F', 'S'}
-
-const (
-	fieldSeedsVersion = 1
-	// traceReqFixed is the request blob size without the seeds.
-	traceReqFixed = 4 + 4 + 1 + 4*8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 4
+var (
+	magicFieldSeeds = [4]byte{'A', 'C', 'F', 'S'}
+	magicFieldReply = [4]byte{'A', 'C', 'F', 'R'}
 )
+
+const fieldSeedsVersion = 1
 
 // appendTraceRequest appends the trace kernel's request blob.
 func appendTraceRequest(dst []byte, spec FieldSpec, seeds []vec.V3, cfg fieldline.Config, sign float64, workers int) []byte {
-	need := traceReqFixed + 24*len(seeds)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = wire.Grow(dst, 94+24*len(seeds))
 	start := len(dst)
-	le := binary.LittleEndian
-	dst = append(dst, magicFieldSeeds[:]...)
-	dst = le.AppendUint32(dst, fieldSeedsVersion)
-	dst = append(dst, byte(spec.Kind))
-	for _, f := range spec.Params {
-		dst = le.AppendUint64(dst, math.Float64bits(f))
-	}
-	dst = le.AppendUint64(dst, math.Float64bits(cfg.Step))
-	dst = le.AppendUint64(dst, uint64(int64(cfg.MaxSteps)))
-	dst = le.AppendUint64(dst, math.Float64bits(cfg.MinMag))
-	if cfg.CloseLoop {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = le.AppendUint64(dst, math.Float64bits(sign))
-	dst = le.AppendUint64(dst, uint64(int64(workers)))
-	dst = le.AppendUint64(dst, uint64(int64(len(seeds))))
-	for _, s := range seeds {
-		dst = le.AppendUint64(dst, math.Float64bits(s.X))
-		dst = le.AppendUint64(dst, math.Float64bits(s.Y))
-		dst = le.AppendUint64(dst, math.Float64bits(s.Z))
-	}
-	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	dst = wire.Begin(dst, magicFieldSeeds, fieldSeedsVersion, 4)
+	dst = wire.U8(dst, uint8(spec.Kind))
+	dst = wire.F64s(dst, spec.Params[:]...)
+	dst = wire.F64s(dst, cfg.Step)
+	dst = wire.I64(dst, int64(cfg.MaxSteps))
+	dst = wire.F64s(dst, cfg.MinMag)
+	dst = wire.Bool(dst, cfg.CloseLoop)
+	dst = wire.F64s(dst, sign)
+	dst = wire.I64s(dst, int64(workers), int64(len(seeds)))
+	dst = wire.V3s(dst, seeds...)
+	return wire.Finish(dst, start)
 }
 
 // decodeTraceRequest parses a trace request blob, verifying the
 // checksum. Nothing aliases p.
 func decodeTraceRequest(p []byte) (spec FieldSpec, seeds []vec.V3, cfg fieldline.Config, sign float64, workers int, err error) {
-	le := binary.LittleEndian
-	fail := func(format string, args ...any) (FieldSpec, []vec.V3, fieldline.Config, float64, int, error) {
-		return FieldSpec{}, nil, fieldline.Config{}, 0, 0, fmt.Errorf(format, args...)
-	}
-	if len(p) < traceReqFixed {
-		return fail("remote: trace request truncated (%d bytes)", len(p))
-	}
-	if [4]byte(p[:4]) != magicFieldSeeds {
-		return fail("remote: bad field-seeds magic %q", p[:4])
-	}
-	if v := le.Uint32(p[4:]); v != fieldSeedsVersion {
-		return fail("remote: unsupported field-seeds version %d", v)
-	}
-	n := int64(le.Uint64(p[82:]))
-	if n < 0 || n > int64(maxBody)/24 {
-		return fail("remote: implausible seed count %d", n)
-	}
-	if int64(len(p)) != int64(traceReqFixed)+24*n {
-		return fail("remote: trace request is %d bytes, want %d for %d seeds",
-			len(p), int64(traceReqFixed)+24*n, n)
-	}
-	crcOff := len(p) - 4
-	if got, want := le.Uint32(p[crcOff:]), crc32.ChecksumIEEE(p[:crcOff]); got != want {
-		return fail("remote: trace request checksum mismatch (wire %08x, computed %08x)", got, want)
-	}
-	spec.Kind = FieldKind(p[8])
-	for i := range spec.Params {
-		spec.Params[i] = math.Float64frombits(le.Uint64(p[9+8*i:]))
-	}
+	rd := wire.Open("remote: trace request", p, magicFieldSeeds, fieldSeedsVersion, 4, true)
+	spec.Kind = FieldKind(rd.U8())
+	rd.F64s(spec.Params[:])
 	cfg = fieldline.Config{
-		Step:      math.Float64frombits(le.Uint64(p[41:])),
-		MaxSteps:  int(int64(le.Uint64(p[49:]))),
-		MinMag:    math.Float64frombits(le.Uint64(p[57:])),
-		CloseLoop: p[65] != 0,
+		Step:      rd.F64(),
+		MaxSteps:  int(rd.I64()),
+		MinMag:    rd.F64(),
+		CloseLoop: rd.Bool(),
 	}
-	sign = math.Float64frombits(le.Uint64(p[66:]))
-	workers = int(int64(le.Uint64(p[74:])))
-	seeds = make([]vec.V3, n)
-	for i := range seeds {
-		off := traceReqFixed - 4 + 24*i
-		seeds[i] = vec.New(
-			math.Float64frombits(le.Uint64(p[off:])),
-			math.Float64frombits(le.Uint64(p[off+8:])),
-			math.Float64frombits(le.Uint64(p[off+16:])),
-		)
-	}
-	return spec, seeds, cfg, sign, workers, nil
+	sign, workers = rd.F64(), int(rd.I64())
+	seeds = make([]vec.V3, rd.Count(rd.I64(), 24))
+	rd.V3s(seeds)
+	return spec, seeds, cfg, sign, workers, rd.Done()
 }
 
 // The trace reply blob ("ACFR") carries the integrated lines in full
@@ -323,140 +269,41 @@ func decodeTraceRequest(p []byte) (spec FieldSpec, seeds []vec.V3, cfg fieldline
 //	count × (u32 npts | u8 closed | npts × (7 f64: point, tangent,
 //	strength)) | u32 crc32 (all preceding bytes)
 
-var magicFieldReply = [4]byte{'A', 'C', 'F', 'R'}
-
 // appendTraceReply appends the trace kernel's reply blob.
 func appendTraceReply(dst []byte, lines []*fieldline.Line) []byte {
 	start := len(dst)
-	le := binary.LittleEndian
-	dst = append(dst, magicFieldReply[:]...)
-	dst = le.AppendUint32(dst, fieldSeedsVersion)
-	dst = le.AppendUint32(dst, uint32(len(lines)))
+	dst = wire.Begin(dst, magicFieldReply, fieldSeedsVersion, 4)
+	dst = wire.U32(dst, uint32(len(lines)))
 	for _, l := range lines {
-		dst = le.AppendUint32(dst, uint32(len(l.Points)))
-		if l.Closed {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = wire.U32(dst, uint32(len(l.Points)))
+		dst = wire.Bool(dst, l.Closed)
 		for i, pt := range l.Points {
-			for _, f := range [7]float64{pt.X, pt.Y, pt.Z,
-				l.Tangents[i].X, l.Tangents[i].Y, l.Tangents[i].Z,
-				l.Strengths[i]} {
-				dst = le.AppendUint64(dst, math.Float64bits(f))
-			}
+			dst = wire.V3s(dst, pt, l.Tangents[i])
+			dst = wire.F64s(dst, l.Strengths[i])
 		}
 	}
-	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return wire.Finish(dst, start)
 }
 
 // decodeTraceReply parses a trace reply blob, verifying the checksum.
 func decodeTraceReply(p []byte) ([]*fieldline.Line, error) {
-	le := binary.LittleEndian
-	if len(p) < 4+4+4+4 {
-		return nil, fmt.Errorf("remote: trace reply truncated (%d bytes)", len(p))
-	}
-	if [4]byte(p[:4]) != magicFieldReply {
-		return nil, fmt.Errorf("remote: bad trace reply magic %q", p[:4])
-	}
-	if v := le.Uint32(p[4:]); v != fieldSeedsVersion {
-		return nil, fmt.Errorf("remote: unsupported trace reply version %d", v)
-	}
-	crcOff := len(p) - 4
-	if got, want := le.Uint32(p[crcOff:]), crc32.ChecksumIEEE(p[:crcOff]); got != want {
-		return nil, fmt.Errorf("remote: trace reply checksum mismatch (wire %08x, computed %08x)", got, want)
-	}
-	count := int(le.Uint32(p[8:]))
-	body := p[12:crcOff]
-	lines := make([]*fieldline.Line, 0, count)
-	for i := 0; i < count; i++ {
-		if len(body) < 5 {
-			return nil, fmt.Errorf("remote: trace reply truncated at line %d header", i)
-		}
-		npts := int(le.Uint32(body))
-		closed := body[4] != 0
-		body = body[5:]
-		if npts < 0 || len(body) < 56*npts {
-			return nil, fmt.Errorf("remote: trace reply truncated inside line %d (%d points)", i, npts)
-		}
+	rd := wire.Open("remote: trace reply", p, magicFieldReply, fieldSeedsVersion, 4, true)
+	lines := make([]*fieldline.Line, rd.Count(int64(rd.U32()), 5))
+	for i := 0; i < len(lines) && rd.Err() == nil; i++ {
+		n := rd.Count(int64(rd.U32()), 56)
 		l := &fieldline.Line{
-			Closed:    closed,
-			Points:    make([]vec.V3, npts),
-			Tangents:  make([]vec.V3, npts),
-			Strengths: make([]float64, npts),
+			Closed:    rd.Bool(),
+			Points:    make([]vec.V3, n),
+			Tangents:  make([]vec.V3, n),
+			Strengths: make([]float64, n),
 		}
-		for j := 0; j < npts; j++ {
-			off := 56 * j
-			l.Points[j] = vec.New(
-				math.Float64frombits(le.Uint64(body[off:])),
-				math.Float64frombits(le.Uint64(body[off+8:])),
-				math.Float64frombits(le.Uint64(body[off+16:])))
-			l.Tangents[j] = vec.New(
-				math.Float64frombits(le.Uint64(body[off+24:])),
-				math.Float64frombits(le.Uint64(body[off+32:])),
-				math.Float64frombits(le.Uint64(body[off+40:])))
-			l.Strengths[j] = math.Float64frombits(le.Uint64(body[off+48:]))
+		for j := range l.Points {
+			l.Points[j], l.Tangents[j], l.Strengths[j] = rd.V3(), rd.V3(), rd.F64()
 		}
-		body = body[56*npts:]
-		lines = append(lines, l)
+		lines[i] = l
 	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("remote: %d trailing bytes after trace reply lines", len(body))
+	if err := rd.Done(); err != nil {
+		return nil, err
 	}
 	return lines, nil
-}
-
-// decodeExtractRequest parses an extract request blob, verifying the
-// checksum. The returned points reuse scratch's backing array when it
-// is large enough; nothing aliases p, so the caller may recycle the
-// blob immediately.
-func decodeExtractRequest(p []byte, scratch []vec.V3) (pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig, err error) {
-	le := binary.LittleEndian
-	if len(p) < extractReqFixed {
-		return nil, tcfg, ecfg, fmt.Errorf("remote: extract request truncated (%d bytes)", len(p))
-	}
-	if [4]byte(p[:4]) != magicPointSet {
-		return nil, tcfg, ecfg, fmt.Errorf("remote: bad point-set magic %q", p[:4])
-	}
-	if v := le.Uint32(p[4:]); v != pointSetVersion {
-		return nil, tcfg, ecfg, fmt.Errorf("remote: unsupported point-set version %d", v)
-	}
-	n := int64(le.Uint64(p[72:]))
-	if n < 0 || n > int64(maxBody)/24 {
-		return nil, tcfg, ecfg, fmt.Errorf("remote: implausible point count %d", n)
-	}
-	if int64(len(p)) != int64(extractReqFixed)+24*n {
-		return nil, tcfg, ecfg, fmt.Errorf("remote: extract request is %d bytes, want %d for %d points",
-			len(p), int64(extractReqFixed)+24*n, n)
-	}
-	crcOff := len(p) - 4
-	if got, want := le.Uint32(p[crcOff:]), crc32.ChecksumIEEE(p[:crcOff]); got != want {
-		return nil, tcfg, ecfg, fmt.Errorf("remote: extract request checksum mismatch (wire %08x, computed %08x)", got, want)
-	}
-	tcfg = octree.Config{
-		MaxLevel: int(int64(le.Uint64(p[8:]))),
-		LeafCap:  int(int64(le.Uint64(p[16:]))),
-		Workers:  int(int64(le.Uint64(p[24:]))),
-		Pad:      math.Float64frombits(le.Uint64(p[32:])),
-	}
-	ecfg = hybrid.ExtractConfig{
-		VolumeRes: int(int64(le.Uint64(p[40:]))),
-		Threshold: math.Float64frombits(le.Uint64(p[48:])),
-		Budget:    int64(le.Uint64(p[56:])),
-		Workers:   int(int64(le.Uint64(p[64:]))),
-	}
-	if int64(cap(scratch)) >= n {
-		pts = scratch[:n]
-	} else {
-		pts = make([]vec.V3, n)
-	}
-	for i := range pts {
-		off := extractReqFixed - 4 + 24*i // points follow the fixed fields, CRC trails
-		pts[i] = vec.New(
-			math.Float64frombits(le.Uint64(p[off:])),
-			math.Float64frombits(le.Uint64(p[off+8:])),
-			math.Float64frombits(le.Uint64(p[off+16:])),
-		)
-	}
-	return pts, tcfg, ecfg, nil
 }

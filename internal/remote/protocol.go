@@ -12,12 +12,16 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/vec"
+	"repro/internal/wire"
 )
 
-// Wire protocol v7. Every connection starts with a handshake:
+// Wire protocol v7. Every connection starts with a handshake, and the
+// versions must match exactly — a peer of any other version is refused
+// here, before a frame-sized request crosses the wire, so no payload
+// below has a second accepted shape:
 //
 //	client → server: magic "ACVP" | u32 version
-//	server → client: magic "ACVP" | u32 version | u32 flags
+//	server → client: magic "ACVP" | u32 version | u32 flags (reserved, 0)
 //
 // after which both directions exchange length-prefixed, CRC-framed
 // messages (the same trailing-CRC idiom as pario's file formats, so
@@ -30,97 +34,51 @@ import (
 // client can keep many requests in flight on one connection and match
 // replies out of order — this is what lets the viewer's prefetcher
 // overlap WAN fetches and the distributed extract stage overlap
-// in-flight frames. Server-pushed frame notifications echo the
-// Subscribe request's ID.
+// in-flight frames. Server pushes echo the Subscribe request's ID.
 //
-// v2 over v1: the Compute verb (remote stage execution against a
-// Worker's named kernels), and error replies now carry a one-byte
-// error code before the message text (WireError), so a client can
-// distinguish "this server does not speak that verb" from an
-// application failure without string matching.
+// The verbs and their payloads (each codec is below or in compute.go,
+// all on internal/wire):
 //
-// v3 over v2 is the fan-out revision — per-frame server work
-// independent of subscriber count, per-frame bytes proportional to
-// what changed:
+//	List        —                           ListInfo: i64 frames | i64 first | u8 live
+//	Get         u32 frame                   the frame's .achy encoding
+//	GetDelta    u32 frame | u32 base        "ACDL" residual of frame against base
+//	Subscribe   — or u8 flags (inline)      u64 frames; then pushes: opNotify
+//	                                        (u64 frames) or opNotifyFrame (u64
+//	                                        frames | u32 index | .achy encoding)
+//	Render      RenderParams                "ACFB" (lossless) or "ACFQ" (preview)
+//	Compute     str8 kernel | request blob  the kernel's reply blob
+//	Kernels     —                           u16 count | count × str8 name
+//	Ping        —                           —
+//	Stats       —                           StatsReport (encodeStatsReport)
+//	any         …                           opError: u8 ErrorCode | message text
 //
-//   - GetDelta: the client names a frame it already holds and the
-//     server ships frame i as an RLE-compressed XOR residual against
-//     it (render.CompressDelta), losslessly reconstructed client-side.
-//   - Render requests carry a quality tier: lossless RLE (the default,
-//     bit-identical to a local render) or a quantized 8-bit preview
-//     (~4-5x smaller, documented lossy, never selected by default).
-//     v2's 52-byte render payload still decodes (as lossless).
-//   - Subscribe requests may carry a flags byte asking for inline
-//     frame payloads: the server encodes each new frame once and
-//     writes the same buffer to every subscriber (opNotifyFrame)
-//     instead of pushing a count that every client answers with a
-//     full Get.
+// A Service speaks the store verbs, a Worker speaks Compute, Kernels and
+// Ping; either answers a verb it does not speak with a typed
+// ErrCodeUnknownVerb and keeps the connection. ErrCodeUnavailable is the
+// explicit "retry later or elsewhere": a draining worker, a service at
+// its session or render limit, an evicted slow subscriber.
 //
-// v4 over v3 is the fleet revision — what a dispatcher needs to run a
-// stage across many workers and survive losing some of them:
+// The blob formats that ride the verbs or sit on disk. All begin with a
+// magic and a version; "crc" is a trailing CRC-32 of all preceding
+// bytes, and the four without one are covered by the message CRC:
 //
-//   - Kernels: a worker answers with the list of stage kernels it
-//     hosts, so a Fleet verifies each member's provisioning at connect
-//     (and at every rejoin probe) instead of discovering a missing
-//     kernel one failed frame at a time. Stores answer it like any
-//     verb they do not speak: typed ErrCodeUnknownVerb, connection
-//     kept.
-//   - ErrCodeUnavailable: a draining worker (graceful shutdown)
-//     refuses new Compute requests with this code before starting
-//     them. It is an explicit "retry elsewhere" — the fleet classifies
-//     it transient and re-dispatches, unlike application errors which
-//     would fail identically on every member.
+//	magic  version  crc  what                                 decoded by
+//	ACHY   u64 2    yes  hybrid representation (.achy)        hybrid.DecodeBinary
+//	ACFL   u32 1    yes  stored field lines, f32 (.acfl)      lineio.Decode
+//	ACFB   u32 1    no   lossless RLE framebuffer             render.DecompressFramebuffer
+//	ACFQ   u32 1    no   quantized 8-bit preview framebuffer  render.DecompressFramebufferQuantized
+//	ACDL   u32 1    no*  XOR residual of two byte streams     render.DecompressDelta
+//	ACPB   u32 1    no   RGBA+depth partial framebuffer       render.DecompressPartial
+//	ACPT   u32 1    yes  hybrid.extract.v1 request: points    decodeExtractRequest
+//	ACFS   u32 1    yes  fieldline.trace.v1 request: seeds    decodeTraceRequest
+//	ACFR   u32 1    yes  fieldline.trace.v1 reply: f64 lines  decodeTraceReply
+//	ACPR   u32 1    yes  render.partial.v1 request: a slice   decodeRenderPartialRequest
 //
-// v5 over v4 is the resilient-session revision — what a long-lived
-// viewer over a flaky WAN needs:
-//
-//   - Ping: a no-payload liveness round trip. Clients heartbeat idle
-//     connections with it (ClientOptions.HeartbeatInterval) and both
-//     sides run idle deadlines, so a dead peer is detected in bounded
-//     time instead of a subscription hanging forever on a connection
-//     the kernel never reports dead.
-//   - Stats: the measurement surface — the service answers with its
-//     ServiceStats counters plus a per-session table (queue depth,
-//     drop/degrade counters), so operators and the self-balancing
-//     machinery see where a fan-out spends its time and which
-//     subscriber is the slow one.
-//   - ErrCodeUnavailable now also answers requests refused by
-//     admission control (ServiceOptions.MaxSessions / MaxRenders) and
-//     subscribers evicted by the SlowEvict overload policy: in every
-//     case the same request is welcome later or elsewhere, so
-//     ReconnectClient backs off and redials rather than failing.
-//
-// v6 over v5 is the sort-last distributed rendering revision. No new
-// opcode: the change is a third built-in worker kernel riding the
-// Compute verb, plus the wire blobs it speaks. The built-in kernel
-// table as of v6:
-//
-//	hybrid.extract.v1   "ACPT" point set in    .achy representation out
-//	fieldline.trace.v1  "ACFS" seed batch in   "ACFR" traced lines out
-//	render.partial.v1   "ACPR" sub-volume in   "ACPB" RGBA+depth partial out
-//
-// render.partial.v1 takes one contiguous octree-ordered slice of a
-// frame's halo points with the camera/TF parameters and returns the
-// slice's rendered partial framebuffer, RLE-compressed with its depth
-// plane (render.CompressPartial). The requester composites the
-// partials in partition order (compositor.CompositeDepth) and runs
-// the volume pass over the merged image, reproducing the single-node
-// frame bit for bit at any partition and worker count. The version
-// bump exists so a v5 peer — which would answer the kernel name with
-// ErrCodeUnknownKernel only after a frame-sized request crossed the
-// wire — is refused at handshake instead.
-//
-// v7 over v6 is the self-balancing revision: the Stats response grows
-// a per-stage pipeline telemetry table after the session records. A
-// service backed by a live in-situ stream publishes its pipeline's
-// snapshot (Service.SetPipelineStats) — one record per stage, in
-// chain order: kind, worker count and rebalance bounds, in-flight and
-// completed frames, service-time EWMA, the windowed throughput /
-// utilization / queue-wait rates, and the placement side with its
-// per-side EWMAs — so an operator watching vizclient -stats sees the
-// same critical-path table the stream's balancer acts on. An absent
-// table (a store-backed service with no pipeline) encodes as a zero
-// stage count.
+// (* ACDL carries the CRC-32 of the stream it reconstructs, which is
+// what catches a delta applied to the wrong base.) hybrid.extract.v1
+// replies with ACHY, render.partial.v1 with ACPB. pario's ACPF, ACON
+// and ACOP files stream objects too large to hold twice and are not on
+// internal/wire.
 
 var protoMagic = [4]byte{'A', 'C', 'V', 'P'}
 
@@ -167,10 +125,6 @@ const (
 // server to push each new frame's wire encoding inline (opNotifyFrame)
 // instead of a bare count (opNotify).
 const subFlagInline byte = 1 << 0
-
-// notifyFrameHeader is the fixed prefix of an opNotifyFrame payload:
-// u64 frames | u32 index, followed by the frame's wire encoding.
-const notifyFrameHeader = 8 + 4
 
 // ErrorCode classifies an error reply so clients can react to the
 // class without parsing the message text.
@@ -219,16 +173,11 @@ func CodeOf(err error) ErrorCode {
 
 // encodeWireError builds an opError payload: u8 code | message text.
 func encodeWireError(err error) []byte {
-	code := ErrCodeGeneric
-	var we *WireError
-	if errors.As(err, &we) {
-		code = we.Code
-	}
-	return append([]byte{byte(code)}, err.Error()...)
+	return append(wire.U8(nil, uint8(CodeOf(err))), err.Error()...)
 }
 
-// decodeWireError parses an opError payload. A legacy empty payload
-// decodes as a generic error rather than failing.
+// decodeWireError parses an opError payload. An empty payload decodes
+// as a generic error rather than failing.
 func decodeWireError(p []byte) *WireError {
 	if len(p) == 0 {
 		return &WireError{Code: ErrCodeGeneric, Msg: "unspecified server error"}
@@ -254,18 +203,13 @@ func (m message) recycle() {
 	}
 }
 
-// writeMessage frames and sends one message. The caller serializes
-// concurrent writers.
-func writeMessage(w *bufio.Writer, reqID uint64, op byte, payload []byte) error {
-	return writeMessageVec(w, reqID, op, payload)
-}
-
-// writeMessageVec is writeMessage over a vectored payload: the
-// segments are framed as one contiguous payload without being joined
-// in memory first. The broadcast path leans on this — a shared frame
-// encoding goes out to every subscriber prefixed by a tiny
-// per-connection header, no per-subscriber copy of the frame.
-func writeMessageVec(w *bufio.Writer, reqID uint64, op byte, segs ...[]byte) error {
+// writeMessage frames and sends one message; the caller serializes
+// concurrent writers. The payload is vectored: the segments are framed
+// as one contiguous payload without being joined in memory first. The
+// broadcast path leans on this — a shared frame encoding goes out to
+// every subscriber prefixed by a tiny per-connection header, no
+// per-subscriber copy of the frame.
+func writeMessage(w *bufio.Writer, reqID uint64, op byte, segs ...[]byte) error {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
@@ -412,34 +356,20 @@ type ListInfo struct {
 }
 
 func encodeListInfo(li ListInfo) []byte {
-	out := make([]byte, 17)
-	le := binary.LittleEndian
-	le.PutUint64(out[0:], uint64(li.Frames))
-	le.PutUint64(out[8:], uint64(li.First))
-	if li.Live {
-		out[16] = 1
-	}
-	return out
+	return wire.Bool(wire.I64s(nil, int64(li.Frames), int64(li.First)), li.Live)
 }
 
 func decodeListInfo(p []byte) (ListInfo, error) {
-	if len(p) != 17 {
-		return ListInfo{}, fmt.Errorf("remote: list payload %d bytes, want 17", len(p))
-	}
-	le := binary.LittleEndian
-	li := ListInfo{
-		Frames: int(le.Uint64(p[0:])),
-		First:  int(le.Uint64(p[8:])),
-		Live:   p[16] != 0,
-	}
+	rd := wire.NewReader("remote: list payload", p)
+	li := ListInfo{Frames: int(rd.I64()), First: int(rd.I64()), Live: rd.Bool()}
 	if li.Frames < 0 || li.First < 0 || li.First > li.Frames {
-		return ListInfo{}, fmt.Errorf("remote: inconsistent list payload (%d frames, first %d)", li.Frames, li.First)
+		rd.Fail("inconsistent (%d frames, first %d)", li.Frames, li.First)
 	}
-	return li, nil
+	return li, rd.Done()
 }
 
 // RenderQuality selects the wire codec of a server-side render — the
-// client-negotiated quality tier of protocol v3.
+// client-negotiated quality tier.
 type RenderQuality uint8
 
 const (
@@ -475,92 +405,99 @@ type RenderParams struct {
 	Quality RenderQuality
 }
 
-// renderParamsLenV2 is the v2 payload size, still accepted (decoding
-// as QualityLossless); v3 appends one quality byte.
-const renderParamsLenV2 = 12 + 5*8
-
+// encodeRenderParams builds a Render request payload:
+// u32 frame | u32 w | u32 h | 3 f64 viewDir | f64 opacity | f64 logK |
+// u8 quality.
 func encodeRenderParams(p RenderParams) []byte {
-	out := make([]byte, renderParamsLenV2+1)
-	le := binary.LittleEndian
-	le.PutUint32(out[0:], uint32(p.Frame))
-	le.PutUint32(out[4:], uint32(p.Width))
-	le.PutUint32(out[8:], uint32(p.Height))
-	for i, f := range []float64{p.ViewDir.X, p.ViewDir.Y, p.ViewDir.Z, p.VolumeOpacity, p.LogDomainK} {
-		le.PutUint64(out[12+8*i:], math.Float64bits(f))
-	}
-	out[renderParamsLenV2] = byte(p.Quality)
-	return out
+	out := wire.U32s(nil, uint32(p.Frame), uint32(p.Width), uint32(p.Height))
+	out = wire.V3s(out, p.ViewDir)
+	out = wire.F64s(out, p.VolumeOpacity, p.LogDomainK)
+	return wire.U8(out, uint8(p.Quality))
 }
 
 func decodeRenderParams(p []byte) (RenderParams, error) {
-	var quality RenderQuality
-	switch len(p) {
-	case renderParamsLenV2: // v2 client: lossless
-	case renderParamsLenV2 + 1:
-		quality = RenderQuality(p[renderParamsLenV2])
-		if !quality.valid() {
-			return RenderParams{}, fmt.Errorf("remote: unknown render quality tier %d", quality)
-		}
-	default:
-		return RenderParams{}, fmt.Errorf("remote: render payload %d bytes, want %d or %d", len(p), renderParamsLenV2, renderParamsLenV2+1)
-	}
-	le := binary.LittleEndian
-	var f [5]float64
-	for i := range f {
-		f[i] = math.Float64frombits(le.Uint64(p[12+8*i:]))
-	}
+	rd := wire.NewReader("remote: render payload", p)
 	rp := RenderParams{
-		Frame:         int(int32(le.Uint32(p[0:]))),
-		Width:         int(le.Uint32(p[4:])),
-		Height:        int(le.Uint32(p[8:])),
-		ViewDir:       vec.New(f[0], f[1], f[2]),
-		VolumeOpacity: f[3],
-		LogDomainK:    f[4],
-		Quality:       quality,
+		Frame:         int(int32(rd.U32())),
+		Width:         int(rd.U32()),
+		Height:        int(rd.U32()),
+		ViewDir:       rd.V3(),
+		VolumeOpacity: rd.F64(),
+		LogDomainK:    rd.F64(),
+		Quality:       RenderQuality(rd.U8()),
 	}
-	// Bound the framebuffer a request can demand: like maxBody, a
-	// hostile 52-byte message must not force an arbitrary server-side
-	// allocation (4096x4096 is ~335MB of framebuffer already).
-	if rp.Width < 1 || rp.Height < 1 || rp.Width > 4096 || rp.Height > 4096 ||
-		rp.Width*rp.Height > 1<<22 {
-		return RenderParams{}, fmt.Errorf("remote: implausible render size %dx%d", rp.Width, rp.Height)
+	if !rp.Quality.valid() {
+		rd.Fail("unknown render quality tier %d", rp.Quality)
 	}
-	return rp, nil
+	checkRenderSize(&rd, rp.Width, rp.Height)
+	return rp, rd.Done()
+}
+
+// checkRenderSize bounds the framebuffer a request can demand: like
+// maxBody, a hostile few bytes must not force an arbitrary server-side
+// allocation (4096x4096 is ~335MB of framebuffer already).
+func checkRenderSize(rd *wire.Reader, w, h int) {
+	if w < 1 || h < 1 || w > 4096 || h > 4096 || w*h > 1<<22 {
+		rd.Fail("implausible render size %dx%d", w, h)
+	}
+}
+
+// encodeIndex builds a Get request payload: the frame index as a u32.
+func encodeIndex(i int) []byte { return wire.U32(nil, uint32(i)) }
+
+func decodeIndex(p []byte) (int, error) {
+	rd := wire.NewReader("remote: get payload", p)
+	return int(int32(rd.U32())), rd.Done()
+}
+
+// encodeCount builds the payload of a Subscribe response and of an
+// opNotify push: the server's frame count as a u64.
+func encodeCount(frames int) []byte { return wire.U64(nil, uint64(frames)) }
+
+func decodeCount(p []byte) (int, error) {
+	rd := wire.NewReader("remote: frame count payload", p)
+	return int(rd.U64()), rd.Done()
+}
+
+// An opNotifyFrame payload is u64 frames | u32 index of the newest
+// frame, followed by that frame's wire encoding.
+// appendNotifyFrameHeader appends the prefix, which goes out as its own
+// segment ahead of the encoding every subscriber shares.
+func appendNotifyFrameHeader(dst []byte, frames int) []byte {
+	return wire.U32(wire.U64(dst, uint64(frames)), uint32(frames-1))
+}
+
+// decodeNotifyFrame splits an opNotifyFrame payload; Payload aliases p.
+func decodeNotifyFrame(p []byte) (FrameUpdate, error) {
+	rd := wire.NewReader("remote: notify-frame payload", p)
+	u := FrameUpdate{Frames: int(rd.U64()), Index: int(rd.U32())}
+	u.Payload = rd.Take(rd.Len())
+	return u, rd.Err()
 }
 
 // encodeGetDelta builds a GetDelta request payload: u32 frame | u32
 // base — "send me frame, I hold base".
 func encodeGetDelta(frame, base int) []byte {
-	out := make([]byte, 8)
-	le := binary.LittleEndian
-	le.PutUint32(out[0:], uint32(frame))
-	le.PutUint32(out[4:], uint32(base))
-	return out
+	return wire.U32s(nil, uint32(frame), uint32(base))
 }
 
 func decodeGetDelta(p []byte) (frame, base int, err error) {
-	if len(p) != 8 {
-		return 0, 0, fmt.Errorf("remote: get-delta payload %d bytes, want 8", len(p))
-	}
-	le := binary.LittleEndian
-	return int(int32(le.Uint32(p[0:]))), int(int32(le.Uint32(p[4:]))), nil
+	rd := wire.NewReader("remote: get-delta payload", p)
+	return int(int32(rd.U32())), int(int32(rd.U32())), rd.Done()
 }
 
 // encodeKernelList builds a Kernels response payload:
 // u16 count | count × (u8 len | name). Kernel names are already
 // bounded to maxKernelName by Register/appendComputeHeader.
-func encodeKernelList(names []string) ([]byte, error) {
+func encodeKernelList(names []string) (out []byte, err error) {
 	if len(names) > math.MaxUint16 {
 		return nil, fmt.Errorf("remote: %d kernels exceed the advertisement limit", len(names))
 	}
-	out := make([]byte, 2, 2+16*len(names))
-	binary.LittleEndian.PutUint16(out, uint16(len(names)))
+	out = wire.U16(make([]byte, 0, 2+16*len(names)), uint16(len(names)))
 	for _, name := range names {
-		if len(name) == 0 || len(name) > maxKernelName {
-			return nil, fmt.Errorf("remote: kernel name %q length out of range [1, %d]", name, maxKernelName)
+		if out, err = appendComputeHeader(out, name); err != nil {
+			return nil, err
 		}
-		out = append(out, byte(len(name)))
-		out = append(out, name...)
 	}
 	return out, nil
 }
@@ -568,25 +505,15 @@ func encodeKernelList(names []string) ([]byte, error) {
 // decodeKernelList parses a Kernels response payload. Malformed input
 // returns an error and never panics.
 func decodeKernelList(p []byte) ([]string, error) {
-	if len(p) < 2 {
-		return nil, fmt.Errorf("remote: kernel list payload %d bytes, want >= 2", len(p))
-	}
-	n := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(p) < 1 {
-			return nil, fmt.Errorf("remote: kernel list truncated at entry %d", i)
+	rd := wire.NewReader("remote: kernel list", p)
+	names := make([]string, rd.Count(int64(rd.U16()), 2))
+	for i := range names {
+		if names[i] = rd.Str8(); names[i] == "" {
+			rd.Fail("entry %d is empty", i)
 		}
-		l := int(p[0])
-		if l == 0 || len(p) < 1+l {
-			return nil, fmt.Errorf("remote: kernel list entry %d truncated (%d of %d name bytes)", i, len(p)-1, l)
-		}
-		names = append(names, string(p[1:1+l]))
-		p = p[1+l:]
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("remote: %d trailing bytes after kernel list", len(p))
+	if err := rd.Done(); err != nil {
+		return nil, err
 	}
 	return names, nil
 }
@@ -619,114 +546,46 @@ type StatsReport struct {
 	Pipeline []pipeline.StageSnapshot
 }
 
-// Session flag bits in the wire encoding.
-const (
-	sessFlagSubscribed byte = 1 << 0
-	sessFlagInline     byte = 1 << 1
-	sessFlagRefused    byte = 1 << 2
-)
-
-// statsSessionFixed is the fixed-size prefix of one session record:
-// u64 id | u8 flags | u32 depth | u32 cap | 4×u64 counters | u8 len.
-const statsSessionFixed = 8 + 1 + 4 + 4 + 4*8 + 1
-
-// Stage flag bits in the wire encoding (protocol v7).
-const (
-	stageFlagResizable byte = 1 << 0
-	stageFlagPlaceable byte = 1 << 1
-	stageFlagRemote    byte = 1 << 2
-	stageFlagCritical  byte = 1 << 3
-	stageFlagFinished  byte = 1 << 4
-)
-
-// statsStageFixed is the fixed-size prefix of one pipeline stage
-// record: u8 kind | u8 flags | 4×u32 (workers, min, max, in-flight) |
-// 6×u64 (done, service/local/remote EWMA ns, window ns, fallbacks) |
-// 4×f64 (throughput, utilization, recv-wait, send-wait) | u8 nameLen.
-const statsStageFixed = 1 + 1 + 4*4 + 6*8 + 4*8 + 1
-
 // encodeStatsReport builds a Stats response payload:
 //
-//	u16 counterCount | counterCount × u64 | u32 sessionCount | records
+//	u16 counterCount | counterCount × u64 |
+//	u32 sessionCount | sessionCount × session | u16 stageCount | stageCount × stage
+//
+//	session = u64 id | u8 flags (subscribed, inline, refused) | u32 depth |
+//	          u32 cap | u64 dropped | u64 degraded | u64 sent | i64 lastSent |
+//	          str8 remote
+//	stage   = u8 kind | u8 flags (resizable, placeable, remote, critical,
+//	          finished) | u32 workers | u32 min | u32 max | u32 inFlight |
+//	          u64 done | 4 × i64 ns (service, local, remote EWMA, window) |
+//	          u64 fallbacks | 4 f64 (throughput, utilization, recv-wait,
+//	          send-wait) | str8 name
 //
 // The counter count is on the wire so a future revision can append
-// counters without breaking older decoders.
+// counters without breaking older decoders. An absent stage table (a
+// store-backed service with no pipeline) encodes as a zero stage count.
 func encodeStatsReport(r StatsReport) []byte {
 	counters := r.Stats.counters()
-	le := binary.LittleEndian
-	out := make([]byte, 0, 2+8*len(counters)+4+len(r.Sessions)*(statsSessionFixed+16))
-	out = le.AppendUint16(out, uint16(len(counters)))
-	for _, c := range counters {
-		out = le.AppendUint64(out, c)
-	}
-	out = le.AppendUint32(out, uint32(len(r.Sessions)))
+	out := wire.U16(make([]byte, 0, 8*len(counters)+64*len(r.Sessions)+128*len(r.Pipeline)+8), uint16(len(counters)))
+	out = wire.U64s(out, counters...)
+	out = wire.U32(out, uint32(len(r.Sessions)))
 	for _, s := range r.Sessions {
-		out = le.AppendUint64(out, s.ID)
-		var flags byte
-		if s.Subscribed {
-			flags |= sessFlagSubscribed
-		}
-		if s.Inline {
-			flags |= sessFlagInline
-		}
-		if s.Refused {
-			flags |= sessFlagRefused
-		}
-		out = append(out, flags)
-		out = le.AppendUint32(out, uint32(s.QueueDepth))
-		out = le.AppendUint32(out, uint32(s.QueueCap))
-		out = le.AppendUint64(out, s.Dropped)
-		out = le.AppendUint64(out, s.Degraded)
-		out = le.AppendUint64(out, s.Sent)
-		out = le.AppendUint64(out, uint64(s.LastSent))
-		remote := s.Remote
-		if len(remote) > math.MaxUint8 {
-			remote = remote[:math.MaxUint8]
-		}
-		out = append(out, byte(len(remote)))
-		out = append(out, remote...)
+		out = wire.U64(out, s.ID)
+		out = wire.Flags(out, s.Subscribed, s.Inline, s.Refused)
+		out = wire.U32s(out, uint32(s.QueueDepth), uint32(s.QueueCap))
+		out = wire.U64s(out, s.Dropped, s.Degraded, s.Sent)
+		out = wire.I64(out, int64(s.LastSent))
+		out = wire.Str8(out, s.Remote)
 	}
-	// v7: pipeline stage table.
-	out = le.AppendUint16(out, uint16(len(r.Pipeline)))
+	out = wire.U16(out, uint16(len(r.Pipeline)))
 	for _, st := range r.Pipeline {
-		out = append(out, byte(st.Kind))
-		var flags byte
-		if st.Resizable {
-			flags |= stageFlagResizable
-		}
-		if st.Placeable {
-			flags |= stageFlagPlaceable
-		}
-		if st.Remote {
-			flags |= stageFlagRemote
-		}
-		if st.Critical {
-			flags |= stageFlagCritical
-		}
-		if st.Finished {
-			flags |= stageFlagFinished
-		}
-		out = append(out, flags)
-		out = le.AppendUint32(out, uint32(st.Workers))
-		out = le.AppendUint32(out, uint32(st.MinWorkers))
-		out = le.AppendUint32(out, uint32(st.MaxWorkers))
-		out = le.AppendUint32(out, uint32(st.InFlight))
-		out = le.AppendUint64(out, st.Done)
-		out = le.AppendUint64(out, uint64(st.ServiceEWMA))
-		out = le.AppendUint64(out, uint64(st.LocalEWMA))
-		out = le.AppendUint64(out, uint64(st.RemoteEWMA))
-		out = le.AppendUint64(out, uint64(st.Window))
-		out = le.AppendUint64(out, st.Fallbacks)
-		out = le.AppendUint64(out, math.Float64bits(st.Throughput))
-		out = le.AppendUint64(out, math.Float64bits(st.Utilization))
-		out = le.AppendUint64(out, math.Float64bits(st.RecvWait))
-		out = le.AppendUint64(out, math.Float64bits(st.SendWait))
-		name := st.Name
-		if len(name) > math.MaxUint8 {
-			name = name[:math.MaxUint8]
-		}
-		out = append(out, byte(len(name)))
-		out = append(out, name...)
+		out = wire.U8(out, uint8(st.Kind))
+		out = wire.Flags(out, st.Resizable, st.Placeable, st.Remote, st.Critical, st.Finished)
+		out = wire.U32s(out, uint32(st.Workers), uint32(st.MinWorkers), uint32(st.MaxWorkers), uint32(st.InFlight))
+		out = wire.U64(out, st.Done)
+		out = wire.I64s(out, int64(st.ServiceEWMA), int64(st.LocalEWMA), int64(st.RemoteEWMA), int64(st.Window))
+		out = wire.U64(out, st.Fallbacks)
+		out = wire.F64s(out, st.Throughput, st.Utilization, st.RecvWait, st.SendWait)
+		out = wire.Str8(out, st.Name)
 	}
 	return out
 }
@@ -735,109 +594,44 @@ func encodeStatsReport(r StatsReport) []byte {
 // truncated records, hostile counts, trailing bytes — returns an error
 // and never panics or over-allocates.
 func decodeStatsReport(p []byte) (StatsReport, error) {
-	le := binary.LittleEndian
-	if len(p) < 2 {
-		return StatsReport{}, fmt.Errorf("remote: stats payload %d bytes, want >= 2", len(p))
-	}
-	nc := int(le.Uint16(p))
-	p = p[2:]
-	if len(p) < 8*nc {
-		return StatsReport{}, fmt.Errorf("remote: stats payload truncated at counter table (%d of %d counters)", len(p)/8, nc)
-	}
-	counters := make([]uint64, nc)
+	rd := wire.NewReader("remote: stats payload", p)
+	counters := make([]uint64, rd.Count(int64(rd.U16()), 8))
 	for i := range counters {
-		counters[i] = le.Uint64(p[8*i:])
+		counters[i] = rd.U64()
 	}
-	p = p[8*nc:]
 	var r StatsReport
 	r.Stats.setCounters(counters)
-	if len(p) < 4 {
-		return StatsReport{}, fmt.Errorf("remote: stats payload truncated before session count")
+	// Count takes the shortest record each table can hold: 50 bytes for a
+	// session with an empty remote, 99 for a stage with an empty name.
+	r.Sessions = make([]SessionStats, rd.Count(int64(rd.U32()), 50))
+	for i := range r.Sessions {
+		s := &r.Sessions[i]
+		s.ID = rd.U64()
+		rd.Flags(&s.Subscribed, &s.Inline, &s.Refused)
+		s.QueueDepth, s.QueueCap = int(rd.U32()), int(rd.U32())
+		s.Dropped, s.Degraded, s.Sent = rd.U64(), rd.U64(), rd.U64()
+		s.LastSent = int(rd.I64())
+		s.Remote = rd.Str8()
 	}
-	ns := int(le.Uint32(p))
-	p = p[4:]
-	if ns > len(p)/statsSessionFixed {
-		return StatsReport{}, fmt.Errorf("remote: stats payload claims %d sessions in %d bytes", ns, len(p))
+	if n := rd.Count(int64(rd.U16()), 99); n > 0 {
+		r.Pipeline = make([]pipeline.StageSnapshot, n)
 	}
-	r.Sessions = make([]SessionStats, 0, ns)
-	for i := 0; i < ns; i++ {
-		if len(p) < statsSessionFixed {
-			return StatsReport{}, fmt.Errorf("remote: stats session %d truncated", i)
-		}
-		var s SessionStats
-		s.ID = le.Uint64(p[0:])
-		flags := p[8]
-		s.Subscribed = flags&sessFlagSubscribed != 0
-		s.Inline = flags&sessFlagInline != 0
-		s.Refused = flags&sessFlagRefused != 0
-		s.QueueDepth = int(le.Uint32(p[9:]))
-		s.QueueCap = int(le.Uint32(p[13:]))
-		s.Dropped = le.Uint64(p[17:])
-		s.Degraded = le.Uint64(p[25:])
-		s.Sent = le.Uint64(p[33:])
-		s.LastSent = int(int64(le.Uint64(p[41:])))
-		nameLen := int(p[49])
-		p = p[statsSessionFixed:]
-		if len(p) < nameLen {
-			return StatsReport{}, fmt.Errorf("remote: stats session %d remote addr truncated (%d of %d bytes)", i, len(p), nameLen)
-		}
-		s.Remote = string(p[:nameLen])
-		p = p[nameLen:]
-		r.Sessions = append(r.Sessions, s)
+	for i := range r.Pipeline {
+		st := &r.Pipeline[i]
+		st.Kind = pipeline.StageKind(rd.U8())
+		rd.Flags(&st.Resizable, &st.Placeable, &st.Remote, &st.Critical, &st.Finished)
+		st.Workers, st.MinWorkers = int(rd.U32()), int(rd.U32())
+		st.MaxWorkers, st.InFlight = int(rd.U32()), int(rd.U32())
+		st.Done = rd.U64()
+		st.ServiceEWMA, st.LocalEWMA = time.Duration(rd.I64()), time.Duration(rd.I64())
+		st.RemoteEWMA, st.Window = time.Duration(rd.I64()), time.Duration(rd.I64())
+		st.Fallbacks = rd.U64()
+		st.Throughput, st.Utilization = rd.F64(), rd.F64()
+		st.RecvWait, st.SendWait = rd.F64(), rd.F64()
+		st.Name = rd.Str8()
 	}
-	if len(p) == 0 {
-		// v6-shaped payload: no stage table. Keeps pre-v7 fuzz corpora
-		// (and a zero-value report round trip) decoding cleanly.
-		return r, nil
-	}
-	if len(p) < 2 {
-		return StatsReport{}, fmt.Errorf("remote: stats payload truncated before stage count")
-	}
-	nst := int(le.Uint16(p))
-	p = p[2:]
-	if nst > len(p)/statsStageFixed {
-		return StatsReport{}, fmt.Errorf("remote: stats payload claims %d stages in %d bytes", nst, len(p))
-	}
-	if nst > 0 {
-		r.Pipeline = make([]pipeline.StageSnapshot, 0, nst)
-	}
-	for i := 0; i < nst; i++ {
-		if len(p) < statsStageFixed {
-			return StatsReport{}, fmt.Errorf("remote: stats stage %d truncated", i)
-		}
-		var st pipeline.StageSnapshot
-		st.Kind = pipeline.StageKind(p[0])
-		flags := p[1]
-		st.Resizable = flags&stageFlagResizable != 0
-		st.Placeable = flags&stageFlagPlaceable != 0
-		st.Remote = flags&stageFlagRemote != 0
-		st.Critical = flags&stageFlagCritical != 0
-		st.Finished = flags&stageFlagFinished != 0
-		st.Workers = int(le.Uint32(p[2:]))
-		st.MinWorkers = int(le.Uint32(p[6:]))
-		st.MaxWorkers = int(le.Uint32(p[10:]))
-		st.InFlight = int(le.Uint32(p[14:]))
-		st.Done = le.Uint64(p[18:])
-		st.ServiceEWMA = time.Duration(le.Uint64(p[26:]))
-		st.LocalEWMA = time.Duration(le.Uint64(p[34:]))
-		st.RemoteEWMA = time.Duration(le.Uint64(p[42:]))
-		st.Window = time.Duration(le.Uint64(p[50:]))
-		st.Fallbacks = le.Uint64(p[58:])
-		st.Throughput = math.Float64frombits(le.Uint64(p[66:]))
-		st.Utilization = math.Float64frombits(le.Uint64(p[74:]))
-		st.RecvWait = math.Float64frombits(le.Uint64(p[82:]))
-		st.SendWait = math.Float64frombits(le.Uint64(p[90:]))
-		nameLen := int(p[98])
-		p = p[statsStageFixed:]
-		if len(p) < nameLen {
-			return StatsReport{}, fmt.Errorf("remote: stats stage %d name truncated (%d of %d bytes)", i, len(p), nameLen)
-		}
-		st.Name = string(p[:nameLen])
-		p = p[nameLen:]
-		r.Pipeline = append(r.Pipeline, st)
-	}
-	if len(p) != 0 {
-		return StatsReport{}, fmt.Errorf("remote: %d trailing bytes after stats report", len(p))
+	if err := rd.Done(); err != nil {
+		return StatsReport{}, err
 	}
 	return r, nil
 }

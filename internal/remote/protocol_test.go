@@ -124,7 +124,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(encodeRenderParams(RenderParams{Frame: 1, Width: 64, Height: 64}))
 	// v3 payloads: quality-tiered render params and GetDelta requests.
 	f.Add(encodeRenderParams(RenderParams{Frame: 1, Width: 64, Height: 64, Quality: QualityPreview}))
-	f.Add(encodeRenderParams(RenderParams{})[:renderParamsLenV2]) // legacy v2 length
+	f.Add(encodeRenderParams(RenderParams{})[:52]) // cut before the quality byte: refused
 	f.Add(encodeGetDelta(7, 6))
 	// v6 payload: the partial-render kernel's request blob.
 	f.Add(appendRenderPartialRequest(nil, &RenderPartialRequest{
@@ -187,6 +187,7 @@ func TestStatsReportRoundTrip(t *testing.T) {
 		"empty-nonnil":     {},
 		"truncated table":  good[:5],
 		"truncated record": good[:len(good)-3],
+		"no stage count":   good[:len(good)-2],
 		"trailing bytes":   append(append([]byte(nil), good...), 0xee),
 	} {
 		if _, err := decodeStatsReport(data); err == nil {
@@ -210,10 +211,11 @@ func FuzzStatsPayload(f *testing.F) {
 	})
 }
 
-// TestRenderParamsQualityRoundTrip pins the v3 params contract: the
-// quality byte survives the round trip, a legacy v2-length payload
-// decodes to the lossless tier, and an out-of-range tier is rejected —
-// preview is only ever an explicit opt-in.
+// TestRenderParamsQualityRoundTrip pins the params contract: the
+// quality byte survives the round trip, a 52-byte payload without it is
+// refused (the handshake is exact-match; no peer sends one), and an
+// out-of-range tier is rejected — preview is only ever an explicit
+// opt-in.
 func TestRenderParamsQualityRoundTrip(t *testing.T) {
 	p := RenderParams{Frame: 3, Width: 32, Height: 16, Quality: QualityPreview}
 	got, err := decodeRenderParams(encodeRenderParams(p))
@@ -226,12 +228,12 @@ func TestRenderParamsQualityRoundTrip(t *testing.T) {
 	if def, err := decodeRenderParams(encodeRenderParams(RenderParams{Width: 8, Height: 8})); err != nil || def.Quality != QualityLossless {
 		t.Errorf("zero-value params decode to quality %d (err %v), want lossless", def.Quality, err)
 	}
-	legacy := encodeRenderParams(p)[:renderParamsLenV2]
-	if got, err = decodeRenderParams(legacy); err != nil || got.Quality != QualityLossless {
-		t.Errorf("v2-length payload: quality %d, err %v; want lossless, nil", got.Quality, err)
+	short := encodeRenderParams(p)
+	if _, err = decodeRenderParams(short[:len(short)-1]); err == nil {
+		t.Error("a 52-byte payload (no quality byte) was accepted")
 	}
 	bogus := encodeRenderParams(p)
-	bogus[renderParamsLenV2] = 99
+	bogus[len(bogus)-1] = 99
 	if _, err := decodeRenderParams(bogus); err == nil {
 		t.Error("out-of-range quality tier accepted")
 	}

@@ -16,7 +16,7 @@
 //
 // A Service serves any FrameStore to concurrent clients over a
 // versioned, length-prefixed, CRC-framed, request-ID-multiplexed
-// protocol (protocol.go, v6) with these store verbs:
+// protocol (protocol.go, v7) with these store verbs:
 //
 //   - List: frame range and liveness
 //   - Get: full-frame transfer (fetch-and-render-locally); the
@@ -49,7 +49,8 @@
 //     every state, including admission-refused sessions
 //   - Stats (v5): the measurement surface — ServiceStats counters plus
 //     a per-session table (admission verdict, subscription mode, send
-//     queue depth/capacity, drop/degrade/sent counters)
+//     queue depth/capacity, drop/degrade/sent counters) and, when the
+//     service fronts a live stream, its per-stage pipeline table (v7)
 //
 // v5 is the session-resilience revision. On the server, each
 // subscriber gets a bounded send queue (ServiceOptions.SendQueue)

@@ -2,15 +2,14 @@ package remote
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"repro/internal/hybrid"
 	"repro/internal/render"
 	"repro/internal/vec"
 	"repro/internal/volren"
+	"repro/internal/wire"
 )
 
 // KernelRenderPartial is the third built-in kernel (protocol v6): the
@@ -55,124 +54,49 @@ type RenderPartialRequest struct {
 
 var magicPartialRender = [4]byte{'A', 'C', 'P', 'R'}
 
-const (
-	partialRenderVersion = 1
-	// renderReqFixed is the blob size without the points: magic,
-	// version, w, h, seq, offset, viewDir, pointScale, opaque flag,
-	// bounds, threshold, maxLeafD, count, crc.
-	renderReqFixed = 4 + 4 + 4 + 4 + 4 + 8 + 3*8 + 8 + 1 + 6*8 + 8 + 8 + 8 + 4
-)
+const partialRenderVersion = 1
 
 // appendRenderPartialRequest appends the render kernel's request blob.
 func appendRenderPartialRequest(dst []byte, r *RenderPartialRequest) []byte {
-	need := renderReqFixed + 28*len(r.Points)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = wire.Grow(dst, 137+28*len(r.Points))
 	start := len(dst)
-	le := binary.LittleEndian
-	dst = append(dst, magicPartialRender[:]...)
-	dst = le.AppendUint32(dst, partialRenderVersion)
-	dst = le.AppendUint32(dst, uint32(r.Width))
-	dst = le.AppendUint32(dst, uint32(r.Height))
-	dst = le.AppendUint32(dst, uint32(r.Seq))
-	dst = le.AppendUint64(dst, uint64(int64(r.Offset)))
-	for _, f := range []float64{
-		r.ViewDir.X, r.ViewDir.Y, r.ViewDir.Z, r.PointScale,
-	} {
-		dst = le.AppendUint64(dst, math.Float64bits(f))
-	}
-	if r.Opaque {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	for _, f := range []float64{
-		r.Bounds.Min.X, r.Bounds.Min.Y, r.Bounds.Min.Z,
-		r.Bounds.Max.X, r.Bounds.Max.Y, r.Bounds.Max.Z,
-		r.Threshold, r.MaxLeafD,
-	} {
-		dst = le.AppendUint64(dst, math.Float64bits(f))
-	}
-	dst = le.AppendUint64(dst, uint64(int64(len(r.Points))))
-	for _, p := range r.Points {
-		dst = le.AppendUint64(dst, math.Float64bits(p.X))
-		dst = le.AppendUint64(dst, math.Float64bits(p.Y))
-		dst = le.AppendUint64(dst, math.Float64bits(p.Z))
-	}
-	for _, d := range r.Density {
-		dst = le.AppendUint32(dst, math.Float32bits(d))
-	}
-	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	dst = wire.Begin(dst, magicPartialRender, partialRenderVersion, 4)
+	dst = wire.U32s(dst, uint32(r.Width), uint32(r.Height), uint32(r.Seq))
+	dst = wire.I64(dst, int64(r.Offset))
+	dst = wire.V3s(dst, r.ViewDir)
+	dst = wire.F64s(dst, r.PointScale)
+	dst = wire.Bool(dst, r.Opaque)
+	dst = wire.V3s(dst, r.Bounds.Min, r.Bounds.Max)
+	dst = wire.F64s(dst, r.Threshold, r.MaxLeafD)
+	dst = wire.I64(dst, int64(len(r.Points)))
+	dst = wire.V3s(dst, r.Points...)
+	dst = wire.F32s(dst, r.Density...)
+	return wire.Finish(dst, start)
 }
 
 // decodeRenderPartialRequest parses a render request blob, verifying
 // the checksum. Nothing aliases p.
 func decodeRenderPartialRequest(p []byte) (*RenderPartialRequest, error) {
-	le := binary.LittleEndian
-	if len(p) < renderReqFixed {
-		return nil, fmt.Errorf("remote: render request truncated (%d bytes)", len(p))
-	}
-	if [4]byte(p[:4]) != magicPartialRender {
-		return nil, fmt.Errorf("remote: bad partial-render magic %q", p[:4])
-	}
-	if v := le.Uint32(p[4:]); v != partialRenderVersion {
-		return nil, fmt.Errorf("remote: unsupported partial-render version %d", v)
-	}
+	rd := wire.Open("remote: render request", p, magicPartialRender, partialRenderVersion, 4, true)
 	r := &RenderPartialRequest{
-		Width:  int(le.Uint32(p[8:])),
-		Height: int(le.Uint32(p[12:])),
-		Seq:    int(le.Uint32(p[16:])),
-		Offset: int(int64(le.Uint64(p[20:]))),
+		Width:      int(rd.U32()),
+		Height:     int(rd.U32()),
+		Seq:        int(rd.U32()),
+		Offset:     int(rd.I64()),
+		ViewDir:    rd.V3(),
+		PointScale: rd.F64(),
+		Opaque:     rd.Bool(),
+		Bounds:     vec.Box(rd.V3(), rd.V3()),
+		Threshold:  rd.F64(),
+		MaxLeafD:   rd.F64(),
 	}
-	if r.Width < 1 || r.Height < 1 || r.Width > 4096 || r.Height > 4096 ||
-		r.Width*r.Height > 1<<22 {
-		return nil, fmt.Errorf("remote: implausible render size %dx%d", r.Width, r.Height)
-	}
-	r.ViewDir = vec.New(
-		math.Float64frombits(le.Uint64(p[28:])),
-		math.Float64frombits(le.Uint64(p[36:])),
-		math.Float64frombits(le.Uint64(p[44:])))
-	r.PointScale = math.Float64frombits(le.Uint64(p[52:]))
-	r.Opaque = p[60] != 0
-	r.Bounds = vec.Box(
-		vec.New(
-			math.Float64frombits(le.Uint64(p[61:])),
-			math.Float64frombits(le.Uint64(p[69:])),
-			math.Float64frombits(le.Uint64(p[77:]))),
-		vec.New(
-			math.Float64frombits(le.Uint64(p[85:])),
-			math.Float64frombits(le.Uint64(p[93:])),
-			math.Float64frombits(le.Uint64(p[101:]))))
-	r.Threshold = math.Float64frombits(le.Uint64(p[109:]))
-	r.MaxLeafD = math.Float64frombits(le.Uint64(p[117:]))
-	n := int64(le.Uint64(p[125:]))
-	if n < 0 || n > int64(maxBody)/28 {
-		return nil, fmt.Errorf("remote: implausible render point count %d", n)
-	}
-	if int64(len(p)) != int64(renderReqFixed)+28*n {
-		return nil, fmt.Errorf("remote: render request is %d bytes, want %d for %d points",
-			len(p), int64(renderReqFixed)+28*n, n)
-	}
-	crcOff := len(p) - 4
-	if got, want := le.Uint32(p[crcOff:]), crc32.ChecksumIEEE(p[:crcOff]); got != want {
-		return nil, fmt.Errorf("remote: render request checksum mismatch (wire %08x, computed %08x)", got, want)
-	}
-	r.Points = make([]vec.V3, n)
-	ptsOff := renderReqFixed - 4
-	for i := range r.Points {
-		off := ptsOff + 24*i
-		r.Points[i] = vec.New(
-			math.Float64frombits(le.Uint64(p[off:])),
-			math.Float64frombits(le.Uint64(p[off+8:])),
-			math.Float64frombits(le.Uint64(p[off+16:])))
-	}
-	r.Density = make([]float32, n)
-	denOff := ptsOff + 24*int(n)
-	for i := range r.Density {
-		r.Density[i] = math.Float32frombits(le.Uint32(p[denOff+4*i:]))
+	checkRenderSize(&rd, r.Width, r.Height)
+	n := rd.Count(rd.I64(), 28)
+	r.Points, r.Density = make([]vec.V3, n), make([]float32, n)
+	rd.V3s(r.Points)
+	rd.F32s(r.Density)
+	if err := rd.Done(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

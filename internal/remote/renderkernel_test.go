@@ -120,7 +120,7 @@ func TestRenderRequestRoundTrip(t *testing.T) {
 		"truncated":      blob[:len(blob)/2],
 		"bad magic":      flipByte(blob, 0),
 		"bad version":    flipByte(blob, 4),
-		"flipped point":  flipByte(blob, renderReqFixed+12),
+		"flipped point":  flipByte(blob, len(blob)-4-28*len(in.Points)+12),
 		"flipped crc":    flipByte(blob, len(blob)-1),
 		"trailing bytes": append(append([]byte(nil), blob...), 0),
 	} {

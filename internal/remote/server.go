@@ -107,16 +107,12 @@ func newConnWriter(conn net.Conn) *connWriter {
 	return &connWriter{conn: conn, bw: bufio.NewWriterSize(conn, 1<<16)}
 }
 
-func (w *connWriter) send(reqID uint64, op byte, payload []byte) error {
-	return w.sendVec(reqID, op, payload)
-}
-
-// sendVec frames the segments as one payload without joining them —
-// the broadcast path writes a shared frame encoding to N connections
-// with only a per-connection header built fresh.
-func (w *connWriter) sendVec(reqID uint64, op byte, segs ...[]byte) error {
+// send frames the segments as one payload without joining them — the
+// broadcast path writes a shared frame encoding to N connections with
+// only a per-connection header built fresh.
+func (w *connWriter) send(reqID uint64, op byte, segs ...[]byte) error {
 	w.mu.Lock()
-	err := writeMessageVec(w.bw, reqID, op, segs...)
+	err := writeMessage(w.bw, reqID, op, segs...)
 	w.mu.Unlock()
 	if err != nil {
 		w.conn.Close()

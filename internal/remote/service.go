@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -273,7 +272,7 @@ func (s *Service) handle(conn net.Conn) {
 		case opSubscribe:
 			var flags byte
 			switch len(msg.payload) {
-			case 0: // v2 client: count-only notifies
+			case 0: // count-only notifies
 			case 1:
 				flags = msg.payload[0]
 			default:
@@ -303,9 +302,7 @@ func (s *Service) handle(conn net.Conn) {
 					q.stop()
 				}
 			}
-			payload := make([]byte, 8)
-			binary.LittleEndian.PutUint64(payload, uint64(s.store.NumFrames()))
-			if w.send(msg.reqID, opSubscribeOK, payload) != nil {
+			if w.send(msg.reqID, opSubscribeOK, encodeCount(s.store.NumFrames())) != nil {
 				return
 			}
 		default:
@@ -326,14 +323,11 @@ func (s *Service) serveRequest(w *connWriter, msg message) {
 		w.send(msg.reqID, opListOK, encodeListInfo(listInfo(s.store)))
 
 	case opGet:
-		if len(msg.payload) != 4 {
-			w.sendErr(msg.reqID, &WireError{
-				Code: ErrCodeBadRequest,
-				Msg:  fmt.Sprintf("remote: get payload %d bytes, want 4", len(msg.payload)),
-			})
+		idx, err := decodeIndex(msg.payload)
+		if err != nil {
+			w.sendErr(msg.reqID, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()})
 			return
 		}
-		idx := int(int32(binary.LittleEndian.Uint32(msg.payload)))
 		enc, err := s.encodedFrame(idx)
 		if err != nil {
 			w.sendErr(msg.reqID, err)
@@ -392,7 +386,7 @@ func (s *Service) encodedFrame(i int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeRep(rep)
+		return rep.AppendBinary(nil), nil
 	})
 	if err == nil {
 		if hit {

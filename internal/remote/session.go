@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -240,10 +239,10 @@ func (s *Service) SetPipelineStats(fn func() []pipeline.StageSnapshot) {
 // encoding in the notify itself. The encoding comes from the store's
 // publish-time cache or the service's single-flight frame cache, so
 // one encode feeds every subscriber and the same buffer is written to
-// every connection (sendVec — only the 12-byte header is
-// per-connection). A frame that is gone by the time the drain runs
-// (live rings evict), or a push sent while the SlowDegrade policy has
-// the subscriber marked behind, degrades to a count-only notify.
+// every connection (only the 12-byte header is per-connection). A
+// frame that is gone by the time the drain runs (live rings evict), or
+// a push sent while the SlowDegrade policy has the subscriber marked
+// behind, degrades to a count-only notify.
 type subQueue struct {
 	svc    *Service
 	w      *connWriter
@@ -361,12 +360,11 @@ func (q *subQueue) drain() {
 		q.mu.Unlock()
 
 		if q.inline && !degraded && frames > 0 {
+			var buf [16]byte
+			head := appendNotifyFrameHeader(buf[:0], frames)
 			if enc, err := q.svc.encodedFrame(frames - 1); err == nil &&
-				notifyFrameHeader+len(enc) <= maxBody-msgOverhead {
-				var head [notifyFrameHeader]byte
-				binary.LittleEndian.PutUint64(head[0:], uint64(frames))
-				binary.LittleEndian.PutUint32(head[8:], uint32(frames-1))
-				if q.w.sendVec(q.reqID, opNotifyFrame, head[:], enc) != nil {
+				len(head)+len(enc) <= maxBody-msgOverhead {
+				if q.w.send(q.reqID, opNotifyFrame, head, enc) != nil {
 					return
 				}
 				q.svc.stats.notifyFrames.Add(1)
@@ -374,9 +372,7 @@ func (q *subQueue) drain() {
 				continue
 			}
 		}
-		payload := make([]byte, 8)
-		binary.LittleEndian.PutUint64(payload, uint64(frames))
-		if q.w.send(q.reqID, opNotify, payload) != nil {
+		if q.w.send(q.reqID, opNotify, encodeCount(frames)) != nil {
 			return
 		}
 		q.svc.stats.notifyCount.Add(1)

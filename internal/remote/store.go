@@ -45,12 +45,6 @@ type firstFrameStore interface {
 	FirstFrame() int
 }
 
-// encodeRep serializes a representation to its wire form (identical
-// bytes to Representation.Write, without the streaming layer).
-func encodeRep(rep *hybrid.Representation) ([]byte, error) {
-	return rep.AppendBinary(nil), nil
-}
-
 // ---- MemStore --------------------------------------------------------
 
 // MemStore serves a fixed, fully-resident set of frames — the
@@ -61,19 +55,15 @@ type MemStore struct {
 	encoded [][]byte
 }
 
-// NewMemStore encodes the given representations eagerly so a bad frame
-// fails construction, not a client request.
+// NewMemStore encodes the given representations eagerly, so no client
+// request pays for an encode.
 func NewMemStore(frames []*hybrid.Representation) (*MemStore, error) {
 	s := &MemStore{
 		reps:    append([]*hybrid.Representation(nil), frames...),
 		encoded: make([][]byte, len(frames)),
 	}
 	for i, rep := range s.reps {
-		enc, err := encodeRep(rep)
-		if err != nil {
-			return nil, fmt.Errorf("remote: encoding frame %d: %w", i, err)
-		}
-		s.encoded[i] = enc
+		s.encoded[i] = rep.AppendBinary(nil)
 	}
 	return s, nil
 }
@@ -230,10 +220,7 @@ func NewLiveRing(capacity int) (*LiveRing, error) {
 // beyond capacity, and notify watchers. Frames must arrive in index
 // order (the pipeline's publish stage guarantees it).
 func (r *LiveRing) Publish(index int, rep *hybrid.Representation) error {
-	enc, err := encodeRep(rep)
-	if err != nil {
-		return fmt.Errorf("remote: encoding live frame %d: %w", index, err)
-	}
+	enc := rep.AppendBinary(nil)
 	r.mu.Lock()
 	if index != r.total {
 		r.mu.Unlock()

@@ -1,9 +1,10 @@
 package render
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/wire"
 )
 
 // Delta codec — the word-RLE machinery generalized to residual planes.
@@ -28,7 +29,6 @@ var magicDelta = [4]byte{'A', 'C', 'D', 'L'}
 
 const (
 	deltaCodecVersion = 1
-	deltaHeaderLen    = 4 + 4 + 4 + 4 + 4
 
 	// maxDeltaLen bounds the reconstructed stream so a hostile header
 	// cannot force an arbitrary allocation (mirrors the remote
@@ -59,13 +59,8 @@ func CompressDelta(cur, base []byte) []byte {
 		}
 		words[i] = w
 	}
-	out := make([]byte, 0, deltaHeaderLen+len(cur)/8+64)
-	out = append(out, magicDelta[:]...)
-	le := binary.LittleEndian
-	out = le.AppendUint32(out, deltaCodecVersion)
-	out = le.AppendUint32(out, uint32(len(cur)))
-	out = le.AppendUint32(out, uint32(len(base)))
-	out = le.AppendUint32(out, crc32.ChecksumIEEE(cur))
+	out := wire.Begin(make([]byte, 0, len(cur)/8+84), magicDelta, deltaCodecVersion, 4)
+	out = wire.U32s(out, uint32(len(cur)), uint32(len(base)), crc32.ChecksumIEEE(cur))
 	return appendRLEWords(out, words)
 }
 
@@ -75,28 +70,22 @@ func CompressDelta(cur, base []byte) []byte {
 // with a checksum mismatch when base is not the stream the delta was
 // encoded against.
 func DecompressDelta(data, base []byte) ([]byte, error) {
-	le := binary.LittleEndian
-	if len(data) < deltaHeaderLen {
-		return nil, fmt.Errorf("render: delta blob truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data[:4]) != magicDelta {
-		return nil, fmt.Errorf("render: bad delta magic %q", data[:4])
-	}
-	if v := le.Uint32(data[4:]); v != deltaCodecVersion {
-		return nil, fmt.Errorf("render: unsupported delta codec version %d", v)
-	}
-	curLen := int64(le.Uint32(data[8:]))
-	baseLen := int64(le.Uint32(data[12:]))
-	wantCRC := le.Uint32(data[16:])
+	rd := wire.Open("render: delta", data, magicDelta, deltaCodecVersion, 4, false)
+	curLen, baseLen, wantCRC := int64(rd.U32()), int64(rd.U32()), rd.U32()
 	if curLen > maxDeltaLen {
-		return nil, fmt.Errorf("render: implausible delta target size %d", curLen)
+		rd.Fail("implausible target size %d", curLen)
 	}
 	if baseLen != int64(len(base)) {
-		return nil, fmt.Errorf("render: delta base is %d bytes, encoder used %d", len(base), baseLen)
+		rd.Fail("base is %d bytes, encoder used %d", len(base), baseLen)
 	}
-	nw := int((curLen + 3) / 4)
+	rest := rd.Take(rd.Len())
+	nw := (curLen + 3) / 4
+	rleBound(&rd, len(rest), nw)
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
 	words := make([]uint32, nw)
-	rest, err := decodeRLEWords(data[deltaHeaderLen:], words)
+	rest, err := decodeRLEWords(rest, words)
 	if err != nil {
 		return nil, fmt.Errorf("render: delta residual: %w", err)
 	}

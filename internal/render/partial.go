@@ -1,9 +1,10 @@
 package render
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Depth-augmented partial framebuffer codec — the wire format of the
@@ -87,22 +88,8 @@ func AppendPartial(dst []byte, fb *Framebuffer, seq int) []byte {
 	} else {
 		x0, y0 = 0, 0
 	}
-	need := 36 + rw*rh*4
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	out := dst
-	out = append(out, magicPB[:]...)
-	out = binary.LittleEndian.AppendUint32(out, pbCodecVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(fb.W))
-	out = binary.LittleEndian.AppendUint32(out, uint32(fb.H))
-	out = binary.LittleEndian.AppendUint32(out, uint32(seq))
-	out = binary.LittleEndian.AppendUint32(out, uint32(x0))
-	out = binary.LittleEndian.AppendUint32(out, uint32(y0))
-	out = binary.LittleEndian.AppendUint32(out, uint32(rw))
-	out = binary.LittleEndian.AppendUint32(out, uint32(rh))
+	out := wire.Begin(wire.Grow(dst, 36+rw*rh*4), magicPB, pbCodecVersion, 4)
+	out = wire.U32s(out, uint32(fb.W), uint32(fb.H), uint32(seq), uint32(x0), uint32(y0), uint32(rw), uint32(rh))
 	if rw == 0 {
 		return out
 	}
@@ -123,43 +110,29 @@ func AppendPartial(dst []byte, fb *Framebuffer, seq int) []byte {
 // DecompressPartial decodes a blob produced by CompressPartial.
 // Malformed input returns an error; it never panics.
 func DecompressPartial(data []byte) (*PartialFrame, error) {
-	le := binary.LittleEndian
-	if len(data) < 36 {
-		return nil, fmt.Errorf("render: partial framebuffer blob truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data[:4]) != magicPB {
-		return nil, fmt.Errorf("render: bad partial framebuffer magic %q", data[:4])
-	}
-	if v := le.Uint32(data[4:]); v != pbCodecVersion {
-		return nil, fmt.Errorf("render: unsupported partial framebuffer codec version %d", v)
-	}
-	w, h := int(le.Uint32(data[8:])), int(le.Uint32(data[12:]))
+	rd := wire.Open("render: partial framebuffer", data, magicPB, pbCodecVersion, 4, false)
+	w, h, seq := int(rd.U32()), int(rd.U32()), int(rd.U32())
+	x0, y0, rw, rh := int(rd.U32()), int(rd.U32()), int(rd.U32()), int(rd.U32())
 	// Bound the framebuffer a blob can demand (the same 4096-cap the
 	// service's render params enforce): a 36-byte header must not force
 	// an arbitrary allocation.
 	if w < 1 || h < 1 || w > 4096 || h > 4096 || int64(w)*int64(h) > 1<<22 {
-		return nil, fmt.Errorf("render: implausible partial framebuffer size %dx%d", w, h)
+		rd.Fail("implausible size %dx%d", w, h)
 	}
-	seq := int(le.Uint32(data[16:]))
-	x0, y0 := int(le.Uint32(data[20:])), int(le.Uint32(data[24:]))
-	rw, rh := int(le.Uint32(data[28:])), int(le.Uint32(data[32:]))
 	if (rw == 0) != (rh == 0) || rw < 0 || rh < 0 ||
 		x0 < 0 || y0 < 0 || x0+rw > w || y0+rh > h {
-		return nil, fmt.Errorf("render: partial rect %dx%d at (%d,%d) outside %dx%d frame", rw, rh, x0, y0, w, h)
+		rd.Fail("rect %dx%d at (%d,%d) outside %dx%d frame", rw, rh, x0, y0, w, h)
 	}
-	// The codec carries no checksum (the wire protocol's frame CRC
-	// covers it in transit), so bound the plane allocation by what the
-	// input could possibly encode: the densest RLE op yields 129 words
-	// per 5 bytes.
-	if words := int64(rw) * int64(rh) * 5; (int64(len(data))-36)*129 < words*5 {
-		return nil, fmt.Errorf("render: %d-byte blob cannot encode a %dx%d partial rect", len(data), rw, rh)
+	rest := rd.Take(rd.Len())
+	rleBound(&rd, len(rest), int64(rw)*int64(rh)*5)
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
 	fb, err := NewFramebuffer(w, h)
 	if err != nil {
 		return nil, err
 	}
 	p := &PartialFrame{FB: fb, Seq: seq, X0: x0, Y0: y0, RW: rw, RH: rh}
-	rest := data[36:]
 	if rw > 0 {
 		color := make([]float32, rw*rh*4)
 		depth := make([]float32, rw*rh)

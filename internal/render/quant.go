@@ -1,8 +1,9 @@
 package render
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Quantized framebuffer codec — the preview quality tier of the remote
@@ -39,11 +40,8 @@ func CompressFramebufferQuantized(fb *Framebuffer) []byte {
 			uint32(clamp8(c[2]))<<16 |
 			uint32(clamp8(c[3]))<<24
 	}
-	out := make([]byte, 0, 16+len(words))
-	out = append(out, magicFBQ[:]...)
-	out = binary.LittleEndian.AppendUint32(out, fbqCodecVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(fb.W))
-	out = binary.LittleEndian.AppendUint32(out, uint32(fb.H))
+	out := wire.Begin(make([]byte, 0, 16+len(words)), magicFBQ, fbqCodecVersion, 4)
+	out = wire.U32s(out, uint32(fb.W), uint32(fb.H))
 	return appendRLEWords(out, words)
 }
 
@@ -52,23 +50,12 @@ func CompressFramebufferQuantized(fb *Framebuffer) []byte {
 // v/255 and depth cleared to +Inf. Malformed input returns an error;
 // it never panics.
 func DecompressFramebufferQuantized(data []byte) (*Framebuffer, error) {
-	le := binary.LittleEndian
-	if len(data) < 16 {
-		return nil, fmt.Errorf("render: quantized framebuffer blob truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data[:4]) != magicFBQ {
-		return nil, fmt.Errorf("render: bad quantized framebuffer magic %q", data[:4])
-	}
-	if v := le.Uint32(data[4:]); v != fbqCodecVersion {
-		return nil, fmt.Errorf("render: unsupported quantized framebuffer codec version %d", v)
-	}
-	w, h := int(le.Uint32(data[8:])), int(le.Uint32(data[12:]))
-	if w < 1 || h < 1 || w > 1<<16 || h > 1<<16 || int64(w)*int64(h) > 1<<28 {
-		return nil, fmt.Errorf("render: implausible quantized framebuffer size %dx%d", w, h)
+	w, h, rest, err := openFramebuffer("render: quantized framebuffer", data, magicFBQ, fbqCodecVersion, 1)
+	if err != nil {
+		return nil, err
 	}
 	words := make([]uint32, w*h)
-	rest, err := decodeRLEWords(data[16:], words)
-	if err != nil {
+	if rest, err = decodeRLEWords(rest, words); err != nil {
 		return nil, fmt.Errorf("render: quantized color plane: %w", err)
 	}
 	if len(rest) != 0 {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Framebuffer RLE codec — the wire format of the remote service's
@@ -37,14 +39,35 @@ const fbCodecVersion = 1
 // CompressFramebuffer losslessly encodes fb's color and depth planes
 // with word-level RLE.
 func CompressFramebuffer(fb *Framebuffer) []byte {
-	out := make([]byte, 0, 16+len(fb.Color))
-	out = append(out, magicFB[:]...)
-	out = binary.LittleEndian.AppendUint32(out, fbCodecVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(fb.W))
-	out = binary.LittleEndian.AppendUint32(out, uint32(fb.H))
+	out := wire.Begin(make([]byte, 0, 16+len(fb.Color)), magicFB, fbCodecVersion, 4)
+	out = wire.U32s(out, uint32(fb.W), uint32(fb.H))
 	out = appendRLE(out, fb.Color)
-	out = appendRLE(out, fb.Depth)
-	return out
+	return appendRLE(out, fb.Depth)
+}
+
+// rleBound fails rd unless an n-byte op stream can decode to the given
+// number of words: the densest op yields 129 words per 5 bytes. The
+// four framebuffer and delta decoders apply it before they allocate a
+// plane — their blobs carry no checksum and no length to count against,
+// so this is what keeps a few header bytes from sizing the allocation.
+func rleBound(rd *wire.Reader, n int, words int64) {
+	if int64(n)*129 < words*5 {
+		rd.Fail("%d bytes of RLE ops cannot encode %d words", n, words)
+	}
+}
+
+// openFramebuffer reads the header the lossless and quantized codecs
+// share — magic | u32 version | u32 w | u32 h — and returns the image
+// size and the op stream behind it, bounded for perPixel words a pixel.
+func openFramebuffer(what string, data []byte, magic [4]byte, version uint64, perPixel int64) (w, h int, ops []byte, err error) {
+	rd := wire.Open(what, data, magic, version, 4, false)
+	w, h = int(rd.U32()), int(rd.U32())
+	if w < 1 || h < 1 || w > 1<<16 || h > 1<<16 || int64(w)*int64(h) > 1<<28 {
+		rd.Fail("implausible size %dx%d", w, h)
+	}
+	ops = rd.Take(rd.Len())
+	rleBound(&rd, len(ops), int64(w)*int64(h)*perPixel)
+	return w, h, ops, rd.Err()
 }
 
 // appendRLE encodes one float32 plane as RLE ops over its bit words.
@@ -109,30 +132,18 @@ func appendRLE(out []byte, words []float32) []byte {
 // CompressFramebuffer. Malformed input returns an error; it never
 // panics.
 func DecompressFramebuffer(data []byte) (*Framebuffer, error) {
-	le := binary.LittleEndian
-	if len(data) < 16 {
-		return nil, fmt.Errorf("render: framebuffer blob truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data[:4]) != magicFB {
-		return nil, fmt.Errorf("render: bad framebuffer magic %q", data[:4])
-	}
-	if v := le.Uint32(data[4:]); v != fbCodecVersion {
-		return nil, fmt.Errorf("render: unsupported framebuffer codec version %d", v)
-	}
-	w, h := int(le.Uint32(data[8:])), int(le.Uint32(data[12:]))
-	if w < 1 || h < 1 || w > 1<<16 || h > 1<<16 || int64(w)*int64(h) > 1<<28 {
-		return nil, fmt.Errorf("render: implausible framebuffer size %dx%d", w, h)
+	w, h, rest, err := openFramebuffer("render: framebuffer", data, magicFB, fbCodecVersion, 5)
+	if err != nil {
+		return nil, err
 	}
 	fb, err := NewFramebuffer(w, h)
 	if err != nil {
 		return nil, err
 	}
-	rest, err := decodeRLE(data[16:], fb.Color)
-	if err != nil {
+	if rest, err = decodeRLE(rest, fb.Color); err != nil {
 		return nil, fmt.Errorf("render: color plane: %w", err)
 	}
-	rest, err = decodeRLE(rest, fb.Depth)
-	if err != nil {
+	if rest, err = decodeRLE(rest, fb.Depth); err != nil {
 		return nil, fmt.Errorf("render: depth plane: %w", err)
 	}
 	if len(rest) != 0 {

@@ -35,9 +35,8 @@
 // Count is the allocation rule: an element count read from the input is
 // refused unless that many elements are still in the buffer, so no
 // header can size an allocation larger than the input that carries it.
-// It replaces per-format plausibility caps. A decoder's own validation
-// (image size, quality tier) goes through Fail, which keeps the error
-// sticky and prefixed like the rest.
+// A decoder's own validation (image size, quality tier) goes through
+// Fail, which keeps the error sticky and prefixed like the rest.
 //
 // Reader is a value, used through an addressable local. Returned by
 // pointer it escapes to the heap — one allocation per decode, on paths

@@ -13,15 +13,14 @@ import (
 
 // TestBinaryLayerStaysSingle: internal/wire is the one place that turns
 // fields into bytes and checksums them. Outside it, encoding/binary and
-// hash/crc32 are allowed only where the job is a different one: pario
-// (files too large to hold twice), the protocol's message framing (a CRC
-// streamed across vectored segments into a socket), the RLE op loops,
-// and the delta codec's checksum of the stream it reconstructs. A new
-// importer is a new hand-rolled codec: put it on internal/wire instead.
+// hash/crc32 are allowed only where the job is a different one: the
+// protocol's message framing (a CRC streamed across vectored segments
+// into a socket), the RLE op loops, and the delta codec's checksum of
+// the stream it reconstructs. A new importer is a new hand-rolled codec:
+// put it on internal/wire instead.
 func TestBinaryLayerStaysSingle(t *testing.T) {
 	allowed := map[string]bool{
 		"internal/wire/wire.go":       true,
-		"internal/pario/pario.go":     true,
 		"internal/remote/protocol.go": true,
 		"internal/render/rle.go":      true,
 		"internal/render/delta.go":    true,

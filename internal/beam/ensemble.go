@@ -93,6 +93,18 @@ func NewEnsemble(n int) *Ensemble {
 // Len returns the particle count.
 func (e *Ensemble) Len() int { return len(e.X) }
 
+// Resize sets the particle count to n, keeping every column whose
+// backing array is large enough — what lets a frame reader or a
+// snapshot refill a recycled ensemble. Contents are unspecified.
+func (e *Ensemble) Resize(n int) {
+	for _, col := range []*[]float64{&e.X, &e.Y, &e.Z, &e.Px, &e.Py, &e.Pz} {
+		if *col == nil || cap(*col) < n {
+			*col = make([]float64, n)
+		}
+		*col = (*col)[:n]
+	}
+}
+
 // Coord returns the slice backing the given axis.
 func (e *Ensemble) Coord(a Axis) []float64 {
 	switch a {
@@ -124,8 +136,11 @@ func (e *Ensemble) Point3(i int, ax [3]Axis) vec.V3 {
 
 // Clone returns a deep copy of the ensemble — a simulation "frame"
 // snapshot decoupled from further stepping.
-func (e *Ensemble) Clone() *Ensemble {
-	c := NewEnsemble(e.Len())
+func (e *Ensemble) Clone() *Ensemble { return e.CloneInto(new(Ensemble)) }
+
+// CloneInto is Clone into c's storage (see Resize); it returns c.
+func (e *Ensemble) CloneInto(c *Ensemble) *Ensemble {
+	c.Resize(e.Len())
 	copy(c.X, e.X)
 	copy(c.Y, e.Y)
 	copy(c.Z, e.Z)

@@ -128,8 +128,12 @@ func (s *Sim) Matched() Envelope { return s.matched }
 // Steps returns the number of integration steps taken so far.
 func (s *Sim) Steps() int { return s.steps }
 
-// spaceChargeKick returns the transverse space-charge force (Fx, Fy) on
-// a particle at (x, y) from the uniform elliptical core with semi-axes
+// Step advances the simulation by one integration step of length ds
+// using a leapfrog (kick-drift-kick) scheme for the particles,
+// synchronized with an RK4 update of the core envelope.
+//
+// Each kick adds the transverse space-charge force (Fx, Fy) on a
+// particle at (x, y) from the uniform elliptical core with semi-axes
 // (a, b). Inside the core the KV field is exactly linear:
 //
 //	Fx = 2K x / (a (a+b)),   Fy = 2K y / (b (a+b))
@@ -138,20 +142,6 @@ func (s *Sim) Steps() int { return s.steps }
 // with u = x^2/a^2 + y^2/b^2 (>1 outside), which is continuous at the
 // boundary and exact in the round-beam limit (where it reduces to the
 // K/r line-charge far field). This is the standard particle-core closure.
-func spaceChargeKick(x, y, a, b, perveance float64) (fx, fy float64) {
-	u := (x*x)/(a*a) + (y*y)/(b*b)
-	fx = 2 * perveance * x / (a * (a + b))
-	fy = 2 * perveance * y / (b * (a + b))
-	if u > 1 {
-		fx /= u
-		fy /= u
-	}
-	return
-}
-
-// Step advances the simulation by one integration step of length ds
-// using a leapfrog (kick-drift-kick) scheme for the particles,
-// synchronized with an RK4 update of the core envelope.
 func (s *Sim) Step() {
 	cfg := s.Config
 	ds := s.ds
@@ -162,30 +152,53 @@ func (s *Sim) Step() {
 	next := s.Core.StepRK4(cfg.Lattice, s.S, ds, cfg.Perveance, cfg.EmitX, cfg.EmitY)
 	a1, b1 := next.A, next.B
 
+	// The kicks' per-step constants, computed once; every division
+	// below stays a division, so each particle sees the roundings it
+	// would from a kick function called with (a, b, K).
+	k2, focusZ, driftZ := 2*cfg.Perveance, cfg.FocusZ, cfg.DriftZ
+	aa0, bb0, aab0, bab0 := a0*a0, b0*b0, a0*(a0+b0), b0*(a0+b0)
+	aa1, bb1, aab1, bab1 := a1*a1, b1*b1, a1*(a1+b1), b1*(a1+b1)
+
 	e := s.Particles
-	par.For(e.Len(), cfg.Workers, func(i int) {
-		x, y, z := e.X[i], e.Y[i], e.Z[i]
-		px, py, pz := e.Px[i], e.Py[i], e.Pz[i]
+	par.ForChunks(e.Len(), cfg.Workers, func(lo, hi int) {
+		xs, ys, zs := e.X[lo:hi], e.Y[lo:hi], e.Z[lo:hi]
+		pxs, pys, pzs := e.Px[lo:hi], e.Py[lo:hi], e.Pz[lo:hi]
+		for i, x := range xs {
+			y, z := ys[i], zs[i]
+			px, py, pz := pxs[i], pys[i], pzs[i]
 
-		// First half-kick with fields at s.
-		fx, fy := spaceChargeKick(x, y, a0, b0, cfg.Perveance)
-		px += half * (-kappa0*x + fx)
-		py += half * (kappa0*y + fy)
-		pz += half * (-cfg.FocusZ * z)
+			// First half-kick with fields at s.
+			u := (x*x)/aa0 + (y*y)/bb0
+			fx := k2 * x / aab0
+			fy := k2 * y / bab0
+			if u > 1 {
+				fx /= u
+				fy /= u
+			}
+			px += half * (-kappa0*x + fx)
+			py += half * (kappa0*y + fy)
+			pz += half * (-focusZ * z)
 
-		// Drift.
-		x += ds * px
-		y += ds * py
-		z += ds * (pz + cfg.DriftZ)
+			// Drift.
+			x += ds * px
+			y += ds * py
+			z += ds * (pz + driftZ)
 
-		// Second half-kick with fields at s+ds.
-		fx, fy = spaceChargeKick(x, y, a1, b1, cfg.Perveance)
-		px += half * (-kappa1*x + fx)
-		py += half * (kappa1*y + fy)
-		pz += half * (-cfg.FocusZ * z)
+			// Second half-kick with fields at s+ds.
+			u = (x*x)/aa1 + (y*y)/bb1
+			fx = k2 * x / aab1
+			fy = k2 * y / bab1
+			if u > 1 {
+				fx /= u
+				fy /= u
+			}
+			px += half * (-kappa1*x + fx)
+			py += half * (kappa1*y + fy)
+			pz += half * (-focusZ * z)
 
-		e.X[i], e.Y[i], e.Z[i] = x, y, z
-		e.Px[i], e.Py[i], e.Pz[i] = px, py, pz
+			xs[i], ys[i], zs[i] = x, y, z
+			pxs[i], pys[i], pzs[i] = px, py, pz
+		}
 	})
 
 	s.Core = next

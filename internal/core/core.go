@@ -82,9 +82,8 @@ func (p *ParticlePipeline) NewSim() (*beam.Sim, error) { return beam.NewSim(p.Si
 // Partition projects a frame onto the pipeline's axes and builds the
 // octree — the paper's partitioning program.
 func (p *ParticlePipeline) Partition(f beam.Frame) (*octree.Tree, error) {
-	pts := make([]vec.V3, f.E.Len())
-	p.project(f.E, pts)
-	return octree.Build(pts, p.Tree)
+	e := f.E
+	return new(octree.Builder).BuildColumns(e.Coord(p.Axes[0]), e.Coord(p.Axes[1]), e.Coord(p.Axes[2]), p.Tree, nil)
 }
 
 // Hybrid extracts the hybrid representation from a partitioned tree —

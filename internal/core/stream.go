@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/beam"
 	"repro/internal/emsim"
@@ -28,7 +29,9 @@ type FrameSource func(ctx context.Context, emit func(beam.Frame) bool) error
 // SimSource captures nFrames snapshots from sim, advancing
 // periodsPerFrame lattice periods before each capture. The simulation
 // steps serially on the source goroutine, so frame N+1 simulates while
-// frame N flows through the downstream stages.
+// frame N flows through the downstream stages. Inside a stream that
+// does not keep its frames a snapshot refills an ensemble the stream
+// lends (see streamStorage) instead of cloning a fresh one.
 func SimSource(sim *beam.Sim, nFrames, periodsPerFrame int) FrameSource {
 	return func(ctx context.Context, emit func(beam.Frame) bool) error {
 		for i := 0; i < nFrames; i++ {
@@ -36,7 +39,8 @@ func SimSource(sim *beam.Sim, nFrames, periodsPerFrame int) FrameSource {
 				return nil
 			}
 			sim.RunPeriods(periodsPerFrame)
-			if !emit(sim.Snapshot()) {
+			f := beam.Frame{Step: sim.Steps(), S: sim.S, E: sim.Particles.CloneInto(lendEnsemble(ctx))}
+			if !emit(f) {
 				return nil
 			}
 		}
@@ -57,11 +61,12 @@ func FrameSliceSource(frames ...beam.Frame) FrameSource {
 }
 
 // FrameFileSource reads pario frame files (.acpf) in order, so file
-// I/O overlaps the compute stages downstream.
+// I/O overlaps the compute stages downstream. Inside a stream that does
+// not keep its frames the columns land in an ensemble the stream lends.
 func FrameFileSource(paths ...string) FrameSource {
-	return func(_ context.Context, emit func(beam.Frame) bool) error {
+	return func(ctx context.Context, emit func(beam.Frame) bool) error {
 		for _, path := range paths {
-			f, err := pario.ReadFrameFile(path)
+			f, err := pario.ReadFrameFileInto(path, lendEnsemble(ctx))
 			if err != nil {
 				return err
 			}
@@ -70,6 +75,110 @@ func FrameFileSource(paths ...string) FrameSource {
 			}
 		}
 		return nil
+	}
+}
+
+// streamStorage is what one stream lends its stages and takes back, so
+// that a steady stream re-allocates neither ensembles, octree scratch
+// nor trees. Ownership is the point: a Tree outlives its stage and an
+// Ensemble its source, so storage returns here — to the stream — from
+// whichever stage finishes with it, and only storage the stream lent:
+//
+//   - ensembles reach a source through its context (lendEnsemble) and
+//     come back from the partition stage. put ignores an ensemble the
+//     list did not lend, so the frames of a FrameSliceSource, or of any
+//     source that allocates its own, stay the caller's; with KeepFrames
+//     the context carries no list at all;
+//   - builders never leave the partition stage;
+//   - a tree is retired by the extract stage the moment hybrid.Extract
+//     returns (Extract copies what it keeps) and refilled by a later
+//     partition. With KeepTrees or SkipExtract the trees are the
+//     consumer's and none is ever retired.
+//
+// Every list is bounded by a constant; frames in flight beyond it are
+// allocated and dropped as before.
+type streamStorage struct {
+	ens      ensembleList
+	builders *pipeline.FreeList[*octree.Builder]
+	trees    *pipeline.FreeList[*octree.Tree]
+}
+
+func newStreamStorage() *streamStorage {
+	return &streamStorage{
+		builders: pipeline.NewFreeList(func() *octree.Builder { return new(octree.Builder) }),
+		trees:    pipeline.NewFreeList(func() *octree.Tree { return nil }),
+	}
+}
+
+// partition builds the frame's octree straight from the ensemble's
+// three plotted columns on one of the stream's builders — refilling a
+// retired tree when reuseTree is set — and hands the ensemble back
+// unless the consumer keeps it.
+func (st *streamStorage) partition(p *ParticlePipeline, r *StreamResult, keepFrames, reuseTree bool) (*octree.Tree, error) {
+	e := r.Frame.E
+	var retired *octree.Tree
+	if reuseTree {
+		retired = st.trees.Get()
+	}
+	b := st.builders.Get()
+	t, err := b.BuildColumns(e.Coord(p.Axes[0]), e.Coord(p.Axes[1]), e.Coord(p.Axes[2]), p.Tree, retired)
+	st.builders.Put(b)
+	if err != nil {
+		return nil, fmt.Errorf("frame %d: %w", r.Index, err)
+	}
+	st.release(r, keepFrames)
+	return t, nil
+}
+
+// release drops the result's ensemble unless the consumer keeps it,
+// handing it back to the list if the list lent it.
+func (st *streamStorage) release(r *StreamResult, keepFrames bool) {
+	if !keepFrames {
+		st.ens.put(r.Frame.E)
+		r.Frame.E = nil
+	}
+}
+
+// ensembleList lends ensembles and takes back only what it lent.
+type ensembleList struct {
+	mu         sync.Mutex
+	free, lent []*beam.Ensemble // each at most maxLentEnsembles
+}
+
+const maxLentEnsembles = 8
+
+type ensembleListKey struct{}
+
+// lendEnsemble returns an ensemble for a source to fill: one of the
+// stream's when ctx is the context a recycling stream handed its
+// source, else a fresh one that is the caller's.
+func lendEnsemble(ctx context.Context) *beam.Ensemble {
+	l, ok := ctx.Value(ensembleListKey{}).(*ensembleList)
+	if !ok {
+		return new(beam.Ensemble)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e := new(beam.Ensemble)
+	if n := len(l.free); n > 0 {
+		e, l.free = l.free[n-1], l.free[:n-1]
+	}
+	if len(l.lent) < maxLentEnsembles {
+		l.lent = append(l.lent, e) // beyond the bound it is simply never taken back
+	}
+	return e
+}
+
+func (l *ensembleList) put(e *beam.Ensemble) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, x := range l.lent {
+		if x == e {
+			last := len(l.lent) - 1
+			l.lent[i], l.lent = l.lent[last], l.lent[:last]
+			l.free = append(l.free, e)
+			return
+		}
 	}
 }
 
@@ -98,6 +207,7 @@ type remoteExtractExecutor struct {
 	fl         *remote.Fleet
 	p          *ParticlePipeline
 	proj       *pipeline.SlicePool[vec.V3]
+	st         *streamStorage
 	keepFrames bool
 }
 
@@ -115,9 +225,7 @@ func (x *remoteExtractExecutor) Apply(ctx context.Context, r StreamResult) (Stre
 		return r, fmt.Errorf("frame %d: %w", r.Index, err)
 	}
 	r.Rep = rep
-	if !x.keepFrames {
-		r.Frame.E = nil
-	}
+	x.st.release(&r, x.keepFrames)
 	return r, nil
 }
 
@@ -129,27 +237,22 @@ func (x *remoteExtractExecutor) Apply(ctx context.Context, r StreamResult) (Stre
 // boundaries without the output changing by a byte.
 type localExtractExecutor struct {
 	p          *ParticlePipeline
-	proj       *pipeline.SlicePool[vec.V3]
+	st         *streamStorage
 	keepFrames bool
 }
 
 // Apply implements pipeline.StageExecutor.
 func (x *localExtractExecutor) Apply(_ context.Context, r StreamResult) (StreamResult, error) {
-	pts := x.proj.Get(r.Frame.E.Len())
-	x.p.project(r.Frame.E, *pts)
-	t, err := octree.Build(*pts, x.p.Tree)
-	x.proj.Put(pts)
+	t, err := x.st.partition(x.p, &r, x.keepFrames, true)
 	if err != nil {
-		return r, fmt.Errorf("frame %d: %w", r.Index, err)
+		return r, err
 	}
 	rep, err := hybrid.Extract(t, x.p.Extract)
 	if err != nil {
 		return r, fmt.Errorf("frame %d: %w", r.Index, err)
 	}
+	x.st.trees.Put(t)
 	r.Rep = rep
-	if !x.keepFrames {
-		r.Frame.E = nil
-	}
 	return r, nil
 }
 
@@ -474,8 +577,14 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		pl.Defer(func() { fl.Close() })
 	}
 
-	// Source: number the frames as they arrive.
+	// Source: number the frames as they arrive. Unless the consumer
+	// keeps the frames, the source's context carries the stream's
+	// ensemble list, for the sources that know to look (lendEnsemble).
+	st := newStreamStorage()
 	frames := pipeline.Source(pl, buf, func(ctx context.Context, emit func(StreamResult) bool) error {
+		if !opts.KeepFrames {
+			ctx = context.WithValue(ctx, ensembleListKey{}, &st.ens)
+		}
 		i := 0
 		return src(ctx, func(f beam.Frame) bool {
 			r := StreamResult{Index: i, Frame: f}
@@ -484,7 +593,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		})
 	})
 
-	proj := pipeline.NewSlicePool[vec.V3]()
+	proj := pipeline.NewSlicePool[vec.V3]() // the fleet executor's projections
 	var out <-chan StreamResult
 	switch {
 	case fleet != nil && opts.Balance != nil:
@@ -495,8 +604,8 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		// sides compute bit-identical representations, and the stage
 		// reorderer is shared, so flips are invisible in the output.
 		sw := pipeline.NewSwitchExec[StreamResult, StreamResult](
-			&localExtractExecutor{p: p, proj: proj, keepFrames: opts.KeepFrames},
-			&remoteExtractExecutor{fl: fleet, p: p, proj: proj, keepFrames: opts.KeepFrames})
+			&localExtractExecutor{p: p, st: st, keepFrames: opts.KeepFrames},
+			&remoteExtractExecutor{fl: fleet, p: p, proj: proj, st: st, keepFrames: opts.KeepFrames})
 		out = pipeline.MapExec(pl, frames,
 			elastic(pipeline.StageConfig{Name: "extract", Workers: extW, Buf: buf}), sw)
 	case fleet != nil:
@@ -513,26 +622,18 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		// output.
 		out = pipeline.MapExec(pl, frames,
 			pipeline.StageConfig{Name: "extract@" + strings.Join(addrs, ","), Workers: extW * len(addrs), Buf: buf},
-			&remoteExtractExecutor{fl: fleet, p: p, proj: proj, keepFrames: opts.KeepFrames})
+			&remoteExtractExecutor{fl: fleet, p: p, proj: proj, st: st, keepFrames: opts.KeepFrames})
 	default:
-		// Partition: project the frame onto the pipeline's axes into a
-		// recycled scratch buffer (octree.Build copies what it keeps),
-		// then build the tree.
+		// Partition: build the tree from the ensemble's plotted columns.
+		// A tree the consumer will see (KeepTrees, SkipExtract) is the
+		// consumer's; any other is retired by the extract stage.
+		reuseTrees := !opts.KeepTrees && !opts.SkipExtract
 		trees := pipeline.Map(pl, frames,
 			elastic(pipeline.StageConfig{Name: "partition", Workers: partW, Buf: buf}),
 			func(_ context.Context, r StreamResult) (StreamResult, error) {
-				pts := proj.Get(r.Frame.E.Len())
-				p.project(r.Frame.E, *pts)
-				t, err := octree.Build(*pts, p.Tree)
-				proj.Put(pts)
-				if err != nil {
-					return r, fmt.Errorf("frame %d: %w", r.Index, err)
-				}
-				r.Tree = t
-				if !opts.KeepFrames {
-					r.Frame.E = nil
-				}
-				return r, nil
+				var err error
+				r.Tree, err = st.partition(p, &r, opts.KeepFrames, reuseTrees)
+				return r, err
 			})
 
 		out = trees
@@ -546,6 +647,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 					}
 					r.Rep = rep
 					if !opts.KeepTrees {
+						st.trees.Put(r.Tree)
 						r.Tree = nil
 					}
 					return r, nil
@@ -647,7 +749,8 @@ func workersOr1(n int) int {
 }
 
 // project fills dst with the ensemble's points projected onto the
-// pipeline's axes. len(dst) must equal e.Len().
+// pipeline's axes, for the fleet executor, which ships them; the local
+// stages build from the columns. len(dst) must equal e.Len().
 func (p *ParticlePipeline) project(e *beam.Ensemble, dst []vec.V3) {
 	for i := range dst {
 		dst[i] = e.Point3(i, p.Axes)

@@ -4,6 +4,19 @@
 // a leaf-density threshold over the octree partitioning, with the two
 // inverse-linked transfer functions of Fig 3 controlling how the two
 // halves composite at view time.
+//
+// Extract reads a tree and keeps none of it: the halo points, their
+// indices and densities are copies, so the tree may be retired (see
+// package octree) as soon as Extract returns.
+//
+// The density deposit (Splat) has a fast path that is exact, not
+// approximate. A point's eight trilinear weights are the same products
+// in the same order whichever path computes them, the eight voxels of
+// an interior point are distinct, and points are deposited in input
+// order within a slab and slabs are summed in slab order — so every
+// voxel receives the same float32 additions in the same sequence as
+// under the fully guarded loop, which survives as the oracle of
+// TestDepositMatchesReference.
 package hybrid
 
 import (
@@ -177,64 +190,125 @@ func (g *Grid) SizeBytes() int64 { return int64(g.Len()) * 4 }
 // Splat deposits the given points onto a fresh nx*ny*nz grid over
 // bounds using cloud-in-cell (trilinear) weighting, producing the point
 // density volume that the hybrid representation renders for the dense
-// core. The deposit runs in parallel with per-worker partial grids
-// merged at the end, so it is deterministic regardless of scheduling.
+// core. The deposit runs in parallel over contiguous slabs of the
+// points, slab 0 straight into the output grid and every other into a
+// partial grid of its own, the partials added in slab order at the end —
+// so it is deterministic regardless of scheduling, and 0 + x being x,
+// the same sums as a partial for every slab.
 func Splat(points []vec.V3, bounds vec.AABB, nx, ny, nz, workers int) (*Grid, error) {
 	out, err := NewGrid(nx, ny, nz, bounds)
 	if err != nil {
 		return nil, err
 	}
+	out.splat(points, workers)
+	return out, nil
+}
+
+// splat adds the points' deposit to g, whose voxels must all be zero.
+func (g *Grid) splat(points []vec.V3, workers int) {
 	if len(points) == 0 {
-		return out, nil
+		return
 	}
 	if workers <= 0 {
 		workers = par.Workers()
 	}
 	// Cap worker count so the partial-grid memory stays modest.
 	const maxPartialBytes = 256 << 20
-	if int64(workers)*out.SizeBytes() > maxPartialBytes {
-		workers = int(maxPartialBytes / out.SizeBytes())
+	if int64(workers)*g.SizeBytes() > maxPartialBytes {
+		workers = int(maxPartialBytes / g.SizeBytes())
 		if workers < 1 {
 			workers = 1
 		}
 	}
-	partials := make([][]float32, workers)
+	c := newCIC(g.Bounds, g.Nx, g.Ny, g.Nz)
 	slabs := par.Slabs(len(points), workers)
+	partials := make([][]float32, len(slabs))
 	par.ForChunks(len(slabs), workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			buf := make([]float32, out.Len())
-			depositCIC(points[slabs[s][0]:slabs[s][1]], bounds, nx, ny, nz, buf)
-			partials[s] = buf
+			partials[s] = g.Data
+			if s > 0 {
+				partials[s] = make([]float32, g.Len())
+			}
+			c.deposit(points[slabs[s][0]:slabs[s][1]], partials[s])
 		}
 	})
-	for _, buf := range partials {
-		if buf == nil {
-			continue
-		}
+	for _, buf := range partials[1:] {
 		for i, v := range buf {
-			out.Data[i] += v
+			g.Data[i] += v
 		}
 	}
-	return out, nil
 }
 
-// depositCIC adds each point's unit mass to the eight voxels
-// surrounding it with trilinear weights.
-func depositCIC(points []vec.V3, bounds vec.AABB, nx, ny, nz int, data []float32) {
+// cic is the cloud-in-cell deposit onto one grid, with everything that
+// is the same for every point read once: the bounds and their extents
+// (AABB.Contains and AABB.Normalize re-derive them per point), the
+// resolution, and the interior limits. A point whose lower voxel
+// (x0, y0, z0) has 0 <= x0 < ix, and so on for y and z, has all eight
+// of its voxels inside the grid.
+type cic struct {
+	min, max, size vec.V3
+	nx, ny, nz     int
+	fnx, fny, fnz  float64
+	ix, iy, iz     int
+}
+
+func newCIC(bounds vec.AABB, nx, ny, nz int) cic {
+	return cic{
+		min: bounds.Min, max: bounds.Max, size: bounds.Size(),
+		nx: nx, ny: ny, nz: nz,
+		fnx: float64(nx), fny: float64(ny), fnz: float64(nz),
+		ix: nx - 1, iy: ny - 1, iz: nz - 1,
+	}
+}
+
+// deposit adds each point's unit mass to the eight voxels surrounding
+// it with trilinear weights. An interior point takes eight unguarded
+// adds; the weights are the same products in the same order as the
+// guarded loop's, and the eight voxels are distinct, so which path a
+// point takes cannot be seen in the sums — the fast path is exact.
+func (c *cic) deposit(points []vec.V3, data []float32) {
+	nx, ny, nz := c.nx, c.ny, c.nz
 	for _, p := range points {
-		if !bounds.Contains(p) {
+		if !(p.X >= c.min.X && p.X <= c.max.X &&
+			p.Y >= c.min.Y && p.Y <= c.max.Y &&
+			p.Z >= c.min.Z && p.Z <= c.max.Z) {
 			continue
 		}
-		n := bounds.Normalize(p)
-		fx := n.X*float64(nx) - 0.5
-		fy := n.Y*float64(ny) - 0.5
-		fz := n.Z*float64(nz) - 0.5
+		// AABB.Normalize: a flat axis maps to the middle of the grid,
+		// and the quotients stay divisions by the extent.
+		ux, uy, uz := 0.5, 0.5, 0.5
+		if c.size.X > 0 {
+			ux = (p.X - c.min.X) / c.size.X
+		}
+		if c.size.Y > 0 {
+			uy = (p.Y - c.min.Y) / c.size.Y
+		}
+		if c.size.Z > 0 {
+			uz = (p.Z - c.min.Z) / c.size.Z
+		}
+		fx := ux*c.fnx - 0.5
+		fy := uy*c.fny - 0.5
+		fz := uz*c.fnz - 0.5
 		x0 := int(math.Floor(fx))
 		y0 := int(math.Floor(fy))
 		z0 := int(math.Floor(fz))
 		tx := fx - float64(x0)
 		ty := fy - float64(y0)
 		tz := fz - float64(z0)
+		if uint(x0) < uint(c.ix) && uint(y0) < uint(c.iy) && uint(z0) < uint(c.iz) {
+			sx, sy, sz := 1-tx, 1-ty, 1-tz
+			lo := data[(z0*ny+y0)*nx+x0:]
+			hi := lo[ny*nx:]
+			lo[0] += float32(sx * sy * sz)
+			lo[1] += float32(tx * sy * sz)
+			lo[nx] += float32(sx * ty * sz)
+			lo[nx+1] += float32(tx * ty * sz)
+			hi[0] += float32(sx * sy * tz)
+			hi[1] += float32(tx * sy * tz)
+			hi[nx] += float32(sx * ty * tz)
+			hi[nx+1] += float32(tx * ty * tz)
+			continue
+		}
 		for dz := 0; dz < 2; dz++ {
 			z := z0 + dz
 			if z < 0 || z >= nz {

@@ -13,6 +13,18 @@
 // the tree is carved top-down out of the sorted array, with each
 // level's split points found by binary search. All heavy passes run in
 // parallel chunks.
+//
+// Who owns a tree. Build returns a tree that is the caller's outright. A
+// Builder keeps a build's scratch from frame to frame and refills a
+// retired tree instead of allocating one, and the rule for retiring is
+// the caller's to keep: a tree may be handed back only by its last
+// reader, once nothing reads its Nodes, Points, OrigIndex,
+// LeavesByDensity or LeafOffsets any more (hybrid.Extract copies what it
+// keeps, so a tree is free the moment Extract returns), and from then on
+// it belongs to the build that refills it. A tree that is never handed
+// back is never touched: nothing of it aliases the builder. The streams
+// of internal/core retire trees through a free list the stream owns —
+// never a tree a consumer was given (KeepTrees, SkipExtract).
 package octree
 
 // MaxLevel is the deepest supported subdivision level: 21 levels of 3

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/par"
 	"repro/internal/sortx"
@@ -81,62 +82,164 @@ func (c Config) Validate() error {
 }
 
 // Build partitions the given points into an octree. The input slice is
-// not modified; the tree stores a reordered copy. Build is the
-// "partitioning program" of the paper's preprocessing pipeline.
+// not modified; the tree stores a reordered copy and is the caller's to
+// keep. Build is the "partitioning program" of the paper's preprocessing
+// pipeline; a caller that partitions frame after frame keeps a Builder.
 func Build(points []vec.V3, cfg Config) (*Tree, error) {
-	if err := cfg.Validate(); err != nil {
+	return new(Builder).Build(points, cfg, nil)
+}
+
+// Builder carries a build's scratch from one frame to the next: the
+// Morton pairs and the radix ping-pong buffer, the leaf-density pairs,
+// the projected points of BuildColumns and the node buffers of the
+// carve. The zero value is ready; a Builder serves one build at a time.
+//
+// Every build also takes a retired tree — one whose last reader has
+// finished — and returns it refilled, its Nodes, Points, OrigIndex,
+// LeavesByDensity and LeafOffsets reused where they are large enough.
+// Nothing of the returned tree aliases the builder, so a tree built
+// with retired == nil is as much the caller's as one from Build, and a
+// tree stays valid until the caller itself hands it back as retired.
+type Builder struct {
+	pairs, scratch []sortx.KV // Morton (key, index) pairs; the sorts' ping-pong
+	dens           []sortx.KV // (density key, node) per non-empty leaf
+	pts            []vec.V3   // BuildColumns' projected points
+
+	mu    sync.Mutex
+	nodes [][]Node // node buffers between uses, at most maxNodeBufs
+}
+
+// maxNodeBufs bounds the node buffers a Builder keeps: a concurrent
+// carve has eight live per fan-out, and fans out two or three deep.
+const maxNodeBufs = 32
+
+// Build is the package's Build on b's scratch, refilling retired (nil
+// for a fresh tree).
+func (b *Builder) Build(points []vec.V3, cfg Config, retired *Tree) (*Tree, error) {
+	if err := checkBuild(len(points), cfg); err != nil {
 		return nil, err
 	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("octree: no points to partition")
-	}
-
-	// Pass 1 (parallel): bounding box.
-	bounds := par.MapReduce(len(points), cfg.Workers,
-		vec.Empty,
-		func(b vec.AABB, lo, hi int) vec.AABB {
-			for i := lo; i < hi; i++ {
-				b = b.ExtendPoint(points[i])
+	bounds := par.MapReduce(len(points), cfg.Workers, vec.Empty,
+		func(bb vec.AABB, lo, hi int) vec.AABB {
+			lo3, hi3 := bb.Min, bb.Max
+			for _, p := range points[lo:hi] {
+				lo3, hi3 = extend(lo3, hi3, p)
 			}
-			return b
-		},
-		func(a, b vec.AABB) vec.AABB { return a.ExtendBox(b) },
-	)
-	// Make the root cell cubical so octants stay cubical at every level
-	// (equal per-level cell volumes make density comparisons uniform),
-	// then pad so max-face points map inside the last cell row.
+			return vec.Box(lo3, hi3)
+		}, vec.AABB.ExtendBox)
+	return b.build(points, bounds, cfg, retired), nil
+}
+
+// BuildColumns builds the tree of the points (x[i], y[i], z[i]) — three
+// columns of a structure-of-arrays ensemble — without the caller
+// materialising them: one pass reads the columns, writes the projected
+// points into the builder and takes the bounding box.
+func (b *Builder) BuildColumns(x, y, z []float64, cfg Config, retired *Tree) (*Tree, error) {
+	if len(y) != len(x) || len(z) != len(x) {
+		return nil, fmt.Errorf("octree: columns of %d, %d and %d points", len(x), len(y), len(z))
+	}
+	if err := checkBuild(len(x), cfg); err != nil {
+		return nil, err
+	}
+	bounds := b.load(x, y, z, cfg.Workers)
+	return b.build(b.pts, bounds, cfg, retired), nil
+}
+
+func checkBuild(n int, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if n == 0 {
+		return fmt.Errorf("octree: no points to partition")
+	}
+	return nil
+}
+
+// extend is AABB.ExtendPoint on the min and max builtins, which keep
+// math.Min's and math.Max's NaN and signed-zero rules exactly and are
+// compiled inline where those are calls. It takes the corners apart: a
+// loop keeps two V3s in registers, where it copies an AABB through
+// memory on every iteration.
+func extend(lo, hi, p vec.V3) (vec.V3, vec.V3) {
+	return vec.V3{X: min(lo.X, p.X), Y: min(lo.Y, p.Y), Z: min(lo.Z, p.Z)},
+		vec.V3{X: max(hi.X, p.X), Y: max(hi.Y, p.Y), Z: max(hi.Z, p.Z)}
+}
+
+// load is pass 1 of a column build (parallel): project the columns into
+// b.pts and return their bounding box.
+func (b *Builder) load(x, y, z []float64, workers int) vec.AABB {
+	b.pts = grow(b.pts, len(x))
+	pts := b.pts
+	return par.MapReduce(len(x), workers, vec.Empty,
+		func(bb vec.AABB, lo, hi int) vec.AABB {
+			xs, ys, zs, out := x[lo:hi], y[lo:hi], z[lo:hi], pts[lo:hi]
+			lo3, hi3 := bb.Min, bb.Max
+			for i := range out {
+				p := vec.V3{X: xs[i], Y: ys[i], Z: zs[i]}
+				out[i] = p
+				lo3, hi3 = extend(lo3, hi3, p)
+			}
+			return vec.Box(lo3, hi3)
+		}, vec.AABB.ExtendBox)
+}
+
+// build runs the passes behind the bounding box.
+func (b *Builder) build(points []vec.V3, bounds vec.AABB, cfg Config, retired *Tree) *Tree {
+	root, size := rootCell(bounds, cfg.Pad)
+	b.keys(points, root, size, cfg)
+	return b.finish(points, root, cfg, retired)
+}
+
+// rootCell makes the root cell cubical so octants stay cubical at every
+// level (equal per-level cell volumes make density comparisons
+// uniform), then pads it so max-face points map inside the last cell
+// row. It returns the cell and its edge.
+func rootCell(bounds vec.AABB, pad float64) (vec.AABB, float64) {
 	size := bounds.Size().MaxComponent()
 	if size == 0 {
 		size = 1 // all points coincident; any box works
 	}
-	size *= 1 + cfg.Pad
+	size *= 1 + pad
 	c := bounds.Center()
 	half := size / 2
-	root := vec.Box(
+	return vec.Box(
 		vec.New(c.X-half, c.Y-half, c.Z-half),
 		vec.New(c.X+half, c.Y+half, c.Z+half),
-	)
+	), size
+}
 
-	// Pass 2 (parallel): Morton codes at the maximal level, packed with
-	// the source index into (key, payload) pairs for the sort.
-	n := len(points)
+// keys is pass 2 (parallel): Morton codes at the maximal level, packed
+// with the source index into b.pairs for the sort. Codes compare as if
+// computed at MaxLevel resolution; childAt uses cfg.MaxLevel
+// consistently.
+func (b *Builder) keys(points []vec.V3, root vec.AABB, size float64, cfg Config) {
+	b.pairs = grow(b.pairs, len(points))
+	pairs, lo3 := b.pairs, root.Min
 	cells := uint64(1) << uint(cfg.MaxLevel)
-	pairs := make([]sortx.KV, n)
 	scale := float64(cells) / size
-	par.For(n, cfg.Workers, func(i int) {
-		p := points[i]
-		cx := cellCoord((p.X-root.Min.X)*scale, cells)
-		cy := cellCoord((p.Y-root.Min.Y)*scale, cells)
-		cz := cellCoord((p.Z-root.Min.Z)*scale, cells)
-		// Codes compare as if computed at MaxLevel resolution; childAt
-		// below uses cfg.MaxLevel consistently.
-		pairs[i] = sortx.KV{K: Encode(cx, cy, cz), V: int64(i)}
+	par.ForChunks(len(points), cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := points[i]
+			cx := cellCoord((p.X-lo3.X)*scale, cells)
+			cy := cellCoord((p.Y-lo3.Y)*scale, cells)
+			cz := cellCoord((p.Z-lo3.Z)*scale, cells)
+			pairs[i] = sortx.KV{K: Encode(cx, cy, cz), V: int64(i)}
+		}
 	})
+}
+
+// finish sorts b.pairs and carves, orders and gathers the tree.
+func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *Tree {
+	n := len(points)
+	pairs := b.pairs[:n]
 
 	// Pass 3 (parallel): stable radix sort by code. Stability makes the
 	// whole build independent of the worker count: equal codes keep
 	// input order, so every downstream pass sees the same permutation.
-	sortx.Pairs(pairs, cfg.Workers)
+	if n > sortx.FallbackThreshold {
+		b.scratch = grow(b.scratch, n)
+	}
+	sortx.PairsScratch(pairs, b.scratch, cfg.Workers)
 
 	// The carve's binary-search splits assume monotone codes, and a
 	// violated assumption would carve a silently corrupt tree — so
@@ -165,16 +268,16 @@ func Build(points []vec.V3, cfg Config) (*Tree, error) {
 	// Independent subtrees build concurrently into local buffers that
 	// are stitched back in depth-first order, so the node layout is
 	// identical at every worker count.
-	t := &Tree{
-		Bounds:   root,
-		MaxLevel: cfg.MaxLevel,
-		LeafCap:  cfg.LeafCap,
+	if t == nil {
+		t = new(Tree)
 	}
+	b.retire(t.Nodes)
+	t.Bounds, t.MaxLevel, t.LeafCap = root, cfg.MaxLevel, cfg.LeafCap
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = par.Workers()
 	}
-	cv := &carver{pairs: pairs, cfg: cfg}
+	cv := &carver{pairs: pairs, cfg: cfg, b: b}
 	if workers > 1 {
 		cv.grp = par.NewGroup(workers)
 		// Aim for several tasks per worker so irregular subtrees
@@ -191,25 +294,26 @@ func Build(points []vec.V3, cfg Config) (*Tree, error) {
 	// layout). The density sort reuses sortx via an order-preserving
 	// float-to-uint key; the gather fans out over leaf groups, whose
 	// destination ranges are disjoint by construction.
-	var leaves []int32
+	leaves := t.LeavesByDensity[:0]
 	for i := range t.Nodes {
 		if t.Nodes[i].IsLeaf() && t.Nodes[i].Count > 0 {
 			leaves = append(leaves, int32(i))
 		}
 	}
-	byDensity := make([]sortx.KV, len(leaves))
+	b.dens = grow(b.dens, len(leaves))
+	byDensity := b.dens
 	for k, li := range leaves {
 		byDensity[k] = sortx.KV{K: sortx.Float64Key(t.Nodes[li].Density), V: int64(li)}
 	}
-	sortx.Pairs(byDensity, cfg.Workers)
+	sortx.PairsScratch(byDensity, b.scratch, cfg.Workers)
 	for k := range byDensity {
 		leaves[k] = int32(byDensity[k].V)
 	}
 
-	t.Points = make([]vec.V3, n)
-	t.OrigIndex = make([]int64, n)
+	t.Points = grow(t.Points, n)
+	t.OrigIndex = grow(t.OrigIndex, n)
 	t.LeavesByDensity = leaves
-	t.LeafOffsets = make([]int64, len(leaves)+1)
+	t.LeafOffsets = grow(t.LeafOffsets, len(leaves)+1)
 	pos := int64(0)
 	for k, li := range leaves {
 		t.LeafOffsets[k] = pos
@@ -231,7 +335,41 @@ func Build(points []vec.V3, cfg Config) (*Tree, error) {
 			node.Offset = dst
 		}
 	})
-	return t, nil
+	return t
+}
+
+// grow returns s with length n, reallocated only when its capacity is
+// short. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// nodeBuf takes an empty node buffer of at least the given capacity
+// from the builder, or allocates one.
+func (b *Builder) nodeBuf(minCap int) []Node {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, buf := range b.nodes {
+		if cap(buf) >= minCap {
+			last := len(b.nodes) - 1
+			b.nodes[i], b.nodes[last] = b.nodes[last], nil
+			b.nodes = b.nodes[:last]
+			return buf[:0]
+		}
+	}
+	return make([]Node, 0, minCap)
+}
+
+// retire hands a node buffer nobody reads any more back to the builder.
+func (b *Builder) retire(buf []Node) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if cap(buf) > 0 && len(b.nodes) < maxNodeBufs {
+		b.nodes = append(b.nodes, buf)
+	}
 }
 
 // cellCoord clamps a scaled coordinate to a valid cell index.
@@ -258,6 +396,7 @@ type carver struct {
 	cfg   Config
 	grain int64
 	grp   *par.Group
+	b     *Builder // lends and takes back node buffers
 }
 
 // fill sets the per-node statistics every node carries, leaf or not.
@@ -298,13 +437,13 @@ func (cv *carver) split(lo, hi int64, level int) [9]int64 {
 // rewrites them in density order afterwards.
 func (cv *carver) carve(root Node, lo, hi int64) []Node {
 	if cv.grp == nil || hi-lo <= cv.grain {
-		nodes := []Node{root}
+		nodes := append(cv.b.nodeBuf(0), root)
 		cv.carveSerial(&nodes, 0, lo, hi)
 		return nodes
 	}
 	cv.fill(&root, lo, hi)
 	if hi-lo <= int64(cv.cfg.LeafCap) || int(root.Level) >= cv.cfg.MaxLevel {
-		return []Node{root}
+		return append(cv.b.nodeBuf(0), root)
 	}
 	// Fan the eight children out on the group; each carves into its own
 	// buffer. Serial depth-first order is [root, child 0..7,
@@ -333,7 +472,7 @@ func (cv *carver) carve(root Node, lo, hi int64) []Node {
 		descStart[c] = int32(total)
 		total += len(sub[c]) - 1
 	}
-	out := make([]Node, 0, total)
+	out := cv.b.nodeBuf(total)
 	root.FirstChild = 1
 	out = append(out, root)
 	// relabel maps a child-local node index (>= 1; nothing points back
@@ -351,6 +490,7 @@ func (cv *carver) carve(root Node, lo, hi int64) []Node {
 		for _, nd := range sub[c][1:] {
 			out = append(out, relabel(nd, c))
 		}
+		cv.b.retire(sub[c])
 	}
 	return out
 }
@@ -419,6 +559,8 @@ func (t *Tree) FindLeaf(p vec.V3) *Node {
 // Validate checks the tree's structural invariants. It is used by the
 // property tests and by the file reader to reject corrupt input:
 //
+//   - every child index is in range and every node is reached once (a
+//     forged file cannot make the walk run away)
 //   - children tile their parent and partition its count
 //   - leaf groups are disjoint, contiguous, and cover Points exactly
 //   - leaf densities are non-decreasing in LeavesByDensity order
@@ -426,9 +568,20 @@ func (t *Tree) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("octree: empty tree")
 	}
+	if len(t.OrigIndex) != len(t.Points) {
+		return fmt.Errorf("octree: %d original indices for %d points", len(t.OrigIndex), len(t.Points))
+	}
+	seen := make([]bool, len(t.Nodes))
 	var walk func(idx int32) (int64, error)
 	walk = func(idx int32) (int64, error) {
 		n := &t.Nodes[idx]
+		if seen[idx] {
+			return 0, fmt.Errorf("octree: node %d has two parents", idx)
+		}
+		seen[idx] = true
+		if !n.IsLeaf() && (n.FirstChild < 1 || int(n.FirstChild) > len(t.Nodes)-8) {
+			return 0, fmt.Errorf("octree: node %d children at %d out of range", idx, n.FirstChild)
+		}
 		if n.IsLeaf() {
 			if n.Count > 0 {
 				if n.Offset < 0 || n.Offset+n.Count > int64(len(t.Points)) {
@@ -467,6 +620,9 @@ func (t *Tree) Validate() error {
 	}
 	prev := math.Inf(-1)
 	for k, li := range t.LeavesByDensity {
+		if li < 0 || int(li) >= len(t.Nodes) {
+			return fmt.Errorf("octree: leaf %d is node %d of %d", k, li, len(t.Nodes))
+		}
 		n := &t.Nodes[li]
 		if n.Density < prev {
 			return fmt.Errorf("octree: leaf %d density %g out of order (prev %g)", k, n.Density, prev)

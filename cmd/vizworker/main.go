@@ -3,7 +3,7 @@
 // built-in stage kernels (hybrid extraction, field-line tracing, and
 // the sort-last partial render render.partial.v1), so a pipeline
 // elsewhere can place its heavy per-frame compute on this process with
-// core.StreamOptions.ExtractAddr / ExtractAddrs / RenderAddrs — the
+// core.StreamOptions.ExtractAddrs / RenderAddrs — the
 // paper's split of simulation and visualization compute across
 // machines. Workers advertise their kernel set over the Kernels verb,
 // which is how a fleet verifies provisioning before striping frames

@@ -17,7 +17,7 @@ import (
 // TestVizworkerTwoProcessRoundTrip is the end-to-end acceptance test
 // of distributed stage execution: it builds the real cmd/vizworker
 // binary, runs it as a second OS process, and drives StreamFrames with
-// ExtractAddr across the process boundary — the frames must come back
+// ExtractAddrs across the process boundary — the frames must come back
 // bit-identical to an all-local run of the same configuration.
 func TestVizworkerTwoProcessRoundTrip(t *testing.T) {
 	if testing.Short() {
@@ -95,7 +95,7 @@ func TestVizworkerTwoProcessRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = pp.StreamFrames(context.Background(), src, core.StreamOptions{
-		ExtractAddr:    addr,
+		ExtractAddrs:   []string{addr},
 		ExtractWorkers: 2,
 	})
 	got := 0

@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/render"
-	"repro/internal/stats"
 	"repro/internal/vec"
 	"repro/internal/volren"
 )
@@ -104,7 +103,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  gradient energy: volume-only %.4f, hybrid %.4f (points reveal halo detail)\n",
-		stats.GradientEnergy(fbVol), stats.GradientEnergy(fbHyb))
+		gradientEnergy(fbVol), gradientEnergy(fbHyb))
 	if err := fbVol.WritePNG("beamhalo_volume_only.png"); err != nil {
 		log.Fatal(err)
 	}
@@ -112,4 +111,26 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote beamhalo_frame*.png, beamhalo_volume_only.png, beamhalo_hybrid.png")
+}
+
+// gradientEnergy is the mean magnitude of the luminance gradient over
+// the frame, a standard proxy for image detail: Fig 1's hybrid rendering
+// "more clearly resolves" fine stratifications, which shows as a higher
+// value in the halo than the pure volume rendering at any resolution.
+func gradientEnergy(fb *render.Framebuffer) float64 {
+	var sum float64
+	n := 0
+	for y := 0; y < fb.H-1; y++ {
+		for x := 0; x < fb.W-1; x++ {
+			l := fb.Luminance(x, y)
+			gx := fb.Luminance(x+1, y) - l
+			gy := fb.Luminance(x, y+1) - l
+			sum += math.Sqrt(gx*gx + gy*gy)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }

@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -63,5 +64,31 @@ func TestBinaryLayerStaysSingle(t *testing.T) {
 	}
 	for path := range allowed {
 		t.Errorf("%s no longer imports encoding/binary or hash/crc32: drop it from the allowlist", path)
+	}
+}
+
+// TestWorkflowStepNamesArePlain: every "- name:" of the CI workflow is a
+// short plain scalar. A step name that grows into a paragraph sooner or
+// later holds a ": " or a " #", which YAML reads as a mapping or a
+// comment, and the workflow stops parsing; prose belongs in a comment
+// above the step.
+func TestWorkflowStepNamesArePlain(t *testing.T) {
+	src, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		name, ok := strings.CutPrefix(strings.TrimSpace(line), "- name: ")
+		if !ok {
+			continue
+		}
+		steps++
+		if len(name) > 40 || strings.Contains(name, ": ") || strings.Contains(name, " #") || strings.ContainsAny(name[:1], "\"'[{&*!|>%@`") {
+			t.Errorf("ci.yml line %d: step name %q is not a short plain scalar", i+1, name)
+		}
+	}
+	if steps == 0 {
+		t.Error("ci.yml has no named steps")
 	}
 }

@@ -172,63 +172,3 @@ func TestInSituLiveRoundTrip(t *testing.T) {
 		t.Errorf("final frame count %d (err %v), want %d", n, err, nFrames)
 	}
 }
-
-// TestFieldStreamSink: StreamSolve publishes line-cloud frames into
-// the same sink interface, so a field solve is live-monitorable over
-// the identical protocol.
-func TestFieldStreamSink(t *testing.T) {
-	ring, err := remote.NewLiveRing(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := core.NewFieldPipeline(6, 20)
-	stream, err := fp.StreamSolve(context.Background(), core.FieldStreamOptions{
-		Frames:          2,
-		PeriodsPerFrame: 2,
-		Sink:            ring,
-		SinkVolumeRes:   8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n := ring.NumFrames(); n != 2 {
-		t.Fatalf("ring holds %d frames, want 2", n)
-	}
-	srv, err := remote.NewService("127.0.0.1:0", ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli := dialRemote(t, srv.Addr())
-	for i := 0; i < 2; i++ {
-		rep, _, _, err := cli.FetchFrame(i)
-		if err != nil {
-			t.Fatalf("fetch %d: %v", i, err)
-		}
-		if rep.NumPoints() == 0 {
-			t.Errorf("frame %d: empty line cloud", i)
-		}
-		if len(rep.Points) != len(rep.PointDensity) || len(rep.Points) != len(rep.OrigIndex) {
-			t.Errorf("frame %d: inconsistent line cloud arrays", i)
-		}
-		// Line-cloud frames must be renderable — locally and
-		// server-side — whatever the raw field units were (DefaultTF
-		// needs Threshold/MaxLeafD inside [0,1]).
-		tf, err := core.DefaultTF(rep)
-		if err != nil {
-			t.Fatalf("frame %d: DefaultTF on line cloud: %v", i, err)
-		}
-		localFB, _, _, err := core.RenderFrame(rep, tf, 48, 48, vec.New(0.8, 0.45, 0.9))
-		if err != nil {
-			t.Fatalf("frame %d: local render of line cloud: %v", i, err)
-		}
-		remoteFB, _, _, err := cli.Render(remote.RenderParams{Frame: i, Width: 48, Height: 48, ViewDir: vec.New(0.8, 0.45, 0.9)})
-		if err != nil {
-			t.Fatalf("frame %d: server render of line cloud: %v", i, err)
-		}
-		fbEqual(t, remoteFB, localFB, "line-cloud render")
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/remote"
 	"repro/internal/sos"
 	"repro/internal/vec"
-	"repro/internal/viewer"
 )
 
 // TestFullParticlePipelineOnDisk exercises the exact chain the CLI
@@ -109,7 +108,7 @@ func TestFullFieldPipelineOnDisk(t *testing.T) {
 	if len(lines) != len(res.Lines) {
 		t.Fatalf("reloaded %d lines, wrote %d", len(lines), len(res.Lines))
 	}
-	for _, tech := range sos.AllTechniques() {
+	for _, tech := range append(sos.Techniques(), sos.TechTransparentOIT) {
 		fb, st, err := fp.RenderLines(lines, tech, 64, 64, vec.New(0.8, 0.45, 0.9))
 		if err != nil {
 			t.Fatalf("%v: %v", tech, err)
@@ -121,8 +120,9 @@ func TestFullFieldPipelineOnDisk(t *testing.T) {
 	}
 }
 
-// TestRemoteViewerIntegration: hybrid frames served over TCP into the
-// viewer's LRU cache, stepped by a Player.
+// TestRemoteViewerIntegration: hybrid frames served over TCP and
+// fetched by a viewer, forward and back, arrive as the frames the
+// pipeline produced.
 func TestRemoteViewerIntegration(t *testing.T) {
 	pp := core.NewParticlePipeline(6000)
 	pp.Extract.VolumeRes = 12
@@ -154,38 +154,20 @@ func TestRemoteViewerIntegration(t *testing.T) {
 	}
 	defer cli.Close()
 
-	cache, err := viewer.NewCache(len(frames), 1<<30, cli.FrameLoader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prefetch 2 ahead: the multiplexed session overlaps the WAN
-	// fetches the prefetcher issues.
-	player := viewer.NewPlayer(cache, 2)
-	for i := 0; i < 4; i++ {
-		rep, err := player.Frame()
+	for _, i := range []int{0, 1, 2, 3, 2, 1, 0} {
+		rep, wireBytes, _, err := cli.FetchFrame(i)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if rep.NumPoints() != frames[i].NumPoints() {
 			t.Errorf("frame %d: %d points, want %d", i, rep.NumPoints(), frames[i].NumPoints())
 		}
-		if i < 3 {
-			if _, err := player.Step(1); err != nil {
-				t.Fatal(err)
-			}
+		if want := int64(len(frames[i].AppendBinary(nil))); wireBytes != want {
+			t.Errorf("frame %d: %d bytes on the wire, want %d", i, wireBytes, want)
 		}
 	}
-	player.Wait()
-	// Stepping back over visited frames is all cache hits.
-	missesBefore := cache.Stats().Misses
-	for i := 0; i < 3; i++ {
-		if _, err := player.Step(-1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	player.Wait()
-	if misses := cache.Stats().Misses; misses != missesBefore {
-		t.Errorf("revisiting frames caused %d extra loads", misses-missesBefore)
+	if _, _, _, err := cli.FetchFrame(len(frames)); err == nil {
+		t.Error("fetching past the last frame succeeded")
 	}
 }
 
@@ -222,7 +204,7 @@ func TestPlotTypeConversionMatchesDirectPartition(t *testing.T) {
 	}
 	for _, budget := range []int64{100, 1000, 4000} {
 		th := direct.ThresholdForBudget(budget)
-		if got, want := converted.HaloCount(th), direct.HaloCount(th); got != want {
+		if got, want := converted.LeafOffsets[converted.CutLeaf(th)], direct.LeafOffsets[direct.CutLeaf(th)]; got != want {
 			t.Errorf("budget %d: converted halo %d, direct %d", budget, got, want)
 		}
 	}

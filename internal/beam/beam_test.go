@@ -3,6 +3,8 @@ package beam
 import (
 	"math"
 	"testing"
+
+	"repro/internal/par"
 )
 
 func testLattice() Lattice {
@@ -253,15 +255,18 @@ func TestSimDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunWithFrames(t *testing.T) {
+func TestSnapshotsAreIndependentCopies(t *testing.T) {
 	cfg := DefaultConfig(200)
 	sim, err := NewSim(cfg)
 	if err != nil {
 		t.Fatalf("NewSim: %v", err)
 	}
-	frames := sim.RunWithFrames(100, 25)
-	if len(frames) != 5 { // initial + 4
-		t.Fatalf("got %d frames, want 5", len(frames))
+	frames := []Frame{sim.Snapshot()}
+	for i := 1; i <= 100; i++ {
+		sim.Step()
+		if i%25 == 0 {
+			frames = append(frames, sim.Snapshot())
+		}
 	}
 	if frames[0].Step != 0 || frames[4].Step != 100 {
 		t.Errorf("frame steps = %d..%d, want 0..100", frames[0].Step, frames[4].Step)
@@ -285,6 +290,55 @@ func TestFourFoldSymmetryOfChannel(t *testing.T) {
 	}
 }
 
+// Moments holds second-order statistics of one transverse plane.
+type Moments struct {
+	MeanQ, MeanP float64 // centroid
+	SigQ, SigP   float64 // RMS widths
+	Emittance    float64 // RMS emittance sqrt(<q^2><p^2> - <qp>^2)
+}
+
+// PlaneMoments computes centroid, RMS widths and RMS emittance for the
+// plane defined by coordinate axis q and momentum axis p. The reduction
+// runs in parallel chunks.
+func PlaneMoments(e *Ensemble, q, p Axis, workers int) Moments {
+	qs, ps := e.Coord(q), e.Coord(p)
+	n := e.Len()
+	if n == 0 {
+		return Moments{}
+	}
+	type acc struct{ sq, sp, sqq, spp, sqp float64 }
+	total := par.MapReduce(n, workers,
+		func() acc { return acc{} },
+		func(a acc, lo, hi int) acc {
+			for i := lo; i < hi; i++ {
+				a.sq += qs[i]
+				a.sp += ps[i]
+				a.sqq += qs[i] * qs[i]
+				a.spp += ps[i] * ps[i]
+				a.sqp += qs[i] * ps[i]
+			}
+			return a
+		},
+		func(a, b acc) acc {
+			return acc{a.sq + b.sq, a.sp + b.sp, a.sqq + b.sqq, a.spp + b.spp, a.sqp + b.sqp}
+		},
+	)
+	fn := float64(n)
+	mq, mp := total.sq/fn, total.sp/fn
+	vq := total.sqq/fn - mq*mq
+	vp := total.spp/fn - mp*mp
+	cqp := total.sqp/fn - mq*mp
+	det := vq*vp - cqp*cqp
+	if det < 0 {
+		det = 0
+	}
+	return Moments{
+		MeanQ: mq, MeanP: mp,
+		SigQ: math.Sqrt(math.Max(vq, 0)), SigP: math.Sqrt(math.Max(vp, 0)),
+		Emittance: math.Sqrt(det),
+	}
+}
+
 func TestPlaneMoments(t *testing.T) {
 	e := NewEnsemble(4)
 	e.X = []float64{1, -1, 2, -2}
@@ -305,7 +359,7 @@ func TestPlaneMoments(t *testing.T) {
 func TestEmittanceInvariantUnderDrift(t *testing.T) {
 	// RMS emittance is preserved by a pure drift x += L*px.
 	e := NewEnsemble(1000)
-	e.GaussianInit(42, [6]float64{1, 1, 1, 0.1, 0.1, 0.1}, 0)
+	e.SemiGaussianInit(42, 1, 1, 1, [3]float64{0.1, 0.1, 0.1})
 	before := PlaneMoments(e, AxisX, AxisPX, 0).Emittance
 	for i := range e.X {
 		e.X[i] += 3.7 * e.Px[i]
@@ -313,31 +367,6 @@ func TestEmittanceInvariantUnderDrift(t *testing.T) {
 	after := PlaneMoments(e, AxisX, AxisPX, 0).Emittance
 	if math.Abs(after-before) > 1e-9*before {
 		t.Errorf("drift changed emittance: %v -> %v", before, after)
-	}
-}
-
-func TestRadialHistogramTotal(t *testing.T) {
-	e := NewEnsemble(5000)
-	e.GaussianInit(7, [6]float64{1, 1, 1, 1, 1, 1}, 0)
-	h := RadialHistogram(e, 100, 32)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 5000 {
-		t.Errorf("histogram total = %d, want 5000 (rMax large enough for all)", total)
-	}
-}
-
-func TestGaussianInitStatistics(t *testing.T) {
-	e := NewEnsemble(50000)
-	e.GaussianInit(1, [6]float64{2, 3, 4, 0.2, 0.3, 0.4}, 0)
-	m := PlaneMoments(e, AxisX, AxisPX, 0)
-	if math.Abs(m.SigQ-2) > 0.05 {
-		t.Errorf("sigma_x = %v, want ~2", m.SigQ)
-	}
-	if math.Abs(m.SigP-0.2) > 0.005 {
-		t.Errorf("sigma_px = %v, want ~0.2", m.SigP)
 	}
 }
 

@@ -6,55 +6,6 @@ import (
 	"repro/internal/par"
 )
 
-// Moments holds second-order statistics of one transverse plane.
-type Moments struct {
-	MeanQ, MeanP float64 // centroid
-	SigQ, SigP   float64 // RMS widths
-	Emittance    float64 // RMS emittance sqrt(<q^2><p^2> - <qp>^2)
-}
-
-// PlaneMoments computes centroid, RMS widths and RMS emittance for the
-// plane defined by coordinate axis q and momentum axis p. The reduction
-// runs in parallel chunks.
-func PlaneMoments(e *Ensemble, q, p Axis, workers int) Moments {
-	qs, ps := e.Coord(q), e.Coord(p)
-	n := e.Len()
-	if n == 0 {
-		return Moments{}
-	}
-	type acc struct{ sq, sp, sqq, spp, sqp float64 }
-	total := par.MapReduce(n, workers,
-		func() acc { return acc{} },
-		func(a acc, lo, hi int) acc {
-			for i := lo; i < hi; i++ {
-				a.sq += qs[i]
-				a.sp += ps[i]
-				a.sqq += qs[i] * qs[i]
-				a.spp += ps[i] * ps[i]
-				a.sqp += qs[i] * ps[i]
-			}
-			return a
-		},
-		func(a, b acc) acc {
-			return acc{a.sq + b.sq, a.sp + b.sp, a.sqq + b.sqq, a.spp + b.spp, a.sqp + b.sqp}
-		},
-	)
-	fn := float64(n)
-	mq, mp := total.sq/fn, total.sp/fn
-	vq := total.sqq/fn - mq*mq
-	vp := total.spp/fn - mp*mp
-	cqp := total.sqp/fn - mq*mp
-	det := vq*vp - cqp*cqp
-	if det < 0 {
-		det = 0
-	}
-	return Moments{
-		MeanQ: mq, MeanP: mp,
-		SigQ: math.Sqrt(math.Max(vq, 0)), SigP: math.Sqrt(math.Max(vp, 0)),
-		Emittance: math.Sqrt(det),
-	}
-}
-
 // HaloFraction returns the fraction of particles whose transverse
 // radius exceeds k times the RMS transverse radius. Halo studies
 // conventionally quote the fraction beyond a few RMS radii; the paper's
@@ -152,24 +103,4 @@ func Temperature(e *Ensemble) func(orig int64) float64 {
 		}
 		return e.Px[orig]*e.Px[orig] + e.Py[orig]*e.Py[orig]
 	}
-}
-
-// RadialHistogram bins particles by transverse radius into nBins bins
-// spanning [0, rMax) and returns the counts. It is the diagnostic
-// behind the density classification of the hybrid pipeline: the beam
-// core occupies the innermost bins at densities thousands of times the
-// halo's.
-func RadialHistogram(e *Ensemble, rMax float64, nBins int) []int {
-	counts := make([]int, nBins)
-	if rMax <= 0 || nBins <= 0 {
-		return counts
-	}
-	for i := 0; i < e.Len(); i++ {
-		r := math.Sqrt(e.X[i]*e.X[i] + e.Y[i]*e.Y[i])
-		bin := int(r / rMax * float64(nBins))
-		if bin >= 0 && bin < nBins {
-			counts[bin]++
-		}
-	}
-	return counts
 }

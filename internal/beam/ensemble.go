@@ -22,7 +22,6 @@ package beam
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/vec"
@@ -148,40 +147,6 @@ func (e *Ensemble) CloneInto(c *Ensemble) *Ensemble {
 	copy(c.Py, e.Py)
 	copy(c.Pz, e.Pz)
 	return c
-}
-
-// Bounds returns the AABB of the projection of the ensemble onto the
-// three given axes.
-func (e *Ensemble) Bounds(ax [3]Axis) vec.AABB {
-	b := vec.Empty()
-	for i := 0; i < e.Len(); i++ {
-		b = b.ExtendPoint(e.Point3(i, ax))
-	}
-	return b
-}
-
-// GaussianInit fills the ensemble with a 6-D Gaussian distribution with
-// the given RMS widths, truncated at cut standard deviations (cut <= 0
-// means untruncated). The generator is deterministic for a given seed
-// so experiments are reproducible.
-func (e *Ensemble) GaussianInit(seed int64, sigma [6]float64, cut float64) {
-	rng := rand.New(rand.NewSource(seed))
-	draw := func(s float64) float64 {
-		for {
-			v := rng.NormFloat64()
-			if cut <= 0 || math.Abs(v) <= cut {
-				return v * s
-			}
-		}
-	}
-	for i := 0; i < e.Len(); i++ {
-		e.X[i] = draw(sigma[0])
-		e.Y[i] = draw(sigma[1])
-		e.Z[i] = draw(sigma[2])
-		e.Px[i] = draw(sigma[3])
-		e.Py[i] = draw(sigma[4])
-		e.Pz[i] = draw(sigma[5])
-	}
 }
 
 // SemiGaussianInit fills the ensemble with the semi-Gaussian

@@ -213,13 +213,6 @@ func (s *Sim) RunPeriods(n int) {
 	}
 }
 
-// RunSteps advances the simulation by n integration steps.
-func (s *Sim) RunSteps(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
-}
-
 // Frame is a snapshot of the simulation state at one output time step —
 // the unit the paper's partitioner and viewer operate on.
 type Frame struct {
@@ -231,23 +224,6 @@ type Frame struct {
 // Snapshot captures the current state as a Frame.
 func (s *Sim) Snapshot() Frame {
 	return Frame{Step: s.steps, S: s.S, E: s.Particles.Clone()}
-}
-
-// RunWithFrames advances nSteps and captures a frame every interval
-// steps (plus the initial state). It is the generator used by the
-// Fig 5 time-series experiment (350 frames of an evolving beam).
-func (s *Sim) RunWithFrames(nSteps, interval int) []Frame {
-	if interval <= 0 {
-		interval = 1
-	}
-	frames := []Frame{s.Snapshot()}
-	for i := 1; i <= nSteps; i++ {
-		s.Step()
-		if i%interval == 0 {
-			frames = append(frames, s.Snapshot())
-		}
-	}
-	return frames
 }
 
 // MaxRadius returns the largest sqrt(x^2+y^2) over the ensemble,

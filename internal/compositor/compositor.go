@@ -89,71 +89,3 @@ func CompositeDepth(dst *render.Framebuffer, partials []*render.PartialFrame, wo
 	})
 	return nil
 }
-
-// CompositeOver alpha-blends partials into dst back to front: per
-// pixel, the covering partial samples (finite depth) sort by depth,
-// farthest first — equal depths resolve by ascending partition
-// sequence, the submission order — and composite with the straight
-// "over" operator onto dst's existing color. The stored depth becomes
-// the nearest contributing sample's. This is the translucent variant
-// of sort-last compositing; like CompositeDepth it is bit-identical
-// at every worker count, but partials must come from disjoint depth
-// slabs for the result to match a single translucent render, since
-// "over" does not commute.
-func CompositeOver(dst *render.Framebuffer, partials []*render.PartialFrame, workers int) error {
-	order, err := checkPartials(dst, partials)
-	if err != nil {
-		return err
-	}
-	par.ForChunks(dst.H, workers, func(lo, hi int) {
-		type sample struct {
-			d float32
-			p *render.PartialFrame
-		}
-		samples := make([]sample, 0, len(order))
-		for y := lo; y < hi; y++ {
-			row := y * dst.W
-			for x := 0; x < dst.W; x++ {
-				i := row + x
-				samples = samples[:0]
-				for _, p := range order {
-					if x < p.X0 || x >= p.X0+p.RW || y < p.Y0 || y >= p.Y0+p.RH {
-						continue
-					}
-					d := p.FB.Depth[i]
-					if d != d || d > maxFinite {
-						continue // background: +Inf depth
-					}
-					// Insertion sort: farthest first; order (ascending
-					// Seq) already breaks equal-depth ties correctly.
-					k := len(samples)
-					samples = append(samples, sample{d, p})
-					for k > 0 && samples[k-1].d < samples[k].d {
-						samples[k-1], samples[k] = samples[k], samples[k-1]
-						k--
-					}
-				}
-				if len(samples) == 0 {
-					continue
-				}
-				ci := i * 4
-				for _, s := range samples {
-					a := s.p.FB.Color[ci+3]
-					dst.Color[ci] = s.p.FB.Color[ci]*a + dst.Color[ci]*(1-a)
-					dst.Color[ci+1] = s.p.FB.Color[ci+1]*a + dst.Color[ci+1]*(1-a)
-					dst.Color[ci+2] = s.p.FB.Color[ci+2]*a + dst.Color[ci+2]*(1-a)
-					dst.Color[ci+3] = a + dst.Color[ci+3]*(1-a)
-				}
-				near := samples[len(samples)-1].d
-				if near < dst.Depth[i] {
-					dst.Depth[i] = near
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// maxFinite is the largest finite float32; anything above it in a
-// depth plane (+Inf) marks an uncovered pixel.
-const maxFinite = 3.4028234663852886e+38

@@ -205,73 +205,4 @@ func TestCompositeValidation(t *testing.T) {
 	if err := CompositeDepth(fbBig, []*render.PartialFrame{good}, 0); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if err := CompositeOver(nil, nil, 0); err == nil {
-		t.Error("CompositeOver: nil destination accepted")
-	}
-	if err := CompositeOver(fbBig, []*render.PartialFrame{good}, 0); err == nil {
-		t.Error("CompositeOver: size mismatch accepted")
-	}
-}
-
-// overPartial builds a 1x1-coverage partial with the given color,
-// alpha and depth at pixel (0,0) of a 2x2 frame.
-func overPartial(t *testing.T, seq int, r, g, b, a, depth float32) *render.PartialFrame {
-	t.Helper()
-	fb, err := render.NewFramebuffer(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb.Clear(hybrid.RGBA{})
-	fb.Color[0], fb.Color[1], fb.Color[2], fb.Color[3] = r, g, b, a
-	fb.Depth[0] = depth
-	return &render.PartialFrame{FB: fb, Seq: seq, RW: 1, RH: 1}
-}
-
-// TestCompositeOverBackToFront pins the translucent merge: samples
-// blend farthest first with the straight "over" operator, equal depths
-// resolve by partition sequence, and the result is identical at every
-// worker count.
-func TestCompositeOverBackToFront(t *testing.T) {
-	// far red (depth .8, alpha .5) under near green (depth .2, alpha .5):
-	// over = green*.5 + red*.5*.5
-	far := overPartial(t, 0, 1, 0, 0, 0.5, 0.8)
-	near := overPartial(t, 1, 0, 1, 0, 0.5, 0.2)
-
-	for _, workers := range []int{1, 4} {
-		dst, err := render.NewFramebuffer(2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst.Clear(hybrid.RGBA{})
-		// Pass near-first: depth, not argument order, must sort them.
-		if err := CompositeOver(dst, []*render.PartialFrame{near, far}, workers); err != nil {
-			t.Fatal(err)
-		}
-		wantR := float32(1*0.5) * (1 - 0.5)
-		wantG := float32(0.5)
-		wantA := float32(0.5 + 0.5*(1-0.5))
-		if dst.Color[0] != wantR || dst.Color[1] != wantG || dst.Color[3] != wantA {
-			t.Fatalf("workers=%d: blended pixel = %v, want (%g,%g,_,%g)",
-				workers, dst.Color[0:4], wantR, wantG, wantA)
-		}
-		if dst.Depth[0] != 0.2 {
-			t.Fatalf("workers=%d: stored depth %g, want nearest sample 0.2", workers, dst.Depth[0])
-		}
-	}
-
-	// Equal depths: ascending Seq is the back-to-front order, so Seq 1
-	// blends over Seq 0 — opaque alpha makes the winner unambiguous.
-	a := overPartial(t, 0, 1, 0, 0, 1, 0.5)
-	b := overPartial(t, 1, 0, 0, 1, 1, 0.5)
-	dst, err := render.NewFramebuffer(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst.Clear(hybrid.RGBA{})
-	if err := CompositeOver(dst, []*render.PartialFrame{b, a}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Color[0] != 0 || dst.Color[2] != 1 {
-		t.Fatalf("equal-depth tie: pixel = %v, want the higher partition sequence on top", dst.Color[0:4])
-	}
 }

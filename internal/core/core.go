@@ -148,65 +148,6 @@ func DefaultTF(rep *hybrid.Representation) (*hybrid.LinkedTF, error) {
 	return hybrid.DefaultTF(rep)
 }
 
-// LineCloudRep flattens traced field lines into a hybrid
-// representation: every line sample becomes a halo point whose density
-// is the local field strength normalized to the frame maximum,
-// OrigIndex records the owning line (so a viewer can style per line),
-// and the volume is the splatted sample density. It is the wire form
-// StreamSolve publishes into a FrameSink, letting the remote service
-// live-monitor a field solve with the same protocol and viewer the
-// particle runs use.
-func LineCloudRep(bounds vec.AABB, volumeRes int, results ...*seeding.Result) (*hybrid.Representation, error) {
-	if volumeRes < 2 {
-		return nil, fmt.Errorf("core: line cloud volume resolution %d too small", volumeRes)
-	}
-	var n int
-	maxStrength := 0.0
-	for _, res := range results {
-		for _, l := range res.Lines {
-			n += l.NumPoints()
-			for _, s := range l.Strengths {
-				if s > maxStrength {
-					maxStrength = s
-				}
-			}
-		}
-	}
-	// PointDensity is normalized to [0,1] below, so the representation's
-	// density scale is 1 — Threshold/MaxLeafD must stay a valid [0,1]
-	// boundary for DefaultTF regardless of the raw field units.
-	rep := &hybrid.Representation{
-		Bounds:       bounds,
-		Threshold:    1,
-		MaxLeafD:     1,
-		Points:       make([]vec.V3, 0, n),
-		PointDensity: make([]float32, 0, n),
-		OrigIndex:    make([]int64, 0, n),
-	}
-	norm := 0.0
-	if maxStrength > 0 {
-		norm = 1 / maxStrength
-	}
-	line := int64(0)
-	for _, res := range results {
-		for _, l := range res.Lines {
-			for i, p := range l.Points {
-				rep.Points = append(rep.Points, p)
-				rep.PointDensity = append(rep.PointDensity, float32(l.Strengths[i]*norm))
-				rep.OrigIndex = append(rep.OrigIndex, line)
-			}
-			line++
-		}
-	}
-	vol, err := hybrid.Splat(rep.Points, bounds, volumeRes, volumeRes, volumeRes, 0)
-	if err != nil {
-		return nil, err
-	}
-	vol.Normalize()
-	rep.Volume = vol
-	return rep, nil
-}
-
 // RenderFrame renders a hybrid representation from the given view
 // direction into a fresh w x h framebuffer, returning the frame and
 // the renderer stats. The point pass runs on the tile-binned parallel

@@ -31,7 +31,7 @@ func noLeaks(t *testing.T, before int) {
 }
 
 // TestStreamRemoteExtractBitIdentical is the integration acceptance
-// test of the distributed stage path: StreamFrames with ExtractAddr
+// test of the distributed stage path: StreamFrames with ExtractAddrs
 // pointed at an in-process worker must produce byte-for-byte the
 // representations of the all-local run, in frame order, with several
 // frames in flight on the worker connection.
@@ -61,7 +61,7 @@ func TestStreamRemoteExtractBitIdentical(t *testing.T) {
 	defer w.Close()
 
 	s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), StreamOptions{
-		ExtractAddr:    w.Addr(),
+		ExtractAddrs:   []string{w.Addr()},
 		ExtractWorkers: 3, // frames in flight across the wire
 		Buffer:         2,
 	})
@@ -100,7 +100,7 @@ func TestStreamRemoteExtractDialFailure(t *testing.T) {
 	addr := w.Addr()
 	w.Close()
 
-	s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), StreamOptions{ExtractAddr: addr})
+	s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), StreamOptions{ExtractAddrs: []string{addr}})
 	for range s.Out {
 		t.Error("stream emitted a frame despite a dead worker address")
 	}
@@ -125,7 +125,7 @@ func TestStreamRemoteExtractWorkerCrash(t *testing.T) {
 	long := append(frames, frames...)
 	long = append(long, frames...) // 9 frames
 	s := p.StreamFrames(context.Background(), FrameSliceSource(long...), StreamOptions{
-		ExtractAddr:    w.Addr(),
+		ExtractAddrs:   []string{w.Addr()},
 		ExtractWorkers: 2,
 	})
 	// Take one good frame, then kill the worker under the stream.
@@ -156,7 +156,7 @@ func TestStreamRemoteExtractCancel(t *testing.T) {
 	long := append(frames, frames...)
 	long = append(long, frames...)
 	s := p.StreamFrames(ctx, FrameSliceSource(long...), StreamOptions{
-		ExtractAddr:    w.Addr(),
+		ExtractAddrs:   []string{w.Addr()},
 		ExtractWorkers: 2,
 	})
 	<-s.Out // at least one frame through, requests in flight behind it
@@ -182,8 +182,8 @@ func TestStreamRemoteExtractCancel(t *testing.T) {
 func TestStreamRemoteExtractOptionValidation(t *testing.T) {
 	p, frames := streamFixture(t, 500)
 	for name, opts := range map[string]StreamOptions{
-		"skip extract": {ExtractAddr: "127.0.0.1:1", SkipExtract: true},
-		"keep trees":   {ExtractAddr: "127.0.0.1:1", KeepTrees: true},
+		"skip extract": {ExtractAddrs: []string{"127.0.0.1:1"}, SkipExtract: true},
+		"keep trees":   {ExtractAddrs: []string{"127.0.0.1:1"}, KeepTrees: true},
 	} {
 		s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), opts)
 		for range s.Out {
@@ -323,15 +323,13 @@ func TestStreamFleetAllWorkersDown(t *testing.T) {
 	noLeaks(t, before)
 }
 
-// TestStreamExtractAddrsValidation: ExtractAddr and ExtractAddrs are
-// mutually exclusive, and the fleet path inherits the single-worker
-// incompatibilities.
+// TestStreamExtractAddrsValidation: a fleet of several members has the
+// incompatibilities of a fleet of one.
 func TestStreamExtractAddrsValidation(t *testing.T) {
 	p, frames := streamFixture(t, 500)
 	for name, opts := range map[string]StreamOptions{
-		"both addr forms": {ExtractAddr: "127.0.0.1:1", ExtractAddrs: []string{"127.0.0.1:2"}},
-		"skip extract":    {ExtractAddrs: []string{"127.0.0.1:1"}, SkipExtract: true},
-		"keep trees":      {ExtractAddrs: []string{"127.0.0.1:1"}, KeepTrees: true},
+		"skip extract": {ExtractAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, SkipExtract: true},
+		"keep trees":   {ExtractAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, KeepTrees: true},
 	} {
 		s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), opts)
 		for range s.Out {

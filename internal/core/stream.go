@@ -320,32 +320,25 @@ type StreamOptions struct {
 	// with SkipExtract.
 	Sink FrameSink
 
-	// ExtractAddr, when non-empty, places the heavy per-frame compute —
-	// octree partition plus hybrid extraction — on a remote worker
-	// process (cmd/vizworker, or an in-process remote.Worker) at that
-	// address: the paper's split of simulation and visualization
+	// ExtractAddrs, when non-empty, places the heavy per-frame compute —
+	// octree partition plus hybrid extraction — on remote worker
+	// processes (cmd/vizworker, or in-process remote.Workers) at those
+	// addresses: the paper's split of simulation and visualization
 	// compute across machines. The stage projects each frame locally
 	// (cheap), ships the point set over the service protocol's Compute
 	// verb, and receives the hybrid representation back, bit-identical
-	// to running the same configs locally. ExtractWorkers frames stay
-	// in flight on one multiplexed connection, overlapping wide-area
-	// round-trips; a dial failure, worker crash, or cancellation fails
-	// the stream through the usual first-error drain. Incompatible with
-	// SkipExtract and KeepTrees (the tree only ever exists on the
-	// worker). ExtractAddr is the one-element case of ExtractAddrs;
-	// setting both is an error.
-	ExtractAddr string
-
-	// ExtractAddrs places extraction on a fleet of workers: frames
-	// stripe across the healthy members (ExtractWorkers in flight per
-	// worker), a worker that fails or hangs mid-frame forfeits its
-	// frames to surviving members (bit-identical re-dispatch, order
-	// preserved by the stage reorderer), ejected workers are
-	// re-probed and rejoin, and the stream fails only when no worker
-	// can serve a frame within the retry policy. Every member must
-	// advertise the hybrid-extraction kernel; a mis-provisioned
-	// member fails the stream at startup. Same incompatibilities as
-	// ExtractAddr.
+	// to running the same configs locally. Frames stripe across the
+	// healthy members of the fleet (ExtractWorkers in flight per worker,
+	// overlapping wide-area round-trips on one multiplexed connection
+	// each), a worker that fails or hangs mid-frame forfeits its frames
+	// to surviving members (bit-identical re-dispatch, order preserved
+	// by the stage reorderer), ejected workers are re-probed and
+	// rejoin, and the stream fails — through the usual first-error
+	// drain — only when no worker can serve a frame within the retry
+	// policy. Every member must advertise the hybrid-extraction kernel;
+	// a mis-provisioned member fails the stream at startup.
+	// Incompatible with SkipExtract and KeepTrees (the tree only ever
+	// exists on the worker).
 	ExtractAddrs []string
 
 	// ExtractPolicy optionally tunes the extraction fleet's
@@ -399,11 +392,6 @@ type StreamOptions struct {
 // counts across elastic stages.
 type BalanceOptions struct {
 	pipeline.BalancerOptions
-
-	// MaxStageWorkers caps any single elastic stage (0 = the worker
-	// budget, letting one stage absorb the whole budget if the
-	// measurements call for it).
-	MaxStageWorkers int
 }
 
 // StreamResult is the per-frame output of StreamFrames, emitted in
@@ -427,8 +415,8 @@ type ParticleStream struct {
 	fbs *pipeline.FreeList[*render.Framebuffer]
 
 	// Balancer is the stream's self-balancing loop (nil unless
-	// StreamOptions.Balance): its Decisions method is the audit log of
-	// every rebalance and placement flip applied to this stream.
+	// StreamOptions.Balance); BalancerOptions.OnDecision sees every
+	// rebalance and placement flip it applies to this stream.
 	Balancer *pipeline.Balancer
 }
 
@@ -461,22 +449,16 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 	if opts.SkipExtract && (opts.Render != nil || opts.Sink != nil) {
 		return fail(fmt.Errorf("core: StreamOptions.Render/Sink require extraction; unset SkipExtract"))
 	}
-	if opts.ExtractAddr != "" && len(opts.ExtractAddrs) > 0 {
-		return fail(fmt.Errorf("core: set StreamOptions.ExtractAddr or ExtractAddrs, not both"))
-	}
 	if len(opts.RenderAddrs) > 0 && opts.Render == nil {
 		return fail(fmt.Errorf("core: StreamOptions.RenderAddrs places rendering remotely; set Render"))
 	}
 	addrs := opts.ExtractAddrs
-	if opts.ExtractAddr != "" {
-		addrs = []string{opts.ExtractAddr}
-	}
 	if len(addrs) > 0 {
 		if opts.SkipExtract {
-			return fail(fmt.Errorf("core: StreamOptions.ExtractAddr places extraction remotely; unset SkipExtract"))
+			return fail(fmt.Errorf("core: StreamOptions.ExtractAddrs places extraction remotely; unset SkipExtract"))
 		}
 		if opts.KeepTrees {
-			return fail(fmt.Errorf("core: StreamOptions.KeepTrees is incompatible with ExtractAddr (the tree lives on the worker)"))
+			return fail(fmt.Errorf("core: StreamOptions.KeepTrees is incompatible with ExtractAddrs (the tree lives on the worker)"))
 		}
 	}
 	buf := opts.Buffer
@@ -512,10 +494,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		if opts.Balance.Budget > budget {
 			budget = opts.Balance.Budget
 		}
-		maxStage = opts.Balance.MaxStageWorkers
-		if maxStage <= 0 {
-			maxStage = budget
-		}
+		maxStage = budget
 		for _, w := range []int{partW, extW, renderW} {
 			if w > maxStage {
 				maxStage = w
@@ -787,16 +766,6 @@ type FieldStreamOptions struct {
 	Buffer          int     // inter-stage channel depth in frames (0 = 1)
 
 	Render *FieldRenderOptions // non-nil appends a render stage
-
-	// Sink, when non-nil, appends a publish stage after tracing: each
-	// frame's traced lines are flattened into a compact hybrid
-	// representation (LineCloudRep) and published in frame order, so
-	// the same remote service that serves particle runs can
-	// live-monitor a field solve.
-	Sink FrameSink
-	// SinkVolumeRes sizes the published line-cloud density volume
-	// per axis (default 16).
-	SinkVolumeRes int
 }
 
 // FieldStreamResult is the per-frame output of StreamSolve.
@@ -863,29 +832,6 @@ func (p *FieldPipeline) StreamSolve(ctx context.Context, opts FieldStreamOptions
 		})
 
 	out := lines
-	if opts.Sink != nil {
-		res := opts.SinkVolumeRes
-		if res < 2 {
-			res = 16
-		}
-		bounds := p.mesh.Bounds
-		out = pipeline.Map(pl, out,
-			pipeline.StageConfig{Name: "publish", Workers: 1, Buf: buf},
-			func(_ context.Context, r FieldStreamResult) (FieldStreamResult, error) {
-				results := []*seeding.Result{r.E}
-				if r.B != nil {
-					results = append(results, r.B)
-				}
-				rep, err := LineCloudRep(bounds, res, results...)
-				if err != nil {
-					return r, fmt.Errorf("frame %d: %w", r.Index, err)
-				}
-				if err := opts.Sink.Publish(r.Index, rep); err != nil {
-					return r, fmt.Errorf("frame %d: %w", r.Index, err)
-				}
-				return r, nil
-			})
-	}
 	if opts.Render != nil {
 		ro := opts.Render.withDefaults()
 		out = pipeline.Map(pl, out,

@@ -250,6 +250,7 @@ func TestFieldStream(t *testing.T) {
 		Frames:          2,
 		PeriodsPerFrame: 1,
 		TraceWorkers:    2,
+		TraceB:          true,
 		Render:          &FieldRenderOptions{Technique: sos.TechSOS, Width: 48, Height: 48},
 	})
 	if err != nil {
@@ -267,6 +268,9 @@ func TestFieldStream(t *testing.T) {
 		lastTime = r.Frame.Time
 		if r.E == nil || len(r.E.Lines) == 0 {
 			t.Fatal("no electric lines traced")
+		}
+		if r.B == nil || len(r.B.Lines) == 0 {
+			t.Fatal("no magnetic lines traced")
 		}
 		if r.FB == nil || r.Stats.Triangles == 0 {
 			t.Fatal("render stage drew nothing")

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dsp"
 	"repro/internal/hexmesh"
 	"repro/internal/par"
 	"repro/internal/vec"
@@ -148,23 +147,6 @@ func TestRawBytesMatchesPaperArithmetic(t *testing.T) {
 	}
 }
 
-func TestPaperScaleStepsMatchesPaper(t *testing.T) {
-	// Invert the paper's numbers: 40 ns in 326,700 steps means
-	// dt = 1.224e-13 s, i.e. a mesh spacing of ~63.6 µm at the cubic
-	// Courant limit. Verify the arithmetic reproduces the step count
-	// within 2%.
-	steps := PaperScaleSteps(40e-9, 63.57e-6, 1.0)
-	if math.Abs(steps-326_700) > 0.02*326_700 {
-		t.Errorf("PaperScaleSteps = %.0f, want ~326,700", steps)
-	}
-	// And the headline claim: 100 ns requires close to a million steps
-	// even at the Courant limit, and "millions" with any safety factor.
-	steps100 := PaperScaleSteps(100e-9, 63.57e-6, 0.5)
-	if steps100 < 1_000_000 {
-		t.Errorf("100 ns = %.0f steps; paper says millions", steps100)
-	}
-}
-
 func TestTransverseAsymmetryDetectsPortAsymmetry(t *testing.T) {
 	run := func(asym float64) float64 {
 		cav := hexmesh.TwelveCellCavity(6, asym)
@@ -191,17 +173,6 @@ func TestTransverseAsymmetryDetectsPortAsymmetry(t *testing.T) {
 	// must be nearly up/down symmetric in absolute terms.
 	if sym > 0.05 {
 		t.Errorf("symmetric ports gave asymmetry %.4f, want < 0.05 (port drive unbalanced)", sym)
-	}
-}
-
-func TestRunToSteadyState(t *testing.T) {
-	s := smallSim(t, 6)
-	periods, _ := s.RunToSteadyState(0.05, 30)
-	if periods < 1 {
-		t.Error("steady-state run did nothing")
-	}
-	if e := s.Energy(); math.IsNaN(e) || math.IsInf(e, 0) {
-		t.Errorf("energy diverged during steady-state run: %g", e)
 	}
 }
 
@@ -235,7 +206,7 @@ func TestCavityResonanceNearTM010(t *testing.T) {
 	s.AdvancePeriods(6)
 	probe := vec.New(0, 0, cav.PipeLength+1.5*cav.CellLength+cav.IrisThickness)
 	series := s.RunProbe(probe, 4096)
-	omega, err := dsp.PeakFrequency(series.Values, series.DT)
+	omega, err := PeakFrequency(series.Values, series.DT)
 	if err != nil {
 		t.Fatalf("PeakFrequency: %v", err)
 	}
@@ -250,6 +221,40 @@ func TestCavityResonanceNearTM010(t *testing.T) {
 		t.Errorf("cavity rings at omega=%.3f; TM010 estimate %.3f (accept 0.98x-1.10x)", omega, tm010)
 	}
 	t.Logf("measured ring frequency %.3f vs TM010 estimate %.3f (ratio %.2f)", omega, tm010, omega/tm010)
+}
+
+// ProbeSeries records a field component at a fixed point over many
+// steps — the diagnostic used to measure what frequency the cavity
+// actually rings at (finding eigenmodes is what the paper's
+// electromagnetic simulations are for).
+type ProbeSeries struct {
+	Values []float64
+	DT     float64
+}
+
+// RunProbe advances the simulation n steps, sampling Ez at world point
+// p after every step.
+func (s *Sim) RunProbe(p vec.V3, n int) *ProbeSeries {
+	series := &ProbeSeries{DT: s.dt, Values: make([]float64, 0, n)}
+	for i := 0; i < n; i++ {
+		s.advanceOnce()
+		f := s.probeEz(p)
+		series.Values = append(series.Values, f)
+	}
+	return series
+}
+
+// probeEz samples the Ez Yee component nearest to p (cheap single-point
+// probe; Snapshot interpolation is unnecessary for spectral use).
+func (s *Sim) probeEz(p vec.V3) float64 {
+	m := s.Mesh
+	i := int((p.X - m.Bounds.Min.X) / m.Dx)
+	j := int((p.Y - m.Bounds.Min.Y) / m.Dy)
+	k := int((p.Z - m.Bounds.Min.Z) / m.Dz)
+	if i < 0 || i >= s.nx || j < 0 || j >= s.ny || k < 0 || k >= s.nz {
+		return 0
+	}
+	return s.ez[s.iEz(i, j, k)]
 }
 
 // ---- the reference stepper -------------------------------------------

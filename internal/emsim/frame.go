@@ -158,48 +158,3 @@ func (f *FieldFrame) TransverseAsymmetry() float64 {
 	}
 	return math.Abs(up-down) / (up + down)
 }
-
-// ProbeSeries records a field component at a fixed point over many
-// steps — the diagnostic used to measure what frequency the cavity
-// actually rings at (finding eigenmodes is what the paper's
-// electromagnetic simulations are for).
-type ProbeSeries struct {
-	Values []float64
-	DT     float64
-}
-
-// RunProbe advances the simulation n steps, sampling Ez at world point
-// p after every step.
-func (s *Sim) RunProbe(p vec.V3, n int) *ProbeSeries {
-	series := &ProbeSeries{DT: s.dt, Values: make([]float64, 0, n)}
-	for i := 0; i < n; i++ {
-		s.advanceOnce()
-		f := s.probeEz(p)
-		series.Values = append(series.Values, f)
-	}
-	return series
-}
-
-// probeEz samples the Ez Yee component nearest to p (cheap single-point
-// probe; Snapshot interpolation is unnecessary for spectral use).
-func (s *Sim) probeEz(p vec.V3) float64 {
-	m := s.Mesh
-	i := int((p.X - m.Bounds.Min.X) / m.Dx)
-	j := int((p.Y - m.Bounds.Min.Y) / m.Dy)
-	k := int((p.Z - m.Bounds.Min.Z) / m.Dz)
-	if i < 0 || i >= s.nx || j < 0 || j >= s.ny || k < 0 || k >= s.nz {
-		return 0
-	}
-	return s.ez[s.iEz(i, j, k)]
-}
-
-// PaperScaleSteps computes the step count the paper's Courant
-// arithmetic implies: simulating realSeconds of physical time with the
-// given mesh spacing (meters) at the speed of light and the given
-// Courant safety factor. With spacing ≈ 63 µm and safety 0.58 this
-// reproduces "40 nanoseconds ... corresponds to 326,700 time steps".
-func PaperScaleSteps(realSeconds, spacingMeters, courant float64) float64 {
-	const c = 299_792_458.0 // m/s
-	dtMax := spacingMeters / (c * math.Sqrt(3))
-	return realSeconds / (courant * dtMax)
-}

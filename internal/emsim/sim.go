@@ -178,14 +178,8 @@ func (s *Sim) CourantDT() float64 {
 // DT returns the actual step used.
 func (s *Sim) DT() float64 { return s.dt }
 
-// Time returns the elapsed simulated time.
-func (s *Sim) Time() float64 { return s.time }
-
 // Step returns the number of steps taken.
 func (s *Sim) Step() int { return s.step }
-
-// Omega returns the angular drive frequency in use.
-func (s *Sim) Omega() float64 { return s.omega }
 
 // Index helpers for the staggered arrays.
 func (s *Sim) iEx(i, j, k int) int { return (k*(s.ny+1)+j)*s.nx + i }
@@ -554,22 +548,4 @@ func (s *Sim) Energy() float64 {
 		sum += v * v
 	}
 	return 0.5 * sum * dv
-}
-
-// RunToSteadyState advances until the per-period energy change drops
-// below tol (relative) or maxPeriods elapse. It returns the number of
-// periods simulated and whether steady state was reached — the
-// experiment behind the paper's "simulation of this 12-cell structure
-// reaches steady state at about 40 nanoseconds".
-func (s *Sim) RunToSteadyState(tol float64, maxPeriods int) (periods int, steady bool) {
-	prev := -1.0
-	for p := 0; p < maxPeriods; p++ {
-		s.AdvancePeriods(1)
-		e := s.Energy()
-		if prev > 0 && math.Abs(e-prev) < tol*prev {
-			return p + 1, true
-		}
-		prev = e
-	}
-	return maxPeriods, false
 }

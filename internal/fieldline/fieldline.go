@@ -9,7 +9,6 @@ package fieldline
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/par"
 	"repro/internal/vec"
@@ -73,15 +72,6 @@ type Line struct {
 
 // NumPoints returns the sample count.
 func (l *Line) NumPoints() int { return len(l.Points) }
-
-// Length returns the polyline arc length.
-func (l *Line) Length() float64 {
-	var sum float64
-	for i := 1; i < len(l.Points); i++ {
-		sum += l.Points[i].Dist(l.Points[i-1])
-	}
-	return sum
-}
 
 // MaxStrength returns the peak field magnitude along the line.
 func (l *Line) MaxStrength() float64 {
@@ -288,23 +278,4 @@ func TraceBoth(f Field, seed vec.V3, cfg Config) (*Line, error) {
 	var s Slab
 	closed := s.AppendTraceBoth(f, seed, cfg)
 	return &Line{Points: s.Points, Tangents: s.Tangents, Strengths: s.Strengths, Closed: closed}, nil
-}
-
-// Resample returns a copy of the line with at most maxPoints samples,
-// dropping intermediate points evenly. Tangents and strengths follow
-// their points. It is the decimation step used before strip
-// generation when a coarser representation suffices.
-func (l *Line) Resample(maxPoints int) *Line {
-	n := len(l.Points)
-	if maxPoints >= n || maxPoints < 2 {
-		return l
-	}
-	out := &Line{Closed: l.Closed}
-	for i := 0; i < maxPoints; i++ {
-		src := int(math.Round(float64(i) * float64(n-1) / float64(maxPoints-1)))
-		out.Points = append(out.Points, l.Points[src])
-		out.Tangents = append(out.Tangents, l.Tangents[src])
-		out.Strengths = append(out.Strengths, l.Strengths[src])
-	}
-	return out
 }

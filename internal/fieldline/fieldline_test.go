@@ -172,26 +172,6 @@ func TestTraceBothJoinsHalves(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	cfg := Config{Step: 0.1, MaxSteps: 100}
-	line, err := Trace(FieldFunc(uniformX), vec.New(0, 0, 0), cfg, +1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := line.Resample(11)
-	if r.NumPoints() != 11 {
-		t.Fatalf("resampled to %d points, want 11", r.NumPoints())
-	}
-	// Endpoints preserved.
-	if r.Points[0] != line.Points[0] || r.Points[10] != line.Points[len(line.Points)-1] {
-		t.Error("resample lost endpoints")
-	}
-	// Resampling to more points than exist returns the line unchanged.
-	if got := line.Resample(10000); got.NumPoints() != line.NumPoints() {
-		t.Error("upsampling changed the line")
-	}
-}
-
 func TestMaxStrength(t *testing.T) {
 	cfg := Config{Step: 0.05, MaxSteps: 100}
 	line, err := Trace(FieldFunc(radial), vec.New(0.5, 0, 0), cfg, +1)
@@ -507,4 +487,13 @@ func BenchmarkTraceAll(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Length returns the polyline arc length.
+func (l *Line) Length() float64 {
+	var sum float64
+	for i := 1; i < len(l.Points); i++ {
+		sum += l.Points[i].Dist(l.Points[i-1])
+	}
+	return sum
 }

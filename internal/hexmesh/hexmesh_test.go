@@ -110,43 +110,6 @@ func TestLocateMatchesElementCenters(t *testing.T) {
 	}
 }
 
-func TestNeighborsSymmetric(t *testing.T) {
-	m, _ := build3Cell(t, 8)
-	for e := 0; e < m.NumElements(); e += 101 {
-		m.Neighbors6(e, func(n int) {
-			found := false
-			m.Neighbors6(n, func(back int) {
-				if back == e {
-					found = true
-				}
-			})
-			if !found {
-				t.Fatalf("neighbor relation not symmetric between %d and %d", e, n)
-			}
-		})
-	}
-}
-
-func TestSurfaceElements(t *testing.T) {
-	m, cfg := build3Cell(t, 10)
-	// An element near the cavity wall must be a surface element; one on
-	// the axis in the middle of a cell must not.
-	wallIdx := m.Locate(vec.New(cfg.CellRadius-m.Dx/2, 0, cfg.cellCenterZ(1)))
-	if wallIdx < 0 {
-		t.Fatal("no element near wall")
-	}
-	if !m.SurfaceElement(wallIdx) {
-		t.Error("wall-adjacent element not marked surface")
-	}
-	axisIdx := m.Locate(vec.New(0, 0, cfg.cellCenterZ(1)))
-	if axisIdx < 0 {
-		t.Fatal("no element on axis")
-	}
-	if m.SurfaceElement(axisIdx) {
-		t.Error("axis element marked surface")
-	}
-}
-
 func TestElementVolumesSumToVacuum(t *testing.T) {
 	m, _ := build3Cell(t, 8)
 	var sum float64

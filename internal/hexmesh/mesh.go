@@ -31,12 +31,6 @@ type Element struct {
 	Half   vec.V3
 }
 
-// Bounds returns the element's bounding box (exact for these
-// axis-aligned hexahedra).
-func (e *Element) Bounds() vec.AABB {
-	return vec.Box(e.Center.Sub(e.Half), e.Center.Add(e.Half))
-}
-
 // Volume returns the element volume.
 func (e *Element) Volume() float64 { return 8 * e.Half.X * e.Half.Y * e.Half.Z }
 
@@ -56,19 +50,6 @@ type Mesh struct {
 
 // cellIndex returns the lattice index for (i, j, k).
 func (m *Mesh) cellIndex(i, j, k int) int { return (k*m.Ny+j)*m.Nx + i }
-
-// ElementAt returns the element covering lattice cell (i, j, k), or
-// nil when the cell is conductor/outside.
-func (m *Mesh) ElementAt(i, j, k int) *Element {
-	if i < 0 || i >= m.Nx || j < 0 || j >= m.Ny || k < 0 || k >= m.Nz {
-		return nil
-	}
-	idx := m.index[m.cellIndex(i, j, k)]
-	if idx == 0 {
-		return nil
-	}
-	return &m.Elements[idx-1]
-}
 
 // ElementIndexAt is like ElementAt but returns the element's index in
 // Elements, or -1.
@@ -111,29 +92,6 @@ func (m *Mesh) NumElements() int { return len(m.Elements) }
 // Courant limit of the field solver.
 func (m *Mesh) MinSpacing() float64 {
 	return math.Min(m.Dx, math.Min(m.Dy, m.Dz))
-}
-
-// Neighbors6 calls fn with the element index of each of the six
-// face-neighbors of element e that exist (vacuum on the other side of
-// the face).
-func (m *Mesh) Neighbors6(e int, fn func(n int)) {
-	el := &m.Elements[e]
-	deltas := [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
-	for _, d := range deltas {
-		if n := m.ElementIndexAt(el.I+d[0], el.J+d[1], el.K+d[2]); n >= 0 {
-			fn(n)
-		}
-	}
-}
-
-// SurfaceElement reports whether element e touches the conductor (has
-// fewer than six vacuum neighbors) — where electric field lines
-// originate and terminate ("electric field lines ... originate and
-// terminate at the surface of the mesh").
-func (m *Mesh) SurfaceElement(e int) bool {
-	count := 0
-	m.Neighbors6(e, func(int) { count++ })
-	return count < 6
 }
 
 // BuildBox meshes a solid rectangular vacuum region — no conductor at

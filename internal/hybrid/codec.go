@@ -123,16 +123,6 @@ func (r *Representation) Write(w io.Writer) error {
 	return nil
 }
 
-// Read deserializes a representation written by Write, verifying the
-// checksum.
-func Read(rd io.Reader) (*Representation, error) {
-	p, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: reading representation: %w", err)
-	}
-	return DecodeBinary(p)
-}
-
 // ReadFile reads a representation from the named file.
 func ReadFile(path string) (*Representation, error) {
 	p, err := os.ReadFile(path)

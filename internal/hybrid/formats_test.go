@@ -72,7 +72,6 @@ func TestFormatsUnchanged(t *testing.T) {
 	}
 	for name, decode := range map[string]func() (*Representation, error){
 		"DecodeBinary": func() (*Representation, error) { return DecodeBinary(want) },
-		"Read":         func() (*Representation, error) { return Read(bytes.NewReader(want)) },
 		"ReadFile":     func() (*Representation, error) { return ReadFile(path) },
 	} {
 		if got, err := decode(); err != nil || !reflect.DeepEqual(got, rep) {

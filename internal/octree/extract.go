@@ -5,58 +5,16 @@ import "sort"
 // CutLeaf returns the number of leading leaves (in density order) whose
 // density is strictly below threshold. Everything before the cut is
 // "halo" (kept as points by the extraction program); everything after
-// is "core" (represented by the density volume).
+// is "core" (represented by the density volume). Because leaf groups are
+// stored in increasing-density order, the halo is Points[:LeafOffsets[cut]],
+// a zero-copy contiguous prefix of the point array — the property that
+// makes the paper's extraction step pure sequential I/O with "no
+// computation necessary for the particles" and discarded particles never
+// read.
 func (t *Tree) CutLeaf(threshold float64) int {
 	return sort.Search(len(t.LeavesByDensity), func(i int) bool {
 		return t.Nodes[t.LeavesByDensity[i]].Density >= threshold
 	})
-}
-
-// HaloPoints returns the points of all leaves with density below
-// threshold. Because leaf groups are stored in increasing-density
-// order, this is a zero-copy contiguous prefix of the point array —
-// the property that makes the paper's extraction step pure sequential
-// I/O with "no computation necessary for the particles" and discarded
-// particles never read.
-func (t *Tree) HaloPoints(threshold float64) []PointRef {
-	cut := t.CutLeaf(threshold)
-	end := t.LeafOffsets[cut]
-	return t.refs(0, end)
-}
-
-// PointRef pairs a stored point with its leaf density and original
-// particle index, the attributes the viewer's point transfer function
-// and dynamic coloring need.
-type PointRef struct {
-	Index   int64   // position in Tree.Points
-	Orig    int64   // index in the original particle array
-	Density float64 // density of the owning leaf
-}
-
-// refs materializes PointRefs for Points[lo:hi].
-func (t *Tree) refs(lo, hi int64) []PointRef {
-	out := make([]PointRef, 0, hi-lo)
-	// Walk leaf groups overlapping [lo,hi); groups are contiguous.
-	for k := 0; k < len(t.LeavesByDensity); k++ {
-		gLo, gHi := t.LeafOffsets[k], t.LeafOffsets[k+1]
-		if gHi <= lo {
-			continue
-		}
-		if gLo >= hi {
-			break
-		}
-		d := t.Nodes[t.LeavesByDensity[k]].Density
-		for i := max(gLo, lo); i < min(gHi, hi); i++ {
-			out = append(out, PointRef{Index: i, Orig: t.OrigIndex[i], Density: d})
-		}
-	}
-	return out
-}
-
-// HaloCount returns how many points an extraction at the given
-// threshold would keep, without materializing them.
-func (t *Tree) HaloCount(threshold float64) int64 {
-	return t.LeafOffsets[t.CutLeaf(threshold)]
 }
 
 // ThresholdForBudget returns the largest leaf-density threshold whose

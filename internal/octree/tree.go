@@ -540,22 +540,6 @@ func (t *Tree) MaxDepth() int {
 	return d
 }
 
-// FindLeaf returns the leaf node containing p, or nil if p is outside
-// the root bounds.
-func (t *Tree) FindLeaf(p vec.V3) *Node {
-	if !t.Bounds.Contains(p) {
-		return nil
-	}
-	idx := int32(0)
-	for {
-		node := &t.Nodes[idx]
-		if node.IsLeaf() {
-			return node
-		}
-		idx = node.FirstChild + int32(node.Bounds.OctantIndex(p))
-	}
-}
-
 // Validate checks the tree's structural invariants. It is used by the
 // property tests and by the file reader to reject corrupt input:
 //

@@ -177,10 +177,6 @@ func (p *Pool) Submit(task func()) {
 	p.tasks <- task
 }
 
-// Wait blocks until every submitted task has completed. The pool
-// remains usable afterwards.
-func (p *Pool) Wait() { p.wg.Wait() }
-
 // Close waits for outstanding tasks and shuts the workers down. The
 // pool must not be used after Close.
 func (p *Pool) Close() {
@@ -191,13 +187,6 @@ func (p *Pool) Close() {
 		p.mu.Unlock()
 		close(p.tasks)
 	})
-}
-
-// Size returns the pool's current target worker count.
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target
 }
 
 // Resize changes the worker count to n (minimum 1) while tasks are in
@@ -239,7 +228,7 @@ func (p *Pool) Resize(n int) int {
 
 // Group is a bounded fork-join scope for recursive divide-and-conquer
 // work (e.g. the octree's concurrent tree carve). Unlike Pool, whose
-// Wait covers every submitted task and therefore deadlocks when tasks
+// Close waits for every submitted task and therefore deadlocks when tasks
 // spawn and wait on subtasks, Group.Do waits only for the tasks of
 // that call, and a task that cannot obtain a worker slot simply runs
 // on the calling goroutine — recursion never blocks on the budget, it

@@ -291,3 +291,14 @@ func TestPoolResizeClampsAndSurvivesClose(t *testing.T) {
 		t.Errorf("Resize after Close applied %d, want unchanged 1", got)
 	}
 }
+
+// Wait blocks until every submitted task has completed. The pool
+// remains usable afterwards.
+func (p *Pool) Wait() { p.wg.Wait() }
+
+// Size returns the pool's current target worker count.
+func (p *Pool) Size() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.target
+}

@@ -106,9 +106,8 @@ func TestFormatsUnchanged(t *testing.T) {
 	dir := t.TempDir()
 
 	frame := frameFixture()
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, frame); err != nil || !bytes.Equal(buf.Bytes(), wantFrame) {
-		t.Errorf("WriteFrame changed the ACPF bytes (err %v):\n got %x\nwant %x", err, buf.Bytes(), wantFrame)
+	if got := encodeFrame(frame); !bytes.Equal(got, wantFrame) {
+		t.Errorf("encodeFrame changed the ACPF bytes:\n got %x\nwant %x", got, wantFrame)
 	}
 	if got := FrameBytes(int64(frame.E.Len())); got != int64(len(wantFrame)) {
 		t.Errorf("FrameBytes(%d) = %d, the encoding is %d bytes", frame.E.Len(), got, len(wantFrame))
@@ -118,7 +117,7 @@ func TestFormatsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, read := range map[string]func() (beam.Frame, error){
-		"ReadFrame":     func() (beam.Frame, error) { return ReadFrame(bytes.NewReader(wantFrame)) },
+		"decodeFrame":   func() (beam.Frame, error) { return decodeFrame(wantFrame, nil) },
 		"ReadFrameFile": func() (beam.Frame, error) { return ReadFrameFile(framePath) },
 	} {
 		if got, err := read(); err != nil || !reflect.DeepEqual(got, frame) {
@@ -137,15 +136,12 @@ func TestFormatsUnchanged(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("the fixture tree is invalid: %v", err)
 	}
-	var nodes, pts bytes.Buffer
-	if err := WriteTree(&nodes, &pts, tree); err != nil {
-		t.Fatal(err)
+	nodes, pts := encodeTree(tree)
+	if !bytes.Equal(nodes, wantNodes) {
+		t.Errorf("encodeTree changed the ACON bytes:\n got %x\nwant %x", nodes, wantNodes)
 	}
-	if !bytes.Equal(nodes.Bytes(), wantNodes) {
-		t.Errorf("WriteTree changed the ACON bytes:\n got %x\nwant %x", nodes.Bytes(), wantNodes)
-	}
-	if !bytes.Equal(pts.Bytes(), wantPts) {
-		t.Errorf("WriteTree changed the ACOP bytes:\n got %x\nwant %x", pts.Bytes(), wantPts)
+	if !bytes.Equal(pts, wantPts) {
+		t.Errorf("encodeTree changed the ACOP bytes:\n got %x\nwant %x", pts, wantPts)
 	}
 	base := filepath.Join(dir, "recorded")
 	if err := os.WriteFile(base+".oct", wantNodes, 0o644); err != nil {
@@ -155,7 +151,7 @@ func TestFormatsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, read := range map[string]func() (*octree.Tree, error){
-		"ReadTree":      func() (*octree.Tree, error) { return ReadTree(bytes.NewReader(wantNodes), bytes.NewReader(wantPts)) },
+		"decodeTree":    func() (*octree.Tree, error) { return decodeTree(wantNodes, wantPts) },
 		"ReadTreeFiles": func() (*octree.Tree, error) { return ReadTreeFiles(base) },
 	} {
 		if got, err := read(); err != nil || !reflect.DeepEqual(got, tree) {
@@ -236,8 +232,8 @@ func FuzzDecodeTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nodes, pts []byte) {
 		_, _ = decodeTree(nodes, pts)
 		if tree, err := decodeTree(reseal(nodes), reseal(pts)); err == nil {
-			tree.HaloCount(1)
-			tree.FindLeaf(tree.Bounds.Center())
+			_ = tree.Points[:tree.LeafOffsets[tree.CutLeaf(1)]]
+			tree.ThresholdForBudget(1)
 		}
 	})
 }

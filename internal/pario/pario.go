@@ -82,24 +82,6 @@ func decodeFrame(p []byte, e *beam.Ensemble) (beam.Frame, error) {
 	return f, nil
 }
 
-// WriteFrame writes a simulation frame to w.
-func WriteFrame(w io.Writer, f beam.Frame) error {
-	if _, err := w.Write(encodeFrame(f)); err != nil {
-		return fmt.Errorf("pario: writing frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads a frame written by WriteFrame; r must hold nothing
-// else.
-func ReadFrame(r io.Reader) (beam.Frame, error) {
-	p, err := io.ReadAll(r)
-	if err != nil {
-		return beam.Frame{}, fmt.Errorf("pario: reading frame: %w", err)
-	}
-	return decodeFrame(p, nil)
-}
-
 // WriteFrameFile writes a frame to the named file.
 func WriteFrameFile(path string, f beam.Frame) error {
 	return writeFile(path, encodeFrame(f))
@@ -236,33 +218,6 @@ func decodeTree(nodes, pts []byte) (*octree.Tree, error) {
 		return nil, fmt.Errorf("pario: loaded tree invalid: %w", err)
 	}
 	return t, nil
-}
-
-// WriteTree writes the partitioned representation as the paper's two
-// parts: nodesW receives the octree nodes, ptsW the particle groups.
-func WriteTree(nodesW, ptsW io.Writer, t *octree.Tree) error {
-	nodes, pts := encodeTree(t)
-	if _, err := nodesW.Write(nodes); err != nil {
-		return fmt.Errorf("pario: writing nodes: %w", err)
-	}
-	if _, err := ptsW.Write(pts); err != nil {
-		return fmt.Errorf("pario: writing points: %w", err)
-	}
-	return nil
-}
-
-// ReadTree reads both parts written by WriteTree and validates the
-// reconstructed tree's invariants before returning it.
-func ReadTree(nodesR, ptsR io.Reader) (*octree.Tree, error) {
-	nodes, err := io.ReadAll(nodesR)
-	if err != nil {
-		return nil, fmt.Errorf("pario: reading nodes: %w", err)
-	}
-	pts, err := io.ReadAll(ptsR)
-	if err != nil {
-		return nil, fmt.Errorf("pario: reading points: %w", err)
-	}
-	return decodeTree(nodes, pts)
 }
 
 // WriteTreeFiles writes base+".oct" and base+".pts" — the paper's

@@ -1,7 +1,6 @@
 package pario
 
 import (
-	"bytes"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -14,22 +13,19 @@ import (
 
 func testFrame(n int, seed int64) beam.Frame {
 	e := beam.NewEnsemble(n)
-	e.GaussianInit(seed, [6]float64{1, 2, 3, 0.1, 0.2, 0.3}, 0)
+	e.SemiGaussianInit(seed, 1, 2, 3, [3]float64{0.1, 0.2, 0.3})
 	return beam.Frame{Step: 170, S: 42.5, E: e}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	f := testFrame(1234, 1)
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	enc := encodeFrame(f)
+	if int64(len(enc)) != FrameBytes(1234) {
+		t.Errorf("encoded size %d, FrameBytes says %d", len(enc), FrameBytes(1234))
 	}
-	if int64(buf.Len()) != FrameBytes(1234) {
-		t.Errorf("encoded size %d, FrameBytes says %d", buf.Len(), FrameBytes(1234))
-	}
-	g, err := ReadFrame(&buf)
+	g, err := decodeFrame(enc, nil)
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("decodeFrame: %v", err)
 	}
 	if g.Step != f.Step || g.S != f.S || g.E.Len() != f.E.Len() {
 		t.Fatalf("header mismatch: %+v vs %+v", g.Step, f.Step)
@@ -43,32 +39,24 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameDetectsCorruption(t *testing.T) {
 	f := testFrame(100, 2)
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	data := buf.Bytes()
-	data[len(data)/2] ^= 0xFF
-	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
+	enc := encodeFrame(f)
+	enc[len(enc)/2] ^= 0xFF
+	if _, err := decodeFrame(enc, nil); err == nil {
 		t.Error("corrupted frame read without error")
 	}
 }
 
 func TestFrameDetectsTruncation(t *testing.T) {
 	f := testFrame(100, 3)
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	data := buf.Bytes()[:buf.Len()-10]
-	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
+	enc := encodeFrame(f)
+	if _, err := decodeFrame(enc[:len(enc)-10], nil); err == nil {
 		t.Error("truncated frame read without error")
 	}
 }
 
 func TestFrameRejectsBadMagic(t *testing.T) {
 	data := []byte("NOPE this is not a frame at all, not even close...")
-	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
+	if _, err := decodeFrame(data, nil); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
@@ -105,13 +93,10 @@ func buildTestTree(t *testing.T, n int, seed int64) *octree.Tree {
 
 func TestTreeRoundTrip(t *testing.T) {
 	tree := buildTestTree(t, 5000, 5)
-	var nodes, pts bytes.Buffer
-	if err := WriteTree(&nodes, &pts, tree); err != nil {
-		t.Fatalf("WriteTree: %v", err)
-	}
-	got, err := ReadTree(&nodes, &pts)
+	nodes, pts := encodeTree(tree)
+	got, err := decodeTree(nodes, pts)
 	if err != nil {
-		t.Fatalf("ReadTree: %v", err)
+		t.Fatalf("decodeTree: %v", err)
 	}
 	if got.MaxLevel != tree.MaxLevel || got.LeafCap != tree.LeafCap {
 		t.Errorf("config mismatch: %d/%d vs %d/%d", got.MaxLevel, got.LeafCap, tree.MaxLevel, tree.LeafCap)
@@ -129,8 +114,8 @@ func TestTreeRoundTrip(t *testing.T) {
 	}
 	// Extraction must behave identically on the loaded tree.
 	for _, th := range []float64{0.01, 1, 100} {
-		if got.HaloCount(th) != tree.HaloCount(th) {
-			t.Errorf("HaloCount(%g) differs after round trip", th)
+		if got.LeafOffsets[got.CutLeaf(th)] != tree.LeafOffsets[tree.CutLeaf(th)] {
+			t.Errorf("halo count at threshold %g differs after round trip", th)
 		}
 	}
 }
@@ -152,37 +137,26 @@ func TestTreeFileRoundTrip(t *testing.T) {
 
 func TestTreeDetectsNodeCorruption(t *testing.T) {
 	tree := buildTestTree(t, 1000, 7)
-	var nodes, pts bytes.Buffer
-	if err := WriteTree(&nodes, &pts, tree); err != nil {
-		t.Fatalf("WriteTree: %v", err)
-	}
-	data := nodes.Bytes()
-	data[len(data)/3] ^= 0x55
-	if _, err := ReadTree(bytes.NewReader(data), &pts); err == nil {
+	nodes, pts := encodeTree(tree)
+	nodes[len(nodes)/3] ^= 0x55
+	if _, err := decodeTree(nodes, pts); err == nil {
 		t.Error("corrupted nodes part accepted")
 	}
 }
 
 func TestTreeDetectsPointCorruption(t *testing.T) {
 	tree := buildTestTree(t, 1000, 8)
-	var nodes, pts bytes.Buffer
-	if err := WriteTree(&nodes, &pts, tree); err != nil {
-		t.Fatalf("WriteTree: %v", err)
-	}
-	data := pts.Bytes()
-	data[len(data)-8] ^= 0x55 // flip a bit inside the index table
-	if _, err := ReadTree(&nodes, bytes.NewReader(data)); err == nil {
+	nodes, pts := encodeTree(tree)
+	pts[len(pts)-8] ^= 0x55 // flip a bit inside the index table
+	if _, err := decodeTree(nodes, pts); err == nil {
 		t.Error("corrupted points part accepted")
 	}
 }
 
 func TestTreeSwappedPartsRejected(t *testing.T) {
 	tree := buildTestTree(t, 500, 9)
-	var nodes, pts bytes.Buffer
-	if err := WriteTree(&nodes, &pts, tree); err != nil {
-		t.Fatalf("WriteTree: %v", err)
-	}
-	if _, err := ReadTree(&pts, &nodes); err == nil {
+	nodes, pts := encodeTree(tree)
+	if _, err := decodeTree(pts, nodes); err == nil {
 		t.Error("swapped parts accepted")
 	}
 }
@@ -206,13 +180,10 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n16 uint16, step uint16, s float64) bool {
 		n := int(n16%500) + 1
 		e := beam.NewEnsemble(n)
-		e.GaussianInit(seed, [6]float64{1, 1, 1, 1, 1, 1}, 0)
+		e.SemiGaussianInit(seed, 1, 1, 1, [3]float64{1, 1, 1})
 		in := beam.Frame{Step: int(step), S: s, E: e}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, in); err != nil {
-			return false
-		}
-		out, err := ReadFrame(&buf)
+		enc := encodeFrame(in)
+		out, err := decodeFrame(enc, nil)
 		if err != nil {
 			return false
 		}

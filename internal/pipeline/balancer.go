@@ -142,9 +142,6 @@ type Balancer struct {
 	placeHot  map[string]int // consecutive ticks saturated & unplaceable locally
 	degraded  map[string]int // consecutive ticks remote side degraded
 
-	mu     sync.Mutex
-	ledger []Decision
-
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -187,13 +184,6 @@ func (b *Balancer) Stop() {
 	}
 }
 
-// Decisions returns the applied decision log in order.
-func (b *Balancer) Decisions() []Decision {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]Decision(nil), b.ledger...)
-}
-
 func (b *Balancer) run() {
 	defer close(b.done)
 	t := time.NewTicker(b.opts.Interval)
@@ -207,9 +197,6 @@ func (b *Balancer) run() {
 		case <-t.C:
 			for _, d := range b.Decide(b.p.Snapshot()) {
 				b.apply(d)
-				b.mu.Lock()
-				b.ledger = append(b.ledger, d)
-				b.mu.Unlock()
 				if b.opts.OnDecision != nil {
 					b.opts.OnDecision(d)
 				}

@@ -321,3 +321,6 @@ func TestSwitchExecCancelledContextDoesNotFallBack(t *testing.T) {
 		t.Errorf("fallbacks = %d, want 0 for cancellation", sw.Fallbacks())
 	}
 }
+
+// Flips counts placement changes since construction.
+func (s *SwitchExec[I, O]) Flips() uint64 { return s.flips.Load() }

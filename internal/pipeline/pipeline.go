@@ -22,12 +22,12 @@
 //     ordering/backpressure/cancellation machinery over any executor,
 //     so a stage body can run in-process (ExecFunc over par.Pool
 //     workers) or on a remote worker process (the distributed-stage
-//     path wired by core.StreamOptions.ExtractAddr) without the engine
+//     path wired by core.StreamOptions.ExtractAddrs) without the engine
 //     knowing the difference.
-//   - Sink and Collect terminate a chain.
+//   - Sink terminates a chain.
 //   - FreeList (freelist.go) recycles per-frame scratch buffers
-//     (projection point slices, framebuffers) through a sync.Pool so a
-//     long stream's allocation rate is bounded by the number of frames
+//     (projection point slices, framebuffers) through a bounded list so
+//     a long stream's allocation rate is bounded by the number of frames
 //     in flight, not the number of frames processed.
 //
 // Error handling is first-error-wins: a failing stage records its
@@ -113,10 +113,6 @@ func New(ctx context.Context) *Pipeline {
 	ctx, cancel := context.WithCancel(ctx)
 	return &Pipeline{ctx: ctx, cancel: cancel, created: time.Now()}
 }
-
-// Context returns the pipeline's context; stage functions receive it
-// and long-running bodies should poll it.
-func (p *Pipeline) Context() context.Context { return p.ctx }
 
 // Cancel aborts the stream. Stages unwind promptly; Wait returns the
 // cancellation error unless a stage failed first.
@@ -326,18 +322,6 @@ func Source[T any](p *Pipeline, buf int, gen func(ctx context.Context, emit func
 	return out
 }
 
-// FromSlice is a Source over a fixed set of values.
-func FromSlice[T any](p *Pipeline, buf int, vs []T) <-chan T {
-	return Source(p, buf, func(_ context.Context, emit func(T) bool) error {
-		for _, v := range vs {
-			if !emit(v) {
-				return nil
-			}
-		}
-		return nil
-	})
-}
-
 // seqItem tags a value with its input sequence number so multi-worker
 // stages can restore order.
 type seqItem[T any] struct {
@@ -495,17 +479,6 @@ func Sink[T any](p *Pipeline, in <-chan T, name string, fn func(ctx context.Cont
 			}
 		}
 	})
-}
-
-// Collect accumulates every value of in into a slice. The slice is
-// valid only after Wait returns.
-func Collect[T any](p *Pipeline, in <-chan T) *[]T {
-	out := new([]T)
-	Sink(p, in, "collect", func(_ context.Context, v T) error {
-		*out = append(*out, v)
-		return nil
-	})
-	return out
 }
 
 // Stream pairs a pipeline with its typed output channel — the handle

@@ -325,3 +325,26 @@ func TestDeferRunsOnceAfterDrain(t *testing.T) {
 		t.Errorf("cleanup order %v, want reverse registration [1 0]", order)
 	}
 }
+
+// FromSlice is a Source over a fixed set of values.
+func FromSlice[T any](p *Pipeline, buf int, vs []T) <-chan T {
+	return Source(p, buf, func(_ context.Context, emit func(T) bool) error {
+		for _, v := range vs {
+			if !emit(v) {
+				return nil
+			}
+		}
+		return nil
+	})
+}
+
+// Collect accumulates every value of in into a slice. The slice is
+// valid only after Wait returns.
+func Collect[T any](p *Pipeline, in <-chan T) *[]T {
+	out := new([]T)
+	Sink(p, in, "collect", func(_ context.Context, v T) error {
+		*out = append(*out, v)
+		return nil
+	})
+	return out
+}

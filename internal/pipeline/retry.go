@@ -31,14 +31,11 @@ type RetryPolicy struct {
 	// Jitter widens each delay by a uniformly random fraction of
 	// itself in [0, Jitter], decorrelating the retry storms of many
 	// concurrent frames after one shared failure. 0 means the default
-	// 0.5; negative disables jitter.
+	// 0.5; negative disables jitter. Every Retry call derives its own
+	// rand.Rand from a fixed seed — the package-global math/rand stream
+	// is never consulted — so retry timing is reproducible run to run
+	// and failover tests need no sleeps to line up under -race.
 	Jitter float64
-	// Seed seeds the policy's private jitter RNG. Every Retry call
-	// derives its own rand.Rand from it — the package-global math/rand
-	// stream is never consulted — so retry timing is reproducible run
-	// to run and failover tests need no sleeps to line up under -race.
-	// 0 means the fixed default seed 1.
-	Seed int64
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -57,15 +54,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.Jitter = 0
 	}
 	return p
-}
-
-// seed returns the jitter RNG seed (0 means 1, so the zero policy is
-// still fully deterministic).
-func (p RetryPolicy) seed() int64 {
-	if p.Seed != 0 {
-		return p.Seed
-	}
-	return 1
 }
 
 // delay returns the jittered backoff before attempt n+1 (n counts
@@ -105,7 +93,7 @@ func Retry(ctx context.Context, pol RetryPolicy, retryable func(error) bool, f f
 			return err
 		}
 		if pol.Jitter > 0 && rng == nil {
-			rng = rand.New(rand.NewSource(pol.seed()))
+			rng = rand.New(rand.NewSource(1))
 		}
 		t := time.NewTimer(pol.delay(attempt, rng))
 		select {
@@ -115,34 +103,4 @@ func Retry(ctx context.Context, pol RetryPolicy, retryable func(error) bool, f f
 			return err
 		}
 	}
-}
-
-// retryExec decorates a StageExecutor with a RetryPolicy.
-type retryExec[I, O any] struct {
-	ex        StageExecutor[I, O]
-	pol       RetryPolicy
-	retryable func(error) bool
-}
-
-// WithRetry wraps ex so each Apply is retried under pol — the
-// executor-seam form of Retry. The stage machinery above (sequence
-// tagging, re-sequencing, backpressure) is untouched: a frame that
-// fails, backs off and succeeds on attempt three still emits exactly
-// where its sequence number says, so retries are invisible in the
-// output. retryable classifies errors as in Retry.
-func WithRetry[I, O any](ex StageExecutor[I, O], pol RetryPolicy, retryable func(error) bool) StageExecutor[I, O] {
-	return &retryExec[I, O]{ex: ex, pol: pol, retryable: retryable}
-}
-
-// Apply implements StageExecutor.
-func (r *retryExec[I, O]) Apply(ctx context.Context, v I) (O, error) {
-	var out O
-	err := Retry(ctx, r.pol, r.retryable, func(ctx context.Context) error {
-		o, err := r.ex.Apply(ctx, v)
-		if err == nil {
-			out = o
-		}
-		return err
-	})
-	return out, err
 }

@@ -104,9 +104,26 @@ func TestRetryCancelledContextNoRedispatch(t *testing.T) {
 	}
 }
 
+// withRetry runs each Apply of ex under Retry, the way Fleet.Apply
+// does. The stage machinery above (sequence tagging, re-sequencing,
+// backpressure) is untouched: a frame that fails, backs off and succeeds
+// on attempt three still emits exactly where its sequence number says.
+func withRetry(ex StageExecutor[int, int], pol RetryPolicy) StageExecutor[int, int] {
+	return ExecFunc[int, int](func(ctx context.Context, v int) (out int, err error) {
+		err = Retry(ctx, pol, nil, func(ctx context.Context) error {
+			o, err := ex.Apply(ctx, v)
+			if err == nil {
+				out = o
+			}
+			return err
+		})
+		return out, err
+	})
+}
+
 // TestWithRetryInStream: a flaky executor — every frame fails on its
-// first try — behind WithRetry still yields a complete, in-order
-// stream, with the retries invisible in the output.
+// first try — retried inside its stage still yields a complete,
+// in-order stream, with the retries invisible in the output.
 func TestWithRetryInStream(t *testing.T) {
 	const frames = 20
 	var mu sync.Mutex
@@ -128,7 +145,7 @@ func TestWithRetryInStream(t *testing.T) {
 	}
 	src := FromSlice(p, 2, in)
 	out := MapExec(p, src, StageConfig{Name: "flaky", Workers: 4},
-		WithRetry[int, int](flaky, fastRetry, nil))
+		withRetry(flaky, fastRetry))
 	got := Collect(p, out)
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -153,7 +170,7 @@ func TestWithRetryExhaustionFailsStream(t *testing.T) {
 	})
 	p := New(context.Background())
 	out := MapExec(p, FromSlice(p, 1, []int{0}), StageConfig{Name: "dead", Workers: 1},
-		WithRetry[int, int](dead, fastRetry, nil))
+		withRetry(dead, fastRetry))
 	Collect(p, out)
 	if err := p.Wait(); !errors.Is(err, errTransient) {
 		t.Fatalf("Wait = %v, want the stage error", err)

@@ -99,6 +99,3 @@ func (s *SwitchExec[I, O]) SideEWMA() (local, remote time.Duration) {
 
 // Fallbacks implements PlacementExec.
 func (s *SwitchExec[I, O]) Fallbacks() uint64 { return s.fallbacks.Load() }
-
-// Flips counts placement changes since construction.
-func (s *SwitchExec[I, O]) Flips() uint64 { return s.flips.Load() }

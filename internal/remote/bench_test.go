@@ -102,13 +102,12 @@ func BenchmarkDistributedExtract(b *testing.B) {
 	})
 	run := func(name string, bps int64) {
 		b.Run(name, func(b *testing.B) {
-			cli := dial(b, w.Addr())
-			cli.SetBandwidth(bps)
+			fl := soloFleet(b, w.Addr(), FleetOptions{Kernel: KernelHybridExtract, BandwidthBps: bps})
 			b.SetBytes(reqBytes + repBytes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cli.ComputeExtract(context.Background(), pts, tcfg, ecfg); err != nil {
+				if _, err := fl.ComputeExtract(context.Background(), pts, tcfg, ecfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -77,10 +77,3 @@ func (c *blobCache[K]) touch(key K) {
 		}
 	}
 }
-
-// len reports how many completed entries the cache holds (test hook).
-func (c *blobCache[K]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.order)
-}

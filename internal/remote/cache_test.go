@@ -100,3 +100,10 @@ func TestBlobCacheErrorNotCached(t *testing.T) {
 		t.Error("successful retry not cached")
 	}
 }
+
+// len reports how many completed entries the cache holds (test hook).
+func (c *blobCache[K]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.order)
+}

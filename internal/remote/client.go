@@ -10,18 +10,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fieldline"
 	"repro/internal/hybrid"
-	"repro/internal/octree"
 	"repro/internal/render"
-	"repro/internal/vec"
 )
 
 // Client is one session against a Service. A single TCP connection
 // carries any number of concurrent requests — each tagged with a
 // request ID and matched to its response by a background read loop —
-// so a prefetching viewer overlaps WAN fetches instead of serializing
-// them. Methods are safe for concurrent use.
+// so a viewer that fetches ahead overlaps WAN fetches instead of
+// serializing them. Methods are safe for concurrent use.
 type Client struct {
 	conn       net.Conn
 	reqTimeout time.Duration
@@ -491,16 +488,6 @@ func (c *Client) FetchFrameDelta(i, base int, baseEnc []byte) (*hybrid.Represent
 	return rep, enc, wire, time.Since(start), nil
 }
 
-// FrameLoader adapts the client to the viewer's Loader signature. The
-// connection multiplexes requests, so the viewer's prefetcher issues
-// overlapping fetches on this one session.
-func (c *Client) FrameLoader() func(i int) (*hybrid.Representation, error) {
-	return func(i int) (*hybrid.Representation, error) {
-		rep, _, _, err := c.FetchFrame(i)
-		return rep, err
-	}
-}
-
 // Render asks the server to render frame p.Frame with the given camera
 // and transfer-function parameters — the thin-client mode. At the
 // default QualityLossless tier the framebuffer is bit-identical to
@@ -563,63 +550,6 @@ func (c *Client) Kernels(ctx context.Context) ([]string, error) {
 	names, err := decodeKernelList(msg.payload)
 	msg.recycle() // decodeKernelList copies the names out
 	return names, err
-}
-
-// ComputeExtract ships one projected point set to the worker's
-// hybrid-extraction kernel and decodes the representation it sends
-// back — the remote form of octree.Build + hybrid.Extract with the
-// same configs, bit-identical to running them locally. Request and
-// reply buffers recycle through the payload pool, so a steady-state
-// distributed stream stops allocating wire scratch after the first few
-// frames in flight.
-func (c *Client) ComputeExtract(ctx context.Context, pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig) (*hybrid.Representation, error) {
-	buf, err := appendComputeHeader(getBytes(0), KernelHybridExtract)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendExtractRequest(buf, pts, tcfg, ecfg)
-	msg, err := c.roundTripCtx(ctx, opCompute, buf)
-	putBytes(buf)
-	if err != nil {
-		return nil, err
-	}
-	if msg.op != opComputeOK {
-		return nil, fmt.Errorf("remote: unexpected compute response %#02x", msg.op)
-	}
-	rep, err := hybrid.DecodeBinary(msg.payload)
-	msg.recycle() // DecodeBinary copies; the reply buffer is free again
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// ComputeTrace ships one batch of field-line seeds to the worker's
-// trace kernel and decodes the integrated lines — the remote form of
-// fieldline.TraceAll over the named analytic field, bit-identical to
-// running it locally (lines travel in full double precision).
-// cfg.Domain is a function and cannot cross the wire; configs that set
-// it are rejected here rather than silently traced unbounded.
-func (c *Client) ComputeTrace(ctx context.Context, spec FieldSpec, seeds []vec.V3, cfg fieldline.Config, sign float64, workers int) ([]*fieldline.Line, error) {
-	if cfg.Domain != nil {
-		return nil, fmt.Errorf("remote: fieldline.Config.Domain cannot ship to a trace kernel")
-	}
-	buf, err := appendComputeHeader(getBytes(0), KernelFieldlineTrace)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendTraceRequest(buf, spec, seeds, cfg, sign, workers)
-	msg, err := c.roundTripCtx(ctx, opCompute, buf)
-	putBytes(buf)
-	if err != nil {
-		return nil, err
-	}
-	if msg.op != opComputeOK {
-		return nil, fmt.Errorf("remote: unexpected compute response %#02x", msg.op)
-	}
-	lines, err := decodeTraceReply(msg.payload)
-	msg.recycle() // decodeTraceReply copies
-	return lines, err
 }
 
 // Subscription is a live feed of the server's frame count. Updates is

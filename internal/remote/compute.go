@@ -213,10 +213,11 @@ func (s FieldSpec) Field() (fieldline.Field, error) {
 //	i64 MaxSteps | f64 MinMag | u8 closeLoop | f64 sign | i64 workers |
 //	i64 n | n × (3 f64) | u32 crc32 (all preceding bytes)
 //
-// Config.Domain is a Go function and cannot ship; ComputeTrace rejects
-// configs that set it. Workers ships verbatim like the extract blob's
-// worker fields — TraceAll is bit-identical at every worker count, so
-// this only matters for the worker's scheduling, not the result.
+// Config.Domain is a Go function and cannot ship; Fleet.ComputeTrace
+// rejects configs that set it. Workers ships verbatim like the extract
+// blob's worker fields — TraceAll is bit-identical at every worker
+// count, so this only matters for the worker's scheduling, not the
+// result.
 
 var (
 	magicFieldSeeds = [4]byte{'A', 'C', 'F', 'S'}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -60,30 +59,52 @@ func decoderCases(t testing.TB) []decoderCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acpf, acon, acop bytes.Buffer
+	// pario's decoders are reached through its file forms: the fixture is
+	// written once and read back as bytes, and a candidate blob is
+	// decoded by writing it over the file it replaces.
+	dir := t.TempDir()
+	readBack := func(name string) []byte {
+		p, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	put := func(name string, p []byte) {
+		if err := os.WriteFile(filepath.Join(dir, name), p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	frame := beam.Frame{Step: 3, S: 0.5, E: beam.NewEnsemble(2)}
 	copy(frame.E.X, []float64{1, -2})
-	if err := pario.WriteFrame(&acpf, frame); err != nil {
+	if err := pario.WriteFrameFile(filepath.Join(dir, "f.acpf"), frame); err != nil {
 		t.Fatal(err)
 	}
 	tree, err := octree.Build(fixturePoints, octree.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pario.WriteTree(&acon, &acop, tree); err != nil {
+	if err := pario.WriteTreeFiles(filepath.Join(dir, "t"), tree); err != nil {
 		t.Fatal(err)
 	}
+	acpf, acon, acop := readBack("f.acpf"), readBack("t.oct"), readBack("t.pts")
+	readFrame := func(p []byte) error {
+		put("f.acpf", p)
+		_, err := pario.ReadFrameFile(filepath.Join(dir, "f.acpf"))
+		return err
+	}
 	readTree := func(nodes, pts []byte) error {
-		_, err := pario.ReadTree(bytes.NewReader(nodes), bytes.NewReader(pts))
+		put("t.oct", nodes)
+		put("t.pts", pts)
+		_, err := pario.ReadTreeFiles(filepath.Join(dir, "t"))
 		return err
 	}
 	return []decoderCase{
-		{name: "ACPF", sum: true, blob: acpf.Bytes(),
-			decode: func(p []byte) error { _, err := pario.ReadFrame(bytes.NewReader(p)); return err }},
-		{name: "ACON", sum: true, blob: acon.Bytes(),
-			decode: func(p []byte) error { return readTree(p, acop.Bytes()) }},
-		{name: "ACOP", sum: true, blob: acop.Bytes(),
-			decode: func(p []byte) error { return readTree(acon.Bytes(), p) }},
+		{name: "ACPF", sum: true, blob: acpf, decode: readFrame},
+		{name: "ACON", sum: true, blob: acon,
+			decode: func(p []byte) error { return readTree(p, acop) }},
+		{name: "ACOP", sum: true, blob: acop,
+			decode: func(p []byte) error { return readTree(acon, p) }},
 		{name: "ACHY", sum: true, blob: rep.AppendBinary(nil),
 			decode: func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
 		{name: "ACFL", sum: true, blob: lineio.Append(nil, traceLinesFixture()),
@@ -240,8 +261,6 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 		{"ACOP 2²⁷ points", forge("ACOP", 8, 1, true, uint64(1<<27)), harness["ACOP"]},
 		{"ACHY 512³ volume", achy([3]uint64{512, 512, 512}, uint64(0)),
 			func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
-		{"ACHY 512³ volume, streamed", achy([3]uint64{512, 512, 512}, uint64(0)),
-			func(p []byte) error { _, err := hybrid.Read(bytes.NewReader(p)); return err }},
 		{"ACHY dims whose product overflows", achy([3]uint64{1 << 21, 1 << 21, 1 << 22}, uint64(0)),
 			func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
 		{"ACHY 2²⁷ points", achy([3]uint64{1, 1, 1}, zeros(4), uint64(1<<27)),

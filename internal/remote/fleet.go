@@ -478,10 +478,14 @@ func (f *Fleet) Compute(ctx context.Context, req []byte) ([]byte, error) {
 	return out, nil
 }
 
-// ComputeExtract is Client.ComputeExtract striped over the fleet: the
-// request encodes once, failover re-ships the identical bytes, and
-// the reply decodes exactly as the single-worker path does — so fleet
-// output is bit-identical to a one-worker or local run.
+// ComputeExtract ships one projected point set to the fleet's
+// hybrid-extraction kernel and decodes the representation it sends
+// back — the remote form of octree.Build + hybrid.Extract with the
+// same configs. The request encodes once and failover re-ships the
+// identical bytes, so fleet output is bit-identical to a one-worker or
+// local run. Request and reply buffers recycle through the payload
+// pool, so a steady-state distributed stream stops allocating wire
+// scratch after the first few frames in flight.
 func (f *Fleet) ComputeExtract(ctx context.Context, pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig) (*hybrid.Representation, error) {
 	req := appendExtractRequest(getBytes(0), pts, tcfg, ecfg)
 	out, err := f.Compute(ctx, req)
@@ -497,7 +501,12 @@ func (f *Fleet) ComputeExtract(ctx context.Context, pts []vec.V3, tcfg octree.Co
 	return rep, nil
 }
 
-// ComputeTrace is Client.ComputeTrace striped over the fleet.
+// ComputeTrace ships one batch of field-line seeds to the fleet's trace
+// kernel and decodes the integrated lines — the remote form of
+// fieldline.TraceAll over the named analytic field, bit-identical to
+// running it locally (lines travel in full double precision).
+// cfg.Domain is a function and cannot cross the wire; configs that set
+// it are rejected here rather than silently traced unbounded.
 func (f *Fleet) ComputeTrace(ctx context.Context, spec FieldSpec, seeds []vec.V3, cfg fieldline.Config, sign float64, workers int) ([]*fieldline.Line, error) {
 	if cfg.Domain != nil {
 		return nil, fmt.Errorf("remote: fieldline.Config.Domain cannot ship to a trace kernel")

@@ -408,7 +408,7 @@ func TestWorkerKernelsAdvertised(t *testing.T) {
 // the wire — for both an open dipole trace and a closed vortex loop.
 func TestComputeTraceBitIdentical(t *testing.T) {
 	w := startWorker(t)
-	cli := dial(t, w.Addr())
+	fl := soloFleet(t, w.Addr(), FleetOptions{Kernel: KernelFieldlineTrace})
 
 	cases := []struct {
 		name  string
@@ -439,7 +439,7 @@ func TestComputeTraceBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cli.ComputeTrace(context.Background(), tc.spec, tc.seeds, tc.cfg, 1, 2)
+			got, err := fl.ComputeTrace(context.Background(), tc.spec, tc.seeds, tc.cfg, 1, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

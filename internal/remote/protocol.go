@@ -32,9 +32,9 @@ import (
 //
 // Requests carry a client-chosen ID; every response echoes it, so a
 // client can keep many requests in flight on one connection and match
-// replies out of order — this is what lets the viewer's prefetcher
-// overlap WAN fetches and the distributed extract stage overlap
-// in-flight frames. Server pushes echo the Subscribe request's ID.
+// replies out of order — this is what lets a viewer overlap WAN
+// fetches and the distributed extract stage overlap in-flight frames.
+// Server pushes echo the Subscribe request's ID.
 //
 // The verbs and their payloads (each codec is below or in compute.go,
 // all on internal/wire):

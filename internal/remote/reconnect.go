@@ -225,17 +225,6 @@ func (rc *ReconnectClient) Render(p RenderParams) (*render.Framebuffer, int64, t
 	return fb, n, took, err
 }
 
-// Ping is Client.Ping with transparent redial.
-func (rc *ReconnectClient) Ping() (time.Duration, error) {
-	var rtt time.Duration
-	err := rc.do(func(c *Client) error {
-		var e error
-		rtt, e = c.Ping()
-		return e
-	})
-	return rtt, err
-}
-
 // Stats is Client.Stats with transparent redial.
 func (rc *ReconnectClient) Stats() (StatsReport, error) {
 	var r StatsReport
@@ -245,15 +234,6 @@ func (rc *ReconnectClient) Stats() (StatsReport, error) {
 		return e
 	})
 	return r, err
-}
-
-// FrameLoader adapts the reconnect client to the viewer's Loader
-// signature, like Client.FrameLoader.
-func (rc *ReconnectClient) FrameLoader() func(i int) (*hybrid.Representation, error) {
-	return func(i int) (*hybrid.Representation, error) {
-		rep, _, _, err := rc.FetchFrame(i)
-		return rep, err
-	}
 }
 
 // ResumedFrame is one frame delivered by a resilient subscription: the

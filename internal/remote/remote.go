@@ -81,8 +81,8 @@
 // built in, each with pario-idiom CRC-framed request/reply encodings:
 //
 //	kernel             request  reply  wired in by
-//	hybrid.extract.v1  "ACPT"   .achy  core.StreamOptions.ExtractAddr/ExtractAddrs
-//	fieldline.trace.v1 "ACFS"   "ACFR" Client.ComputeTrace / Fleet.ComputeTrace
+//	hybrid.extract.v1  "ACPT"   .achy  core.StreamOptions.ExtractAddrs
+//	fieldline.trace.v1 "ACFS"   "ACFR" Fleet.ComputeTrace (tests only: no stream places it)
 //	render.partial.v1  "ACPR"   "ACPB" core.StreamOptions.RenderAddrs (v6)
 //
 // render.partial.v1 is the v6 sort-last kernel: the request carries a
@@ -114,7 +114,7 @@
 // deliberately stopping a worker never truncates a stream.
 //
 // Because responses are matched to requests by ID, one connection
-// carries many requests in flight: the viewer's prefetcher overlaps
-// its WAN fetches — and a distributed stage its in-flight frames — on
-// a single session.
+// carries many requests in flight: a viewer overlaps its WAN fetches
+// — and a distributed stage its in-flight frames — on a single
+// session.
 package remote

@@ -397,3 +397,14 @@ func TestServiceCloseUnblocksClients(t *testing.T) {
 		t.Error("fetch succeeded after service close")
 	}
 }
+
+// FrameBytes returns the encoded size of frame i (0 out of range).
+func (s *MemStore) FrameBytes(i int) int64 {
+	if i < 0 || i >= len(s.encoded) {
+		return 0
+	}
+	return int64(len(s.encoded[i]))
+}
+
+// Path returns the file backing frame i.
+func (s *DirStore) Path(i int) string { return s.paths[i] }

@@ -137,37 +137,13 @@ func renderPartialKernel() Kernel {
 	}
 }
 
-// ComputeRender ships one sub-volume render to the worker's
+// ComputeRender ships one sub-volume render to the fleet's
 // render.partial.v1 kernel and decodes the partial framebuffer it
 // sends back — the remote form of the frame's point pass restricted
-// to req's slice, bit-identical to running that slice locally.
-func (c *Client) ComputeRender(ctx context.Context, req *RenderPartialRequest) (*render.PartialFrame, error) {
-	if len(req.Points) != len(req.Density) {
-		return nil, fmt.Errorf("remote: render request has %d points but %d densities", len(req.Points), len(req.Density))
-	}
-	buf, err := appendComputeHeader(getBytes(0), KernelRenderPartial)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendRenderPartialRequest(buf, req)
-	msg, err := c.roundTripCtx(ctx, opCompute, buf)
-	putBytes(buf)
-	if err != nil {
-		return nil, err
-	}
-	if msg.op != opComputeOK {
-		return nil, fmt.Errorf("remote: unexpected compute response %#02x", msg.op)
-	}
-	pf, err := render.DecompressPartial(msg.payload)
-	msg.recycle() // DecompressPartial copies into a fresh framebuffer
-	return pf, err
-}
-
-// ComputeRender is Client.ComputeRender striped over the fleet: the
-// request encodes once, a failed member's sub-volume re-ships the
-// identical bytes to a survivor, and the decoded partial is
-// bit-identical either way — so a composited frame survives worker
-// loss unchanged.
+// to req's slice. The request encodes once, a failed member's
+// sub-volume re-ships the identical bytes to a survivor, and the
+// decoded partial is bit-identical either way — so a composited frame
+// survives worker loss unchanged.
 func (f *Fleet) ComputeRender(ctx context.Context, req *RenderPartialRequest) (*render.PartialFrame, error) {
 	if len(req.Points) != len(req.Density) {
 		return nil, fmt.Errorf("remote: render request has %d points but %d densities", len(req.Points), len(req.Density))

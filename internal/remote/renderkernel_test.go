@@ -156,6 +156,7 @@ func TestComputeRenderBitIdentical(t *testing.T) {
 
 	rep := renderRepFixture(t, 3000)
 	const parts = 4
+	fl := soloFleet(t, w.Addr(), FleetOptions{Kernel: KernelRenderPartial, Window: parts})
 	n := len(rep.Points)
 	var wg sync.WaitGroup
 	errs := make(chan error, parts)
@@ -164,7 +165,7 @@ func TestComputeRenderBitIdentical(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			req := renderReqFixture(rep, k, k*n/parts, (k+1)*n/parts)
-			pf, err := cli.ComputeRender(context.Background(), req)
+			pf, err := fl.ComputeRender(context.Background(), req)
 			if err != nil {
 				errs <- fmt.Errorf("partition %d: %w", k, err)
 				return
@@ -187,7 +188,7 @@ func TestComputeRenderBitIdentical(t *testing.T) {
 	// Mismatched slice lengths are rejected client-side.
 	bad := renderReqFixture(rep, 0, 0, 10)
 	bad.Density = bad.Density[:5]
-	if _, err := cli.ComputeRender(context.Background(), bad); err == nil {
+	if _, err := fl.ComputeRender(context.Background(), bad); err == nil {
 		t.Error("mismatched point/density lengths accepted")
 	}
 }

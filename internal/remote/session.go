@@ -162,14 +162,6 @@ func (s *Service) removeSession(sess *session) {
 	}
 }
 
-// SessionCount returns the number of live admitted sessions — the
-// baseline the subscription-churn leak tests assert against.
-func (s *Service) SessionCount() int {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	return s.admitted
-}
-
 // statsReport builds the Stats verb's response: service counters plus
 // the per-session table, sorted by session id (map order is random;
 // operators diffing two reports want stable rows).

@@ -343,3 +343,11 @@ func TestStatsVerbLiveQueue(t *testing.T) {
 		t.Error("count-only subscription reported inline")
 	}
 }
+
+// SessionCount returns the number of live admitted sessions — the
+// baseline the subscription-churn leak tests assert against.
+func (s *Service) SessionCount() int {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	return s.admitted
+}

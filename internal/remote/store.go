@@ -19,11 +19,11 @@ type FrameStore interface {
 }
 
 // The write side of the service is core.FrameSink: a running pipeline
-// publishes each extracted frame through StreamOptions.Sink /
-// FieldStreamOptions.Sink, so remote viewers watch the simulation
-// while it computes. LiveRing implements it (asserted in core, which
-// sits above this package — core places distributed stages on remote
-// workers, so remote must not import it back).
+// publishes each extracted frame through StreamOptions.Sink, so
+// remote viewers watch the simulation while it computes. LiveRing
+// implements it (asserted in core, which sits above this package —
+// core places distributed stages on remote workers, so remote must not
+// import it back).
 
 // LiveStore extends FrameStore with change notification: Watch
 // registers fn to be called with the new frame count after each
@@ -87,14 +87,6 @@ func (s *MemStore) EncodedFrame(i int) ([]byte, error) {
 	return s.encoded[i], nil
 }
 
-// FrameBytes returns the encoded size of frame i (0 out of range).
-func (s *MemStore) FrameBytes(i int) int64 {
-	if i < 0 || i >= len(s.encoded) {
-		return 0
-	}
-	return int64(len(s.encoded[i]))
-}
-
 // ---- DirStore --------------------------------------------------------
 
 // DirStore serves the .achy hybrid-frame files of a directory in
@@ -145,9 +137,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 
 // NumFrames implements FrameStore.
 func (s *DirStore) NumFrames() int { return len(s.paths) }
-
-// Path returns the file backing frame i.
-func (s *DirStore) Path(i int) string { return s.paths[i] }
 
 // Frame implements FrameStore, caching decodes for the render path.
 func (s *DirStore) Frame(i int) (*hybrid.Representation, error) {

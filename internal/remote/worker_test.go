@@ -25,6 +25,19 @@ func startWorker(t testing.TB) *Worker {
 	return w
 }
 
+// soloFleet dials the worker at addr as a fleet of one — how core
+// reaches a single worker address.
+func soloFleet(t testing.TB, addr string, opts FleetOptions) *Fleet {
+	t.Helper()
+	opts.ProbeInterval = -1
+	fl, err := NewFleet([]string{addr}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fl.Close() })
+	return fl
+}
+
 func testPoints(seed int64, n int) []vec.V3 {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]vec.V3, n)
@@ -38,14 +51,14 @@ func testPoints(seed int64, n int) []vec.V3 {
 // kernel must reproduce the local Build+Extract pair byte for byte,
 // with several frames in flight on one connection.
 func TestComputeExtractBitIdentical(t *testing.T) {
+	const frames = 6
 	w := startWorker(t)
-	cli := dial(t, w.Addr())
+	fl := soloFleet(t, w.Addr(), FleetOptions{Kernel: KernelHybridExtract, Window: frames})
 
 	tcfg := octree.DefaultConfig()
 	tcfg.Workers = 2
 	ecfg := hybrid.ExtractConfig{VolumeRes: 8, Budget: 600, Workers: 2}
 
-	const frames = 6
 	want := make([][]byte, frames)
 	for f := range want {
 		tree, err := octree.Build(testPoints(int64(f), 3000), tcfg)
@@ -66,7 +79,7 @@ func TestComputeExtractBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(f int) {
 			defer wg.Done()
-			rep, err := cli.ComputeExtract(context.Background(), testPoints(int64(f), 3000), tcfg, ecfg)
+			rep, err := fl.ComputeExtract(context.Background(), testPoints(int64(f), 3000), tcfg, ecfg)
 			if err != nil {
 				errs <- fmt.Errorf("frame %d: %w", f, err)
 				return
@@ -96,7 +109,8 @@ func TestComputeUnknownKernel(t *testing.T) {
 		t.Errorf("error code %d, want ErrCodeUnknownKernel; err: %v", CodeOf(err), err)
 	}
 	// Connection still works.
-	if _, err := cli.ComputeExtract(context.Background(), testPoints(1, 500), octree.DefaultConfig(), hybrid.ExtractConfig{VolumeRes: 4, Budget: 100}); err != nil {
+	req := appendExtractRequest(nil, testPoints(1, 500), octree.DefaultConfig(), hybrid.ExtractConfig{VolumeRes: 4, Budget: 100})
+	if _, err := cli.Compute(context.Background(), KernelHybridExtract, req); err != nil {
 		t.Errorf("connection dead after unknown kernel: %v", err)
 	}
 }
@@ -161,7 +175,8 @@ func TestWorkerRejectsStoreVerbs(t *testing.T) {
 	if _, err := cli.List(); err == nil || CodeOf(err) != ErrCodeUnknownVerb {
 		t.Errorf("List against worker: err %v, want ErrCodeUnknownVerb", err)
 	}
-	if _, err := cli.ComputeExtract(context.Background(), testPoints(3, 300), octree.DefaultConfig(), hybrid.ExtractConfig{VolumeRes: 4, Budget: 50}); err != nil {
+	req := appendExtractRequest(nil, testPoints(3, 300), octree.DefaultConfig(), hybrid.ExtractConfig{VolumeRes: 4, Budget: 50})
+	if _, err := cli.Compute(context.Background(), KernelHybridExtract, req); err != nil {
 		t.Errorf("compute after rejected verb: %v", err)
 	}
 }

@@ -87,16 +87,9 @@ func (c Camera) WorldToScreen(p vec.V3, w, h int) (sx, sy, depth float64, ok boo
 // ViewDir returns the unit vector from p toward the camera eye.
 func (c *Camera) ViewDir(p vec.V3) vec.V3 { return c.Eye.Sub(p).Norm() }
 
-// Ray returns the world-space origin and unit direction of the viewing
-// ray through pixel (px, py) of a w x h image.
-func (c Camera) Ray(px, py, w, h int) (origin, dir vec.V3) {
-	g := c.Rays(w, h)
-	return g.Ray(px, py)
-}
-
-// RayGen is the ray generator of the volume ray caster: Camera.Ray for
-// one image size, with the terms that do not depend on the pixel
-// (tan(fovy/2) and the camera basis) computed once.
+// RayGen is the ray generator of the volume ray caster: the viewing
+// rays of one image size, with the terms that do not depend on the
+// pixel (tan(fovy/2) and the camera basis) computed once.
 type RayGen struct {
 	eye, s, u, nf vec.V3
 	tan, aspect   float64
@@ -140,18 +133,6 @@ func (c Camera) ViewZ(p vec.V3) float64 { return c.viewSpace(p).Z }
 func (c Camera) NDCDepth(viewZ float64) float64 {
 	n, f := c.Near, c.Far
 	return ((f+n)/(n-f)*viewZ + 2*f*n/(n-f)) / -viewZ
-}
-
-// PixelRadius returns the approximate screen-space radius in pixels of
-// a sphere of worldRadius at world position p — used to size point
-// splats and self-orienting strip widths consistently with perspective.
-func (c Camera) PixelRadius(p vec.V3, worldRadius float64, h int) float64 {
-	d := c.viewSpace(p)
-	dist := -d.Z
-	if dist <= c.Near {
-		return 0
-	}
-	return worldRadius / (dist * math.Tan(c.Fovy/2)) * float64(h) / 2
 }
 
 // DepthRange returns a conservative normalized-device depth interval

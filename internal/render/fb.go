@@ -7,8 +7,8 @@
 // additive splatting for dense particle clouds.
 //
 // Rendering runs through a tile-binned parallel backend: the batched
-// entry points (DrawPointBatch, DrawLineBatch, DrawTriangleBatch,
-// DrawTriangleStripBatch, or a mixed Batch) project and bin primitives
+// entry points (DrawPointBatch, DrawLineBatch,
+// DrawTriangleStripBatchFunc, or a mixed Batch) project and bin primitives
 // into fixed screen tiles, then rasterize the tiles concurrently —
 // each tile owned by exactly one worker, primitives replayed in
 // submission order, so the image is bit-identical to the serial
@@ -173,17 +173,6 @@ func (fb *Framebuffer) WritePNG(path string) error {
 func (fb *Framebuffer) Luminance(x, y int) float64 {
 	c := fb.At(x, y)
 	return 0.2126*c.R + 0.7152*c.G + 0.0722*c.B
-}
-
-// MeanLuminance averages luminance over the frame.
-func (fb *Framebuffer) MeanLuminance() float64 {
-	var sum float64
-	for y := 0; y < fb.H; y++ {
-		for x := 0; x < fb.W; x++ {
-			sum += fb.Luminance(x, y)
-		}
-	}
-	return sum / float64(fb.W*fb.H)
 }
 
 // CoveredPixels counts pixels whose luminance exceeds the threshold —

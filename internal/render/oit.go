@@ -112,19 +112,6 @@ func (o *OITBuffer) Resolve(fb *Framebuffer) {
 	})
 }
 
-// MaxDepthComplexity returns the largest per-pixel fragment count
-// currently stored — the "layers" statistic that bounded the hardware
-// implementation.
-func (o *OITBuffer) MaxDepthComplexity() int {
-	m := 0
-	for i := range o.lists {
-		if len(o.lists[i]) > m {
-			m = len(o.lists[i])
-		}
-	}
-	return m
-}
-
 // oitSink routes rasterizer fragments into an OITBuffer, depth-testing
 // against the opaque scene at capture time and deferring the blend to
 // Resolve. The batched path counts stored fragments in per-tile

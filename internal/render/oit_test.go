@@ -130,3 +130,16 @@ func TestOITRepeatedCompositeConverges(t *testing.T) {
 		t.Errorf("repeated composite = %+v, want ~(0.8, 0.2, 0.1)", got)
 	}
 }
+
+// MaxDepthComplexity returns the largest per-pixel fragment count
+// currently stored — the "layers" statistic that bounded the hardware
+// implementation.
+func (o *OITBuffer) MaxDepthComplexity() int {
+	m := 0
+	for i := range o.lists {
+		if len(o.lists[i]) > m {
+			m = len(o.lists[i])
+		}
+	}
+	return m
+}

@@ -102,8 +102,8 @@ func AppendPartial(dst []byte, fb *Framebuffer, seq int) []byte {
 		copy(color[y*rw*4:(y+1)*rw*4], fb.Color[src*4:(src+rw)*4])
 		copy(depth[y*rw:(y+1)*rw], fb.Depth[src:src+rw])
 	}
-	out = appendRLE(out, color)
-	out = appendRLE(out, depth)
+	out = appendRLEWords(out, bitWords(color))
+	out = appendRLEWords(out, bitWords(depth))
 	return out
 }
 
@@ -136,10 +136,10 @@ func DecompressPartial(data []byte) (*PartialFrame, error) {
 	if rw > 0 {
 		color := make([]float32, rw*rh*4)
 		depth := make([]float32, rw*rh)
-		if rest, err = decodeRLE(rest, color); err != nil {
+		if rest, err = decodeRLEWords(rest, bitWords(color)); err != nil {
 			return nil, fmt.Errorf("render: partial color plane: %w", err)
 		}
-		if rest, err = decodeRLE(rest, depth); err != nil {
+		if rest, err = decodeRLEWords(rest, bitWords(depth)); err != nil {
 			return nil, fmt.Errorf("render: partial depth plane: %w", err)
 		}
 		for y := 0; y < rh; y++ {

@@ -40,11 +40,11 @@ type Shader func(f Fragment) hybrid.RGBA
 // per-fragment kernels, so they produce bit-identical images: the
 // immediate Draw* methods rasterize each primitive on the calling
 // goroutine, while the batched entry points (DrawPointBatch,
-// DrawLineBatch, DrawTriangleBatch, DrawTriangleStripBatch, or an
-// explicit Batch) bin projected primitives into fixed screen tiles and
-// rasterize the tiles concurrently — each tile owned by exactly one
-// worker, primitives replayed in submission order, with no locks or
-// atomics on the pixel data.
+// DrawLineBatch, DrawTriangleStripBatchFunc, or an explicit Batch) bin
+// projected primitives into fixed screen tiles and rasterize the tiles
+// concurrently — each tile owned by exactly one worker, primitives
+// replayed in submission order, with no locks or atomics on the pixel
+// data.
 type Rasterizer struct {
 	FB  *Framebuffer
 	Cam Camera
@@ -122,11 +122,6 @@ func (r *Rasterizer) screenCtx() emitCtx {
 // NewRasterizer returns an opaque-mode rasterizer with depth testing.
 func NewRasterizer(fb *Framebuffer, cam Camera) *Rasterizer {
 	return &Rasterizer{FB: fb, Cam: cam, Mode: BlendOpaque, DepthTest: true, DepthWrite: true}
-}
-
-// ResetStats zeroes the primitive counters.
-func (r *Rasterizer) ResetStats() {
-	r.FragmentCount, r.TriangleCount, r.PointCount, r.LineCount = 0, 0, 0, 0
 }
 
 // ---- point splats ----------------------------------------------------
@@ -778,17 +773,4 @@ func (r *Rasterizer) DrawTriangle(v0, v1, v2 Vertex) {
 	e := r.screenCtx()
 	drawSetup(n, &s, &src, &e)
 	r.FragmentCount += e.frags
-}
-
-// DrawTriangleStrip draws vertices as a strip: (0,1,2), (1,2,3), ...
-// with alternating winding — the exact primitive self-orienting
-// surfaces are built from.
-func (r *Rasterizer) DrawTriangleStrip(verts []Vertex) {
-	for i := 0; i+2 < len(verts); i++ {
-		if i%2 == 0 {
-			r.DrawTriangle(verts[i], verts[i+1], verts[i+2])
-		} else {
-			r.DrawTriangle(verts[i+1], verts[i], verts[i+2])
-		}
-	}
 }

@@ -372,3 +372,14 @@ func (c *triCensus) strip(verts []Vertex) {
 		c.triangle(verts[i], verts[i+1], verts[i+2])
 	}
 }
+
+// DrawTriangleStripBatch is DrawTriangleStripBatchFunc for strips that
+// already exist as slices: the form the entry-point equivalence test and
+// the strip benchmarks submit.
+func (r *Rasterizer) DrawTriangleStripBatch(strips [][]Vertex) {
+	counts := make([]int, len(strips))
+	for k, s := range strips {
+		counts[k] = len(s)
+	}
+	r.DrawTriangleStripBatchFunc(counts, func(k int, dst []Vertex) { copy(dst, strips[k]) })
+}

@@ -3,7 +3,7 @@ package render
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -41,8 +41,14 @@ const fbCodecVersion = 1
 func CompressFramebuffer(fb *Framebuffer) []byte {
 	out := wire.Begin(make([]byte, 0, 16+len(fb.Color)), magicFB, fbCodecVersion, 4)
 	out = wire.U32s(out, uint32(fb.W), uint32(fb.H))
-	out = appendRLE(out, fb.Color)
-	return appendRLE(out, fb.Depth)
+	out = appendRLEWords(out, bitWords(fb.Color))
+	return appendRLEWords(out, bitWords(fb.Depth))
+}
+
+// bitWords views a float32 plane as its bit patterns, the words the RLE
+// ops run over: no copy, and a NaN keeps its payload.
+func bitWords(plane []float32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(plane))), len(plane))
 }
 
 // rleBound fails rd unless an n-byte op stream can decode to the given
@@ -70,64 +76,6 @@ func openFramebuffer(what string, data []byte, magic [4]byte, version uint64, pe
 	return w, h, ops, rd.Err()
 }
 
-// appendRLE encodes one float32 plane as RLE ops over its bit words.
-func appendRLE(out []byte, words []float32) []byte {
-	le := binary.LittleEndian
-	i := 0
-	litStart := -1
-	flushLits := func(end int) {
-		for litStart < end {
-			n := end - litStart
-			if n > 128 {
-				n = 128
-			}
-			out = append(out, byte(n-1))
-			for _, w := range words[litStart : litStart+n] {
-				out = le.AppendUint32(out, math.Float32bits(w))
-			}
-			litStart += n
-		}
-		litStart = -1
-	}
-	for i < len(words) {
-		run := 1
-		for i+run < len(words) && math.Float32bits(words[i+run]) == math.Float32bits(words[i]) {
-			run++
-		}
-		if run >= 2 {
-			if litStart >= 0 {
-				flushLits(i)
-			}
-			for run > 0 {
-				n := run
-				if n > 129 {
-					n = 129
-				}
-				if n < 2 { // a leftover single word joins the next literal run
-					break
-				}
-				out = append(out, byte(0x80|(n-2)))
-				out = le.AppendUint32(out, math.Float32bits(words[i]))
-				i += n
-				run -= n
-			}
-			if run == 1 {
-				litStart = i
-				i++
-			}
-			continue
-		}
-		if litStart < 0 {
-			litStart = i
-		}
-		i++
-	}
-	if litStart >= 0 {
-		flushLits(len(words))
-	}
-	return out
-}
-
 // DecompressFramebuffer decodes a blob produced by
 // CompressFramebuffer. Malformed input returns an error; it never
 // panics.
@@ -140,10 +88,10 @@ func DecompressFramebuffer(data []byte) (*Framebuffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rest, err = decodeRLE(rest, fb.Color); err != nil {
+	if rest, err = decodeRLEWords(rest, bitWords(fb.Color)); err != nil {
 		return nil, fmt.Errorf("render: color plane: %w", err)
 	}
-	if rest, err = decodeRLE(rest, fb.Depth); err != nil {
+	if rest, err = decodeRLEWords(rest, bitWords(fb.Depth)); err != nil {
 		return nil, fmt.Errorf("render: depth plane: %w", err)
 	}
 	if len(rest) != 0 {
@@ -152,9 +100,9 @@ func DecompressFramebuffer(data []byte) (*Framebuffer, error) {
 	return fb, nil
 }
 
-// appendRLEWords is appendRLE over raw uint32 words — the same op
-// format, shared by the delta and quantized codecs, whose planes are
-// not float32 bit patterns.
+// appendRLEWords encodes words as RLE ops: the one encoder of the op
+// format, for the framebuffer planes (through bitWords) and for the
+// delta and quantized codecs, whose words are not float32 bit patterns.
 func appendRLEWords(out []byte, words []uint32) []byte {
 	le := binary.LittleEndian
 	i := 0
@@ -245,48 +193,6 @@ func decodeRLEWords(data []byte, dst []uint32) ([]byte, error) {
 				return nil, fmt.Errorf("repeat run truncated")
 			}
 			v := le.Uint32(data)
-			data = data[4:]
-			for k := 0; k < n; k++ {
-				dst[i+k] = v
-			}
-			i += n
-		}
-	}
-	return data, nil
-}
-
-// decodeRLE fills dst exactly, returning the unconsumed remainder.
-func decodeRLE(data []byte, dst []float32) ([]byte, error) {
-	le := binary.LittleEndian
-	i := 0
-	for i < len(dst) {
-		if len(data) == 0 {
-			return nil, fmt.Errorf("stream ended %d words short", len(dst)-i)
-		}
-		c := data[0]
-		data = data[1:]
-		if c < 0x80 {
-			n := int(c) + 1
-			if n > len(dst)-i {
-				return nil, fmt.Errorf("literal run of %d overruns plane", n)
-			}
-			if len(data) < 4*n {
-				return nil, fmt.Errorf("literal run truncated")
-			}
-			for k := 0; k < n; k++ {
-				dst[i+k] = math.Float32frombits(le.Uint32(data[4*k:]))
-			}
-			data = data[4*n:]
-			i += n
-		} else {
-			n := int(c&0x7f) + 2
-			if n > len(dst)-i {
-				return nil, fmt.Errorf("repeat run of %d overruns plane", n)
-			}
-			if len(data) < 4 {
-				return nil, fmt.Errorf("repeat run truncated")
-			}
-			v := math.Float32frombits(le.Uint32(data))
 			data = data[4:]
 			for k := 0; k < n; k++ {
 				dst[i+k] = v

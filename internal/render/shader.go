@@ -15,17 +15,6 @@ type Light struct {
 	Intensity float64
 }
 
-// Headlight returns a light shining along the camera view direction —
-// the default illumination of the paper's interactive viewers, whose
-// haloing analysis (§3.3.2) assumes "a tube with a headlight".
-func Headlight(cam Camera, target vec.V3) Light {
-	return Light{
-		Dir:       cam.Eye.Sub(target).Norm(),
-		Color:     hybrid.RGBA{R: 1, G: 1, B: 1, A: 1},
-		Intensity: 1,
-	}
-}
-
 // PhongParams configures the Phong shading model.
 type PhongParams struct {
 	Ambient   float64

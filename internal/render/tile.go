@@ -77,9 +77,8 @@ type LineSeg struct {
 // A batch owns its submission buffers. Everything a Flush allocates
 // beyond them — transformed vertices, records, overflow, tile pairs —
 // is scratch borrowed from the package's free list and returned before
-// Flush does; the typed entry points (DrawLineBatch, DrawTriangleBatch,
-// DrawTriangleStripBatch, DrawTriangleStripBatchFunc) borrow their
-// whole batch from it.
+// Flush does; the typed entry points (DrawLineBatch,
+// DrawTriangleStripBatchFunc) borrow their whole batch from it.
 type Batch struct {
 	r      *Rasterizer
 	prims  []batchPrim
@@ -94,12 +93,6 @@ type Batch struct {
 // NewBatch returns an empty batch bound to the rasterizer.
 func (r *Rasterizer) NewBatch() *Batch { return &Batch{r: r} }
 
-// Point submits one point splat.
-func (b *Batch) Point(p vec.V3, pixelRadius float64, c hybrid.RGBA) {
-	b.prims = append(b.prims, batchPrim{kindPoint, int32(len(b.points))})
-	b.points = append(b.points, pointPrim{p, pixelRadius, c})
-}
-
 // Line submits one line segment.
 func (b *Batch) Line(p0, p1 vec.V3, width float64, c0, c1 hybrid.RGBA) {
 	b.prims = append(b.prims, batchPrim{kindLine, int32(len(b.lines))})
@@ -112,14 +105,6 @@ func (b *Batch) Triangle(v0, v1, v2 Vertex) {
 	b.verts = append(b.verts, v0, v1, v2)
 	b.prims = append(b.prims, batchPrim{kindTri, int32(len(b.tris))})
 	b.tris = append(b.tris, triPrim{base, base + 1, base + 2})
-}
-
-// TriangleStrip submits a strip with the same alternating winding as
-// DrawTriangleStrip: (0,1,2), (2,1,3), (2,3,4), ...
-func (b *Batch) TriangleStrip(verts []Vertex) {
-	base := len(b.verts)
-	b.verts = append(b.verts, verts...)
-	b.stripTriangles(base, len(verts))
 }
 
 // stripTriangles submits the n-2 triangles of the strip held in
@@ -624,31 +609,6 @@ func (r *Rasterizer) DrawLineBatch(segs []LineSeg) {
 	}
 	b.Flush()
 	putBatch(b)
-}
-
-// DrawTriangleBatch draws a flat triangle list (three vertices per
-// triangle) through the tile-parallel backend.
-func (r *Rasterizer) DrawTriangleBatch(tris []Vertex) {
-	b := getBatch(r)
-	for i := 0; i+2 < len(tris); i += 3 {
-		b.Triangle(tris[i], tris[i+1], tris[i+2])
-	}
-	b.Flush()
-	putBatch(b)
-}
-
-// DrawTriangleStripBatch draws the given strips, in order, through the
-// tile-parallel backend; equivalent to DrawTriangleStrip per strip. It
-// is DrawTriangleStripBatchFunc for strips that already exist as
-// slices; the field-line renderer generates its vertices and calls
-// that directly, so this form is kept for the entry-point equivalence
-// test and the strip benchmarks, not for a product caller.
-func (r *Rasterizer) DrawTriangleStripBatch(strips [][]Vertex) {
-	counts := make([]int, len(strips))
-	for k, s := range strips {
-		counts[k] = len(s)
-	}
-	r.DrawTriangleStripBatchFunc(counts, func(k int, dst []Vertex) { copy(dst, strips[k]) })
 }
 
 // DrawTriangleStripBatchFunc draws len(counts) strips, in order, whose

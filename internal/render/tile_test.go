@@ -100,6 +100,38 @@ func paintScene(p scenePainter) {
 	p.strip(degenerate)
 }
 
+// ResetStats zeroes the primitive counters.
+func (r *Rasterizer) ResetStats() {
+	r.FragmentCount, r.TriangleCount, r.PointCount, r.LineCount = 0, 0, 0, 0
+}
+
+// DrawTriangleStrip draws vertices as a strip: (0,1,2), (1,2,3), ...
+// with alternating winding — the exact primitive self-orienting
+// surfaces are built from.
+func (r *Rasterizer) DrawTriangleStrip(verts []Vertex) {
+	for i := 0; i+2 < len(verts); i++ {
+		if i%2 == 0 {
+			r.DrawTriangle(verts[i], verts[i+1], verts[i+2])
+		} else {
+			r.DrawTriangle(verts[i+1], verts[i], verts[i+2])
+		}
+	}
+}
+
+// Point submits one point splat.
+func (b *Batch) Point(p vec.V3, pixelRadius float64, c hybrid.RGBA) {
+	b.prims = append(b.prims, batchPrim{kindPoint, int32(len(b.points))})
+	b.points = append(b.points, pointPrim{p, pixelRadius, c})
+}
+
+// TriangleStrip submits a strip with the same alternating winding as
+// DrawTriangleStrip: (0,1,2), (2,1,3), (2,3,4), ...
+func (b *Batch) TriangleStrip(verts []Vertex) {
+	base := len(b.verts)
+	b.verts = append(b.verts, verts...)
+	b.stripTriangles(base, len(verts))
+}
+
 type immediatePainter struct{ r *Rasterizer }
 
 func (p immediatePainter) point(pt vec.V3, radius float64, c hybrid.RGBA) {

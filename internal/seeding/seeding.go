@@ -38,10 +38,6 @@ type Config struct {
 	Trace fieldline.Config
 	// Seed makes seed-point selection deterministic.
 	Seed uint64
-	// MinIntensity excludes elements whose intensity is below this
-	// fraction of the maximum from receiving seeds (they can still be
-	// visited by lines integrated from elsewhere).
-	MinIntensity float64
 	// Bidirectional integrates each line both with and against the
 	// field (electric lines span surface to surface).
 	Bidirectional bool
@@ -51,9 +47,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.TotalLines < 1 {
 		return fmt.Errorf("seeding: total lines %d must be >= 1", c.TotalLines)
-	}
-	if c.MinIntensity < 0 || c.MinIntensity > 1 {
-		return fmt.Errorf("seeding: min intensity %g outside [0,1]", c.MinIntensity)
 	}
 	return c.Trace.Validate()
 }
@@ -163,14 +156,11 @@ func SeedLines(mesh *hexmesh.Mesh, field fieldline.Field, intensity func(e int) 
 
 	// Step 1: desired lines per element ∝ intensity x volume.
 	desired := make([]float64, n)
-	var total, maxI float64
+	var total float64
 	for e := 0; e < n; e++ {
 		iv := intensity(e)
 		if iv < 0 {
 			iv = 0
-		}
-		if iv > maxI {
-			maxI = iv
 		}
 		desired[e] = iv * mesh.Elements[e].Volume()
 		total += desired[e]
@@ -205,7 +195,7 @@ func SeedLines(mesh *hexmesh.Mesh, field fieldline.Field, intensity func(e int) 
 	// Lazy max-heap over need = desired - visits.
 	h := make(needHeap, 0, n)
 	for e := 0; e < n; e++ {
-		if desired[e] > 0 && intensity(e) >= cfg.MinIntensity*maxI {
+		if desired[e] > 0 {
 			h = append(h, need{e, desired[e]})
 		}
 	}

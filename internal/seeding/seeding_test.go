@@ -49,11 +49,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("accepted zero lines")
 	}
 	bad = defaultCfg(10)
-	bad.MinIntensity = 2
-	if bad.Validate() == nil {
-		t.Error("accepted min intensity > 1")
-	}
-	bad = defaultCfg(10)
 	bad.Trace.Step = 0
 	if bad.Validate() == nil {
 		t.Error("accepted zero trace step")
@@ -242,22 +237,6 @@ func TestLinesStayInsideMesh(t *testing.T) {
 			if !m.Inside(p) {
 				t.Fatalf("line %d left the mesh at %v", li, p)
 			}
-		}
-	}
-}
-
-func TestMinIntensityExcludesWeakSeeds(t *testing.T) {
-	m := boxMesh(t, 8)
-	intensity := func(e int) float64 { return splitField(m.Elements[e].Center).Len() }
-	cfg := defaultCfg(60)
-	cfg.MinIntensity = 0.5 // weak half (intensity 1 of max 4) excluded
-	res, err := SeedLines(m, fieldline.FieldFunc(splitField), intensity, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, se := range res.SeedElement {
-		if m.Elements[se].Center.Y <= 0.5 {
-			t.Errorf("line %d seeded in excluded weak region", i)
 		}
 	}
 }

@@ -44,6 +44,39 @@ func testCam(t *testing.T) render.Camera {
 	return cam
 }
 
+// BuildStrip is fillStrip into a slice of its own, for the geometry
+// tests, which want the vertices themselves.
+func BuildStrip(line *fieldline.Line, eye vec.V3, p StripParams) []render.Vertex {
+	n := stripVertices(line.NumPoints())
+	if n == 0 {
+		return nil
+	}
+	verts := make([]render.Vertex, n)
+	fillStrip(verts, line, eye, p)
+	return verts
+}
+
+// StripTriangles returns the triangle count of the self-orienting
+// strip for a line with n points: 2(n-1).
+func StripTriangles(n int) int {
+	if n < 2 {
+		return 0
+	}
+	return 2 * (n - 1)
+}
+
+// TubeTriangles returns the triangle count of a conventional polygonal
+// streamtube with the given number of cross-section sides for a line
+// with n points: 2*sides*(n-1) (ignoring end caps). The paper's
+// "about five to six times less" corresponds to the typical 5-6 sided
+// tube tessellation.
+func TubeTriangles(n, sides int) int {
+	if n < 2 {
+		return 0
+	}
+	return 2 * sides * (n - 1)
+}
+
 func TestBuildStripVertexCount(t *testing.T) {
 	line := helix(20)
 	verts := BuildStrip(line, vec.New(0, 0, 8), StripParams{Width: 0.1, Color: hybrid.RGBA{R: 1, A: 1}})

@@ -27,39 +27,8 @@ type StripParams struct {
 	// MaxStrength normalizes per-point field strength into UV[1]; 0
 	// means use the line's own maximum.
 	MaxStrength float64
-	// Color is the base color; when ColorByStrength is set the color
-	// map is evaluated at the normalized strength instead.
-	Color           hybrid.RGBA
-	ColorByStrength bool
-	ColorMap        hybrid.ColorMap
-	// AlphaByStrength modulates vertex alpha by normalized strength —
-	// the Fig 10 "line opacity proportional to local field strength"
-	// styling.
-	AlphaByStrength bool
-}
-
-// BuildStrip converts one field line into a view-oriented triangle
-// strip. For each sample, the strip extends half a width to each side
-// along S = normalize(T x V), where T is the line tangent and V the
-// direction to the eye — so the strip's plane always contains the view
-// direction ("the triangle strip always orients toward the observer").
-// UV[0] carries the across-strip coordinate in [-1, +1] (the tube
-// profile parameter the shader consumes); UV[1] carries normalized
-// field strength. Degenerate samples (tangent parallel to the view)
-// reuse the previous side vector, keeping the strip continuous.
-//
-// BuildStrip is the one-line form, for a caller that wants the vertices
-// themselves (the triangle-economy benchmark, the geometry tests). Both
-// it and RenderLines are fillStrip underneath; RenderLines has it write
-// into the rasterizer's vertex array instead of a slice per line.
-func BuildStrip(line *fieldline.Line, eye vec.V3, p StripParams) []render.Vertex {
-	n := stripVertices(line.NumPoints())
-	if n == 0 {
-		return nil
-	}
-	verts := make([]render.Vertex, n)
-	fillStrip(verts, line, eye, p)
-	return verts
+	// Color is the strip's color.
+	Color hybrid.RGBA
 }
 
 // stripVertices returns the vertex count of the strip of a line with n
@@ -71,8 +40,17 @@ func stripVertices(n int) int {
 	return 2 * n
 }
 
-// fillStrip builds the strip into storage the caller provides:
-// len(dst) must be stripVertices(line.NumPoints()).
+// fillStrip converts one field line into a view-oriented triangle
+// strip, in storage the caller provides: len(dst) must be
+// stripVertices(line.NumPoints()). For each sample, the strip extends
+// half a width to each side along S = normalize(T x V), where T is the
+// line tangent and V the direction to the eye — so the strip's plane
+// always contains the view direction ("the triangle strip always
+// orients toward the observer"). UV[0] carries the across-strip
+// coordinate in [-1, +1] (the tube profile parameter the shader
+// consumes); UV[1] carries normalized field strength. Degenerate
+// samples (tangent parallel to the view) reuse the previous side
+// vector, keeping the strip continuous.
 func fillStrip(dst []render.Vertex, line *fieldline.Line, eye vec.V3, p StripParams) {
 	n := len(dst) / 2
 	if n == 0 {
@@ -110,40 +88,12 @@ func fillStrip(dst []render.Vertex, line *fieldline.Line, eye vec.V3, p StripPar
 		if strength > 1 {
 			strength = 1
 		}
-		color := p.Color
-		if p.ColorByStrength {
-			color = p.ColorMap.Eval(strength)
-		}
-		if p.AlphaByStrength {
-			color.A *= 0.15 + 0.85*strength
-		}
 		half := side.Scale(p.Width / 2)
 		// The vertex normal slot carries the side vector for the tube
 		// shader's normal reconstruction.
-		dst[2*i] = render.Vertex{Pos: pt.Sub(half), N: side, UV: [2]float64{-1, strength}, Color: color}
-		dst[2*i+1] = render.Vertex{Pos: pt.Add(half), N: side, UV: [2]float64{+1, strength}, Color: color}
+		dst[2*i] = render.Vertex{Pos: pt.Sub(half), N: side, UV: [2]float64{-1, strength}, Color: p.Color}
+		dst[2*i+1] = render.Vertex{Pos: pt.Add(half), N: side, UV: [2]float64{+1, strength}, Color: p.Color}
 	}
-}
-
-// StripTriangles returns the triangle count of the self-orienting
-// strip for a line with n points: 2(n-1).
-func StripTriangles(n int) int {
-	if n < 2 {
-		return 0
-	}
-	return 2 * (n - 1)
-}
-
-// TubeTriangles returns the triangle count of a conventional polygonal
-// streamtube with the given number of cross-section sides for a line
-// with n points: 2*sides*(n-1) (ignoring end caps). The paper's
-// "about five to six times less" corresponds to the typical 5-6 sided
-// tube tessellation.
-func TubeTriangles(n, sides int) int {
-	if n < 2 {
-		return 0
-	}
-	return 2 * sides * (n - 1)
 }
 
 // BuildTube tessellates a conventional polygonal streamtube around the

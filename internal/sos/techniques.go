@@ -68,12 +68,6 @@ func Techniques() []Technique {
 	}
 }
 
-// AllTechniques additionally includes the order-independent
-// transparency extension.
-func AllTechniques() []Technique {
-	return append(Techniques(), TechTransparentOIT)
-}
-
 // RenderOptions configures RenderLines.
 type RenderOptions struct {
 	Width       float64 // strip/tube world width
@@ -89,9 +83,6 @@ type RenderOptions struct {
 	// TechTransparent; context outside is drawn semi-transparent.
 	FocusCenter vec.V3
 	FocusRadius float64
-	// Workers bounds the tile-rasterizer parallelism (0 = auto). The
-	// image is identical at every count.
-	Workers int
 }
 
 // DefaultOptions returns sensible options for the given scene scale.
@@ -125,7 +116,6 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 
 	start := time.Now()
 	rast := render.NewRasterizer(fb, cam)
-	rast.Workers = opts.Workers
 	headlight := render.Light{Dir: cam.Eye.Norm(), Color: hybrid.RGBA{R: 1, G: 1, B: 1, A: 1}, Intensity: 1}
 	lights := []render.Light{headlight}
 	if tech == TechEnhanced {
@@ -180,7 +170,7 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 	case TechStreamtubes:
 		rast.Shade = render.PhongShader(lights, mat)
 		tubes := make([][]render.Vertex, len(lines))
-		par.For(len(lines), opts.Workers, func(i int) {
+		par.For(len(lines), 0, func(i int) {
 			tubes[i] = BuildTube(lines[i], opts.Width/2, opts.TubeSides, opts.Color)
 		})
 		batch := rast.NewBatch()
@@ -240,7 +230,6 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 			render.BlendOpaque)
 		if tech == TechTransparentOIT {
 			oit := render.NewOITBuffer(fb.W, fb.H)
-			oit.Workers = opts.Workers
 			restore := rast.AttachOIT(oit)
 			rast.Mode = render.BlendAlpha
 			rast.Shade = render.PhongShader(lights, mat)

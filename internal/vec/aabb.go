@@ -84,32 +84,6 @@ func (b AABB) Octant(i int) AABB {
 	return child
 }
 
-// OctantIndex returns which of the eight child octants of b contains p,
-// using the same bit convention as Octant. Points exactly on the
-// splitting plane go to the upper half, which keeps insertion
-// deterministic.
-func (b AABB) OctantIndex(p V3) int {
-	c := b.Center()
-	i := 0
-	if p.X >= c.X {
-		i |= 1
-	}
-	if p.Y >= c.Y {
-		i |= 2
-	}
-	if p.Z >= c.Z {
-		i |= 4
-	}
-	return i
-}
-
-// Intersects reports whether b and o overlap (inclusive).
-func (b AABB) Intersects(o AABB) bool {
-	return b.Min.X <= o.Max.X && b.Max.X >= o.Min.X &&
-		b.Min.Y <= o.Max.Y && b.Max.Y >= o.Min.Y &&
-		b.Min.Z <= o.Max.Z && b.Max.Z >= o.Min.Z
-}
-
 // IntersectRay intersects the ray origin + t*dir with b and returns the
 // parametric entry and exit distances. It reports false when the ray
 // misses the box. Entry may be negative when the origin is inside.
@@ -143,31 +117,4 @@ func (b AABB) IntersectRay(origin, dir V3) (tEnter, tExit float64, hit bool) {
 		}
 	}
 	return tEnter, tExit, true
-}
-
-// Normalize maps p from box coordinates to [0,1]^3. Degenerate axes map
-// to 0.5 so flattened boxes (e.g. planar phase plots) stay renderable.
-func (b AABB) Normalize(p V3) V3 {
-	s := b.Size()
-	n := V3{0.5, 0.5, 0.5}
-	if s.X > 0 {
-		n.X = (p.X - b.Min.X) / s.X
-	}
-	if s.Y > 0 {
-		n.Y = (p.Y - b.Min.Y) / s.Y
-	}
-	if s.Z > 0 {
-		n.Z = (p.Z - b.Min.Z) / s.Z
-	}
-	return n
-}
-
-// Denormalize maps p from [0,1]^3 back to box coordinates.
-func (b AABB) Denormalize(p V3) V3 {
-	s := b.Size()
-	return V3{
-		b.Min.X + p.X*s.X,
-		b.Min.Y + p.Y*s.Y,
-		b.Min.Z + p.Z*s.Z,
-	}
 }

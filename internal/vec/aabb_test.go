@@ -1,11 +1,6 @@
 package vec
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestEmptyBox(t *testing.T) {
 	b := Empty()
@@ -45,8 +40,7 @@ func TestVolumeAndCenter(t *testing.T) {
 }
 
 // Property: the eight octants of a box exactly tile it (equal child
-// volumes summing to the parent, disjoint interiors) and OctantIndex is
-// consistent with Octant.
+// volumes summing to the parent, disjoint interiors).
 func TestOctantsTileParent(t *testing.T) {
 	b := Box(New(-1, -2, -3), New(5, 4, 3))
 	var sum float64
@@ -59,27 +53,6 @@ func TestOctantsTileParent(t *testing.T) {
 	}
 	if !approx(sum, b.Volume()) {
 		t.Errorf("octants sum to %v, parent is %v", sum, b.Volume())
-	}
-}
-
-func TestOctantIndexConsistency(t *testing.T) {
-	b := Box(New(0, 0, 0), New(8, 8, 8))
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		p := New(rng.Float64()*8, rng.Float64()*8, rng.Float64()*8)
-		idx := b.OctantIndex(p)
-		if !b.Octant(idx).Contains(p) {
-			t.Fatalf("point %v assigned to octant %d = %+v which does not contain it",
-				p, idx, b.Octant(idx))
-		}
-	}
-}
-
-func TestOctantIndexBoundaryGoesUp(t *testing.T) {
-	b := Box(New(0, 0, 0), New(2, 2, 2))
-	// The center is exactly on all three splitting planes: upper halves.
-	if got := b.OctantIndex(New(1, 1, 1)); got != 7 {
-		t.Errorf("center octant = %d, want 7", got)
 	}
 }
 
@@ -116,42 +89,5 @@ func TestIntersectRayFromInside(t *testing.T) {
 	}
 	if !approx(tExit, 0.5) {
 		t.Errorf("exit = %v, want 0.5", tExit)
-	}
-}
-
-func TestNormalizeRoundTrip(t *testing.T) {
-	b := Box(New(-3, 2, 10), New(5, 6, 30))
-	f := func(x, y, z float64) bool {
-		p := New(math.Mod(x, 4), math.Mod(y, 2)+4, math.Mod(z, 10)+20)
-		q := b.Denormalize(b.Normalize(p))
-		return approxV(p, q)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizeDegenerateAxis(t *testing.T) {
-	b := Box(New(0, 0, 5), New(1, 1, 5)) // flat in Z
-	n := b.Normalize(New(0.5, 0.25, 5))
-	if n.Z != 0.5 {
-		t.Errorf("degenerate axis normalized to %v, want 0.5", n.Z)
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := Box(New(0, 0, 0), New(1, 1, 1))
-	b := Box(New(0.5, 0.5, 0.5), New(2, 2, 2))
-	c := Box(New(2, 2, 2), New(3, 3, 3))
-	if !a.Intersects(b) {
-		t.Error("overlapping boxes reported disjoint")
-	}
-	if a.Intersects(c) {
-		t.Error("disjoint boxes reported overlapping")
-	}
-	// Touching at a corner counts as intersecting (inclusive).
-	d := Box(New(1, 1, 1), New(2, 2, 2))
-	if !a.Intersects(d) {
-		t.Error("corner-touching boxes reported disjoint")
 	}
 }

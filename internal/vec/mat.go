@@ -6,84 +6,6 @@ import "math"
 // projection transforms of the software renderer.
 type M4 [16]float64
 
-// Identity returns the 4x4 identity matrix.
-func Identity() M4 {
-	return M4{
-		1, 0, 0, 0,
-		0, 1, 0, 0,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	}
-}
-
-// Translate returns a translation matrix by t.
-func Translate(t V3) M4 {
-	return M4{
-		1, 0, 0, t.X,
-		0, 1, 0, t.Y,
-		0, 0, 1, t.Z,
-		0, 0, 0, 1,
-	}
-}
-
-// Scaling returns a scaling matrix with per-axis factors s.
-func Scaling(s V3) M4 {
-	return M4{
-		s.X, 0, 0, 0,
-		0, s.Y, 0, 0,
-		0, 0, s.Z, 0,
-		0, 0, 0, 1,
-	}
-}
-
-// RotateX returns a rotation about the X axis by angle radians.
-func RotateX(angle float64) M4 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return M4{
-		1, 0, 0, 0,
-		0, c, -s, 0,
-		0, s, c, 0,
-		0, 0, 0, 1,
-	}
-}
-
-// RotateY returns a rotation about the Y axis by angle radians.
-func RotateY(angle float64) M4 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return M4{
-		c, 0, s, 0,
-		0, 1, 0, 0,
-		-s, 0, c, 0,
-		0, 0, 0, 1,
-	}
-}
-
-// RotateZ returns a rotation about the Z axis by angle radians.
-func RotateZ(angle float64) M4 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return M4{
-		c, -s, 0, 0,
-		s, c, 0, 0,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	}
-}
-
-// Mul returns the matrix product m*n.
-func (m M4) Mul(n M4) M4 {
-	var r M4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			var s float64
-			for k := 0; k < 4; k++ {
-				s += m[i*4+k] * n[k*4+j]
-			}
-			r[i*4+j] = s
-		}
-	}
-	return r
-}
-
 // Apply transforms the point p (w=1) by m and performs the perspective
 // divide. Points at w=0 are returned untransformed in w.
 func (m M4) Apply(p V3) V3 {
@@ -96,26 +18,6 @@ func (m M4) Apply(p V3) V3 {
 		return V3{x * inv, y * inv, z * inv}
 	}
 	return V3{x, y, z}
-}
-
-// ApplyDir transforms the direction d (w=0) by m, ignoring translation.
-func (m M4) ApplyDir(d V3) V3 {
-	return V3{
-		m[0]*d.X + m[1]*d.Y + m[2]*d.Z,
-		m[4]*d.X + m[5]*d.Y + m[6]*d.Z,
-		m[8]*d.X + m[9]*d.Y + m[10]*d.Z,
-	}
-}
-
-// Transpose returns the transpose of m.
-func (m M4) Transpose() M4 {
-	var r M4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			r[j*4+i] = m[i*4+j]
-		}
-	}
-	return r
 }
 
 // LookAt returns a view matrix placing the camera at eye, looking at
@@ -143,16 +45,5 @@ func Perspective(fovy, aspect, near, far float64) M4 {
 		0, t, 0, 0,
 		0, 0, (far + near) / (near - far), 2 * far * near / (near - far),
 		0, 0, -1, 0,
-	}
-}
-
-// Ortho returns an orthographic projection mapping the box
-// [l,r]x[b,t]x[n,f] to the canonical view volume.
-func Ortho(l, r, b, t, n, f float64) M4 {
-	return M4{
-		2 / (r - l), 0, 0, -(r + l) / (r - l),
-		0, 2 / (t - b), 0, -(t + b) / (t - b),
-		0, 0, -2 / (f - n), -(f + n) / (f - n),
-		0, 0, 0, 1,
 	}
 }

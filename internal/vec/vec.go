@@ -32,12 +32,6 @@ func (v V3) Sub(w V3) V3 { return V3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 // Scale returns s*v.
 func (v V3) Scale(s float64) V3 { return V3{s * v.X, s * v.Y, s * v.Z} }
 
-// Mul returns the component-wise product of v and w.
-func (v V3) Mul(w V3) V3 { return V3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
-
-// Div returns the component-wise quotient v / w.
-func (v V3) Div(w V3) V3 { return V3{v.X / w.X, v.Y / w.Y, v.Z / w.Z} }
-
 // Neg returns -v.
 func (v V3) Neg() V3 { return V3{-v.X, -v.Y, -v.Z} }
 
@@ -101,11 +95,6 @@ func (v V3) MaxComponent() float64 {
 	return math.Max(v.X, math.Max(v.Y, v.Z))
 }
 
-// MinComponent returns the smallest of the three components.
-func (v V3) MinComponent() float64 {
-	return math.Min(v.X, math.Min(v.Y, v.Z))
-}
-
 // Component returns component i of v, with i in 0..2 ordered X, Y, Z.
 func (v V3) Component(i int) float64 {
 	switch i {
@@ -117,21 +106,6 @@ func (v V3) Component(i int) float64 {
 		return v.Z
 	}
 	panic(fmt.Sprintf("vec: component index %d out of range", i))
-}
-
-// WithComponent returns a copy of v with component i replaced by x.
-func (v V3) WithComponent(i int, x float64) V3 {
-	switch i {
-	case 0:
-		v.X = x
-	case 1:
-		v.Y = x
-	case 2:
-		v.Z = x
-	default:
-		panic(fmt.Sprintf("vec: component index %d out of range", i))
-	}
-	return v
 }
 
 // IsFinite reports whether all components are finite (no NaN or Inf).

@@ -2,7 +2,6 @@ package vec
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -82,9 +81,6 @@ func TestComponentAccess(t *testing.T) {
 			t.Errorf("Component(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if got := v.WithComponent(1, 42); got != (V3{7, 42, 9}) {
-		t.Errorf("WithComponent = %v", got)
-	}
 }
 
 func TestComponentPanics(t *testing.T) {
@@ -150,73 +146,6 @@ func TestCauchySchwarzProperty(t *testing.T) {
 	}
 }
 
-func TestMatIdentity(t *testing.T) {
-	p := New(1, 2, 3)
-	if got := Identity().Apply(p); got != p {
-		t.Errorf("Identity.Apply = %v", got)
-	}
-}
-
-func TestMatTranslate(t *testing.T) {
-	m := Translate(New(1, 2, 3))
-	if got := m.Apply(New(0, 0, 0)); got != (V3{1, 2, 3}) {
-		t.Errorf("Translate.Apply = %v", got)
-	}
-	// Directions ignore translation.
-	if got := m.ApplyDir(New(1, 0, 0)); got != (V3{1, 0, 0}) {
-		t.Errorf("Translate.ApplyDir = %v", got)
-	}
-}
-
-func TestMatRotations(t *testing.T) {
-	// 90 degrees about Z maps X to Y.
-	m := RotateZ(math.Pi / 2)
-	got := m.Apply(New(1, 0, 0))
-	if !approxV(got, V3{0, 1, 0}) {
-		t.Errorf("RotateZ(90).Apply(x) = %v", got)
-	}
-	// 90 degrees about X maps Y to Z.
-	got = RotateX(math.Pi / 2).Apply(New(0, 1, 0))
-	if !approxV(got, V3{0, 0, 1}) {
-		t.Errorf("RotateX(90).Apply(y) = %v", got)
-	}
-	// 90 degrees about Y maps Z to X.
-	got = RotateY(math.Pi / 2).Apply(New(0, 0, 1))
-	if !approxV(got, V3{1, 0, 0}) {
-		t.Errorf("RotateY(90).Apply(z) = %v", got)
-	}
-}
-
-func TestMatMulAssociatesWithApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		a := RotateX(rng.Float64()).Mul(Translate(New(rng.Float64(), rng.Float64(), rng.Float64())))
-		b := RotateY(rng.Float64()).Mul(Scaling(New(1+rng.Float64(), 1+rng.Float64(), 1+rng.Float64())))
-		p := New(rng.Float64(), rng.Float64(), rng.Float64())
-		want := a.Apply(b.Apply(p))
-		got := a.Mul(b).Apply(p)
-		if !approxV(got, want) {
-			t.Fatalf("Mul/Apply mismatch: %v vs %v", got, want)
-		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := M4{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}
-	tr := m.Transpose()
-	if tr[1] != 5 || tr[4] != 2 || tr[15] != 16 {
-		t.Errorf("Transpose wrong: %v", tr)
-	}
-	if m.Transpose().Transpose() != m {
-		t.Errorf("double transpose is not identity")
-	}
-}
-
 func TestLookAtPlacesEyeAtOrigin(t *testing.T) {
 	eye := New(1, 2, 3)
 	m := LookAt(eye, New(0, 0, 0), New(0, 1, 0))
@@ -236,17 +165,5 @@ func TestPerspectiveDepthOrdering(t *testing.T) {
 	far := proj.Apply(New(0, 0, -50))
 	if near.Z >= far.Z {
 		t.Errorf("perspective depth not monotonic: near %v far %v", near.Z, far.Z)
-	}
-}
-
-func TestOrthoMapsBoxToCanonical(t *testing.T) {
-	m := Ortho(-2, 2, -1, 1, 1, 10)
-	lo := m.Apply(New(-2, -1, -1))
-	hi := m.Apply(New(2, 1, -10))
-	if !approxV(lo, V3{-1, -1, -1}) {
-		t.Errorf("Ortho near corner = %v", lo)
-	}
-	if !approxV(hi, V3{1, 1, 1}) {
-		t.Errorf("Ortho far corner = %v", hi)
 	}
 }

@@ -13,6 +13,20 @@ import (
 	"repro/internal/vec"
 )
 
+// setVoxel stores a voxel value; coordinates must be in range.
+func setVoxel(g *hybrid.Grid, x, y, z int, v float32) { g.Data[(z*g.Ny+y)*g.Nx+x] = v }
+
+// grayMap is a linear grayscale ramp.
+func grayMap() hybrid.ColorMap {
+	return hybrid.ColorMap{Stops: []hybrid.RGBA{{A: 1}, {R: 1, G: 1, B: 1, A: 1}}}
+}
+
+// pixelRay is the viewing ray through pixel (px, py) of a w x h image.
+func pixelRay(cam render.Camera, px, py, w, h int) (origin, dir vec.V3) {
+	g := cam.Rays(w, h)
+	return g.Ray(px, py)
+}
+
 // solidGrid returns a grid with a dense ball in the middle.
 func solidGrid(t *testing.T, n int) *hybrid.Grid {
 	t.Helper()
@@ -27,7 +41,7 @@ func solidGrid(t *testing.T, n int) *hybrid.Grid {
 				fy := (float64(y)+0.5)/float64(n)*2 - 1
 				fz := (float64(z)+0.5)/float64(n)*2 - 1
 				if fx*fx+fy*fy+fz*fz < 0.5 {
-					g.Set(x, y, z, 1)
+					setVoxel(g, x, y, z, 1)
 				}
 			}
 		}
@@ -41,7 +55,7 @@ func testTF(t *testing.T) *hybrid.LinkedTF {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, err := hybrid.NewLinkedTF(vol, hybrid.GrayMap(), 0.5, 0.3)
+	tf, err := hybrid.NewLinkedTF(vol, grayMap(), 0.5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +134,10 @@ func TestEarlyTerminationReducesSamples(t *testing.T) {
 	grid := solidGrid(t, 16)
 	// Fully opaque TF terminates rays quickly.
 	volHi, _ := hybrid.StepRamp(0.01, 0.02, 1.0)
-	tfHi, _ := hybrid.NewLinkedTF(volHi, hybrid.GrayMap(), 1.0, 0.3)
+	tfHi, _ := hybrid.NewLinkedTF(volHi, grayMap(), 1.0, 0.3)
 	// Nearly transparent TF marches every ray through.
 	volLo, _ := hybrid.StepRamp(0.01, 0.02, 0.02)
-	tfLo, _ := hybrid.NewLinkedTF(volLo, hybrid.GrayMap(), 0.02, 0.3)
+	tfLo, _ := hybrid.NewLinkedTF(volLo, grayMap(), 0.02, 0.3)
 
 	cam := testCam(t)
 	fb1, _ := render.NewFramebuffer(32, 32)
@@ -287,21 +301,21 @@ func TestRenderHybridDynamicValidation(t *testing.T) {
 	tf := testTF(t)
 	fb, _ := render.NewFramebuffer(8, 8)
 	cam := testCam(t)
-	if _, _, err := RenderHybridDynamic(rep, tf, fb, cam, 1, nil, hybrid.GrayMap()); err == nil {
+	if _, _, err := RenderHybridDynamic(rep, tf, fb, cam, 1, nil, grayMap()); err == nil {
 		t.Error("nil attribute accepted")
 	}
 	attr := func(int64) float64 { return 0 }
-	if _, _, err := RenderHybridDynamic(rep, tf, fb, cam, 1, attr, hybrid.GrayMap()); err == nil {
+	if _, _, err := RenderHybridDynamic(rep, tf, fb, cam, 1, attr, grayMap()); err == nil {
 		t.Error("representation without orig indices accepted")
 	}
 }
 
 // referenceRender is the ray march as it was before the brick mask,
-// kept verbatim as the oracle: one goroutine, every sample fetched with
-// Grid.Sample, Camera.Ray per pixel. Only the voxel size is Render's
-// (voxelEdge: the smallest non-flat axis), so that flat bounds have an
-// oracle too; on other bounds it is the old minimum of three. It
-// returns the sample count. referenceVisit, when set, is called with
+// kept as the oracle: one goroutine, a fresh sampler and a fresh ray
+// generator per pixel. Only the voxel size is Render's (voxelEdge: the
+// smallest non-flat axis), so that flat bounds have an oracle too; on
+// other bounds it is the old minimum of three. It returns the sample
+// count. referenceVisit, when set, is called with
 // the position of every sample the reference takes.
 var referenceVisit func(p vec.V3)
 
@@ -322,7 +336,8 @@ func referenceRender(r *Renderer, fb *render.Framebuffer, cam render.Camera) int
 }
 
 func referenceCastPixel(r *Renderer, fb *render.Framebuffer, cam render.Camera, x, y int, step, refStep float64) int64 {
-	origin, dir := cam.Ray(x, y, fb.W, fb.H)
+	origin, dir := pixelRay(cam, x, y, fb.W, fb.H)
+	vol := r.Grid.Sampler()
 	tEnter, tExit, hit := r.Grid.Bounds.IntersectRay(origin, dir)
 	if !hit || tExit <= 0 {
 		return 0
@@ -349,7 +364,7 @@ func referenceCastPixel(r *Renderer, fb *render.Framebuffer, cam render.Camera, 
 	samples := int64(0)
 	for t := tEnter; t < end && ca < 0.99; t += step {
 		p := origin.Add(dir.Scale(t))
-		d := r.Grid.Sample(p)
+		d := vol.Sample(p)
 		samples++
 		if referenceVisit != nil {
 			referenceVisit(p)
@@ -557,7 +572,7 @@ func matrixGrids(t *testing.T) []gridCase {
 					fy := (float64(y)+0.5)/float64(g.Ny) - 0.55
 					fz := (float64(z)+0.5)/float64(g.Nz) - 0.5
 					if r2 := fx*fx + fy*fy + fz*fz; r2 < 0.05 {
-						g.Set(x, y, z, float32(1-r2/0.05))
+						setVoxel(g, x, y, z, float32(1-r2/0.05))
 					}
 				}
 			}
@@ -570,8 +585,8 @@ func matrixGrids(t *testing.T) []gridCase {
 				g.Data[i] = 0.02 + 0.3*rng.Float32()
 			}
 		})},
-		{"cornerBrick", mk(12, 12, 12, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(11, 0, 11, 0.8) })},
-		{"edgeBrick", mk(12, 12, 12, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(5, 1, 10, 0.8) })},
+		{"cornerBrick", mk(12, 12, 12, func(g *hybrid.Grid, _ *rand.Rand) { setVoxel(g, 11, 0, 11, 0.8) })},
+		{"edgeBrick", mk(12, 12, 12, func(g *hybrid.Grid, _ *rand.Rand) { setVoxel(g, 5, 1, 10, 0.8) })},
 		{"halo", mk(16, 16, 16, func(g *hybrid.Grid, rng *rand.Rand) {
 			blob(g, rng)
 			for i := 0; i < 40; i++ {
@@ -580,16 +595,16 @@ func matrixGrids(t *testing.T) []gridCase {
 		})},
 		{"negativeNaN", mk(12, 12, 12, func(g *hybrid.Grid, rng *rand.Rand) {
 			blob(g, rng)
-			g.Set(1, 2, 1, -0.5)
-			g.Set(2, 2, 1, 0.9) // next to the negative voxel: lerps of either sign
-			g.Set(9, 9, 2, float32(math.NaN()))
-			g.Set(6, 5, 6, float32(math.NaN())) // inside the blob
-			g.Set(0, 11, 11, -1)
+			setVoxel(g, 1, 2, 1, -0.5)
+			setVoxel(g, 2, 2, 1, 0.9) // next to the negative voxel: lerps of either sign
+			setVoxel(g, 9, 9, 2, float32(math.NaN()))
+			setVoxel(g, 6, 5, 6, float32(math.NaN())) // inside the blob
+			setVoxel(g, 0, 11, 11, -1)
 		})},
 		{"5x9x17", mk(5, 9, 17, blob)},
 		{"centred32", mk(32, 32, 32, blob)},
-		{"centreVoxel32", mk(32, 32, 32, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(16, 16, 16, 0.8) })},
-		{"1x1x1", mk(1, 1, 1, func(g *hybrid.Grid, _ *rand.Rand) { g.Set(0, 0, 0, 0.7) })},
+		{"centreVoxel32", mk(32, 32, 32, func(g *hybrid.Grid, _ *rand.Rand) { setVoxel(g, 16, 16, 16, 0.8) })},
+		{"1x1x1", mk(1, 1, 1, func(g *hybrid.Grid, _ *rand.Rand) { setVoxel(g, 0, 0, 0, 0.7) })},
 	}
 }
 
@@ -616,7 +631,7 @@ func matrixCams(t *testing.T, w, h int) []camCase {
 		// dir.X == 0, the centre row dir.Y == 0, the centre pixel both.
 		{"axisAligned", mk(vec.New(0, 0, 4), vec.New(0, 0, 0), 0.1)},
 	}
-	_, dir := cams[3].cam.Ray(w/2, h/2, w, h)
+	_, dir := pixelRay(cams[3].cam, w/2, h/2, w, h)
 	if dir.X != 0 || dir.Y != 0 {
 		t.Fatalf("axis-aligned camera's centre ray is %v, want exactly -z", dir)
 	}
@@ -710,7 +725,7 @@ func FuzzRayCastMatchesReference(f *testing.F) {
 			for z := z0; z <= z1; z++ {
 				for y := y0; y <= y1; y++ {
 					for x := x0; x <= x1; x++ {
-						g.Set(x, y, z, rng.Float32()-0.1)
+						setVoxel(g, x, y, z, rng.Float32()-0.1)
 					}
 				}
 			}
@@ -724,7 +739,12 @@ func FuzzRayCastMatchesReference(f *testing.F) {
 			// the centre row and column have a direction component
 			// exactly 0.
 			axis := 2 * rng.Intn(2)
-			eye = target.WithComponent(axis, target.Component(axis)+ext.Len()*(rng.Float64()*3-1.5))
+			eye = target
+			if d := ext.Len() * (rng.Float64()*3 - 1.5); axis == 0 {
+				eye.X += d
+			} else {
+				eye.Z += d
+			}
 			w, h = w|1, h|1
 		}
 		cam, err := render.NewCamera(eye, target, vec.New(0, 1, 0), math.Pi/3, float64(w)/float64(h), 0.01+0.5*rng.Float64(), 50)
@@ -760,7 +780,7 @@ func FuzzRayCastMatchesReference(f *testing.F) {
 func TestAxisAlignedRaysFindTheirBrick(t *testing.T) {
 	cam := testCam(t)
 	const size = 63
-	_, dir := cam.Ray(size/2, size/2, size, size)
+	_, dir := pixelRay(cam, size/2, size/2, size, size)
 	if dir.X != 0 || dir.Y != 0 {
 		t.Fatalf("centre ray is %v, want exactly -z", dir)
 	}

@@ -370,7 +370,10 @@ func columns(pts []vec.V3) (x, y, z []float64) {
 // count — a flat axis, and signed zeros.
 func referenceInputs() map[string][]vec.V3 {
 	in := map[string][]vec.V3{}
-	for _, n := range []int{1, 2047, 2048, 2049, 4095, 4096, 4097, 40_000} {
+	// 4, 8, 12 and 15 points at 3 and 7 workers are fewer ceil-sized
+	// chunks than workers: the parallel folds must not merge a partial
+	// that no chunk filled (the sortedness fold read it as "unsorted").
+	for _, n := range []int{1, 4, 8, 12, 15, 2047, 2048, 2049, 4095, 4096, 4097, 40_000} {
 		in[fmt.Sprintf("gaussian-%d", n)] = randomPoints(n, int64(n))
 	}
 	same := make([]vec.V3, 3000)
@@ -419,12 +422,18 @@ func referenceInputs() map[string][]vec.V3 {
 func TestBuilderMatchesReference(t *testing.T) {
 	for name, pts := range referenceInputs() {
 		x, y, z := columns(pts)
+		var serial *Tree
 		for _, workers := range []int{1, 2, 3, 7} {
 			cfg := DefaultConfig()
 			cfg.Workers = workers
 			want, err := refBuild(pts, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if workers == 1 {
+				serial = want
+			} else if d := treeDiff(want, serial); d != "" {
+				t.Errorf("%s: the reference at %d workers is not the serial tree: %s", name, workers, d)
 			}
 			var b Builder
 			for form, build := range map[string]func() (*Tree, error){

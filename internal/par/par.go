@@ -87,12 +87,13 @@ func MapReduce[T any](n, workers int, newPartial func() T, mapBody func(part T, 
 	if workers > n {
 		workers = n
 	}
-	partials := make([]T, workers)
+	// Ceil-sized chunks can cover [0,n) before the last worker's turn
+	// (n = 4 at 3 workers is two chunks of 2): a slot per chunk that
+	// runs, so that no zero T — which need not be newPartial() — is merged.
+	chunk := (n + workers - 1) / workers
+	partials := make([]T, (n+chunk-1)/chunk)
 	ForChunks(n, workers, func(lo, hi int) {
-		// Identify the worker by its chunk start; chunks are fixed-size.
-		chunk := (n + workers - 1) / workers
-		w := lo / chunk
-		partials[w] = mapBody(newPartial(), lo, hi)
+		partials[lo/chunk] = mapBody(newPartial(), lo, hi)
 	})
 	out := newPartial()
 	for _, p := range partials {

@@ -96,6 +96,48 @@ func TestMapReduceEmpty(t *testing.T) {
 	}
 }
 
+// TestMapReduceEveryNAndW: at every n and worker count the fold equals
+// the serial one, for a partial whose zero value is not the identity
+// (a minimum, by value) and for one that cannot be used at all unless
+// newPartial made it (a pointer). Ceil-sized chunks leave trailing
+// workers without a chunk — n = 4 at 3 workers, n = 8…12 at 7 — and a
+// slot nobody filled must not reach merge.
+func TestMapReduceEveryNAndW(t *testing.T) {
+	val := func(i int) int { return (i*37+11)%101 + 1 } // never 0, so a merged zero int shows as the minimum
+	for n := 0; n <= 40; n++ {
+		wantMin, wantSum := 1<<30, 0
+		for i := 0; i < n; i++ {
+			wantMin, wantSum = min(wantMin, val(i)), wantSum+val(i)
+		}
+		for w := 1; w <= 9; w++ {
+			gotMin := MapReduce(n, w,
+				func() int { return 1 << 30 },
+				func(part, lo, hi int) int {
+					for i := lo; i < hi; i++ {
+						part = min(part, val(i))
+					}
+					return part
+				},
+				func(a, b int) int { return min(a, b) })
+			if gotMin != wantMin {
+				t.Errorf("n=%d workers=%d: minimum %d, want %d", n, w, gotMin, wantMin)
+			}
+			gotSum := MapReduce(n, w,
+				func() *int { return new(int) },
+				func(part *int, lo, hi int) *int {
+					for i := lo; i < hi; i++ {
+						*part += val(i)
+					}
+					return part
+				},
+				func(a, b *int) *int { *a += *b; return a })
+			if *gotSum != wantSum {
+				t.Errorf("n=%d workers=%d: sum %d, want %d", n, w, *gotSum, wantSum)
+			}
+		}
+	}
+}
+
 func TestPoolRunsAllTasks(t *testing.T) {
 	p := NewPool(4, 8)
 	defer p.Close()

@@ -3,35 +3,35 @@ package remote
 import "sync"
 
 // blobCache is the encode-once primitive of the fan-out path: a small,
-// bounded LRU of encoded blobs with single-flight fill de-duplication.
+// bounded LRU of blobs or decoded frames, single-flight on a miss.
 // N concurrent requests for the same key trigger exactly one fill —
 // the rest block on the first flight and share its result — so
 // per-frame server work (frame encodes, renders, delta encodes) stays
 // independent of how many subscribers ask. Failed fills are not
 // cached: every waiter of the failing flight gets its error, and the
 // next fresh request retries.
-type blobCache[K comparable] struct {
+type blobCache[K comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[K]*cacheEntry
+	entries map[K]*cacheEntry[V]
 	order   []K // completed keys, oldest first (in-flight keys are never evicted)
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	done chan struct{} // closed when the fill completes
-	blob []byte
+	blob V
 	err  error
 }
 
-func newBlobCache[K comparable](capacity int) *blobCache[K] {
-	return &blobCache[K]{cap: capacity, entries: make(map[K]*cacheEntry)}
+func newBlobCache[K comparable, V any](capacity int) *blobCache[K, V] {
+	return &blobCache[K, V]{cap: capacity, entries: make(map[K]*cacheEntry[V])}
 }
 
 // get returns the blob for key, filling it with fill on a miss. The
 // second result reports whether this call joined an existing entry
 // (hit) rather than running fill itself — the counter feed for
 // encodes-per-frame accounting.
-func (c *blobCache[K]) get(key K, fill func() ([]byte, error)) ([]byte, bool, error) {
+func (c *blobCache[K, V]) get(key K, fill func() (V, error)) (V, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.touch(key)
@@ -39,7 +39,7 @@ func (c *blobCache[K]) get(key K, fill func() ([]byte, error)) ([]byte, bool, er
 		<-e.done
 		return e.blob, true, e.err
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry[V]{done: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
 
@@ -68,7 +68,7 @@ func (c *blobCache[K]) get(key K, fill func() ([]byte, error)) ([]byte, bool, er
 // touch moves key to the most-recent end of the eviction order (a hit
 // on an in-flight entry is not in order yet; that is fine — it is
 // appended when the fill completes).
-func (c *blobCache[K]) touch(key K) {
+func (c *blobCache[K, V]) touch(key K) {
 	for i, k := range c.order {
 		if k == key {
 			copy(c.order[i:], c.order[i+1:])

@@ -10,7 +10,7 @@ import (
 // TestBlobCacheSingleFlight: N concurrent gets of one cold key run the
 // fill exactly once; everyone shares its result.
 func TestBlobCacheSingleFlight(t *testing.T) {
-	c := newBlobCache[int](4)
+	c := newBlobCache[int, []byte](4)
 	var fills atomic.Int32
 	release := make(chan struct{})
 
@@ -56,7 +56,7 @@ func TestBlobCacheSingleFlight(t *testing.T) {
 // TestBlobCacheEviction: the cache is LRU-bounded, and a touched entry
 // outlives an untouched older one.
 func TestBlobCacheEviction(t *testing.T) {
-	c := newBlobCache[int](2)
+	c := newBlobCache[int, []byte](2)
 	fill := func(v byte) func() ([]byte, error) {
 		return func() ([]byte, error) { return []byte{v}, nil }
 	}
@@ -84,7 +84,7 @@ func TestBlobCacheEviction(t *testing.T) {
 // TestBlobCacheErrorNotCached: a failed fill propagates to its waiters
 // but is not cached — the next get retries and can succeed.
 func TestBlobCacheErrorNotCached(t *testing.T) {
-	c := newBlobCache[int](2)
+	c := newBlobCache[int, []byte](2)
 	boom := errors.New("boom")
 	if _, _, err := c.get(1, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -102,7 +102,7 @@ func TestBlobCacheErrorNotCached(t *testing.T) {
 }
 
 // len reports how many completed entries the cache holds (test hook).
-func (c *blobCache[K]) len() int {
+func (c *blobCache[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.order)

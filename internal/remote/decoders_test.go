@@ -157,6 +157,7 @@ func decoderCases(t testing.TB) []decoderCase {
 //fuzz ./internal/render FuzzDecompressFramebuffer
 //fuzz ./internal/render FuzzQuantizedCodec
 //fuzz ./internal/render FuzzDeltaCodec
+//fuzz ./internal/render FuzzDeltaMatchesReference
 //fuzz ./internal/render FuzzPartialFramebuffer
 //fuzz ./internal/remote FuzzReadMessage
 //fuzz ./internal/remote FuzzDecodePayloads

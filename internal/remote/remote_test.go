@@ -137,6 +137,139 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDirStoreReadsOncePerScrubStep: a scrub step asks the store for a
+// frame and, as its delta's base, for the frame the step before read.
+// Inside the window the second request is the first one's bytes — the
+// same backing array, no second os.ReadFile — and a long scrub retains
+// no more than the window.
+func TestDirStoreReadsOncePerScrubStep(t *testing.T) {
+	rep := testReps(t, 1)[0]
+	dir := t.TempDir()
+	const frames = 100
+	for i := 0; i < frames; i++ {
+		if err := rep.WriteFile(filepath.Join(dir, fmt.Sprintf("frame_%04d.achy", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.AppendBinary(nil)
+	read := func(i int) *byte {
+		t.Helper()
+		enc, err := store.EncodedFrame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("frame %d: the window served %d bytes that are not the file's %d", i, len(enc), len(want))
+		}
+		return &enc[0]
+	}
+	first := read(0)
+	if read(0) != first {
+		t.Error("two reads of one frame inside the window returned different arrays: the file was read twice")
+	}
+	for i := 1; i <= maxDecodedFrames; i++ {
+		read(i)
+	}
+	if read(0) == first {
+		t.Errorf("frame 0 is still held after %d other frames: the window does not evict", maxDecodedFrames)
+	}
+	// The scrub of Service.deltaBlob, forward then backward: base, then frame.
+	prev := read(0)
+	for step := 1; step < 2*frames-1; step++ {
+		i, base := step, step-1
+		if step >= frames {
+			i, base = 2*frames-2-step, 2*frames-1-step
+		}
+		if read(base) != prev {
+			t.Fatalf("step %d: base frame %d, which the step before read, was read again", step, base)
+		}
+		prev = read(i)
+		if n := len(store.encoded.entries); n > maxDecodedFrames {
+			t.Fatalf("step %d: the window holds %d files, want at most %d", step, n, maxDecodedFrames)
+		}
+	}
+	if _, err := store.EncodedFrame(frames); err == nil {
+		t.Error("a frame beyond the directory was served")
+	}
+	// The decoded window is the same mechanism: one decode inside it,
+	// a fresh one after maxDecodedFrames other frames.
+	decoded := func(i int) *hybrid.Representation {
+		t.Helper()
+		rep, err := store.Frame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	rep0 := decoded(0)
+	if decoded(0) != rep0 {
+		t.Error("two Frame calls inside the window decoded the file twice")
+	}
+	for i := 1; i <= maxDecodedFrames; i++ {
+		decoded(i)
+	}
+	if decoded(0) == rep0 {
+		t.Error("the decoded window does not evict")
+	}
+}
+
+// TestTwoScrubbersReadOncePerStep is view_fetch's pattern through
+// Service.deltaBlob itself: one viewer scrubbing forward and one
+// backward, taking turns in every order two viewers can. A frame's file
+// is removed as soon as a step has read it, so a step that goes back to
+// the disk for its base — the frame its own viewer read last — fails
+// with that file's name. (Asking for the frame before its base did:
+// the base became the window's oldest entry just as the frame's read
+// needed a victim.)
+func TestTwoScrubbersReadOncePerStep(t *testing.T) {
+	reps := testReps(t, 2)
+	for _, turns := range []string{"ab", "aabb", "aab", "abb"} {
+		dir := t.TempDir()
+		const frames = 40
+		path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("frame_%04d.achy", i)) }
+		for i := 0; i < frames; i++ {
+			if err := reps[i%2].WriteFile(path(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store, err := NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewService("127.0.0.1:0", store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := map[byte]int{'a': 0, 'b': frames - 1}
+		dir1 := map[byte]int{'a': 1, 'b': -1}
+		for _, v := range []byte("ab") { // the first fetch of a session is a plain Get
+			if _, err := srv.encodedFrame(at[v]); err != nil {
+				t.Fatal(err)
+			}
+			os.Remove(path(at[v]))
+		}
+		for step := 0; step < 30; step++ {
+			v := turns[step%len(turns)]
+			base, frame := at[v], at[v]+dir1[v]
+			blob, err := srv.deltaBlob(frame, base)
+			if err != nil {
+				t.Fatalf("turns %q step %d: delta %d→%d: %v", turns, step, base, frame, err)
+			}
+			want := reps[frame%2].AppendBinary(nil)
+			if got, err := render.DecompressDelta(blob, reps[base%2].AppendBinary(nil)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("turns %q step %d: delta %d→%d does not rebuild the frame: %v", turns, step, base, frame, err)
+			}
+			os.Remove(path(frame))
+			at[v] = frame
+		}
+		srv.Close()
+	}
+}
+
 func TestFetchMissingFrame(t *testing.T) {
 	srv, _ := serveMem(t, testReps(t, 1))
 	cli := dial(t, srv.Addr())

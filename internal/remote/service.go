@@ -38,9 +38,9 @@ type Service struct {
 	// the full request (frame, camera, TF, quality); deltas holds
 	// XOR-residual blobs keyed by (frame, base). All are LRU-bounded
 	// and single-flight: N concurrent identical requests run one fill.
-	frames  *blobCache[int]
-	renders *blobCache[RenderParams]
-	deltas  *blobCache[deltaKey]
+	frames  *blobCache[int, []byte]
+	renders *blobCache[RenderParams, []byte]
+	deltas  *blobCache[deltaKey, []byte]
 
 	// Overload protection (protocol v5): opts bounds sessions, renders
 	// and per-subscriber send queues; renderGate is the MaxRenders
@@ -169,9 +169,9 @@ func NewServiceWith(addr string, store FrameStore, opts ServiceOptions) (*Servic
 	}
 	s := &Service{
 		store:    store,
-		frames:   newBlobCache[int](frameCacheCap),
-		renders:  newBlobCache[RenderParams](renderCacheCap),
-		deltas:   newBlobCache[deltaKey](deltaCacheCap),
+		frames:   newBlobCache[int, []byte](frameCacheCap),
+		renders:  newBlobCache[RenderParams, []byte](renderCacheCap),
+		deltas:   newBlobCache[deltaKey, []byte](deltaCacheCap),
 		opts:     opts,
 		sessions: make(map[uint64]*session),
 	}
@@ -404,13 +404,15 @@ func (s *Service) encodedFrame(i int) ([]byte, error) {
 // (frame, base) pair.
 func (s *Service) deltaBlob(frame, base int) ([]byte, error) {
 	blob, hit, err := s.deltas.get(deltaKey{frame, base}, func() ([]byte, error) {
-		cur, err := s.encodedFrame(frame)
-		if err != nil {
-			return nil, err
-		}
+		// Base first: it is the frame this viewer read last, and cur's
+		// read must not find it the oldest entry of a DirStore's window.
 		baseEnc, err := s.encodedFrame(base)
 		if err != nil {
 			return nil, fmt.Errorf("remote: delta base: %w", err)
+		}
+		cur, err := s.encodedFrame(frame)
+		if err != nil {
+			return nil, err
 		}
 		return render.CompressDelta(cur, baseEnc), nil
 	})

@@ -92,20 +92,20 @@ func (s *MemStore) EncodedFrame(i int) ([]byte, error) {
 // DirStore serves the .achy hybrid-frame files of a directory in
 // lexical order — the paper's batch workflow, where the extraction
 // program leaves one file per time step on shared disk. Files are
-// already in wire encoding, so Get streams bytes straight off disk;
-// only server-side Render pays a decode.
+// already in wire encoding, so Get sends a file's bytes as they are;
+// only server-side Render pays a decode. Both forms sit behind a window
+// of the frames asked for last, filled once however many ask at once:
+// files are immutable once listed (writers rename into place).
 type DirStore struct {
-	paths []string
-
-	mu      sync.Mutex
-	decoded map[int]*hybrid.Representation // bounded render-path cache
-	order   []int                          // insertion order for eviction
+	paths   []string
+	encoded *blobCache[int, []byte]
+	decoded *blobCache[int, *hybrid.Representation]
 }
 
-// maxDecodedFrames bounds DirStore's decode cache: enough to absorb a
-// few clients rendering the same recent frames, small enough that a
-// thin client scrubbing a long run can't grow server memory without
-// bound (frames are ~100MB at paper scale).
+// maxDecodedFrames bounds each of DirStore's windows: enough to absorb
+// a few clients rendering — or scrubbing — the same recent frames,
+// small enough that a client scrubbing a long run can't grow server
+// memory without bound (frames are ~100MB at paper scale).
 const maxDecodedFrames = 4
 
 // NewDirStore scans dir for *.achy files. Structurally incomplete
@@ -132,46 +132,35 @@ func NewDirStore(dir string) (*DirStore, error) {
 		return nil, fmt.Errorf("remote: no complete .achy frames in %s (partial files skipped)", dir)
 	}
 	sort.Strings(complete)
-	return &DirStore{paths: complete, decoded: make(map[int]*hybrid.Representation)}, nil
+	return &DirStore{
+		paths:   complete,
+		encoded: newBlobCache[int, []byte](maxDecodedFrames),
+		decoded: newBlobCache[int, *hybrid.Representation](maxDecodedFrames),
+	}, nil
 }
 
 // NumFrames implements FrameStore.
 func (s *DirStore) NumFrames() int { return len(s.paths) }
 
-// Frame implements FrameStore, caching decodes for the render path.
+// Frame implements FrameStore, through the decoded window.
 func (s *DirStore) Frame(i int) (*hybrid.Representation, error) {
 	if i < 0 || i >= len(s.paths) {
 		return nil, fmt.Errorf("remote: no frame %d (directory holds %d)", i, len(s.paths))
 	}
-	s.mu.Lock()
-	rep, ok := s.decoded[i]
-	s.mu.Unlock()
-	if ok {
-		return rep, nil
-	}
-	rep, err := hybrid.ReadFile(s.paths[i])
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if _, dup := s.decoded[i]; !dup {
-		s.decoded[i] = rep
-		s.order = append(s.order, i)
-		if len(s.order) > maxDecodedFrames {
-			delete(s.decoded, s.order[0])
-			s.order = s.order[1:]
-		}
-	}
-	s.mu.Unlock()
-	return rep, nil
+	rep, _, err := s.decoded.get(i, func() (*hybrid.Representation, error) { return hybrid.ReadFile(s.paths[i]) })
+	return rep, err
 }
 
-// EncodedFrame reads frame i's file — already wire-encoded.
+// EncodedFrame returns frame i's file through the encoded window: the
+// base of a scrub step's delta is the frame the step before read, so a
+// step reads one file, not two. The bytes are shared between callers
+// and read-only; Service only ever writes them to a socket.
 func (s *DirStore) EncodedFrame(i int) ([]byte, error) {
 	if i < 0 || i >= len(s.paths) {
 		return nil, fmt.Errorf("remote: no frame %d (directory holds %d)", i, len(s.paths))
 	}
-	return os.ReadFile(s.paths[i])
+	enc, _, err := s.encoded.get(i, func() ([]byte, error) { return os.ReadFile(s.paths[i]) })
+	return enc, err
 }
 
 // ---- LiveRing --------------------------------------------------------

@@ -26,11 +26,11 @@ import (
 //	control c < 0x80:  c+1 literal words follow        (1..128)
 //	control c >= 0x80: next word repeats (c&0x7f)+2 times (2..129)
 //
-// The same op stream over plain uint32 words is the shared core of the
-// two derived wire codecs: CompressDelta (delta.go — XOR residuals of
-// two byte streams, for frame-to-frame transfers) and
-// CompressFramebufferQuantized (quant.go — packed 8-bit RGBA preview
-// images).
+// The same op stream is the core of the two derived wire codecs:
+// CompressDelta (delta.go — XOR residuals of two byte streams, for
+// frame-to-frame transfers; it reads and writes the ops over a byte
+// plane, appendRLEPlane/decodeRLEPlane) and CompressFramebufferQuantized
+// (quant.go — packed 8-bit RGBA preview images, plain uint32 words).
 
 var magicFB = [4]byte{'A', 'C', 'F', 'B'}
 
@@ -100,9 +100,12 @@ func DecompressFramebuffer(data []byte) (*Framebuffer, error) {
 	return fb, nil
 }
 
-// appendRLEWords encodes words as RLE ops: the one encoder of the op
-// format, for the framebuffer planes (through bitWords) and for the
-// delta and quantized codecs, whose words are not float32 bit patterns.
+// appendRLEWords encodes words as RLE ops: the encoder of the op format
+// for planes held as values — the framebuffer's float32s (through
+// bitWords) and the quantized codec's packed words. A byte view of
+// either would fix the machine's byte order into the wire format, so
+// the delta codec's byte plane has its own pair in delta.go, held to
+// this one's decisions by TestDeltaMatchesReference.
 func appendRLEWords(out []byte, words []uint32) []byte {
 	le := binary.LittleEndian
 	i := 0

@@ -133,10 +133,12 @@ func (b *Batch) reset() {
 type tileRun struct{ lo, hi int }
 
 // flushScratch holds the reusable working storage of one flush —
-// Batch.Flush or DrawPointBatch — and the submission buffers of a
-// borrowed batch.
+// Batch.Flush or DrawPointBatch — the submission buffers of a borrowed
+// batch, and the residual plane and op buffer of one CompressDelta.
 type flushScratch struct {
 	batch Batch
+
+	residual, ops []byte
 
 	pts   []pointSetup
 	lns   []lineSetup
@@ -166,7 +168,10 @@ var scratchList struct {
 	free []*flushScratch
 }
 
-const maxFreeScratch = 4
+const (
+	maxFreeScratch = 4
+	maxKeptPlane   = 8 << 20 // a scratch whose delta plane grew past this (paper-scale frames: ~100 MB) is not kept
+)
 
 func getScratch() *flushScratch {
 	scratchList.Lock()
@@ -183,7 +188,7 @@ func getScratch() *flushScratch {
 func putScratch(sc *flushScratch) {
 	scratchList.Lock()
 	defer scratchList.Unlock()
-	if len(scratchList.free) < maxFreeScratch {
+	if len(scratchList.free) < maxFreeScratch && cap(sc.residual) <= maxKeptPlane {
 		scratchList.free = append(scratchList.free, sc)
 	}
 }

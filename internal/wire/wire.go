@@ -292,40 +292,58 @@ func (r *Reader) Flags(bits ...*bool) {
 func (r *Reader) Str8() string { return string(r.Take(int(r.U8()))) }
 
 // The bulk reads fill dst from one bounds-checked window; on failure
-// dst is left as it was.
+// dst is left as it was. The loops advance both slices four elements a
+// step under a length test the compiler can see, so the sixteen or
+// thirty-two bytes of a step are read without a bounds test each. The
+// four-a-step body is what pays: V3s's one-element loop (three loads a
+// step already) in the other three ran BenchmarkBulkDecode at f32 3.4
+// and f64 6.9 GB/s, as the indexed loops did, against 9.5 and 18.5.
 
 func (r *Reader) F64s(dst []float64) {
-	if b := r.Take(8 * len(dst)); b != nil {
-		for i := range dst {
-			dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-		}
+	b := r.Take(8 * len(dst))
+	for ; len(dst) >= 4 && len(b) >= 32; dst, b = dst[4:], b[32:] {
+		dst[0] = math.Float64frombits(le.Uint64(b))
+		dst[1] = math.Float64frombits(le.Uint64(b[8:]))
+		dst[2] = math.Float64frombits(le.Uint64(b[16:]))
+		dst[3] = math.Float64frombits(le.Uint64(b[24:]))
+	}
+	for ; len(dst) > 0 && len(b) >= 8; dst, b = dst[1:], b[8:] {
+		dst[0] = math.Float64frombits(le.Uint64(b))
 	}
 }
 
 func (r *Reader) F32s(dst []float32) {
-	if b := r.Take(4 * len(dst)); b != nil {
-		for i := range dst {
-			dst[i] = math.Float32frombits(le.Uint32(b[4*i:]))
-		}
+	b := r.Take(4 * len(dst))
+	for ; len(dst) >= 4 && len(b) >= 16; dst, b = dst[4:], b[16:] {
+		dst[0] = math.Float32frombits(le.Uint32(b))
+		dst[1] = math.Float32frombits(le.Uint32(b[4:]))
+		dst[2] = math.Float32frombits(le.Uint32(b[8:]))
+		dst[3] = math.Float32frombits(le.Uint32(b[12:]))
+	}
+	for ; len(dst) > 0 && len(b) >= 4; dst, b = dst[1:], b[4:] {
+		dst[0] = math.Float32frombits(le.Uint32(b))
 	}
 }
 
 func (r *Reader) I64s(dst []int64) {
-	if b := r.Take(8 * len(dst)); b != nil {
-		for i := range dst {
-			dst[i] = int64(le.Uint64(b[8*i:]))
-		}
+	b := r.Take(8 * len(dst))
+	for ; len(dst) >= 4 && len(b) >= 32; dst, b = dst[4:], b[32:] {
+		dst[0] = int64(le.Uint64(b))
+		dst[1] = int64(le.Uint64(b[8:]))
+		dst[2] = int64(le.Uint64(b[16:]))
+		dst[3] = int64(le.Uint64(b[24:]))
+	}
+	for ; len(dst) > 0 && len(b) >= 8; dst, b = dst[1:], b[8:] {
+		dst[0] = int64(le.Uint64(b))
 	}
 }
 
 func (r *Reader) V3s(dst []vec.V3) {
-	if b := r.Take(24 * len(dst)); b != nil {
-		for i := range dst {
-			q := b[24*i : 24*i+24]
-			dst[i] = vec.New(
-				math.Float64frombits(le.Uint64(q)),
-				math.Float64frombits(le.Uint64(q[8:])),
-				math.Float64frombits(le.Uint64(q[16:])))
-		}
+	b := r.Take(24 * len(dst))
+	for ; len(dst) > 0 && len(b) >= 24; dst, b = dst[1:], b[24:] {
+		dst[0] = vec.New(
+			math.Float64frombits(le.Uint64(b)),
+			math.Float64frombits(le.Uint64(b[8:])),
+			math.Float64frombits(le.Uint64(b[16:])))
 	}
 }

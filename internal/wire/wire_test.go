@@ -256,3 +256,63 @@ func TestReaderStaysOnTheStack(t *testing.T) {
 		t.Errorf("a decode made %v allocations, want 0", allocs)
 	}
 }
+
+// TestBulkReadsEveryLength: the bulk reads decode four elements a step
+// and the remainder one by one; every length on both sides of a step
+// must read back what the bulk appends wrote, bit for bit, and leave
+// the reader at the next field.
+func TestBulkReadsEveryLength(t *testing.T) {
+	for n := 0; n <= 13; n++ {
+		f64, f32, i64, v3 := make([]float64, n), make([]float32, n), make([]int64, n), make([]vec.V3, n)
+		for i := 0; i < n; i++ {
+			f64[i] = math.Float64frombits(0x7ff8_0000_0000_0001 + uint64(i)<<40) // NaNs: the payload must survive
+			f32[i] = math.Float32frombits(0x7fc0_0001 + uint32(i)<<8)
+			i64[i] = int64(i) - 1<<62
+			v3[i] = vec.New(float64(i), -float64(i)/3, math.Inf(i%2-1))
+		}
+		p := U8(V3s(I64s(F32s(F64s(nil, f64...), f32...), i64...), v3...), 0x5a)
+		rd := NewReader("test: bulk", p)
+		gf64, gf32, gi64, gv3 := make([]float64, n), make([]float32, n), make([]int64, n), make([]vec.V3, n)
+		rd.F64s(gf64)
+		rd.F32s(gf32)
+		rd.I64s(gi64)
+		rd.V3s(gv3)
+		if end := rd.U8(); end != 0x5a || rd.Done() != nil {
+			t.Fatalf("n=%d: the reader ended on %#x, err %v", n, end, rd.Done())
+		}
+		if q := U8(V3s(I64s(F32s(F64s(nil, gf64...), gf32...), gi64...), gv3...), 0x5a); !bytes.Equal(p, q) {
+			t.Errorf("n=%d: the bulk reads changed the values:\n got %x\nwant %x", n, q, p)
+		}
+	}
+}
+
+// BenchmarkBulkDecode times the bulk reads on in-cache arrays the size
+// of a benchmark frame's: the decode of every .achy, .acpf and point
+// payload is these loops.
+func BenchmarkBulkDecode(b *testing.B) {
+	const n = 1 << 16
+	b.Run("f32", func(b *testing.B) {
+		p, dst := F32s(nil, make([]float32, n)...), make([]float32, n)
+		b.SetBytes(int64(len(p)))
+		for i := 0; i < b.N; i++ {
+			rd := NewReader("bench", p)
+			rd.F32s(dst)
+		}
+	})
+	b.Run("f64", func(b *testing.B) {
+		p, dst := F64s(nil, make([]float64, n)...), make([]float64, n)
+		b.SetBytes(int64(len(p)))
+		for i := 0; i < b.N; i++ {
+			rd := NewReader("bench", p)
+			rd.F64s(dst)
+		}
+	})
+	b.Run("v3", func(b *testing.B) {
+		p, dst := V3s(nil, make([]vec.V3, n/2)...), make([]vec.V3, n/2)
+		b.SetBytes(int64(len(p)))
+		for i := 0; i < b.N; i++ {
+			rd := NewReader("bench", p)
+			rd.V3s(dst)
+		}
+	})
+}

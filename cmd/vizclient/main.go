@@ -24,12 +24,13 @@
 // fetches: after the first full frame, each update ships only what
 // changed.
 //
-// -reconnect wraps the session in a remote.ReconnectClient: a dropped
-// connection (or a retryably-refusing overloaded server) is redialed
-// with backoff instead of killing the command, and follow mode rides
-// the resumed stream — ordered, gapless, bit-identical across
-// reconnects. -stats pretty-prints the server's v5 Stats report:
-// service counters plus the per-session queue/drop/degrade table.
+// Every call rides out a dropped connection (or a retryably-refusing
+// overloaded server): the client redials with backoff instead of
+// killing the command. -reconnect makes follow mode ride the resumable
+// subscription — ordered, gapless, bit-identical across reconnects —
+// rendering every frame locally. -stats pretty-prints the server's v5
+// Stats report: service counters plus the per-session
+// queue/drop/degrade table.
 package main
 
 import (
@@ -41,21 +42,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hybrid"
 	"repro/internal/remote"
 	"repro/internal/render"
 	"repro/internal/vec"
 )
-
-// session is the verb surface shared by remote.Client and
-// remote.ReconnectClient, so every mode below works over either.
-type session interface {
-	List() (remote.ListInfo, error)
-	FetchFrame(i int) (*hybrid.Representation, int64, time.Duration, error)
-	Render(p remote.RenderParams) (*render.Framebuffer, int64, time.Duration, error)
-	Stats() (remote.StatsReport, error)
-	Close() error
-}
 
 func main() {
 	log.SetFlags(0)
@@ -72,7 +62,7 @@ func main() {
 		bw        = flag.Int64("bw", 0, "modeled link bandwidth in bytes/s (0 = unthrottled)")
 		quality   = flag.String("quality", "lossless", "server render tier: lossless or preview")
 		delta     = flag.Bool("delta", false, "follow mode: fetch frames as XOR-deltas and render locally")
-		reconnect = flag.Bool("reconnect", false, "redial with backoff on connection loss (resumable follow)")
+		reconnect = flag.Bool("reconnect", false, "follow mode: a resumable subscription, gapless across reconnects")
 		stats     = flag.Bool("stats", false, "print the server's stats report and session table")
 	)
 	flag.Parse()
@@ -85,26 +75,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var (
-		cli session
-		raw *remote.Client          // plain session, nil under -reconnect
-		rc  *remote.ReconnectClient // resilient session, nil otherwise
-	)
-	if *reconnect {
-		rc, err = remote.DialReconnect(*addr, remote.ReconnectOptions{Bandwidth: *bw})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cli = rc
-	} else {
-		raw, err = remote.Dial(*addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		raw.SetBandwidth(*bw)
-		cli = raw
+	cli, err := remote.Dial(*addr)
+	if err != nil {
+		log.Fatal(err)
 	}
 	defer cli.Close()
+	cli.SetBandwidth(*bw)
 
 	switch {
 	case *stats:
@@ -157,7 +133,7 @@ func main() {
 		// Resilient follow: the resumed stream delivers every frame in
 		// order across reconnects, each with its wire payload — render
 		// locally as the frames arrive.
-		sub, err := rc.SubscribeResume(-1)
+		sub, err := cli.SubscribeResume(-1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -185,10 +161,10 @@ func main() {
 			log.Printf("feed failed: %v", err)
 		}
 		fmt.Printf("feed closed after %d frames (%d reconnects, %d skipped)\n",
-			rendered, rc.Redials(), sub.Skipped())
+			rendered, cli.Redials(), sub.Skipped())
 
 	case *follow:
-		sub, err := raw.Subscribe()
+		sub, err := cli.Subscribe()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -207,7 +183,7 @@ func main() {
 			if *delta {
 				// Delta mode: pull the frame (as a residual once a base
 				// is held) and render locally.
-				rep, enc, w, d, err := raw.FetchFrameDelta(idx, baseIdx, baseEnc)
+				rep, enc, w, d, err := cli.FetchFrameDelta(idx, baseIdx, baseEnc)
 				if err != nil {
 					log.Printf("frame %d: %v", idx, err)
 					continue

@@ -1,6 +1,6 @@
 // Command vizworker hosts a compute worker for distributed stage
 // execution: it serves the service protocol's Compute verb with the
-// built-in stage kernels (hybrid extraction, field-line tracing, and
+// two built-in stage kernels (hybrid extraction hybrid.extract.v1 and
 // the sort-last partial render render.partial.v1), so a pipeline
 // elsewhere can place its heavy per-frame compute on this process with
 // core.StreamOptions.ExtractAddrs / RenderAddrs — the

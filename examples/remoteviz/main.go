@@ -18,11 +18,11 @@
 // server's encode-once render cache, so the second subscriber's tier
 // is the only extra work the server does for it.
 //
-// A fourth seat demonstrates protocol v5 resilience: a viewer on a
-// remote.ReconnectClient whose connection is deliberately killed
-// mid-stream. The resumed subscription redials, re-subscribes, and
-// catches up over GetDelta — the viewer ends the run with every frame,
-// in order, with no duplicates, as if the link had never dropped.
+// A fourth seat demonstrates protocol v5 resilience: a viewer whose
+// connection is deliberately killed mid-stream. Its client redials,
+// the resumed subscription re-subscribes and catches up over GetDelta —
+// the viewer ends the run with every frame, in order, with no
+// duplicates, as if the link had never dropped.
 //
 //	go run ./examples/remoteviz
 package main
@@ -100,7 +100,7 @@ func main() {
 		connMu   sync.Mutex
 		liveConn net.Conn
 	)
-	rcli, err := remote.DialReconnect(srv.Addr(), remote.ReconnectOptions{
+	rcli, err := remote.DialWith(srv.Addr(), remote.ClientOptions{
 		Dial: func(addr string) (net.Conn, error) {
 			c, err := net.Dial("tcp", addr)
 			if err == nil {
@@ -128,8 +128,8 @@ func main() {
 			idxs = append(idxs, f.Index)
 			if !killed {
 				// Sever the viewer's link right after its first frame —
-				// the reconnect layer redials and resumes at frame
-				// f.Index+1, no gap, no duplicate.
+				// the client redials and the subscription resumes at
+				// frame f.Index+1, no gap, no duplicate.
 				killed = true
 				connMu.Lock()
 				liveConn.Close()

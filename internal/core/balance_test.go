@@ -90,6 +90,12 @@ func TestStreamBalanceBitIdentical(t *testing.T) {
 // test forces flips remote→local→remote at frame boundaries while the
 // stream runs; every frame must still be byte-identical to the serial
 // run and in order — placement is invisible in the output.
+//
+// The source is gated two results behind the consumer: frame i enters
+// the stream only once result i−2 has been taken. Every flip therefore
+// lands with a frame in flight (never on a drained pipeline), and the
+// frames after it run on the side it chose — ungated, all twelve could
+// be extracted before the first flip, leaving the remote side unrun.
 func TestStreamBalancePlacementBitIdentical(t *testing.T) {
 	p, frames := streamFixture(t, 3000)
 	p.Extract.Workers = 2
@@ -105,7 +111,23 @@ func TestStreamBalancePlacementBitIdentical(t *testing.T) {
 	defer w.Close()
 	before := runtime.NumGoroutine()
 
-	s := p.StreamFrames(context.Background(), FrameSliceSource(long...), StreamOptions{
+	consumed := make(chan struct{}, len(long)) // one token per result taken
+	gated := func(ctx context.Context, emit func(beam.Frame) bool) error {
+		for i, f := range long {
+			if i >= 2 {
+				select {
+				case <-consumed: // result i−2
+				case <-ctx.Done():
+					return nil
+				}
+			}
+			if !emit(f) {
+				return nil
+			}
+		}
+		return nil
+	}
+	s := p.StreamFrames(context.Background(), gated, StreamOptions{
 		ExtractAddrs:   []string{w.Addr()},
 		ExtractWorkers: 2,
 		Buffer:         2,
@@ -149,6 +171,7 @@ func TestStreamBalancePlacementBitIdentical(t *testing.T) {
 		case 9:
 			pl.SetStagePlacement("extract", true)
 		}
+		consumed <- struct{}{} // after the flip: the next frame sees it
 	}
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)

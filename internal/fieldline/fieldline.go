@@ -128,7 +128,9 @@ func (s *Slab) Line(lo, hi int, closed bool) Line {
 	}
 }
 
-// AppendTrace integrates like Trace, appending the samples to the slab,
+// AppendTrace integrates a field line from seed in the given direction
+// (+1 with the field, -1 against it) using RK4 on the normalized field,
+// appending the samples to the slab — the seed itself is the first —
 // and reports whether the line closed on itself. cfg must be valid.
 func (s *Slab) AppendTrace(f Field, seed vec.V3, cfg Config, sign float64) (closed bool) {
 	d, mag := dirAt(f, seed)
@@ -210,45 +212,12 @@ func (s *Slab) AppendTraceBoth(f Field, seed vec.V3, cfg Config) (closed bool) {
 	return s.appendTrace(f, seed, d, mag, cfg, +1) || closed
 }
 
-// Trace integrates a field line from seed in the given direction
-// (+1 with the field, -1 against it) using RK4 on the normalized
-// field. The seed itself is the first sample.
-func Trace(f Field, seed vec.V3, cfg Config, sign float64) (*Line, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var s Slab
-	closed := s.AppendTrace(f, seed, cfg, sign)
-	return &Line{Points: s.Points, Tangents: s.Tangents, Strengths: s.Strengths, Closed: closed}, nil
-}
-
-// TraceAll integrates one line per seed concurrently on par.ForChunks
-// (workers 0 = auto) — lines are independent, so the batch scales with
-// cores while result order and every line stay identical to serial
-// Trace calls in seed order. The field's At must be safe for
-// concurrent calls (the sampled-frame adapters and analytic fields
-// are: they only read).
-func TraceAll(f Field, seeds []vec.V3, cfg Config, sign float64, workers int) ([]*Line, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	lines := make([]*Line, len(seeds))
-	errs := make([]error, len(seeds))
-	par.ForChunks(len(seeds), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			lines[i], errs[i] = Trace(f, seeds[i], cfg, sign)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return lines, nil
-}
-
-// TraceBothAll is the bidirectional batch variant of TraceAll: one
-// TraceBoth per seed, integrated concurrently.
+// TraceBothAll integrates one TraceBoth line per seed concurrently on
+// par.ForChunks (workers 0 = auto) — lines are independent, so the
+// batch scales with cores while result order and every line stay
+// identical to serial TraceBoth calls in seed order. The field's At
+// must be safe for concurrent calls (the sampled-frame adapters and
+// analytic fields are: they only read).
 func TraceBothAll(f Field, seeds []vec.V3, cfg Config, workers int) ([]*Line, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package fieldline
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -402,40 +401,6 @@ func TestTraceMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTraceAllMatchesSerial: the parallel batch must return exactly
-// the lines serial tracing produces, in seed order, at every worker
-// count.
-func TestTraceAllMatchesSerial(t *testing.T) {
-	cfg := Config{Step: 0.05, MaxSteps: 200, CloseLoop: true}
-	var seeds []vec.V3
-	for i := 0; i < 64; i++ {
-		a := float64(i) * 0.37
-		seeds = append(seeds, vec.New(0.3+math.Cos(a), math.Sin(a), float64(i%5)*0.1))
-	}
-	want := make([]*Line, len(seeds))
-	for i, s := range seeds {
-		l, err := Trace(FieldFunc(circular), s, cfg, +1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = l
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := TraceAll(FieldFunc(circular), seeds, cfg, +1, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d lines, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if !linesEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d: line %d differs from serial trace", workers, i)
-			}
-		}
-	}
-}
-
 func TestTraceBothAllMatchesSerial(t *testing.T) {
 	cfg := Config{Step: 0.05, MaxSteps: 100, MinMag: 1e-6}
 	var seeds []vec.V3
@@ -459,8 +424,8 @@ func TestTraceBothAllMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestTraceAllValidatesConfig(t *testing.T) {
-	if _, err := TraceAll(FieldFunc(uniformX), []vec.V3{{}}, Config{}, +1, 2); err == nil {
+func TestTraceBothAllValidatesConfig(t *testing.T) {
+	if _, err := TraceBothAll(FieldFunc(uniformX), []vec.V3{{}}, Config{}, 2); err == nil {
 		t.Error("accepted invalid config")
 	}
 	if _, err := TraceBothAll(FieldFunc(uniformX), nil, Config{Step: 0.1, MaxSteps: 1}, 2); err != nil {
@@ -468,25 +433,16 @@ func TestTraceAllValidatesConfig(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceAll measures batch integration throughput over
-// independent seeds at several worker counts.
-func BenchmarkTraceAll(b *testing.B) {
-	cfg := Config{Step: 0.02, MaxSteps: 400, CloseLoop: true}
-	seeds := make([]vec.V3, 256)
-	for i := range seeds {
-		a := float64(i) * 0.11
-		seeds[i] = vec.New(1+0.5*math.Cos(a), 0.5*math.Sin(a), 0)
+// Trace integrates one field line from seed in the given direction
+// (+1 with the field, -1 against it) into a slab of its own: the
+// one-direction entry point these tests trace through.
+func Trace(f Field, seed vec.V3, cfg Config, sign float64) (*Line, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := TraceAll(FieldFunc(circular), seeds, cfg, +1, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	var s Slab
+	closed := s.AppendTrace(f, seed, cfg, sign)
+	return &Line{Points: s.Points, Tangents: s.Tangents, Strengths: s.Strengths, Closed: closed}, nil
 }
 
 // Length returns the polyline arc length.

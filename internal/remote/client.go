@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/hybrid"
+	"repro/internal/pipeline"
 	"repro/internal/render"
 )
 
@@ -19,16 +20,41 @@ import (
 // request ID and matched to its response by a background read loop —
 // so a viewer that fetches ahead overlaps WAN fetches instead of
 // serializing them. Methods are safe for concurrent use.
+//
+// Whether a client redials follows from how it was made. A client from
+// Dial or DialWith knows its address: a call that fails transiently —
+// connection lost, heartbeat timeout, no reply in time, a retryable
+// ErrCodeUnavailable refusal — is retried under ClientOptions.Retry over
+// a fresh connection, dialed and handshaken between attempts, and a
+// redial by one call is at once the connection of every other. A client
+// from NewClientConn was handed a transport its owner controls (a fleet
+// member, a benchmark viewer, a fault-injection test) and never redials:
+// its calls go to that one connection and fail with it. Close is final
+// for both.
 type Client struct {
+	link atomic.Pointer[link] // the current connection; a redial replaces it
+	addr string               // where to redial; "" for a NewClientConn client
+	opts ClientOptions
+
+	bandwidthBps atomic.Int64 // read by every link, so SetBandwidth survives redials
+	closed       atomic.Bool
+	redials      atomic.Uint64
+
+	dialMu sync.Mutex // serializes redials: concurrent callers wait for one dial
+}
+
+// link is one connection of a Client: the handshaken transport, the
+// requests in flight on it, its subscriptions, and the read and
+// heartbeat loops that serve them until the connection dies.
+type link struct {
 	conn       net.Conn
-	reqTimeout time.Duration
+	bps        *atomic.Int64 // the client's bandwidth throttle
 	hbInterval time.Duration
 	hbIdle     time.Duration
 	wmu        sync.Mutex
 	bw         *bufio.Writer
 
-	bandwidthBps atomic.Int64
-	lastInbound  atomic.Int64 // unix nanos of the last inbound message
+	lastInbound atomic.Int64 // unix nanos of the last inbound message
 
 	mu      sync.Mutex
 	pending map[uint64]chan message
@@ -38,13 +64,14 @@ type Client struct {
 	done    chan struct{}
 }
 
-// ErrClientClosed marks a Client whose connection is gone — closed by
-// the caller, lost to the transport, or declared dead by the heartbeat
-// watchdog. Every call made afterwards fails fast with an error
-// wrapping it, so callers (and ReconnectClient) can classify
+// ErrClientClosed marks a connection that is gone — closed by the
+// caller, lost to the transport, or declared dead by the heartbeat
+// watchdog — and a Client the caller has Closed. Every call on a dead
+// connection fails fast with an error wrapping it, so callers classify
 // retryable-by-redial transport loss with errors.Is instead of
 // pattern-matching write errors. IsTransient reports true for it: the
-// client object is dead, but a fresh dial may well succeed.
+// connection is dead, but a fresh dial may well succeed — unless the
+// Client itself was closed, which no retry undoes.
 var ErrClientClosed = errors.New("remote: client closed")
 
 // DefaultRequestTimeout bounds a context-free request round trip when
@@ -76,7 +103,9 @@ type ClientOptions struct {
 	// idle — so the server's read deadline keeps refreshing even for a
 	// subscriber that never issues requests. 0 means
 	// DefaultHeartbeatInterval; negative disables the loop (and with
-	// it IdleTimeout dead-peer detection).
+	// it IdleTimeout dead-peer detection). The heartbeat is what turns
+	// a silently dead link into a prompt ErrClientClosed, and with it a
+	// redial: leave it on unless a test says otherwise.
 	HeartbeatInterval time.Duration
 
 	// IdleTimeout is how long the heartbeat watchdog tolerates total
@@ -86,6 +115,18 @@ type ClientOptions struct {
 	// interval; negative disables the check while keeping pings
 	// flowing.
 	IdleTimeout time.Duration
+
+	// Retry governs a dialed client's redial/backoff schedule; the zero
+	// value is the pipeline default (3 attempts, 50ms base doubling to
+	// 2s, ±50% jitter). Each call, the first dial included, gets at
+	// most MaxAttempts tries across redials before its error surfaces.
+	// A NewClientConn client never retries.
+	Retry pipeline.RetryPolicy
+
+	// Dial overrides a dialed client's transport dial — the seam for
+	// tests that wrap connections in fault injectors, and for callers
+	// with custom transports. nil means TCP with a 5s timeout.
+	Dial func(addr string) (net.Conn, error)
 }
 
 func (o ClientOptions) requestTimeout() time.Duration {
@@ -121,68 +162,188 @@ func (o ClientOptions) heartbeatIdle() time.Duration {
 	}
 }
 
+func (o ClientOptions) dial(addr string) (net.Conn, error) {
+	if o.Dial != nil {
+		return o.Dial(addr)
+	}
+	return net.DialTimeout("tcp", addr, 5*time.Second)
+}
+
 // Dial connects and runs the version handshake with default options.
 func Dial(addr string) (*Client, error) {
 	return DialWith(addr, ClientOptions{})
 }
 
-// DialWith is Dial with explicit options.
+// DialWith is Dial with explicit options. The first dial is retried
+// under opts.Retry like every later redial.
 func DialWith(addr string, opts ClientOptions) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("remote: %w", err)
+	c := &Client{addr: addr, opts: opts}
+	if err := c.retry(context.Background(), func(*link) error { return nil }); err != nil {
+		return nil, err
 	}
-	return NewClientConn(conn, opts)
+	return c, nil
 }
 
 // NewClientConn runs the version handshake over an established
 // connection and returns the client session for it. It is the seam
-// under Dial for callers that own the transport — a fleet's custom
-// dialer, or a test wrapping the connection in a fault injector. On
-// error the connection is closed.
+// for callers that own the transport — a fleet's custom dialer, or a
+// test wrapping the connection in a fault injector — and the client it
+// returns never redials. On error the connection is closed.
 func NewClientConn(conn net.Conn, opts ClientOptions) (*Client, error) {
+	c := &Client{opts: opts}
+	l, err := c.newLink(conn)
+	if err != nil {
+		return nil, err
+	}
+	c.link.Store(l)
+	return c, nil
+}
+
+// newLink runs the version handshake over conn and starts the
+// connection's read and heartbeat loops. On error conn is closed.
+func (c *Client) newLink(conn net.Conn) (*link, error) {
 	if err := clientHello(conn); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	c := &Client{
+	l := &link{
 		conn:       conn,
-		reqTimeout: opts.requestTimeout(),
-		hbInterval: opts.heartbeatInterval(),
-		hbIdle:     opts.heartbeatIdle(),
+		bps:        &c.bandwidthBps,
+		hbInterval: c.opts.heartbeatInterval(),
+		hbIdle:     c.opts.heartbeatIdle(),
 		bw:         bufio.NewWriterSize(conn, 1<<16),
 		pending:    make(map[uint64]chan message),
 		subs:       make(map[uint64]*Subscription),
 		done:       make(chan struct{}),
 	}
-	c.lastInbound.Store(time.Now().UnixNano())
-	go c.readLoop()
-	if c.hbInterval > 0 {
-		go c.heartbeatLoop()
+	l.lastInbound.Store(time.Now().UnixNano())
+	go l.readLoop()
+	if l.hbInterval > 0 {
+		go l.heartbeatLoop()
 	}
-	return c, nil
+	return l, nil
 }
 
 // SetBandwidth throttles response reads to bps bytes per second,
-// modeling the wide-area link (<= 0 disables).
+// modeling the wide-area link (<= 0 disables). It holds across redials.
 func (c *Client) SetBandwidth(bps int64) { c.bandwidthBps.Store(bps) }
 
-// Close severs the connection; in-flight and later requests fail
-// promptly with an error wrapping ErrClientClosed.
+// Redials reports how many times a dialed client has re-established
+// its connection — 0 after an uninterrupted session.
+func (c *Client) Redials() uint64 { return c.redials.Load() }
+
+// Close severs the connection for good: in-flight and later requests
+// fail promptly with an error wrapping ErrClientClosed, and nothing
+// redials.
 func (c *Client) Close() error {
-	c.fail(ErrClientClosed)
-	return c.conn.Close()
+	c.closed.Store(true)
+	c.dialMu.Lock() // a redial in progress lands first, and is closed below
+	l := c.link.Load()
+	c.dialMu.Unlock()
+	return l.close()
 }
 
-// fail records the client's terminal error; only the first one sticks,
-// so a caller-initiated Close isn't relabelled as the transport error
-// it provokes.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.readErr == nil {
-		c.readErr = err
+// current returns the live connection, dialing a fresh one if the last
+// one died. Dials are serialized: concurrent callers wait for one
+// rather than racing their own.
+func (c *Client) current() (*link, error) {
+	c.dialMu.Lock()
+	defer c.dialMu.Unlock()
+	if c.closed.Load() {
+		return nil, ErrClientClosed
 	}
-	c.mu.Unlock()
+	old := c.link.Load()
+	if old != nil {
+		if !old.dead() {
+			return old, nil
+		}
+		old.close() // one that died reading may still hold its socket
+	}
+	conn, err := c.opts.dial(c.addr)
+	if err != nil {
+		return nil, fmt.Errorf("remote: dial %s: %w", c.addr, err)
+	}
+	l, err := c.newLink(conn)
+	if err != nil {
+		return nil, err
+	}
+	if old != nil {
+		c.redials.Add(1)
+	}
+	c.link.Store(l)
+	return l, nil
+}
+
+// retry runs f on the live connection under the retry policy. A
+// transient failure severs that connection, so the next attempt
+// redials — if the server refused admission, only a fresh connection
+// gets a fresh verdict. A newer connection is never touched: another
+// call already redialed, and it is not guilty of this call's error.
+// Neither is one the caller's own context gave up on.
+func (c *Client) retry(ctx context.Context, f func(*link) error) error {
+	return pipeline.Retry(ctx, c.opts.Retry, c.retryable, func(ctx context.Context) error {
+		l, err := c.current()
+		if err != nil {
+			return err
+		}
+		if err = f(l); IsTransient(err) && ctx.Err() == nil {
+			l.close()
+		}
+		return err
+	})
+}
+
+// retryable classifies errors for the redial loop: a closed client is
+// final; everything else defers to IsTransient.
+func (c *Client) retryable(err error) bool {
+	return !c.closed.Load() && IsTransient(err)
+}
+
+// roundTrip sends one request without a caller context, bounded by the
+// client's request timeout (ClientOptions.RequestTimeout), so a hung
+// server fails the call rather than parking it forever.
+func (c *Client) roundTrip(op byte, payload []byte) (message, error) {
+	return c.call(context.Background(), c.opts.requestTimeout(), op, payload)
+}
+
+// call sends one request and waits for its response; timeout > 0
+// bounds each attempt. A NewClientConn client asks its connection once;
+// a dialed one retries transient failures over redials.
+func (c *Client) call(ctx context.Context, timeout time.Duration, op byte, payload []byte) (message, error) {
+	if c.addr == "" {
+		return c.link.Load().call(ctx, timeout, op, payload)
+	}
+	var msg message
+	err := c.retry(ctx, func(l *link) (err error) {
+		msg, err = l.call(ctx, timeout, op, payload)
+		return err
+	})
+	return msg, err
+}
+
+// close severs the connection; in-flight and later requests on it fail
+// promptly with an error wrapping ErrClientClosed.
+func (l *link) close() error {
+	l.fail(ErrClientClosed)
+	return l.conn.Close()
+}
+
+// fail records the connection's terminal error; only the first one
+// sticks, so a caller-initiated close isn't relabelled as the transport
+// error it provokes.
+func (l *link) fail(err error) {
+	l.mu.Lock()
+	if l.readErr == nil {
+		l.readErr = err
+	}
+	l.mu.Unlock()
+}
+
+// dead reports whether the connection has failed.
+func (l *link) dead() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.readErr != nil
 }
 
 // heartbeatLoop is the protocol-v5 liveness probe: a Ping every
@@ -192,29 +353,29 @@ func (c *Client) fail(err error) {
 // silence. The pong — like every inbound message — refreshes
 // lastInbound in readLoop; heartbeat pings ride request ID 0, which
 // roundTrip never allocates, so the replies need no pending entry.
-func (c *Client) heartbeatLoop() {
-	t := time.NewTicker(c.hbInterval)
+func (l *link) heartbeatLoop() {
+	t := time.NewTicker(l.hbInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.done:
+		case <-l.done:
 			return
 		case <-t.C:
 		}
-		if c.hbIdle > 0 {
-			idle := time.Since(time.Unix(0, c.lastInbound.Load()))
-			if idle > c.hbIdle {
-				c.fail(fmt.Errorf("remote: peer silent for %v (heartbeat timeout): %w", idle.Round(time.Millisecond), ErrClientClosed))
-				c.conn.Close()
+		if l.hbIdle > 0 {
+			idle := time.Since(time.Unix(0, l.lastInbound.Load()))
+			if idle > l.hbIdle {
+				l.fail(fmt.Errorf("remote: peer silent for %v (heartbeat timeout): %w", idle.Round(time.Millisecond), ErrClientClosed))
+				l.conn.Close()
 				return
 			}
 		}
-		c.wmu.Lock()
-		err := writeMessage(c.bw, 0, opPing, nil)
-		c.wmu.Unlock()
+		l.wmu.Lock()
+		err := writeMessage(l.bw, 0, opPing, nil)
+		l.wmu.Unlock()
 		if err != nil {
-			c.fail(fmt.Errorf("remote: heartbeat write: %w (%w)", err, ErrClientClosed))
-			c.conn.Close()
+			l.fail(fmt.Errorf("remote: heartbeat write: %w (%w)", err, ErrClientClosed))
+			l.conn.Close()
 			return
 		}
 	}
@@ -222,24 +383,24 @@ func (c *Client) heartbeatLoop() {
 
 // readLoop routes every inbound message to its requester (or
 // subscription) until the connection dies.
-func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, 1<<16)
+func (l *link) readLoop() {
+	br := bufio.NewReaderSize(l.conn, 1<<16)
 	for {
-		msg, err := readMessage(br, c.bandwidthBps.Load())
+		msg, err := readMessage(br, l.bps.Load())
 		if err != nil {
-			c.fail(fmt.Errorf("remote: connection lost: %w (%w)", err, ErrClientClosed))
-			close(c.done)
+			l.fail(fmt.Errorf("remote: connection lost: %w (%w)", err, ErrClientClosed))
+			close(l.done)
 			return
 		}
-		c.lastInbound.Store(time.Now().UnixNano())
+		l.lastInbound.Store(time.Now().UnixNano())
 		if msg.op == opNotify {
 			frames, err := decodeCount(msg.payload)
 			if err != nil {
 				continue
 			}
-			c.mu.Lock()
-			sub := c.subs[msg.reqID]
-			c.mu.Unlock()
+			l.mu.Lock()
+			sub := l.subs[msg.reqID]
+			l.mu.Unlock()
 			if sub != nil {
 				sub.deliver(frames)
 			}
@@ -250,67 +411,63 @@ func (c *Client) readLoop() {
 			if err != nil {
 				continue
 			}
-			c.mu.Lock()
-			sub := c.subs[msg.reqID]
-			c.mu.Unlock()
+			l.mu.Lock()
+			sub := l.subs[msg.reqID]
+			l.mu.Unlock()
 			if sub != nil {
 				sub.deliverFrame(u)
 				sub.deliver(u.Frames)
 			}
 			continue
 		}
-		c.mu.Lock()
-		ch := c.pending[msg.reqID]
-		delete(c.pending, msg.reqID)
-		c.mu.Unlock()
+		l.mu.Lock()
+		ch := l.pending[msg.reqID]
+		delete(l.pending, msg.reqID)
+		l.mu.Unlock()
 		if ch != nil {
 			ch <- msg // buffered; never blocks
 		}
 	}
 }
 
-// roundTrip sends one request and waits for its response, translating
-// opError replies. The wait is bounded by the client's request timeout
-// (ClientOptions.RequestTimeout), so a hung server fails the call
-// rather than parking it forever.
-func (c *Client) roundTrip(op byte, payload []byte) (message, error) {
-	ctx := context.Background()
-	if c.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.reqTimeout)
-		defer cancel()
+// call runs one round trip, bounded by timeout when it is > 0.
+func (l *link) call(ctx context.Context, timeout time.Duration, op byte, payload []byte) (message, error) {
+	if timeout <= 0 {
+		return l.roundTrip(ctx, op, payload)
 	}
-	msg, err := c.roundTripCtx(ctx, op, payload)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	msg, err := l.roundTrip(ctx, op, payload)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
-		return message{}, fmt.Errorf("remote: no reply within %v: %w", c.reqTimeout, err)
+		return message{}, fmt.Errorf("remote: no reply within %v: %w", timeout, err)
 	}
 	return msg, err
 }
 
-// roundTripCtx is roundTrip under a caller context: a cancellation
-// abandons the wait (the server may still process the request, but
-// nobody is listening), which is what lets a cancelled pipeline unwind
-// a remote stage promptly.
-func (c *Client) roundTripCtx(ctx context.Context, op byte, payload []byte) (message, error) {
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
+// roundTrip sends one request and waits for its response, translating
+// opError replies. A cancellation of ctx abandons the wait (the server
+// may still process the request, but nobody is listening), which is
+// what lets a cancelled pipeline unwind a remote stage promptly.
+func (l *link) roundTrip(ctx context.Context, op byte, payload []byte) (message, error) {
+	l.mu.Lock()
+	if l.readErr != nil {
+		err := l.readErr
+		l.mu.Unlock()
 		return message{}, err
 	}
-	c.nextID++
-	id := c.nextID
+	l.nextID++
+	id := l.nextID
 	ch := make(chan message, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
+	l.pending[id] = ch
+	l.mu.Unlock()
 
-	c.wmu.Lock()
-	err := writeMessage(c.bw, id, op, payload)
-	c.wmu.Unlock()
+	l.wmu.Lock()
+	err := writeMessage(l.bw, id, op, payload)
+	l.wmu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		l.mu.Lock()
+		delete(l.pending, id)
+		l.mu.Unlock()
 		return message{}, fmt.Errorf("remote: request write: %w (%w)", err, ErrClientClosed)
 	}
 
@@ -318,11 +475,11 @@ func (c *Client) roundTripCtx(ctx context.Context, op byte, payload []byte) (mes
 	case msg := <-ch:
 		return checkResponse(msg)
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		l.mu.Lock()
+		delete(l.pending, id)
+		l.mu.Unlock()
 		return message{}, ctx.Err()
-	case <-c.done:
+	case <-l.done:
 		// The read loop may have delivered the response just before
 		// the connection died; prefer it over the connection error.
 		select {
@@ -330,10 +487,10 @@ func (c *Client) roundTripCtx(ctx context.Context, op byte, payload []byte) (mes
 			return checkResponse(msg)
 		default:
 		}
-		c.mu.Lock()
-		err := c.readErr
-		delete(c.pending, id)
-		c.mu.Unlock()
+		l.mu.Lock()
+		err := l.readErr
+		delete(l.pending, id)
+		l.mu.Unlock()
 		return message{}, err
 	}
 }
@@ -441,7 +598,8 @@ func (c *Client) fetchEncoded(i int) ([]byte, error) {
 // serve the delta (base evicted from a live ring) or the
 // reconstruction fails against the caller's base, the client falls
 // back to a full fetch transparently — the transfer size then
-// reflects the full frame.
+// reflects the full frame. A transient failure of the round trip
+// itself is returned instead: a full fetch would cross the same link.
 func (c *Client) FetchFrameDelta(i, base int, baseEnc []byte) (*hybrid.Representation, []byte, int64, time.Duration, error) {
 	start := time.Now()
 	if base < 0 || len(baseEnc) == 0 {
@@ -456,26 +614,20 @@ func (c *Client) FetchFrameDelta(i, base int, baseEnc []byte) (*hybrid.Represent
 		}
 		return rep, enc, int64(len(enc)), time.Since(start), nil
 	}
-	enc, wire, err := func() ([]byte, int64, error) {
-		msg, err := c.roundTrip(opGetDelta, encodeGetDelta(i, base))
-		if err != nil {
-			return nil, 0, err
-		}
-		if msg.op != opGetDeltaOK {
-			return nil, 0, fmt.Errorf("remote: unexpected get-delta response %#02x", msg.op)
-		}
-		n := int64(len(msg.payload))
-		cur, err := render.DecompressDelta(msg.payload, baseEnc)
+	msg, err := c.roundTrip(opGetDelta, encodeGetDelta(i, base))
+	if IsTransient(err) {
+		return nil, nil, 0, 0, err
+	}
+	var enc []byte
+	wire := int64(len(msg.payload))
+	if err == nil && msg.op != opGetDeltaOK {
+		err = fmt.Errorf("remote: unexpected get-delta response %#02x", msg.op)
+	}
+	if err == nil {
+		enc, err = render.DecompressDelta(msg.payload, baseEnc)
 		msg.recycle() // DecompressDelta builds a fresh buffer
-		return cur, n, err
-	}()
+	}
 	if err != nil {
-		c.mu.Lock()
-		dead := c.readErr != nil
-		c.mu.Unlock()
-		if dead {
-			return nil, nil, 0, 0, err
-		}
 		if enc, err = c.fetchEncoded(i); err != nil {
 			return nil, nil, 0, 0, err
 		}
@@ -494,7 +646,9 @@ func (c *Client) FetchFrameDelta(i, base int, baseEnc []byte) (*hybrid.Represent
 // rendering the fetched frame locally; QualityPreview trades that for
 // a quantized 8-bit encoding several times smaller on the wire. It
 // returns the decoded framebuffer, the compressed wire size, and the
-// (throttled) elapsed time.
+// (throttled) elapsed time. A dialed client rides out a server whose
+// render gate is momentarily full (ErrCodeUnavailable) at the cost of a
+// backoff and a fresh connection, not the frame.
 func (c *Client) Render(p RenderParams) (*render.Framebuffer, int64, time.Duration, error) {
 	start := time.Now()
 	msg, err := c.roundTrip(opRender, encodeRenderParams(p))
@@ -524,7 +678,7 @@ func (c *Client) Compute(ctx context.Context, kernel string, req []byte) ([]byte
 		return nil, err
 	}
 	buf = append(buf, req...)
-	msg, err := c.roundTripCtx(ctx, opCompute, buf)
+	msg, err := c.call(ctx, 0, opCompute, buf)
 	putBytes(buf)
 	if err != nil {
 		return nil, err
@@ -540,7 +694,7 @@ func (c *Client) Compute(ctx context.Context, kernel string, req []byte) ([]byte
 // service answers with ErrCodeUnknownVerb, which is itself the
 // answer: this endpoint hosts no kernels at all.
 func (c *Client) Kernels(ctx context.Context) ([]string, error) {
-	msg, err := c.roundTripCtx(ctx, opKernels, nil)
+	msg, err := c.call(ctx, 0, opKernels, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -554,7 +708,9 @@ func (c *Client) Kernels(ctx context.Context) ([]string, error) {
 
 // Subscription is a live feed of the server's frame count. Updates is
 // latest-wins: a slow consumer sees the most recent count, not a
-// backlog, mirroring the server's no-backpressure contract.
+// backlog, mirroring the server's no-backpressure contract. It lives
+// on the connection it was opened on and ends with it; SubscribeResume
+// is the feed that outlives a connection.
 type Subscription struct {
 	// Updates carries the server's frame count: first the count at
 	// subscribe time, then a value per publish (collapsed under load).
@@ -611,16 +767,29 @@ func (c *Client) Subscribe() (*Subscription, error) {
 
 // SubscribeWith is Subscribe with protocol v3 options.
 func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
+	if c.addr == "" {
+		return c.link.Load().subscribe(opts)
+	}
+	var sub *Subscription
+	err := c.retry(context.Background(), func(l *link) (err error) {
+		sub, err = l.subscribe(opts)
+		return err
+	})
+	return sub, err
+}
+
+// subscribe opens a subscription on this connection.
+func (l *link) subscribe(opts SubscribeOptions) (*Subscription, error) {
+	l.mu.Lock()
+	if l.readErr != nil {
+		err := l.readErr
+		l.mu.Unlock()
 		return nil, err
 	}
-	c.nextID++
-	id := c.nextID
+	l.nextID++
+	id := l.nextID
 	ch := make(chan message, 1)
-	c.pending[id] = ch
+	l.pending[id] = ch
 	sub := &Subscription{ch: make(chan int, 1), done: make(chan struct{}), last: -1}
 	sub.Updates = sub.ch
 	if opts.InlineFrames {
@@ -628,20 +797,20 @@ func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
 		sub.Frames = sub.fch
 	}
 	sub.cancel = func() {
-		c.mu.Lock()
-		if c.subs[id] == sub {
-			delete(c.subs, id)
+		l.mu.Lock()
+		if l.subs[id] == sub {
+			delete(l.subs, id)
 		}
-		c.mu.Unlock()
+		l.mu.Unlock()
 	}
-	c.subs[id] = sub
-	c.mu.Unlock()
+	l.subs[id] = sub
+	l.mu.Unlock()
 
 	// Close the feed when the connection dies; the watchdog itself
 	// ends when the subscription closes first.
 	go func() {
 		select {
-		case <-c.done:
+		case <-l.done:
 			sub.Close()
 		case <-sub.done:
 		}
@@ -651,20 +820,20 @@ func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
 	if opts.InlineFrames {
 		payload = []byte{subFlagInline}
 	}
-	c.wmu.Lock()
-	err := writeMessage(c.bw, id, opSubscribe, payload)
-	c.wmu.Unlock()
+	l.wmu.Lock()
+	err := writeMessage(l.bw, id, opSubscribe, payload)
+	l.wmu.Unlock()
 	if err != nil {
 		sub.Close()
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		l.mu.Lock()
+		delete(l.pending, id)
+		l.mu.Unlock()
 		return nil, fmt.Errorf("remote: subscribe write: %w (%w)", err, ErrClientClosed)
 	}
 	accept := func(msg message) (*Subscription, error) {
-		if msg.op == opError {
+		if _, err := checkResponse(msg); err != nil {
 			sub.Close()
-			return nil, fmt.Errorf("remote: server error: %s", msg.payload)
+			return nil, err
 		}
 		frames, err := decodeCount(msg.payload)
 		if msg.op != opSubscribeOK || err != nil {
@@ -677,7 +846,7 @@ func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
 	select {
 	case msg := <-ch:
 		return accept(msg)
-	case <-c.done:
+	case <-l.done:
 		// Prefer a response that arrived before the connection died.
 		select {
 		case msg := <-ch:
@@ -685,10 +854,10 @@ func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
 		default:
 		}
 		sub.Close()
-		c.mu.Lock()
-		err := c.readErr
-		delete(c.pending, id)
-		c.mu.Unlock()
+		l.mu.Lock()
+		err := l.readErr
+		delete(l.pending, id)
+		l.mu.Unlock()
 		return nil, err
 	}
 }

@@ -119,10 +119,6 @@ func decoderCases(t testing.TB) []decoderCase {
 			decode: func(p []byte) error { _, err := render.DecompressPartial(p); return err }},
 		{name: "ACPT", sum: true, blob: appendExtractRequest(nil, fixturePoints, fixtureTree, fixtureEcfg),
 			decode: func(p []byte) error { _, _, _, err := decodeExtractRequest(p, nil); return err }},
-		{name: "ACFS", sum: true, blob: appendTraceRequest(nil, fixtureSpec, fixturePoints, fixtureTrace, -1, 4),
-			decode: func(p []byte) error { _, _, _, _, _, err := decodeTraceRequest(p); return err }},
-		{name: "ACFR", sum: true, blob: appendTraceReply(nil, traceLinesFixture()),
-			decode: func(p []byte) error { _, err := decodeTraceReply(p); return err }},
 		{name: "ACPR", sum: true, blob: appendRenderPartialRequest(nil, renderRequestFixture()),
 			decode: func(p []byte) error { _, err := decodeRenderPartialRequest(p); return err }},
 		{name: "Compute header", tail: true, blob: header,
@@ -163,8 +159,6 @@ func decoderCases(t testing.TB) []decoderCase {
 //fuzz ./internal/remote FuzzDecodePayloads
 //fuzz ./internal/remote FuzzStatsPayload
 //fuzz ./internal/remote FuzzComputeFraming
-//fuzz ./internal/remote FuzzTraceRequest
-//fuzz ./internal/remote FuzzTraceReply
 //fuzz ./internal/remote FuzzKernelList
 
 // TestDecodersRejectDamage drives every decoder through the three
@@ -281,12 +275,6 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 			func(p []byte) error { _, err := render.DecompressPartial(p); return err }},
 		{"ACPT 2²⁷ points", forge("ACPT", 4, 1, true, zeros(64), uint64(1<<27)),
 			func(p []byte) error { _, _, _, err := decodeExtractRequest(p, nil); return err }},
-		{"ACFS 2²⁷ seeds", forge("ACFS", 4, 1, true, zeros(74), uint64(1<<27)),
-			func(p []byte) error { _, _, _, _, _, err := decodeTraceRequest(p); return err }},
-		{"ACFR 2²⁷ lines", forge("ACFR", 4, 1, true, uint32(1<<27)),
-			func(p []byte) error { _, err := decodeTraceReply(p); return err }},
-		{"ACFR line of 2²⁴ points", forge("ACFR", 4, 1, true, uint32(1), uint32(1<<24), uint8(0)),
-			func(p []byte) error { _, err := decodeTraceReply(p); return err }},
 		{"ACPR 2²⁷ points", forge("ACPR", 4, 1, true, uint32(64), uint32(64), zeros(113), uint64(1<<27)),
 			func(p []byte) error { _, err := decodeRenderPartialRequest(p); return err }},
 		{"Kernel list of 65535", forge("", 0, 0, false, uint16(65535), uint8(1), uint8('k')),
@@ -329,20 +317,8 @@ func seedFrom(f *testing.F, name string) {
 	f.Fatalf("no decoder case %q", name)
 }
 
-// The three fuzz targets below cover decoders that were reached only
-// through well-formed round trips: none may panic or over-allocate.
-
-func FuzzTraceRequest(f *testing.F) {
-	seedFrom(f, "ACFS")
-	f.Fuzz(func(t *testing.T, data []byte) { _, _, _, _, _, _ = decodeTraceRequest(data) })
-}
-
-func FuzzTraceReply(f *testing.F) {
-	seedFrom(f, "ACFR")
-	f.Add(forge("ACFR", 4, 1, true, uint32(1), uint32(1<<24), uint8(0)))
-	f.Fuzz(func(t *testing.T, data []byte) { _, _ = decodeTraceReply(data) })
-}
-
+// FuzzKernelList covers a decoder that was reached only through
+// well-formed round trips: it may not panic or over-allocate.
 func FuzzKernelList(f *testing.F) {
 	seedFrom(f, "Kernel list")
 	f.Add([]byte{0xff, 0xff, 1, 'k'})

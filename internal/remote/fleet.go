@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fieldline"
 	"repro/internal/hybrid"
 	"repro/internal/octree"
 	"repro/internal/pipeline"
@@ -157,14 +156,7 @@ func (o FleetOptions) requestTimeout() time.Duration {
 }
 
 func (o FleetOptions) dial(addr string) (net.Conn, error) {
-	if o.Dial != nil {
-		return o.Dial(addr)
-	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("remote: %w", err)
-	}
-	return conn, nil
+	return ClientOptions{Dial: o.Dial}.dial(addr)
 }
 
 // member is one worker slot. All mutable fields are guarded by the
@@ -499,27 +491,6 @@ func (f *Fleet) ComputeExtract(ctx context.Context, pts []vec.V3, tcfg octree.Co
 		return nil, err
 	}
 	return rep, nil
-}
-
-// ComputeTrace ships one batch of field-line seeds to the fleet's trace
-// kernel and decodes the integrated lines — the remote form of
-// fieldline.TraceAll over the named analytic field, bit-identical to
-// running it locally (lines travel in full double precision).
-// cfg.Domain is a function and cannot cross the wire; configs that set
-// it are rejected here rather than silently traced unbounded.
-func (f *Fleet) ComputeTrace(ctx context.Context, spec FieldSpec, seeds []vec.V3, cfg fieldline.Config, sign float64, workers int) ([]*fieldline.Line, error) {
-	if cfg.Domain != nil {
-		return nil, fmt.Errorf("remote: fieldline.Config.Domain cannot ship to a trace kernel")
-	}
-	req := appendTraceRequest(getBytes(0), spec, seeds, cfg, sign, workers)
-	out, err := f.Compute(ctx, req)
-	putBytes(req)
-	if err != nil {
-		return nil, err
-	}
-	lines, err := decodeTraceReply(out)
-	putBytes(out)
-	return lines, err
 }
 
 // probeLoop re-dials ejected members every interval, re-verifying the

@@ -12,11 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fieldline"
 	"repro/internal/hybrid"
 	"repro/internal/octree"
 	"repro/internal/pipeline"
-	"repro/internal/vec"
 )
 
 // fastFleetRetry keeps failover tests fast and deterministic (no
@@ -389,7 +387,9 @@ func TestIsTransient(t *testing.T) {
 }
 
 // TestWorkerKernelsAdvertised: the Kernels verb lists the built-in
-// kernel set, sorted.
+// kernel set, sorted. A kernel workers no longer host is refused with
+// the typed unknown-kernel error, the answer any protocol v7 requester
+// already handles.
 func TestWorkerKernelsAdvertised(t *testing.T) {
 	w := startWorker(t)
 	cli := dial(t, w.Addr())
@@ -397,93 +397,12 @@ func TestWorkerKernelsAdvertised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{KernelFieldlineTrace, KernelHybridExtract, KernelRenderPartial}
+	want := []string{KernelHybridExtract, KernelRenderPartial}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("Kernels = %v, want %v", names, want)
 	}
-}
-
-// TestComputeTraceBitIdentical: the field-line trace kernel
-// reproduces the local TraceAll exactly — full double precision over
-// the wire — for both an open dipole trace and a closed vortex loop.
-func TestComputeTraceBitIdentical(t *testing.T) {
-	w := startWorker(t)
-	fl := soloFleet(t, w.Addr(), FleetOptions{Kernel: KernelFieldlineTrace})
-
-	cases := []struct {
-		name  string
-		spec  FieldSpec
-		seeds []vec.V3
-		cfg   fieldline.Config
-	}{
-		{
-			name:  "dipole",
-			spec:  FieldSpec{Kind: FieldDipole, Params: [4]float64{0, 0, 1}},
-			seeds: []vec.V3{vec.New(1, 0, 0.2), vec.New(0, 1.2, -0.3), vec.New(-0.8, 0.4, 0.5)},
-			cfg:   fieldline.Config{Step: 0.01, MaxSteps: 400, MinMag: 1e-6},
-		},
-		{
-			name:  "vortex-closed",
-			spec:  FieldSpec{Kind: FieldVortex, Params: [4]float64{0, 0, 1}},
-			seeds: []vec.V3{vec.New(1, 0, 0), vec.New(0, 2, 0.1)},
-			cfg:   fieldline.Config{Step: 0.02, MaxSteps: 2000, MinMag: 1e-9, CloseLoop: true},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f, err := tc.spec.Field()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fieldline.TraceAll(f, tc.seeds, tc.cfg, 1, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fl.ComputeTrace(context.Background(), tc.spec, tc.seeds, tc.cfg, 1, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Error("remote trace not bit-identical to local TraceAll")
-			}
-			if tc.cfg.CloseLoop {
-				closed := false
-				for _, ln := range got {
-					closed = closed || ln.Closed
-				}
-				if !closed {
-					t.Error("vortex trace closed no loops (CloseLoop did not survive the wire)")
-				}
-			}
-		})
-	}
-}
-
-// TestFleetComputeTrace: the trace kernel also stripes over a fleet.
-func TestFleetComputeTrace(t *testing.T) {
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		addrs = append(addrs, startWorker(t).Addr())
-	}
-	fl, err := NewFleet(addrs, FleetOptions{Kernel: KernelFieldlineTrace, ProbeInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	spec := FieldSpec{Kind: FieldUniform, Params: [4]float64{0.3, -0.2, 1}}
-	seeds := []vec.V3{vec.New(0, 0, 0), vec.New(1, 1, 1)}
-	cfg := fieldline.Config{Step: 0.05, MaxSteps: 50, MinMag: 1e-9}
-	f, _ := spec.Field()
-	want, err := fieldline.TraceAll(f, seeds, cfg, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fl.ComputeTrace(context.Background(), spec, seeds, cfg, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("fleet trace not bit-identical to local TraceAll")
+	if _, err := cli.Compute(context.Background(), "fieldline.trace.v1", nil); CodeOf(err) != ErrCodeUnknownKernel {
+		t.Errorf("Compute(fieldline.trace.v1) = %v, want ErrCodeUnknownKernel", err)
 	}
 }
 

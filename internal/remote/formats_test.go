@@ -19,9 +19,9 @@ var (
 	fixturePoints = []vec.V3{vec.New(1, 2, 3), vec.New(-0.5, 0.25, 1e-3)}
 	fixtureTree   = octree.Config{MaxLevel: 7, LeafCap: 48, Workers: 2, Pad: 0.01}
 	fixtureEcfg   = hybrid.ExtractConfig{VolumeRes: 16, Threshold: 0.375, Budget: 1 << 35, Workers: 3}
-	fixtureSpec   = FieldSpec{Kind: FieldDipole, Params: [4]float64{0, 0.5, 1, -2}}
-	fixtureTrace  = fieldline.Config{Step: 0.05, MaxSteps: 400, MinMag: 1e-9, CloseLoop: true}
-	fixtureKernel = []string{KernelFieldlineTrace, KernelHybridExtract, KernelRenderPartial}
+	// Three names, one of a kernel no worker hosts any more: a kernel
+	// list is strings on the wire, and its recorded bytes stand.
+	fixtureKernel = []string{"fieldline.trace.v1", KernelHybridExtract, KernelRenderPartial}
 	fixtureList   = ListInfo{Frames: 41, First: 33, Live: true}
 	fixtureRender = RenderParams{Frame: 3, Width: 320, Height: 200,
 		ViewDir: vec.New(0.4, 0.3, 1), VolumeOpacity: 0.75, LogDomainK: 50, Quality: QualityPreview}
@@ -67,18 +67,6 @@ const (
 		"03000000000000000200000000000000000000000000f03f0000000000000040" +
 		"0000000000000840000000000000e0bf000000000000d03ffca9f1d24d62503f" +
 		"5c95db00" // 132 bytes in all
-	acfsRecorded = "4143465301000000010000000000000000000000000000e03f000000000000f0" +
-		"3f00000000000000c09a9999999999a93f900100000000000095d626e80b2e11" +
-		"3e01000000000000f0bf04000000000000000200000000000000000000000000" +
-		"f03f00000000000000400000000000000840000000000000e0bf000000000000" +
-		"d03ffca9f1d24d62503f2b90deeb" // 142 bytes in all
-	acfrRecorded = "4143465201000000030000000200000001000000000000000000000000000000" +
-		"00000000000000000000000000000000000000000000000000000000000000f0" +
-		"3f000000000000f03f000000000000e03f000000000000d03f000000000000f0" +
-		"bf333333333333e33f00000000000000009a9999999999e93f000000000000e0" +
-		"3f0000000000010000000000000000000008c000000000000000400000000000" +
-		"002040000000000000f03f000000000000000000000000000000000000000000" +
-		"001040fe4ecb21" // 199 bytes in all
 	acprRecorded = "414350520100000048000000400000000300000000000000020000009a999999" +
 		"9999d93f333333333333d33f000000000000f03f000000000000f83f01000000" +
 		"000000f0bf00000000000000c000000000000008c00000000000001040000000" +
@@ -160,15 +148,6 @@ func TestFormatsUnchanged(t *testing.T) {
 			pts, tcfg, ecfg, err := decodeExtractRequest(blob, nil)
 			same(t, err, []any{pts, tcfg, ecfg}, []any{fixturePoints, fixtureTree, fixtureEcfg})
 		}},
-		{"ACFS", acfsRecorded, appendTraceRequest(nil, fixtureSpec, fixturePoints, fixtureTrace, -1, 4), func(t *testing.T, blob []byte) {
-			spec, seeds, cfg, sign, workers, err := decodeTraceRequest(blob)
-			same(t, err, []any{spec, seeds, cfg.Step, cfg.MaxSteps, cfg.MinMag, cfg.CloseLoop, sign, workers},
-				[]any{fixtureSpec, fixturePoints, 0.05, 400, 1e-9, true, -1.0, 4})
-		}},
-		{"ACFR", acfrRecorded, appendTraceReply(nil, traceLinesFixture()), func(t *testing.T, blob []byte) {
-			lines, err := decodeTraceReply(blob)
-			same(t, err, lines, traceLinesFixture())
-		}},
 		{"ACPR", acprRecorded, appendRenderPartialRequest([]byte("xy"), renderRequestFixture())[2:], func(t *testing.T, blob []byte) {
 			req, err := decodeRenderPartialRequest(blob)
 			same(t, err, req, renderRequestFixture())
@@ -232,7 +211,6 @@ func TestFormatsUnchanged(t *testing.T) {
 func TestEncodersReserveExactly(t *testing.T) {
 	for name, out := range map[string][]byte{
 		"ACPT": appendExtractRequest(nil, fixturePoints, fixtureTree, fixtureEcfg),
-		"ACFS": appendTraceRequest(nil, fixtureSpec, fixturePoints, fixtureTrace, -1, 4),
 		"ACPR": appendRenderPartialRequest(nil, renderRequestFixture()),
 	} {
 		if cap(out) != len(out) {

@@ -70,8 +70,6 @@ import (
 //	ACDL   u32 1    no*  XOR residual of two byte streams     render.DecompressDelta
 //	ACPB   u32 1    no   RGBA+depth partial framebuffer       render.DecompressPartial
 //	ACPT   u32 1    yes  hybrid.extract.v1 request: points    decodeExtractRequest
-//	ACFS   u32 1    yes  fieldline.trace.v1 request: seeds    decodeTraceRequest
-//	ACFR   u32 1    yes  fieldline.trace.v1 reply: f64 lines  decodeTraceReply
 //	ACPR   u32 1    yes  render.partial.v1 request: a slice   decodeRenderPartialRequest
 //
 // (* ACDL carries the CRC-32 of the stream it reconstructs, which is
@@ -144,10 +142,14 @@ const (
 	// ErrCodeUnknownKernel: a Compute named a kernel the worker has not
 	// registered.
 	ErrCodeUnknownKernel ErrorCode = 3
-	// ErrCodeUnavailable: the worker is draining toward shutdown and
-	// did not start the request. Transient by definition — the same
-	// request is welcome on any other member of the fleet, so
-	// IsTransient classifies it retryable.
+	// ErrCodeUnavailable: the server did not start the request and
+	// says "later, or elsewhere" — a worker draining toward shutdown, a
+	// service at its session limit (MaxSessions: the refused session
+	// gets it for every verb but Ping), a render gate that is full
+	// (MaxRenders), or a slow subscriber evicted under SlowEvict.
+	// Transient by definition — the same request is welcome on another
+	// fleet member or a fresh connection, so IsTransient classifies it
+	// retryable.
 	ErrCodeUnavailable ErrorCode = 4
 )
 

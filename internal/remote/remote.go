@@ -61,13 +61,14 @@
 // notifies until it catches up, SlowEvict severs the connection with a
 // retryable error. Admission control (MaxSessions, MaxRenders) refuses
 // excess work with retryable ErrCodeUnavailable instead of degrading
-// admitted clients. On the client, ReconnectClient redials with
+// admitted clients. On the client, one made by Dial redials with
 // pipeline.Retry backoff on any transient failure (connection loss,
 // heartbeat timeout, retryable refusal), re-handshakes, and re-issues
-// the interrupted call; SubscribeResume keeps a subscription across
-// reconnects, catching up over GetDelta from the last delivered frame
-// so the resumed stream is ordered, gapless and bit-identical to an
-// uninterrupted one.
+// the interrupted call; one made by NewClientConn over a transport its
+// owner controls never does. SubscribeResume keeps a subscription
+// across reconnects, catching up over GetDelta from the last delivered
+// frame so the resumed stream is ordered, gapless and bit-identical to
+// an uninterrupted one.
 //
 // On the server, all of Get, GetDelta and Render run behind
 // encode-once caches (LRU + single-flight): N concurrent requests for
@@ -77,12 +78,11 @@
 //
 // The Compute and Kernels verbs belong to the other service type: a
 // Worker hosts named stage kernels, so the pipeline engine can place a
-// stage's per-frame work on another process or host. Three kernels are
+// stage's per-frame work on another process or host. Two kernels are
 // built in, each with pario-idiom CRC-framed request/reply encodings:
 //
 //	kernel             request  reply  wired in by
 //	hybrid.extract.v1  "ACPT"   .achy  core.StreamOptions.ExtractAddrs
-//	fieldline.trace.v1 "ACFS"   "ACFR" Fleet.ComputeTrace (tests only: no stream places it)
 //	render.partial.v1  "ACPR"   "ACPB" core.StreamOptions.RenderAddrs (v6)
 //
 // render.partial.v1 is the v6 sort-last kernel: the request carries a
@@ -96,7 +96,7 @@
 // the partials (internal/compositor) before the volume ray cast runs
 // over the merged framebuffer — bit-identical to a single-node render
 // at every partition count, worker count, and under mid-frame worker
-// loss. cmd/vizworker hosts all three kernels. Kernels (v4) is the
+// loss. cmd/vizworker hosts both kernels. Kernels (v4) is the
 // provisioning check: a worker advertises its hosted kernel set, and
 // a Fleet refuses to admit a member that does not host its kernel. A
 // service answers verbs it does not speak with a typed

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -54,9 +55,15 @@ func serveMem(t testing.TB, reps []*hybrid.Representation) (*Service, *MemStore)
 	return srv, store
 }
 
+// dial opens a client over one connection that it never redials: the
+// per-connection contract most of the protocol's tests pin down.
 func dial(t testing.TB, addr string) *Client {
 	t.Helper()
-	cli, err := Dial(addr)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClientConn(conn, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // queues, so the service sheds or degrades slow viewers instead of
 // letting one stalled connection wedge the broadcast path — the ISAAC
 // idiom of degrading viewers rather than backpressuring the
-// simulation. The client half (redial, re-subscribe, resume) lives in
-// reconnect.go.
+// simulation. The client half is the dialed Client's redial (client.go)
+// and the resumable subscription (resume.go).
 
 // SlowPolicy selects what the service does when a subscriber's bounded
 // send queue overflows — i.e. when the connection cannot drain pushes
@@ -37,7 +37,7 @@ const (
 	// SlowEvict drops the subscriber: a best-effort retryable
 	// ErrCodeUnavailable reply is sent (bounded by a write deadline —
 	// the connection may already be wedged) and the connection is
-	// closed. A ReconnectClient classifies the loss transient and
+	// closed. A client made by Dial classifies the loss transient and
 	// redials; the freed queue protects everyone else.
 	SlowEvict
 )

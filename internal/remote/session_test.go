@@ -3,6 +3,7 @@ package remote
 import (
 	"bufio"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -245,7 +246,7 @@ func TestMaxRendersRefuses(t *testing.T) {
 		t.Fatalf("second render = %v (code %d), want retryable ErrCodeUnavailable", err, code)
 	}
 	if !IsTransient(err) {
-		t.Error("render refusal not classified transient — reconnect clients would give up")
+		t.Error("render refusal not classified transient — dialed clients would give up")
 	}
 
 	close(store.gate)
@@ -254,6 +255,39 @@ func TestMaxRendersRefuses(t *testing.T) {
 	}
 	if n := srv.Stats().RendersRefused; n != 1 {
 		t.Errorf("RendersRefused = %d, want 1", n)
+	}
+}
+
+// TestSubscribeRefusalIsTyped: a refused Subscribe carries the server's
+// error code like every other verb. An admission-refused session must
+// read as retryable ErrCodeUnavailable, with the message text and not
+// the raw code byte in the error.
+func TestSubscribeRefusalIsTyped(t *testing.T) {
+	store, err := NewMemStore(testReps(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServiceWith("127.0.0.1:0", store, ServiceOptions{MaxSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	holder := dial(t, srv.Addr())
+	if _, err := holder.List(); err != nil {
+		t.Fatal(err)
+	}
+
+	refused := dial(t, srv.Addr())
+	_, listErr := refused.List()
+	_, err = refused.Subscribe()
+	if code := CodeOf(err); code != ErrCodeUnavailable || code != CodeOf(listErr) {
+		t.Fatalf("refused Subscribe = %v (code %d), want ErrCodeUnavailable like List's %v", err, code, listErr)
+	}
+	if !IsTransient(err) {
+		t.Error("subscribe refusal not classified transient")
+	}
+	if strings.ContainsRune(err.Error(), rune(ErrCodeUnavailable)) {
+		t.Errorf("error text carries the raw code byte: %q", err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/fieldline"
 	"repro/internal/hybrid"
 	"repro/internal/octree"
 	"repro/internal/pipeline"
@@ -29,11 +28,11 @@ type Kernel func(ctx context.Context, req []byte) ([]byte, error)
 // pipeline's Map stage can run on this process while the stream's
 // orchestration stays with the requester — the paper's split of
 // heavy per-frame compute away from the producing machine. NewWorker
-// registers the built-in kernels (hybrid extraction, field-line
-// tracing, and the v6 sort-last partial render); Register adds more. Workers advertise their kernel set
-// over the v4 Kernels verb, which is how a Fleet verifies a member's
-// provisioning before dispatching frames to it. cmd/vizworker is the
-// CLI host.
+// registers the built-in kernels (hybrid extraction and the v6
+// sort-last partial render); Register adds more. Workers advertise
+// their kernel set over the v4 Kernels verb, which is how a Fleet
+// verifies a member's provisioning before dispatching frames to it.
+// cmd/vizworker is the CLI host.
 type Worker struct {
 	srv *server
 
@@ -52,7 +51,6 @@ type Worker struct {
 func NewWorker(addr string) (*Worker, error) {
 	w := &Worker{kernels: make(map[string]Kernel)}
 	w.Register(KernelHybridExtract, hybridExtractKernel())
-	w.Register(KernelFieldlineTrace, fieldlineTraceKernel())
 	w.Register(KernelRenderPartial, renderPartialKernel())
 	srv, err := newServer(addr, w.handle)
 	if err != nil {
@@ -262,32 +260,5 @@ func hybridExtractKernel() Kernel {
 			return nil, err
 		}
 		return rep.AppendBinary(getBytes(0)), nil
-	}
-}
-
-// fieldlineTraceKernel hosts batch field-line integration: a named
-// analytic field plus a seed set come in, the worker runs the exact
-// local fieldline.TraceAll, and the traced lines go back in full
-// double precision — so a remote trace is bit-identical to a local
-// one. This is the second built-in kernel, giving fleets a
-// heterogeneous kernel set to advertise and verify against.
-func fieldlineTraceKernel() Kernel {
-	return func(ctx context.Context, req []byte) ([]byte, error) {
-		spec, seeds, cfg, sign, workers, err := decodeTraceRequest(req)
-		if err != nil {
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
-		}
-		f, err := spec.Field()
-		if err != nil {
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lines, err := fieldline.TraceAll(f, seeds, cfg, sign, workers)
-		if err != nil {
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
-		}
-		return appendTraceReply(getBytes(0), lines), nil
 	}
 }

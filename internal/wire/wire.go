@@ -1,6 +1,6 @@
 // Package wire is the one binary layer under every format this
 // repository holds whole in memory: the blob formats (ACHY, ACFL, ACFB,
-// ACFQ, ACDL, ACPB, ACPT, ACFS, ACFR, ACPR), pario's three file formats
+// ACFQ, ACDL, ACPB, ACPT, ACPR), pario's three file formats
 // (ACPF, ACON, ACOP) and the payloads of the remote protocol. Everything
 // is little-endian. Only the protocol's message framing, which streams
 // a CRC across vectored segments into a socket, keeps a codec of its own.

@@ -43,7 +43,6 @@ var unshipped = map[string]string{
 	"internal/render.Framebuffer.CoveredPixels": "diag: \"did anything draw\" in the tests of core, sos, volren and the root",
 	"internal/hexmesh.BuildBox":                 "seam: the all-vacuum mesh seeding's tests substitute for a cavity",
 	"internal/pipeline.Stream.Pipeline":         "seam: hands core's placement test the pipeline whose stages it flips by hand",
-	"internal/remote.Fleet.ComputeTrace":        "seam: the only requester of the hosted fieldline.trace.v1 kernel; the tests reach the kernel through it until item 4 decides its fate",
 }
 
 // unsetOptions are the exported fields of internal/'s option structs
@@ -62,8 +61,7 @@ var unsetOptions = map[string]string{
 	"internal/remote.FleetOptions.BandwidthBps":   "seam: the modeled link of BenchmarkFleetExtract/DistributedRender/DistributedExtract (item 1(c))",
 	"internal/remote.ClientOptions.IdleTimeout":   "seam: shortened in the dead-peer heartbeat tests",
 	"internal/remote.ServiceOptions.IdleTimeout":  "seam: shortened in the idle-session reaping tests",
-	"internal/remote.ReconnectOptions.Client":     "seam: heartbeats off in the reconnect tests",
-	"internal/remote.ReconnectOptions.Retry":      "seam: millisecond backoff in the reconnect tests",
+	"internal/remote.ClientOptions.Retry":         "seam: millisecond backoff in the reconnect tests",
 }
 
 // ifaceMethods are the methods of the standard library's interfaces the

@@ -116,6 +116,10 @@ type Sim struct {
 	cells []int32
 
 	ports []portPlane
+
+	// The sweeps as bound once in New: a method value built per step
+	// would allocate on every ForChunks call.
+	sweepH, sweepE func(kLo, kHi int)
 }
 
 // span is the half-open range [lo, hi) of i a sweep visits in one row;
@@ -165,6 +169,7 @@ func New(cfg Config) (*Sim, error) {
 	s.buildMasks()
 	s.buildHSpans()
 	s.buildPorts()
+	s.sweepH, s.sweepE = s.updateH, s.updateE
 	return s, nil
 }
 
@@ -346,8 +351,8 @@ func (s *Sim) AdvancePeriods(n float64) {
 
 func (s *Sim) advanceOnce() {
 	w := s.Cfg.Workers
-	par.ForChunks(s.nz+1, w, s.updateH)
-	par.ForChunks(s.nz, w, s.updateE)
+	par.ForChunks(s.nz+1, w, s.sweepH)
+	par.ForChunks(s.nz, w, s.sweepE)
 	s.applyPorts()
 	s.time += s.dt
 	s.step++

@@ -203,16 +203,15 @@ func (g *Grid) splat(points []vec.V3, workers int) {
 		}
 	}
 	c := newCIC(g.Bounds, g.Nx, g.Ny, g.Nz)
-	slabs := par.Slabs(len(points), workers)
-	partials := make([][]float32, len(slabs))
-	par.ForChunks(len(slabs), workers, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			partials[s] = g.Data
-			if s > 0 {
-				partials[s] = make([]float32, g.Len())
-			}
-			c.deposit(points[slabs[s][0]:slabs[s][1]], partials[s])
+	p := par.Chunks(len(points), workers)
+	partials := make([][]float32, p.Count)
+	par.ForChunks(len(points), workers, func(lo, hi int) {
+		s := p.Index(lo)
+		partials[s] = g.Data
+		if s > 0 {
+			partials[s] = make([]float32, g.Len())
 		}
+		c.deposit(points[lo:hi], partials[s])
 	})
 	for _, buf := range partials[1:] {
 		for i, v := range buf {

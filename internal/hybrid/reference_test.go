@@ -35,19 +35,14 @@ func refSplat(points []vec.V3, bounds vec.AABB, nx, ny, nz, workers int) (*Grid,
 			workers = 1
 		}
 	}
-	partials := make([][]float32, workers)
-	slabs := par.Slabs(len(points), workers)
-	par.ForChunks(len(slabs), workers, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			buf := make([]float32, out.Len())
-			refDepositCIC(points[slabs[s][0]:slabs[s][1]], bounds, nx, ny, nz, buf)
-			partials[s] = buf
-		}
+	p := par.Chunks(len(points), workers)
+	partials := make([][]float32, p.Count)
+	par.ForChunks(len(points), workers, func(lo, hi int) {
+		buf := make([]float32, out.Len())
+		refDepositCIC(points[lo:hi], bounds, nx, ny, nz, buf)
+		partials[p.Index(lo)] = buf
 	})
 	for _, buf := range partials {
-		if buf == nil {
-			continue
-		}
 		for i, v := range buf {
 			out.Data[i] += v
 		}

@@ -554,8 +554,7 @@ func TestBuilderMutantsFailDifferential(t *testing.T) {
 			return b.finish(b.pts, root, cfg, nil)
 		}},
 		{"the bounding box taken before the last chunk", want, func(b *Builder) *Tree {
-			chunk := (len(x) + workers - 1) / workers
-			last := (workers - 1) * chunk
+			last, _ := par.Chunks(len(x), workers).Bounds(workers - 1)
 			bounds := b.load(x[:last], y[:last], z[:last], workers-1)
 			b.load(x, y, z, workers)
 			return b.build(b.pts, bounds, cfg, nil)

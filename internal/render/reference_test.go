@@ -269,9 +269,9 @@ func TestTrianglePathMatchesReference(t *testing.T) {
 			rast := NewRasterizer(fb, cam)
 			configureMode(rast, mode)
 			rast.Workers = workers
-			batch := rast.NewBatch()
-			paintScene(batchPainter{batch})
-			batch.Flush()
+			bp := newBatchPainter(rast)
+			paintScene(bp)
+			bp.flush()
 			label := fmt.Sprintf("%s/batch/workers=%d", mode, workers)
 			framebuffersEqual(t, label, fbRef, fb)
 			sameStats(label, rast, ref)

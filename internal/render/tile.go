@@ -16,8 +16,7 @@ const TileSize = 32
 
 // Primitive kinds inside a batch.
 const (
-	kindPoint = iota
-	kindLine
+	kindLine = iota
 	kindTri
 )
 
@@ -25,12 +24,6 @@ const (
 type batchPrim struct {
 	kind int32
 	idx  int32 // index into the per-kind submission slice
-}
-
-type pointPrim struct {
-	pos    vec.V3
-	radius float64
-	color  hybrid.RGBA
 }
 
 type linePrim struct {
@@ -80,12 +73,11 @@ type LineSeg struct {
 // Flush does; the typed entry points (DrawLineBatch,
 // DrawTriangleStripBatchFunc) borrow their whole batch from it.
 type Batch struct {
-	r      *Rasterizer
-	prims  []batchPrim
-	points []pointPrim
-	lines  []linePrim
-	tris   []triPrim
-	verts  []Vertex
+	r     *Rasterizer
+	prims []batchPrim
+	lines []linePrim
+	tris  []triPrim
+	verts []Vertex
 
 	sc *flushScratch // the scratch this batch is part of, for a borrowed batch
 }
@@ -123,7 +115,6 @@ func (b *Batch) stripTriangles(base, n int) {
 // reset empties the batch for reuse, keeping capacity.
 func (b *Batch) reset() {
 	b.prims = b.prims[:0]
-	b.points = b.points[:0]
 	b.lines = b.lines[:0]
 	b.tris = b.tris[:0]
 	b.verts = b.verts[:0]
@@ -140,12 +131,11 @@ type flushScratch struct {
 
 	residual, ops []byte
 
-	pts   []pointSetup
 	lns   []lineSetup
 	tv    []tvert
 	tris  []triSetup
 	over  []overflow
-	stats [][3]int64
+	stats [][2]int64 // lines and triangles drawn, per setup chunk
 	offs  []int
 	pairs []sortx.KV
 	sscr  []sortx.KV
@@ -260,53 +250,36 @@ func (b *Batch) Flush() {
 	// Phase 1b — parallel setup into slot-indexed arrays. offs[i+1]
 	// temporarily holds prim i's pair count; an empty triangle record
 	// carries an empty-bbox sentinel (x1 < x0). Each setup chunk has its
-	// own overflow, found again from a prim's index as over[i/chunk].
-	pts := grow(&sc.pts, len(b.points))
+	// own counters and overflow, found again from a prim's index as
+	// over[plan.Index(i)].
 	lns := grow(&sc.lns, len(b.lines))
 	tris := grow(&sc.tris, len(b.tris))
 	offs := grow(&sc.offs, n+1)
-	nw := workers
-	if nw > n {
-		nw = n
-	}
-	chunk := (n + nw - 1) / nw
-	// ForChunks runs fewer than nw chunks when fewer already cover n
-	// (5 prims on 4 workers: 3 chunks of 2), so the counters are zeroed
-	// here and not by the chunk that owns them.
-	stats := grow(&sc.stats, nw)
-	clear(stats)
-	over := grow(&sc.over, nw)
-	par.ForChunks(n, nw, func(lo, hi int) {
-		st := &stats[lo/chunk]
-		ov := &over[lo/chunk]
+	plan := par.Chunks(n, workers)
+	stats := grow(&sc.stats, plan.Count)
+	over := grow(&sc.over, plan.Count)
+	par.ForChunks(n, workers, func(lo, hi int) {
+		st := &stats[plan.Index(lo)]
+		*st = [2]int64{}
+		ov := &over[plan.Index(lo)]
 		ov.reset()
 		src := triSource{verts: b.verts, tv: tv, over: ov}
 		for i := lo; i < hi; i++ {
 			pr := b.prims[i]
 			cnt := 0
 			switch pr.kind {
-			case kindPoint:
-				pp := &b.points[pr.idx]
-				s := &pts[pr.idx]
-				projected, visible := r.setupPoint(pp.pos, pp.radius, pp.color, s)
-				if projected {
-					st[0]++
-					if visible {
-						cnt = tileSpan(s.x0, s.y0, s.x1, s.y1)
-					}
-				}
 			case kindLine:
 				lp := &b.lines[pr.idx]
 				s := &lns[pr.idx]
 				drawn, visible := r.setupLine(lp.p0, lp.p1, lp.width, lp.c0, lp.c1, s)
 				if drawn {
-					st[1]++
+					st[0]++
 					if visible {
 						cnt = tileSpan(s.x0, s.y0, s.x1, s.y1)
 					}
 				}
 			case kindTri:
-				st[2]++
+				st[1]++
 				tp := b.tris[pr.idx]
 				s := &tris[pr.idx]
 				if r.setupClipped(&src, tp.i0, tp.i1, tp.i2, s) > 0 {
@@ -321,9 +294,8 @@ func (b *Batch) Flush() {
 		}
 	})
 	for _, st := range stats {
-		r.PointCount += st[0]
-		r.LineCount += st[1]
-		r.TriangleCount += st[2]
+		r.LineCount += st[0]
+		r.TriangleCount += st[1]
 	}
 
 	// Prefix-sum pair counts into offsets.
@@ -359,9 +331,6 @@ func (b *Batch) Flush() {
 			}
 			pr := b.prims[i]
 			switch pr.kind {
-			case kindPoint:
-				s := &pts[pr.idx]
-				emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
 			case kindLine:
 				s := &lns[pr.idx]
 				emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
@@ -369,7 +338,7 @@ func (b *Batch) Flush() {
 				s := &tris[pr.idx]
 				o = emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
 				if s.next >= 0 {
-					s2 := &over[i/chunk].tris[s.next]
+					s2 := &over[plan.Index(i)].tris[s.next]
 					emitPairs(o, s2.x0, s2.y0, s2.x1, s2.y1, int64(i)<<1|1)
 				}
 			}
@@ -394,12 +363,10 @@ func (b *Batch) Flush() {
 				i := int(seq >> 1)
 				pr := b.prims[i]
 				switch pr.kind {
-				case kindPoint:
-					rasterPoint(&pts[pr.idx], &e)
 				case kindLine:
 					rasterLine(&lns[pr.idx], &e)
 				case kindTri:
-					src.over = &over[i/chunk]
+					src.over = &over[plan.Index(i)]
 					s := &tris[pr.idx]
 					if seq&1 == 1 {
 						s = &src.over.tris[s.next]
@@ -459,9 +426,6 @@ func (b *Batch) flushSerial(tv []tvert, sc *flushScratch) {
 	var s triSetup
 	for _, pr := range b.prims {
 		switch pr.kind {
-		case kindPoint:
-			pp := &b.points[pr.idx]
-			r.DrawPoint(pp.pos, pp.radius, pp.color)
 		case kindLine:
 			lp := &b.lines[pr.idx]
 			r.DrawLine(lp.p0, lp.p1, lp.width, lp.c0, lp.c1)
@@ -519,13 +483,9 @@ func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
 
 	// Pass 1 — project, cull, and count covered tiles per splat.
 	offs := grow(&sc.offs, n+1)
-	nw := workers
-	if nw > n {
-		nw = n
-	}
-	chunk := (n + nw - 1) / nw
-	stats := make([]int64, nw)
-	par.ForChunks(n, nw, func(lo, hi int) {
+	plan := par.Chunks(n, workers)
+	stats := make([]int64, plan.Count)
+	par.ForChunks(n, workers, func(lo, hi int) {
 		var s pointSetup
 		count := int64(0)
 		for i := lo; i < hi; i++ {
@@ -540,7 +500,7 @@ func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
 			}
 			offs[i+1] = cnt
 		}
-		stats[lo/chunk] = count
+		stats[plan.Index(lo)] = count
 	})
 	for _, c := range stats {
 		r.PointCount += c

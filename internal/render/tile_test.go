@@ -118,12 +118,6 @@ func (r *Rasterizer) DrawTriangleStrip(verts []Vertex) {
 	}
 }
 
-// Point submits one point splat.
-func (b *Batch) Point(p vec.V3, pixelRadius float64, c hybrid.RGBA) {
-	b.prims = append(b.prims, batchPrim{kindPoint, int32(len(b.points))})
-	b.points = append(b.points, pointPrim{p, pixelRadius, c})
-}
-
 // TriangleStrip submits a strip with the same alternating winding as
 // DrawTriangleStrip: (0,1,2), (2,1,3), (2,3,4), ...
 func (b *Batch) TriangleStrip(verts []Vertex) {
@@ -143,14 +137,44 @@ func (p immediatePainter) line(p0, p1 vec.V3, w float64, c0, c1 hybrid.RGBA) {
 func (p immediatePainter) triangle(v0, v1, v2 Vertex) { p.r.DrawTriangle(v0, v1, v2) }
 func (p immediatePainter) strip(verts []Vertex)       { p.r.DrawTriangleStrip(verts) }
 
-type batchPainter struct{ b *Batch }
+// batchPainter submits lines and triangles to a Batch and each run of
+// points to DrawPointBatch, emptying the other queue first so that the
+// draw order is the submission order.
+type batchPainter struct {
+	b   *Batch
+	pts []PointSplat
+}
 
-func (p batchPainter) point(pt vec.V3, radius float64, c hybrid.RGBA) { p.b.Point(pt, radius, c) }
-func (p batchPainter) line(p0, p1 vec.V3, w float64, c0, c1 hybrid.RGBA) {
+func newBatchPainter(r *Rasterizer) *batchPainter { return &batchPainter{b: r.NewBatch()} }
+
+func (p *batchPainter) point(pt vec.V3, radius float64, c hybrid.RGBA) {
+	p.b.Flush()
+	p.pts = append(p.pts, PointSplat{Pos: pt, Radius: radius, Color: c})
+}
+func (p *batchPainter) drawPoints() {
+	if len(p.pts) > 0 {
+		p.b.r.DrawPointBatch(p.pts)
+		p.pts = p.pts[:0]
+	}
+}
+func (p *batchPainter) line(p0, p1 vec.V3, w float64, c0, c1 hybrid.RGBA) {
+	p.drawPoints()
 	p.b.Line(p0, p1, w, c0, c1)
 }
-func (p batchPainter) triangle(v0, v1, v2 Vertex) { p.b.Triangle(v0, v1, v2) }
-func (p batchPainter) strip(verts []Vertex)       { p.b.TriangleStrip(verts) }
+func (p *batchPainter) triangle(v0, v1, v2 Vertex) {
+	p.drawPoints()
+	p.b.Triangle(v0, v1, v2)
+}
+func (p *batchPainter) strip(verts []Vertex) {
+	p.drawPoints()
+	p.b.TriangleStrip(verts)
+}
+
+// flush draws everything submitted.
+func (p *batchPainter) flush() {
+	p.drawPoints()
+	p.b.Flush()
+}
 
 func framebuffersEqual(t *testing.T, label string, a, b *Framebuffer) {
 	t.Helper()
@@ -205,9 +229,9 @@ func TestBatchMatchesSerialBitIdentical(t *testing.T) {
 			rast := NewRasterizer(fb, cam)
 			configureMode(rast, mode)
 			rast.Workers = workers
-			batch := rast.NewBatch()
-			paintScene(batchPainter{batch})
-			batch.Flush()
+			bp := newBatchPainter(rast)
+			paintScene(bp)
+			bp.flush()
 
 			label := fmt.Sprintf("%s/workers=%d", mode, workers)
 			framebuffersEqual(t, label, fbSerial, fb)
@@ -302,7 +326,7 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 					Vertex{Pos: a.Add(vec.New(0.3, 0, 0)), Color: c},
 					Vertex{Pos: a.Add(vec.New(0, 0.3, 0)), Color: c})
 			case 1:
-				p.point(a, 2, c)
+				p.line(a, a.Add(vec.New(0, 0.3, 0)), 3, c, c)
 			case 2:
 				p.line(a, a.Add(vec.New(0.4, 0.2, 0)), 1, c, c)
 			}
@@ -320,12 +344,12 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 		fb, _ := NewFramebuffer(w, h)
 		rast := NewRasterizer(fb, cam)
 		rast.Workers = tc.workers
-		batch := rast.NewBatch()
-		paint(batchPainter{batch}, 3000)
-		batch.Flush()
+		bp := newBatchPainter(rast)
+		paint(bp, 3000)
+		bp.flush()
 		rast.ResetStats()
-		paint(batchPainter{batch}, tc.small)
-		batch.Flush()
+		paint(bp, tc.small)
+		bp.flush()
 
 		label := fmt.Sprintf("workers=%d/small=%d", tc.workers, tc.small)
 		framebuffersEqual(t, label, fbSerial, fb)
@@ -368,9 +392,9 @@ func TestOITBatchMatchesSerialResolve(t *testing.T) {
 		restore := rast.AttachOIT(oit)
 		rast.Mode = BlendAlpha
 		if batched {
-			batch := rast.NewBatch()
-			paintScene(batchPainter{batch})
-			batch.Flush()
+			bp := newBatchPainter(rast)
+			paintScene(bp)
+			bp.flush()
 		} else {
 			paintScene(immediatePainter{rast})
 		}

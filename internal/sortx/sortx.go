@@ -80,13 +80,6 @@ func fallback(p []KV) {
 // actually vary.
 func radix(p, scratch []KV, workers int) {
 	n := len(p)
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-
 	// One scan bounds the key range: a byte position where OR and AND
 	// agree is constant across all keys and needs no pass.
 	type orAnd struct{ or, and uint64 }
@@ -124,26 +117,24 @@ func radix(p, scratch []KV, workers int) {
 // which each worker writes its chunk to precomputed disjoint slots.
 func scatterDigit(src, dst []KV, shift uint, workers int) {
 	n := len(src)
-	hist := make([][buckets]int64, workers)
-	// Chunk boundaries must match par.ForChunks so lo/chunk recovers
-	// the worker index (the same convention par.MapReduce relies on).
-	chunk := (n + workers - 1) / workers
+	plan := par.Chunks(n, workers)
+	hist := make([][buckets]int64, plan.Count)
 	par.ForChunks(n, workers, func(lo, hi int) {
-		h := &hist[lo/chunk]
+		h := &hist[plan.Index(lo)]
 		for i := lo; i < hi; i++ {
 			h[byte(src[i].K>>shift)]++
 		}
 	})
 	var total int64
 	for b := 0; b < buckets; b++ {
-		for w := 0; w < workers; w++ {
+		for w := range hist {
 			c := hist[w][b]
 			hist[w][b] = total
 			total += c
 		}
 	}
 	par.ForChunks(n, workers, func(lo, hi int) {
-		h := &hist[lo/chunk]
+		h := &hist[plan.Index(lo)]
 		for i := lo; i < hi; i++ {
 			b := byte(src[i].K >> shift)
 			dst[h[b]] = src[i]

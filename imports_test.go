@@ -16,9 +16,10 @@ import (
 // fields into bytes and checksums them. Outside it, encoding/binary and
 // hash/crc32 are allowed only where the job is a different one: the
 // protocol's message framing (a CRC streamed across vectored segments
-// into a socket), the RLE op loops, and the delta codec's checksum of
-// the stream it reconstructs. A new importer is a new hand-rolled codec:
-// put it on internal/wire instead.
+// into a socket), the one RLE op pair with its host byte-order check
+// (binary.NativeEndian), and the delta codec's checksum of the stream it
+// reconstructs. A new importer is a new hand-rolled codec: put it on
+// internal/wire instead.
 func TestBinaryLayerStaysSingle(t *testing.T) {
 	allowed := map[string]bool{
 		"internal/wire/wire.go":       true,

@@ -155,6 +155,7 @@ func decoderCases(t testing.TB) []decoderCase {
 //fuzz ./internal/render FuzzDeltaCodec
 //fuzz ./internal/render FuzzDeltaMatchesReference
 //fuzz ./internal/render FuzzPartialFramebuffer
+//fuzz ./internal/render FuzzCodecsMatchReference
 //fuzz ./internal/remote FuzzReadMessage
 //fuzz ./internal/remote FuzzDecodePayloads
 //fuzz ./internal/remote FuzzStatsPayload

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/pipeline"
+	"repro/internal/render"
 	"repro/internal/vec"
 	"repro/internal/wire"
 )
@@ -437,9 +438,9 @@ func decodeRenderParams(p []byte) (RenderParams, error) {
 
 // checkRenderSize bounds the framebuffer a request can demand: like
 // maxBody, a hostile few bytes must not force an arbitrary server-side
-// allocation (4096x4096 is ~335MB of framebuffer already).
+// allocation. The bound is the one every picture decoder applies.
 func checkRenderSize(rd *wire.Reader, w, h int) {
-	if w < 1 || h < 1 || w > 4096 || h > 4096 || w*h > 1<<22 {
+	if !render.PlausibleSize(w, h) {
 		rd.Fail("implausible render size %dx%d", w, h)
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// BenchmarkCompressFramebuffer tracks the three wire codecs the remote
-// service chooses between on a realistic sparsely-lit frame: the
-// lossless RLE default, the quantized preview tier, and the XOR-delta
-// between two nearly identical frames (the Subscribe-follow regime).
+// BenchmarkCompressFramebuffer tracks the wire codecs of a rendered
+// picture on a realistic sparsely-lit frame: the three the remote
+// service chooses between — the lossless RLE default, the quantized
+// preview tier, and the XOR-delta between two nearly identical frames
+// (the Subscribe-follow regime) — and the sort-last partial a render
+// worker sends back.
 // bytes/pixel is the number that matters for the fan-out economics —
 // it is what a subscriber pays per frame at each tier.
 func BenchmarkCompressFramebuffer(b *testing.B) {
@@ -21,6 +23,18 @@ func BenchmarkCompressFramebuffer(b *testing.B) {
 	next := quantFrame(b, w, h, 40_000)
 	for i := 0; i < 2000; i++ {
 		next.Color[(i*4099)%len(next.Color)] += 0.01
+	}
+
+	// A sort-last partial: one cell's footprint, the frame's middle half
+	// of rows and columns, on the cleared background.
+	part, err := NewFramebuffer(w, h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for y := h / 4; y < 3*h/4; y++ {
+		i := y*w + w/4
+		copy(part.Color[4*i:4*(i+w/2)], fb.Color[4*i:])
+		copy(part.Depth[i:i+w/2], fb.Depth[i:])
 	}
 
 	perPixel := func(b *testing.B, blob []byte) {
@@ -66,6 +80,15 @@ func BenchmarkCompressFramebuffer(b *testing.B) {
 		}
 		perPixel(b, blob)
 	})
+	b.Run("partial", func(b *testing.B) {
+		b.ReportAllocs()
+		blob := AppendPartial(nil, part, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			blob = AppendPartial(blob[:0], part, 1)
+		}
+		perPixel(b, blob)
+	})
 	b.Run("decompress/lossless", func(b *testing.B) {
 		b.ReportAllocs()
 		blob := CompressFramebuffer(fb)
@@ -83,6 +106,17 @@ func BenchmarkCompressFramebuffer(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := DecompressFramebufferQuantized(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPixel(b, blob)
+	})
+	b.Run("decompress/partial", func(b *testing.B) {
+		b.ReportAllocs()
+		blob := CompressPartial(part, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecompressPartial(blob); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,14 +3,13 @@ package render
 import (
 	"bytes"
 	"crypto/subtle"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/wire"
 )
 
-// Delta codec — the word-RLE op stream of rle.go over a residual plane.
+// Delta codec — the RLE op stream of rle.go over a residual plane.
 // CompressDelta ships a byte stream cur as its XOR against a base
 // stream the receiver already holds: between nearby frames of a time
 // series most of the encoding is unchanged, so the residual is
@@ -25,11 +24,10 @@ import (
 //	u32 crc32(cur) | RLE(residual words)
 //
 // The residual is cur XOR base byte-wise (the shorter stream padded
-// with zeros), zero-padded to whole 4-byte words; the op stream is the
-// one documented in rle.go. The plane stays bytes on both sides — a
-// little-endian word of the stream is four bytes of cur in order — so
-// the XOR is one subtle.XORBytes, a literal run is one copy, and only
-// the run scan looks at words. The encoder borrows plane and op buffer
+// with zeros), zero-padded to whole 4-byte words. A word of the stream
+// is four bytes of cur in order on any host, so there is no byte order
+// to mind: this file adds only the XOR, one subtle.XORBytes a side, and
+// the CRC to rle.go's pair. The encoder borrows plane and op buffer
 // from the scratch list; each side allocates only what it returns.
 
 var magicDelta = [4]byte{'A', 'C', 'D', 'L'}
@@ -49,7 +47,7 @@ const (
 func CompressDelta(cur, base []byte) []byte {
 	sc := getScratch()
 	defer putScratch(sc)
-	plane := grow(&sc.residual, (len(cur)+3)&^3) // recycled: every byte is written below
+	plane := grow(&sc.plane, (len(cur)+3)&^3) // recycled: every byte is written below
 	n := subtle.XORBytes(plane, cur, base[:min(len(base), len(cur))])
 	copy(plane[n:], cur[n:])
 	clear(plane[len(cur):])
@@ -93,81 +91,4 @@ func DecompressDelta(data, base []byte) ([]byte, error) {
 		return nil, fmt.Errorf("render: delta reconstruction checksum mismatch (computed %08x, want %08x) — wrong base?", got, wantCRC)
 	}
 	return cur, nil
-}
-
-// appendRLEPlane encodes the 4-byte words of plane as the op stream of
-// appendRLEWords, by the same greedy decisions: a run of two or more
-// equal words becomes repeat ops of at most 129, a single word left
-// over from such a run starts the next literal run, and the words
-// between runs go out as literal ops of at most 128.
-func appendRLEPlane(out, plane []byte) []byte {
-	le := binary.LittleEndian
-	for i, n := 0, len(plane); i < n; {
-		// Literals reach to the next word that equals its successor.
-		p := plane[i:]
-		for len(p) >= 8 && le.Uint32(p) != le.Uint32(p[4:]) {
-			p = p[4:]
-		}
-		k := n - len(p)
-		if len(p) < 8 {
-			k = n
-		}
-		for i < k {
-			c := min(k-i, 4*128)
-			out = append(append(out, byte(c/4-1)), plane[i:i+c]...)
-			i += c
-		}
-		if i == n {
-			break
-		}
-		// The run from i, extended eight bytes at a time.
-		w := uint64(le.Uint32(p))
-		for p = p[8:]; len(p) >= 8 && le.Uint64(p) == w|w<<32; {
-			p = p[8:]
-		}
-		if len(p) >= 4 && uint64(le.Uint32(p)) == w {
-			p = p[4:]
-		}
-		for j := n - len(p); j-i >= 8; i += min(j-i, 4*129) {
-			out = append(out, byte(0x80|(min(j-i, 4*129)/4-2)), plane[i], plane[i+1], plane[i+2], plane[i+3])
-		}
-	}
-	return out
-}
-
-// decodeRLEPlane fills dst, a whole number of words, from the op stream
-// and returns the unconsumed remainder; its refusals are those of
-// decodeRLEWords. Malformed input errors; it never panics.
-func decodeRLEPlane(data, dst []byte) ([]byte, error) {
-	for len(dst) > 0 {
-		if len(data) == 0 {
-			return nil, fmt.Errorf("stream ended %d words short", len(dst)/4)
-		}
-		c := data[0]
-		data = data[1:]
-		if c < 0x80 {
-			n := 4 * (int(c) + 1)
-			if n > len(dst) {
-				return nil, fmt.Errorf("literal run of %d overruns plane", n/4)
-			}
-			if len(data) < n {
-				return nil, fmt.Errorf("literal run truncated")
-			}
-			copy(dst, data[:n])
-			data, dst = data[n:], dst[n:]
-		} else {
-			n := 4 * (int(c&0x7f) + 2)
-			if n > len(dst) {
-				return nil, fmt.Errorf("repeat run of %d overruns plane", n/4)
-			}
-			if len(data) < 4 {
-				return nil, fmt.Errorf("repeat run truncated")
-			}
-			for f := copy(dst, data[:4]); f < n; f *= 2 { // fill by doubling
-				copy(dst[f:n], dst[:f])
-			}
-			data, dst = data[4:], dst[n:]
-		}
-	}
-	return data, nil
 }

@@ -136,8 +136,8 @@ func FuzzDeltaCodec(f *testing.F) {
 
 // refCompressDelta and refDecompressDelta are the codec as it stood
 // before the byte-plane rewrite — every word assembled byte by byte into
-// a []uint32 plane, the op stream written by appendRLEWords — kept as
-// the oracle the differential tests hold CompressDelta and
+// a []uint32 plane, the op stream written by refAppendRLEWords (rle_test.go)
+// — kept as the oracle the differential tests hold CompressDelta and
 // DecompressDelta to, byte for byte and refusal for refusal.
 func refCompressDelta(cur, base []byte) []byte {
 	nw := (len(cur) + 3) / 4
@@ -159,7 +159,7 @@ func refCompressDelta(cur, base []byte) []byte {
 	}
 	out := wire.Begin(make([]byte, 0, len(cur)/8+84), magicDelta, deltaCodecVersion, 4)
 	out = wire.U32s(out, uint32(len(cur)), uint32(len(base)), crc32.ChecksumIEEE(cur))
-	return appendRLEWords(out, words)
+	return refAppendRLEWords(out, words)
 }
 
 func refDecompressDelta(data, base []byte) ([]byte, error) {
@@ -178,7 +178,7 @@ func refDecompressDelta(data, base []byte) ([]byte, error) {
 		return nil, err
 	}
 	words := make([]uint32, nw)
-	rest, err := decodeRLEWords(rest, words)
+	rest, err := refDecodeRLEWords(rest, words)
 	if err != nil {
 		return nil, fmt.Errorf("render: delta residual: %w", err)
 	}
@@ -365,7 +365,7 @@ func faultyDelta(f deltaFault) deltaCodec {
 	enc := func(cur, base []byte) []byte {
 		sc := getScratch()
 		defer putScratch(sc)
-		plane := grow(&sc.residual, (len(cur)+3)&^3)
+		plane := grow(&sc.plane, (len(cur)+3)&^3)
 		n := subtle.XORBytes(plane, cur, base[:min(len(base), len(cur))])
 		copy(plane[n:], cur[n:])
 		if f != tailNotCleared {
@@ -548,8 +548,8 @@ func TestDeltaAllocates(t *testing.T) {
 	scratchList.Lock()
 	defer scratchList.Unlock()
 	for _, sc := range scratchList.free {
-		if cap(sc.residual) > maxKeptPlane {
-			t.Errorf("the free list kept a %d-byte residual plane, bound %d", cap(sc.residual), maxKeptPlane)
+		if cap(sc.plane) > maxKeptPlane {
+			t.Errorf("the free list kept a %d-byte residual plane, bound %d", cap(sc.plane), maxKeptPlane)
 		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 // (zero color, +Inf depth) outside the cell's screen footprint, so the
 // codec ships only the bounding rectangle of the covered pixels, each
 // with both its RGBA words and its depth word (the compositor needs
-// depth per pixel to merge partials), RLE-compressed with the same
-// word-level op stream as the full-framebuffer codec in rle.go. The
-// round trip is lossless: a decoded partial is bit-identical to the
-// worker's framebuffer.
+// depth per pixel to merge partials), RLE-compressed with the op
+// stream of rle.go through one plane borrowed from the scratch list.
+// The round trip is lossless: a decoded partial is bit-identical to
+// the worker's framebuffer.
 //
 // Layout (little-endian):
 //
@@ -59,27 +59,16 @@ func AppendPartial(dst []byte, fb *Framebuffer, seq int) []byte {
 	inf := math.Float32bits(float32(math.Inf(1)))
 	x0, y0, x1, y1 := fb.W, fb.H, -1, -1
 	for y := 0; y < fb.H; y++ {
-		row := y * fb.W
 		for x := 0; x < fb.W; x++ {
-			i := row + x
-			ci := i * 4
-			if math.Float32bits(fb.Depth[i]) == inf &&
-				fb.Color[ci] == 0 && fb.Color[ci+1] == 0 &&
-				fb.Color[ci+2] == 0 && fb.Color[ci+3] == 0 {
+			i := y*fb.W + x
+			c := fb.Color[4*i : 4*i+4]
+			if math.Float32bits(fb.Depth[i]) == inf && c[0] == 0 && c[1] == 0 && c[2] == 0 && c[3] == 0 {
 				continue
 			}
-			if x < x0 {
-				x0 = x
-			}
-			if x > x1 {
-				x1 = x
-			}
-			if y < y0 {
-				y0 = y
-			}
-			if y > y1 {
-				y1 = y
-			}
+			x0 = min(x0, x)
+			x1 = max(x1, x)
+			y0 = min(y0, y)
+			y1 = max(y1, y)
 		}
 	}
 	rw, rh := 0, 0
@@ -90,21 +79,20 @@ func AppendPartial(dst []byte, fb *Framebuffer, seq int) []byte {
 	}
 	out := wire.Begin(wire.Grow(dst, 36+rw*rh*4), magicPB, pbCodecVersion, 4)
 	out = wire.U32s(out, uint32(fb.W), uint32(fb.H), uint32(seq), uint32(x0), uint32(y0), uint32(rw), uint32(rh))
-	if rw == 0 {
-		return out
-	}
-	// Gather the rectangle into contiguous planes so the shared RLE
-	// core applies unchanged.
-	color := make([]float32, rw*rh*4)
-	depth := make([]float32, rw*rh)
+	// Gather the rectangle's rows into one borrowed plane, its color
+	// words then its depth words, in wire order. An empty rect gathers
+	// and encodes nothing.
+	sc := getScratch()
+	defer putScratch(sc)
+	plane := grow(&sc.plane, 20*rw*rh)
+	color, depth := plane[:16*rw*rh], plane[16*rw*rh:]
 	for y := 0; y < rh; y++ {
 		src := (y0+y)*fb.W + x0
-		copy(color[y*rw*4:(y+1)*rw*4], fb.Color[src*4:(src+rw)*4])
-		copy(depth[y*rw:(y+1)*rw], fb.Depth[src:src+rw])
+		copy(color[16*rw*y:], floatBytes(fb.Color[4*src:4*(src+rw)]))
+		copy(depth[4*rw*y:], floatBytes(fb.Depth[src:src+rw]))
 	}
-	out = appendRLEWords(out, bitWords(color))
-	out = appendRLEWords(out, bitWords(depth))
-	return out
+	swapWords(plane)
+	return appendRLEPlane(appendRLEPlane(out, color), depth)
 }
 
 // DecompressPartial decodes a blob produced by CompressPartial.
@@ -113,10 +101,7 @@ func DecompressPartial(data []byte) (*PartialFrame, error) {
 	rd := wire.Open("render: partial framebuffer", data, magicPB, pbCodecVersion, 4, false)
 	w, h, seq := int(rd.U32()), int(rd.U32()), int(rd.U32())
 	x0, y0, rw, rh := int(rd.U32()), int(rd.U32()), int(rd.U32()), int(rd.U32())
-	// Bound the framebuffer a blob can demand (the same 4096-cap the
-	// service's render params enforce): a 36-byte header must not force
-	// an arbitrary allocation.
-	if w < 1 || h < 1 || w > 4096 || h > 4096 || int64(w)*int64(h) > 1<<22 {
+	if !PlausibleSize(w, h) {
 		rd.Fail("implausible size %dx%d", w, h)
 	}
 	if (rw == 0) != (rh == 0) || rw < 0 || rh < 0 ||
@@ -133,20 +118,21 @@ func DecompressPartial(data []byte) (*PartialFrame, error) {
 		return nil, err
 	}
 	p := &PartialFrame{FB: fb, Seq: seq, X0: x0, Y0: y0, RW: rw, RH: rh}
-	if rw > 0 {
-		color := make([]float32, rw*rh*4)
-		depth := make([]float32, rw*rh)
-		if rest, err = decodeRLEWords(rest, bitWords(color)); err != nil {
-			return nil, fmt.Errorf("render: partial color plane: %w", err)
-		}
-		if rest, err = decodeRLEWords(rest, bitWords(depth)); err != nil {
-			return nil, fmt.Errorf("render: partial depth plane: %w", err)
-		}
-		for y := 0; y < rh; y++ {
-			dst := (y0+y)*w + x0
-			copy(fb.Color[dst*4:(dst+rw)*4], color[y*rw*4:(y+1)*rw*4])
-			copy(fb.Depth[dst:dst+rw], depth[y*rw:(y+1)*rw])
-		}
+	sc := getScratch()
+	defer putScratch(sc)
+	plane := grow(&sc.plane, 20*rw*rh)
+	color, depth := plane[:16*rw*rh], plane[16*rw*rh:]
+	if rest, err = decodeRLEPlane(rest, color); err != nil {
+		return nil, fmt.Errorf("render: partial color plane: %w", err)
+	}
+	if rest, err = decodeRLEPlane(rest, depth); err != nil {
+		return nil, fmt.Errorf("render: partial depth plane: %w", err)
+	}
+	swapWords(plane)
+	for y := 0; y < rh; y++ {
+		dst := (y0+y)*w + x0
+		copy(floatBytes(fb.Color[4*dst:4*(dst+rw)]), color[16*rw*y:])
+		copy(floatBytes(fb.Depth[dst:dst+rw]), depth[4*rw*y:])
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("render: %d trailing bytes after partial framebuffer", len(rest))

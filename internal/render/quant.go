@@ -1,6 +1,7 @@
 package render
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/wire"
@@ -8,8 +9,8 @@ import (
 
 // Quantized framebuffer codec — the preview quality tier of the remote
 // service's thin-client mode. Each pixel's RGBA is clamped to [0,1]
-// and quantized to 8 bits per channel, packed into one uint32 word,
-// and RLE-compressed with the shared op stream; the depth plane is
+// and quantized to 8 bits per channel, packed into one 4-byte word,
+// and RLE-compressed with the op stream of rle.go; the depth plane is
 // dropped entirely. That is 4 bytes/pixel raw against the lossless
 // codec's 20 — ~5x smaller before RLE — at preview-grade fidelity:
 // the tier is LOSSY relative to the float framebuffer (quantized
@@ -23,7 +24,9 @@ import (
 //	RLE(packed RGBA words, w*h)
 //
 // with each word R | G<<8 | B<<16 | A<<24, channels quantized by the
-// same clamp as Framebuffer.ToImage.
+// same clamp as Framebuffer.ToImage: on the wire, the bytes R, G, B, A
+// in fb.Color's order, so both sides work on a byte plane borrowed
+// from the scratch list and no host byte order enters.
 
 var magicFBQ = [4]byte{'A', 'C', 'F', 'Q'}
 
@@ -32,17 +35,16 @@ const fbqCodecVersion = 1
 // CompressFramebufferQuantized encodes fb's color plane at 8 bits per
 // channel (lossy; depth is dropped).
 func CompressFramebufferQuantized(fb *Framebuffer) []byte {
-	words := make([]uint32, fb.W*fb.H)
-	for i := range words {
-		c := fb.Color[i*4:]
-		words[i] = uint32(clamp8(c[0])) |
-			uint32(clamp8(c[1]))<<8 |
-			uint32(clamp8(c[2]))<<16 |
-			uint32(clamp8(c[3]))<<24
+	sc := getScratch()
+	defer putScratch(sc)
+	plane := grow(&sc.plane, len(fb.Color))
+	for i, v := range fb.Color {
+		plane[i] = clamp8(v)
 	}
-	out := wire.Begin(make([]byte, 0, 16+len(words)), magicFBQ, fbqCodecVersion, 4)
+	out := wire.Begin(sc.ops[:0], magicFBQ, fbqCodecVersion, 4)
 	out = wire.U32s(out, uint32(fb.W), uint32(fb.H))
-	return appendRLEWords(out, words)
+	sc.ops = appendRLEPlane(out, plane)
+	return bytes.Clone(sc.ops)
 }
 
 // DecompressFramebufferQuantized decodes a blob produced by
@@ -54,8 +56,10 @@ func DecompressFramebufferQuantized(data []byte) (*Framebuffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	words := make([]uint32, w*h)
-	if rest, err = decodeRLEWords(rest, words); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	plane := grow(&sc.plane, 4*w*h)
+	if rest, err = decodeRLEPlane(rest, plane); err != nil {
 		return nil, fmt.Errorf("render: quantized color plane: %w", err)
 	}
 	if len(rest) != 0 {
@@ -65,11 +69,8 @@ func DecompressFramebufferQuantized(data []byte) (*Framebuffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, word := range words {
-		fb.Color[i*4+0] = float32(word&0xff) / 255
-		fb.Color[i*4+1] = float32(word>>8&0xff) / 255
-		fb.Color[i*4+2] = float32(word>>16&0xff) / 255
-		fb.Color[i*4+3] = float32(word>>24&0xff) / 255
+	for i, v := range plane {
+		fb.Color[i] = float32(v) / 255
 	}
 	return fb, nil
 }

@@ -125,11 +125,11 @@ type tileRun struct{ lo, hi int }
 
 // flushScratch holds the reusable working storage of one flush —
 // Batch.Flush or DrawPointBatch — the submission buffers of a borrowed
-// batch, and the residual plane and op buffer of one CompressDelta.
+// batch, and the plane and op buffer of one codec call (rle.go).
 type flushScratch struct {
 	batch Batch
 
-	residual, ops []byte
+	plane, ops []byte
 
 	lns   []lineSetup
 	tv    []tvert
@@ -160,7 +160,7 @@ var scratchList struct {
 
 const (
 	maxFreeScratch = 4
-	maxKeptPlane   = 8 << 20 // a scratch whose delta plane grew past this (paper-scale frames: ~100 MB) is not kept
+	maxKeptPlane   = 8 << 20 // a scratch whose codec plane or ops grew past this (paper-scale frames: ~100 MB) is not kept
 )
 
 func getScratch() *flushScratch {
@@ -178,7 +178,7 @@ func getScratch() *flushScratch {
 func putScratch(sc *flushScratch) {
 	scratchList.Lock()
 	defer scratchList.Unlock()
-	if len(scratchList.free) < maxFreeScratch && cap(sc.residual) <= maxKeptPlane {
+	if len(scratchList.free) < maxFreeScratch && max(cap(sc.plane), cap(sc.ops)) <= maxKeptPlane {
 		scratchList.free = append(scratchList.free, sc)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -393,6 +394,28 @@ func TestRenderMatchesLocal(t *testing.T) {
 
 	if _, _, _, err := cli.Render(RenderParams{Frame: 42, Width: 8, Height: 8, ViewDir: params.ViewDir}); err == nil {
 		t.Error("render of missing frame succeeded")
+	}
+}
+
+// TestRenderRefusesNonFiniteView sends a Render request whose view
+// direction is NaN, as any float64 bits pass the wire. The camera built
+// from it must be refused with a named error; a NaN camera's rays march
+// toward +Inf forever and the request would never be answered.
+func TestRenderRefusesNonFiniteView(t *testing.T) {
+	srv, _ := serveMem(t, testReps(t, 1))
+	cli := dial(t, srv.Addr())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, _, err := cli.Render(RenderParams{Frame: 0, Width: 16, Height: 16, ViewDir: vec.New(math.NaN(), 0, 1)})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "non-finite camera") {
+			t.Fatalf("Render with a NaN view direction: err = %v, want the camera refused", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Render with a NaN view direction got no answer")
 	}
 }
 

@@ -20,7 +20,16 @@ type Camera struct {
 }
 
 // NewCamera constructs a perspective camera at eye looking at target.
+// A non-finite eye, target, up, fovy, near or far is refused: such a
+// camera has NaN rows, and a ray cast along NaN directions finds a hit
+// on [-Inf, +Inf] that its march never leaves.
 func NewCamera(eye, target, up vec.V3, fovy, aspect, near, far float64) (Camera, error) {
+	if !eye.IsFinite() || !target.IsFinite() || !up.IsFinite() {
+		return Camera{}, fmt.Errorf("render: non-finite camera eye %v, target %v or up %v", eye, target, up)
+	}
+	if !vec.New(fovy, near, far).IsFinite() {
+		return Camera{}, fmt.Errorf("render: non-finite camera fovy/near/far %g/%g/%g", fovy, near, far)
+	}
 	if fovy <= 0 || fovy >= math.Pi {
 		return Camera{}, fmt.Errorf("render: fovy %g out of range", fovy)
 	}
@@ -169,3 +178,48 @@ func (c Camera) DepthRange(b vec.AABB) (near, far float32, ok bool) {
 	pad := (math.Abs(dMin)+math.Abs(dMax)+(dMax-dMin))*1e-6 + 1e-12
 	return float32(dMin - pad), float32(dMax + pad), true
 }
+
+// Rect is the pixel rectangle [X0, X1) x [Y0, Y1); it is empty when
+// X0 == X1 or Y0 == Y1.
+type Rect struct{ X0, Y0, X1, Y1 int }
+
+// ScreenRect returns a conservative rectangle of a w x h image holding
+// every pixel whose viewing ray (Rays) can meet b in front of the eye:
+// the ray of a pixel outside it misses b or leaves it at t <= 0. It is
+// DepthRange's screen-space twin. When every corner of b lies in front
+// of the near plane, so does all of b, and b projects inside the convex
+// hull of its projected corners; a pixel centre outside the bounding
+// box of those corners therefore has a ray that misses b. That box is
+// widened by a pixel on each side, far more than the rounding of a ray
+// direction or of a projection can move a point. When any corner is on
+// or behind the near plane or does not project to a finite point, or b
+// is empty, the rectangle is the whole image.
+func (c *Camera) ScreenRect(b vec.AABB, w, h int) Rect {
+	whole := Rect{0, 0, w, h}
+	if b.IsEmpty() {
+		return whole
+	}
+	xs := [2]float64{b.Min.X, b.Max.X}
+	ys := [2]float64{b.Min.Y, b.Max.Y}
+	zs := [2]float64{b.Min.Z, b.Max.Z}
+	sxMin, syMin := math.Inf(1), math.Inf(1)
+	sxMax, syMax := math.Inf(-1), math.Inf(-1)
+	for i := 0; i < 8; i++ {
+		p := vec.New(xs[i&1], ys[(i>>1)&1], zs[(i>>2)&1])
+		sx, sy, _, ok := c.project(c.viewSpace(p), w, h)
+		if !ok || !vec.New(sx, sy, 0).IsFinite() {
+			return whole
+		}
+		sxMin, sxMax = min(sxMin, sx), max(sxMax, sx)
+		syMin, syMax = min(syMin, sy), max(syMax, sy)
+	}
+	// Pixel x's centre is at x+0.5: every pixel left out lies at least
+	// 1.5 pixels from the corners' box.
+	return Rect{
+		X0: clampPixel(math.Floor(sxMin)-1, w), X1: clampPixel(math.Ceil(sxMax)+1, w),
+		Y0: clampPixel(math.Floor(syMin)-1, h), Y1: clampPixel(math.Ceil(syMax)+1, h),
+	}
+}
+
+// clampPixel clamps a whole-valued screen coordinate to [0, n].
+func clampPixel(v float64, n int) int { return int(max(0, min(v, float64(n)))) }

@@ -1,8 +1,11 @@
 package render
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/hybrid"
@@ -51,6 +54,46 @@ func TestCameraValidation(t *testing.T) {
 	}
 	if _, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), 1, 1, 5, 1); err == nil {
 		t.Error("accepted far < near")
+	}
+
+	// Non-finite inputs: such a camera's rays never leave a ray cast.
+	nan, inf := math.NaN(), math.Inf(1)
+	eye, target, up := vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0)
+	for _, c := range []struct {
+		name            string
+		eye, target, up vec.V3
+		fovy, near, far float64
+	}{
+		{"NaN eye", vec.New(nan, 0, 5), target, up, 1, 0.1, 10},
+		{"infinite eye", vec.New(0, -inf, 5), target, up, 1, 0.1, 10},
+		{"NaN target", eye, vec.New(0, 0, nan), up, 1, 0.1, 10},
+		{"infinite target", eye, vec.New(inf, 0, 0), up, 1, 0.1, 10},
+		{"NaN up", eye, target, vec.New(0, nan, 0), 1, 0.1, 10},
+		{"NaN fovy", eye, target, up, nan, 0.1, 10},
+		{"NaN near", eye, target, up, 1, nan, 10},
+		{"NaN far", eye, target, up, 1, 0.1, nan},
+		{"infinite far", eye, target, up, 1, 0.1, inf},
+	} {
+		_, err := NewCamera(c.eye, c.target, c.up, c.fovy, 1, c.near, c.far)
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: err = %v, want a non-finite camera refused", c.name, err)
+		}
+	}
+	box := vec.Box(vec.New(-1, -1, -1), vec.New(1, 1, 1))
+	for _, c := range []struct {
+		name string
+		b    vec.AABB
+		dir  vec.V3
+	}{
+		{"NaN view direction", box, vec.New(nan, 0, 1)},
+		{"infinite view direction", box, vec.New(0, inf, 1)},
+		{"NaN bounds", vec.Box(vec.New(nan, -1, -1), vec.New(1, 1, 1)), vec.New(0, 0, 1)},
+		{"infinite bounds", vec.Box(vec.New(-1, -1, -1), vec.New(1, inf, 1)), vec.New(0, 0, 1)},
+	} {
+		_, err := LookAtBounds(c.b, c.dir, math.Pi/3, 1)
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("LookAtBounds, %s: err = %v, want a non-finite camera refused", c.name, err)
+		}
 	}
 }
 
@@ -322,5 +365,85 @@ func TestRaysMatchPerPixelFormula(t *testing.T) {
 				t.Fatalf("pixel %d,%d: Rays gives %v, formula %v", px, py, dir, want)
 			}
 		}
+	}
+}
+
+// TestScreenRectIsConservative is ScreenRect's contract as a property.
+// For random boxes seen from outside (the box on screen, partly on it
+// or off it), from inside, and with the near plane cutting the box, at
+// 1x1, odd and even sizes, every pixel outside the rectangle casts a
+// ray that misses the box or leaves it at t <= 0, and a camera with a
+// corner on or behind the near plane gets the whole frame.
+func TestScreenRectIsConservative(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	unit := func() vec.V3 {
+		return vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Norm()
+	}
+	sizes := [][2]int{{1, 1}, {1, 7}, {23, 17}, {32, 24}, {48, 48}, {9, 40}, {64, 31}}
+	left := 0 // pixels left out of a rectangle, over all cameras
+	for i := 0; i < 420; i++ {
+		lo := vec.New(rng.NormFloat64()*2, rng.NormFloat64()*2, rng.NormFloat64()*2)
+		ext := vec.New(0.05+2*rng.Float64(), 0.05+2*rng.Float64(), 0.05+2*rng.Float64())
+		b := vec.Box(lo, lo.Add(ext))
+		center, diag := b.Center(), b.Diagonal()
+		w, h := sizes[i%len(sizes)][0], sizes[i%len(sizes)][1]
+		near := 0.01 + 0.2*rng.Float64()
+		var eye, target vec.V3
+		kind := []string{"outside", "inside", "near plane cuts"}[i%3]
+		switch kind {
+		case "outside":
+			eye = center.Add(unit().Scale(diag * (0.8 + 3*rng.Float64())))
+			target = center.Add(unit().Scale(diag * 1.5 * rng.Float64()))
+		case "inside":
+			eye = lo.Add(vec.New(rng.Float64()*ext.X, rng.Float64()*ext.Y, rng.Float64()*ext.Z))
+			target = eye.Add(unit())
+		default:
+			// The near plane through the centre: corners lie on both sides.
+			eye = center.Add(unit().Scale(diag * (0.6 + rng.Float64())))
+			target = center
+			near = eye.Dist(center)
+		}
+		up := vec.New(0, 1, 0)
+		if math.Abs(target.Sub(eye).Norm().Dot(up)) > 0.95 {
+			up = vec.New(1, 0, 0)
+		}
+		cam, err := NewCamera(eye, target, up, math.Pi/3*(0.5+rng.Float64()), float64(w)/float64(h), near, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("camera %d (%s, %dx%d)", i, kind, w, h)
+
+		r := cam.ScreenRect(b, w, h)
+		if r.X0 < 0 || r.X0 > r.X1 || r.X1 > w || r.Y0 < 0 || r.Y0 > r.Y1 || r.Y1 > h {
+			t.Fatalf("%s: rectangle %+v is not inside the frame", name, r)
+		}
+		cornerBehind := false
+		for c := 0; c < 8; c++ {
+			p := vec.New([2]float64{b.Min.X, b.Max.X}[c&1], [2]float64{b.Min.Y, b.Max.Y}[c>>1&1], [2]float64{b.Min.Z, b.Max.Z}[c>>2])
+			cornerBehind = cornerBehind || cam.ViewZ(p) >= -near
+		}
+		if kind != "outside" && !cornerBehind {
+			t.Fatalf("%s: no corner on or behind the near plane", name)
+		}
+		if cornerBehind && r != (Rect{0, 0, w, h}) {
+			t.Errorf("%s: a corner is on or behind the near plane, but the rectangle is %+v", name, r)
+		}
+		rays := cam.Rays(w, h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1 {
+					continue
+				}
+				left++
+				origin, dir := rays.Ray(x, y)
+				if tEnter, tExit, hit := b.IntersectRay(origin, dir); hit && tExit > 0 {
+					t.Fatalf("%s: pixel %d,%d is outside %+v, but its ray meets the box on [%v, %v]",
+						name, x, y, r, tEnter, tExit)
+				}
+			}
+		}
+	}
+	if left < 10000 {
+		t.Errorf("only %d pixels left out of a rectangle: the property is nearly vacuous", left)
 	}
 }

@@ -90,11 +90,14 @@ func (b AABB) Octant(i int) AABB {
 func (b AABB) IntersectRay(origin, dir V3) (tEnter, tExit float64, hit bool) {
 	tEnter = math.Inf(-1)
 	tExit = math.Inf(1)
+	// Per-axis arrays rather than V3.Component: this runs once per ray
+	// of the volume ray caster.
+	o3 := [3]float64{origin.X, origin.Y, origin.Z}
+	d3 := [3]float64{dir.X, dir.Y, dir.Z}
+	lo3 := [3]float64{b.Min.X, b.Min.Y, b.Min.Z}
+	hi3 := [3]float64{b.Max.X, b.Max.Y, b.Max.Z}
 	for axis := 0; axis < 3; axis++ {
-		o := origin.Component(axis)
-		d := dir.Component(axis)
-		lo := b.Min.Component(axis)
-		hi := b.Max.Component(axis)
+		o, d, lo, hi := o3[axis], d3[axis], lo3[axis], hi3[axis]
 		if d == 0 {
 			if o < lo || o > hi {
 				return 0, 0, false

@@ -31,6 +31,16 @@
 //
 // FetchCount over SampleCount is the share of samples that still read
 // voxels; on bounds with a flat axis it is all of them.
+//
+// # Pixels never cast
+//
+// A pixel outside the grid's screen rectangle (Camera.ScreenRect) is
+// never cast. That is exact, not a cull: the rectangle is conservative,
+// so such a pixel's ray misses the bounds or leaves them at t <= 0, and
+// the march returns on exactly that ray before it writes or counts
+// anything. Scanline chunks stay those of the whole frame, each clipped
+// to the rectangle, so the split of work between workers does not
+// follow the rectangle.
 package volren
 
 import (
@@ -86,17 +96,24 @@ func (r *Renderer) Render(fb *render.Framebuffer, cam render.Camera) {
 		return // a point has nothing to march through
 	}
 	c := caster{
-		fb: fb, cam: cam, rays: cam.Rays(fb.W, fb.H),
+		fb: fb, near: cam.Near, depth: newDepthRows(&cam), rays: cam.Rays(fb.W, fb.H),
 		bounds: r.Grid.Bounds, vol: r.Grid.Sampler(), bricks: newBrickMask(r.Grid),
 		tf: r.TF, jitter: r.Jitter,
 		step: voxel * r.stepScale(), refStep: voxel,
 	}
 
+	// A pixel outside the grid's screen rectangle has a ray that misses
+	// the bounds, on which castPixel would return without a write. The
+	// chunks are the whole frame's, clipped to the rectangle: chunks of
+	// the rectangle's rows would move the split off the screen centre,
+	// where LookAtBounds puts the grid's centre and a beam's core, and
+	// leave one worker most of the samples.
+	rect := cam.ScreenRect(r.Grid.Bounds, fb.W, fb.H)
 	counts := make([]int64, 2*fb.H) // per scanline: samples, fetches
 	par.ForChunks(fb.H, r.Workers, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
+		for y := max(lo, rect.Y0); y < min(hi, rect.Y1); y++ {
 			var n, f int64
-			for x := 0; x < fb.W; x++ {
+			for x := rect.X0; x < rect.X1; x++ {
 				dn, df := c.castPixel(x, y)
 				n += dn
 				f += df
@@ -148,8 +165,8 @@ const (
 type brickMask struct {
 	occupied   []bool // (bz*ny+by)*nx+bx
 	nx, ny, nz int
-	min        vec.V3 // the grid's lower corner
-	size       vec.V3 // world extent of one brick
+	min        [3]float64 // the grid's lower corner, per axis
+	size       [3]float64 // world extent of one brick, per axis
 }
 
 // newBrickMask scans the grid once. A brick is left unoccupied only if
@@ -168,11 +185,11 @@ func newBrickMask(g *hybrid.Grid) brickMask {
 		nx:  (g.Nx + brick - 1) / brick,
 		ny:  (g.Ny + brick - 1) / brick,
 		nz:  (g.Nz + brick - 1) / brick,
-		min: g.Bounds.Min,
-		size: vec.New(
-			size.X/float64(g.Nx)*brick,
-			size.Y/float64(g.Ny)*brick,
-			size.Z/float64(g.Nz)*brick),
+		min: [3]float64{g.Bounds.Min.X, g.Bounds.Min.Y, g.Bounds.Min.Z},
+		size: [3]float64{
+			size.X / float64(g.Nx) * brick,
+			size.Y / float64(g.Ny) * brick,
+			size.Z / float64(g.Nz) * brick},
 	}
 	m.occupied = make([]bool, m.nx*m.ny*m.nz)
 	// Voxel v is in the grown footprint of bricks (v-halo)/brick to
@@ -234,9 +251,11 @@ func (m *brickMask) start(origin, dir vec.V3, t float64) brickWalk {
 	var w brickWalk
 	n := [3]int{m.nx, m.ny, m.nz}
 	stride := [3]int{1, m.nx, m.nx * m.ny}
+	o3 := [3]float64{origin.X, origin.Y, origin.Z}
+	d3 := [3]float64{dir.X, dir.Y, dir.Z}
 	for axis := 0; axis < 3; axis++ {
-		o, d := origin.Component(axis), dir.Component(axis)
-		lo, size := m.min.Component(axis), m.size.Component(axis)
+		o, d := o3[axis], d3[axis]
+		lo, size := m.min[axis], m.size[axis]
 		w.next[axis] = math.Inf(1)
 		if n[axis] == 1 {
 			continue // one brick, no face to cross
@@ -291,7 +310,8 @@ func (w *brickWalk) cross(axis int) {
 // caster holds what one Render's rays share.
 type caster struct {
 	fb     *render.Framebuffer
-	cam    render.Camera
+	near   float64 // the camera's near plane distance
+	depth  depthRows
 	rays   render.RayGen
 	bounds vec.AABB
 	vol    hybrid.Sampler
@@ -312,8 +332,8 @@ func (c *caster) castPixel(x, y int) (samples, fetches int64) {
 	if !hit || tExit <= 0 {
 		return 0, 0
 	}
-	if tEnter < c.cam.Near {
-		tEnter = c.cam.Near
+	if tEnter < c.near {
+		tEnter = c.near
 	}
 	step := c.step
 	if c.jitter {
@@ -330,7 +350,7 @@ func (c *caster) castPixel(x, y int) (samples, fetches int64) {
 		// Convert the stored NDC depth back to a ray parameter limit by
 		// bisection over view-space depth (monotonic), cheap enough at
 		// per-pixel granularity and exact at convergence.
-		geomLimit = rayLimitForDepth(c.cam, origin, dir, float64(zGeom), tEnter, tExit)
+		geomLimit = rayLimitForDepth(&c.depth, origin, dir, float64(zGeom), tEnter, tExit)
 	}
 
 	end := math.Min(tExit, geomLimit)
@@ -381,20 +401,49 @@ func (c *caster) castPixel(x, y int) (samples, fetches int64) {
 	return samples, fetches
 }
 
+// depthRows is what the depth limit reads of a camera: the z and w rows
+// of its view matrix and the two coefficients of NDCDepth.
+type depthRows struct {
+	z, w [4]float64
+	a, b float64 // (f+n)/(n-f) and 2*f*n/(n-f)
+}
+
+func newDepthRows(cam *render.Camera) depthRows {
+	n, f := cam.Near, cam.Far
+	return depthRows{
+		z: [4]float64(cam.View[8:12]),
+		w: [4]float64(cam.View[12:16]),
+		a: (f + n) / (n - f),
+		b: 2 * f * n / (n - f),
+	}
+}
+
+// ndc is cam.NDCDepth(cam.ViewZ(p)) operation for operation: the z row
+// of M4.Apply with its perspective divide, then NDCDepth.
+func (d *depthRows) ndc(p vec.V3) float64 {
+	z := d.z[0]*p.X + d.z[1]*p.Y + d.z[2]*p.Z + d.z[3]
+	w := d.w[0]*p.X + d.w[1]*p.Y + d.w[2]*p.Z + d.w[3]
+	if w != 0 && w != 1 {
+		inv := 1 / w
+		z = z * inv
+	}
+	return (d.a*z + d.b) / -z
+}
+
 // rayLimitForDepth finds the ray parameter whose NDC depth equals
 // zNDC, by bisection over [tLo, tHi].
-func rayLimitForDepth(cam render.Camera, origin, dir vec.V3, zNDC, tLo, tHi float64) float64 {
+func rayLimitForDepth(d *depthRows, origin, dir vec.V3, zNDC, tLo, tHi float64) float64 {
 	// Depth is increasing in t (farther along the ray = deeper).
 	lo, hi := tLo, tHi
-	if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(hi)))) <= zNDC {
+	if d.ndc(origin.Add(dir.Scale(hi))) <= zNDC {
 		return hi // geometry is behind the volume exit
 	}
-	if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(lo)))) >= zNDC {
+	if d.ndc(origin.Add(dir.Scale(lo))) >= zNDC {
 		return lo // geometry is in front of the volume entry
 	}
 	for i := 0; i < 32; i++ {
 		mid := (lo + hi) / 2
-		if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(mid)))) < zNDC {
+		if d.ndc(origin.Add(dir.Scale(mid))) < zNDC {
 			lo = mid
 		} else {
 			hi = mid

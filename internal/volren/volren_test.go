@@ -356,7 +356,7 @@ func referenceCastPixel(r *Renderer, fb *render.Framebuffer, cam render.Camera, 
 	zGeom := fb.DepthAt(x, y)
 	geomLimit := math.Inf(1)
 	if !math.IsInf(float64(zGeom), 1) {
-		geomLimit = rayLimitForDepth(cam, origin, dir, float64(zGeom), tEnter, tExit)
+		geomLimit = refRayLimitForDepth(cam, origin, dir, float64(zGeom), tEnter, tExit)
 	}
 
 	end := math.Min(tExit, geomLimit)
@@ -389,6 +389,29 @@ func referenceCastPixel(r *Renderer, fb *render.Framebuffer, cam render.Camera, 
 	}
 	blendOver(fb, x, y, cr, cg, cb, ca)
 	return samples
+}
+
+// refRayLimitForDepth is the reference's own depth limit, the bisection
+// through Camera.NDCDepth and Camera.ViewZ that Render ran before it
+// read the view matrix's z and w rows itself.
+func refRayLimitForDepth(cam render.Camera, origin, dir vec.V3, zNDC, tLo, tHi float64) float64 {
+	// Depth is increasing in t (farther along the ray = deeper).
+	lo, hi := tLo, tHi
+	if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(hi)))) <= zNDC {
+		return hi // geometry is behind the volume exit
+	}
+	if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(lo)))) >= zNDC {
+		return lo // geometry is in front of the volume entry
+	}
+	for i := 0; i < 32; i++ {
+		mid := (lo + hi) / 2
+		if cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(mid)))) < zNDC {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
 }
 
 func cloneFB(fb *render.Framebuffer) *render.Framebuffer {
@@ -833,6 +856,95 @@ func TestFetchCountShowsSkipping(t *testing.T) {
 	}
 }
 
+// TestRayLimitMatchesReference holds the depth limit Render runs — the
+// view matrix's z and w rows and NDCDepth's coefficients read once per
+// Render — to the reference's bisection through the Camera methods,
+// bit for bit. Most depths come from float32 buffers as Render's do:
+// splats drawn into a depth buffer, and the stored depths of points in
+// front of, inside and behind each ray's span through the bounds.
+func TestRayLimitMatchesReference(t *testing.T) {
+	var behind, inFront, bisected int
+	check := func(name string, cam render.Camera, b vec.AABB, w, h int) {
+		t.Helper()
+		fb, err := render.NewFramebuffer(w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rast := render.NewRasterizer(fb, cam)
+		rast.Mode = render.BlendOpaque
+		rng := rand.New(rand.NewSource(int64(w*h) + 7))
+		size := b.Size()
+		for i := 0; i < 40; i++ {
+			p := b.Min.Add(vec.New(rng.Float64()*size.X, rng.Float64()*size.Y, rng.Float64()*size.Z))
+			rast.DrawPoint(p, 2, hybrid.RGBA{R: 1, A: 1})
+		}
+		rows := newDepthRows(&cam)
+		rays := cam.Rays(w, h)
+		depths := make([]float64, 0, 11)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				origin, dir := rays.Ray(x, y)
+				tEnter, tExit, hit := b.IntersectRay(origin, dir)
+				if !hit || tExit <= 0 {
+					continue
+				}
+				tEnter = max(tEnter, cam.Near)
+				depthAt := func(t float64) float64 { return cam.NDCDepth(cam.ViewZ(origin.Add(dir.Scale(t)))) }
+				depths = depths[:0]
+				if z := fb.DepthAt(x, y); !math.IsInf(float64(z), 1) {
+					depths = append(depths, float64(z))
+				}
+				for _, frac := range []float64{-0.5, 0, 0.3, 0.5, 0.9, 1, 1.5} {
+					depths = append(depths, float64(float32(depthAt(tEnter+frac*(tExit-tEnter)))))
+				}
+				// Stricter than any buffer: the exact depths of the span's
+				// ends and of the first midpoint, where each comparison is
+				// an equality that one ulp of the limit's arithmetic flips.
+				depths = append(depths, depthAt(tEnter), depthAt(tExit), depthAt((tEnter+tExit)/2))
+				for _, zNDC := range depths {
+					want := refRayLimitForDepth(cam, origin, dir, zNDC, tEnter, tExit)
+					got := rayLimitForDepth(&rows, origin, dir, zNDC, tEnter, tExit)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: pixel %d,%d depth %v: limit %v, reference %v", name, x, y, zNDC, got, want)
+					}
+					switch {
+					case want == tExit:
+						behind++
+					case want == tEnter:
+						inFront++
+					default:
+						bisected++
+					}
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	var last render.Camera
+	var lastBounds vec.AABB
+	for i := 0; i < 12; i++ {
+		lo := vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+		b := vec.Box(lo, lo.Add(vec.New(0.2+2*rng.Float64(), 0.2+2*rng.Float64(), 0.2+2*rng.Float64())))
+		w, h := 2*(4+rng.Intn(10))+i%2, 2*(4+rng.Intn(10))+i/2%2 // odd and even
+		view := vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+		cam, err := render.LookAtBounds(b, view, math.Pi/3, float64(w)/float64(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("camera %d (%dx%d)", i, w, h), cam, b, w, h)
+		last, lastBounds = cam, b
+	}
+	// A view matrix whose bottom row is not (0, 0, 0, 1): every depth
+	// goes through M4.Apply's division by w.
+	copy(last.View[12:], []float64{0.01, -0.02, 0.015, 1.25})
+	check("w-division", last, lastBounds, 21, 16)
+	if behind == 0 || inFront == 0 || bisected == 0 {
+		t.Errorf("limits behind the exit %d, in front of the entry %d, bisected %d: want some of each",
+			behind, inFront, bisected)
+	}
+}
+
 // TestFlatBoundsRender is the regression test for grids whose bounds
 // are flat along an axis. The voxel size used to be the minimum over
 // all three axes, so such a grid had step 0: with empty data the rays
@@ -902,10 +1014,12 @@ func TestFlatBoundsRender(t *testing.T) {
 }
 
 // BenchmarkRayCast times Renderer.Render alone at the benchmark's
-// thin-client size. beam is what the hybrid pipeline casts (a compact
-// core in a mostly empty box); dense has no empty brick, so it bounds
-// what the mask and the brick walk cost where they cannot help; empty
-// is the skip loop alone.
+// thin-client size. beam is the hybrid pipeline's grid (a compact core
+// in a mostly empty box) over an empty depth buffer; hybrid is the same
+// grid behind splats already in the depth buffer, which is what a
+// hybrid render casts and the only case that runs the depth limit;
+// dense has no empty brick, so it bounds what the mask and the brick
+// walk cost where they cannot help; empty is the skip loop alone.
 func BenchmarkRayCast(b *testing.B) {
 	const res, size = 64, 192
 	bounds := vec.Box(vec.New(-1, -1, -1), vec.New(1, 1, 1))
@@ -943,7 +1057,24 @@ func BenchmarkRayCast(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []gridCase{{"beam", beam}, {"dense", dense}, {"empty", empty}} {
+	// The splats: every 40th point, opaque, as RenderPointPass draws them.
+	splatted, err := render.NewFramebuffer(size, size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rast := render.NewRasterizer(splatted, cam)
+	rast.Mode = render.BlendOpaque
+	var splats []render.PointSplat
+	for i := 0; i < len(pts); i += 40 {
+		splats = append(splats, render.PointSplat{Pos: pts[i], Radius: 1.5, Color: hybrid.RGBA{R: 1, G: 0.6, A: 1}})
+	}
+	rast.DrawPointBatch(splats)
+
+	for _, c := range []struct {
+		name string
+		grid *hybrid.Grid
+		base *render.Framebuffer // nil: a cleared frame
+	}{{"beam", beam, nil}, {"hybrid", beam, splatted}, {"dense", dense, nil}, {"empty", empty, nil}} {
 		b.Run(c.name, func(b *testing.B) {
 			r, err := New(c.grid, tf)
 			if err != nil {
@@ -956,7 +1087,12 @@ func BenchmarkRayCast(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fb.Clear(hybrid.RGBA{})
+				if c.base != nil {
+					copy(fb.Color, c.base.Color)
+					copy(fb.Depth, c.base.Depth)
+				} else {
+					fb.Clear(hybrid.RGBA{})
+				}
 				r.Render(fb, cam)
 			}
 			b.ReportMetric(float64(r.SampleCount)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")

@@ -257,22 +257,10 @@ func printStats(addr string, r remote.StatsReport) {
 		if st.Critical {
 			mark = "*"
 		}
-		workers := fmt.Sprintf("%d", st.Workers)
-		if st.Resizable {
-			workers = fmt.Sprintf("%d [%d..%d]", st.Workers, st.MinWorkers, st.MaxWorkers)
-		}
-		line := fmt.Sprintf("  %s %-12s %-6s  workers %-10s util %3.0f%%  recv %3.0f%%  send %3.0f%%  inflight %d  done %d  svc %v  %.1f/s",
-			mark, st.Name, st.Kind, workers,
+		line := fmt.Sprintf("  %s %-12s %-6s  workers %-3d util %3.0f%%  recv %3.0f%%  send %3.0f%%  inflight %d  done %d  svc %v  %.1f/s",
+			mark, st.Name, st.Kind, st.Workers,
 			100*st.Utilization, 100*st.RecvWait, 100*st.SendWait,
 			st.InFlight, st.Done, st.ServiceEWMA.Round(time.Microsecond), st.Throughput)
-		if st.Placeable {
-			side := "local"
-			if st.Remote {
-				side = "remote"
-			}
-			line += fmt.Sprintf("  placed %s (local %v, remote %v, fallbacks %d)",
-				side, st.LocalEWMA.Round(time.Microsecond), st.RemoteEWMA.Round(time.Microsecond), st.Fallbacks)
-		}
 		if st.Finished {
 			line += "  finished"
 		}

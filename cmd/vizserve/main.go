@@ -21,14 +21,13 @@
 // with a retryable error (reconnecting clients back off and retry),
 // -queue bounds each subscriber's send queue, and -slow picks what
 // happens to a subscriber that can't keep up (skip | degrade |
-// evict). The service speaks protocol v7: the pipeline feeding it can
+// evict). The service speaks protocol v8: the pipeline feeding it can
 // itself fan sub-volume renders across vizworker fleets
 // (core.StreamOptions.RenderAddrs, kernel render.partial.v1) and
 // depth-composite the partials before frames ever reach this server —
 // the sort-last half of the paper's parallel rendering architecture.
-// With -balance (live mode) the pipeline self-balances: per-stage
-// telemetry drives worker moves toward the measured bottleneck, and
-// the Stats verb carries the live stage table to vizclient -stats.
+// In live mode the Stats verb carries the pipeline's per-stage table
+// to vizclient -stats.
 package main
 
 import (
@@ -41,7 +40,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hybrid"
-	"repro/internal/pipeline"
 	"repro/internal/remote"
 )
 
@@ -61,7 +59,6 @@ func main() {
 		maxRend   = flag.Int("max-renders", 0, "max concurrent server-side renders (0 = unlimited)")
 		queue     = flag.Int("queue", 0, "per-subscriber send queue bound (0 = default)")
 		slow      = flag.String("slow", "skip", "slow-subscriber policy: skip, degrade or evict")
-		balance   = flag.Bool("balance", false, "live mode: self-balance the pipeline (per-stage telemetry feeds adaptive worker rebalancing; vizclient -stats shows the stage table)")
 	)
 	flag.Parse()
 
@@ -101,20 +98,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sopts := core.StreamOptions{Sink: lr}
-		if *balance {
-			sopts.Balance = &core.BalanceOptions{
-				BalancerOptions: pipeline.BalancerOptions{
-					OnDecision: func(d pipeline.Decision) {
-						fmt.Printf("vizserve: rebalance: %s\n", d)
-					},
-				},
-			}
-		}
 		stream := pp.StreamFrames(context.Background(),
-			core.SimSource(sim, *frames, *periods), sopts)
+			core.SimSource(sim, *frames, *periods), core.StreamOptions{Sink: lr})
 		// Expose the live stage table through the Stats verb so
-		// vizclient -stats can watch the balancer work.
+		// vizclient -stats can watch the pipeline work.
 		srv.SetPipelineStats(stream.Snapshot)
 		for r := range stream.Out {
 			fmt.Printf("vizserve: published frame %d (%d halo points, %.2f MB)\n",

@@ -229,33 +229,6 @@ func (x *remoteExtractExecutor) Apply(ctx context.Context, r StreamResult) (Stre
 	return r, nil
 }
 
-// localExtractExecutor fuses the partition+extract pair into one
-// in-process executor — the local twin of remoteExtractExecutor,
-// computing bit-identical hybrid representations for the same configs.
-// It is the home side of a placement-switchable extract stage: the
-// balancer flips frames between this and the fleet executor at frame
-// boundaries without the output changing by a byte.
-type localExtractExecutor struct {
-	p          *ParticlePipeline
-	st         *streamStorage
-	keepFrames bool
-}
-
-// Apply implements pipeline.StageExecutor.
-func (x *localExtractExecutor) Apply(_ context.Context, r StreamResult) (StreamResult, error) {
-	t, err := x.st.partition(x.p, &r, x.keepFrames, true)
-	if err != nil {
-		return r, err
-	}
-	rep, err := hybrid.Extract(t, x.p.Extract)
-	if err != nil {
-		return r, fmt.Errorf("frame %d: %w", r.Index, err)
-	}
-	x.st.trees.Put(t)
-	r.Rep = rep
-	return r, nil
-}
-
 // RenderOptions appends a render stage to a particle stream. Each
 // frame's point pass runs on the tile-binned parallel rasterizer, so
 // the stage parallelizes along two axes: Workers concurrent frames,
@@ -368,30 +341,6 @@ type StreamOptions struct {
 	// owned by the stream (always render.partial.v1; the window is
 	// Render.Workers). nil means defaults.
 	RenderPolicy *remote.FleetOptions
-
-	// Balance, when non-nil, runs the stream self-balancing: the
-	// compute stages (partition, extract, local render) become elastic
-	// and a pipeline.Balancer periodically moves workers from
-	// over-provisioned stages to the measured bottleneck within a
-	// global budget (default: the sum of the configured worker
-	// counts). The configured PartitionWorkers/ExtractWorkers/
-	// Render.Workers become starting points instead of a contract.
-	// When extract addresses are also set, extraction runs a
-	// placement-switchable stage: it starts on the local fused
-	// partition+extract executor and the balancer flips it to the
-	// fleet when the local side saturates (and back when the remote
-	// path degrades), always at a frame boundary. Output order and
-	// content are unchanged by any rebalance or flip — results stay
-	// bit-identical to the serial path.
-	Balance *BalanceOptions
-}
-
-// BalanceOptions tunes a self-balancing stream. The embedded
-// pipeline.BalancerOptions zero value gives the default thresholds and
-// cadence; Budget 0 means the sum of the stream's configured worker
-// counts across elastic stages.
-type BalanceOptions struct {
-	pipeline.BalancerOptions
 }
 
 // StreamResult is the per-frame output of StreamFrames, emitted in
@@ -409,15 +358,10 @@ type StreamResult struct {
 // ParticleStream is a running particle frame stream: range over Out
 // (frames arrive in order), then Wait; Cancel aborts mid-frame.
 // Snapshot (via the embedded Stream) exposes the per-stage telemetry
-// table; Balancer is non-nil when StreamOptions.Balance was set.
+// table.
 type ParticleStream struct {
 	*pipeline.Stream[StreamResult]
 	fbs *pipeline.FreeList[*render.Framebuffer]
-
-	// Balancer is the stream's self-balancing loop (nil unless
-	// StreamOptions.Balance); BalancerOptions.OnDecision sees every
-	// rebalance and placement flip it applies to this stream.
-	Balancer *pipeline.Balancer
 }
 
 // RecycleFB returns a rendered framebuffer to the stream's free list
@@ -474,41 +418,6 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		renderW = workersOr1(opts.Render.Workers)
 	}
 
-	// Self-balancing bounds: the elastic stages share a worker budget
-	// (default: the sum of their configured counts) and each may grow
-	// to maxStage. The starting counts must sit inside the bounds, so
-	// maxStage never drops below a configured count.
-	var budget, maxStage int
-	if opts.Balance != nil {
-		if len(addrs) > 0 {
-			budget = extW
-		} else {
-			budget = partW
-			if !opts.SkipExtract {
-				budget += extW
-			}
-		}
-		if opts.Render != nil && len(opts.RenderAddrs) == 0 {
-			budget += renderW
-		}
-		if opts.Balance.Budget > budget {
-			budget = opts.Balance.Budget
-		}
-		maxStage = budget
-		for _, w := range []int{partW, extW, renderW} {
-			if w > maxStage {
-				maxStage = w
-			}
-		}
-	}
-	elastic := func(cfg pipeline.StageConfig) pipeline.StageConfig {
-		if opts.Balance != nil {
-			cfg.MinWorkers = 1
-			cfg.MaxWorkers = maxStage
-		}
-		return cfg
-	}
-
 	// Build the worker fleet before starting any stage goroutine, so a
 	// bad address or a mis-provisioned worker fails the stream without
 	// leaving a source running. A single address is simply a
@@ -521,12 +430,6 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		}
 		fo.Kernel = remote.KernelHybridExtract
 		fo.Window = extW
-		if opts.Balance != nil {
-			// The balancer may grow the switchable stage past its
-			// starting count; size the per-member window to the stage's
-			// ceiling so growth is not throttled at the fleet layer.
-			fo.Window = maxStage
-		}
 		fl, err := remote.NewFleet(addrs, fo)
 		if err != nil {
 			return fail(fmt.Errorf("core: dialing extract worker %s: %w", strings.Join(addrs, ","), err))
@@ -574,20 +477,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 
 	proj := pipeline.NewSlicePool[vec.V3]() // the fleet executor's projections
 	var out <-chan StreamResult
-	switch {
-	case fleet != nil && opts.Balance != nil:
-		// Placement-switchable extraction: the stage starts on the
-		// local fused partition+extract executor and the balancer may
-		// flip it to the fleet at a frame boundary when the local side
-		// saturates (and back when the remote path degrades). Both
-		// sides compute bit-identical representations, and the stage
-		// reorderer is shared, so flips are invisible in the output.
-		sw := pipeline.NewSwitchExec[StreamResult, StreamResult](
-			&localExtractExecutor{p: p, st: st, keepFrames: opts.KeepFrames},
-			&remoteExtractExecutor{fl: fleet, p: p, proj: proj, st: st, keepFrames: opts.KeepFrames})
-		out = pipeline.MapExec(pl, frames,
-			elastic(pipeline.StageConfig{Name: "extract", Workers: extW, Buf: buf}), sw)
-	case fleet != nil:
+	if fleet != nil {
 		// Distributed placement: partition+extract fuse into one stage
 		// whose executor ships each frame's projected point set to the
 		// fleet and gets the hybrid representation back. ExtractWorkers
@@ -597,18 +487,17 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		// every member's window fillable. Each in-flight frame overlaps
 		// its WAN round-trip on the member's multiplexed connection;
 		// the MapExec reorderer restores frame order exactly as it does
-		// for the in-process pool, so fleet failover never reorders
-		// output.
+		// for in-process stages, so fleet failover never reorders output.
 		out = pipeline.MapExec(pl, frames,
 			pipeline.StageConfig{Name: "extract@" + strings.Join(addrs, ","), Workers: extW * len(addrs), Buf: buf},
 			&remoteExtractExecutor{fl: fleet, p: p, proj: proj, st: st, keepFrames: opts.KeepFrames})
-	default:
+	} else {
 		// Partition: build the tree from the ensemble's plotted columns.
 		// A tree the consumer will see (KeepTrees, SkipExtract) is the
 		// consumer's; any other is retired by the extract stage.
 		reuseTrees := !opts.KeepTrees && !opts.SkipExtract
 		trees := pipeline.Map(pl, frames,
-			elastic(pipeline.StageConfig{Name: "partition", Workers: partW, Buf: buf}),
+			pipeline.StageConfig{Name: "partition", Workers: partW, Buf: buf},
 			func(_ context.Context, r StreamResult) (StreamResult, error) {
 				var err error
 				r.Tree, err = st.partition(p, &r, opts.KeepFrames, reuseTrees)
@@ -618,7 +507,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		out = trees
 		if !opts.SkipExtract {
 			out = pipeline.Map(pl, out,
-				elastic(pipeline.StageConfig{Name: "extract", Workers: extW, Buf: buf}),
+				pipeline.StageConfig{Name: "extract", Workers: extW, Buf: buf},
 				func(_ context.Context, r StreamResult) (StreamResult, error) {
 					rep, err := hybrid.Extract(r.Tree, p.Extract)
 					if err != nil {
@@ -685,7 +574,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		} else {
 			aspect := float64(ro.Width) / float64(ro.Height)
 			out = pipeline.Map(pl, out,
-				elastic(pipeline.StageConfig{Name: "render", Workers: renderW, Buf: buf}),
+				pipeline.StageConfig{Name: "render", Workers: renderW, Buf: buf},
 				func(_ context.Context, r StreamResult) (StreamResult, error) {
 					tf, err := DefaultTF(r.Rep)
 					if err != nil {
@@ -706,13 +595,6 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 					return r, nil
 				})
 		}
-	}
-	if opts.Balance != nil {
-		bo := opts.Balance.BalancerOptions
-		if bo.Budget <= 0 {
-			bo.Budget = budget
-		}
-		s.Balancer = pl.StartBalancer(bo)
 	}
 	s.Stream = pipeline.NewStream(pl, out)
 	return s

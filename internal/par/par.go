@@ -239,138 +239,11 @@ func (j *join) wait() {
 	}
 }
 
-// Pool is a worker pool executing submitted tasks. It is used where
-// work items are irregular (per-octree-node extraction, per-seed
-// field-line integration) and static chunking would imbalance. The
-// worker count can be changed while tasks are in flight with Resize,
-// which is how the pipeline balancer shifts capacity between stages.
-// The zero value is not usable; construct with NewPool.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	once  sync.Once
-	wake  chan struct{}
-
-	mu     sync.Mutex
-	target int // desired worker count
-	live   int // running worker goroutines
-	closed bool
-}
-
-// NewPool starts a pool with the given number of workers (0 means
-// Workers()) and a task queue of the given depth.
-func NewPool(workers, queueDepth int) *Pool {
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if queueDepth <= 0 {
-		queueDepth = workers * 4
-	}
-	p := &Pool{
-		tasks: make(chan func(), queueDepth),
-		wake:  make(chan struct{}, 64),
-	}
-	p.mu.Lock()
-	p.target = workers
-	p.live = workers
-	p.mu.Unlock()
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-// worker runs tasks until the pool closes or a shrink retires it. The
-// target check happens between tasks, never mid-task: a shrink takes
-// effect at the next task boundary, so in the pipeline a rebalance can
-// never tear a frame.
-func (p *Pool) worker() {
-	for {
-		p.mu.Lock()
-		if p.live > p.target {
-			p.live--
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
-		select {
-		case task, ok := <-p.tasks:
-			if !ok {
-				return
-			}
-			task()
-			p.wg.Done()
-		case <-p.wake:
-			// Re-check the target: Resize nudges idle workers here so a
-			// shrink doesn't wait for the next task to land.
-		}
-	}
-}
-
-// Submit enqueues a task. It blocks when the queue is full, which
-// provides natural backpressure against unbounded memory growth when a
-// producer (e.g. the seeding loop) outruns the integrators.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Close waits for outstanding tasks and shuts the workers down. The
-// pool must not be used after Close.
-func (p *Pool) Close() {
-	p.wg.Wait()
-	p.once.Do(func() {
-		p.mu.Lock()
-		p.closed = true
-		p.mu.Unlock()
-		close(p.tasks)
-	})
-}
-
-// Resize changes the worker count to n (minimum 1) while tasks are in
-// flight, and returns the applied target. Growth spawns workers
-// immediately; shrink retires workers at their next task boundary, so
-// running tasks always complete. Resize never blocks on busy workers
-// and is safe to call concurrently with Submit; after Close it is a
-// no-op.
-func (p *Pool) Resize(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	if p.closed {
-		n = p.target
-		p.mu.Unlock()
-		return n
-	}
-	p.target = n
-	spawn := n - p.live
-	if spawn > 0 {
-		p.live = n
-	}
-	retire := p.live - n
-	p.mu.Unlock()
-	for i := 0; i < spawn; i++ {
-		go p.worker()
-	}
-	// Nudge idle workers parked in select so they observe the shrink
-	// promptly; busy workers re-check after their current task anyway.
-	for i := 0; i < retire; i++ {
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
-	return n
-}
-
 // Group is a bounded fork-join scope for recursive divide-and-conquer
-// work (e.g. the octree's concurrent tree carve). Unlike Pool, whose
-// Close waits for every submitted task and therefore deadlocks when tasks
-// spawn and wait on subtasks, Group.Do waits only for the tasks of
-// that call, and a task that cannot obtain a worker slot simply runs
-// on the calling goroutine — recursion never blocks on the budget, it
-// just degrades to serial execution.
+// work (e.g. the octree's concurrent tree carve). Group.Do waits only
+// for the tasks of that call, and a task that cannot obtain a worker
+// slot simply runs on the calling goroutine — recursion never blocks on
+// the budget, it just degrades to serial execution.
 type Group struct {
 	slots chan struct{}
 }

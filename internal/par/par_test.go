@@ -159,32 +159,6 @@ func TestMapReduceEveryNAndW(t *testing.T) {
 	}
 }
 
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(4, 8)
-	defer p.Close()
-	var count int64
-	for i := 0; i < 1000; i++ {
-		p.Submit(func() { atomic.AddInt64(&count, 1) })
-	}
-	p.Wait()
-	if count != 1000 {
-		t.Errorf("pool ran %d tasks, want 1000", count)
-	}
-}
-
-func TestPoolReusableAfterWait(t *testing.T) {
-	p := NewPool(2, 4)
-	defer p.Close()
-	var count int64
-	p.Submit(func() { atomic.AddInt64(&count, 1) })
-	p.Wait()
-	p.Submit(func() { atomic.AddInt64(&count, 1) })
-	p.Wait()
-	if count != 2 {
-		t.Errorf("count = %d after two rounds, want 2", count)
-	}
-}
-
 func TestGroupRecursiveSum(t *testing.T) {
 	// A recursive fork-join reduction must complete and be correct at
 	// any budget, including the fully-inline workers=1 case.
@@ -449,91 +423,4 @@ func TestWorkersPositive(t *testing.T) {
 	if Workers() < 1 {
 		t.Errorf("Workers() = %d", Workers())
 	}
-}
-
-// TestPoolResizeUnderLoad pins the live-resize contract: a pool can
-// grow and shrink while tasks are flowing, every submitted task still
-// runs exactly once, and no worker goroutine outlives Close.
-func TestPoolResizeUnderLoad(t *testing.T) {
-	before := runtime.NumGoroutine()
-	p := NewPool(2, 4)
-	var ran atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 400; i++ {
-			p.Submit(func() {
-				time.Sleep(50 * time.Microsecond)
-				ran.Add(1)
-			})
-		}
-	}()
-	sizes := []int{8, 1, 6, 2, 12, 1, 4}
-	for _, n := range sizes {
-		if got := p.Resize(n); got != n {
-			t.Fatalf("Resize(%d) applied %d", n, got)
-		}
-		if got := p.Size(); got != n {
-			t.Fatalf("Size() = %d after Resize(%d)", got, n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	<-done
-	p.Close()
-	if got := ran.Load(); got != 400 {
-		t.Fatalf("%d of 400 tasks ran across resizes", got)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-}
-
-// TestPoolResizeShrinkRetiresIdleWorkers proves a shrink takes effect
-// without requiring new task traffic: idle workers are nudged awake
-// and retire, observable as the goroutine count dropping.
-func TestPoolResizeShrinkRetiresIdleWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	p := NewPool(16, 16)
-	defer p.Close()
-	p.Resize(1)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		// base counts the test goroutine; allow the 1 surviving worker.
-		if runtime.NumGoroutine() <= base+1 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Errorf("idle workers did not retire: %d goroutines (base %d)", runtime.NumGoroutine(), base)
-}
-
-// TestPoolResizeClampsAndSurvivesClose pins the edges: Resize(0) means
-// one worker, and Resize after Close is a harmless no-op.
-func TestPoolResizeClampsAndSurvivesClose(t *testing.T) {
-	p := NewPool(2, 2)
-	if got := p.Resize(0); got != 1 {
-		t.Errorf("Resize(0) applied %d, want 1", got)
-	}
-	p.Close()
-	if got := p.Resize(8); got != 1 {
-		t.Errorf("Resize after Close applied %d, want unchanged 1", got)
-	}
-}
-
-// Wait blocks until every submitted task has completed. The pool
-// remains usable afterwards.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Size returns the pool's current target worker count.
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target
 }

@@ -13,8 +13,7 @@ import (
 // atomics: a stage's hot path pays a handful of atomic adds per frame
 // and no locks. Pipeline.Snapshot diffs the cumulative counters since
 // the previous snapshot into windowed rates and marks the critical
-// stage — the balancer and the remote Stats verb both consume that
-// table.
+// stage — the table the remote Stats verb carries.
 
 // ewmaAlpha is the smoothing factor for per-frame service-time EWMAs:
 // ~the last 8 frames dominate, so the estimate tracks load shifts
@@ -74,12 +73,10 @@ func (k StageKind) String() string {
 // Stages write it through the helpers below; readers go through
 // Pipeline.Snapshot.
 type StageMetrics struct {
-	name string
-	kind StageKind
-	min  int // lower rebalance bound (0 when fixed)
-	max  int // upper rebalance bound (0 when fixed)
+	name    string
+	kind    StageKind
+	workers int
 
-	workers    atomic.Int64  // current worker count
 	inFlight   atomic.Int64  // frames dispatched but not yet emitted
 	done       atomic.Uint64 // frames completed successfully
 	serviceNS  atomic.Int64  // cumulative time in the stage body
@@ -87,12 +84,6 @@ type StageMetrics struct {
 	sendWaitNS atomic.Int64  // cumulative time blocked sending output
 	ewmaNS     atomic.Uint64 // float64 bits: per-frame service EWMA
 	finished   atomic.Bool   // stage output closed
-
-	// resize is set for elastic Map stages (MaxWorkers > 0): it moves
-	// the stage's par.Pool to n workers. place is set when the stage's
-	// executor can be flipped between local and remote placement.
-	resize func(n int)
-	place  PlacementExec
 }
 
 // noteService records one stage-body execution: d in the cumulative
@@ -105,23 +96,14 @@ func (m *StageMetrics) noteService(d int64, succeeded bool) {
 	}
 }
 
-func (m *StageMetrics) resizable() bool { return m.resize != nil }
-
 // StageSnapshot is one row of the per-stage telemetry table: the
 // windowed view of a StageMetrics since the previous Snapshot call.
-// The wire form (remote protocol v7, Stats verb) and the vizclient
+// The wire form (remote protocol v8, Stats verb) and the vizclient
 // -stats rendering both carry exactly these fields.
 type StageSnapshot struct {
-	Name string
-	Kind StageKind
-
-	// Worker provisioning. MinWorkers/MaxWorkers are the rebalance
-	// bounds; Resizable is false for fixed stages (both bounds equal
-	// Workers in that case).
-	Workers    int
-	MinWorkers int
-	MaxWorkers int
-	Resizable  bool
+	Name    string
+	Kind    StageKind
+	Workers int
 
 	// Progress. InFlight counts frames dispatched but not yet emitted;
 	// Done counts frames completed over the stage's whole lifetime;
@@ -131,7 +113,7 @@ type StageSnapshot struct {
 	Finished bool
 
 	// ServiceEWMA is the smoothed per-frame service time (all-time,
-	// not windowed) — the balancer's cost model for the stage.
+	// not windowed).
 	ServiceEWMA time.Duration
 
 	// Windowed rates over Window (the interval since the previous
@@ -145,17 +127,6 @@ type StageSnapshot struct {
 	Utilization float64
 	RecvWait    float64
 	SendWait    float64
-
-	// Placement (set when the stage runs a placement-switchable
-	// executor): Remote reports the current side; LocalEWMA/RemoteEWMA
-	// are smoothed per-frame service times observed on each side (zero
-	// until a side has run); Fallbacks counts remote failures served by
-	// the local side instead.
-	Placeable  bool
-	Remote     bool
-	LocalEWMA  time.Duration
-	RemoteEWMA time.Duration
-	Fallbacks  uint64
 
 	// Critical marks the stage the snapshot identifies as the current
 	// critical path: the highest utilization × (1 − input idle) among
@@ -173,9 +144,8 @@ type stageCum struct {
 
 // newStage registers a stage's metrics block in chain order. Called
 // from stage constructors, before any stage goroutine starts.
-func (p *Pipeline) newStage(name string, kind StageKind, workers, min, max int) *StageMetrics {
-	m := &StageMetrics{name: name, kind: kind, min: min, max: max}
-	m.workers.Store(int64(workers))
+func (p *Pipeline) newStage(name string, kind StageKind, workers int) *StageMetrics {
+	m := &StageMetrics{name: name, kind: kind, workers: workers}
 	p.mu.Lock()
 	p.stages = append(p.stages, m)
 	p.lastCum = append(p.lastCum, stageCum{})
@@ -183,58 +153,11 @@ func (p *Pipeline) newStage(name string, kind StageKind, workers, min, max int) 
 	return m
 }
 
-// stageByName returns the first stage registered under name, or nil.
-func (p *Pipeline) stageByName(name string) *StageMetrics {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, m := range p.stages {
-		if m.name == name {
-			return m
-		}
-	}
-	return nil
-}
-
-// SetStageWorkers moves the named elastic stage to n workers (clamped
-// to its [MinWorkers, MaxWorkers] bounds) and reports whether a
-// resizable stage by that name exists. Safe while frames are in
-// flight: the underlying pool resizes at task boundaries only, and
-// re-sequencing is untouched, so output order and content are
-// unchanged.
-func (p *Pipeline) SetStageWorkers(name string, n int) bool {
-	m := p.stageByName(name)
-	if m == nil || m.resize == nil {
-		return false
-	}
-	if n < m.min {
-		n = m.min
-	}
-	if n > m.max {
-		n = m.max
-	}
-	m.resize(n)
-	m.workers.Store(int64(n))
-	return true
-}
-
-// SetStagePlacement flips the named stage's executor between its local
-// (remote=false) and remote (remote=true) side. The flip lands at a
-// frame boundary — in-flight frames finish on the side that dispatched
-// them — and reports whether a placeable stage by that name exists.
-func (p *Pipeline) SetStagePlacement(name string, remote bool) bool {
-	m := p.stageByName(name)
-	if m == nil || m.place == nil {
-		return false
-	}
-	m.place.SetRemote(remote)
-	return true
-}
-
 // Snapshot returns the per-stage telemetry table in chain order:
 // cumulative counters are diffed against the previous Snapshot call
 // into windowed rates, and the current critical-path stage is marked.
-// The window is shared across callers — concurrent pollers (a balancer
-// plus a Stats server) each see correct but shorter windows.
+// The window is shared across callers — concurrent pollers (two Stats
+// clients) each see correct but shorter windows.
 func (p *Pipeline) Snapshot() []StageSnapshot {
 	now := time.Now()
 	p.mu.Lock()
@@ -263,28 +186,15 @@ func (p *Pipeline) Snapshot() []StageSnapshot {
 		}
 		p.lastCum[i] = cum
 
-		workers := int(m.workers.Load())
 		s := StageSnapshot{
 			Name:        m.name,
 			Kind:        m.kind,
-			Workers:     workers,
-			MinWorkers:  workers,
-			MaxWorkers:  workers,
-			Resizable:   m.resizable(),
+			Workers:     m.workers,
 			InFlight:    int(m.inFlight.Load()),
 			Done:        cum.done,
 			Finished:    m.finished.Load(),
 			ServiceEWMA: ewmaDuration(&m.ewmaNS),
 			Window:      window,
-		}
-		if s.Resizable {
-			s.MinWorkers, s.MaxWorkers = m.min, m.max
-		}
-		if pe := m.place; pe != nil {
-			s.Placeable = true
-			s.Remote = pe.Remote()
-			s.LocalEWMA, s.RemoteEWMA = pe.SideEWMA()
-			s.Fallbacks = pe.Fallbacks()
 		}
 		if wns := float64(window); wns > 0 && !s.Finished {
 			s.Throughput = float64(d.done) / window.Seconds()
@@ -296,7 +206,7 @@ func (p *Pipeline) Snapshot() []StageSnapshot {
 				// output — it has no measurable body of its own.
 				s.Utilization = clamp01(1 - s.SendWait)
 			default:
-				s.Utilization = clamp01(float64(d.service) / (wns * float64(workers)))
+				s.Utilization = clamp01(float64(d.service) / (wns * float64(m.workers)))
 			}
 			// Critical path: the busiest stage least starved of input.
 			// Map/Sink stages only — a source has no input to starve on

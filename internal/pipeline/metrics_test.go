@@ -19,10 +19,6 @@ func TestStageConfigValidation(t *testing.T) {
 		{"zero workers", StageConfig{Name: "z"}, "Workers must be >= 1"},
 		{"negative workers", StageConfig{Name: "n", Workers: -2}, "Workers must be >= 1"},
 		{"negative buf", StageConfig{Name: "b", Workers: 1, Buf: -1}, "Buf must be >= 0"},
-		{"inverted bounds", StageConfig{Name: "i", Workers: 4, MinWorkers: 4, MaxWorkers: 2}, "MaxWorkers 2 < MinWorkers 4"},
-		{"start above max", StageConfig{Name: "a", Workers: 9, MaxWorkers: 4}, "outside"},
-		{"start below min", StageConfig{Name: "u", Workers: 1, MinWorkers: 2, MaxWorkers: 4}, "outside"},
-		{"min without max", StageConfig{Name: "m", Workers: 3, MinWorkers: 2}, "without MaxWorkers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,22 +32,6 @@ func TestStageConfigValidation(t *testing.T) {
 				t.Fatalf("Wait() = %v, want error containing %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestStageConfigValidationAcceptsElastic proves a well-formed elastic
-// config passes and the stage runs.
-func TestStageConfigValidationAcceptsElastic(t *testing.T) {
-	p := New(context.Background())
-	out := Map(p, FromSlice(p, 2, []int{1, 2, 3}),
-		StageConfig{Name: "ok", Workers: 2, MinWorkers: 1, MaxWorkers: 4},
-		func(_ context.Context, v int) (int, error) { return v * v, nil })
-	got := Collect(p, out)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if len(*got) != 3 {
-		t.Fatalf("got %d results", len(*got))
 	}
 }
 
@@ -109,97 +89,6 @@ func TestSnapshotTelemetry(t *testing.T) {
 		}
 		if s.InFlight != 0 {
 			t.Errorf("stage %s in-flight=%d after drain", s.Name, s.InFlight)
-		}
-	}
-}
-
-// TestSetStageWorkersBounds pins the control surface: unknown or fixed
-// stages refuse, elastic stages clamp to their bounds.
-func TestSetStageWorkersBounds(t *testing.T) {
-	p := New(context.Background())
-	block := make(chan struct{})
-	out := Map(p, FromSlice(p, 1, make([]int, 4)),
-		StageConfig{Name: "elastic", Workers: 2, MaxWorkers: 4},
-		func(ctx context.Context, v int) (int, error) {
-			select {
-			case <-block:
-			case <-ctx.Done():
-			}
-			return v, nil
-		})
-	fixed := Map(p, out, StageConfig{Name: "fixed", Workers: 1},
-		func(_ context.Context, v int) (int, error) { return v, nil })
-	Collect(p, fixed)
-
-	if p.SetStageWorkers("nope", 3) {
-		t.Error("SetStageWorkers on unknown stage reported true")
-	}
-	if p.SetStageWorkers("fixed", 3) {
-		t.Error("SetStageWorkers on fixed stage reported true")
-	}
-	if !p.SetStageWorkers("elastic", 99) {
-		t.Error("SetStageWorkers on elastic stage reported false")
-	}
-	for _, s := range p.Snapshot() {
-		if s.Name == "elastic" && s.Workers != 4 {
-			t.Errorf("elastic workers = %d after clamped resize, want 4", s.Workers)
-		}
-	}
-	close(block)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMapExecOrderDeterministicAcrossResizes is the satellite
-// determinism proof: an elastic stage thrashed between 1 and 8 workers
-// mid-stream still emits every value, in input order, with identical
-// content — rebalancing is invisible in the output.
-func TestMapExecOrderDeterministicAcrossResizes(t *testing.T) {
-	p := New(context.Background())
-	const n = 400
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = i
-	}
-	out := Map(p, FromSlice(p, 4, vals),
-		StageConfig{Name: "thrash", Workers: 2, MinWorkers: 1, MaxWorkers: 8},
-		func(_ context.Context, v int) (int, error) {
-			// Skewed latency: later frames often finish before earlier
-			// ones, so ordering is genuinely exercised while workers
-			// come and go.
-			time.Sleep(time.Duration((v*37)%11) * 50 * time.Microsecond)
-			return v * 3, nil
-		})
-	got := Collect(p, out)
-
-	stop := make(chan struct{})
-	resized := make(chan struct{})
-	go func() {
-		defer close(resized)
-		sizes := []int{1, 8, 3, 1, 6, 2, 8, 1, 4}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			p.SetStageWorkers("thrash", sizes[i%len(sizes)])
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
-	err := p.Wait()
-	close(stop)
-	<-resized
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(*got) != n {
-		t.Fatalf("%d of %d values emitted", len(*got), n)
-	}
-	for i, v := range *got {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d: rebalance disturbed order", i, v, i*3)
 		}
 	}
 }

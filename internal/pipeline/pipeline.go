@@ -13,17 +13,17 @@
 //     all stages drain and returns the first error; Cancel aborts the
 //     whole stream promptly.
 //   - Source feeds values into the chain from a generator goroutine.
-//   - Map is a stage: per-stage worker counts built on par.Pool, a
-//     bounded output channel for backpressure, and order preservation
-//     (results are re-sequenced, so a multi-worker stage still emits
-//     frames in input order — required for deterministic output files
-//     and bit-identical comparisons against the serial path).
+//   - Map is a stage: a fixed number of worker goroutines, a bounded
+//     output channel for backpressure, and order preservation (results
+//     are re-sequenced, so a multi-worker stage still emits frames in
+//     input order — required for deterministic output files and
+//     bit-identical comparisons against the serial path).
 //   - StageExecutor is the seam under Map: MapExec runs the same
 //     ordering/backpressure/cancellation machinery over any executor,
-//     so a stage body can run in-process (ExecFunc over par.Pool
-//     workers) or on a remote worker process (the distributed-stage
-//     path wired by core.StreamOptions.ExtractAddrs) without the engine
-//     knowing the difference.
+//     so a stage body can run in-process (ExecFunc) or on a remote
+//     worker process (the distributed-stage path wired by
+//     core.StreamOptions.ExtractAddrs) without the engine knowing the
+//     difference.
 //   - Sink terminates a chain.
 //   - FreeList (freelist.go) recycles per-frame scratch buffers
 //     (projection point slices, framebuffers) through a bounded list so
@@ -39,45 +39,30 @@
 //
 // StageConfig.Workers is mandatory and must be >= 1 — a zero config no
 // longer silently runs one worker; Map/MapExec fail the pipeline on an
-// invalid config (Workers <= 0, negative Buf, MaxWorkers < MinWorkers,
-// or a starting Workers outside the bounds). Buf defaults to Workers.
-// MinWorkers/MaxWorkers both zero pins the stage; MaxWorkers > 0 makes
-// it elastic (MinWorkers 0 then means 1).
+// invalid config (Workers <= 0 or a negative Buf). Buf defaults to
+// Workers. A stage's worker count is fixed for its lifetime: its body
+// already runs its heavy passes on par's shared team, so more stage
+// workers would only contend for the same cores.
 //
-// # Telemetry & balancing
+// # Telemetry
 //
 // Every stage feeds a lock-cheap StageMetrics block: per-frame service
 // time (cumulative + EWMA), queue-wait split into input-recv and
 // output-send blocking, in-flight and completed counts.
 // Pipeline.Snapshot diffs those counters since the previous call into
-// a []StageSnapshot table in chain order — per stage: worker count and
-// bounds, windowed throughput (frames/s), utilization (busy
-// worker-time fraction; for a Source, 1 − send-wait), RecvWait /
-// SendWait fractions, placement side and per-side EWMAs — and marks
-// the critical-path stage (highest utilization × (1 − RecvWait), ties
-// toward the front of the chain).
-//
-// A Balancer (balancer.go) polls Snapshot on an interval and, with
-// hysteresis, moves workers from over-provisioned elastic stages to
-// the critical stage within a global budget via SetStageWorkers — the
-// par.Pool under each stage grows and shrinks its worker loop live at
-// task boundaries, so re-sequencing (and therefore output order and
-// bit-identity) is untouched. When a stage runs a SwitchExec
-// (switch.go), the balancer can also flip it between its local and
-// remote executor at a frame boundary via SetStagePlacement: remote
-// when the local side saturates and workers can't grow, back home when
-// the remote path degrades. Every decision is a pure function of the
-// snapshot sequence, so tests can replay snapshots and assert the
-// exact moves.
+// a []StageSnapshot table in chain order — per stage: worker count,
+// windowed throughput (frames/s), utilization (busy worker-time
+// fraction; for a Source, 1 − send-wait) and RecvWait / SendWait
+// fractions — and marks the critical-path stage (highest utilization
+// × (1 − RecvWait), ties toward the front of the chain).
 package pipeline
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/par"
 )
 
 // Pipeline coordinates the stages of one streaming run. Create with
@@ -211,23 +196,12 @@ func recv[T any](ctx context.Context, ch <-chan T) (v T, ok bool) {
 
 // StageConfig sizes one stage. Workers must be explicit and >= 1 —
 // the engine no longer silently picks a worker count for a zero
-// config. Defaults for the optional fields: Buf 0 means Workers;
-// MinWorkers/MaxWorkers both 0 means a fixed stage. Setting
-// MaxWorkers > 0 makes the stage elastic: the balancer (or
-// Pipeline.SetStageWorkers) may move it anywhere in
-// [max(MinWorkers,1), MaxWorkers] live, and Workers — the starting
-// count — must lie inside those bounds. An invalid config fails the
-// pipeline at construction.
+// config. Buf 0 means Workers. An invalid config fails the pipeline at
+// construction.
 type StageConfig struct {
 	Name    string // used in error messages and the snapshot table
-	Workers int    // initial concurrent applications of the stage body (>= 1)
+	Workers int    // concurrent applications of the stage body (>= 1)
 	Buf     int    // output channel capacity (0 = Workers)
-
-	// Rebalance bounds. MaxWorkers > 0 marks the stage elastic;
-	// MinWorkers 0 then means 1. MaxWorkers 0 pins the stage at
-	// Workers.
-	MinWorkers int
-	MaxWorkers int
 }
 
 func (c StageConfig) buf() int {
@@ -237,23 +211,8 @@ func (c StageConfig) buf() int {
 	return c.Workers
 }
 
-func (c StageConfig) minWorkers() int {
-	if c.MinWorkers > 0 {
-		return c.MinWorkers
-	}
-	return 1
-}
-
-func (c StageConfig) maxWorkers() int {
-	if c.MaxWorkers > 0 {
-		return c.MaxWorkers
-	}
-	return c.Workers
-}
-
 // validate rejects configs the engine used to paper over: a missing
-// worker count, inverted rebalance bounds, or a starting count outside
-// them.
+// worker count or a negative buffer.
 func (c StageConfig) validate() error {
 	name := c.Name
 	if name == "" {
@@ -264,22 +223,6 @@ func (c StageConfig) validate() error {
 	}
 	if c.Buf < 0 {
 		return fmt.Errorf("pipeline: stage %s: Buf must be >= 0, got %d", name, c.Buf)
-	}
-	if c.MinWorkers < 0 {
-		return fmt.Errorf("pipeline: stage %s: MinWorkers must be >= 0, got %d", name, c.MinWorkers)
-	}
-	if c.MaxWorkers < 0 {
-		return fmt.Errorf("pipeline: stage %s: MaxWorkers must be >= 0, got %d", name, c.MaxWorkers)
-	}
-	if c.MaxWorkers > 0 {
-		if c.MaxWorkers < c.minWorkers() {
-			return fmt.Errorf("pipeline: stage %s: MaxWorkers %d < MinWorkers %d", name, c.MaxWorkers, c.minWorkers())
-		}
-		if c.Workers < c.minWorkers() || c.Workers > c.MaxWorkers {
-			return fmt.Errorf("pipeline: stage %s: Workers %d outside [%d, %d]", name, c.Workers, c.minWorkers(), c.MaxWorkers)
-		}
-	} else if c.MinWorkers > 0 {
-		return fmt.Errorf("pipeline: stage %s: MinWorkers %d set without MaxWorkers", name, c.MinWorkers)
 	}
 	return nil
 }
@@ -302,7 +245,7 @@ func Source[T any](p *Pipeline, buf int, gen func(ctx context.Context, emit func
 		buf = 1
 	}
 	out := make(chan T, buf)
-	m := p.newStage("source", KindSource, 1, 0, 0)
+	m := p.newStage("source", KindSource, 1)
 	p.go_(func() {
 		defer close(out)
 		defer m.finished.Store(true)
@@ -335,8 +278,8 @@ type seqItem[T any] struct {
 // actually runs. Apply is called from up to cfg.Workers goroutines
 // concurrently, so implementations must be safe for concurrent use.
 //
-// The in-process path is ExecFunc: the body runs on this process's
-// par.Pool workers. A remote executor instead ships the frame payload
+// The in-process path is ExecFunc: the body runs on the stage's own
+// worker goroutines. A remote executor instead ships the frame payload
 // to a worker process and blocks for the reply; with Workers > 1 the
 // stage keeps several frames in flight on one multiplexed connection,
 // overlapping wide-area round-trips, while the shared reorderer
@@ -353,9 +296,9 @@ type ExecFunc[I, O any] func(ctx context.Context, v I) (O, error)
 func (f ExecFunc[I, O]) Apply(ctx context.Context, v I) (O, error) { return f(ctx, v) }
 
 // Map connects in to a new bounded output channel through fn. Up to
-// cfg.Workers frames are processed concurrently on a par.Pool; output
-// order always matches input order regardless of worker count. A fn
-// error fails the pipeline and cancels the stream.
+// cfg.Workers frames are processed concurrently; output order always
+// matches input order regardless of worker count. A fn error fails the
+// pipeline and cancels the stream.
 func Map[I, O any](p *Pipeline, in <-chan I, cfg StageConfig, fn func(ctx context.Context, v I) (O, error)) <-chan O {
 	return MapExec(p, in, cfg, ExecFunc[I, O](fn))
 }
@@ -370,67 +313,71 @@ func MapExec[I, O any](p *Pipeline, in <-chan I, cfg StageConfig, ex StageExecut
 		close(out)
 		return out
 	}
-	workers := cfg.Workers
-	maxW := cfg.maxWorkers()
-	m := p.newStage(cfg.Name, KindMap, workers, cfg.minWorkers(), maxW)
-	if pe, ok := ex.(PlacementExec); ok {
-		m.place = pe
-	}
+	m := p.newStage(cfg.Name, KindMap, cfg.Workers)
 	out := make(chan O, cfg.buf())
-	// Results and the pool queue are buffered to maxWorkers+buf so a
+	// The task queue and the results are buffered to Workers+Buf, so a
 	// worker never blocks on a reorderer that is itself blocked
-	// downstream holding earlier seqs — even after the stage grows to
-	// its full bound.
-	results := make(chan seqItem[O], maxW+cfg.buf())
-	pool := par.NewPool(workers, maxW+cfg.buf())
-	if cfg.MaxWorkers > 0 {
-		m.resize = func(n int) { pool.Resize(n) }
-	}
+	// downstream holding earlier seqs.
+	tasks := make(chan seqItem[I], cfg.Workers+cfg.buf())
+	results := make(chan seqItem[O], cfg.Workers+cfg.buf())
 
-	// Dispatcher: tag inputs with sequence numbers and submit to the
-	// pool. Submit blocking on a full queue is the stage's backpressure.
+	// Dispatcher: tag inputs with sequence numbers. A full task queue
+	// is the stage's backpressure.
 	p.go_(func() {
-		defer close(results)
-		defer pool.Close()
-		var seq int64
-		for {
+		defer close(tasks)
+		for seq := int64(0); ; seq++ {
 			t0 := nowNanos()
 			v, ok := recv(p.ctx, in)
 			m.recvWaitNS.Add(nowNanos() - t0)
 			if !ok {
 				return
 			}
-			s := seq
-			seq++
 			m.inFlight.Add(1)
-			pool.Submit(func() {
+			if !send(p.ctx, tasks, seqItem[I]{seq, v}) {
+				m.inFlight.Add(-1)
+				return
+			}
+		}
+	})
+
+	// Workers: apply the body; the last one out closes results.
+	var live atomic.Int32
+	live.Store(int32(cfg.Workers))
+	for i := 0; i < cfg.Workers; i++ {
+		p.go_(func() {
+			defer func() {
+				if live.Add(-1) == 0 {
+					close(results)
+				}
+			}()
+			for t := range tasks {
 				if p.ctx.Err() != nil {
 					m.inFlight.Add(-1)
-					return
+					continue
 				}
 				t1 := nowNanos()
-				o, err := ex.Apply(p.ctx, v)
+				o, err := ex.Apply(p.ctx, t.val)
 				m.noteService(nowNanos()-t1, err == nil)
 				if err != nil {
 					m.inFlight.Add(-1)
 					if p.ctx.Err() == nil {
 						p.fail(stageError(cfg.Name, err))
 					}
-					return
+					continue
 				}
-				if !send(p.ctx, results, seqItem[O]{s, o}) {
+				if !send(p.ctx, results, seqItem[O]{t.seq, o}) {
 					m.inFlight.Add(-1)
 				}
-			})
-		}
-	})
+			}
+		})
+	}
 
 	// Reorderer: emit results in sequence order.
 	p.go_(func() {
 		defer close(out)
 		defer m.finished.Store(true)
 		next := int64(0)
-		pending := make(map[int64]O, maxW)
+		pending := make(map[int64]O, cfg.Workers)
 		for r := range results {
 			pending[r.seq] = r.val
 			for {
@@ -458,7 +405,7 @@ func MapExec[I, O any](p *Pipeline, in <-chan I, cfg StageConfig, ex StageExecut
 // fails the pipeline. Use it for ordered writers at the end of a
 // chain.
 func Sink[T any](p *Pipeline, in <-chan T, name string, fn func(ctx context.Context, v T) error) {
-	m := p.newStage(name, KindSink, 1, 0, 0)
+	m := p.newStage(name, KindSink, 1)
 	p.go_(func() {
 		defer m.finished.Store(true)
 		for {
@@ -510,7 +457,3 @@ func (s *Stream[T]) Cancel() { s.p.Cancel() }
 // (see Pipeline.Snapshot) — the hook a service publishes through the
 // Stats verb.
 func (s *Stream[T]) Snapshot() []StageSnapshot { return s.p.Snapshot() }
-
-// Pipeline exposes the underlying pipeline for balancer control and
-// Defer hooks.
-func (s *Stream[T]) Pipeline() *Pipeline { return s.p }

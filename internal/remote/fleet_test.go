@@ -388,7 +388,7 @@ func TestIsTransient(t *testing.T) {
 
 // TestWorkerKernelsAdvertised: the Kernels verb lists the built-in
 // kernel set, sorted. A kernel workers no longer host is refused with
-// the typed unknown-kernel error, the answer any protocol v7 requester
+// the typed unknown-kernel error, the answer any protocol v8 requester
 // already handles.
 func TestWorkerKernelsAdvertised(t *testing.T) {
 	w := startWorker(t)

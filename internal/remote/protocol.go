@@ -16,7 +16,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire protocol v7. Every connection starts with a handshake, and the
+// Wire protocol v8. Every connection starts with a handshake, and the
 // versions must match exactly — a peer of any other version is refused
 // here, before a frame-sized request crosses the wire, so no payload
 // below has a second accepted shape:
@@ -82,7 +82,7 @@ import (
 var protoMagic = [4]byte{'A', 'C', 'V', 'P'}
 
 const (
-	protoVersion = 7
+	protoVersion = 8
 
 	// maxBody bounds a message body so a corrupt or hostile length
 	// prefix cannot cause an arbitrary allocation.
@@ -432,9 +432,19 @@ func decodeRenderParams(p []byte) (RenderParams, error) {
 	if !rp.Quality.valid() {
 		rd.Fail("unknown render quality tier %d", rp.Quality)
 	}
+	// Refused here, before the render cache keys on them: a NaN key never
+	// matches, so its entry could never be found again or removed.
+	if !rp.ViewDir.IsFinite() {
+		rd.Fail("non-finite camera view direction %v", rp.ViewDir)
+	}
+	if !finite(rp.VolumeOpacity) || !finite(rp.LogDomainK) {
+		rd.Fail("non-finite volume opacity %g or log-domain constant %g", rp.VolumeOpacity, rp.LogDomainK)
+	}
 	checkRenderSize(&rd, rp.Width, rp.Height)
 	return rp, rd.Done()
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkRenderSize bounds the framebuffer a request can demand: like
 // maxBody, a hostile few bytes must not force an arbitrary server-side
@@ -542,7 +552,7 @@ type SessionStats struct {
 // StatsReport is the Stats verb's response: the service-wide counters,
 // one row per live session, and — when the service fronts a live
 // in-situ stream — the stream's per-stage pipeline telemetry table
-// (protocol v7).
+// (protocol v8).
 type StatsReport struct {
 	Stats    ServiceStats
 	Sessions []SessionStats
@@ -557,18 +567,17 @@ type StatsReport struct {
 //	session = u64 id | u8 flags (subscribed, inline, refused) | u32 depth |
 //	          u32 cap | u64 dropped | u64 degraded | u64 sent | i64 lastSent |
 //	          str8 remote
-//	stage   = u8 kind | u8 flags (resizable, placeable, remote, critical,
-//	          finished) | u32 workers | u32 min | u32 max | u32 inFlight |
-//	          u64 done | 4 × i64 ns (service, local, remote EWMA, window) |
-//	          u64 fallbacks | 4 f64 (throughput, utilization, recv-wait,
-//	          send-wait) | str8 name
+//	stage   = u8 kind | u8 flags (critical, finished) | u32 workers |
+//	          u32 inFlight | u64 done | 2 × i64 ns (service EWMA, window) |
+//	          4 f64 (throughput, utilization, recv-wait, send-wait) |
+//	          str8 name
 //
 // The counter count is on the wire so a future revision can append
 // counters without breaking older decoders. An absent stage table (a
 // store-backed service with no pipeline) encodes as a zero stage count.
 func encodeStatsReport(r StatsReport) []byte {
 	counters := r.Stats.counters()
-	out := wire.U16(make([]byte, 0, 8*len(counters)+64*len(r.Sessions)+128*len(r.Pipeline)+8), uint16(len(counters)))
+	out := wire.U16(make([]byte, 0, 8*len(counters)+64*len(r.Sessions)+96*len(r.Pipeline)+8), uint16(len(counters)))
 	out = wire.U64s(out, counters...)
 	out = wire.U32(out, uint32(len(r.Sessions)))
 	for _, s := range r.Sessions {
@@ -582,11 +591,10 @@ func encodeStatsReport(r StatsReport) []byte {
 	out = wire.U16(out, uint16(len(r.Pipeline)))
 	for _, st := range r.Pipeline {
 		out = wire.U8(out, uint8(st.Kind))
-		out = wire.Flags(out, st.Resizable, st.Placeable, st.Remote, st.Critical, st.Finished)
-		out = wire.U32s(out, uint32(st.Workers), uint32(st.MinWorkers), uint32(st.MaxWorkers), uint32(st.InFlight))
+		out = wire.Flags(out, st.Critical, st.Finished)
+		out = wire.U32s(out, uint32(st.Workers), uint32(st.InFlight))
 		out = wire.U64(out, st.Done)
-		out = wire.I64s(out, int64(st.ServiceEWMA), int64(st.LocalEWMA), int64(st.RemoteEWMA), int64(st.Window))
-		out = wire.U64(out, st.Fallbacks)
+		out = wire.I64s(out, int64(st.ServiceEWMA), int64(st.Window))
 		out = wire.F64s(out, st.Throughput, st.Utilization, st.RecvWait, st.SendWait)
 		out = wire.Str8(out, st.Name)
 	}
@@ -605,7 +613,7 @@ func decodeStatsReport(p []byte) (StatsReport, error) {
 	var r StatsReport
 	r.Stats.setCounters(counters)
 	// Count takes the shortest record each table can hold: 50 bytes for a
-	// session with an empty remote, 99 for a stage with an empty name.
+	// session with an empty remote, 67 for a stage with an empty name.
 	r.Sessions = make([]SessionStats, rd.Count(int64(rd.U32()), 50))
 	for i := range r.Sessions {
 		s := &r.Sessions[i]
@@ -616,19 +624,16 @@ func decodeStatsReport(p []byte) (StatsReport, error) {
 		s.LastSent = int(rd.I64())
 		s.Remote = rd.Str8()
 	}
-	if n := rd.Count(int64(rd.U16()), 99); n > 0 {
+	if n := rd.Count(int64(rd.U16()), 67); n > 0 {
 		r.Pipeline = make([]pipeline.StageSnapshot, n)
 	}
 	for i := range r.Pipeline {
 		st := &r.Pipeline[i]
 		st.Kind = pipeline.StageKind(rd.U8())
-		rd.Flags(&st.Resizable, &st.Placeable, &st.Remote, &st.Critical, &st.Finished)
-		st.Workers, st.MinWorkers = int(rd.U32()), int(rd.U32())
-		st.MaxWorkers, st.InFlight = int(rd.U32()), int(rd.U32())
+		rd.Flags(&st.Critical, &st.Finished)
+		st.Workers, st.InFlight = int(rd.U32()), int(rd.U32())
 		st.Done = rd.U64()
-		st.ServiceEWMA, st.LocalEWMA = time.Duration(rd.I64()), time.Duration(rd.I64())
-		st.RemoteEWMA, st.Window = time.Duration(rd.I64()), time.Duration(rd.I64())
-		st.Fallbacks = rd.U64()
+		st.ServiceEWMA, st.Window = time.Duration(rd.I64()), time.Duration(rd.I64())
 		st.Throughput, st.Utilization = rd.F64(), rd.F64()
 		st.RecvWait, st.SendWait = rd.F64(), rd.F64()
 		st.Name = rd.Str8()

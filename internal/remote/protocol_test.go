@@ -202,7 +202,7 @@ func TestStatsReportRoundTrip(t *testing.T) {
 func FuzzStatsPayload(f *testing.F) {
 	f.Add(encodeStatsReport(statsFixture()))
 	f.Add(encodeStatsReport(StatsReport{}))
-	// v7 payload: a report carrying the pipeline stage table.
+	// v8 payload: a report carrying the pipeline stage table.
 	f.Add(encodeStatsReport(StatsReport{Pipeline: pipelineStatsFixture()}))
 	f.Add([]byte{0xff, 0xff})
 	f.Add(make([]byte, 128))

@@ -16,7 +16,7 @@
 //
 // A Service serves any FrameStore to concurrent clients over a
 // versioned, length-prefixed, CRC-framed, request-ID-multiplexed
-// protocol (protocol.go, v7) with these store verbs:
+// protocol (protocol.go, v8) with these store verbs:
 //
 //   - List: frame range and liveness
 //   - Get: full-frame transfer (fetch-and-render-locally); the
@@ -50,7 +50,8 @@
 //   - Stats (v5): the measurement surface — ServiceStats counters plus
 //     a per-session table (admission verdict, subscription mode, send
 //     queue depth/capacity, drop/degrade/sent counters) and, when the
-//     service fronts a live stream, its per-stage pipeline table (v7)
+//     service fronts a live stream, its per-stage pipeline table (v7;
+//     v8 narrowed each stage record)
 //
 // v5 is the session-resilience revision. On the server, each
 // subscriber gets a bounded send queue (ServiceOptions.SendQueue)

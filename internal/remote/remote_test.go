@@ -419,6 +419,37 @@ func TestRenderRefusesNonFiniteView(t *testing.T) {
 	}
 }
 
+// TestRenderNonFiniteParamsLeaveNoCacheEntry: the render cache keys on
+// RenderParams, and a key holding a NaN never equals itself, so a
+// request the cache saw could never be found again or removed. Every
+// non-finite request is refused with an error, and none reaches the
+// cache.
+func TestRenderNonFiniteParamsLeaveNoCacheEntry(t *testing.T) {
+	srv, _ := serveMem(t, testReps(t, 1))
+	cli := dial(t, srv.Addr())
+	nan, inf := math.NaN(), math.Inf(1)
+	for i, p := range []RenderParams{
+		{ViewDir: vec.New(nan, 0, 1)},
+		{ViewDir: vec.New(0, -inf, 1)},
+		{ViewDir: vec.New(0, 0, 1), VolumeOpacity: nan},
+		{ViewDir: vec.New(0, 0, 1), VolumeOpacity: inf},
+		{ViewDir: vec.New(0, 0, 1), LogDomainK: nan},
+		{ViewDir: vec.New(0, 0, 1), LogDomainK: -inf},
+		{ViewDir: vec.New(nan, nan, nan), VolumeOpacity: nan, LogDomainK: nan},
+	} {
+		p.Width, p.Height = 16, 16
+		if _, _, _, err := cli.Render(p); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("request %d (%+v): err = %v, want a non-finite parameter refused", i, p, err)
+		}
+	}
+	srv.renders.mu.Lock()
+	n := len(srv.renders.entries)
+	srv.renders.mu.Unlock()
+	if n != 0 {
+		t.Errorf("render cache holds %d entries after refused requests, want 0", n)
+	}
+}
+
 // TestRenderEconomics builds a paper-regime frame (every particle a
 // halo point) and checks the thin-client trade: the RLE image costs a
 // small fraction of the frame transfer it replaces.

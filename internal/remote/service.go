@@ -55,7 +55,7 @@ type Service struct {
 	admitted int
 
 	// pipelineStats, when set, supplies the in-situ pipeline's stage
-	// table for the Stats verb (protocol v7). Atomic so a live stream
+	// table for the Stats verb (protocol v8). Atomic so a live stream
 	// can be attached after the service is already serving.
 	pipelineStats atomic.Pointer[func() []pipeline.StageSnapshot]
 

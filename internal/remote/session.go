@@ -211,7 +211,7 @@ func (s *Service) statsReport() StatsReport {
 // SetPipelineStats registers the telemetry hook a live service
 // publishes through the Stats verb: fn (typically a running stream's
 // Snapshot method) is called per Stats request and its stage table
-// rides the v7 response. A nil fn (or never calling this) reports no
+// rides the v8 response. A nil fn (or never calling this) reports no
 // table — the store-backed case. Safe to call while serving.
 func (s *Service) SetPipelineStats(fn func() []pipeline.StageSnapshot) {
 	if fn == nil {

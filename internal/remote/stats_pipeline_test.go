@@ -8,36 +8,29 @@ import (
 	"repro/internal/pipeline"
 )
 
-// pipelineStatsFixture exercises every stage-record field the v7 wire
-// format carries: both flag extremes, placement sides, fractional
-// rates, and durations.
+// pipelineStatsFixture exercises every stage-record field the v8 wire
+// format carries: both flags, fractional rates, and durations.
 func pipelineStatsFixture() []pipeline.StageSnapshot {
 	return []pipeline.StageSnapshot{
 		{
 			Name: "source", Kind: pipeline.KindSource,
-			Workers: 1, MinWorkers: 1, MaxWorkers: 1,
-			Done: 41, ServiceEWMA: 0,
+			Workers: 1, Done: 41, ServiceEWMA: 0,
 			Window: 250 * time.Millisecond, Throughput: 164, SendWait: 0.91,
 		},
 		{
 			Name: "extract", Kind: pipeline.KindMap,
-			Workers: 3, MinWorkers: 1, MaxWorkers: 8, Resizable: true,
-			InFlight: 4, Done: 37, ServiceEWMA: 3200 * time.Microsecond,
+			Workers: 3, InFlight: 4, Done: 37, ServiceEWMA: 3200 * time.Microsecond,
 			Window: 250 * time.Millisecond, Throughput: 148, Utilization: 0.97,
-			RecvWait: 0.01, SendWait: 0.02,
-			Placeable: true, Remote: true,
-			LocalEWMA: 3 * time.Millisecond, RemoteEWMA: 5 * time.Millisecond,
-			Fallbacks: 2, Critical: true,
+			RecvWait: 0.01, SendWait: 0.02, Critical: true,
 		},
 		{
 			Name: "publish", Kind: pipeline.KindSink,
-			Workers: 1, MinWorkers: 1, MaxWorkers: 1,
-			Done: 33, ServiceEWMA: time.Millisecond, Finished: true,
+			Workers: 1, Done: 33, ServiceEWMA: time.Millisecond, Finished: true,
 		},
 	}
 }
 
-// TestStatsReportPipelineRoundTrip pins the v7 stage table: every
+// TestStatsReportPipelineRoundTrip pins the v8 stage table: every
 // field of every stage record survives encode/decode exactly, a
 // report without a table still round-trips (v6-shaped payloads stay
 // decodable), and truncation inside the table errors cleanly.

@@ -42,7 +42,6 @@ var unshipped = map[string]string{
 	"internal/core.ConvertPlotType":             "fig: Fig 2's phase-plot conversion without re-partitioning (§2.3), a row of item 8's table",
 	"internal/render.Framebuffer.CoveredPixels": "diag: \"did anything draw\" in the tests of core, sos, volren and the root",
 	"internal/hexmesh.BuildBox":                 "seam: the all-vacuum mesh seeding's tests substitute for a cavity",
-	"internal/pipeline.Stream.Pipeline":         "seam: hands core's placement test the pipeline whose stages it flips by hand",
 }
 
 // unsetOptions are the exported fields of internal/'s option structs

@@ -88,14 +88,14 @@ const DefaultHeartbeatInterval = 15 * time.Second
 
 // ClientOptions tune a client session.
 type ClientOptions struct {
-	// RequestTimeout bounds each round trip made without a caller
-	// context (List, FetchFrame, Render, FetchFrameDelta): if no reply
-	// arrives within it, the call fails with a timeout error instead
-	// of blocking forever on a hung server. 0 means
-	// DefaultRequestTimeout; negative disables the bound (raise or
-	// disable it when SetBandwidth models links slower than a frame
-	// per timeout). Context-taking calls (Compute, Kernels) are
-	// governed by their context alone.
+	// RequestTimeout bounds each round trip of every verb (each attempt,
+	// for a dialed client that retries): if no reply arrives within it,
+	// the call fails with a timeout error instead of blocking forever on
+	// a hung server. 0 means DefaultRequestTimeout; negative disables the
+	// bound (raise or disable it when SetBandwidth models links slower
+	// than a frame per timeout). Context-taking calls (Compute, Kernels)
+	// end at whichever comes first, their context or this bound — so a
+	// Fleet member's Compute is bounded by FleetOptions.RequestTimeout.
 	RequestTimeout time.Duration
 
 	// HeartbeatInterval is the cadence of the background Ping loop
@@ -129,37 +129,17 @@ type ClientOptions struct {
 	Dial func(addr string) (net.Conn, error)
 }
 
-func (o ClientOptions) requestTimeout() time.Duration {
+// orDefault reads a duration option: 0 means def, negative means off
+// (0). The duration options of ClientOptions, ServiceOptions and
+// FleetOptions all follow this one rule.
+func orDefault(d, def time.Duration) time.Duration {
 	switch {
-	case o.RequestTimeout > 0:
-		return o.RequestTimeout
-	case o.RequestTimeout < 0:
+	case d > 0:
+		return d
+	case d < 0:
 		return 0
-	default:
-		return DefaultRequestTimeout
 	}
-}
-
-func (o ClientOptions) heartbeatInterval() time.Duration {
-	switch {
-	case o.HeartbeatInterval > 0:
-		return o.HeartbeatInterval
-	case o.HeartbeatInterval < 0:
-		return 0
-	default:
-		return DefaultHeartbeatInterval
-	}
-}
-
-func (o ClientOptions) heartbeatIdle() time.Duration {
-	switch {
-	case o.IdleTimeout > 0:
-		return o.IdleTimeout
-	case o.IdleTimeout < 0:
-		return 0
-	default:
-		return 3 * o.heartbeatInterval()
-	}
+	return def
 }
 
 func (o ClientOptions) dial(addr string) (net.Conn, error) {
@@ -206,11 +186,12 @@ func (c *Client) newLink(conn net.Conn) (*link, error) {
 		conn.Close()
 		return nil, err
 	}
+	hb := orDefault(c.opts.HeartbeatInterval, DefaultHeartbeatInterval)
 	l := &link{
 		conn:       conn,
 		bps:        &c.bandwidthBps,
-		hbInterval: c.opts.heartbeatInterval(),
-		hbIdle:     c.opts.heartbeatIdle(),
+		hbInterval: hb,
+		hbIdle:     orDefault(c.opts.IdleTimeout, 3*hb),
 		bw:         bufio.NewWriterSize(conn, 1<<16),
 		pending:    make(map[uint64]chan message),
 		subs:       make(map[uint64]*Subscription),
@@ -279,8 +260,12 @@ func (c *Client) current() (*link, error) {
 // redials — if the server refused admission, only a fresh connection
 // gets a fresh verdict. A newer connection is never touched: another
 // call already redialed, and it is not guilty of this call's error.
-// Neither is one the caller's own context gave up on.
+// Neither is one the caller's own context gave up on. A NewClientConn
+// client runs f once, on its one connection.
 func (c *Client) retry(ctx context.Context, f func(*link) error) error {
+	if c.addr == "" {
+		return f(c.link.Load())
+	}
 	return pipeline.Retry(ctx, c.opts.Retry, c.retryable, func(ctx context.Context) error {
 		l, err := c.current()
 		if err != nil {
@@ -299,26 +284,27 @@ func (c *Client) retryable(err error) bool {
 	return !c.closed.Load() && IsTransient(err)
 }
 
-// roundTrip sends one request without a caller context, bounded by the
-// client's request timeout (ClientOptions.RequestTimeout), so a hung
-// server fails the call rather than parking it forever.
+// roundTrip sends one request without a caller context; see call.
 func (c *Client) roundTrip(op byte, payload []byte) (message, error) {
-	return c.call(context.Background(), c.opts.requestTimeout(), op, payload)
+	return c.call(context.Background(), op, payload)
 }
 
-// call sends one request and waits for its response; timeout > 0
-// bounds each attempt. A NewClientConn client asks its connection once;
-// a dialed one retries transient failures over redials.
-func (c *Client) call(ctx context.Context, timeout time.Duration, op byte, payload []byte) (message, error) {
-	if c.addr == "" {
-		return c.link.Load().call(ctx, timeout, op, payload)
-	}
+// call sends one request and waits for its reply, each attempt bounded
+// by the client's request timeout (ClientOptions.RequestTimeout), so a
+// hung server fails the call rather than parking it forever. A
+// NewClientConn client asks its connection once; a dialed one retries
+// transient failures over redials.
+func (c *Client) call(ctx context.Context, op byte, payload []byte) (message, error) {
 	var msg message
 	err := c.retry(ctx, func(l *link) (err error) {
-		msg, err = l.call(ctx, timeout, op, payload)
+		msg, err = l.roundTrip(ctx, c.requestTimeout(), op, payload, nil)
 		return err
 	})
 	return msg, err
+}
+
+func (c *Client) requestTimeout() time.Duration {
+	return orDefault(c.opts.RequestTimeout, DefaultRequestTimeout)
 }
 
 // close severs the connection; in-flight and later requests on it fail
@@ -386,41 +372,29 @@ func (l *link) heartbeatLoop() {
 func (l *link) readLoop() {
 	br := bufio.NewReaderSize(l.conn, 1<<16)
 	for {
-		msg, err := readMessage(br, l.bps.Load())
+		// Wait for the next message before reading the throttle: a
+		// SetBandwidth made before a request then governs its reply,
+		// even though this loop was already parked when it ran.
+		_, err := br.Peek(1)
+		var msg message
+		if err == nil {
+			msg, err = readMessage(br, l.bps.Load())
+		}
 		if err != nil {
 			l.fail(fmt.Errorf("remote: connection lost: %w (%w)", err, ErrClientClosed))
 			close(l.done)
 			return
 		}
 		l.lastInbound.Store(time.Now().UnixNano())
-		if msg.op == opNotify {
-			frames, err := decodeCount(msg.payload)
-			if err != nil {
-				continue
-			}
-			l.mu.Lock()
-			sub := l.subs[msg.reqID]
-			l.mu.Unlock()
-			if sub != nil {
-				sub.deliver(frames)
-			}
-			continue
-		}
-		if msg.op == opNotifyFrame {
-			u, err := decodeNotifyFrame(msg.payload)
-			if err != nil {
-				continue
-			}
-			l.mu.Lock()
-			sub := l.subs[msg.reqID]
-			l.mu.Unlock()
-			if sub != nil {
-				sub.deliverFrame(u)
-				sub.deliver(u.Frames)
-			}
-			continue
-		}
 		l.mu.Lock()
+		if msg.op == opNotify || msg.op == opNotifyFrame {
+			sub := l.subs[msg.reqID]
+			l.mu.Unlock()
+			if sub != nil {
+				sub.push(msg)
+			}
+			continue
+		}
 		ch := l.pending[msg.reqID]
 		delete(l.pending, msg.reqID)
 		l.mu.Unlock()
@@ -430,25 +404,20 @@ func (l *link) readLoop() {
 	}
 }
 
-// call runs one round trip, bounded by timeout when it is > 0.
-func (l *link) call(ctx context.Context, timeout time.Duration, op byte, payload []byte) (message, error) {
-	if timeout <= 0 {
-		return l.roundTrip(ctx, op, payload)
+// roundTrip sends one request and waits for its reply, bounded by
+// timeout when it is > 0, and admits only the reply checkResponse
+// accepts for op. onSend, when non-nil, runs with the request ID under
+// the link lock before the request is written: subscribe registers its
+// feed there, so no push on that ID arrives unrouted. A cancellation of
+// ctx abandons the wait (the server may still process the request, but
+// nobody is listening), which is what lets a cancelled pipeline unwind
+// a remote stage promptly.
+func (l *link) roundTrip(ctx context.Context, timeout time.Duration, op byte, payload []byte, onSend func(id uint64)) (message, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	msg, err := l.roundTrip(ctx, op, payload)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) {
-		return message{}, fmt.Errorf("remote: no reply within %v: %w", timeout, err)
-	}
-	return msg, err
-}
-
-// roundTrip sends one request and waits for its response, translating
-// opError replies. A cancellation of ctx abandons the wait (the server
-// may still process the request, but nobody is listening), which is
-// what lets a cancelled pipeline unwind a remote stage promptly.
-func (l *link) roundTrip(ctx context.Context, op byte, payload []byte) (message, error) {
 	l.mu.Lock()
 	if l.readErr != nil {
 		err := l.readErr
@@ -459,50 +428,49 @@ func (l *link) roundTrip(ctx context.Context, op byte, payload []byte) (message,
 	id := l.nextID
 	ch := make(chan message, 1)
 	l.pending[id] = ch
+	if onSend != nil {
+		onSend(id)
+	}
 	l.mu.Unlock()
 
 	l.wmu.Lock()
 	err := writeMessage(l.bw, id, op, payload)
 	l.wmu.Unlock()
 	if err != nil {
-		l.mu.Lock()
-		delete(l.pending, id)
-		l.mu.Unlock()
+		l.forget(id)
 		return message{}, fmt.Errorf("remote: request write: %w (%w)", err, ErrClientClosed)
 	}
 
 	select {
 	case msg := <-ch:
-		return checkResponse(msg)
+		return checkResponse(op, msg)
 	case <-ctx.Done():
-		l.mu.Lock()
-		delete(l.pending, id)
-		l.mu.Unlock()
-		return message{}, ctx.Err()
+		l.forget(id)
+		err := ctx.Err()
+		if timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
+			err = fmt.Errorf("remote: no reply within %v: %w", timeout, err)
+		}
+		return message{}, err
 	case <-l.done:
 		// The read loop may have delivered the response just before
 		// the connection died; prefer it over the connection error.
 		select {
 		case msg := <-ch:
-			return checkResponse(msg)
+			return checkResponse(op, msg)
 		default:
 		}
 		l.mu.Lock()
-		err := l.readErr
+		defer l.mu.Unlock()
 		delete(l.pending, id)
-		l.mu.Unlock()
-		return message{}, err
+		return message{}, l.readErr
 	}
 }
 
-// checkResponse translates opError replies into typed errors: the
-// returned chain carries the server's *WireError, so callers can
-// classify with errors.As / CodeOf.
-func checkResponse(msg message) (message, error) {
-	if msg.op == opError {
-		return message{}, fmt.Errorf("remote: server error: %w", decodeWireError(msg.payload))
-	}
-	return msg, nil
+// forget drops a request nobody waits for any more.
+func (l *link) forget(id uint64) {
+	l.mu.Lock()
+	delete(l.pending, id)
+	l.mu.Unlock()
 }
 
 // Ping runs one explicit heartbeat round trip and returns its RTT —
@@ -511,12 +479,8 @@ func checkResponse(msg message) (message, error) {
 // want the measurement.)
 func (c *Client) Ping() (time.Duration, error) {
 	start := time.Now()
-	msg, err := c.roundTrip(opPing, nil)
-	if err != nil {
+	if _, err := c.roundTrip(opPing, nil); err != nil {
 		return 0, err
-	}
-	if msg.op != opPingOK {
-		return 0, fmt.Errorf("remote: unexpected ping response %#02x", msg.op)
 	}
 	return time.Since(start), nil
 }
@@ -529,9 +493,6 @@ func (c *Client) Stats() (StatsReport, error) {
 	if err != nil {
 		return StatsReport{}, err
 	}
-	if msg.op != opStatsOK {
-		return StatsReport{}, fmt.Errorf("remote: unexpected stats response %#02x", msg.op)
-	}
 	return decodeStatsReport(msg.payload)
 }
 
@@ -540,9 +501,6 @@ func (c *Client) List() (ListInfo, error) {
 	msg, err := c.roundTrip(opList, nil)
 	if err != nil {
 		return ListInfo{}, err
-	}
-	if msg.op != opListOK {
-		return ListInfo{}, fmt.Errorf("remote: unexpected list response %#02x", msg.op)
 	}
 	return decodeListInfo(msg.payload)
 }
@@ -553,21 +511,12 @@ func (c *Client) NumFrames() (int, error) {
 	return li.Frames, err
 }
 
-// get runs one Get round trip for frame i's wire encoding.
-func (c *Client) get(i int) (message, error) {
-	msg, err := c.roundTrip(opGet, encodeIndex(i))
-	if err == nil && msg.op != opGetOK {
-		err = fmt.Errorf("remote: unexpected get response %#02x", msg.op)
-	}
-	return msg, err
-}
-
 // FetchFrame downloads and decodes frame i, returning the
 // representation, the transfer size and the (throttled) elapsed time —
 // the "10 seconds for a 100MB time step" measurement of §2.5.
 func (c *Client) FetchFrame(i int) (*hybrid.Representation, int64, time.Duration, error) {
 	start := time.Now()
-	msg, err := c.get(i)
+	msg, err := c.roundTrip(opGet, encodeIndex(i))
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -584,7 +533,7 @@ func (c *Client) FetchFrame(i int) (*hybrid.Representation, int64, time.Duration
 // it — the full-frame leg of the delta protocol. It must not recycle
 // the reply buffer: the payload becomes the caller's delta base.
 func (c *Client) fetchEncoded(i int) ([]byte, error) {
-	msg, err := c.get(i)
+	msg, err := c.roundTrip(opGet, encodeIndex(i))
 	return msg.payload, err
 }
 
@@ -600,6 +549,8 @@ func (c *Client) fetchEncoded(i int) ([]byte, error) {
 // back to a full fetch transparently — the transfer size then
 // reflects the full frame. A transient failure of the round trip
 // itself is returned instead: a full fetch would cross the same link.
+// So is a reply with the wrong opcode, which only a peer outside the
+// protocol sends.
 func (c *Client) FetchFrameDelta(i, base int, baseEnc []byte) (*hybrid.Representation, []byte, int64, time.Duration, error) {
 	start := time.Now()
 	if base < 0 || len(baseEnc) == 0 {
@@ -620,9 +571,6 @@ func (c *Client) FetchFrameDelta(i, base int, baseEnc []byte) (*hybrid.Represent
 	}
 	var enc []byte
 	wire := int64(len(msg.payload))
-	if err == nil && msg.op != opGetDeltaOK {
-		err = fmt.Errorf("remote: unexpected get-delta response %#02x", msg.op)
-	}
 	if err == nil {
 		enc, err = render.DecompressDelta(msg.payload, baseEnc)
 		msg.recycle() // DecompressDelta builds a fresh buffer
@@ -655,9 +603,6 @@ func (c *Client) Render(p RenderParams) (*render.Framebuffer, int64, time.Durati
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if msg.op != opRenderOK {
-		return nil, 0, 0, fmt.Errorf("remote: unexpected render response %#02x", msg.op)
-	}
 	fb, err := render.DecodeFramebuffer(msg.payload)
 	if err != nil {
 		return nil, 0, 0, err
@@ -669,8 +614,9 @@ func (c *Client) Render(p RenderParams) (*render.Framebuffer, int64, time.Durati
 // blob, returning the reply blob. Requests multiplex like every other
 // verb, so concurrent Computes on one connection overlap on the wire
 // and on the worker's cores; ctx abandons the wait (first-error
-// cancellation in a pipeline stage). Servers without the kernel — or
-// without the Compute verb at all — answer with a typed WireError
+// cancellation in a pipeline stage), and ClientOptions.RequestTimeout
+// bounds it like every verb. Servers without the kernel — or without
+// the Compute verb at all — answer with a typed WireError
 // (ErrCodeUnknownKernel / ErrCodeUnknownVerb).
 func (c *Client) Compute(ctx context.Context, kernel string, req []byte) ([]byte, error) {
 	buf, err := appendComputeHeader(getBytes(0), kernel)
@@ -678,15 +624,9 @@ func (c *Client) Compute(ctx context.Context, kernel string, req []byte) ([]byte
 		return nil, err
 	}
 	buf = append(buf, req...)
-	msg, err := c.call(ctx, 0, opCompute, buf)
+	msg, err := c.call(ctx, opCompute, buf)
 	putBytes(buf)
-	if err != nil {
-		return nil, err
-	}
-	if msg.op != opComputeOK {
-		return nil, fmt.Errorf("remote: unexpected compute response %#02x", msg.op)
-	}
-	return msg.payload, nil
+	return msg.payload, err
 }
 
 // Kernels asks a worker which stage kernels it hosts — the v4
@@ -694,12 +634,9 @@ func (c *Client) Compute(ctx context.Context, kernel string, req []byte) ([]byte
 // service answers with ErrCodeUnknownVerb, which is itself the
 // answer: this endpoint hosts no kernels at all.
 func (c *Client) Kernels(ctx context.Context) ([]string, error) {
-	msg, err := c.call(ctx, 0, opKernels, nil)
+	msg, err := c.call(ctx, opKernels, nil)
 	if err != nil {
 		return nil, err
-	}
-	if msg.op != opKernelsOK {
-		return nil, fmt.Errorf("remote: unexpected kernels response %#02x", msg.op)
 	}
 	names, err := decodeKernelList(msg.payload)
 	msg.recycle() // decodeKernelList copies the names out
@@ -767,35 +704,28 @@ func (c *Client) Subscribe() (*Subscription, error) {
 
 // SubscribeWith is Subscribe with protocol v3 options.
 func (c *Client) SubscribeWith(opts SubscribeOptions) (*Subscription, error) {
-	if c.addr == "" {
-		return c.link.Load().subscribe(opts)
-	}
 	var sub *Subscription
 	err := c.retry(context.Background(), func(l *link) (err error) {
-		sub, err = l.subscribe(opts)
+		sub, err = l.subscribe(c.requestTimeout(), opts)
 		return err
 	})
 	return sub, err
 }
 
-// subscribe opens a subscription on this connection.
-func (l *link) subscribe(opts SubscribeOptions) (*Subscription, error) {
-	l.mu.Lock()
-	if l.readErr != nil {
-		err := l.readErr
-		l.mu.Unlock()
-		return nil, err
-	}
-	l.nextID++
-	id := l.nextID
-	ch := make(chan message, 1)
-	l.pending[id] = ch
+// subscribe opens a subscription on this connection. The feed is
+// registered under the request ID before the request goes out, so a
+// push racing the reply onto the wire is not lost; the watchdog that
+// ends the feed with the connection starts once the reply is in.
+func (l *link) subscribe(timeout time.Duration, opts SubscribeOptions) (*Subscription, error) {
 	sub := &Subscription{ch: make(chan int, 1), done: make(chan struct{}), last: -1}
 	sub.Updates = sub.ch
+	var payload []byte // empty = count-only subscribe
 	if opts.InlineFrames {
 		sub.fch = make(chan FrameUpdate, 1)
 		sub.Frames = sub.fch
+		payload = []byte{subFlagInline}
 	}
+	var id uint64 // guarded by l.mu, like l.subs
 	sub.cancel = func() {
 		l.mu.Lock()
 		if l.subs[id] == sub {
@@ -803,9 +733,19 @@ func (l *link) subscribe(opts SubscribeOptions) (*Subscription, error) {
 		}
 		l.mu.Unlock()
 	}
-	l.subs[id] = sub
-	l.mu.Unlock()
-
+	msg, err := l.roundTrip(context.Background(), timeout, opSubscribe, payload, func(reqID uint64) {
+		id = reqID
+		l.subs[id] = sub
+	})
+	var frames int
+	if err == nil {
+		frames, err = decodeCount(msg.payload)
+	}
+	if err != nil {
+		sub.Close()
+		return nil, err
+	}
+	sub.deliver(frames)
 	// Close the feed when the connection dies; the watchdog itself
 	// ends when the subscription closes first.
 	go func() {
@@ -815,93 +755,55 @@ func (l *link) subscribe(opts SubscribeOptions) (*Subscription, error) {
 		case <-sub.done:
 		}
 	}()
-
-	var payload []byte // empty = count-only subscribe
-	if opts.InlineFrames {
-		payload = []byte{subFlagInline}
-	}
-	l.wmu.Lock()
-	err := writeMessage(l.bw, id, opSubscribe, payload)
-	l.wmu.Unlock()
-	if err != nil {
-		sub.Close()
-		l.mu.Lock()
-		delete(l.pending, id)
-		l.mu.Unlock()
-		return nil, fmt.Errorf("remote: subscribe write: %w (%w)", err, ErrClientClosed)
-	}
-	accept := func(msg message) (*Subscription, error) {
-		if _, err := checkResponse(msg); err != nil {
-			sub.Close()
-			return nil, err
-		}
-		frames, err := decodeCount(msg.payload)
-		if msg.op != opSubscribeOK || err != nil {
-			sub.Close()
-			return nil, fmt.Errorf("remote: unexpected subscribe response %#02x", msg.op)
-		}
-		sub.deliver(frames)
-		return sub, nil
-	}
-	select {
-	case msg := <-ch:
-		return accept(msg)
-	case <-l.done:
-		// Prefer a response that arrived before the connection died.
-		select {
-		case msg := <-ch:
-			return accept(msg)
-		default:
-		}
-		sub.Close()
-		l.mu.Lock()
-		err := l.readErr
-		delete(l.pending, id)
-		l.mu.Unlock()
-		return nil, err
-	}
+	return sub, nil
 }
 
-// deliver pushes a count latest-wins: if the consumer hasn't drained
-// the previous value, it is replaced. Counts are monotonic — a stale
-// value (e.g. the Subscribe response racing a newer pushed notify onto
-// the wire) never overwrites a higher one.
+// push routes one server push on this subscription's request ID: a
+// count (opNotify), or an inline frame and its count (opNotifyFrame).
+// A push that does not decode is dropped.
+func (s *Subscription) push(msg message) {
+	if msg.op == opNotify {
+		if frames, err := decodeCount(msg.payload); err == nil {
+			s.deliver(frames)
+		}
+		return
+	}
+	u, err := decodeNotifyFrame(msg.payload)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	if !s.closed && s.fch != nil && u.Frames > s.lastFrame {
+		s.lastFrame = u.Frames
+		offer(s.fch, u)
+	}
+	s.mu.Unlock()
+	s.deliver(u.Frames)
+}
+
+// deliver pushes a count latest-wins onto Updates. Counts are
+// monotonic — a stale value (e.g. the Subscribe response racing a newer
+// pushed notify onto the wire) never overwrites a higher one; Frames
+// has the same guard in push.
 func (s *Subscription) deliver(frames int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || frames <= s.last {
-		return
-	}
-	s.last = frames
-	for {
-		select {
-		case s.ch <- frames:
-			return
-		default:
-			select {
-			case <-s.ch:
-			default:
-			}
-		}
+	if !s.closed && frames > s.last {
+		s.last = frames
+		offer(s.ch, frames)
 	}
 }
 
-// deliverFrame pushes an inline frame latest-wins onto Frames, with
-// the same monotonic guard as deliver.
-func (s *Subscription) deliverFrame(u FrameUpdate) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.fch == nil || u.Frames <= s.lastFrame {
-		return
-	}
-	s.lastFrame = u.Frames
+// offer sends v latest-wins: if the consumer hasn't drained the
+// previous value, it is replaced.
+func offer[T any](ch chan T, v T) {
 	for {
 		select {
-		case s.fch <- u:
+		case ch <- v:
 			return
 		default:
 			select {
-			case <-s.fch:
+			case <-ch:
 			default:
 			}
 		}

@@ -305,6 +305,27 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 	}
 }
 
+// TestStatsCounterCountIsExact: a Stats payload whose counter table is
+// one entry short or one too long is refused. The handshake is
+// exact-match, so no peer sends one; a decoder that read it anyway
+// would hand the caller counters in the wrong fields or none at all.
+func TestStatsCounterCountIsExact(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"Stats with 13 counters", 13},
+		{"Stats with 15 counters", 15},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			blob := forge("", 0, 0, false, uint16(c.n), make([]byte, 8*c.n), uint32(0), uint16(0))
+			if _, err := decodeStatsReport(blob); err == nil {
+				t.Errorf("%d counters (want %d): decoded without error", c.n, numStats)
+			}
+		})
+	}
+}
+
 // seedFrom adds the harness table's blob for the named decoder, whole
 // and cut in half, to a fuzz corpus.
 func seedFrom(f *testing.F, name string) {

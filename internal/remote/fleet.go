@@ -140,21 +140,6 @@ func (o FleetOptions) ejectAfter() int {
 	return o.EjectAfter
 }
 
-func (o FleetOptions) probeInterval() time.Duration {
-	switch {
-	case o.ProbeInterval > 0:
-		return o.ProbeInterval
-	case o.ProbeInterval < 0:
-		return 0
-	default:
-		return 500 * time.Millisecond
-	}
-}
-
-func (o FleetOptions) requestTimeout() time.Duration {
-	return ClientOptions{RequestTimeout: o.RequestTimeout}.requestTimeout()
-}
-
 func (o FleetOptions) dial(addr string) (net.Conn, error) {
 	return ClientOptions{Dial: o.Dial}.dial(addr)
 }
@@ -247,7 +232,7 @@ func NewFleet(addrs []string, opts FleetOptions) (*Fleet, error) {
 	if healthy == 0 {
 		return nil, fmt.Errorf("remote: no reachable worker in fleet %v: %w", addrs, firstErr)
 	}
-	if iv := opts.probeInterval(); iv > 0 {
+	if iv := orDefault(opts.ProbeInterval, 500*time.Millisecond); iv > 0 {
 		f.probeWG.Add(1)
 		go f.probeLoop(iv)
 	}
@@ -435,20 +420,15 @@ func (f *Fleet) release(m *member, err error) {
 	}
 }
 
-// computeOnce runs one attempt: claim a slot, bound the attempt with
-// the per-request deadline, ship the kernel call, settle health.
+// computeOnce runs one attempt: claim a slot, ship the kernel call —
+// bounded by the member client's RequestTimeout, which admit set from
+// FleetOptions.RequestTimeout — and settle health.
 func (f *Fleet) computeOnce(ctx context.Context, req []byte) ([]byte, error) {
 	m, cli, err := f.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	actx := ctx
-	cancel := func() {}
-	if d := f.opts.requestTimeout(); d > 0 {
-		actx, cancel = context.WithTimeout(ctx, d)
-	}
-	out, err := cli.Compute(actx, f.opts.Kernel, req)
-	cancel()
+	out, err := cli.Compute(ctx, f.opts.Kernel, req)
 	f.release(m, err)
 	return out, err
 }

@@ -92,8 +92,11 @@ const (
 	msgOverhead = 8 + 1
 )
 
-// Opcodes. Responses are the request opcode with the high bit set;
-// opError and opNotify stand alone.
+// Opcodes. A reply is the request opcode with replyBit set, or opError;
+// a client refuses any other opcode as a reply (checkResponse).
+// opNotify and opNotifyFrame are pushes, never replies.
+const replyBit byte = 0x80
+
 const (
 	opList      byte = 0x01
 	opGet       byte = 0x02
@@ -104,16 +107,6 @@ const (
 	opKernels   byte = 0x07
 	opPing      byte = 0x08
 	opStats     byte = 0x09
-
-	opListOK      byte = 0x81
-	opGetOK       byte = 0x82
-	opSubscribeOK byte = 0x83
-	opRenderOK    byte = 0x84
-	opComputeOK   byte = 0x85
-	opGetDeltaOK  byte = 0x86
-	opKernelsOK   byte = 0x87
-	opPingOK      byte = 0x88
-	opStatsOK     byte = 0x89
 
 	opNotify      byte = 0x90
 	opNotifyFrame byte = 0x91
@@ -186,6 +179,27 @@ func decodeWireError(p []byte) *WireError {
 		return &WireError{Code: ErrCodeGeneric, Msg: "unspecified server error"}
 	}
 	return &WireError{Code: ErrorCode(p[0]), Msg: string(p[1:])}
+}
+
+// badRequest types a request payload that did not decode.
+func badRequest(err error) error {
+	return &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
+}
+
+// checkResponse admits msg as the reply to a request of opcode op: the
+// reply opcode op|replyBit passes, an opError reply becomes an error
+// whose chain carries the server's *WireError (classify with errors.As
+// or CodeOf), and any other opcode — which only a peer outside the
+// protocol sends — is a protocol error naming both opcodes, transient
+// like every transport fault.
+func checkResponse(op byte, msg message) (message, error) {
+	if msg.op == op|replyBit {
+		return msg, nil
+	}
+	if msg.op == opError {
+		return message{}, fmt.Errorf("remote: server error: %w", decodeWireError(msg.payload))
+	}
+	return message{}, fmt.Errorf("remote: unexpected reply opcode %#02x to request %#02x", msg.op, op)
 }
 
 // message is one decoded protocol frame. body is the pooled backing
@@ -572,13 +586,16 @@ type StatsReport struct {
 //	          4 f64 (throughput, utilization, recv-wait, send-wait) |
 //	          str8 name
 //
-// The counter count is on the wire so a future revision can append
-// counters without breaking older decoders. An absent stage table (a
-// store-backed service with no pipeline) encodes as a zero stage count.
+// The counters go in ServiceStats.fields order, and counterCount must
+// equal numStats: the handshake is exact-match, so a peer with another
+// counter table does not exist, and a payload claiming one is refused.
+// An absent stage table (a store-backed service with no pipeline)
+// encodes as a zero stage count.
 func encodeStatsReport(r StatsReport) []byte {
-	counters := r.Stats.counters()
-	out := wire.U16(make([]byte, 0, 8*len(counters)+64*len(r.Sessions)+96*len(r.Pipeline)+8), uint16(len(counters)))
-	out = wire.U64s(out, counters...)
+	out := wire.U16(make([]byte, 0, 8*numStats+64*len(r.Sessions)+96*len(r.Pipeline)+8), numStats)
+	for _, f := range r.Stats.fields() {
+		out = wire.U64(out, *f)
+	}
 	out = wire.U32(out, uint32(len(r.Sessions)))
 	for _, s := range r.Sessions {
 		out = wire.U64(out, s.ID)
@@ -606,12 +623,13 @@ func encodeStatsReport(r StatsReport) []byte {
 // and never panics or over-allocates.
 func decodeStatsReport(p []byte) (StatsReport, error) {
 	rd := wire.NewReader("remote: stats payload", p)
-	counters := make([]uint64, rd.Count(int64(rd.U16()), 8))
-	for i := range counters {
-		counters[i] = rd.U64()
+	if n := rd.U16(); n != numStats {
+		rd.Fail("%d counters, want %d", n, numStats)
 	}
 	var r StatsReport
-	r.Stats.setCounters(counters)
+	for _, f := range r.Stats.fields() {
+		*f = rd.U64()
+	}
 	// Count takes the shortest record each table can hold: 50 bytes for a
 	// session with an empty remote, 67 for a stage with an empty name.
 	r.Sessions = make([]SessionStats, rd.Count(int64(rd.U32()), 50))

@@ -3,10 +3,15 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +103,7 @@ func FuzzReadMessage(f *testing.F) {
 	// v5 frames: a heartbeat and a stats response.
 	ping := goodBody(0, opPing, nil)
 	f.Add(rawFrame(uint32(len(ping)), ping, crc32.ChecksumIEEE(ping)))
-	stats := goodBody(4, opStatsOK, encodeStatsReport(statsFixture()))
+	stats := goodBody(4, opStats|replyBit, encodeStatsReport(statsFixture()))
 	f.Add(rawFrame(uint32(len(stats)), stats, crc32.ChecksumIEEE(stats)))
 	// v6 frame: a Compute carrying the partial-render kernel's blob.
 	rreq, err := appendComputeHeader(nil, KernelRenderPartial)
@@ -298,7 +303,7 @@ func TestServerRejectsUnknownOpcode(t *testing.T) {
 	if err := writeMessage(bw, 6, opList, nil); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err = readMessage(conn, 0); err != nil || msg.op != opListOK || msg.reqID != 6 {
+	if msg, err = readMessage(conn, 0); err != nil || msg.op != opList|replyBit || msg.reqID != 6 {
 		t.Errorf("connection unusable after unknown opcode: op %#02x, err %v", msg.op, err)
 	}
 }
@@ -374,7 +379,7 @@ func TestOversizedGetPayload(t *testing.T) {
 	if err := writeMessage(bw, 10, opList, nil); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err = readMessage(conn, 0); err != nil || msg.op != opListOK {
+	if msg, err = readMessage(conn, 0); err != nil || msg.op != opList|replyBit {
 		t.Errorf("connection dead after payload error: op %#02x, err %v", msg.op, err)
 	}
 }
@@ -472,5 +477,99 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	}
 	if empty := decodeWireError(nil); empty.Code != ErrCodeGeneric || empty.Msg == "" {
 		t.Errorf("empty payload decoded to %+v", empty)
+	}
+}
+
+// TestUnexpectedReplyOpcode: a peer that handshakes and then answers
+// every request with the wrong opcode gets a protocol error from every
+// verb — naming the opcode it sent and the request's — and nothing
+// panics, hangs, redials or retries; FetchFrameDelta in particular does
+// not fall back to a second, full fetch.
+func TestUnexpectedReplyOpcode(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	wrong := func(op byte) byte { return (op | replyBit) ^ 0x0f } // a reply opcode, but not op's
+	var served atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if serverHello(conn) != nil {
+			return
+		}
+		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+		for {
+			msg, err := readMessage(br, 0)
+			if err != nil {
+				return
+			}
+			served.Add(1)
+			if writeMessage(bw, msg.reqID, wrong(msg.op), []byte("not a reply")) != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClientConn(conn, ClientOptions{HeartbeatInterval: -1, RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cli.Close()
+		<-done
+	}()
+
+	ctx := context.Background()
+	for _, v := range []struct {
+		name string
+		op   byte
+		call func() error
+	}{
+		{"List", opList, func() error { _, err := cli.List(); return err }},
+		{"Ping", opPing, func() error { _, err := cli.Ping(); return err }},
+		{"Stats", opStats, func() error { _, err := cli.Stats(); return err }},
+		{"FetchFrame", opGet, func() error { _, _, _, err := cli.FetchFrame(0); return err }},
+		{"FetchFrameDelta", opGetDelta, func() error { _, _, _, _, err := cli.FetchFrameDelta(1, 0, []byte("base")); return err }},
+		{"Render", opRender, func() error {
+			_, _, _, err := cli.Render(RenderParams{Width: 8, Height: 8, ViewDir: vec.New(0, 0, 1)})
+			return err
+		}},
+		{"Compute", opCompute, func() error { _, err := cli.Compute(ctx, KernelHybridExtract, nil); return err }},
+		{"Kernels", opKernels, func() error { _, err := cli.Kernels(ctx); return err }},
+		{"SubscribeWith", opSubscribe, func() error {
+			_, err := cli.SubscribeWith(SubscribeOptions{InlineFrames: true})
+			return err
+		}},
+	} {
+		before := served.Load()
+		err := v.call()
+		if n := served.Load() - before; n != 1 {
+			t.Errorf("%s: the server saw %d requests, want 1", v.name, n)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted reply opcode %#02x", v.name, wrong(v.op))
+			continue
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: timed out instead of refusing the reply: %v", v.name, err)
+		}
+		for _, op := range []byte{v.op, wrong(v.op)} {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%#02x", op)) {
+				t.Errorf("%s: error %q does not name opcode %#02x", v.name, err, op)
+			}
+		}
+	}
+	if n := cli.Redials(); n != 0 {
+		t.Errorf("Redials = %d, want 0", n)
 	}
 }

@@ -118,4 +118,11 @@
 // carries many requests in flight: a viewer overlaps its WAN fetches
 // — and a distributed stage its in-flight frames — on a single
 // session.
+//
+// A reply's opcode is its request's with the high bit set, or opError.
+// Every verb of a Client checks that in one place: any other opcode
+// can only come from a peer outside the protocol, and the call fails
+// with a protocol error naming both opcodes. IsTransient classifies it
+// like a lost connection, so a dialed client redials, and
+// FetchFrameDelta returns it instead of falling back to a full fetch.
 package remote

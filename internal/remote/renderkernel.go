@@ -110,22 +110,22 @@ func renderPartialKernel() Kernel {
 	return func(ctx context.Context, req []byte) ([]byte, error) {
 		r, err := decodeRenderPartialRequest(req)
 		if err != nil {
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
+			return nil, badRequest(err)
 		}
 		tf, err := hybrid.DefaultTFParams(r.Threshold, r.MaxLeafD)
 		if err != nil {
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
+			return nil, badRequest(err)
 		}
 		cam, err := render.LookAtBounds(r.Bounds, r.ViewDir, math.Pi/3, float64(r.Width)/float64(r.Height))
 		if err != nil {
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
+			return nil, badRequest(err)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		fb, err := render.NewFramebuffer(r.Width, r.Height)
 		if err != nil {
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
+			return nil, badRequest(err)
 		}
 		sub := &hybrid.Representation{Points: r.Points, PointDensity: r.Density}
 		volren.RenderPointPass(sub, tf, fb, cam, r.PointScale, r.Opaque,

@@ -125,3 +125,17 @@ func (w *connWriter) send(reqID uint64, op byte, segs ...[]byte) error {
 func (w *connWriter) sendErr(reqID uint64, err error) error {
 	return w.send(reqID, opError, encodeWireError(err))
 }
+
+// reply answers a request of opcode op: err as an error reply, else
+// payload under op|replyBit. A payload over the message limit is
+// answered with an error for this request alone, instead of letting
+// writeMessage fail and sever every other request on the connection.
+func (w *connWriter) reply(reqID uint64, op byte, payload []byte, err error) error {
+	if err == nil && len(payload) > maxBody-msgOverhead {
+		err = fmt.Errorf("remote: reply to opcode %#02x (%d bytes) exceeds the message limit", op, len(payload))
+	}
+	if err != nil {
+		return w.sendErr(reqID, err)
+	}
+	return w.send(reqID, op|replyBit, payload)
+}

@@ -59,17 +59,28 @@ type Service struct {
 	// can be attached after the service is already serving.
 	pipelineStats atomic.Pointer[func() []pipeline.StageSnapshot]
 
-	stats struct {
-		frameEncodes, frameHits   atomic.Uint64
-		renders, renderHits       atomic.Uint64
-		deltaEncodes, deltaHits   atomic.Uint64
-		notifyFrames, notifyCount atomic.Uint64
-
-		pings, sessionsRefused, rendersRefused atomic.Uint64
-		pushesDropped, pushesDegraded          atomic.Uint64
-		sessionsEvicted                        atomic.Uint64
-	}
+	stats [numStats]atomic.Uint64 // indexed by the stat* constants
 }
+
+// The service counters, in the wire order of the Stats verb: one
+// constant per ServiceStats field, in the order fields lists them.
+const (
+	statFrameEncodes = iota
+	statFrameHits
+	statRenders
+	statRenderHits
+	statDeltaEncodes
+	statDeltaHits
+	statNotifyFrames
+	statNotifyCounts
+	statPings
+	statSessionsRefused
+	statRendersRefused
+	statPushesDropped
+	statPushesDegraded
+	statSessionsEvicted
+	numStats
+)
 
 type deltaKey struct{ frame, base int }
 
@@ -106,50 +117,36 @@ type ServiceStats struct {
 	SessionsEvicted uint64 // slow subscribers evicted (SlowEvict)
 }
 
-// counters flattens the stats into the fixed wire order of the Stats
-// verb; setCounters is its tolerant inverse (a shorter table from an
-// older server leaves the missing fields zero).
-func (s ServiceStats) counters() []uint64 {
-	return []uint64{
-		s.FrameEncodes, s.FrameHits, s.Renders, s.RenderHits,
-		s.DeltaEncodes, s.DeltaHits, s.NotifyFrames, s.NotifyCounts,
-		s.Pings, s.SessionsRefused, s.RendersRefused,
-		s.PushesDropped, s.PushesDegraded, s.SessionsEvicted,
-	}
-}
-
-func (s *ServiceStats) setCounters(c []uint64) {
-	dst := []*uint64{
+// fields lists the counters in the wire order of the Stats verb, the
+// order of the stat* constants — for Service.Stats and both halves of
+// the Stats codec. The array type makes the compiler hold the list to
+// numStats entries.
+func (s *ServiceStats) fields() [numStats]*uint64 {
+	return [numStats]*uint64{
 		&s.FrameEncodes, &s.FrameHits, &s.Renders, &s.RenderHits,
 		&s.DeltaEncodes, &s.DeltaHits, &s.NotifyFrames, &s.NotifyCounts,
 		&s.Pings, &s.SessionsRefused, &s.RendersRefused,
 		&s.PushesDropped, &s.PushesDegraded, &s.SessionsEvicted,
 	}
-	for i, p := range dst {
-		if i < len(c) {
-			*p = c[i]
-		}
-	}
 }
 
 // Stats snapshots the service's work counters.
-func (s *Service) Stats() ServiceStats {
-	return ServiceStats{
-		FrameEncodes: s.stats.frameEncodes.Load(),
-		FrameHits:    s.stats.frameHits.Load(),
-		Renders:      s.stats.renders.Load(),
-		RenderHits:   s.stats.renderHits.Load(),
-		DeltaEncodes: s.stats.deltaEncodes.Load(),
-		DeltaHits:    s.stats.deltaHits.Load(),
-		NotifyFrames: s.stats.notifyFrames.Load(),
-		NotifyCounts: s.stats.notifyCount.Load(),
+func (s *Service) Stats() (st ServiceStats) {
+	for i, f := range st.fields() {
+		*f = s.stats[i].Load()
+	}
+	return st
+}
 
-		Pings:           s.stats.pings.Load(),
-		SessionsRefused: s.stats.sessionsRefused.Load(),
-		RendersRefused:  s.stats.rendersRefused.Load(),
-		PushesDropped:   s.stats.pushesDropped.Load(),
-		PushesDegraded:  s.stats.pushesDegraded.Load(),
-		SessionsEvicted: s.stats.sessionsEvicted.Load(),
+// tally counts one cache lookup that succeeded: a hit, or a fill that
+// ran the work.
+func (s *Service) tally(err error, hit bool, hitStat, fillStat int) {
+	switch {
+	case err != nil:
+	case hit:
+		s.stats[hitStat].Add(1)
+	default:
+		s.stats[fillStat].Add(1)
 	}
 }
 
@@ -208,8 +205,14 @@ func (s *Service) Close() error { return s.srv.Close() }
 // verbs but Ping with a retryable ErrCodeUnavailable), a read deadline
 // reaps peers that go silent past the idle timeout (live v5 clients
 // heartbeat well inside it), and Subscribe pushes flow through a
-// bounded per-session send queue instead of an unbounded notifier.
+// bounded per-session send queue instead of an unbounded notifier. The
+// idle deadline covers the handshake too: a peer that connects and never
+// says hello is reaped like one that goes quiet later.
 func (s *Service) handle(conn net.Conn) {
+	idle := orDefault(s.opts.IdleTimeout, DefaultServiceIdleTimeout)
+	if idle > 0 {
+		conn.SetReadDeadline(time.Now().Add(idle))
+	}
 	if err := serverHello(conn); err != nil {
 		return
 	}
@@ -222,15 +225,6 @@ func (s *Service) handle(conn net.Conn) {
 	var reqs sync.WaitGroup
 	defer reqs.Wait()
 
-	// Subscription state: one send queue per connection.
-	var subCancel func()
-	defer func() {
-		if subCancel != nil {
-			subCancel()
-		}
-	}()
-
-	idle := s.opts.idleTimeout()
 	for {
 		if idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
@@ -243,8 +237,8 @@ func (s *Service) handle(conn net.Conn) {
 		// refused ones, so a waiting-to-retry client can keep its
 		// connection warm — and cheap enough to never need a goroutine.
 		if msg.op == opPing {
-			s.stats.pings.Add(1)
-			if w.send(msg.reqID, opPingOK, nil) != nil {
+			s.stats[statPings].Add(1)
+			if w.reply(msg.reqID, opPing, nil, nil) != nil {
 				return
 			}
 			continue
@@ -263,10 +257,11 @@ func (s *Service) handle(conn net.Conn) {
 			reqs.Add(1)
 			go func(m message) {
 				defer reqs.Done()
-				s.serveRequest(w, m)
+				out, err := s.serveRequest(m)
+				w.reply(m.reqID, m.op, out, err)
 			}(msg)
 		case opStats:
-			if w.send(msg.reqID, opStatsOK, encodeStatsReport(s.statsReport())) != nil {
+			if w.reply(msg.reqID, opStats, encodeStatsReport(s.statsReport()), nil) != nil {
 				return
 			}
 		case opSubscribe:
@@ -276,10 +271,8 @@ func (s *Service) handle(conn net.Conn) {
 			case 1:
 				flags = msg.payload[0]
 			default:
-				if w.sendErr(msg.reqID, &WireError{
-					Code: ErrCodeBadRequest,
-					Msg:  fmt.Sprintf("remote: subscribe payload %d bytes, want 0 or 1", len(msg.payload)),
-				}) != nil {
+				err := fmt.Errorf("remote: subscribe payload %d bytes, want 0 or 1", len(msg.payload))
+				if w.sendErr(msg.reqID, badRequest(err)) != nil {
 					return
 				}
 				continue
@@ -288,21 +281,13 @@ func (s *Service) handle(conn net.Conn) {
 			// publish can fall between them unseen. A re-subscribe
 			// replaces the queue, so pushes follow the newest
 			// request ID.
-			if sub, ok := s.store.(LiveStore); ok {
-				if subCancel != nil {
-					subCancel()
+			if live, ok := s.store.(LiveStore); ok {
+				if old := sess.q.Swap(nil); old != nil {
+					old.stop()
 				}
-				q := newSubQueue(s, w, msg.reqID, flags&subFlagInline != 0)
-				sess.mu.Lock()
-				sess.q = q
-				sess.mu.Unlock()
-				cancelWatch := sub.Watch(q.update)
-				subCancel = func() {
-					cancelWatch()
-					q.stop()
-				}
+				sess.q.Store(newSubQueue(s, live, w, msg.reqID, flags&subFlagInline != 0))
 			}
-			if w.send(msg.reqID, opSubscribeOK, encodeCount(s.store.NumFrames())) != nil {
+			if w.reply(msg.reqID, opSubscribe, encodeCount(s.store.NumFrames()), nil) != nil {
 				return
 			}
 		default:
@@ -316,61 +301,30 @@ func (s *Service) handle(conn net.Conn) {
 	}
 }
 
-// serveRequest handles one List/Get/GetDelta/Render request.
-func (s *Service) serveRequest(w *connWriter, msg message) {
+// serveRequest computes the reply payload of one List/Get/GetDelta/Render
+// request.
+func (s *Service) serveRequest(msg message) ([]byte, error) {
 	switch msg.op {
-	case opList:
-		w.send(msg.reqID, opListOK, encodeListInfo(listInfo(s.store)))
-
 	case opGet:
 		idx, err := decodeIndex(msg.payload)
 		if err != nil {
-			w.sendErr(msg.reqID, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()})
-			return
+			return nil, badRequest(err)
 		}
-		enc, err := s.encodedFrame(idx)
-		if err != nil {
-			w.sendErr(msg.reqID, err)
-			return
-		}
-		if len(enc) > maxBody-msgOverhead {
-			// Answer per-request instead of letting writeMessage fail
-			// and sever every other request on the connection.
-			w.sendErr(msg.reqID, fmt.Errorf("remote: frame %d encoding (%d bytes) exceeds the message limit", idx, len(enc)))
-			return
-		}
-		w.send(msg.reqID, opGetOK, enc)
-
+		return s.encodedFrame(idx)
 	case opGetDelta:
 		frame, base, err := decodeGetDelta(msg.payload)
 		if err != nil {
-			w.sendErr(msg.reqID, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()})
-			return
+			return nil, badRequest(err)
 		}
-		blob, err := s.deltaBlob(frame, base)
-		if err != nil {
-			w.sendErr(msg.reqID, err)
-			return
-		}
-		if len(blob) > maxBody-msgOverhead {
-			w.sendErr(msg.reqID, fmt.Errorf("remote: frame %d delta (%d bytes) exceeds the message limit", frame, len(blob)))
-			return
-		}
-		w.send(msg.reqID, opGetDeltaOK, blob)
-
+		return s.deltaBlob(frame, base)
 	case opRender:
 		params, err := decodeRenderParams(msg.payload)
 		if err != nil {
-			w.sendErr(msg.reqID, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()})
-			return
+			return nil, badRequest(err)
 		}
-		blob, err := s.renderBlob(params)
-		if err != nil {
-			w.sendErr(msg.reqID, err)
-			return
-		}
-		w.send(msg.reqID, opRenderOK, blob)
+		return s.renderBlob(params)
 	}
+	return encodeListInfo(listInfo(s.store)), nil
 }
 
 // encodedFrame returns frame i in wire encoding. Stores holding the
@@ -388,13 +342,7 @@ func (s *Service) encodedFrame(i int) ([]byte, error) {
 		}
 		return rep.AppendBinary(nil), nil
 	})
-	if err == nil {
-		if hit {
-			s.stats.frameHits.Add(1)
-		} else {
-			s.stats.frameEncodes.Add(1)
-		}
-	}
+	s.tally(err, hit, statFrameHits, statFrameEncodes)
 	return enc, err
 }
 
@@ -416,13 +364,7 @@ func (s *Service) deltaBlob(frame, base int) ([]byte, error) {
 		}
 		return render.CompressDelta(cur, baseEnc), nil
 	})
-	if err == nil {
-		if hit {
-			s.stats.deltaHits.Add(1)
-		} else {
-			s.stats.deltaEncodes.Add(1)
-		}
-	}
+	s.tally(err, hit, statDeltaHits, statDeltaEncodes)
 	return blob, err
 }
 
@@ -433,13 +375,7 @@ func (s *Service) renderBlob(p RenderParams) ([]byte, error) {
 	blob, hit, err := s.renders.get(p, func() ([]byte, error) {
 		return s.renderFrame(p)
 	})
-	if err == nil {
-		if hit {
-			s.stats.renderHits.Add(1)
-		} else {
-			s.stats.renders.Add(1)
-		}
-	}
+	s.tally(err, hit, statRenderHits, statRenders)
 	return blob, err
 }
 
@@ -454,7 +390,7 @@ func (s *Service) renderFrame(p RenderParams) ([]byte, error) {
 		case s.renderGate <- struct{}{}:
 			defer func() { <-s.renderGate }()
 		default:
-			s.stats.rendersRefused.Add(1)
+			s.stats[statRendersRefused].Add(1)
 			return nil, &WireError{
 				Code: ErrCodeUnavailable,
 				Msg:  "remote: render capacity exhausted, retry later",

@@ -1,7 +1,10 @@
 package remote
 
 import (
+	"cmp"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/pipeline"
@@ -83,8 +86,8 @@ type ServiceOptions struct {
 	// bound behind the rasterizer.
 	MaxRenders int
 	// IdleTimeout reaps a connection that sends nothing (not even a
-	// heartbeat) for this long. 0 means DefaultServiceIdleTimeout;
-	// negative disables the reaper.
+	// heartbeat, nor its handshake) for this long. 0 means
+	// DefaultServiceIdleTimeout; negative disables the reaper.
 	IdleTimeout time.Duration
 	// SendQueue bounds each subscriber's pending-push queue (0 means
 	// DefaultSendQueue, minimum 1).
@@ -101,17 +104,6 @@ func (o ServiceOptions) sendQueue() int {
 	return o.SendQueue
 }
 
-func (o ServiceOptions) idleTimeout() time.Duration {
-	switch {
-	case o.IdleTimeout > 0:
-		return o.IdleTimeout
-	case o.IdleTimeout < 0:
-		return 0
-	default:
-		return DefaultServiceIdleTimeout
-	}
-}
-
 // session is one connection's server-side state: identity for the
 // Stats table, the admission verdict, and the subscription queue when
 // the client subscribes.
@@ -120,8 +112,7 @@ type session struct {
 	remote  string
 	refused bool // admission-refused at accept; never serves store verbs
 
-	mu sync.Mutex
-	q  *subQueue // active subscription's send queue, nil if none
+	q atomic.Pointer[subQueue] // active subscription's send queue, nil if none
 }
 
 // addSession registers a new connection and decides admission: the
@@ -136,7 +127,7 @@ func (s *Service) addSession(remote string) *session {
 	sess := &session{id: s.nextSess, remote: remote}
 	if s.opts.MaxSessions > 0 && s.admitted >= s.opts.MaxSessions {
 		sess.refused = true
-		s.stats.sessionsRefused.Add(1)
+		s.stats[statSessionsRefused].Add(1)
 	} else {
 		s.admitted++
 	}
@@ -153,11 +144,7 @@ func (s *Service) removeSession(sess *session) {
 		}
 	}
 	s.smu.Unlock()
-	sess.mu.Lock()
-	q := sess.q
-	sess.q = nil
-	sess.mu.Unlock()
-	if q != nil {
+	if q := sess.q.Swap(nil); q != nil {
 		q.stop()
 	}
 }
@@ -168,27 +155,15 @@ func (s *Service) removeSession(sess *session) {
 func (s *Service) statsReport() StatsReport {
 	r := StatsReport{Stats: s.Stats()}
 	s.smu.Lock()
-	ids := make([]uint64, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	sessions := make([]*session, 0, len(ids))
+	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
 	s.smu.Unlock()
-	// Insertion sort by id: session counts are small.
-	for i := 1; i < len(sessions); i++ {
-		for j := i; j > 0 && sessions[j-1].id > sessions[j].id; j-- {
-			sessions[j-1], sessions[j] = sessions[j], sessions[j-1]
-		}
-	}
+	slices.SortFunc(sessions, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
 	for _, sess := range sessions {
 		row := SessionStats{ID: sess.id, Remote: sess.remote, Refused: sess.refused}
-		sess.mu.Lock()
-		q := sess.q
-		sess.mu.Unlock()
-		if q != nil {
+		if q := sess.q.Load(); q != nil {
 			row.Subscribed = true
 			row.Inline = q.inline
 			q.mu.Lock()
@@ -235,13 +210,17 @@ func (s *Service) SetPipelineStats(fn func() []pipeline.StageSnapshot) {
 // frame that is gone by the time the drain runs (live rings evict), or
 // a push sent while the SlowDegrade policy has the subscriber marked
 // behind, degrades to a count-only notify.
+//
+// The queue owns the subscription's lifetime: it holds the store watch
+// it was registered with, and stop ends both.
 type subQueue struct {
-	svc    *Service
-	w      *connWriter
-	reqID  uint64
-	inline bool
-	cap    int
-	policy SlowPolicy
+	svc     *Service
+	w       *connWriter
+	reqID   uint64
+	inline  bool
+	cap     int
+	policy  SlowPolicy
+	unwatch func() // cancels the store watch feeding update
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -256,8 +235,9 @@ type subQueue struct {
 	lastSent                int
 }
 
-// newSubQueue builds the queue and starts its drain goroutine.
-func newSubQueue(s *Service, w *connWriter, reqID uint64, inline bool) *subQueue {
+// newSubQueue builds the queue, starts its drain goroutine and
+// registers it as a watcher of store.
+func newSubQueue(s *Service, store LiveStore, w *connWriter, reqID uint64, inline bool) *subQueue {
 	q := &subQueue{
 		svc:    s,
 		w:      w,
@@ -269,6 +249,7 @@ func newSubQueue(s *Service, w *connWriter, reqID uint64, inline bool) *subQueue
 	}
 	q.cond = sync.NewCond(&q.mu)
 	go q.drain()
+	q.unwatch = store.Watch(q.update)
 	return q
 }
 
@@ -292,12 +273,12 @@ func (q *subQueue) update(frames int) {
 		case SlowSkip:
 			q.pending = q.pending[1:]
 			q.dropped++
-			q.svc.stats.pushesDropped.Add(1)
+			q.svc.stats[statPushesDropped].Add(1)
 		case SlowDegrade:
 			q.pending = q.pending[1:]
 			q.behind = true
 			q.degraded++
-			q.svc.stats.pushesDegraded.Add(1)
+			q.svc.stats[statPushesDegraded].Add(1)
 		case SlowEvict:
 			q.stopped = true
 			q.evicting = true
@@ -307,7 +288,7 @@ func (q *subQueue) update(frames int) {
 	q.mu.Unlock()
 	q.cond.Signal()
 	if evict {
-		q.svc.stats.sessionsEvicted.Add(1)
+		q.svc.stats[statSessionsEvicted].Add(1)
 		// Off the watcher callback — update runs inside the publisher's
 		// Publish, which must never block, not even for the bounded
 		// eviction write. Unwedge a drain blocked mid-write, best-effort
@@ -359,7 +340,7 @@ func (q *subQueue) drain() {
 				if q.w.send(q.reqID, opNotifyFrame, head, enc) != nil {
 					return
 				}
-				q.svc.stats.notifyFrames.Add(1)
+				q.svc.stats[statNotifyFrames].Add(1)
 				q.noteSent(frames)
 				continue
 			}
@@ -367,7 +348,7 @@ func (q *subQueue) drain() {
 		if q.w.send(q.reqID, opNotify, encodeCount(frames)) != nil {
 			return
 		}
-		q.svc.stats.notifyCount.Add(1)
+		q.svc.stats[statNotifyCounts].Add(1)
 		q.noteSent(frames)
 	}
 }
@@ -379,10 +360,12 @@ func (q *subQueue) noteSent(frames int) {
 	q.mu.Unlock()
 }
 
-// stop terminates the drain goroutine and waits for it. An evicted
-// queue's drain may be parked in a write; the eviction path already
-// set a deadline and closed the connection, which unblocks it.
+// stop ends the store watch, terminates the drain goroutine and waits
+// for it. An evicted queue's drain may be parked in a write; the
+// eviction path already set a deadline and closed the connection, which
+// unblocks it.
 func (q *subQueue) stop() {
+	q.unwatch()
 	q.mu.Lock()
 	q.stopped = true
 	q.mu.Unlock()

@@ -70,19 +70,31 @@ func serveLive(t testing.TB, capacity int, opts ServiceOptions) (*Service, *Live
 	return srv, ring
 }
 
-// publishFrames pushes n frames (the same representation re-indexed)
-// and returns the wall time the publisher spent — the number the
+// publishFrames pushes at least n frames (the same representation
+// re-indexed), then keeps publishing until until reports true (nil
+// stops at n) or 10 s have passed. It returns the frame count reached
+// and the wall time the first n publishes took — the number the
 // isolation tests bound, because a publisher stalled behind a wedged
 // subscriber is exactly the failure the send queues exist to prevent.
-func publishFrames(t testing.TB, ring *LiveRing, rep *hybrid.Representation, n int) time.Duration {
+// The overload tests publish until their overflow counter moves: how
+// many frames a stalled subscriber's socket buffers absorb before its
+// queue overflows depends on the host, and under the race detector 60
+// frames of ~100 kB can all fit.
+func publishFrames(t testing.TB, ring *LiveRing, rep *hybrid.Representation, n int, until func() bool) (int, time.Duration) {
 	t.Helper()
 	start := time.Now()
-	for i := 0; i < n; i++ {
+	var took time.Duration
+	for i := 0; ; i++ {
+		if i == n {
+			took = time.Since(start)
+		}
+		if i >= n && (until == nil || until() || time.Since(start) > 10*time.Second) {
+			return ring.NumFrames(), took
+		}
 		if err := ring.Publish(ring.NumFrames(), rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return time.Since(start)
 }
 
 // TestStalledSubscriberIsolation: a subscriber that stops reading must
@@ -105,7 +117,8 @@ func TestStalledSubscriberIsolation(t *testing.T) {
 	}
 	defer sub.Close()
 
-	took := publishFrames(t, ring, rep, nFrames)
+	dropped := func() bool { return srv.Stats().PushesDropped > 0 }
+	frames, took := publishFrames(t, ring, rep, nFrames, dropped)
 	// ~6MB of frames against a reader that accepts none of it: without
 	// queue isolation the publisher would park on the dead connection's
 	// TCP window for the duration. Bound it generously — the point is
@@ -115,7 +128,7 @@ func TestStalledSubscriberIsolation(t *testing.T) {
 	}
 
 	deadline := time.After(10 * time.Second)
-	for seen := 0; seen < nFrames; {
+	for seen := 0; seen < frames; {
 		select {
 		case n, ok := <-sub.Updates:
 			if !ok {
@@ -146,7 +159,8 @@ func TestSlowPolicyDegrade(t *testing.T) {
 	stalledInlineSub(t, srv.Addr())
 	waitSubscribed(t, srv, 1)
 
-	if took := publishFrames(t, ring, rep, nFrames); took > 5*time.Second {
+	degraded := func() bool { return srv.Stats().PushesDegraded > 0 }
+	if _, took := publishFrames(t, ring, rep, nFrames, degraded); took > 5*time.Second {
 		t.Errorf("publishing took %v under SlowDegrade — publisher blocked", took)
 	}
 	if n := srv.Stats().PushesDegraded; n == 0 {
@@ -169,7 +183,8 @@ func TestSlowPolicyEvict(t *testing.T) {
 	stalledInlineSub(t, srv.Addr())
 	waitSubscribed(t, srv, 1)
 
-	if took := publishFrames(t, ring, rep, nFrames); took > 5*time.Second {
+	evicted := func() bool { return srv.Stats().SessionsEvicted > 0 }
+	if _, took := publishFrames(t, ring, rep, nFrames, evicted); took > 5*time.Second {
 		t.Errorf("publishing took %v under SlowEvict — publisher blocked", took)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -187,6 +202,27 @@ func TestSlowPolicyEvict(t *testing.T) {
 	}
 	if n := srv.SessionCount(); n != 0 {
 		t.Errorf("SessionCount = %d after eviction, want 0", n)
+	}
+}
+
+// TestSilentPeerBeforeHelloIsReaped: the idle reaper covers the
+// handshake. A peer that connects and never sends its hello must lose
+// its connection after the idle timeout, not hold a goroutine and a
+// socket for good.
+func TestSilentPeerBeforeHelloIsReaped(t *testing.T) {
+	srv, _ := serveLive(t, 4, ServiceOptions{IdleTimeout: 100 * time.Millisecond})
+	conn, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("a peer silent before its hello still holds its connection after 3 s")
+	}
+	if err == nil {
+		t.Fatalf("read %d bytes from a server that has not heard a hello", n)
 	}
 }
 
@@ -343,7 +379,7 @@ func TestStatsVerbLiveQueue(t *testing.T) {
 	defer sub.Close()
 	waitSubscribed(t, srv, 1)
 
-	publishFrames(t, ring, rep, 2)
+	publishFrames(t, ring, rep, 2, nil)
 	// Drain so Sent moves.
 	deadline := time.After(5 * time.Second)
 	for n := 0; n < 2; {

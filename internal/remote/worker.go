@@ -159,19 +159,13 @@ func (w *Worker) handle(conn net.Conn) {
 			}(msg)
 		case opPing:
 			msg.recycle()
-			if cw.send(msg.reqID, opPingOK, nil) != nil {
+			if cw.reply(msg.reqID, opPing, nil, nil) != nil {
 				return
 			}
 		case opKernels:
 			msg.recycle()
 			payload, err := encodeKernelList(w.Kernels())
-			if err != nil {
-				if cw.sendErr(msg.reqID, err) != nil {
-					return
-				}
-				continue
-			}
-			if cw.send(msg.reqID, opKernelsOK, payload) != nil {
+			if cw.reply(msg.reqID, opKernels, payload, err) != nil {
 				return
 			}
 		default:
@@ -188,35 +182,28 @@ func (w *Worker) handle(conn net.Conn) {
 // serveCompute runs one kernel invocation and recycles both payload
 // buffers once they are off to the wire.
 func (w *Worker) serveCompute(ctx context.Context, cw *connWriter, msg message) {
-	name, blob, err := decodeComputeRequest(msg.payload)
+	out, err := w.compute(ctx, msg.payload)
+	msg.recycle()
+	cw.reply(msg.reqID, opCompute, out, err)
+	putBytes(out)
+}
+
+// compute decodes a Compute payload and runs the kernel it names.
+func (w *Worker) compute(ctx context.Context, p []byte) ([]byte, error) {
+	name, blob, err := decodeComputeRequest(p)
 	if err != nil {
-		cw.sendErr(msg.reqID, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()})
-		msg.recycle()
-		return
+		return nil, badRequest(err)
 	}
 	w.mu.RLock()
 	k := w.kernels[name]
 	w.mu.RUnlock()
 	if k == nil {
-		cw.sendErr(msg.reqID, &WireError{
+		return nil, &WireError{
 			Code: ErrCodeUnknownKernel,
 			Msg:  fmt.Sprintf("remote: worker has no kernel %q", name),
-		})
-		msg.recycle()
-		return
+		}
 	}
-	out, err := k(ctx, blob)
-	msg.recycle()
-	if err != nil {
-		cw.sendErr(msg.reqID, err)
-		return
-	}
-	if len(out) > maxBody-msgOverhead {
-		cw.sendErr(msg.reqID, fmt.Errorf("remote: kernel %s reply (%d bytes) exceeds the message limit", name, len(out)))
-		return
-	}
-	cw.send(msg.reqID, opComputeOK, out)
-	putBytes(out)
+	return k(ctx, blob)
 }
 
 // hybridExtractKernel builds the standard distributed stage: a
@@ -235,7 +222,7 @@ func hybridExtractKernel() Kernel {
 		pts, tcfg, ecfg, err := decodeExtractRequest(req, *buf)
 		if err != nil {
 			scratch.Put(buf)
-			return nil, &WireError{Code: ErrCodeBadRequest, Msg: err.Error()}
+			return nil, badRequest(err)
 		}
 		*buf = pts
 		if err := ctx.Err(); err != nil {

@@ -11,6 +11,12 @@
 // produce depth-augmented partial framebuffers before sub-volume
 // renders are fanned to it.
 //
+// The worker is a remote.Service without a frame store, so it runs
+// the same session envelope as vizserve: it reaps a peer silent past
+// the idle timeout (cancelling the kernels that peer left running),
+// and it answers Stats, so vizclient -addr ADDR -stats prints its
+// session table.
+//
 // Usage:
 //
 //	vizworker -addr 127.0.0.1:9921 [-drain-timeout 30s]

@@ -195,7 +195,7 @@ type FrameSink interface {
 // into.
 var _ FrameSink = (*remote.LiveRing)(nil)
 
-// remoteExtractExecutor is the pipeline.StageExecutor that places the
+// remoteExtractExecutor's Apply is the stage body that places the
 // partition+extract pair on a remote worker: the frame's projected
 // point set goes over the wire (CRC-framed, configs included), the
 // hybrid representation comes back, bit-identical to the local stage
@@ -211,11 +211,10 @@ type remoteExtractExecutor struct {
 	keepFrames bool
 }
 
-// Apply implements pipeline.StageExecutor; it is called from up to
-// Workers goroutines, keeping Window frames in flight per healthy
-// fleet member. A lost attempt is re-dispatched by the fleet beneath
-// the stage's sequence tagging, so failover never disturbs frame
-// order or content.
+// Apply is called from up to the stage's Workers goroutines, keeping
+// Window frames in flight per healthy fleet member. A lost attempt is
+// re-dispatched by the fleet beneath the stage's sequence tagging, so
+// failover never disturbs frame order or content.
 func (x *remoteExtractExecutor) Apply(ctx context.Context, r StreamResult) (StreamResult, error) {
 	pts := x.proj.Get(r.Frame.E.Len())
 	x.p.project(r.Frame.E, *pts)
@@ -227,6 +226,29 @@ func (x *remoteExtractExecutor) Apply(ctx context.Context, r StreamResult) (Stre
 	r.Rep = rep
 	x.st.release(&r, x.keepFrames)
 	return r, nil
+}
+
+// placeStage dials the fleet that runs a placed stage's kernel at
+// addrs (nil when addrs is empty: the stage runs locally) and closes it
+// when the stream ends. A single address is a one-member fleet; window
+// is each member's in-flight bound, and policy tunes the rest. Every
+// member must advertise kernel.
+func placeStage(pl *pipeline.Pipeline, stage string, addrs []string, kernel string, window int, policy *remote.FleetOptions) (*remote.Fleet, error) {
+	if len(addrs) == 0 {
+		return nil, nil
+	}
+	var fo remote.FleetOptions
+	if policy != nil {
+		fo = *policy
+	}
+	fo.Kernel = kernel
+	fo.Window = window
+	fl, err := remote.NewFleet(addrs, fo)
+	if err != nil {
+		return nil, fmt.Errorf("core: dialing %s worker %s: %w", stage, strings.Join(addrs, ","), err)
+	}
+	pl.Defer(func() { fl.Close() })
+	return fl, nil
 }
 
 // RenderOptions appends a render stage to a particle stream. Each
@@ -418,45 +440,16 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		renderW = workersOr1(opts.Render.Workers)
 	}
 
-	// Build the worker fleet before starting any stage goroutine, so a
+	// Build the worker fleets before starting any stage goroutine, so a
 	// bad address or a mis-provisioned worker fails the stream without
-	// leaving a source running. A single address is simply a
-	// one-member fleet.
-	var fleet *remote.Fleet
-	if len(addrs) > 0 {
-		fo := remote.FleetOptions{}
-		if opts.ExtractPolicy != nil {
-			fo = *opts.ExtractPolicy
-		}
-		fo.Kernel = remote.KernelHybridExtract
-		fo.Window = extW
-		fl, err := remote.NewFleet(addrs, fo)
-		if err != nil {
-			return fail(fmt.Errorf("core: dialing extract worker %s: %w", strings.Join(addrs, ","), err))
-		}
-		fleet = fl
-		pl.Defer(func() { fl.Close() })
+	// leaving a source running.
+	fleet, err := placeStage(pl, "extract", addrs, remote.KernelHybridExtract, extW, opts.ExtractPolicy)
+	if err != nil {
+		return fail(err)
 	}
-
-	// The render fleet builds up front for the same reason, checking
-	// every member advertises the render kernel before a frame flows.
-	var renderFleet *remote.Fleet
-	if len(opts.RenderAddrs) > 0 {
-		fo := remote.FleetOptions{}
-		if opts.RenderPolicy != nil {
-			fo = *opts.RenderPolicy
-		}
-		fo.Kernel = remote.KernelRenderPartial
-		fo.Window = opts.Render.Workers
-		if fo.Window < 1 {
-			fo.Window = 1
-		}
-		fl, err := remote.NewFleet(opts.RenderAddrs, fo)
-		if err != nil {
-			return fail(fmt.Errorf("core: dialing render worker %s: %w", strings.Join(opts.RenderAddrs, ","), err))
-		}
-		renderFleet = fl
-		pl.Defer(func() { fl.Close() })
+	renderFleet, err := placeStage(pl, "render", opts.RenderAddrs, remote.KernelRenderPartial, renderW, opts.RenderPolicy)
+	if err != nil {
+		return fail(err)
 	}
 
 	// Source: number the frames as they arrive. Unless the consumer
@@ -486,11 +479,12 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		// runs ExtractWorkers × members dispatch goroutines to keep
 		// every member's window fillable. Each in-flight frame overlaps
 		// its WAN round-trip on the member's multiplexed connection;
-		// the MapExec reorderer restores frame order exactly as it does
+		// the stage's reorderer restores frame order exactly as it does
 		// for in-process stages, so fleet failover never reorders output.
-		out = pipeline.MapExec(pl, frames,
+		x := &remoteExtractExecutor{fl: fleet, p: p, proj: proj, st: st, keepFrames: opts.KeepFrames}
+		out = pipeline.Map(pl, frames,
 			pipeline.StageConfig{Name: "extract@" + strings.Join(addrs, ","), Workers: extW * len(addrs), Buf: buf},
-			&remoteExtractExecutor{fl: fleet, p: p, proj: proj, st: st, keepFrames: opts.KeepFrames})
+			x.Apply)
 	} else {
 		// Partition: build the tree from the ensemble's plotted columns.
 		// A tree the consumer will see (KeepTrees, SkipExtract) is the

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Telemetry — every stage a pipeline runs (Source, Map/MapExec, Sink)
+// Telemetry — every stage a pipeline runs (Source, Map, Sink)
 // updates a StageMetrics block with per-frame service time, queue-wait
 // (time blocked receiving input and sending output), in-flight count
 // and an EWMA of per-frame service time. The counters are plain

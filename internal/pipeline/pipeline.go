@@ -17,13 +17,11 @@
 //     output channel for backpressure, and order preservation (results
 //     are re-sequenced, so a multi-worker stage still emits frames in
 //     input order — required for deterministic output files and
-//     bit-identical comparisons against the serial path).
-//   - StageExecutor is the seam under Map: MapExec runs the same
-//     ordering/backpressure/cancellation machinery over any executor,
-//     so a stage body can run in-process (ExecFunc) or on a remote
-//     worker process (the distributed-stage path wired by
-//     core.StreamOptions.ExtractAddrs) without the engine knowing the
-//     difference.
+//     bit-identical comparisons against the serial path). The stage
+//     body is a plain function, whether it runs in-process or ships
+//     the frame to a remote worker process (the distributed-stage path
+//     wired by core.StreamOptions.ExtractAddrs): the engine does not
+//     know the difference.
 //   - Sink terminates a chain.
 //   - FreeList (freelist.go) recycles per-frame scratch buffers
 //     (projection point slices, framebuffers) through a bounded list so
@@ -38,7 +36,7 @@
 // # Stage sizing and defaults
 //
 // StageConfig.Workers is mandatory and must be >= 1 — a zero config no
-// longer silently runs one worker; Map/MapExec fail the pipeline on an
+// longer silently runs one worker; Map fails the pipeline on an
 // invalid config (Workers <= 0 or a negative Buf). Buf defaults to
 // Workers. A stage's worker count is fixed for its lifetime: its body
 // already runs its heavy passes on par's shared team, so more stage
@@ -272,41 +270,18 @@ type seqItem[T any] struct {
 	val T
 }
 
-// StageExecutor is the seam between the Map machinery — sequence
-// tagging, result re-sequencing, bounded-channel backpressure,
-// first-error cancellation — and where a stage's per-frame work
-// actually runs. Apply is called from up to cfg.Workers goroutines
-// concurrently, so implementations must be safe for concurrent use.
-//
-// The in-process path is ExecFunc: the body runs on the stage's own
-// worker goroutines. A remote executor instead ships the frame payload
-// to a worker process and blocks for the reply; with Workers > 1 the
-// stage keeps several frames in flight on one multiplexed connection,
-// overlapping wide-area round-trips, while the shared reorderer
-// re-sequences the out-of-order replies back into frame order.
-type StageExecutor[I, O any] interface {
-	Apply(ctx context.Context, v I) (O, error)
-}
-
-// ExecFunc adapts a plain stage body to a StageExecutor — the
-// in-process execution path.
-type ExecFunc[I, O any] func(ctx context.Context, v I) (O, error)
-
-// Apply implements StageExecutor.
-func (f ExecFunc[I, O]) Apply(ctx context.Context, v I) (O, error) { return f(ctx, v) }
-
 // Map connects in to a new bounded output channel through fn. Up to
-// cfg.Workers frames are processed concurrently; output order always
-// matches input order regardless of worker count. A fn error fails the
-// pipeline and cancels the stream.
+// cfg.Workers frames are processed concurrently, so fn must be safe for
+// concurrent use; output order always matches input order regardless
+// of worker count. A fn error fails the pipeline and cancels the
+// stream.
+//
+// Where fn runs is fn's business: a body that ships the frame to a
+// remote worker and blocks for the reply keeps Workers frames in flight
+// on one multiplexed connection, overlapping wide-area round trips,
+// while the reorderer re-sequences the out-of-order replies back into
+// frame order.
 func Map[I, O any](p *Pipeline, in <-chan I, cfg StageConfig, fn func(ctx context.Context, v I) (O, error)) <-chan O {
-	return MapExec(p, in, cfg, ExecFunc[I, O](fn))
-}
-
-// MapExec is Map with the execution strategy made explicit: the stage
-// machinery (ordering, backpressure, cancellation) is identical
-// whether ex runs the body in-process or on a remote worker.
-func MapExec[I, O any](p *Pipeline, in <-chan I, cfg StageConfig, ex StageExecutor[I, O]) <-chan O {
 	if err := cfg.validate(); err != nil {
 		p.fail(err)
 		out := make(chan O)
@@ -356,7 +331,7 @@ func MapExec[I, O any](p *Pipeline, in <-chan I, cfg StageConfig, ex StageExecut
 					continue
 				}
 				t1 := nowNanos()
-				o, err := ex.Apply(p.ctx, t.val)
+				o, err := fn(p.ctx, t.val)
 				m.noteService(nowNanos()-t1, err == nil)
 				if err != nil {
 					m.inFlight.Add(-1)

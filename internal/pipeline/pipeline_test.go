@@ -208,16 +208,16 @@ func TestSlicePoolReuse(t *testing.T) {
 	}
 }
 
-// countingExecutor is a StageExecutor that tracks concurrent Applies,
-// standing in for a remote executor (per-call blocking round trips,
-// concurrency supplied by the stage's worker goroutines).
-type countingExecutor struct {
+// countingBody is a stage body that tracks concurrent calls, standing
+// in for a remote one (per-call blocking round trips, concurrency
+// supplied by the stage's worker goroutines).
+type countingBody struct {
 	calls    atomic.Int64
 	inFlight atomic.Int64
 	peak     atomic.Int64
 }
 
-func (e *countingExecutor) Apply(ctx context.Context, v int) (int, error) {
+func (e *countingBody) apply(ctx context.Context, v int) (int, error) {
 	cur := e.inFlight.Add(1)
 	defer e.inFlight.Add(-1)
 	for {
@@ -234,10 +234,10 @@ func (e *countingExecutor) Apply(ctx context.Context, v int) (int, error) {
 	return v * 10, nil
 }
 
-// TestMapExecCustomExecutor: MapExec drives an arbitrary StageExecutor
-// through the same ordering machinery Map uses — results arrive in
-// input order, and Workers callers run concurrently (how a remote
-// stage keeps several frames in flight on one connection), never more.
+// TestMapExecCustomExecutor: Map drives a blocking body the way a
+// remote stage's is driven — results arrive in input order, and
+// Workers bodies run concurrently (how a remote stage keeps several
+// frames in flight on one connection), never more.
 func TestMapExecCustomExecutor(t *testing.T) {
 	p := New(context.Background())
 	const n = 64
@@ -246,8 +246,8 @@ func TestMapExecCustomExecutor(t *testing.T) {
 		vals[i] = i
 	}
 	const workers = 8
-	ex := &countingExecutor{}
-	out := MapExec(p, FromSlice(p, 4, vals), StageConfig{Name: "remote", Workers: workers}, ex)
+	ex := &countingBody{}
+	out := Map(p, FromSlice(p, 4, vals), StageConfig{Name: "remote", Workers: workers}, ex.apply)
 	got := Collect(p, out)
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -261,10 +261,10 @@ func TestMapExecCustomExecutor(t *testing.T) {
 		}
 	}
 	if c := ex.calls.Load(); c != n {
-		t.Errorf("executor ran %d times, want %d", c, n)
+		t.Errorf("body ran %d times, want %d", c, n)
 	}
 	if pk := ex.peak.Load(); pk < 2 || pk > workers {
-		t.Errorf("peak concurrent Applies = %d, want 2..%d (frames overlap, at most one per worker)", pk, workers)
+		t.Errorf("peak concurrent bodies = %d, want 2..%d (frames overlap, at most one per worker)", pk, workers)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // Retrying is what turns a lost frame into a re-dispatched frame
 // instead of a dead stream: the distributed extract stage wraps its
 // fleet dispatch in this policy, so a worker crash mid-frame costs one
-// backoff, not the run. Because MapExec re-sequences results by input
+// backoff, not the run. Because Map re-sequences results by input
 // sequence number, a retried frame — however late it lands — still
 // emits in order, and the output stays bit-identical to a run with no
 // failures at all.

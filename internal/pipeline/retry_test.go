@@ -104,21 +104,22 @@ func TestRetryCancelledContextNoRedispatch(t *testing.T) {
 	}
 }
 
-// withRetry runs each Apply of ex under Retry, the way Fleet.Apply
-// does. The stage machinery above (sequence tagging, re-sequencing,
-// backpressure) is untouched: a frame that fails, backs off and succeeds
-// on attempt three still emits exactly where its sequence number says.
-func withRetry(ex StageExecutor[int, int], pol RetryPolicy) StageExecutor[int, int] {
-	return ExecFunc[int, int](func(ctx context.Context, v int) (out int, err error) {
+// withRetry runs each call of fn under Retry, the way a fleet's
+// dispatch does. The stage machinery above (sequence tagging,
+// re-sequencing, backpressure) is untouched: a frame that fails, backs
+// off and succeeds on attempt three still emits exactly where its
+// sequence number says.
+func withRetry(fn func(context.Context, int) (int, error), pol RetryPolicy) func(context.Context, int) (int, error) {
+	return func(ctx context.Context, v int) (out int, err error) {
 		err = Retry(ctx, pol, nil, func(ctx context.Context) error {
-			o, err := ex.Apply(ctx, v)
+			o, err := fn(ctx, v)
 			if err == nil {
 				out = o
 			}
 			return err
 		})
 		return out, err
-	})
+	}
 }
 
 // TestWithRetryInStream: a flaky executor — every frame fails on its
@@ -128,7 +129,7 @@ func TestWithRetryInStream(t *testing.T) {
 	const frames = 20
 	var mu sync.Mutex
 	firstTry := make(map[int]bool)
-	flaky := ExecFunc[int, int](func(_ context.Context, v int) (int, error) {
+	flaky := func(_ context.Context, v int) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if !firstTry[v] {
@@ -136,7 +137,7 @@ func TestWithRetryInStream(t *testing.T) {
 			return 0, errTransient
 		}
 		return v * v, nil
-	})
+	}
 
 	p := New(context.Background())
 	in := make([]int, frames)
@@ -144,7 +145,7 @@ func TestWithRetryInStream(t *testing.T) {
 		in[i] = i
 	}
 	src := FromSlice(p, 2, in)
-	out := MapExec(p, src, StageConfig{Name: "flaky", Workers: 4},
+	out := Map(p, src, StageConfig{Name: "flaky", Workers: 4},
 		withRetry(flaky, fastRetry))
 	got := Collect(p, out)
 	if err := p.Wait(); err != nil {
@@ -164,12 +165,12 @@ func TestWithRetryInStream(t *testing.T) {
 // still fails the pipeline once the policy is spent.
 func TestWithRetryExhaustionFailsStream(t *testing.T) {
 	var attempts atomic.Int64
-	dead := ExecFunc[int, int](func(_ context.Context, v int) (int, error) {
+	dead := func(_ context.Context, v int) (int, error) {
 		attempts.Add(1)
 		return 0, fmt.Errorf("frame %d: %w", v, errTransient)
-	})
+	}
 	p := New(context.Background())
-	out := MapExec(p, FromSlice(p, 1, []int{0}), StageConfig{Name: "dead", Workers: 1},
+	out := Map(p, FromSlice(p, 1, []int{0}), StageConfig{Name: "dead", Workers: 1},
 		withRetry(dead, fastRetry))
 	Collect(p, out)
 	if err := p.Wait(); !errors.Is(err, errTransient) {

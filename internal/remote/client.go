@@ -604,10 +604,12 @@ func (c *Client) Render(p RenderParams) (*render.Framebuffer, int64, time.Durati
 		return nil, 0, 0, err
 	}
 	fb, err := render.DecodeFramebuffer(msg.payload)
+	size := int64(len(msg.payload))
+	msg.recycle() // both decoders copy; the reply buffer is free again
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return fb, int64(len(msg.payload)), time.Since(start), nil
+	return fb, size, time.Since(start), nil
 }
 
 // Compute runs the named kernel on a Worker with the given request

@@ -53,10 +53,11 @@ import (
 //	Stats       —                           StatsReport (encodeStatsReport)
 //	any         …                           opError: u8 ErrorCode | message text
 //
-// A Service speaks the store verbs, a Worker speaks Compute, Kernels and
-// Ping; either answers a verb it does not speak with a typed
-// ErrCodeUnknownVerb and keeps the connection. ErrCodeUnavailable is the
-// explicit "retry later or elsewhere": a draining worker, a service at
+// A Service speaks what it holds: the store verbs (List, Get, GetDelta,
+// Render, Subscribe) when it has a FrameStore, Compute and Kernels when
+// it has kernels, and Ping and Stats always. Any other verb gets a typed
+// ErrCodeUnknownVerb and the connection stays. ErrCodeUnavailable is the
+// explicit "retry later or elsewhere": a draining service, a service at
 // its session or render limit, an evicted slow subscriber.
 //
 // The blob formats that ride the verbs or sit on disk. All begin with a
@@ -137,7 +138,7 @@ const (
 	// registered.
 	ErrCodeUnknownKernel ErrorCode = 3
 	// ErrCodeUnavailable: the server did not start the request and
-	// says "later, or elsewhere" — a worker draining toward shutdown, a
+	// says "later, or elsewhere" — a server draining toward shutdown, a
 	// service at its session limit (MaxSessions: the refused session
 	// gets it for every verb but Ping), a render gate that is full
 	// (MaxRenders), or a slow subscriber evicted under SlowEvict.

@@ -14,9 +14,12 @@
 //     stage, so remote viewers watch the simulation while it computes
 //     and a slow client can never backpressure the solver.
 //
-// A Service serves any FrameStore to concurrent clients over a
-// versioned, length-prefixed, CRC-framed, request-ID-multiplexed
-// protocol (protocol.go, v8) with these store verbs:
+// A Service is the one server type. Every connection runs the same
+// loop, session table and idle reaper, and the service answers the
+// verbs of what it holds. With a FrameStore (NewService) it serves the
+// store to concurrent clients over a versioned, length-prefixed,
+// CRC-framed, request-ID-multiplexed protocol (protocol.go, v8) with
+// these store verbs:
 //
 //   - List: frame range and liveness
 //   - Get: full-frame transfer (fetch-and-render-locally); the
@@ -41,12 +44,16 @@
 //     tier: the default stays lossless; QualityPreview opts into a
 //     quantized 8-bit image several times smaller again (lossy
 //     against the source, stable under its own round trip)
+//
+// and, whatever it holds, these two:
+//
 //   - Ping (v5): heartbeat. Clients ping in the background every
 //     ClientOptions.HeartbeatInterval (default 15s) and declare a peer
 //     dead after IdleTimeout of inbound silence; the server reaps a
-//     connection that sends nothing — not even a ping — for
-//     ServiceOptions.IdleTimeout (default 2m). Both sides answer it in
-//     every state, including admission-refused sessions
+//     connection that sends nothing — not even a ping or its handshake
+//     — for ServiceOptions.IdleTimeout (default 2m), cancelling the
+//     work it left in flight. Both sides answer it in every state,
+//     including admission-refused and draining sessions
 //   - Stats (v5): the measurement surface — ServiceStats counters plus
 //     a per-session table (admission verdict, subscription mode, send
 //     queue depth/capacity, drop/degrade/sent counters) and, when the
@@ -77,10 +84,11 @@
 // what makes fan-out to large subscriber counts scale (see
 // BenchmarkFanOut and ServiceStats).
 //
-// The Compute and Kernels verbs belong to the other service type: a
-// Worker hosts named stage kernels, so the pipeline engine can place a
-// stage's per-frame work on another process or host. Two kernels are
-// built in, each with pario-idiom CRC-framed request/reply encodings:
+// With kernels, a Service speaks Compute and Kernels: it hosts named
+// stage kernels, so the pipeline engine can place a stage's per-frame
+// work on another process or host. NewWorker builds such a service
+// without a store, with two kernels built in, each with pario-idiom
+// CRC-framed request/reply encodings:
 //
 //	kernel             request  reply  wired in by
 //	hybrid.extract.v1  "ACPT"   .achy  core.StreamOptions.ExtractAddrs
@@ -100,7 +108,7 @@
 // loss. cmd/vizworker hosts both kernels. Kernels (v4) is the
 // provisioning check: a worker advertises its hosted kernel set, and
 // a Fleet refuses to admit a member that does not host its kernel. A
-// service answers verbs it does not speak with a typed
+// service answers the verbs of what it does not hold with a typed
 // ErrCodeUnknownVerb error and keeps the connection.
 //
 // A Fleet stripes one kernel's requests across N workers with
@@ -110,8 +118,8 @@
 // surviving members (bit-identical — the stage reorderer keeps output
 // order), consecutive-failure ejection with periodic probe-and-rejoin,
 // and graceful degradation — a fleet stream fails only when no member
-// can serve a frame within the retry policy. Workers drain on
-// shutdown (v4 ErrCodeUnavailable answers are retried elsewhere), so
+// can serve a frame within the retry policy. A service drains on
+// Shutdown (v4 ErrCodeUnavailable answers are retried elsewhere), so
 // deliberately stopping a worker never truncates a stream.
 //
 // Because responses are matched to requests by ID, one connection

@@ -2,52 +2,20 @@ package remote
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
-// server is the connection plumbing shared by the two service types
-// (Service, the store server; Worker, the compute server): it owns the
-// listening socket, tracks live connections, and hands each accepted
-// connection to the service's handler on its own goroutine. Close
-// severs everything and waits for all handlers to unwind.
-type server struct {
-	ln net.Listener
-	wg sync.WaitGroup
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
-
-// newServer listens on addr and serves each accepted connection with
-// handle.
-func newServer(addr string, handle func(net.Conn)) (*server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: %w", err)
-	}
-	s := &server{ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop(handle)
-	return s, nil
-}
-
 // Addr returns the listening address.
-func (s *server) Addr() string { return s.ln.Addr().String() }
+func (s *Service) Addr() string { return s.ln.Addr().String() }
 
-// StopAccepting closes the listening socket without touching live
-// connections — the first half of a graceful drain. Close remains
-// responsible for severing connections and joining handlers.
-func (s *server) StopAccepting() {
-	s.ln.Close()
-}
-
-// Close stops accepting, severs every connection, and waits for all
-// handlers to unwind.
-func (s *server) Close() error {
+// Close stops accepting, severs every connection (cancelling the
+// contexts of in-flight kernels), and waits for all handlers to unwind.
+func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	for c := range s.conns {
@@ -57,14 +25,40 @@ func (s *server) Close() error {
 	err := s.ln.Close()
 	s.wg.Wait()
 	if errors.Is(err, net.ErrClosed) {
-		// StopAccepting already closed the listener; that is not a
-		// failure of this Close.
+		// Shutdown already closed the listener; that is not a failure
+		// of this Close.
 		return nil
 	}
 	return err
 }
 
-func (s *server) acceptLoop(handle func(net.Conn)) {
+// Shutdown drains the service gracefully: stop accepting connections,
+// refuse every new request that would run on its own goroutine with
+// ErrCodeUnavailable (so a fleet re-dispatches a refused Compute to a
+// surviving member instead of losing the frame), let the requests
+// already running finish and their replies reach the wire, then sever
+// what remains. ctx bounds the wait — when it expires the remaining
+// requests are cut off Close-style. This is what cmd/vizworker runs on
+// SIGINT/SIGTERM, so killing a worker mid-compute hands its frames back
+// rather than truncating them.
+func (s *Service) Shutdown(ctx context.Context) error {
+	s.draining.Store(true)
+	s.ln.Close()
+	done := make(chan struct{})
+	go func() {
+		s.inflight.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-ctx.Done():
+	}
+	return s.Close()
+}
+
+// acceptLoop hands each accepted connection to handle on its own
+// goroutine and tracks it, so Close can sever it.
+func (s *Service) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
@@ -88,9 +82,121 @@ func (s *server) acceptLoop(handle func(net.Conn)) {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			handle(conn)
+			s.handle(conn)
 		}()
 	}
+}
+
+// handle runs one connection: handshake, then a read loop. A framing
+// error (bad length, bad CRC) terminates the connection — the stream
+// can no longer be trusted; a well-framed request is answered, if only
+// with a typed refusal (admit), and the connection stays up. The
+// session envelope: a session-table row with an admission verdict, a
+// read deadline that reaps a peer silent past the idle timeout from the
+// handshake on (live clients heartbeat well inside it), and a context
+// that cancels the work in flight when the connection dies.
+func (s *Service) handle(conn net.Conn) {
+	idle := orDefault(s.opts.IdleTimeout, DefaultServiceIdleTimeout)
+	if idle > 0 {
+		conn.SetReadDeadline(time.Now().Add(idle))
+	}
+	if err := serverHello(conn); err != nil {
+		return
+	}
+	sess := s.addSession(conn.RemoteAddr().String())
+	defer s.removeSession(sess)
+
+	br := bufio.NewReaderSize(conn, 1<<16)
+	w := newConnWriter(conn)
+
+	// On exit: cancel the requests' context first, then wait for them —
+	// the reverse order would deadlock behind a kernel parked on ctx
+	// (defers run last-in-first-out).
+	var reqs sync.WaitGroup
+	defer reqs.Wait()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	for {
+		if idle > 0 {
+			conn.SetReadDeadline(time.Now().Add(idle))
+		}
+		msg, err := readMessage(br, 0)
+		if err != nil {
+			return
+		}
+		async, refusal := s.admit(sess, msg.op)
+		switch {
+		case refusal != nil:
+			msg.recycle()
+			err = w.sendErr(msg.reqID, refusal)
+		case async:
+			reqs.Add(1)
+			s.inflight.Add(1)
+			go func() {
+				defer reqs.Done()
+				defer s.inflight.Done()
+				s.serve(ctx, sess, w, msg)
+			}()
+		default:
+			err = s.serve(ctx, sess, w, msg)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// admit decides a request of opcode op on sess: refused with a typed
+// error, or served — on its own goroutine when async, so an expensive
+// render or a slow kernel does not stall the requests behind it. Ping
+// is answered in every state; a refused session gets ErrCodeUnavailable
+// for everything else; a verb the service does not hold gets
+// ErrCodeUnknownVerb; while draining, an async request gets
+// ErrCodeUnavailable.
+func (s *Service) admit(sess *session, op byte) (async bool, refusal error) {
+	if op == opPing {
+		return false, nil
+	}
+	if sess.refused {
+		return false, &WireError{Code: ErrCodeUnavailable, Msg: "remote: server at session capacity, retry later"}
+	}
+	var holds bool
+	switch op {
+	case opList, opGet, opGetDelta, opRender:
+		holds, async = s.store != nil, true
+	case opSubscribe:
+		holds = s.store != nil
+	case opCompute:
+		holds, async = s.hostsKernels(), true
+	case opKernels:
+		holds = s.hostsKernels()
+	case opStats:
+		holds = true
+	}
+	if !holds {
+		return false, &WireError{
+			Code: ErrCodeUnknownVerb,
+			Msg:  fmt.Sprintf("remote: server does not speak opcode %#02x", op),
+		}
+	}
+	if async && s.draining.Load() {
+		return false, &WireError{Code: ErrCodeUnavailable, Msg: "remote: server is draining"}
+	}
+	return async, nil
+}
+
+// serve answers one admitted request, then returns its buffer to the
+// pool, and a kernel's reply with it: a kernel reply is the one reply
+// built in a pooled buffer.
+func (s *Service) serve(ctx context.Context, sess *session, w *connWriter, msg message) error {
+	out, err := s.answer(ctx, sess, w, msg)
+	err = w.reply(msg.reqID, msg.op, out, err)
+	msg.recycle()
+	if msg.op == opCompute {
+		putBytes(out)
+	}
+	return err
 }
 
 // connWriter serializes response writes from concurrent request

@@ -1,12 +1,11 @@
 package remote
 
 import (
-	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/hybrid"
 	"repro/internal/pipeline"
@@ -14,23 +13,31 @@ import (
 	"repro/internal/volren"
 )
 
-// Service is the visualization server: it owns a listening socket and
-// serves a FrameStore to any number of concurrent clients over the v5
-// protocol. Each connection multiplexes requests by ID — List, Get
-// (full-frame transfer), GetDelta (XOR-residual transfer against a
-// frame the client holds), Subscribe (live-frame push when the store
-// is a LiveStore, e.g. a pipeline publishing into a LiveRing;
-// optionally with inline frame payloads), Render (thin-client
-// mode: the server renders on its tile-binned rasterizer and ships a
-// compressed framebuffer — lossless RLE or the quantized preview tier
-// — instead of the frame), Ping (heartbeat) and Stats (counters plus
-// the per-session table).
-// Compute requests belong to the Worker service; a Service answers
-// them — like any other verb it does not speak — with a typed
-// ErrCodeUnknownVerb error and keeps the connection open.
+// Service is the one server type of the protocol: every connection
+// runs one loop (server.go), and the service answers the verbs of what
+// it holds — the store verbs with a FrameStore (NewService), Compute
+// and Kernels with kernels (NewWorker), Ping and Stats always. Any
+// other verb gets a typed ErrCodeUnknownVerb error and the connection
+// stays open.
 type Service struct {
-	srv   *server
-	store FrameStore
+	// The listener, the live connections, and every goroutine serving
+	// them: Close severs the connections and waits on wg.
+	ln     net.Listener
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+
+	// draining refuses every request that would run on its own
+	// goroutine (ErrCodeUnavailable) while Shutdown waits for inflight —
+	// the graceful half of going away, vs Close's immediate severing.
+	draining atomic.Bool
+	inflight sync.WaitGroup
+
+	store FrameStore // nil on a worker: no store verbs
+
+	kmu     sync.RWMutex
+	kernels map[string]Kernel // empty on a store service: no Compute or Kernels
 
 	// Encode-once caches: per-frame server work is independent of how
 	// many clients ask. frames holds wire encodings for stores that
@@ -164,8 +171,21 @@ func NewServiceWith(addr string, store FrameStore, opts ServiceOptions) (*Servic
 	if store == nil {
 		return nil, fmt.Errorf("remote: nil frame store")
 	}
+	return newService(addr, store, nil, opts)
+}
+
+// newService listens on addr and serves store (nil: no store verbs)
+// and kernels (none: no Compute or Kernels verbs).
+func newService(addr string, store FrameStore, kernels map[string]Kernel, opts ServiceOptions) (*Service, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("remote: %w", err)
+	}
 	s := &Service{
+		ln:       ln,
+		conns:    make(map[net.Conn]struct{}),
 		store:    store,
+		kernels:  make(map[string]Kernel),
 		frames:   newBlobCache[int, []byte](frameCacheCap),
 		renders:  newBlobCache[RenderParams, []byte](renderCacheCap),
 		deltas:   newBlobCache[deltaKey, []byte](deltaCacheCap),
@@ -175,136 +195,30 @@ func NewServiceWith(addr string, store FrameStore, opts ServiceOptions) (*Servic
 	if opts.MaxRenders > 0 {
 		s.renderGate = make(chan struct{}, opts.MaxRenders)
 	}
-	srv, err := newServer(addr, s.handle)
-	if err != nil {
-		return nil, err
+	for name, k := range kernels {
+		s.Register(name, k)
 	}
-	s.srv = srv
+	s.wg.Add(1)
+	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the listening address.
-func (s *Service) Addr() string { return s.srv.Addr() }
-
-// Close stops accepting, severs every connection, and waits for all
-// handlers to unwind.
-func (s *Service) Close() error { return s.srv.Close() }
-
-// handle runs one connection: handshake, then a read loop dispatching
-// each request to its own goroutine so expensive renders don't stall
-// pipelined fetches. A framing error (bad length, bad CRC) terminates
-// the connection — the stream can no longer be trusted. A well-framed
-// request for a verb this service does not speak is answered with a
-// typed ErrCodeUnknownVerb error and the connection stays up: framing
-// integrity is intact, and the two service roles share one protocol —
-// a client that sends Compute to a frame service (or Get to a worker)
-// deserves an answer it can classify, not a dropped session.
-//
-// v5 adds the session envelope: every connection gets a session-table
-// row and an admission verdict (an over-limit session answers all
-// verbs but Ping with a retryable ErrCodeUnavailable), a read deadline
-// reaps peers that go silent past the idle timeout (live v5 clients
-// heartbeat well inside it), and Subscribe pushes flow through a
-// bounded per-session send queue instead of an unbounded notifier. The
-// idle deadline covers the handshake too: a peer that connects and never
-// says hello is reaped like one that goes quiet later.
-func (s *Service) handle(conn net.Conn) {
-	idle := orDefault(s.opts.IdleTimeout, DefaultServiceIdleTimeout)
-	if idle > 0 {
-		conn.SetReadDeadline(time.Now().Add(idle))
-	}
-	if err := serverHello(conn); err != nil {
-		return
-	}
-	sess := s.addSession(conn.RemoteAddr().String())
-	defer s.removeSession(sess)
-
-	br := bufio.NewReaderSize(conn, 1<<16)
-	w := newConnWriter(conn)
-
-	var reqs sync.WaitGroup
-	defer reqs.Wait()
-
-	for {
-		if idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		msg, err := readMessage(br, 0)
-		if err != nil {
-			return
-		}
-		// Heartbeat: answered inline for every session — including
-		// refused ones, so a waiting-to-retry client can keep its
-		// connection warm — and cheap enough to never need a goroutine.
-		if msg.op == opPing {
-			s.stats[statPings].Add(1)
-			if w.reply(msg.reqID, opPing, nil, nil) != nil {
-				return
-			}
-			continue
-		}
-		if sess.refused {
-			if w.sendErr(msg.reqID, &WireError{
-				Code: ErrCodeUnavailable,
-				Msg:  "remote: server at session capacity, retry later",
-			}) != nil {
-				return
-			}
-			continue
-		}
-		switch msg.op {
-		case opList, opGet, opGetDelta, opRender:
-			reqs.Add(1)
-			go func(m message) {
-				defer reqs.Done()
-				out, err := s.serveRequest(m)
-				w.reply(m.reqID, m.op, out, err)
-			}(msg)
-		case opStats:
-			if w.reply(msg.reqID, opStats, encodeStatsReport(s.statsReport()), nil) != nil {
-				return
-			}
-		case opSubscribe:
-			var flags byte
-			switch len(msg.payload) {
-			case 0: // count-only notifies
-			case 1:
-				flags = msg.payload[0]
-			default:
-				err := fmt.Errorf("remote: subscribe payload %d bytes, want 0 or 1", len(msg.payload))
-				if w.sendErr(msg.reqID, badRequest(err)) != nil {
-					return
-				}
-				continue
-			}
-			// Register the watcher before reading the count so no
-			// publish can fall between them unseen. A re-subscribe
-			// replaces the queue, so pushes follow the newest
-			// request ID.
-			if live, ok := s.store.(LiveStore); ok {
-				if old := sess.q.Swap(nil); old != nil {
-					old.stop()
-				}
-				sess.q.Store(newSubQueue(s, live, w, msg.reqID, flags&subFlagInline != 0))
-			}
-			if w.reply(msg.reqID, opSubscribe, encodeCount(s.store.NumFrames()), nil) != nil {
-				return
-			}
-		default:
-			if w.sendErr(msg.reqID, &WireError{
-				Code: ErrCodeUnknownVerb,
-				Msg:  fmt.Sprintf("remote: service does not speak opcode %#02x", msg.op),
-			}) != nil {
-				return
-			}
-		}
-	}
-}
-
-// serveRequest computes the reply payload of one List/Get/GetDelta/Render
-// request.
-func (s *Service) serveRequest(msg message) ([]byte, error) {
+// answer computes the reply payload of one admitted request: the verb
+// table. admit (server.go) has already refused the verbs s does not
+// hold.
+func (s *Service) answer(ctx context.Context, sess *session, w *connWriter, msg message) ([]byte, error) {
 	switch msg.op {
+	case opPing:
+		s.stats[statPings].Add(1)
+		return nil, nil
+	case opStats:
+		return encodeStatsReport(s.statsReport()), nil
+	case opKernels:
+		return encodeKernelList(s.Kernels())
+	case opCompute:
+		return s.compute(ctx, msg.payload)
+	case opSubscribe:
+		return s.subscribe(sess, w, msg)
 	case opGet:
 		idx, err := decodeIndex(msg.payload)
 		if err != nil {
@@ -324,6 +238,7 @@ func (s *Service) serveRequest(msg message) ([]byte, error) {
 		}
 		return s.renderBlob(params)
 	}
+	// opList: the one admitted verb left.
 	return encodeListInfo(listInfo(s.store)), nil
 }
 
@@ -420,6 +335,3 @@ func (s *Service) renderFrame(p RenderParams) ([]byte, error) {
 	}
 	return render.CompressFramebuffer(fb), nil
 }
-
-// The per-subscription push machinery (previously `notifier`, now the
-// bounded policy-aware `subQueue`) lives in session.go.

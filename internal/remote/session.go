@@ -2,6 +2,7 @@ package remote
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -110,7 +111,7 @@ func (o ServiceOptions) sendQueue() int {
 type session struct {
 	id      uint64
 	remote  string
-	refused bool // admission-refused at accept; never serves store verbs
+	refused bool // admission-refused at accept; answers only Ping
 
 	q atomic.Pointer[subQueue] // active subscription's send queue, nil if none
 }
@@ -147,6 +148,29 @@ func (s *Service) removeSession(sess *session) {
 	if q := sess.q.Swap(nil); q != nil {
 		q.stop()
 	}
+}
+
+// subscribe answers a Subscribe request: the store's frame count, after
+// registering sess's send queue when the store is live. The watcher is
+// registered before the count is read, so no publish falls between them
+// unseen; a re-subscribe replaces the queue, so pushes follow the newest
+// request ID.
+func (s *Service) subscribe(sess *session, w *connWriter, msg message) ([]byte, error) {
+	var flags byte
+	switch len(msg.payload) {
+	case 0: // count-only notifies
+	case 1:
+		flags = msg.payload[0]
+	default:
+		return nil, badRequest(fmt.Errorf("remote: subscribe payload %d bytes, want 0 or 1", len(msg.payload)))
+	}
+	if live, ok := s.store.(LiveStore); ok {
+		if old := sess.q.Swap(nil); old != nil {
+			old.stop()
+		}
+		sess.q.Store(newSubQueue(s, live, w, msg.reqID, flags&subFlagInline != 0))
+	}
+	return encodeCount(s.store.NumFrames()), nil
 }
 
 // statsReport builds the Stats verb's response: service counters plus

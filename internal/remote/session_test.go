@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bufio"
+	"context"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -208,22 +209,72 @@ func TestSlowPolicyEvict(t *testing.T) {
 // TestSilentPeerBeforeHelloIsReaped: the idle reaper covers the
 // handshake. A peer that connects and never sends its hello must lose
 // its connection after the idle timeout, not hold a goroutine and a
-// socket for good.
+// socket for good — against a store service and a kernel host alike.
 func TestSilentPeerBeforeHelloIsReaped(t *testing.T) {
-	srv, _ := serveLive(t, 4, ServiceOptions{IdleTimeout: 100 * time.Millisecond})
-	conn, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+	opts := ServiceOptions{IdleTimeout: 100 * time.Millisecond}
+	store, _ := serveLive(t, 4, opts)
+	for name, srv := range map[string]*Service{
+		"store":  store,
+		"worker": startKernelHost(t, map[string]Kernel{KernelHybridExtract: hybridExtractKernel()}, opts),
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+			n, err := conn.Read(make([]byte, 1))
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("a peer silent before its hello still holds its connection after 3 s")
+			}
+			if err == nil {
+				t.Fatalf("read %d bytes from a server that has not heard a hello", n)
+			}
+		})
+	}
+}
+
+// TestSilentRequesterCancelsKernel: a requester that sends a Compute and
+// then goes silent, its socket left open, is reaped like any idle peer,
+// and the reaping cancels the kernel it left running instead of leaving
+// it parked on a context nothing will cancel.
+func TestSilentRequesterCancelsKernel(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	started, cancelled := make(chan struct{}), make(chan struct{})
+	srv := startKernelHost(t, map[string]Kernel{"test.wait": func(ctx context.Context, req []byte) ([]byte, error) {
+		close(started)
+		<-ctx.Done()
+		close(cancelled)
+		return nil, ctx.Err()
+	}}, ServiceOptions{IdleTimeout: idle})
+
+	conn := dialRaw(t, srv.Addr())
+	req, err := appendComputeHeader(nil, "test.wait")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	n, err := conn.Read(make([]byte, 1))
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatal("a peer silent before its hello still holds its connection after 3 s")
+	if err := writeMessage(bufio.NewWriter(conn), 1, opCompute, req); err != nil {
+		t.Fatal(err)
 	}
-	if err == nil {
-		t.Fatalf("read %d bytes from a server that has not heard a hello", n)
+	<-started
+	select {
+	case <-cancelled:
+	case <-time.After(idle + 5*time.Second):
+		t.Fatalf("the kernel of a requester silent past the %v idle timeout was never cancelled", idle)
 	}
+}
+
+// startKernelHost starts a store-less service hosting kernels under opts
+// — NewWorker with options a test can shorten.
+func startKernelHost(t testing.TB, kernels map[string]Kernel, opts ServiceOptions) *Service {
+	t.Helper()
+	srv, err := newService("127.0.0.1:0", nil, kernels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
 // blockingStore wedges every Frame call until its gate opens, so a
@@ -411,6 +462,41 @@ func TestStatsVerbLiveQueue(t *testing.T) {
 	}
 	if row.Inline {
 		t.Error("count-only subscription reported inline")
+	}
+}
+
+// TestWorkerStats: a worker answers Stats like a store service — one
+// session row per open connection — with no store work counted and no
+// pipeline table.
+func TestWorkerStats(t *testing.T) {
+	w := startWorker(t)
+	clients := []*Client{dial(t, w.Addr()), dial(t, w.Addr()), dial(t, w.Addr())}
+	for _, cli := range clients {
+		// A round trip the worker can answer only after the session
+		// is in its table.
+		if _, err := cli.Kernels(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := clients[0].Stats()
+	if err != nil {
+		t.Fatalf("Stats against a worker: %v", err)
+	}
+	if len(r.Sessions) != len(clients) {
+		t.Errorf("%d session rows, want one per open connection (%d)", len(r.Sessions), len(clients))
+	}
+	for _, row := range r.Sessions {
+		if row.Refused || row.Subscribed || row.Remote == "" {
+			t.Errorf("session row %+v, want admitted, unsubscribed, with a remote address", row)
+		}
+	}
+	st := r.Stats
+	st.Pings = 0 // the clients' heartbeats may land
+	if st != (ServiceStats{}) {
+		t.Errorf("worker counted store work: %+v", st)
+	}
+	if r.Pipeline != nil {
+		t.Errorf("worker reported a pipeline table of %d stages", len(r.Pipeline))
 	}
 }
 

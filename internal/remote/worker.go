@@ -1,13 +1,9 @@
 package remote
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"net"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/hybrid"
 	"repro/internal/octree"
@@ -18,185 +14,67 @@ import (
 // Kernel is one named remote stage body: decode the request blob,
 // compute, encode the reply blob. Kernels run concurrently (one
 // goroutine per in-flight Compute) and must not retain req after
-// returning — the worker recycles both buffers. ctx is cancelled when
+// returning — the service recycles both buffers. ctx is cancelled when
 // the requesting connection dies, so long kernels can abort work
 // nobody will read.
 type Kernel func(ctx context.Context, req []byte) ([]byte, error)
 
-// Worker is the compute half of the distributed stage engine: a
-// service hosting named stage kernels behind the Compute verb, so a
-// pipeline's Map stage can run on this process while the stream's
-// orchestration stays with the requester — the paper's split of
-// heavy per-frame compute away from the producing machine. NewWorker
-// registers the built-in kernels (hybrid extraction and the v6
-// sort-last partial render); Register adds more. Workers advertise
-// their kernel set over the v4 Kernels verb, which is how a Fleet
-// verifies a member's provisioning before dispatching frames to it.
-// cmd/vizworker is the CLI host.
-type Worker struct {
-	srv *server
+// Worker is a Service that hosts kernels. The alias stays only because
+// the benchmark module (bench/) names *remote.Worker.
+type Worker = Service
 
-	// draining refuses new Computes (ErrCodeUnavailable) while
-	// Shutdown waits for the in-flight ones — the graceful half of
-	// going away, vs Close's immediate severing.
-	draining atomic.Bool
-	inflight sync.WaitGroup
-
-	mu      sync.RWMutex
-	kernels map[string]Kernel
-}
-
-// NewWorker starts a worker on addr (use "127.0.0.1:0" for an
-// ephemeral port) with the built-in kernels registered.
+// NewWorker starts a compute host on addr (use "127.0.0.1:0" for an
+// ephemeral port): a Service without a store, with the built-in kernels
+// — hybrid extraction and the v6 sort-last partial render — registered.
+// It speaks Compute, Kernels, Ping and Stats. Workers advertise their
+// kernel set over the v4 Kernels verb, which is how a Fleet verifies a
+// member's provisioning before dispatching frames to it. cmd/vizworker
+// is the CLI host.
 func NewWorker(addr string) (*Worker, error) {
-	w := &Worker{kernels: make(map[string]Kernel)}
-	w.Register(KernelHybridExtract, hybridExtractKernel())
-	w.Register(KernelRenderPartial, renderPartialKernel())
-	srv, err := newServer(addr, w.handle)
-	if err != nil {
-		return nil, err
-	}
-	w.srv = srv
-	return w, nil
+	return newService(addr, nil, map[string]Kernel{
+		KernelHybridExtract: hybridExtractKernel(),
+		KernelRenderPartial: renderPartialKernel(),
+	}, ServiceOptions{})
 }
 
-// Register adds (or replaces) a named kernel. Safe to call while the
-// worker is serving.
-func (w *Worker) Register(name string, k Kernel) {
-	w.mu.Lock()
-	w.kernels[name] = k
-	w.mu.Unlock()
+// Register adds (or replaces) a named kernel; a service holding one
+// answers Compute and Kernels. Safe to call while serving.
+func (s *Service) Register(name string, k Kernel) {
+	s.kmu.Lock()
+	s.kernels[name] = k
+	s.kmu.Unlock()
 }
 
 // Kernels lists the registered kernel names, sorted — the set the
-// worker advertises over the Kernels verb.
-func (w *Worker) Kernels() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	names := make([]string, 0, len(w.kernels))
-	for name := range w.kernels {
+// service advertises over the Kernels verb.
+func (s *Service) Kernels() []string {
+	s.kmu.RLock()
+	defer s.kmu.RUnlock()
+	names := make([]string, 0, len(s.kernels))
+	for name := range s.kernels {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Addr returns the listening address.
-func (w *Worker) Addr() string { return w.srv.Addr() }
-
-// Close stops accepting, severs every connection (cancelling in-flight
-// kernels' contexts), and waits for all handlers to unwind.
-func (w *Worker) Close() error { return w.srv.Close() }
-
-// Shutdown drains the worker gracefully: stop accepting connections,
-// refuse new Compute requests with ErrCodeUnavailable (so a fleet
-// re-dispatches them to surviving members instead of losing frames),
-// let the in-flight kernels finish and their replies reach the wire,
-// then sever what remains. ctx bounds the wait — when it expires the
-// remaining kernels are cut off Close-style. This is what
-// cmd/vizworker runs on SIGINT/SIGTERM, so killing a worker
-// mid-compute hands its frames back rather than truncating them.
-func (w *Worker) Shutdown(ctx context.Context) error {
-	w.draining.Store(true)
-	w.srv.StopAccepting()
-	done := make(chan struct{})
-	go func() {
-		w.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-	return w.srv.Close()
-}
-
-// handle runs one connection: handshake, then a read loop spawning a
-// goroutine per Compute so a slow kernel doesn't stall the frames
-// queued behind it — the requester's in-flight frames all make
-// progress and its reorderer restores frame order. Framing errors
-// terminate the connection; well-framed requests for verbs a worker
-// does not speak get a typed ErrCodeUnknownVerb reply and the
-// connection stays up.
-func (w *Worker) handle(conn net.Conn) {
-	if err := serverHello(conn); err != nil {
-		return
-	}
-	br := bufio.NewReaderSize(conn, 1<<16)
-	cw := newConnWriter(conn)
-
-	// On exit: cancel the kernels' context first, then wait for the
-	// request goroutines — the reverse order would deadlock behind a
-	// kernel parked on ctx (defers run last-in-first-out).
-	var reqs sync.WaitGroup
-	defer reqs.Wait()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	for {
-		msg, err := readMessage(br, 0)
-		if err != nil {
-			return
-		}
-		switch msg.op {
-		case opCompute:
-			if w.draining.Load() {
-				msg.recycle()
-				if cw.sendErr(msg.reqID, &WireError{
-					Code: ErrCodeUnavailable,
-					Msg:  "remote: worker is draining",
-				}) != nil {
-					return
-				}
-				continue
-			}
-			reqs.Add(1)
-			w.inflight.Add(1)
-			go func(m message) {
-				defer reqs.Done()
-				defer w.inflight.Done()
-				w.serveCompute(ctx, cw, m)
-			}(msg)
-		case opPing:
-			msg.recycle()
-			if cw.reply(msg.reqID, opPing, nil, nil) != nil {
-				return
-			}
-		case opKernels:
-			msg.recycle()
-			payload, err := encodeKernelList(w.Kernels())
-			if cw.reply(msg.reqID, opKernels, payload, err) != nil {
-				return
-			}
-		default:
-			if cw.sendErr(msg.reqID, &WireError{
-				Code: ErrCodeUnknownVerb,
-				Msg:  fmt.Sprintf("remote: worker does not speak opcode %#02x", msg.op),
-			}) != nil {
-				return
-			}
-		}
-	}
-}
-
-// serveCompute runs one kernel invocation and recycles both payload
-// buffers once they are off to the wire.
-func (w *Worker) serveCompute(ctx context.Context, cw *connWriter, msg message) {
-	out, err := w.compute(ctx, msg.payload)
-	msg.recycle()
-	cw.reply(msg.reqID, opCompute, out, err)
-	putBytes(out)
+// hostsKernels reports whether s has a kernel registered, and so
+// speaks Compute and Kernels.
+func (s *Service) hostsKernels() bool {
+	s.kmu.RLock()
+	defer s.kmu.RUnlock()
+	return len(s.kernels) > 0
 }
 
 // compute decodes a Compute payload and runs the kernel it names.
-func (w *Worker) compute(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) compute(ctx context.Context, p []byte) ([]byte, error) {
 	name, blob, err := decodeComputeRequest(p)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	w.mu.RLock()
-	k := w.kernels[name]
-	w.mu.RUnlock()
+	s.kmu.RLock()
+	k := s.kernels[name]
+	s.kmu.RUnlock()
 	if k == nil {
 		return nil, &WireError{
 			Code: ErrCodeUnknownKernel,

@@ -216,7 +216,9 @@ func TestComputeWorkerCrash(t *testing.T) {
 func TestComputeContextCancel(t *testing.T) {
 	w := startWorker(t)
 	cli := dial(t, w.Addr())
+	started := make(chan struct{})
 	w.Register("test.slow", func(ctx context.Context, req []byte) ([]byte, error) {
+		close(started)
 		select {
 		case <-ctx.Done():
 		case <-time.After(30 * time.Second):
@@ -229,7 +231,7 @@ func TestComputeContextCancel(t *testing.T) {
 		_, err := cli.Compute(ctx, "test.slow", nil)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-started
 	cancel()
 	select {
 	case err := <-done:

@@ -33,6 +33,9 @@ func main() {
 		out      = flag.String("out", "beam", "output path prefix")
 	)
 	flag.Parse()
+	if *frames < 1 {
+		log.Fatalf("-frames %d must be at least 1", *frames)
+	}
 
 	cfg := beam.DefaultConfig(*n)
 	cfg.Mismatch = *mismatch

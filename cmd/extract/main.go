@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"strings"
 	"time"
 
@@ -60,8 +61,14 @@ func main() {
 	if len(inputs) == 0 || *out == "" {
 		log.Fatal("-out and at least one input base (-in or positional) are required")
 	}
+	if math.IsNaN(*threshold) || math.IsInf(*threshold, 0) {
+		log.Fatalf("-threshold %g must be finite", *threshold)
+	}
 	if *threshold <= 0 && *budget <= 0 {
 		log.Fatal("one of -threshold or -budget is required")
+	}
+	if *volres < 2 || !hybrid.PlausibleGrid(*volres, *volres, *volres) {
+		log.Fatalf("-volres %d must be at least 2 and give at most 2²⁴ voxels", *volres)
 	}
 	cfg := hybrid.ExtractConfig{
 		VolumeRes: *volres,

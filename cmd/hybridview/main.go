@@ -80,6 +80,9 @@ func main() {
 	if flag.NArg() == 0 {
 		log.Fatal("no input .achy frames given")
 	}
+	if !(*pointSize > 0) || math.IsInf(*pointSize, 1) {
+		log.Fatalf("-pointsize %g must be positive and finite", *pointSize)
+	}
 	dir, err := parseVec(*view)
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"image/png"
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,7 +20,9 @@ import (
 	"repro/internal/hexmesh"
 	"repro/internal/hybrid"
 	"repro/internal/lineio"
+	"repro/internal/octree"
 	"repro/internal/pario"
+	"repro/internal/vec"
 )
 
 // TestCmdChainSmoke exercises the file chain the commands implement —
@@ -295,6 +298,77 @@ func TestCmdFieldChain(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "never.png")); err == nil {
 		t.Error("linerender wrote a picture from a corrupted file")
+	}
+}
+
+// TestCmdParticleFlags is the §2 chain's flag-misuse table: every case
+// must exit 1 with an error that names its flag and write nothing. Each
+// once did worse — beamsim -frames 0 divided by zero, -frames -2 wrote
+// one frame, -mismatch nan wrote frames of NaNs; extract -volres 100000
+// panicked in make and -threshold nan extracted; hybridview drew
+// pictures without a splat at -pointsize 0, -1 or nan.
+func TestCmdParticleFlags(t *testing.T) {
+	bin := buildCommands(t, "beamsim", "extract", "hybridview")
+	dir, out := t.TempDir(), t.TempDir()
+
+	// A valid tree and hybrid frame, so that only the flag is wrong.
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]vec.V3, 2000)
+	for i := range pts {
+		pts[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+	}
+	tree, err := octree.Build(pts, octree.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "part")
+	if err := pario.WriteTreeFiles(base, tree); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: 8, Budget: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	achy := filepath.Join(dir, "frame.achy")
+	if err := rep.WriteFile(achy); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		cmd  string
+		args []string
+		want string // what the error must say, the flag named in it
+	}{
+		{"beamsim", []string{"-frames", "0"}, "beamsim: -frames"},
+		{"beamsim", []string{"-frames", "-2"}, "beamsim: -frames"},
+		{"beamsim", []string{"-mismatch", "nan"}, "mismatch factor NaN"},
+		{"beamsim", []string{"-mismatch", "inf"}, "mismatch factor +Inf"},
+		{"extract", []string{"-budget", "100", "-volres", "100000"}, "extract: -volres"},
+		{"extract", []string{"-threshold", "nan"}, "extract: -threshold"},
+		{"extract", []string{"-threshold", "inf"}, "extract: -threshold"},
+		{"hybridview", []string{"-pointsize", "0"}, "hybridview: -pointsize"},
+		{"hybridview", []string{"-pointsize", "-1"}, "hybridview: -pointsize"},
+		{"hybridview", []string{"-pointsize", "nan"}, "hybridview: -pointsize"},
+	} {
+		var args []string
+		switch c.cmd {
+		case "beamsim":
+			args = append(c.args, "-n", "200", "-periods", "1", "-out", filepath.Join(out, "bad"))
+		case "extract":
+			args = append(c.args, "-out", filepath.Join(out, "bad.achy"), base)
+		case "hybridview":
+			args = append(c.args, "-size", "16", "-out", filepath.Join(out, "bad.png"), achy)
+		}
+		_, stderr, exit := runCommand(t, filepath.Join(bin, c.cmd), args...)
+		if exit != 1 {
+			t.Errorf("%s %v: exit status %d, want 1", c.cmd, c.args, exit)
+		}
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("%s %v: error %q does not say %q", c.cmd, c.args, strings.TrimSpace(stderr), c.want)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(out, "*")); len(left) != 0 {
+		t.Errorf("refused runs left files behind: %v", left)
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -11,6 +12,35 @@ import (
 	"strings"
 	"testing"
 )
+
+// eachSource parses every non-test Go file of the module outside bench/
+// with mode and hands it to fn with its slash-separated path.
+func eachSource(t *testing.T, mode parser.Mode, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, mode)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestBinaryLayerStaysSingle: internal/wire is the one place that turns
 // fields into bytes and checksums them. Outside it, encoding/binary and
@@ -28,34 +58,14 @@ func TestBinaryLayerStaysSingle(t *testing.T) {
 		"internal/render/delta.go":    true,
 	}
 	var importers []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
+	eachSource(t, parser.ImportsOnly, func(path string, f *ast.File) {
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/binary" || p == "hash/crc32" {
-				importers = append(importers, filepath.ToSlash(path))
+				importers = append(importers, path)
 				break
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sort.Strings(importers)
 	for _, path := range importers {
 		if !allowed[path] {
@@ -66,6 +76,35 @@ func TestBinaryLayerStaysSingle(t *testing.T) {
 	for path := range allowed {
 		t.Errorf("%s no longer imports encoding/binary or hash/crc32: drop it from the allowlist", path)
 	}
+}
+
+// TestNoSyncPool: pipeline.FreeList is the one free list. A sync.Pool is
+// emptied by the collector, so what a path re-allocates would depend on
+// GC timing, which is why render, pipeline and remote each dropped it.
+// Non-test source outside bench/ must not bring it back.
+func TestNoSyncPool(t *testing.T) {
+	eachSource(t, 0, func(path string, f *ast.File) {
+		syncName := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" {
+				syncName = "sync"
+				if imp.Name != nil {
+					syncName = imp.Name.Name
+				}
+			}
+		}
+		if syncName == "" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == syncName {
+					t.Errorf("%s uses sync.Pool; recycle through pipeline.FreeList", path)
+				}
+			}
+			return true
+		})
+	})
 }
 
 // TestWorkflowStepNamesArePlain: every "- name:" of the CI workflow is a

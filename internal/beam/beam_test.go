@@ -21,11 +21,32 @@ func TestLatticeValidate(t *testing.T) {
 		{"zero quad", Lattice{0, 0.3, 32}, false},
 		{"negative drift", Lattice{0.2, -1, 32}, false},
 		{"zero strength", Lattice{0.2, 0.3, 0}, false},
+		{"infinite drift", Lattice{0.2, math.Inf(1), 32}, false},
+		{"NaN strength", Lattice{0.2, 0.3, math.NaN()}, false},
 	}
 	for _, c := range cases {
 		err := c.lat.Validate()
 		if (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestConfigRefusesNonFinite: a NaN or infinite parameter passed the
+// sign checks (NaN <= 0 is false) and ran a simulation of NaNs.
+func TestConfigRefusesNonFinite(t *testing.T) {
+	for _, set := range []func(*Config, float64){
+		func(c *Config, v float64) { c.Mismatch = v },
+		func(c *Config, v float64) { c.Perveance = v },
+		func(c *Config, v float64) { c.EmitY = v },
+		func(c *Config, v float64) { c.DriftZ = v },
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			c := DefaultConfig(10)
+			set(&c, v)
+			if err := c.Validate(); err == nil {
+				t.Errorf("accepted %+v", c)
+			}
 		}
 	}
 }

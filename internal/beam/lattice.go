@@ -22,6 +22,9 @@ func (l Lattice) Period() float64 { return 2*l.QuadLen + 2*l.DriftLen }
 
 // Validate reports a descriptive error for non-physical parameters.
 func (l Lattice) Validate() error {
+	if !finite(l.QuadLen, l.DriftLen, l.Strength) {
+		return fmt.Errorf("beam: quad length %g, drift length %g and quad strength %g must be finite", l.QuadLen, l.DriftLen, l.Strength)
+	}
 	if l.QuadLen <= 0 {
 		return fmt.Errorf("beam: quad length %g must be positive", l.QuadLen)
 	}

@@ -62,6 +62,10 @@ func (c Config) Validate() error {
 	if err := c.Lattice.Validate(); err != nil {
 		return err
 	}
+	if !finite(c.Perveance, c.EmitX, c.EmitY, c.Mismatch, c.FocusZ, c.DriftZ) {
+		return fmt.Errorf("beam: perveance %g, emittances (%g, %g), mismatch factor %g and longitudinal focusing and drift (%g, %g) must be finite",
+			c.Perveance, c.EmitX, c.EmitY, c.Mismatch, c.FocusZ, c.DriftZ)
+	}
 	if c.Perveance < 0 {
 		return fmt.Errorf("beam: perveance %g must be non-negative", c.Perveance)
 	}
@@ -75,6 +79,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("beam: steps per period %d too coarse (need >= 8)", c.StepsPerPeriod)
 	}
 	return nil
+}
+
+// finite reports whether no v is NaN or infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Sim is a running particle-core simulation. Create with NewSim, then

@@ -200,13 +200,13 @@ var _ FrameSink = (*remote.LiveRing)(nil)
 // point set goes over the wire (CRC-framed, configs included), the
 // hybrid representation comes back, bit-identical to the local stage
 // pair for the same configs. Projection scratch recycles through the
-// stream's slice pool and the wire payloads through the remote
-// package's buffer pool, so a steady-state distributed stream
-// allocates like the local one.
+// stream's free list and the wire payloads through the remote
+// package's, so a steady-state distributed stream allocates like the
+// local one.
 type remoteExtractExecutor struct {
 	fl         *remote.Fleet
 	p          *ParticlePipeline
-	proj       *pipeline.SlicePool[vec.V3]
+	proj       *pipeline.FreeList[[]vec.V3]
 	st         *streamStorage
 	keepFrames bool
 }
@@ -216,10 +216,10 @@ type remoteExtractExecutor struct {
 // re-dispatched by the fleet beneath the stage's sequence tagging, so
 // failover never disturbs frame order or content.
 func (x *remoteExtractExecutor) Apply(ctx context.Context, r StreamResult) (StreamResult, error) {
-	pts := x.proj.Get(r.Frame.E.Len())
-	x.p.project(r.Frame.E, *pts)
-	rep, err := x.fl.ComputeExtract(ctx, *pts, x.p.Tree, x.p.Extract)
-	x.proj.Put(pts)
+	pts := pipeline.GetSlice(x.proj, r.Frame.E.Len())
+	x.p.project(r.Frame.E, pts)
+	rep, err := x.fl.ComputeExtract(ctx, pts, x.p.Tree, x.p.Extract)
+	pipeline.PutSlice(x.proj, pts)
 	if err != nil {
 		return r, fmt.Errorf("frame %d: %w", r.Index, err)
 	}
@@ -468,7 +468,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		})
 	})
 
-	proj := pipeline.NewSlicePool[vec.V3]() // the fleet executor's projections
+	proj := pipeline.NewFreeList(func() []vec.V3 { return nil }) // the fleet executor's projections
 	var out <-chan StreamResult
 	if fleet != nil {
 		// Distributed placement: partition+extract fuse into one stage

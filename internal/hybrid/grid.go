@@ -36,10 +36,21 @@ type Grid struct {
 	Data       []float32
 }
 
+// maxVoxels bounds a grid: 2²⁴ voxels (256³, 64 MiB); every command
+// and workload uses at most 64³.
+const maxVoxels = 1 << 24
+
+// PlausibleGrid reports whether NewGrid allocates an nx × ny × nz grid:
+// every axis at least 1, at most maxVoxels in all, tested by quotients
+// so that no product overflows.
+func PlausibleGrid(nx, ny, nz int) bool {
+	return nx >= 1 && ny >= 1 && nz >= 1 && nx <= maxVoxels && ny <= maxVoxels/nx && nz <= maxVoxels/(nx*ny)
+}
+
 // NewGrid allocates a zeroed grid with the given resolution over bounds.
 func NewGrid(nx, ny, nz int, bounds vec.AABB) (*Grid, error) {
-	if nx < 1 || ny < 1 || nz < 1 {
-		return nil, fmt.Errorf("hybrid: grid resolution %dx%dx%d must be positive", nx, ny, nz)
+	if !PlausibleGrid(nx, ny, nz) {
+		return nil, fmt.Errorf("hybrid: grid resolution %dx%dx%d outside 1 to %d voxels", nx, ny, nz, maxVoxels)
 	}
 	if bounds.IsEmpty() {
 		return nil, fmt.Errorf("hybrid: empty grid bounds")

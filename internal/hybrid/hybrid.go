@@ -52,6 +52,9 @@ func Extract(t *octree.Tree, cfg ExtractConfig) (*Representation, error) {
 	if cfg.VolumeRes < 2 {
 		return nil, fmt.Errorf("hybrid: volume resolution %d too small", cfg.VolumeRes)
 	}
+	if math.IsNaN(cfg.Threshold) || math.IsInf(cfg.Threshold, 0) {
+		return nil, fmt.Errorf("hybrid: threshold %g is not finite", cfg.Threshold)
+	}
 	threshold := cfg.Threshold
 	if threshold <= 0 {
 		threshold = t.ThresholdForBudget(cfg.Budget)

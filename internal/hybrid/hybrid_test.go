@@ -21,6 +21,16 @@ func TestNewGridValidation(t *testing.T) {
 	if _, err := NewGrid(4, 4, 4, vec.Empty()); err == nil {
 		t.Error("accepted empty bounds")
 	}
+	// Above 2²⁴ voxels, and where nx*ny*nz would overflow an int, the
+	// grid is refused before anything is allocated.
+	for _, d := range [][3]int{{100000, 100000, 100000}, {257, 256, 256}, {1 << 24, 2, 1}, {1 << 40, 1 << 40, 1 << 40}} {
+		if _, err := NewGrid(d[0], d[1], d[2], unitBox()); err == nil {
+			t.Errorf("accepted a %dx%dx%d grid", d[0], d[1], d[2])
+		}
+	}
+	if !PlausibleGrid(256, 256, 256) || !PlausibleGrid(1<<24, 1, 1) {
+		t.Error("refused a grid of exactly 2²⁴ voxels")
+	}
 }
 
 // Set stores a voxel value; coordinates must be in range.
@@ -369,6 +379,11 @@ func TestExtractRejectsTinyVolume(t *testing.T) {
 	tree := buildTree(t, 100, 5)
 	if _, err := Extract(tree, ExtractConfig{VolumeRes: 1, Budget: 10}); err == nil {
 		t.Error("accepted 1-voxel volume")
+	}
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Extract(tree, ExtractConfig{VolumeRes: 4, Threshold: th, Budget: 10}); err == nil {
+			t.Errorf("accepted threshold %g", th)
+		}
 	}
 }
 

@@ -106,7 +106,8 @@ func ReadFrameFileInto(path string, e *beam.Ensemble) (beam.Frame, error) {
 
 // fileBufs lends the file readers their read buffer: a decoder copies
 // what it keeps, so a file's bytes are scratch, and the list (bounded,
-// not emptied by the collector) keeps the buffer for the next file.
+// not emptied by the collector) keeps the buffer for the next file
+// unless it outgrew pipeline.MaxKeptBytes.
 var fileBufs = pipeline.NewFreeList(func() []byte { return nil })
 
 // readFile is os.ReadFile into a buffer of fileBufs: sized from Stat
@@ -138,7 +139,7 @@ func readFile(path string) ([]byte, error) {
 	}
 }
 
-func releaseFile(p []byte) { fileBufs.Put(p[:0]) }
+func releaseFile(p []byte) { pipeline.PutSlice(fileBufs, p) }
 
 // FrameBytes returns the exact encoded size of a frame with n
 // particles, used by the storage-accounting experiments (claim C3).

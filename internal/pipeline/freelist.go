@@ -1,25 +1,35 @@
 package pipeline
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
-// FreeList is a typed free list for the per-frame storage of a stream
-// (projection point slices, framebuffers, octree builders and retired
-// trees, ensembles). A stream allocates at most frames-in-flight
-// buffers and recycles them for the rest of the run, so allocation
-// pressure is independent of stream length. It is a plain bounded list
-// and not a sync.Pool: the collector empties a pool, which makes what a
-// stream allocates a function of GC timing, where here a buffer stays
-// until it is reused. The list keeps at most maxFree buffers and lets
-// the collector have any beyond that.
+// FreeList is the tree's free list for per-frame and per-message
+// storage: a stream's projection point slices, framebuffers, octree
+// builders and retired trees, the rasterizer's flush scratch, the wire
+// path's payload buffers and the file readers' buffers. A stream allocates at
+// most frames-in-flight buffers and recycles them for the rest of the
+// run. It is not a sync.Pool: the collector empties a pool, which makes
+// what a stream allocates a function of GC timing. Two rules bound what
+// a list retains: at most maxFree buffers, and none whose backing array
+// is larger than MaxKeptBytes (PutSlice applies it; a caller that
+// recycles a struct of slices applies it before Put).
 type FreeList[T any] struct {
 	newFn func() T
 	mu    sync.Mutex
 	free  []T
 }
 
-// maxFree bounds a FreeList: more frames than this in flight in one
-// stage re-allocate the excess.
+// maxFree bounds a FreeList: more buffers than this in flight at once
+// re-allocate the excess.
 const maxFree = 8
+
+// MaxKeptBytes is the largest buffer a free list keeps: above every
+// buffer the benchmark workloads recycle (the largest, a 9.6 MB frame
+// file), below a paper-scale time step (~100 MB), so a long-running
+// server that once handled one does not hold maxFree of them for life.
+const MaxKeptBytes = 16 << 20
 
 // NewFreeList returns a free list that allocates with newFn when
 // empty.
@@ -51,36 +61,20 @@ func (f *FreeList[T]) Put(v T) {
 	}
 }
 
-// SlicePool recycles []E scratch slices of varying length: Get returns
-// a slice resized to n (reallocating only when capacity is short), Put
-// recycles the backing array. It is the recycler for the per-frame
-// projection buffers the partition stage consumes.
-type SlicePool[E any] struct {
-	free *FreeList[*[]E]
-}
-
-// NewSlicePool returns an empty slice pool.
-func NewSlicePool[E any]() *SlicePool[E] {
-	return &SlicePool[E]{
-		free: NewFreeList(func() *[]E { return new([]E) }),
+// GetSlice takes a slice from f resized to length n (contents
+// unspecified), allocating only when the one it takes is too short.
+func GetSlice[E any](f *FreeList[[]E], n int) []E {
+	if s := f.Get(); cap(s) >= n {
+		return s[:n]
 	}
+	return make([]E, n)
 }
 
-// Get returns a length-n slice (contents unspecified) backed by a
-// recycled array when one fits.
-func (p *SlicePool[E]) Get(n int) *[]E {
-	s := p.free.Get()
-	if cap(*s) < n {
-		*s = make([]E, n)
-	} else {
-		*s = (*s)[:n]
-	}
-	return s
-}
-
-// Put recycles the slice's backing array.
-func (p *SlicePool[E]) Put(s *[]E) {
-	if s != nil {
-		p.free.Put(s)
+// PutSlice returns s's backing array to f unless it is empty or larger
+// than MaxKeptBytes. The caller must not touch s again.
+func PutSlice[E any](f *FreeList[[]E], s []E) {
+	var e E
+	if cap(s) > 0 && uintptr(cap(s))*unsafe.Sizeof(e) <= MaxKeptBytes {
+		f.Put(s[:0])
 	}
 }

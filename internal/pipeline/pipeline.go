@@ -26,7 +26,9 @@
 //   - FreeList (freelist.go) recycles per-frame scratch buffers
 //     (projection point slices, framebuffers) through a bounded list so
 //     a long stream's allocation rate is bounded by the number of frames
-//     in flight, not the number of frames processed.
+//     in flight, not the number of frames processed. It is the tree's
+//     only free list, for render, remote and pario too, and holds at
+//     most eight buffers a list, none larger than MaxKeptBytes.
 //
 // Error handling is first-error-wins: a failing stage records its
 // error and cancels the shared context; every blocked send, receive

@@ -178,33 +178,85 @@ func TestParentContextCancel(t *testing.T) {
 	}
 }
 
-// TestSlicePoolReuse: a recycled backing array must be reused when it
-// fits, and regrown when it does not.
-func TestSlicePoolReuse(t *testing.T) {
-	sp := NewSlicePool[float64]()
-	// Under the race detector sync.Pool deliberately drops a fraction of
-	// Puts, so assert reuse statistically rather than on one round trip.
-	reused := false
-	for i := 0; i < 50 && !reused; i++ {
-		s := sp.Get(100)
-		if len(*s) != 100 {
-			t.Fatalf("len = %d, want 100", len(*s))
-		}
-		first := &(*s)[0]
-		sp.Put(s)
-		s2 := sp.Get(50)
-		if len(*s2) != 50 {
-			t.Fatalf("len = %d, want 50", len(*s2))
-		}
-		reused = &(*s2)[0] == first
-		sp.Put(s2)
+// TestFreeListSliceReuse: a recycled backing array must be reused when
+// it fits, and regrown when it does not.
+func TestFreeListSliceReuse(t *testing.T) {
+	fl := NewFreeList(func() []float64 { return nil })
+	s := GetSlice(fl, 100)
+	if len(s) != 100 {
+		t.Fatalf("len = %d, want 100", len(s))
 	}
-	if !reused {
-		t.Error("backing array never reused for smaller request")
+	first := &s[0]
+	PutSlice(fl, s)
+	s2 := GetSlice(fl, 50)
+	if len(s2) != 50 {
+		t.Fatalf("len = %d, want 50", len(s2))
 	}
-	s3 := sp.Get(200)
-	if len(*s3) != 200 {
-		t.Fatalf("len = %d, want 200", len(*s3))
+	if &s2[0] != first {
+		t.Error("backing array not reused for a smaller request")
+	}
+	PutSlice(fl, s2)
+	s3 := GetSlice(fl, 200)
+	if len(s3) != 200 {
+		t.Fatalf("len = %d, want 200", len(s3))
+	}
+	if &s3[0] == first {
+		t.Error("a 100-element array served a 200-element request")
+	}
+}
+
+// TestFreeListBound: a list keeps at most maxFree buffers, hands back
+// the ones it kept, and allocates past them.
+func TestFreeListBound(t *testing.T) {
+	allocs := 0
+	fl := NewFreeList(func() *[64]byte { allocs++; return new([64]byte) })
+	kept := make(map[*[64]byte]bool)
+	for i := 0; i < maxFree+3; i++ {
+		b := new([64]byte)
+		if i < maxFree {
+			kept[b] = true
+		}
+		fl.Put(b)
+	}
+	for i := 0; i < maxFree; i++ {
+		if b := fl.Get(); !kept[b] {
+			t.Fatalf("Get %d returned a buffer the list should not have kept", i)
+		}
+	}
+	if allocs != 0 {
+		t.Fatalf("%d allocations while the list held buffers", allocs)
+	}
+	fl.Get()
+	if allocs != 1 {
+		t.Errorf("an empty list allocated %d times for one Get, want 1", allocs)
+	}
+}
+
+// TestFreeListKeptSize: PutSlice keeps a slice up to MaxKeptBytes —
+// counted in bytes, not elements — and drops anything larger, and an
+// empty slice takes no slot.
+func TestFreeListKeptSize(t *testing.T) {
+	bytes := NewFreeList(func() []byte { return nil })
+	for _, c := range []struct {
+		n    int
+		kept bool
+	}{
+		{0, false},
+		{1, true},
+		{MaxKeptBytes, true},
+		{MaxKeptBytes + 1, false},
+	} {
+		s := make([]byte, c.n)
+		PutSlice(bytes, s)
+		got := bytes.Get()
+		if kept := cap(got) > 0 && &got[:1][0] == &s[:1][0]; kept != c.kept {
+			t.Errorf("%d-byte slice: kept %v, want %v", c.n, kept, c.kept)
+		}
+	}
+	words := NewFreeList(func() []uint64 { return nil })
+	PutSlice(words, make([]uint64, MaxKeptBytes/8+1))
+	if got := words.Get(); got != nil {
+		t.Errorf("kept a %d-byte word slice past the %d-byte bound", 8*cap(got), MaxKeptBytes)
 	}
 }
 

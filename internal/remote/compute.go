@@ -2,10 +2,10 @@ package remote
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/hybrid"
 	"repro/internal/octree"
+	"repro/internal/pipeline"
 	"repro/internal/vec"
 	"repro/internal/wire"
 )
@@ -33,35 +33,23 @@ const KernelHybridExtract = "hybrid.extract.v1"
 // with one byte).
 const maxKernelName = 255
 
-// ---- payload buffer pool --------------------------------------------
+// ---- payload buffers ------------------------------------------------
 
-// payloadPool recycles wire payload buffers: inbound message bodies,
+// payloads recycles wire payload buffers: inbound message bodies,
 // compute request encodings, and kernel reply encodings. A
 // steady-state distributed stream reuses a bounded set of buffers
-// instead of allocating one per frame per hop — the wire-path
-// equivalent of the pipeline's FreeList-recycled scratch.
-var payloadPool sync.Pool // holds *[]byte
+// instead of allocating one per frame per hop, and a buffer stays on
+// the list across collections; one larger than pipeline.MaxKeptBytes is
+// left to the collector.
+var payloads = pipeline.NewFreeList(func() []byte { return nil })
 
-// getBytes returns a length-n buffer, reusing a pooled backing array
-// when one is large enough.
-func getBytes(n int) []byte {
-	if bp, ok := payloadPool.Get().(*[]byte); ok {
-		if b := *bp; cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
+// getBytes returns a length-n buffer, reusing a kept backing array when
+// one is large enough.
+func getBytes(n int) []byte { return pipeline.GetSlice(payloads, n) }
 
 // putBytes recycles a buffer obtained from getBytes (or any buffer the
 // caller is done with). The caller must not touch b again.
-func putBytes(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	payloadPool.Put(&b)
-}
+func putBytes(b []byte) { pipeline.PutSlice(payloads, b) }
 
 // ---- compute request framing ----------------------------------------
 
@@ -110,7 +98,7 @@ const pointSetVersion = 1
 
 // appendExtractRequest appends the extract kernel's request blob.
 func appendExtractRequest(dst []byte, pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig) []byte {
-	dst = wire.Grow(dst, 84+24*len(pts)) // exact, so a pooled buffer of the last frame's size fits
+	dst = wire.Grow(dst, 84+24*len(pts)) // exact, so a kept buffer of the last frame's size fits
 	start := len(dst)
 	dst = wire.Begin(dst, magicPointSet, pointSetVersion, 4)
 	dst = wire.I64s(dst, int64(tcfg.MaxLevel), int64(tcfg.LeafCap), int64(tcfg.Workers))

@@ -456,7 +456,7 @@ func (f *Fleet) Compute(ctx context.Context, req []byte) ([]byte, error) {
 // same configs. The request encodes once and failover re-ships the
 // identical bytes, so fleet output is bit-identical to a one-worker or
 // local run. Request and reply buffers recycle through the payload
-// pool, so a steady-state distributed stream stops allocating wire
+// free list, so a steady-state distributed stream stops allocating wire
 // scratch after the first few frames in flight.
 func (f *Fleet) ComputeExtract(ctx context.Context, pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig) (*hybrid.Representation, error) {
 	req := appendExtractRequest(getBytes(0), pts, tcfg, ecfg)

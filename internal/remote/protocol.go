@@ -203,7 +203,7 @@ func checkResponse(op byte, msg message) (message, error) {
 	return message{}, fmt.Errorf("remote: unexpected reply opcode %#02x to request %#02x", msg.op, op)
 }
 
-// message is one decoded protocol frame. body is the pooled backing
+// message is one decoded protocol frame. body is the recycled backing
 // buffer of payload (when the message came off the wire); consumers
 // that fully copy what they need out of payload may recycle it.
 type message struct {
@@ -213,13 +213,9 @@ type message struct {
 	body    []byte
 }
 
-// recycle returns the message's backing buffer to the payload pool.
+// recycle returns the message's backing buffer to the payload free list.
 // The caller must not touch payload afterwards.
-func (m message) recycle() {
-	if m.body != nil {
-		putBytes(m.body)
-	}
-}
+func (m message) recycle() { putBytes(m.body) }
 
 // writeMessage frames and sends one message; the caller serializes
 // concurrent writers. The payload is vectored: the segments are framed

@@ -187,8 +187,8 @@ func (s *Service) admit(sess *session, op byte) (async bool, refusal error) {
 }
 
 // serve answers one admitted request, then returns its buffer to the
-// pool, and a kernel's reply with it: a kernel reply is the one reply
-// built in a pooled buffer.
+// payload free list, and a kernel's reply with it: a kernel reply is
+// the one reply built in a recycled buffer.
 func (s *Service) serve(ctx context.Context, sess *session, w *connWriter, msg message) error {
 	out, err := s.answer(ctx, sess, w, msg)
 	err = w.reply(msg.reqID, msg.op, out, err)

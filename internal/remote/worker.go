@@ -92,25 +92,23 @@ func (s *Service) compute(ctx context.Context, p []byte) ([]byte, error) {
 // buffers recycle across frames: the tree never leaves the kernel, so it
 // is retired as soon as Extract, which copies what it keeps, returns.
 func hybridExtractKernel() Kernel {
-	scratch := pipeline.NewSlicePool[vec.V3]()
+	scratch := pipeline.NewFreeList(func() []vec.V3 { return nil })
 	builders := pipeline.NewFreeList(func() *octree.Builder { return new(octree.Builder) })
 	trees := pipeline.NewFreeList(func() *octree.Tree { return nil })
 	return func(ctx context.Context, req []byte) ([]byte, error) {
-		buf := scratch.Get(0)
-		pts, tcfg, ecfg, err := decodeExtractRequest(req, *buf)
+		pts, tcfg, ecfg, err := decodeExtractRequest(req, scratch.Get())
 		if err != nil {
-			scratch.Put(buf)
+			pipeline.PutSlice(scratch, pts)
 			return nil, badRequest(err)
 		}
-		*buf = pts
 		if err := ctx.Err(); err != nil {
-			scratch.Put(buf)
+			pipeline.PutSlice(scratch, pts)
 			return nil, err
 		}
 		b := builders.Get()
 		tree, err := b.Build(pts, tcfg, trees.Get())
 		builders.Put(b)
-		scratch.Put(buf) // Build copies what it keeps
+		pipeline.PutSlice(scratch, pts) // Build copies what it keeps
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +143,45 @@ func TestComputeMalformedBlob(t *testing.T) {
 	// Connection survives the whole table.
 	if _, err := cli.Compute(context.Background(), KernelHybridExtract, good); err != nil {
 		t.Errorf("connection dead after malformed blobs: %v", err)
+	}
+}
+
+// TestComputeImplausibleConfig: a well-formed extract request whose
+// configs no extraction can honour — a 100000³ volume, which once
+// reached make in hybrid.NewGrid and ended the process, or a
+// non-finite threshold — gets a typed error, and the connection serves
+// the next request.
+func TestComputeImplausibleConfig(t *testing.T) {
+	w := startWorker(t)
+	cli := dial(t, w.Addr())
+	pts := testPoints(4, 3)
+	for _, ecfg := range []hybrid.ExtractConfig{
+		{VolumeRes: 100000, Budget: 2},
+		{VolumeRes: 4, Threshold: math.NaN()},
+		{VolumeRes: 4, Threshold: math.Inf(1)},
+	} {
+		_, err := cli.Compute(context.Background(), KernelHybridExtract, appendExtractRequest(nil, pts, octree.DefaultConfig(), ecfg))
+		var we *WireError
+		if !errors.As(err, &we) {
+			t.Errorf("%+v: error %v, want a WireError", ecfg, err)
+		}
+	}
+	good := appendExtractRequest(nil, testPoints(5, 100), octree.DefaultConfig(), hybrid.ExtractConfig{VolumeRes: 4, Budget: 50})
+	if _, err := cli.Compute(context.Background(), KernelHybridExtract, good); err != nil {
+		t.Errorf("connection dead after implausible configs: %v", err)
+	}
+}
+
+// TestPayloadBufferSurvivesCollection: a recycled payload buffer is
+// still there for the next message after collections — a sync.Pool
+// dropped it, so what the wire path re-allocated depended on GC timing.
+func TestPayloadBufferSurvivesCollection(t *testing.T) {
+	b := getBytes(4096)
+	putBytes(b)
+	runtime.GC()
+	runtime.GC()
+	if got := getBytes(4096); &got[0] != &b[0] {
+		t.Error("the payload buffer did not survive two collections")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/wire"
 )
 
@@ -540,17 +541,22 @@ func TestDeltaAllocates(t *testing.T) {
 	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(len(blob)+len(cur)); got > want+want/16 {
 		t.Errorf("one encode and one decode allocated %d bytes for a %d-byte blob and a %d-byte stream", got, len(blob), len(cur))
 	}
-	// A plane beyond maxKeptPlane is not kept for the life of the process.
-	big := make([]byte, maxKeptPlane+1)
+	// A plane beyond pipeline.MaxKeptBytes is not kept for the life of
+	// the process: no scratch on the list holds one after the round trip.
+	big := make([]byte, pipeline.MaxKeptBytes+1)
 	if got, err := DecompressDelta(CompressDelta(big, base), base); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("round trip of a %d-byte stream: %v", len(big), err)
 	}
-	scratchList.Lock()
-	defer scratchList.Unlock()
-	for _, sc := range scratchList.free {
-		if cap(sc.plane) > maxKeptPlane {
-			t.Errorf("the free list kept a %d-byte residual plane, bound %d", cap(sc.plane), maxKeptPlane)
+	var held []*flushScratch
+	for i := 0; i < 16; i++ {
+		sc := getScratch()
+		if cap(sc.plane) > pipeline.MaxKeptBytes {
+			t.Errorf("the free list kept a %d-byte residual plane, bound %d", cap(sc.plane), pipeline.MaxKeptBytes)
 		}
+		held = append(held, sc)
+	}
+	for _, sc := range held {
+		putScratch(sc)
 	}
 }
 

@@ -1,10 +1,9 @@
 package render
 
 import (
-	"sync"
-
 	"repro/internal/hybrid"
 	"repro/internal/par"
+	"repro/internal/pipeline"
 	"repro/internal/sortx"
 	"repro/internal/vec"
 )
@@ -143,43 +142,18 @@ type flushScratch struct {
 	frags []int64
 }
 
-// scratchList is the free list every flush borrows its scratch from. It
-// is a plain bounded list and not a sync.Pool because the collector
-// empties a pool: a stream that flushes once a frame then re-allocated
-// (and zeroed) megabytes of scratch whenever a collection fell between
-// two frames, which made its allocation volume a function of GC timing.
-// Here a scratch stays until it is reused. The list keeps at most
-// maxFreeScratch of them — each as large as the largest flush it has
-// served, a few MB for a 50k-triangle frame — and lets the collector
-// have any beyond that, so what the package retains is bounded by the
-// number of flushes in flight at once, capped.
-var scratchList struct {
-	sync.Mutex
-	free []*flushScratch
-}
+// scratchList is the free list every flush borrows its scratch from,
+// so a stream that flushes once a frame reuses one scratch — as large as
+// the largest flush it has served, a few MB for a 50k-triangle frame —
+// instead of allocating and zeroing it again. A scratch whose codec
+// plane or ops grew past pipeline.MaxKeptBytes is not put back.
+var scratchList = pipeline.NewFreeList(func() *flushScratch { return new(flushScratch) })
 
-const (
-	maxFreeScratch = 4
-	maxKeptPlane   = 8 << 20 // a scratch whose codec plane or ops grew past this (paper-scale frames: ~100 MB) is not kept
-)
-
-func getScratch() *flushScratch {
-	scratchList.Lock()
-	defer scratchList.Unlock()
-	if n := len(scratchList.free); n > 0 {
-		sc := scratchList.free[n-1]
-		scratchList.free[n-1] = nil
-		scratchList.free = scratchList.free[:n-1]
-		return sc
-	}
-	return new(flushScratch)
-}
+func getScratch() *flushScratch { return scratchList.Get() }
 
 func putScratch(sc *flushScratch) {
-	scratchList.Lock()
-	defer scratchList.Unlock()
-	if len(scratchList.free) < maxFreeScratch && max(cap(sc.plane), cap(sc.ops)) <= maxKeptPlane {
-		scratchList.free = append(scratchList.free, sc)
+	if max(cap(sc.plane), cap(sc.ops)) <= pipeline.MaxKeptBytes {
+		scratchList.Put(sc)
 	}
 }
 

@@ -70,11 +70,10 @@ func main() {
 		written++
 	}
 	save(sim.Snapshot())
-	for s := 1; s <= totalSteps; s++ {
-		sim.Step()
-		if s%interval == 0 && written <= *frames {
-			save(sim.Snapshot())
-		}
+	for written <= *frames && sim.Steps()+interval <= totalSteps {
+		sim.Advance(interval)
+		save(sim.Snapshot())
 	}
+	sim.Advance(totalSteps - sim.Steps())
 	fmt.Printf("done: %d frames, %d steps, s=%.2f\n", written, sim.Steps(), sim.S)
 }

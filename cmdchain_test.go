@@ -372,6 +372,65 @@ func TestCmdParticleFlags(t *testing.T) {
 	}
 }
 
+// TestCmdBeamsimFrames: beamsim advances a whole interval between
+// snapshots, and 192 steps (-periods 3) in 5 frames leaves an interval
+// of 38 and two steps after the last snapshot. Its frames must be
+// byte-equal to a Sim advanced one step at a time and snapshotted every
+// 38 steps, and it must report all 192 steps taken.
+func TestCmdBeamsimFrames(t *testing.T) {
+	bin := buildCommands(t, "beamsim")
+	dir, ref := t.TempDir(), t.TempDir()
+	const n, periods, frames = 700, 3, 5
+	stdout, stderr, exit := runCommand(t, filepath.Join(bin, "beamsim"),
+		"-n", fmt.Sprint(n), "-periods", fmt.Sprint(periods), "-frames", fmt.Sprint(frames), "-out", filepath.Join(dir, "beam"))
+	if exit != 0 {
+		t.Fatalf("beamsim: exit %d: %s", exit, stderr)
+	}
+
+	sim, err := beam.NewSim(beam.DefaultConfig(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := periods * sim.Config.StepsPerPeriod
+	interval := total / frames
+	var want []string
+	snap := func() {
+		path := filepath.Join(ref, fmt.Sprintf("beam_%04d.acpf", len(want)))
+		if err := pario.WriteFrameFile(path, sim.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, path)
+	}
+	snap()
+	for s := 1; s <= total; s++ {
+		sim.Advance(1)
+		if s%interval == 0 && len(want) <= frames {
+			snap()
+		}
+	}
+
+	got, _ := filepath.Glob(filepath.Join(dir, "beam_*.acpf"))
+	if len(got) != len(want) {
+		t.Fatalf("beamsim wrote %d frames, want %d", len(got), len(want))
+	}
+	for i, path := range want {
+		a, err := os.ReadFile(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs from frame %d of a Sim advanced one step at a time", filepath.Base(got[i]), i)
+		}
+	}
+	if done := fmt.Sprintf("done: %d frames, %d steps", len(want), total); !strings.Contains(stdout, done) {
+		t.Errorf("beamsim output does not say %q:\n%s", done, stdout)
+	}
+}
+
 // TestAdvancePeriodsIgnoresNonsense pins the library side of the same
 // bug: a non-positive or non-finite period count advances nothing —
 // stated in AdvancePeriods, not left to what int(math.Ceil(NaN))

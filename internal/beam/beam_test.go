@@ -284,7 +284,7 @@ func TestSnapshotsAreIndependentCopies(t *testing.T) {
 	}
 	frames := []Frame{sim.Snapshot()}
 	for i := 1; i <= 100; i++ {
-		sim.Step()
+		sim.Advance(1)
 		if i%25 == 0 {
 			frames = append(frames, sim.Snapshot())
 		}
@@ -388,6 +388,31 @@ func TestEmittanceInvariantUnderDrift(t *testing.T) {
 	after := PlaneMoments(e, AxisX, AxisPX, 0).Emittance
 	if math.Abs(after-before) > 1e-9*before {
 		t.Errorf("drift changed emittance: %v -> %v", before, after)
+	}
+}
+
+// TestEmittanceInvariantUnderLinearTransport: without space charge the
+// push is a linear symplectic map per transverse plane — a kick, a
+// drift and a kick through quads and drifts — so 20 periods of Advance
+// leave the x/px and y/py RMS emittances where they started.
+func TestEmittanceInvariantUnderLinearTransport(t *testing.T) {
+	cfg := DefaultConfig(5000)
+	cfg.Perveance = 0
+	sim, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planes := [][2]Axis{{AxisX, AxisPX}, {AxisY, AxisPY}}
+	var before [2]float64
+	for k, p := range planes {
+		before[k] = PlaneMoments(sim.Particles, p[0], p[1], 0).Emittance
+	}
+	sim.Advance(20 * cfg.StepsPerPeriod)
+	for k, p := range planes {
+		after := PlaneMoments(sim.Particles, p[0], p[1], 0).Emittance
+		if math.Abs(after-before[k]) > 1e-9*before[k] {
+			t.Errorf("%v/%v emittance %v -> %v over 20 periods", p[0], p[1], before[k], after)
+		}
 	}
 }
 

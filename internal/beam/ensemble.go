@@ -18,6 +18,33 @@
 //
 // Particles carry the same six double-precision phase-space coordinates
 // as the paper's data: (x, y, z, px, py, pz).
+//
+// # The push
+//
+// Sim.Advance(n) leaves every particle, the envelope, S and the step
+// count bit-identical to n single kick-drift-kick steps (refStep in the
+// tests is the oracle), for two reasons:
+//
+//   - The force at a step boundary is computed once. Step t's second
+//     half-kick and step t+1's first half-kick see the same (x, y), the
+//     same envelope, the same Kappa (taken at the same float64 S) and
+//     so the same kick constants; the force is a function of those
+//     alone, so computing it once and adding the two half-kicks one
+//     after the other gives the bits computing it twice gives. This
+//     halves the divisions, which bound the push.
+//   - Block and chunk order cannot be seen. A particle's push reads
+//     nothing but its own coordinates and the group's table of kick
+//     constants, which the envelope fills serially before any particle
+//     moves, so carrying a 256-particle block through every step of a
+//     group before the next block starts, in any chunking over any
+//     number of workers, does the same operations on each particle in
+//     the same order as a step of the whole ensemble at a time.
+//
+// A group is at most StepsPerPeriod steps (and at most N), and each par
+// call pushes at most N particle-steps — what one step of the whole
+// ensemble is — so no call holds the worker team longer than a step
+// did, and a server sharing the processors with the simulation waits
+// no longer for it.
 package beam
 
 import (

@@ -92,8 +92,8 @@ func finite(vs ...float64) bool {
 }
 
 // Sim is a running particle-core simulation. Create with NewSim, then
-// call Step or RunPeriods; read Particles for the current phase-space
-// state. Sim is not safe for concurrent use, but each Step internally
+// call Advance or RunPeriods; read Particles for the current
+// phase-space state. Sim is not safe for concurrent use, but Advance
 // pushes particles in parallel.
 type Sim struct {
 	Config    Config
@@ -104,7 +104,27 @@ type Sim struct {
 	steps   int
 	matched Envelope
 	ds      float64
+
+	// The group being pushed: its kick constants at every step boundary
+	// (at most StepsPerPeriod+1 of them), the first particle of the
+	// current par call, and the push body, bound once so that a call
+	// allocates nothing.
+	tab  []boundary
+	off  int
+	push func(lo, hi int)
 }
+
+// boundary holds the kick constants at one step boundary: the
+// focusing there and the squared and mixed core semi-axes.
+type boundary struct {
+	kappa, aa, bb, aab, bab float64
+}
+
+// block is how many particles a push carries through every step of a
+// group before it moves on: six columns of 256 float64s (12 KiB) stay
+// in L1, and the particles of a block are independent, so out-of-order
+// execution overlaps their divisions.
+const block = 256
 
 // NewSim constructs a simulation: solves for the matched envelope,
 // applies the mismatch factor, and loads a semi-Gaussian particle
@@ -127,13 +147,16 @@ func NewSim(cfg Config) (*Sim, error) {
 	psx := cfg.EmitX / (2 * core.A / 2)
 	psy := cfg.EmitY / (2 * core.B / 2)
 	e.SemiGaussianInit(cfg.Seed, core.A, core.B, core.A*4, [3]float64{psx, psy, psx / 4})
-	return &Sim{
+	s := &Sim{
 		Config:    cfg,
 		Particles: e,
 		Core:      core,
 		matched:   matched,
 		ds:        cfg.Lattice.Period() / float64(cfg.StepsPerPeriod),
-	}, nil
+		tab:       make([]boundary, 0, cfg.StepsPerPeriod+1),
+	}
+	s.push = s.pushChunk
+	return s, nil
 }
 
 // Matched returns the matched envelope found at construction.
@@ -142,9 +165,13 @@ func (s *Sim) Matched() Envelope { return s.matched }
 // Steps returns the number of integration steps taken so far.
 func (s *Sim) Steps() int { return s.steps }
 
-// Step advances the simulation by one integration step of length ds
-// using a leapfrog (kick-drift-kick) scheme for the particles,
-// synchronized with an RK4 update of the core envelope.
+// RunPeriods advances the simulation by n full lattice periods:
+// Advance(n*StepsPerPeriod).
+func (s *Sim) RunPeriods(n int) { s.Advance(n * s.Config.StepsPerPeriod) }
+
+// Advance advances the simulation by n integration steps of length ds
+// (n <= 0 does nothing), each a leapfrog (kick-drift-kick) step for the
+// particles synchronized with an RK4 update of the core envelope.
 //
 // Each kick adds the transverse space-charge force (Fx, Fy) on a
 // particle at (x, y) from the uniform elliptical core with semi-axes
@@ -156,75 +183,127 @@ func (s *Sim) Steps() int { return s.steps }
 // with u = x^2/a^2 + y^2/b^2 (>1 outside), which is continuous at the
 // boundary and exact in the round-beam limit (where it reduces to the
 // K/r line-charge far field). This is the standard particle-core closure.
-func (s *Sim) Step() {
+//
+// The steps run in groups of at most StepsPerPeriod (and at most N). A
+// group first advances the envelope serially, filling the kick
+// constants at each of its step boundaries, then pushes the particles
+// through all of its steps (see the package doc for why the result is
+// the same bits as n single steps).
+func (s *Sim) Advance(n int) {
+	e := s.Particles
+	for n > 0 {
+		m := min(n, s.Config.StepsPerPeriod)
+		if e.Len() > 0 {
+			m = min(m, e.Len())
+		}
+		s.envelope(m)
+		// Every par call pushes per particles through m steps: at
+		// most N particle-steps, what one step of the whole ensemble
+		// is, so no call holds the team longer than a step does.
+		per := e.Len() / m
+		for s.off = 0; s.off < e.Len(); s.off += per {
+			par.ForChunks(min(per, e.Len()-s.off), s.Config.Workers, s.push)
+		}
+		n -= m
+	}
+}
+
+// envelope advances the core envelope, S and the step count by m steps
+// and fills s.tab with the kick constants at the m+1 step boundaries.
+// Kappa at a boundary is taken at S as the step before it left it, the
+// same float64 either side of the boundary.
+func (s *Sim) envelope(m int) {
 	cfg := s.Config
+	s.tab = append(s.tab[:0], s.constants())
+	for j := 0; j < m; j++ {
+		s.Core = s.Core.StepRK4(cfg.Lattice, s.S, s.ds, cfg.Perveance, cfg.EmitX, cfg.EmitY)
+		s.S += s.ds
+		s.steps++
+		s.tab = append(s.tab, s.constants())
+	}
+}
+
+// constants returns the kick constants at the current S and envelope.
+// Every division of the kick stays a division, so each particle sees
+// the roundings it would from a kick function called with (a, b, K).
+func (s *Sim) constants() boundary {
+	a, b := s.Core.A, s.Core.B
+	return boundary{
+		kappa: s.Config.Lattice.Kappa(s.S),
+		aa:    a * a, bb: b * b,
+		aab: a * (a + b), bab: b * (a + b),
+	}
+}
+
+// pushChunk pushes particles [off+lo, off+hi) through every step of the
+// group in s.tab, one block at a time.
+func (s *Sim) pushChunk(lo, hi int) {
+	for lo, hi = lo+s.off, hi+s.off; lo < hi; lo += block {
+		s.pushBlock(lo, min(lo+block, hi))
+	}
+}
+
+// pushBlock pushes particles [lo, hi) through every step of the group.
+// The force at a boundary is computed once and gives both half-kicks
+// that meet there: the second of the step before and the first of the
+// step after. The group's first and last boundaries give one each; the
+// first is folded into the first step's pass, so that a one-step group
+// reads and writes each particle once.
+func (s *Sim) pushBlock(lo, hi int) {
+	cfg, e := &s.Config, s.Particles
 	ds := s.ds
 	half := ds / 2
-	kappa0 := cfg.Lattice.Kappa(s.S)
-	kappa1 := cfg.Lattice.Kappa(s.S + ds)
-	a0, b0 := s.Core.A, s.Core.B
-	next := s.Core.StepRK4(cfg.Lattice, s.S, ds, cfg.Perveance, cfg.EmitX, cfg.EmitY)
-	a1, b1 := next.A, next.B
-
-	// The kicks' per-step constants, computed once; every division
-	// below stays a division, so each particle sees the roundings it
-	// would from a kick function called with (a, b, K).
 	k2, focusZ, driftZ := 2*cfg.Perveance, cfg.FocusZ, cfg.DriftZ
-	aa0, bb0, aab0, bab0 := a0*a0, b0*b0, a0*(a0+b0), b0*(a0+b0)
-	aa1, bb1, aab1, bab1 := a1*a1, b1*b1, a1*(a1+b1), b1*(a1+b1)
-
-	e := s.Particles
-	par.ForChunks(e.Len(), cfg.Workers, func(lo, hi int) {
-		xs, ys, zs := e.X[lo:hi], e.Y[lo:hi], e.Z[lo:hi]
-		pxs, pys, pzs := e.Px[lo:hi], e.Py[lo:hi], e.Pz[lo:hi]
+	xs := e.X[lo:hi]
+	ys, zs := e.Y[lo:hi][:len(xs)], e.Z[lo:hi][:len(xs)]
+	pxs, pys, pzs := e.Px[lo:hi][:len(xs)], e.Py[lo:hi][:len(xs)], e.Pz[lo:hi][:len(xs)]
+	start, last := &s.tab[0], len(s.tab)-1
+	for j := 1; j <= last; j++ {
+		c := &s.tab[j]
 		for i, x := range xs {
 			y, z := ys[i], zs[i]
 			px, py, pz := pxs[i], pys[i], pzs[i]
 
-			// First half-kick with fields at s.
-			u := (x*x)/aa0 + (y*y)/bb0
-			fx := k2 * x / aab0
-			fy := k2 * y / bab0
-			if u > 1 {
-				fx /= u
-				fy /= u
+			if j == 1 { // the first half-kick of the group
+				fx, fy := start.force(x, y, k2)
+				px += half * (-start.kappa*x + fx)
+				py += half * (start.kappa*y + fy)
+				pz += half * (-focusZ * z)
 			}
-			px += half * (-kappa0*x + fx)
-			py += half * (kappa0*y + fy)
-			pz += half * (-focusZ * z)
 
-			// Drift.
 			x += ds * px
 			y += ds * py
 			z += ds * (pz + driftZ)
 
-			// Second half-kick with fields at s+ds.
-			u = (x*x)/aa1 + (y*y)/bb1
-			fx = k2 * x / aab1
-			fy = k2 * y / bab1
-			if u > 1 {
-				fx /= u
-				fy /= u
-			}
-			px += half * (-kappa1*x + fx)
-			py += half * (kappa1*y + fy)
+			// The second half-kick of step j-1 and, unless it ends
+			// the group, the first of step j.
+			fx, fy := c.force(x, y, k2)
+			px += half * (-c.kappa*x + fx)
+			py += half * (c.kappa*y + fy)
 			pz += half * (-focusZ * z)
+			if j < last {
+				px += half * (-c.kappa*x + fx)
+				py += half * (c.kappa*y + fy)
+				pz += half * (-focusZ * z)
+			}
 
 			xs[i], ys[i], zs[i] = x, y, z
 			pxs[i], pys[i], pzs[i] = px, py, pz
 		}
-	})
-
-	s.Core = next
-	s.S += ds
-	s.steps++
+	}
 }
 
-// RunPeriods advances the simulation by n full lattice periods.
-func (s *Sim) RunPeriods(n int) {
-	for i := 0; i < n*s.Config.StepsPerPeriod; i++ {
-		s.Step()
+// force returns the space-charge force (Fx, Fy) at (x, y) from the core
+// at this boundary, k2 being twice the perveance.
+func (c *boundary) force(x, y, k2 float64) (fx, fy float64) {
+	u := (x*x)/c.aa + (y*y)/c.bb
+	fx = k2 * x / c.aab
+	fy = k2 * y / c.bab
+	if u > 1 {
+		fx /= u
+		fy /= u
 	}
+	return fx, fy
 }
 
 // Frame is a snapshot of the simulation state at one output time step —

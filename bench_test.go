@@ -260,13 +260,11 @@ func BenchmarkFig4HybridDecomposition(b *testing.B) {
 		vr.Render(fbV, cam)
 		fbP, _ := render.NewFramebuffer(benchImage, benchImage)
 		rast := render.NewRasterizer(fbP, cam)
-		splats := make([]render.PointSplat, len(rep.Points))
 		for j := range rep.Points {
 			c := tf.Color.Eval(tf.MapDensity(float64(rep.PointDensity[j])))
 			c.A = 1
-			splats[j] = render.PointSplat{Pos: rep.Points[j], Radius: 1.2, Color: c}
+			rast.DrawPoint(rep.Points[j], 1.2, c)
 		}
-		rast.DrawPointBatch(splats)
 		fbC, _ := render.NewFramebuffer(benchImage, benchImage)
 		if _, _, err := volren.RenderHybrid(rep, tf, fbC, cam, 1.2, true); err != nil {
 			b.Fatal(err)

@@ -11,18 +11,25 @@ import (
 
 const testW, testH = 96, 80
 
+// splat is one point of a test cloud.
+type splat struct {
+	Pos    vec.V3
+	Radius float64
+	Color  hybrid.RGBA
+}
+
 // testSplats builds a deterministic splat cloud with duplicated
 // positions near the end, so equal-depth fragments land in different
 // partitions and the composite's tie-breaking is actually exercised.
-func testSplats(n int) []render.PointSplat {
+func testSplats(n int) []splat {
 	state := uint64(0x9e3779b97f4a7c15)
 	rnd := func() float64 {
 		state = state*6364136223846793005 + 1442695040888963407
 		return float64(state>>11) / (1 << 53)
 	}
-	splats := make([]render.PointSplat, n)
+	splats := make([]splat, n)
 	for i := range splats {
-		splats[i] = render.PointSplat{
+		splats[i] = splat{
 			Pos:    vec.New(rnd(), rnd(), rnd()),
 			Radius: 1 + 2*rnd(),
 			Color:  hybrid.RGBA{R: rnd(), G: rnd(), B: rnd(), A: 1},
@@ -51,7 +58,7 @@ func testCamera(t *testing.T) render.Camera {
 
 // rasterize draws the splats into a fresh cleared framebuffer with the
 // opaque depth-tested point pass.
-func rasterize(t *testing.T, cam render.Camera, splats []render.PointSplat) *render.Framebuffer {
+func rasterize(t *testing.T, cam render.Camera, splats []splat) *render.Framebuffer {
 	t.Helper()
 	fb, err := render.NewFramebuffer(testW, testH)
 	if err != nil {
@@ -60,14 +67,16 @@ func rasterize(t *testing.T, cam render.Camera, splats []render.PointSplat) *ren
 	fb.Clear(hybrid.RGBA{})
 	rast := render.NewRasterizer(fb, cam)
 	rast.Mode = render.BlendOpaque
-	rast.DrawPointBatch(splats)
+	for _, s := range splats {
+		rast.DrawPoint(s.Pos, s.Radius, s.Color)
+	}
 	return fb
 }
 
 // partialize renders each contiguous partition into its own
 // framebuffer and round-trips it through the wire codec, exactly as a
 // fleet worker's reply arrives at the compositor.
-func partialize(t *testing.T, cam render.Camera, splats []render.PointSplat, parts int) []*render.PartialFrame {
+func partialize(t *testing.T, cam render.Camera, splats []splat, parts int) []*render.PartialFrame {
 	t.Helper()
 	partials := make([]*render.PartialFrame, parts)
 	for k := 0; k < parts; k++ {

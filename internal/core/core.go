@@ -150,9 +150,9 @@ func DefaultTF(rep *hybrid.Representation) (*hybrid.LinkedTF, error) {
 
 // RenderFrame renders a hybrid representation from the given view
 // direction into a fresh w x h framebuffer, returning the frame and
-// the renderer stats. The point pass runs on the tile-binned parallel
-// rasterizer (render.DrawPointBatch) and the volume pass on the
-// parallel ray caster; both are deterministic at any worker count.
+// the renderer stats. The point pass splats serially
+// (render.Rasterizer.DrawPoint) and the volume pass runs on the
+// parallel ray caster, which is deterministic at any worker count.
 func RenderFrame(rep *hybrid.Representation, tf *hybrid.LinkedTF, w, h int, viewDir vec.V3) (*render.Framebuffer, *render.Rasterizer, *volren.Renderer, error) {
 	return volren.RenderStill(rep, tf, w, h, viewDir)
 }

@@ -252,9 +252,9 @@ func placeStage(pl *pipeline.Pipeline, stage string, addrs []string, kernel stri
 }
 
 // RenderOptions appends a render stage to a particle stream. Each
-// frame's point pass runs on the tile-binned parallel rasterizer, so
-// the stage parallelizes along two axes: Workers concurrent frames,
-// each splatting its batch across all cores.
+// frame's point pass splats serially and its volume pass ray-casts on
+// all cores, so the stage parallelizes along two axes: Workers
+// concurrent frames, each ray-casting across all cores.
 type RenderOptions struct {
 	Width, Height int     // framebuffer size (default 512x512)
 	ViewDir       vec.V3  // view direction (default {0.4, 0.3, 1})

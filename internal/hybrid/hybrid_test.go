@@ -236,6 +236,29 @@ func TestColorMapEndpoints(t *testing.T) {
 	}
 }
 
+// TestColorMapEvalNaN: a NaN input takes the first stop, as x <= 0
+// does, rather than indexing the ramp at int(NaN).
+func TestColorMapEvalNaN(t *testing.T) {
+	cm := HeatMap()
+	if got := cm.Eval(math.NaN()); got != cm.Stops[0] {
+		t.Errorf("Eval(NaN) = %v, want the first stop %v", got, cm.Stops[0])
+	}
+	// Finite inputs are unchanged: the clamps and one interior point.
+	for _, x := range []float64{-1, 0, 0.5, 1, 2, math.Inf(1), math.Inf(-1)} {
+		want := cm.Stops[0]
+		if x >= 1 {
+			want = cm.Stops[len(cm.Stops)-1]
+		} else if x > 0 {
+			f := x * float64(len(cm.Stops)-1)
+			i := int(f)
+			want = cm.Stops[i].Lerp(cm.Stops[i+1], f-float64(i))
+		}
+		if got := cm.Eval(x); got != want {
+			t.Errorf("Eval(%v) = %v, want %v", x, got, want)
+		}
+	}
+}
+
 func newTestLinked(t *testing.T) *LinkedTF {
 	t.Helper()
 	vol, err := StepRamp(0.1, 0.3, 1.0)

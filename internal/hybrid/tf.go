@@ -126,13 +126,15 @@ func HeatMap() ColorMap {
 	}}
 }
 
-// Eval interpolates the ramp at x in [0,1].
+// Eval interpolates the ramp at x in [0,1]. x outside the interval
+// clamps to the end stops; a NaN x, which an attribute normalized over
+// a set holding a NaN yields, gets the first stop as x <= 0 does.
 func (cm ColorMap) Eval(x float64) RGBA {
 	n := len(cm.Stops)
 	if n == 0 {
 		return RGBA{}
 	}
-	if n == 1 || x <= 0 {
+	if n == 1 || x <= 0 || math.IsNaN(x) {
 		return cm.Stops[0]
 	}
 	if x >= 1 {

@@ -410,11 +410,10 @@ func TestWorkerKernelsAdvertised(t *testing.T) {
 // answers new Computes with the retryable unavailable code, so a
 // fleet hands the refused frames to surviving members.
 func TestWorkerGracefulDrain(t *testing.T) {
-	w := startWorker(t)
 	release := make(chan struct{})
 	var entered sync.Once
 	started := make(chan struct{})
-	w.Register("slow.v1", func(ctx context.Context, req []byte) ([]byte, error) {
+	w := startWorkerWith(t, "slow.v1", func(ctx context.Context, req []byte) ([]byte, error) {
 		entered.Do(func() { close(started) })
 		select {
 		case <-release:

@@ -134,8 +134,8 @@ const (
 	// ErrCodeBadRequest: the verb is known but its payload did not
 	// decode.
 	ErrCodeBadRequest ErrorCode = 2
-	// ErrCodeUnknownKernel: a Compute named a kernel the worker has not
-	// registered.
+	// ErrCodeUnknownKernel: a Compute named a kernel the worker does not
+	// hold.
 	ErrCodeUnknownKernel ErrorCode = 3
 	// ErrCodeUnavailable: the server did not start the request and
 	// says "later, or elsewhere" — a server draining toward shutdown, a
@@ -402,7 +402,7 @@ func (q RenderQuality) valid() bool { return q <= QualityPreview }
 
 // RenderParams is the thin-client request: instead of transferring the
 // full hybrid frame, the client ships camera and transfer-function
-// parameters and the server renders on its tile-binned rasterizer,
+// parameters and the server renders the frame itself,
 // returning an RLE-compressed framebuffer. Zero-valued TF fields mean
 // the server's defaults (hybrid.DefaultTF), so a zero-TF render is
 // bit-identical to core.RenderFrame run locally.
@@ -511,8 +511,8 @@ func decodeGetDelta(p []byte) (frame, base int, err error) {
 }
 
 // encodeKernelList builds a Kernels response payload:
-// u16 count | count × (u8 len | name). Kernel names are already
-// bounded to maxKernelName by Register/appendComputeHeader.
+// u16 count | count × (u8 len | name). appendComputeHeader bounds each
+// name to maxKernelName.
 func encodeKernelList(names []string) (out []byte, err error) {
 	if len(names) > math.MaxUint16 {
 		return nil, fmt.Errorf("remote: %d kernels exceed the advertisement limit", len(names))

@@ -37,8 +37,8 @@
 //     once and broadcast to every inline subscriber from the shared
 //     buffer, so per-frame server work is independent of audience size
 //   - Render: thin-client mode — the client ships camera/transfer-
-//     function parameters, the server renders on the tile-binned
-//     rasterizer and returns an RLE-compressed framebuffer,
+//     function parameters, the server renders the frame and
+//     returns an RLE-compressed framebuffer,
 //     bit-identical to a local render at ~1-2 orders of magnitude
 //     fewer bytes than the frame itself. v3 adds a negotiated quality
 //     tier: the default stays lossless; QualityPreview opts into a

@@ -36,8 +36,7 @@ type Service struct {
 
 	store FrameStore // nil on a worker: no store verbs
 
-	kmu     sync.RWMutex
-	kernels map[string]Kernel // empty on a store service: no Compute or Kernels
+	kernels map[string]Kernel // fixed at construction; empty on a store service: no Compute or Kernels
 
 	// Encode-once caches: per-frame server work is independent of how
 	// many clients ask. frames holds wire encodings for stores that
@@ -175,7 +174,8 @@ func NewServiceWith(addr string, store FrameStore, opts ServiceOptions) (*Servic
 }
 
 // newService listens on addr and serves store (nil: no store verbs)
-// and kernels (none: no Compute or Kernels verbs).
+// and kernels (none: no Compute or Kernels verbs). The service keeps
+// kernels as its kernel table, which nothing changes afterwards.
 func newService(addr string, store FrameStore, kernels map[string]Kernel, opts ServiceOptions) (*Service, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -185,7 +185,7 @@ func newService(addr string, store FrameStore, kernels map[string]Kernel, opts S
 		ln:       ln,
 		conns:    make(map[net.Conn]struct{}),
 		store:    store,
-		kernels:  make(map[string]Kernel),
+		kernels:  kernels,
 		frames:   newBlobCache[int, []byte](frameCacheCap),
 		renders:  newBlobCache[RenderParams, []byte](renderCacheCap),
 		deltas:   newBlobCache[deltaKey, []byte](deltaCacheCap),
@@ -194,9 +194,6 @@ func newService(addr string, store FrameStore, kernels map[string]Kernel, opts S
 	}
 	if opts.MaxRenders > 0 {
 		s.renderGate = make(chan struct{}, opts.MaxRenders)
-	}
-	for name, k := range kernels {
-		s.Register(name, k)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()

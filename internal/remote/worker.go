@@ -24,8 +24,8 @@ type Kernel func(ctx context.Context, req []byte) ([]byte, error)
 type Worker = Service
 
 // NewWorker starts a compute host on addr (use "127.0.0.1:0" for an
-// ephemeral port): a Service without a store, with the built-in kernels
-// — hybrid extraction and the v6 sort-last partial render — registered.
+// ephemeral port): a Service without a store, holding the built-in
+// kernels — hybrid extraction and the v6 sort-last partial render.
 // It speaks Compute, Kernels, Ping and Stats. Workers advertise their
 // kernel set over the v4 Kernels verb, which is how a Fleet verifies a
 // member's provisioning before dispatching frames to it. cmd/vizworker
@@ -37,19 +37,9 @@ func NewWorker(addr string) (*Worker, error) {
 	}, ServiceOptions{})
 }
 
-// Register adds (or replaces) a named kernel; a service holding one
-// answers Compute and Kernels. Safe to call while serving.
-func (s *Service) Register(name string, k Kernel) {
-	s.kmu.Lock()
-	s.kernels[name] = k
-	s.kmu.Unlock()
-}
-
-// Kernels lists the registered kernel names, sorted — the set the
-// service advertises over the Kernels verb.
+// Kernels lists the service's kernel names, sorted — the set it
+// advertises over the Kernels verb.
 func (s *Service) Kernels() []string {
-	s.kmu.RLock()
-	defer s.kmu.RUnlock()
 	names := make([]string, 0, len(s.kernels))
 	for name := range s.kernels {
 		names = append(names, name)
@@ -58,13 +48,9 @@ func (s *Service) Kernels() []string {
 	return names
 }
 
-// hostsKernels reports whether s has a kernel registered, and so
-// speaks Compute and Kernels.
-func (s *Service) hostsKernels() bool {
-	s.kmu.RLock()
-	defer s.kmu.RUnlock()
-	return len(s.kernels) > 0
-}
+// hostsKernels reports whether s holds a kernel, and so speaks
+// Compute and Kernels.
+func (s *Service) hostsKernels() bool { return len(s.kernels) > 0 }
 
 // compute decodes a Compute payload and runs the kernel it names.
 func (s *Service) compute(ctx context.Context, p []byte) ([]byte, error) {
@@ -72,9 +58,7 @@ func (s *Service) compute(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	s.kmu.RLock()
 	k := s.kernels[name]
-	s.kmu.RUnlock()
 	if k == nil {
 		return nil, &WireError{
 			Code: ErrCodeUnknownKernel,

@@ -27,6 +27,22 @@ func startWorker(t testing.TB) *Worker {
 	return w
 }
 
+// startWorkerWith starts a worker holding the built-in kernels and k
+// under name.
+func startWorkerWith(t testing.TB, name string, k Kernel) *Worker {
+	t.Helper()
+	w, err := newService("127.0.0.1:0", nil, map[string]Kernel{
+		KernelHybridExtract: hybridExtractKernel(),
+		KernelRenderPartial: renderPartialKernel(),
+		name:                k,
+	}, ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 // soloFleet dials the worker at addr as a fleet of one — how core
 // reaches a single worker address.
 func soloFleet(t testing.TB, addr string, opts FleetOptions) *Fleet {
@@ -225,16 +241,15 @@ func TestWorkerRejectsStoreVerbs(t *testing.T) {
 // TestComputeWorkerCrash: closing the worker mid-request fails the
 // in-flight Compute promptly instead of hanging.
 func TestComputeWorkerCrash(t *testing.T) {
-	w := startWorker(t)
-	cli := dial(t, w.Addr())
-	// Register a kernel that parks until its context dies, then crash
-	// the worker under it.
+	// A kernel that parks until its context dies; the worker crashes
+	// under it.
 	block := make(chan struct{})
-	w.Register("test.block", func(ctx context.Context, req []byte) ([]byte, error) {
+	w := startWorkerWith(t, "test.block", func(ctx context.Context, req []byte) ([]byte, error) {
 		close(block)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
+	cli := dial(t, w.Addr())
 	done := make(chan error, 1)
 	go func() {
 		_, err := cli.Compute(context.Background(), "test.block", nil)
@@ -255,10 +270,8 @@ func TestComputeWorkerCrash(t *testing.T) {
 // TestComputeContextCancel: cancelling the caller's context abandons
 // the wait promptly even though the kernel is still running.
 func TestComputeContextCancel(t *testing.T) {
-	w := startWorker(t)
-	cli := dial(t, w.Addr())
 	started := make(chan struct{})
-	w.Register("test.slow", func(ctx context.Context, req []byte) ([]byte, error) {
+	w := startWorkerWith(t, "test.slow", func(ctx context.Context, req []byte) ([]byte, error) {
 		close(started)
 		select {
 		case <-ctx.Done():
@@ -266,6 +279,7 @@ func TestComputeContextCancel(t *testing.T) {
 		}
 		return getBytes(0), nil
 	})
+	cli := dial(t, w.Addr())
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -65,7 +65,7 @@ func TestCameraDepthRangeRejects(t *testing.T) {
 	}
 }
 
-func clipFixture(t *testing.T) (Camera, []PointSplat) {
+func clipFixture(t *testing.T) (Camera, []splat) {
 	t.Helper()
 	box := vec.Box(vec.New(0, 0, 0), vec.New(1, 1, 1))
 	cam, err := LookAtBounds(box, vec.New(0.3, 0.4, 1), math.Pi/3, 1)
@@ -77,9 +77,9 @@ func clipFixture(t *testing.T) (Camera, []PointSplat) {
 		state = state*6364136223846793005 + 1442695040888963407
 		return float64(state>>11) / (1 << 53)
 	}
-	splats := make([]PointSplat, 300)
+	splats := make([]splat, 300)
 	for i := range splats {
-		splats[i] = PointSplat{
+		splats[i] = splat{
 			Pos:    vec.New(rnd(), rnd(), rnd()),
 			Radius: 1 + 2*rnd(),
 			Color:  hybrid.RGBA{R: rnd(), G: rnd(), B: rnd(), A: 1},
@@ -88,7 +88,7 @@ func clipFixture(t *testing.T) (Camera, []PointSplat) {
 	return cam, splats
 }
 
-func clipRender(t *testing.T, cam Camera, splats []PointSplat, clip bool, near, far float32) *Framebuffer {
+func clipRender(t *testing.T, cam Camera, splats []splat, clip bool, near, far float32) *Framebuffer {
 	t.Helper()
 	fb, err := NewFramebuffer(80, 80)
 	if err != nil {
@@ -97,7 +97,7 @@ func clipRender(t *testing.T, cam Camera, splats []PointSplat, clip bool, near, 
 	fb.Clear(hybrid.RGBA{})
 	rast := NewRasterizer(fb, cam)
 	rast.ClipDepth, rast.ClipNear, rast.ClipFar = clip, near, far
-	rast.DrawPointBatch(splats)
+	drawSplats(rast, splats)
 	return fb
 }
 
@@ -151,7 +151,7 @@ func TestRasterizerClipDepth(t *testing.T) {
 	// midpoint; clipping the full batch to the near half's slab must
 	// draw exactly the near half.
 	mid := (near + far) / 2
-	var nearHalf []PointSplat
+	var nearHalf []splat
 	for _, s := range splats {
 		if _, _, depth, ok := cam.WorldToScreen(s.Pos, 80, 80); ok && float32(depth) <= mid {
 			nearHalf = append(nearHalf, s)

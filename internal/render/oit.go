@@ -6,18 +6,6 @@ import (
 	"repro/internal/sortx"
 )
 
-// fragmentSink intercepts fragments before the framebuffer; returning
-// true consumes the fragment. shard is the tile-run index during a
-// batched draw — every pixel belongs to exactly one shard, so per-shard
-// state needs no synchronization — or -1 from the immediate-mode path.
-// beginShards/endShards bracket each batched flush so implementations
-// can allocate and fold contention-free per-tile state.
-type fragmentSink interface {
-	sinkFragment(shard, x, y int, depth float32, c hybrid.RGBA) bool
-	beginShards(n int)
-	endShards()
-}
-
 // OITBuffer implements order-independent transparency: fragments are
 // collected per pixel with their depths and composited back-to-front
 // at resolve time, regardless of submission order. This is the
@@ -114,29 +102,32 @@ func (o *OITBuffer) Resolve(fb *Framebuffer) {
 
 // oitSink routes rasterizer fragments into an OITBuffer, depth-testing
 // against the opaque scene at capture time and deferring the blend to
-// Resolve. The batched path counts stored fragments in per-tile
-// buckets (one per shard) folded into FragmentCount at endShards, so
-// concurrent tile workers never contend on the tally.
+// Resolve. shard is the tile-run index during a batched flush — every
+// pixel belongs to exactly one shard, so per-shard state needs no
+// synchronization — or -1 from the immediate-mode path. The batched
+// path counts stored fragments in per-tile buckets (one per shard),
+// allocated at beginShards and folded into FragmentCount at endShards,
+// so concurrent tile workers never contend on the tally.
 type oitSink struct {
 	r      *Rasterizer
 	o      *OITBuffer
 	counts []int64
 }
 
-func (s *oitSink) sinkFragment(shard, x, y int, depth float32, c hybrid.RGBA) bool {
+// fragment consumes one in-rect fragment.
+func (s *oitSink) fragment(shard, x, y int, depth float32, c hybrid.RGBA) {
 	// Depth-test against opaque geometry now; defer blending. The
 	// emitter has already clipped to the framebuffer rect.
 	if s.r.DepthTest && depth > s.r.FB.Depth[y*s.r.FB.W+x] {
-		return true
+		return
 	}
 	if shard >= 0 {
 		if s.o.insert(x, y, depth, c) {
 			s.counts[shard]++
 		}
-		return true
+		return
 	}
 	s.o.Add(x, y, depth, c)
-	return true
 }
 
 func (s *oitSink) beginShards(n int) { s.counts = make([]int64, n) }
@@ -158,7 +149,7 @@ func (s *oitSink) endShards() {
 // attached: capture parallelizes over tiles with per-tile fragment
 // buckets.
 func (r *Rasterizer) AttachOIT(o *OITBuffer) (restore func()) {
-	prev := r.fragmentSink
-	r.fragmentSink = &oitSink{r: r, o: o}
-	return func() { r.fragmentSink = prev }
+	prev := r.sink
+	r.sink = &oitSink{r: r, o: o}
+	return func() { r.sink = prev }
 }

@@ -30,15 +30,15 @@ func partialFixture(t testing.TB, n int) *Framebuffer {
 		state = state*6364136223846793005 + 1442695040888963407
 		return float64(state>>11) / (1 << 53)
 	}
-	splats := make([]PointSplat, n)
+	splats := make([]splat, n)
 	for i := range splats {
-		splats[i] = PointSplat{
+		splats[i] = splat{
 			Pos:    vec.New(0.25+0.5*rnd(), 0.25+0.5*rnd(), 0.25+0.5*rnd()),
 			Radius: 1.5,
 			Color:  hybrid.RGBA{R: rnd(), G: rnd(), B: rnd(), A: 1},
 		}
 	}
-	rast.DrawPointBatch(splats)
+	drawSplats(rast, splats)
 	return fb
 }
 

@@ -36,12 +36,13 @@ type Shader func(f Fragment) hybrid.RGBA
 // Configure the public fields, then call the Draw methods. The zero
 // value is not usable; construct with NewRasterizer.
 //
-// Two submission paths share the same per-primitive setup and
-// per-fragment kernels, so they produce bit-identical images: the
+// Points have one path: DrawPoint splats on the calling goroutine.
+// Lines and triangles have two that share the same per-primitive setup
+// and per-fragment kernels, so they produce bit-identical images: the
 // immediate Draw* methods rasterize each primitive on the calling
-// goroutine, while the batched entry points (DrawPointBatch,
-// DrawLineBatch, DrawTriangleStripBatchFunc, or an explicit Batch) bin
-// projected primitives into fixed screen tiles and rasterize the tiles
+// goroutine, while the batched entry points (DrawLineBatch,
+// DrawTriangleStripBatchFunc, or an explicit Batch) bin projected
+// primitives into fixed screen tiles and rasterize the tiles
 // concurrently — each tile owned by exactly one worker, primitives
 // replayed in submission order, with no locks or atomics on the pixel
 // data.
@@ -65,8 +66,9 @@ type Rasterizer struct {
 	ClipDepth         bool
 	ClipNear, ClipFar float32
 
-	// Workers bounds the tile parallelism of the batched draw path
-	// (0 = par.Workers()). The image is identical at every count.
+	// Workers bounds the tile parallelism of the batched line and
+	// triangle path (0 = par.Workers()). The image is identical at
+	// every count. Points are always drawn serially.
 	Workers int
 
 	// Stats: fragments written and triangles submitted, the cost model
@@ -78,9 +80,9 @@ type Rasterizer struct {
 	PointCount    int64
 	LineCount     int64
 
-	// fragmentSink, when set, intercepts fragments before the
-	// framebuffer (used by the order-independent transparency buffer).
-	fragmentSink fragmentSink
+	// sink, when set, takes every fragment instead of the framebuffer
+	// (the order-independent transparency buffer, see AttachOIT).
+	sink *oitSink
 }
 
 // emitCtx is a per-worker fragment destination: an inclusive clip
@@ -95,9 +97,9 @@ type emitCtx struct {
 	frags          int64
 }
 
-// emit routes one in-rect fragment through the optional sink, then the
-// framebuffer. Fragments outside the rect — or outside the depth slab
-// when ClipDepth is set — are dropped before counting.
+// emit routes one in-rect fragment to the sink when one is attached,
+// else to the framebuffer. Fragments outside the rect — or outside the
+// depth slab when ClipDepth is set — are dropped before counting.
 func (e *emitCtx) emit(x, y int, depth float32, c hybrid.RGBA) {
 	if x < e.x0 || x > e.x1 || y < e.y0 || y > e.y1 {
 		return
@@ -107,7 +109,8 @@ func (e *emitCtx) emit(x, y int, depth float32, c hybrid.RGBA) {
 		return
 	}
 	e.frags++
-	if r.fragmentSink != nil && r.fragmentSink.sinkFragment(e.shard, x, y, depth, c) {
+	if r.sink != nil {
+		r.sink.fragment(e.shard, x, y, depth, c)
 		return
 	}
 	r.FB.writeFragment(x, y, depth, c, r.Mode, r.DepthTest, r.DepthWrite)
@@ -190,9 +193,8 @@ func (r *Rasterizer) setupPoint(p vec.V3, pixelRadius float64, c hybrid.RGBA, s 
 	return true, true
 }
 
-// rasterPoint replays the splat's fragments inside e's rect. Every
-// per-fragment value depends only on the pixel coordinate and the
-// setup, so any sub-rectangle reproduces the full-screen result.
+// rasterPoint draws the splat's fragments over its box, which
+// setupPoint has already clipped to the screen, counting them in e.
 //
 // The sink-free case writes the framebuffer directly with the blend
 // state hoisted out of the pixel loop; the values stored are exactly
@@ -205,20 +207,8 @@ func rasterPoint(s *pointSetup, e *emitCtx) {
 		return
 	}
 	x0, y0, x1, y1 := s.x0, s.y0, s.x1, s.y1
-	if x0 < e.x0 {
-		x0 = e.x0
-	}
-	if y0 < e.y0 {
-		y0 = e.y0
-	}
-	if x1 > e.x1 {
-		x1 = e.x1
-	}
-	if y1 > e.y1 {
-		y1 = e.y1
-	}
 	r := e.r
-	if r.fragmentSink != nil {
+	if r.sink != nil {
 		for py := y0; py <= y1; py++ {
 			dy := py - s.cy
 			for px := x0; px <= x1; px++ {

@@ -3,7 +3,6 @@ package render
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/hybrid"
@@ -12,16 +11,16 @@ import (
 
 // benchSplats builds a deterministic cloud of n splats spread over the
 // view volume with mixed radii — the RenderHybrid point-pass workload.
-func benchSplats(n int) ([]PointSplat, Camera) {
+func benchSplats(n int) ([]splat, Camera) {
 	cam, err := NewCamera(vec.New(0, 0, 6), vec.New(0, 0, 0), vec.New(0, 1, 0),
 		math.Pi/3, 1, 0.1, 100)
 	if err != nil {
 		panic(err)
 	}
 	rng := lcg(42)
-	splats := make([]PointSplat, n)
+	splats := make([]splat, n)
 	for i := range splats {
-		splats[i] = PointSplat{
+		splats[i] = splat{
 			Pos:    vec.New(rng.rangeF(-2.5, 2.5), rng.rangeF(-2.5, 2.5), rng.rangeF(-2.5, 2.5)),
 			Radius: rng.rangeF(1, 3),
 			Color:  hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1},
@@ -30,15 +29,14 @@ func benchSplats(n int) ([]PointSplat, Camera) {
 	return splats, cam
 }
 
-// BenchmarkRasterPoints compares the serial immediate splat path with
-// the tile-binned batched backend across worker counts — the rendering
-// hot path of the hybrid viewer. The fragment metric verifies both
-// paths do identical per-pixel work.
+// BenchmarkRasterPoints measures the splat path — the rendering hot
+// path of the hybrid viewer — on a cloud at 512². The fragment metric
+// is the per-pixel work.
 func BenchmarkRasterPoints(b *testing.B) {
 	const size = 512
 	for _, n := range []int{100_000, 1_000_000} {
 		splats, cam := benchSplats(n)
-		b.Run(fmt.Sprintf("N=%d/serial", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			fb, _ := NewFramebuffer(size, size)
 			b.ResetTimer()
@@ -46,33 +44,11 @@ func BenchmarkRasterPoints(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fb.Clear(hybrid.RGBA{})
 				r := NewRasterizer(fb, cam)
-				for _, s := range splats {
-					r.DrawPoint(s.Pos, s.Radius, s.Color)
-				}
+				drawSplats(r, splats)
 				frags = r.FragmentCount
 			}
 			b.ReportMetric(float64(frags), "fragments")
 		})
-		workerCounts := []int{1, 2, 4}
-		if ncpu := runtime.NumCPU(); ncpu > 4 {
-			workerCounts = append(workerCounts, ncpu)
-		}
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("N=%d/batch/workers=%d", n, w), func(b *testing.B) {
-				b.ReportAllocs()
-				fb, _ := NewFramebuffer(size, size)
-				b.ResetTimer()
-				var frags int64
-				for i := 0; i < b.N; i++ {
-					fb.Clear(hybrid.RGBA{})
-					r := NewRasterizer(fb, cam)
-					r.Workers = w
-					r.DrawPointBatch(splats)
-					frags = r.FragmentCount
-				}
-				b.ReportMetric(float64(frags), "fragments")
-			})
-		}
 	}
 }
 

@@ -35,13 +35,6 @@ type triPrim struct {
 	i0, i1, i2 int32 // indices into Batch.verts
 }
 
-// PointSplat is one batched point submission.
-type PointSplat struct {
-	Pos    vec.V3
-	Radius float64 // splat radius in pixels
-	Color  hybrid.RGBA
-}
-
 // LineSeg is one batched line-segment submission.
 type LineSeg struct {
 	P0, P1 vec.V3
@@ -122,9 +115,9 @@ func (b *Batch) reset() {
 // tileRun is one tile's contiguous slice of the binned pair array.
 type tileRun struct{ lo, hi int }
 
-// flushScratch holds the reusable working storage of one flush —
-// Batch.Flush or DrawPointBatch — the submission buffers of a borrowed
-// batch, and the plane and op buffer of one codec call (rle.go).
+// flushScratch holds the reusable working storage of one Batch.Flush,
+// the submission buffers of a borrowed batch, and the plane and op
+// buffer of one codec call (rle.go).
 type flushScratch struct {
 	batch Batch
 
@@ -142,8 +135,9 @@ type flushScratch struct {
 	frags []int64
 }
 
-// scratchList is the free list every flush borrows its scratch from,
-// so a stream that flushes once a frame reuses one scratch — as large as
+// scratchList is the free list every Batch.Flush and codec call
+// borrows its scratch from, so a stream that flushes once a frame
+// reuses one scratch — as large as
 // the largest flush it has served, a few MB for a 50k-triangle frame —
 // instead of allocating and zeroing it again. A scratch whose codec
 // plane or ops grew past pipeline.MaxKeptBytes is not put back.
@@ -323,8 +317,8 @@ func (b *Batch) Flush() {
 	runs := tileRuns(sc, pairs)
 
 	// Phase 3 — rasterize tiles concurrently, one owner per tile.
-	if r.fragmentSink != nil {
-		r.fragmentSink.beginShards(len(runs))
+	if r.sink != nil {
+		r.sink.beginShards(len(runs))
 	}
 	frags := grow(&sc.frags, len(runs))
 	par.ForChunks(len(runs), workers, func(rlo, rhi int) {
@@ -351,8 +345,8 @@ func (b *Batch) Flush() {
 			frags[ri] = e.frags
 		}
 	})
-	if r.fragmentSink != nil {
-		r.fragmentSink.endShards()
+	if r.sink != nil {
+		r.sink.endShards()
 	}
 	for _, f := range frags {
 		r.FragmentCount += f
@@ -427,116 +421,6 @@ func getBatch(r *Rasterizer) *Batch {
 func putBatch(b *Batch) {
 	b.r = nil
 	putScratch(b.sc)
-}
-
-// DrawPointBatch splats every point through the tile-parallel backend;
-// equivalent to calling DrawPoint for each splat in order.
-//
-// This is the hybrid viewer's hot path, so it skips the generic batch
-// machinery: point setup is a couple of matrix applies, cheap enough
-// to recompute per phase directly from the caller's slice, which
-// keeps the flush free of per-splat intermediate storage (only the
-// tile pairs are materialized).
-func (r *Rasterizer) DrawPointBatch(splats []PointSplat) {
-	n := len(splats)
-	if n == 0 {
-		return
-	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	if workers == 1 {
-		for i := range splats {
-			r.DrawPoint(splats[i].Pos, splats[i].Radius, splats[i].Color)
-		}
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-
-	// Pass 1 — project, cull, and count covered tiles per splat.
-	offs := grow(&sc.offs, n+1)
-	plan := par.Chunks(n, workers)
-	stats := make([]int64, plan.Count)
-	par.ForChunks(n, workers, func(lo, hi int) {
-		var s pointSetup
-		count := int64(0)
-		for i := lo; i < hi; i++ {
-			sp := &splats[i]
-			cnt := 0
-			projected, visible := r.setupPoint(sp.Pos, sp.Radius, sp.Color, &s)
-			if projected {
-				count++
-				if visible {
-					cnt = tileSpan(s.x0, s.y0, s.x1, s.y1)
-				}
-			}
-			offs[i+1] = cnt
-		}
-		stats[plan.Index(lo)] = count
-	})
-	for _, c := range stats {
-		r.PointCount += c
-	}
-	offs[0] = 0
-	for i := 0; i < n; i++ {
-		offs[i+1] += offs[i]
-	}
-	nPairs := offs[n]
-	if nPairs == 0 {
-		return
-	}
-
-	// Pass 2 — expand into (tile, splat) pairs and group by tile.
-	tw := (r.FB.W + TileSize - 1) / TileSize
-	pairs := grow(&sc.pairs, nPairs)
-	par.ForChunks(n, workers, func(lo, hi int) {
-		var s pointSetup
-		for i := lo; i < hi; i++ {
-			o := offs[i]
-			if offs[i+1] == o {
-				continue
-			}
-			sp := &splats[i]
-			r.setupPoint(sp.Pos, sp.Radius, sp.Color, &s)
-			for ty := s.y0 / TileSize; ty <= s.y1/TileSize; ty++ {
-				for tx := s.x0 / TileSize; tx <= s.x1/TileSize; tx++ {
-					pairs[o] = sortx.KV{K: uint64(ty*tw + tx), V: int64(i)}
-					o++
-				}
-			}
-		}
-	})
-	sscr := grow(&sc.sscr, nPairs)
-	sortx.PairsScratch(pairs, sscr, workers)
-	runs := tileRuns(sc, pairs)
-
-	// Pass 3 — rasterize tiles concurrently, replaying each tile's
-	// splats in submission order.
-	if r.fragmentSink != nil {
-		r.fragmentSink.beginShards(len(runs))
-	}
-	frags := grow(&sc.frags, len(runs))
-	par.ForChunks(len(runs), workers, func(rlo, rhi int) {
-		var s pointSetup
-		for ri := rlo; ri < rhi; ri++ {
-			run := runs[ri]
-			e := tileCtx(r, int(pairs[run.lo].K), tw, ri)
-			for pi := run.lo; pi < run.hi; pi++ {
-				sp := &splats[pairs[pi].V]
-				r.setupPoint(sp.Pos, sp.Radius, sp.Color, &s)
-				rasterPoint(&s, &e)
-			}
-			frags[ri] = e.frags
-		}
-	})
-	if r.fragmentSink != nil {
-		r.fragmentSink.endShards()
-	}
-	for _, f := range frags {
-		r.FragmentCount += f
-	}
 }
 
 // DrawLineBatch draws every segment through the tile-parallel backend;

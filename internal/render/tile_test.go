@@ -19,6 +19,20 @@ func (r *lcg) next() float64 {
 
 func (r *lcg) rangeF(lo, hi float64) float64 { return lo + (hi-lo)*r.next() }
 
+// splat is one point submission of a test cloud.
+type splat struct {
+	Pos    vec.V3
+	Radius float64
+	Color  hybrid.RGBA
+}
+
+// drawSplats draws the cloud with DrawPoint, in order.
+func drawSplats(r *Rasterizer, splats []splat) {
+	for _, s := range splats {
+		r.DrawPoint(s.Pos, s.Radius, s.Color)
+	}
+}
+
 // sceneDraw submits a mixed scene — splats of varying radii, thin and
 // fat lines, overlapping triangles and strips, including off-screen
 // and near-plane-straddling geometry — through the given callbacks so
@@ -137,44 +151,25 @@ func (p immediatePainter) line(p0, p1 vec.V3, w float64, c0, c1 hybrid.RGBA) {
 func (p immediatePainter) triangle(v0, v1, v2 Vertex) { p.r.DrawTriangle(v0, v1, v2) }
 func (p immediatePainter) strip(verts []Vertex)       { p.r.DrawTriangleStrip(verts) }
 
-// batchPainter submits lines and triangles to a Batch and each run of
-// points to DrawPointBatch, emptying the other queue first so that the
-// draw order is the submission order.
-type batchPainter struct {
-	b   *Batch
-	pts []PointSplat
-}
+// batchPainter submits lines and triangles to a Batch and draws each
+// point with DrawPoint, flushing the batch first so that the draw order
+// is the submission order.
+type batchPainter struct{ b *Batch }
 
 func newBatchPainter(r *Rasterizer) *batchPainter { return &batchPainter{b: r.NewBatch()} }
 
 func (p *batchPainter) point(pt vec.V3, radius float64, c hybrid.RGBA) {
 	p.b.Flush()
-	p.pts = append(p.pts, PointSplat{Pos: pt, Radius: radius, Color: c})
-}
-func (p *batchPainter) drawPoints() {
-	if len(p.pts) > 0 {
-		p.b.r.DrawPointBatch(p.pts)
-		p.pts = p.pts[:0]
-	}
+	p.b.r.DrawPoint(pt, radius, c)
 }
 func (p *batchPainter) line(p0, p1 vec.V3, w float64, c0, c1 hybrid.RGBA) {
-	p.drawPoints()
 	p.b.Line(p0, p1, w, c0, c1)
 }
-func (p *batchPainter) triangle(v0, v1, v2 Vertex) {
-	p.drawPoints()
-	p.b.Triangle(v0, v1, v2)
-}
-func (p *batchPainter) strip(verts []Vertex) {
-	p.drawPoints()
-	p.b.TriangleStrip(verts)
-}
+func (p *batchPainter) triangle(v0, v1, v2 Vertex) { p.b.Triangle(v0, v1, v2) }
+func (p *batchPainter) strip(verts []Vertex)       { p.b.TriangleStrip(verts) }
 
 // flush draws everything submitted.
-func (p *batchPainter) flush() {
-	p.drawPoints()
-	p.b.Flush()
-}
+func (p *batchPainter) flush() { p.b.Flush() }
 
 func framebuffersEqual(t *testing.T, label string, a, b *Framebuffer) {
 	t.Helper()
@@ -258,25 +253,6 @@ func TestBatchEntryPointsMatchImmediate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := lcg(7)
-	splats := make([]PointSplat, 300)
-	for i := range splats {
-		splats[i] = PointSplat{
-			Pos:    vec.New(rng.rangeF(-2, 2), rng.rangeF(-2, 2), rng.rangeF(-2, 2)),
-			Radius: rng.rangeF(0.5, 4),
-			Color:  hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1},
-		}
-	}
-	fbA, _ := NewFramebuffer(w, h)
-	ra := NewRasterizer(fbA, cam)
-	for _, s := range splats {
-		ra.DrawPoint(s.Pos, s.Radius, s.Color)
-	}
-	fbB, _ := NewFramebuffer(w, h)
-	rb := NewRasterizer(fbB, cam)
-	rb.Workers = 4
-	rb.DrawPointBatch(splats)
-	framebuffersEqual(t, "DrawPointBatch", fbA, fbB)
-
 	segs := make([]LineSeg, 80)
 	for i := range segs {
 		segs[i] = LineSeg{

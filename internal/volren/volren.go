@@ -505,13 +505,11 @@ func RenderHybridDynamic(rep *hybrid.Representation, tf *hybrid.LinkedTF,
 	}
 	rast := render.NewRasterizer(fb, cam)
 	rast.Mode = render.BlendOpaque
-	splats := make([]render.PointSplat, len(sel))
 	for k, i := range sel {
 		c := attrMap.Eval((vals[k] - lo) / span)
 		c.A = 1
-		splats[k] = render.PointSplat{Pos: rep.Points[i], Radius: pointSize, Color: c}
+		rast.DrawPoint(rep.Points[i], pointSize, c)
 	}
-	rast.DrawPointBatch(splats)
 	vr, err := New(rep.Volume, tf)
 	if err != nil {
 		return nil, nil, err
@@ -540,7 +538,9 @@ type PointPassOptions struct {
 
 // RenderPointPass draws the halo-point half of RenderHybrid — the
 // depth-writing opaque splats selected by the point transfer function
-// — and returns the rasterizer holding the pass stats. The volume
+// — and returns the rasterizer holding the pass stats. The splats are
+// drawn by DrawPoint on the calling goroutine in selection order; the
+// pass allocates only its rasterizer and the selection. The volume
 // pass is not run; rep.Volume may be nil. Splitting a frame's points
 // into contiguous sub-ranges and running one pass per range (each at
 // its global Offset) writes, across all partial framebuffers, exactly
@@ -560,12 +560,7 @@ func RenderPointPass(rep *hybrid.Representation, tf *hybrid.LinkedTF,
 			rast.ClipDepth, rast.ClipNear, rast.ClipFar = true, near, far
 		}
 	}
-	sel := rep.SelectPointsOffset(tf, opt.Offset)
-	// The halo points go through the tile-binned parallel backend: the
-	// splat batch is projected, binned and rasterized on all cores with
-	// output bit-identical to serial DrawPoint calls in this order.
-	splats := make([]render.PointSplat, len(sel))
-	for k, i := range sel {
+	for _, i := range rep.SelectPointsOffset(tf, opt.Offset) {
 		d := tf.MapDensity(float64(rep.PointDensity[i]))
 		c := tf.Color.Eval(d)
 		if !opaquePoints {
@@ -573,16 +568,16 @@ func RenderPointPass(rep *hybrid.Representation, tf *hybrid.LinkedTF,
 		} else {
 			c.A = 1
 		}
-		splats[k] = render.PointSplat{Pos: rep.Points[i], Radius: pointSize, Color: c}
+		rast.DrawPoint(rep.Points[i], pointSize, c)
 	}
-	rast.DrawPointBatch(splats)
 	return rast
 }
 
 // RenderHybrid renders a hybrid representation exactly as the paper's
 // viewer does: the halo points selected by the point transfer function
-// are drawn first as depth-writing splats, then the density volume is
-// ray-cast in front of and behind them (§2.4, Fig 4). pointSize is the
+// are drawn first as depth-writing splats (serially, by
+// RenderPointPass), then the density volume is ray-cast in parallel in
+// front of and behind them (§2.4, Fig 4). pointSize is the
 // splat radius in pixels; opaquePoints matches Fig 4's "points shown
 // here are completely opaque" mode, otherwise points modulate alpha by
 // their leaf density through the color map.

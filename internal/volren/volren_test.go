@@ -169,10 +169,13 @@ func TestSampleCountScalesWithResolution(t *testing.T) {
 	}
 }
 
-func TestRenderHybridEndToEnd(t *testing.T) {
-	// Build a small hybrid representation and render it.
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]vec.V3, 20000)
+// clusterRep extracts a hybrid representation from n seeded points, 80%
+// in a Gaussian core and 20% uniform over [-1,1]³, returning it with
+// the points (OrigIndex indexes them).
+func clusterRep(t testing.TB, seed int64, n, volRes int, budget int64) (*hybrid.Representation, []vec.V3) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]vec.V3, n)
 	for i := range pts {
 		if rng.Float64() < 0.8 {
 			pts[i] = vec.New(rng.NormFloat64()*0.2, rng.NormFloat64()*0.2, rng.NormFloat64()*0.2)
@@ -184,10 +187,17 @@ func TestRenderHybridEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: 16, Budget: 4000})
+	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: volRes, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep, pts
+}
+
+// heatTF is the hybrid tests' transfer-function pair: a heat map over a
+// log domain with the point/volume boundary at the extract threshold.
+func heatTF(t testing.TB, rep *hybrid.Representation) *hybrid.LinkedTF {
+	t.Helper()
 	vol, err := hybrid.StepRamp(0.3, 0.6, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +207,13 @@ func TestRenderHybridEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tf.Domain = hybrid.LogDomain(1e4)
+	return tf
+}
+
+func TestRenderHybridEndToEnd(t *testing.T) {
+	// Build a small hybrid representation and render it.
+	rep, _ := clusterRep(t, 1, 20000, 16, 4000)
+	tf := heatTF(t, rep)
 	fb, _ := render.NewFramebuffer(64, 64)
 	cam, err := render.LookAtBounds(rep.Bounds, vec.New(0.3, 0.2, 1), math.Pi/3, 1)
 	if err != nil {
@@ -238,23 +255,7 @@ func TestJitterChangesNothingStructural(t *testing.T) {
 
 func TestRenderHybridDynamicColoring(t *testing.T) {
 	// Build a hybrid representation whose points carry original indices.
-	rng := rand.New(rand.NewSource(5))
-	pts := make([]vec.V3, 10000)
-	for i := range pts {
-		if rng.Float64() < 0.8 {
-			pts[i] = vec.New(rng.NormFloat64()*0.2, rng.NormFloat64()*0.2, rng.NormFloat64()*0.2)
-		} else {
-			pts[i] = vec.New(rng.Float64()*2-1, rng.Float64()*2-1, rng.Float64()*2-1)
-		}
-	}
-	tree, err := octree.Build(pts, octree.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: 8, Budget: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, pts := clusterRep(t, 5, 10000, 8, 2000)
 	if len(rep.OrigIndex) != rep.NumPoints() {
 		t.Fatalf("extract kept %d orig indices for %d points", len(rep.OrigIndex), rep.NumPoints())
 	}
@@ -293,6 +294,70 @@ func TestRenderHybridDynamicColoring(t *testing.T) {
 	if leftR <= leftB || rightB <= rightR {
 		t.Errorf("dynamic coloring not spatially correlated: left(R=%.1f,B=%.1f) right(R=%.1f,B=%.1f)",
 			leftR, leftB, rightR, rightB)
+	}
+}
+
+// TestRenderHybridDynamicNaNAttribute: an attribute that is NaN for one
+// drawn point (a particle with a NaN momentum) colors that point with
+// the first stop of the map instead of panicking, and every selected
+// point is still drawn.
+func TestRenderHybridDynamicNaNAttribute(t *testing.T) {
+	rep, pts := clusterRep(t, 5, 10000, 8, 2000)
+	tf := testTF(t)
+	sel := rep.SelectPoints(tf)
+	if len(sel) < 2 {
+		t.Fatalf("only %d points selected", len(sel))
+	}
+	cam, err := render.LookAtBounds(rep.Bounds, vec.New(0.3, 0.2, 1), math.Pi/3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := rep.OrigIndex[sel[len(sel)/2]]
+	attr := func(orig int64) float64 {
+		if orig == bad {
+			return math.NaN()
+		}
+		return pts[orig].X
+	}
+	rb := hybrid.ColorMap{Stops: []hybrid.RGBA{{R: 1, A: 1}, {B: 1, A: 1}}}
+	fb, _ := render.NewFramebuffer(64, 64)
+	rast, _, err := RenderHybridDynamic(rep, tf, fb, cam, 1.5, attr, rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rast.PointCount != int64(len(sel)) {
+		t.Errorf("drew %d points, want %d", rast.PointCount, len(sel))
+	}
+}
+
+// TestRenderPointPassAllocates pins the point pass's allocations on a
+// frame of about 20k stored points, with and without the depth clip:
+// the splats are drawn one by one, so the pass allocates only what it
+// returns or must hold for the whole pass.
+func TestRenderPointPassAllocates(t *testing.T) {
+	rep, _ := clusterRep(t, 3, 100000, 16, 20000)
+	if len(rep.Points) < 15000 {
+		t.Fatalf("frame holds %d points, want about 20k", len(rep.Points))
+	}
+	tf := heatTF(t, rep)
+	cam, err := render.LookAtBounds(rep.Bounds, vec.New(0.3, 0.2, 1), math.Pi/3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, _ := render.NewFramebuffer(160, 160)
+	const allowed = 2 // the returned *render.Rasterizer, and the selection slice (SelectPointsOffset)
+	for _, clip := range []bool{false, true} {
+		var drawn int64
+		allocs := testing.AllocsPerRun(5, func() {
+			rast := RenderPointPass(rep, tf, fb, cam, 1.5, false, PointPassOptions{Clip: clip})
+			drawn = rast.PointCount
+		})
+		if drawn < 1000 {
+			t.Fatalf("clip=%v: pass drew only %d points", clip, drawn)
+		}
+		if allocs > allowed {
+			t.Errorf("clip=%v: RenderPointPass allocates %v times per call, want at most %d", clip, allocs, allowed)
+		}
 	}
 }
 
@@ -1064,11 +1129,9 @@ func BenchmarkRayCast(b *testing.B) {
 	}
 	rast := render.NewRasterizer(splatted, cam)
 	rast.Mode = render.BlendOpaque
-	var splats []render.PointSplat
 	for i := 0; i < len(pts); i += 40 {
-		splats = append(splats, render.PointSplat{Pos: pts[i], Radius: 1.5, Color: hybrid.RGBA{R: 1, G: 0.6, A: 1}})
+		rast.DrawPoint(pts[i], 1.5, hybrid.RGBA{R: 1, G: 0.6, A: 1})
 	}
-	rast.DrawPointBatch(splats)
 
 	for _, c := range []struct {
 		name string

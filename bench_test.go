@@ -548,28 +548,15 @@ func BenchmarkAblationPrefixExtract(b *testing.B) {
 	}
 }
 
-// ---- Ablation: OIT vs depth-sorted transparency ---------------------------
+// ---- Ablation: depth-sorted transparency -----------------------------------
 
-// BenchmarkAblationSortedTransparency is the default transparent mode:
-// strips sorted back-to-front per line.
+// BenchmarkAblationSortedTransparency is the transparent mode: strips
+// sorted back-to-front per line.
 func BenchmarkAblationSortedTransparency(b *testing.B) {
 	fp, _, res := getCavity(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := fp.RenderLines(res.Lines, sos.TechTransparent, benchImage, benchImage, vec.New(0.8, 0.45, 0.9)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationOITTransparency resolves unsorted fragments through
-// the order-independent buffer — exact compositing at the cost of
-// per-pixel fragment lists (the §3.3.3 extension).
-func BenchmarkAblationOITTransparency(b *testing.B) {
-	fp, _, res := getCavity(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := fp.RenderLines(res.Lines, sos.TechTransparentOIT, benchImage, benchImage, vec.New(0.8, 0.45, 0.9)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,6 +80,9 @@ func main() {
 	if flag.NArg() == 0 {
 		log.Fatal("no input .achy frames given")
 	}
+	if !render.PlausibleSize(*size, *size) {
+		log.Fatalf("-size %d out of range: a picture is 1 to 2048 pixels a side", *size)
+	}
 	if !(*pointSize > 0) || math.IsInf(*pointSize, 1) {
 		log.Fatalf("-pointsize %g must be positive and finite", *pointSize)
 	}

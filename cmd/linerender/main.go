@@ -46,6 +46,12 @@ func main() {
 	if *in == "" {
 		log.Fatal("-in is required")
 	}
+	if !render.PlausibleSize(*size, *size) {
+		log.Fatalf("-size %d out of range: a picture is 1 to 2048 pixels a side", *size)
+	}
+	if *prefix < 0 {
+		log.Fatalf("-prefix %d must be 0 (all lines) or more", *prefix)
+	}
 	lines, err := lineio.ReadFile(*in)
 	if err != nil {
 		log.Fatal(err)

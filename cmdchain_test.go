@@ -282,6 +282,37 @@ func TestCmdFieldChain(t *testing.T) {
 		t.Errorf("picture is %dx%d, want 64x64", b.Dx(), b.Dy())
 	}
 
+	// linerender's flag misuse: each case is refused with an error that
+	// names its flag, status 1, before any picture is written. -size
+	// 100000 once ran out of memory, -size 0 failed without naming the
+	// flag, and -prefix -3 rendered every line.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-size", "100000"}, "linerender: -size"},
+		{[]string{"-size", "2049"}, "linerender: -size"},
+		{[]string{"-size", "0"}, "linerender: -size"},
+		{[]string{"-size", "-1"}, "linerender: -size"},
+		{[]string{"-prefix", "-3"}, "linerender: -prefix"},
+		{[]string{"-tech", "transparent-oit"}, `linerender: unknown technique "transparent-oit"`},
+	} {
+		args := append([]string{"-in", files[1], "-tech", "all", "-size", "32", "-out", filepath.Join(dir, "refused")}, c.args...)
+		stdout, stderr, exit := runCommand(t, linerender, args...)
+		if exit != 1 {
+			t.Errorf("linerender %v: exit status %d, want 1", c.args, exit)
+		}
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("linerender %v: error %q does not say %q", c.args, strings.TrimSpace(stderr), c.want)
+		}
+		if strings.Contains(stdout, "triangles") {
+			t.Errorf("linerender %v: rendered before failing:\n%s", c.args, stdout)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "refused*")); len(left) != 0 {
+		t.Errorf("refused linerender runs left files behind: %v", left)
+	}
+
 	// A flipped byte anywhere in the file is refused by name, status 1.
 	data, err := os.ReadFile(files[0])
 	if err != nil {
@@ -306,7 +337,8 @@ func TestCmdFieldChain(t *testing.T) {
 // once did worse — beamsim -frames 0 divided by zero, -frames -2 wrote
 // one frame, -mismatch nan wrote frames of NaNs; extract -volres 100000
 // panicked in make and -threshold nan extracted; hybridview drew
-// pictures without a splat at -pointsize 0, -1 or nan.
+// pictures without a splat at -pointsize 0, -1 or nan, and ran out of
+// memory at -size 100000.
 func TestCmdParticleFlags(t *testing.T) {
 	bin := buildCommands(t, "beamsim", "extract", "hybridview")
 	dir, out := t.TempDir(), t.TempDir()
@@ -349,6 +381,9 @@ func TestCmdParticleFlags(t *testing.T) {
 		{"hybridview", []string{"-pointsize", "0"}, "hybridview: -pointsize"},
 		{"hybridview", []string{"-pointsize", "-1"}, "hybridview: -pointsize"},
 		{"hybridview", []string{"-pointsize", "nan"}, "hybridview: -pointsize"},
+		{"hybridview", []string{"-size", "100000"}, "hybridview: -size"},
+		{"hybridview", []string{"-size", "2049"}, "hybridview: -size"},
+		{"hybridview", []string{"-size", "0"}, "hybridview: -size"},
 	} {
 		var args []string
 		switch c.cmd {
@@ -357,7 +392,9 @@ func TestCmdParticleFlags(t *testing.T) {
 		case "extract":
 			args = append(c.args, "-out", filepath.Join(out, "bad.achy"), base)
 		case "hybridview":
-			args = append(c.args, "-size", "16", "-out", filepath.Join(out, "bad.png"), achy)
+			// The case's flags come after -size 16: the last one wins.
+			args = append([]string{"-size", "16", "-out", filepath.Join(out, "bad.png")}, c.args...)
+			args = append(args, achy)
 		}
 		_, stderr, exit := runCommand(t, filepath.Join(bin, c.cmd), args...)
 		if exit != 1 {

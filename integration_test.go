@@ -108,7 +108,7 @@ func TestFullFieldPipelineOnDisk(t *testing.T) {
 	if len(lines) != len(res.Lines) {
 		t.Fatalf("reloaded %d lines, wrote %d", len(lines), len(res.Lines))
 	}
-	for _, tech := range append(sos.Techniques(), sos.TechTransparentOIT) {
+	for _, tech := range sos.Techniques() {
 		fb, st, err := fp.RenderLines(lines, tech, 64, 64, vec.New(0.8, 0.45, 0.9))
 		if err != nil {
 			t.Fatalf("%v: %v", tech, err)

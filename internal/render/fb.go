@@ -6,24 +6,25 @@
 // bump mapping); alpha blending with back-to-front compositing; and
 // additive splatting for dense particle clouds.
 //
-// Lines and triangles run through a tile-binned parallel backend: the
-// batched entry points (DrawLineBatch, DrawTriangleStripBatchFunc, or a
-// mixed Batch) project and bin primitives into fixed screen tiles, then
-// rasterize the tiles concurrently — each tile owned by exactly one
-// worker, primitives replayed in submission order, so the image is
-// bit-identical to the serial immediate-mode path at every worker count
-// with no locks or atomics on pixel data. Triangles are indexed — a
-// vertex shared by the triangles of a strip is stored and transformed
-// once per flush — and every flush works in scratch borrowed from one
-// bounded free list (see Batch and scratchList), so steady-state
-// rendering allocates next to nothing. Triangle fill steps affine edge
-// functions with early screen-bounds rejection.
+// Triangles run through a tile-binned parallel backend: the batched
+// entry points (DrawTriangleStripBatchFunc, or a Batch) project and bin
+// triangles into fixed screen tiles, then rasterize the tiles
+// concurrently — each tile owned by exactly one worker, triangles
+// replayed in submission order, so the image is bit-identical to the
+// serial DrawTriangle path at every worker count with no locks or
+// atomics on pixel data. Triangles are indexed — a vertex shared by the
+// triangles of a strip is stored and transformed once per flush — and
+// every flush works in scratch borrowed from one bounded free list (see
+// Batch and scratchList), so steady-state rendering allocates next to
+// nothing. Triangle fill steps affine edge functions with early
+// screen-bounds rejection.
 //
-// Point splats have one path, DrawPoint on the calling goroutine: a
-// splat's setup is a couple of matrix applies and its footprint a few
-// pixels, so binning them into tiles costs more than it saves on the
-// core counts measured here. Splats read a precomputed Gaussian kernel
-// table instead of calling math.Exp per fragment.
+// Points and lines have one path each, DrawPoint and DrawLine on the
+// calling goroutine: a splat's or a line segment's setup is a couple of
+// matrix applies and its footprint a few pixels, so binning them into
+// tiles costs more than it saves on the core counts measured here.
+// Splats read a precomputed Gaussian kernel table instead of calling
+// math.Exp per fragment. Every fragment is written to the framebuffer.
 //
 // Absolute speed is not the reproduction target — the *ratios* between
 // techniques (triangles per field line, hybrid vs full-resolution

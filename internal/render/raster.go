@@ -36,16 +36,16 @@ type Shader func(f Fragment) hybrid.RGBA
 // Configure the public fields, then call the Draw methods. The zero
 // value is not usable; construct with NewRasterizer.
 //
-// Points have one path: DrawPoint splats on the calling goroutine.
-// Lines and triangles have two that share the same per-primitive setup
-// and per-fragment kernels, so they produce bit-identical images: the
-// immediate Draw* methods rasterize each primitive on the calling
-// goroutine, while the batched entry points (DrawLineBatch,
-// DrawTriangleStripBatchFunc, or an explicit Batch) bin projected
-// primitives into fixed screen tiles and rasterize the tiles
-// concurrently — each tile owned by exactly one worker, primitives
+// Points and lines have one path each: DrawPoint and DrawLine draw on
+// the calling goroutine. Triangles have two that share the same
+// per-triangle setup and per-fragment kernel, so they produce
+// bit-identical images: DrawTriangle rasterizes one triangle on the
+// calling goroutine, while the batched entry points
+// (DrawTriangleStripBatchFunc, or an explicit Batch) bin projected
+// triangles into fixed screen tiles and rasterize the tiles
+// concurrently — each tile owned by exactly one worker, triangles
 // replayed in submission order, with no locks or atomics on the pixel
-// data.
+// data. Every fragment goes to the framebuffer.
 type Rasterizer struct {
 	FB  *Framebuffer
 	Cam Camera
@@ -66,9 +66,9 @@ type Rasterizer struct {
 	ClipDepth         bool
 	ClipNear, ClipFar float32
 
-	// Workers bounds the tile parallelism of the batched line and
-	// triangle path (0 = par.Workers()). The image is identical at
-	// every count. Points are always drawn serially.
+	// Workers bounds the tile parallelism of the batched triangle path
+	// (0 = par.Workers()). The image is identical at every count.
+	// Points and lines are always drawn serially.
 	Workers int
 
 	// Stats: fragments written and triangles submitted, the cost model
@@ -78,28 +78,22 @@ type Rasterizer struct {
 	FragmentCount int64
 	TriangleCount int64
 	PointCount    int64
-	LineCount     int64
-
-	// sink, when set, takes every fragment instead of the framebuffer
-	// (the order-independent transparency buffer, see AttachOIT).
-	sink *oitSink
 }
 
-// emitCtx is a per-worker fragment destination: an inclusive clip
-// rectangle plus local counters. Tile workers use their tile rect and
-// run index as the sink shard; the immediate-mode path uses the full
-// screen and shard -1. Keeping the counters here is what lets tile
-// workers run without shared mutable state.
+// emitCtx is one worker's view of the framebuffer: an inclusive clip
+// rectangle plus a local fragment counter. Tile workers use their tile
+// rect; the immediate-mode path uses the full screen. Keeping the
+// counter here is what lets tile workers run without shared mutable
+// state.
 type emitCtx struct {
 	r              *Rasterizer
 	x0, y0, x1, y1 int
-	shard          int
 	frags          int64
 }
 
-// emit routes one in-rect fragment to the sink when one is attached,
-// else to the framebuffer. Fragments outside the rect — or outside the
-// depth slab when ClipDepth is set — are dropped before counting.
+// emit writes one in-rect fragment to the framebuffer. Fragments
+// outside the rect — or outside the depth slab when ClipDepth is set —
+// are dropped before counting.
 func (e *emitCtx) emit(x, y int, depth float32, c hybrid.RGBA) {
 	if x < e.x0 || x > e.x1 || y < e.y0 || y > e.y1 {
 		return
@@ -109,17 +103,12 @@ func (e *emitCtx) emit(x, y int, depth float32, c hybrid.RGBA) {
 		return
 	}
 	e.frags++
-	if r.sink != nil {
-		r.sink.fragment(e.shard, x, y, depth, c)
-		return
-	}
 	r.FB.writeFragment(x, y, depth, c, r.Mode, r.DepthTest, r.DepthWrite)
 }
 
-// screenCtx returns the immediate-mode emit context: the whole screen,
-// no sink shard.
+// screenCtx returns the immediate-mode emit context: the whole screen.
 func (r *Rasterizer) screenCtx() emitCtx {
-	return emitCtx{r: r, x1: r.FB.W - 1, y1: r.FB.H - 1, shard: -1}
+	return emitCtx{r: r, x1: r.FB.W - 1, y1: r.FB.H - 1}
 }
 
 // NewRasterizer returns an opaque-mode rasterizer with depth testing.
@@ -196,9 +185,9 @@ func (r *Rasterizer) setupPoint(p vec.V3, pixelRadius float64, c hybrid.RGBA, s 
 // rasterPoint draws the splat's fragments over its box, which
 // setupPoint has already clipped to the screen, counting them in e.
 //
-// The sink-free case writes the framebuffer directly with the blend
-// state hoisted out of the pixel loop; the values stored are exactly
-// those the generic emit path would produce, fragment for fragment.
+// It writes the framebuffer directly with the blend state hoisted out
+// of the pixel loop; the values stored are exactly those emit would
+// produce, fragment for fragment.
 func rasterPoint(s *pointSetup, e *emitCtx) {
 	// A splat's fragments share one depth, so the depth slab accepts or
 	// rejects it whole — checked here so the fast loops below need no
@@ -208,22 +197,6 @@ func rasterPoint(s *pointSetup, e *emitCtx) {
 	}
 	x0, y0, x1, y1 := s.x0, s.y0, s.x1, s.y1
 	r := e.r
-	if r.sink != nil {
-		for py := y0; py <= y1; py++ {
-			dy := py - s.cy
-			for px := x0; px <= x1; px++ {
-				dx := px - s.cx
-				d2 := float64(dx*dx + dy*dy)
-				if d2 > s.r2 {
-					continue
-				}
-				fc := s.color
-				fc.A = s.color.A * gaussKernel[int(d2*s.qscale)]
-				e.emit(px, py, s.depth, fc)
-			}
-		}
-		return
-	}
 	fb := r.FB
 	mode, depthTest, depthWrite := r.Mode, r.DepthTest, r.DepthWrite
 	cr, cg, cb := float32(s.color.R), float32(s.color.G), float32(s.color.B)
@@ -316,26 +289,24 @@ func (r *Rasterizer) DrawPoint(p vec.V3, pixelRadius float64, c hybrid.RGBA) {
 
 // lineSetup is a near-clipped, projected line.
 type lineSetup struct {
-	ax, ay, ad     float64 // screen start and depth
-	dx, dy, dd     float64 // screen deltas
-	steps          int
-	ir             int     // stamp radius in pixels (0 for 1px lines)
-	w2             float64 // width²/4, the stamp disc test
-	width          float64
-	c0, c1         hybrid.RGBA
-	x0, y0, x1, y1 int // conservative bounding box clamped to the screen
+	ax, ay, ad float64 // screen start and depth
+	dx, dy, dd float64 // screen deltas
+	steps      int
+	ir         int     // stamp radius in pixels (0 for 1px lines)
+	w2         float64 // width²/4, the stamp disc test
+	width      float64
+	c0, c1     hybrid.RGBA
 }
 
-// setupLine clips and projects one line. drawn=false means the line is
-// entirely behind the near plane (not counted); visible=false means no
-// fragment can land on screen (counted, no work).
-func (r *Rasterizer) setupLine(p0, p1 vec.V3, width float64, c0, c1 hybrid.RGBA, s *lineSetup) (drawn, visible bool) {
+// setupLine clips and projects one line. It returns false when the line
+// is entirely behind the near plane.
+func (r *Rasterizer) setupLine(p0, p1 vec.V3, width float64, c0, c1 hybrid.RGBA, s *lineSetup) bool {
 	a := r.Cam.viewSpace(p0)
 	b := r.Cam.viewSpace(p1)
 	// Clip to the near plane in view space.
 	nz := -r.Cam.Near
 	if a.Z >= nz && b.Z >= nz {
-		return false, false
+		return false
 	}
 	if a.Z >= nz || b.Z >= nz {
 		t := (nz - a.Z) / (b.Z - a.Z)
@@ -354,32 +325,12 @@ func (r *Rasterizer) setupLine(p0, p1 vec.V3, width float64, c0, c1 hybrid.RGBA,
 	if width > 1 {
 		ir = int(math.Ceil(width / 2))
 	}
-	x0 := int(math.Floor(math.Min(ax, bx))) - ir - 1
-	x1 := int(math.Ceil(math.Max(ax, bx))) + ir + 1
-	y0 := int(math.Floor(math.Min(ay, by))) - ir - 1
-	y1 := int(math.Ceil(math.Max(ay, by))) + ir + 1
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > r.FB.W-1 {
-		x1 = r.FB.W - 1
-	}
-	if y1 > r.FB.H-1 {
-		y1 = r.FB.H - 1
-	}
-	if x0 > x1 || y0 > y1 {
-		return true, false
-	}
 	s.ax, s.ay, s.ad = ax, ay, ad
 	s.dx, s.dy, s.dd = dx, dy, bd-ad
 	s.steps, s.ir = steps, ir
 	s.w2, s.width = width*width/4, width
 	s.c0, s.c1 = c0, c1
-	s.x0, s.y0, s.x1, s.y1 = x0, y0, x1, y1
-	return true, true
+	return true
 }
 
 // stepRange returns the inclusive range of step indices whose position
@@ -412,10 +363,12 @@ func stepRange(a, d, lo, hi float64, steps int) (int, int, bool) {
 	return i0, i1, true
 }
 
-// rasterLine replays the line's fragments inside e's rect. The step
-// walk is restricted to the conservative sub-range that can reach the
-// rect; each step computes t from its index alone, so a sub-range
-// reproduces exactly the fragments the full walk would emit there.
+// rasterLine draws the line's fragments inside e's rect, the screen.
+// The step walk is restricted to the conservative sub-range that can
+// reach the rect, so a line that runs far off screen, or misses it,
+// costs only its visible steps; each step computes t from its index
+// alone, so a sub-range reproduces exactly the fragments the full walk
+// would emit there.
 func rasterLine(s *lineSetup, e *emitCtx) {
 	pad := float64(s.ir) + 2
 	i0, i1 := 0, s.steps
@@ -465,12 +418,7 @@ func rasterLine(s *lineSetup, e *emitCtx) {
 // the conventional line-drawing technique of Fig 6(a) uses).
 func (r *Rasterizer) DrawLine(p0, p1 vec.V3, width float64, c0, c1 hybrid.RGBA) {
 	var s lineSetup
-	drawn, visible := r.setupLine(p0, p1, width, c0, c1, &s)
-	if !drawn {
-		return
-	}
-	r.LineCount++
-	if !visible {
+	if !r.setupLine(p0, p1, width, c0, c1, &s) {
 		return
 	}
 	e := r.screenCtx()

@@ -189,12 +189,12 @@ func TestDrawLineClippedWhenBehind(t *testing.T) {
 	r := NewRasterizer(fb, testCam(t))
 	// Entirely behind the camera: nothing drawn.
 	r.DrawLine(vec.New(-1, 0, 20), vec.New(1, 0, 20), 1, white(), white())
-	if r.LineCount != 0 {
+	if r.FragmentCount != 0 {
 		t.Error("fully-behind line drawn")
 	}
 	// Straddling: should draw the visible part without panicking.
 	r.DrawLine(vec.New(0, 0, -2), vec.New(0, 0, 20), 1, white(), white())
-	if r.LineCount != 1 {
+	if r.FragmentCount == 0 {
 		t.Error("straddling line not drawn")
 	}
 }

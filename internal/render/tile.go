@@ -1,53 +1,25 @@
 package render
 
 import (
-	"repro/internal/hybrid"
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/sortx"
-	"repro/internal/vec"
 )
 
 // TileSize is the edge of the fixed screen tiles the batched path bins
-// primitives into. Each tile is rasterized by exactly one worker, so
+// triangles into. Each tile is rasterized by exactly one worker, so
 // the pixels it owns are written without locks or atomics.
 const TileSize = 32
-
-// Primitive kinds inside a batch.
-const (
-	kindLine = iota
-	kindTri
-)
-
-// batchPrim is one submitted primitive in submission order.
-type batchPrim struct {
-	kind int32
-	idx  int32 // index into the per-kind submission slice
-}
-
-type linePrim struct {
-	p0, p1 vec.V3
-	width  float64
-	c0, c1 hybrid.RGBA
-}
 
 type triPrim struct {
 	i0, i1, i2 int32 // indices into Batch.verts
 }
 
-// LineSeg is one batched line-segment submission.
-type LineSeg struct {
-	P0, P1 vec.V3
-	Width  float64
-	C0, C1 hybrid.RGBA
-}
-
-// Batch records primitives for deferred, tile-parallel rasterization.
-// Primitives of any kind may be mixed; submission order is preserved
-// exactly, so a Flush produces the same image — bit for bit — as
-// issuing the same sequence of immediate Draw* calls, at every worker
-// count. Stats are folded into the rasterizer at Flush. A batch may be
-// reused after Flush; it keeps its capacity.
+// Batch records triangles for deferred, tile-parallel rasterization.
+// Submission order is preserved exactly, so a Flush produces the same
+// image — bit for bit — as issuing the same sequence of DrawTriangle
+// calls, at every worker count. Stats are folded into the rasterizer
+// at Flush. A batch may be reused after Flush; it keeps its capacity.
 //
 // Triangles are indexed: a submitted triangle is three indices into the
 // batch's vertex array, so the vertices a strip shares are stored, and
@@ -62,12 +34,10 @@ type LineSeg struct {
 // A batch owns its submission buffers. Everything a Flush allocates
 // beyond them — transformed vertices, records, overflow, tile pairs —
 // is scratch borrowed from the package's free list and returned before
-// Flush does; the typed entry points (DrawLineBatch,
-// DrawTriangleStripBatchFunc) borrow their whole batch from it.
+// Flush does; DrawTriangleStripBatchFunc borrows its whole batch from
+// it.
 type Batch struct {
 	r     *Rasterizer
-	prims []batchPrim
-	lines []linePrim
 	tris  []triPrim
 	verts []Vertex
 
@@ -77,17 +47,10 @@ type Batch struct {
 // NewBatch returns an empty batch bound to the rasterizer.
 func (r *Rasterizer) NewBatch() *Batch { return &Batch{r: r} }
 
-// Line submits one line segment.
-func (b *Batch) Line(p0, p1 vec.V3, width float64, c0, c1 hybrid.RGBA) {
-	b.prims = append(b.prims, batchPrim{kindLine, int32(len(b.lines))})
-	b.lines = append(b.lines, linePrim{p0, p1, width, c0, c1})
-}
-
 // Triangle submits one triangle.
 func (b *Batch) Triangle(v0, v1, v2 Vertex) {
 	base := int32(len(b.verts))
 	b.verts = append(b.verts, v0, v1, v2)
-	b.prims = append(b.prims, batchPrim{kindTri, int32(len(b.tris))})
 	b.tris = append(b.tris, triPrim{base, base + 1, base + 2})
 }
 
@@ -99,15 +62,12 @@ func (b *Batch) stripTriangles(base, n int) {
 		if i%2 == 1 {
 			v0, v1 = v1, v0
 		}
-		b.prims = append(b.prims, batchPrim{kindTri, int32(len(b.tris))})
 		b.tris = append(b.tris, triPrim{v0, v1, int32(base + i + 2)})
 	}
 }
 
 // reset empties the batch for reuse, keeping capacity.
 func (b *Batch) reset() {
-	b.prims = b.prims[:0]
-	b.lines = b.lines[:0]
 	b.tris = b.tris[:0]
 	b.verts = b.verts[:0]
 }
@@ -115,7 +75,9 @@ func (b *Batch) reset() {
 // tileRun is one tile's contiguous slice of the binned pair array.
 type tileRun struct{ lo, hi int }
 
-// flushScratch holds the reusable working storage of one Batch.Flush,
+// flushScratch holds the reusable working storage of one Batch.Flush
+// (transformed vertices, one triSetup per triangle, the per-chunk
+// overflow, the tile pairs and runs, and one fragment count per run),
 // the submission buffers of a borrowed batch, and the plane and op
 // buffer of one codec call (rle.go).
 type flushScratch struct {
@@ -123,11 +85,9 @@ type flushScratch struct {
 
 	plane, ops []byte
 
-	lns   []lineSetup
 	tv    []tvert
 	tris  []triSetup
 	over  []overflow
-	stats [][2]int64 // lines and triangles drawn, per setup chunk
 	offs  []int
 	pairs []sortx.KV
 	sscr  []sortx.KV
@@ -137,10 +97,10 @@ type flushScratch struct {
 
 // scratchList is the free list every Batch.Flush and codec call
 // borrows its scratch from, so a stream that flushes once a frame
-// reuses one scratch — as large as
-// the largest flush it has served, a few MB for a 50k-triangle frame —
-// instead of allocating and zeroing it again. A scratch whose codec
-// plane or ops grew past pipeline.MaxKeptBytes is not put back.
+// reuses one scratch — as large as the largest flush it has served, a
+// few MB for a 50k-triangle frame — instead of allocating and zeroing
+// it again. A scratch whose codec plane or ops grew past
+// pipeline.MaxKeptBytes is not put back.
 var scratchList = pipeline.NewFreeList(func() *flushScratch { return new(flushScratch) })
 
 func getScratch() *flushScratch { return scratchList.Get() }
@@ -165,27 +125,27 @@ func tileSpan(x0, y0, x1, y1 int) int {
 	return (x1/TileSize - x0/TileSize + 1) * (y1/TileSize - y0/TileSize + 1)
 }
 
-// Flush projects, bins and rasterizes every batched primitive, then
+// Flush projects, bins and rasterizes every batched triangle, then
 // empties the batch. The phases all run on r.Workers goroutines
 // (0 = par.Workers()):
 //
 //  1. setup — every submitted vertex is transformed once, then
-//     primitives are projected and screen-culled in parallel; every
-//     primitive owns a fixed slot in the setup arrays, so no ordering
-//     work is needed afterwards;
+//     triangles are clipped, projected and screen-culled in parallel;
+//     every triangle owns a fixed slot in the setup arrays, so no
+//     ordering work is needed afterwards;
 //  2. binning — each visible record expands into (tile key, sequence)
 //     pairs which a stable sortx radix pass groups by tile, keeping
 //     submission order inside every tile;
-//  3. tiles — each tile's primitives are replayed in order by its
-//     owning worker through the same raster kernels the immediate
-//     path uses, clipped to the tile rect.
+//  3. tiles — each tile's triangles are replayed in order by its
+//     owning worker through the same raster kernel DrawTriangle uses,
+//     clipped to the tile rect.
 //
 // Every pixel belongs to exactly one tile, so no two workers touch the
 // same framebuffer word and the fragment sequence per pixel equals the
 // serial path's — the image is bit-identical at every worker count.
 func (b *Batch) Flush() {
 	r := b.r
-	n := len(b.prims)
+	n := len(b.tris)
 	if n == 0 {
 		return
 	}
@@ -199,6 +159,7 @@ func (b *Batch) Flush() {
 		defer putScratch(sc)
 	}
 	defer b.reset()
+	r.TriangleCount += int64(n)
 
 	// Phase 1a — transform every vertex once.
 	tv := grow(&sc.tv, len(b.verts))
@@ -216,55 +177,31 @@ func (b *Batch) Flush() {
 	}
 
 	// Phase 1b — parallel setup into slot-indexed arrays. offs[i+1]
-	// temporarily holds prim i's pair count; an empty triangle record
-	// carries an empty-bbox sentinel (x1 < x0). Each setup chunk has its
-	// own counters and overflow, found again from a prim's index as
+	// temporarily holds triangle i's pair count; an empty record
+	// carries an empty-bbox sentinel (x1 < x0). Each setup chunk has
+	// its own overflow, found again from a triangle's index as
 	// over[plan.Index(i)].
-	lns := grow(&sc.lns, len(b.lines))
-	tris := grow(&sc.tris, len(b.tris))
+	tris := grow(&sc.tris, n)
 	offs := grow(&sc.offs, n+1)
 	plan := par.Chunks(n, workers)
-	stats := grow(&sc.stats, plan.Count)
 	over := grow(&sc.over, plan.Count)
 	par.ForChunks(n, workers, func(lo, hi int) {
-		st := &stats[plan.Index(lo)]
-		*st = [2]int64{}
 		ov := &over[plan.Index(lo)]
 		ov.reset()
 		src := triSource{verts: b.verts, tv: tv, over: ov}
 		for i := lo; i < hi; i++ {
-			pr := b.prims[i]
+			tp, s := b.tris[i], &tris[i]
 			cnt := 0
-			switch pr.kind {
-			case kindLine:
-				lp := &b.lines[pr.idx]
-				s := &lns[pr.idx]
-				drawn, visible := r.setupLine(lp.p0, lp.p1, lp.width, lp.c0, lp.c1, s)
-				if drawn {
-					st[0]++
-					if visible {
-						cnt = tileSpan(s.x0, s.y0, s.x1, s.y1)
-					}
-				}
-			case kindTri:
-				st[1]++
-				tp := b.tris[pr.idx]
-				s := &tris[pr.idx]
-				if r.setupClipped(&src, tp.i0, tp.i1, tp.i2, s) > 0 {
-					cnt = tileSpan(s.x0, s.y0, s.x1, s.y1)
-					if s.next >= 0 {
-						s2 := &ov.tris[s.next]
-						cnt += tileSpan(s2.x0, s2.y0, s2.x1, s2.y1)
-					}
+			if r.setupClipped(&src, tp.i0, tp.i1, tp.i2, s) > 0 {
+				cnt = tileSpan(s.x0, s.y0, s.x1, s.y1)
+				if s.next >= 0 {
+					s2 := &ov.tris[s.next]
+					cnt += tileSpan(s2.x0, s2.y0, s2.x1, s2.y1)
 				}
 			}
 			offs[i+1] = cnt
 		}
 	})
-	for _, st := range stats {
-		r.LineCount += st[0]
-		r.TriangleCount += st[1]
-	}
 
 	// Prefix-sum pair counts into offsets.
 	offs[0] = 0
@@ -278,7 +215,7 @@ func (b *Batch) Flush() {
 
 	// Phase 2 — expand records into (tile, sequence) pairs and group
 	// them by tile with the stable radix sort. The sequence value
-	// encodes (prim index, which triangle of a clipped quad), so
+	// encodes (triangle index, which triangle of a clipped quad), so
 	// ascending order inside a tile is exactly submission order.
 	tw := (r.FB.W + TileSize - 1) / TileSize
 	pairs := grow(&sc.pairs, nPairs)
@@ -297,18 +234,11 @@ func (b *Batch) Flush() {
 			if offs[i+1] == o {
 				continue
 			}
-			pr := b.prims[i]
-			switch pr.kind {
-			case kindLine:
-				s := &lns[pr.idx]
-				emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
-			case kindTri:
-				s := &tris[pr.idx]
-				o = emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
-				if s.next >= 0 {
-					s2 := &over[plan.Index(i)].tris[s.next]
-					emitPairs(o, s2.x0, s2.y0, s2.x1, s2.y1, int64(i)<<1|1)
-				}
+			s := &tris[i]
+			o = emitPairs(o, s.x0, s.y0, s.x1, s.y1, int64(i)<<1)
+			if s.next >= 0 {
+				s2 := &over[plan.Index(i)].tris[s.next]
+				emitPairs(o, s2.x0, s2.y0, s2.x1, s2.y1, int64(i)<<1|1)
 			}
 		}
 	})
@@ -317,37 +247,25 @@ func (b *Batch) Flush() {
 	runs := tileRuns(sc, pairs)
 
 	// Phase 3 — rasterize tiles concurrently, one owner per tile.
-	if r.sink != nil {
-		r.sink.beginShards(len(runs))
-	}
 	frags := grow(&sc.frags, len(runs))
 	par.ForChunks(len(runs), workers, func(rlo, rhi int) {
 		src := triSource{verts: b.verts, tv: tv}
 		for ri := rlo; ri < rhi; ri++ {
 			run := runs[ri]
-			e := tileCtx(r, int(pairs[run.lo].K), tw, ri)
+			e := tileCtx(r, int(pairs[run.lo].K), tw)
 			for pi := run.lo; pi < run.hi; pi++ {
 				seq := pairs[pi].V
 				i := int(seq >> 1)
-				pr := b.prims[i]
-				switch pr.kind {
-				case kindLine:
-					rasterLine(&lns[pr.idx], &e)
-				case kindTri:
-					src.over = &over[plan.Index(i)]
-					s := &tris[pr.idx]
-					if seq&1 == 1 {
-						s = &src.over.tris[s.next]
-					}
-					rasterTriangle(s, &src, &e)
+				src.over = &over[plan.Index(i)]
+				s := &tris[i]
+				if seq&1 == 1 {
+					s = &src.over.tris[s.next]
 				}
+				rasterTriangle(s, &src, &e)
 			}
 			frags[ri] = e.frags
 		}
 	})
-	if r.sink != nil {
-		r.sink.endShards()
-	}
 	for _, f := range frags {
 		r.FragmentCount += f
 	}
@@ -369,16 +287,15 @@ func tileRuns(sc *flushScratch, pairs []sortx.KV) []tileRun {
 }
 
 // tileCtx returns the emit context of one tile: its rect clipped to the
-// screen, and the run index as the sink shard.
-func tileCtx(r *Rasterizer, tile, tw, shard int) emitCtx {
+// screen.
+func tileCtx(r *Rasterizer, tile, tw int) emitCtx {
 	tx, ty := tile%tw, tile/tw
 	return emitCtx{
-		r:     r,
-		x0:    tx * TileSize,
-		y0:    ty * TileSize,
-		x1:    min(tx*TileSize+TileSize-1, r.FB.W-1),
-		y1:    min(ty*TileSize+TileSize-1, r.FB.H-1),
-		shard: shard,
+		r:  r,
+		x0: tx * TileSize,
+		y0: ty * TileSize,
+		x1: min(tx*TileSize+TileSize-1, r.FB.W-1),
+		y1: min(ty*TileSize+TileSize-1, r.FB.H-1),
 	}
 }
 
@@ -392,25 +309,17 @@ func (b *Batch) flushSerial(tv []tvert, sc *flushScratch) {
 	src := triSource{verts: b.verts, tv: tv, over: ov}
 	e := r.screenCtx()
 	var s triSetup
-	for _, pr := range b.prims {
-		switch pr.kind {
-		case kindLine:
-			lp := &b.lines[pr.idx]
-			r.DrawLine(lp.p0, lp.p1, lp.width, lp.c0, lp.c1)
-		case kindTri:
-			r.TriangleCount++
-			tp := b.tris[pr.idx]
-			ov.reset()
-			drawSetup(r.setupClipped(&src, tp.i0, tp.i1, tp.i2, &s), &s, &src, &e)
-		}
+	for _, tp := range b.tris {
+		ov.reset()
+		drawSetup(r.setupClipped(&src, tp.i0, tp.i1, tp.i2, &s), &s, &src, &e)
 	}
 	r.FragmentCount += e.frags
 }
 
 // getBatch borrows a scratch from the free list and returns the batch
-// inside it, bound to r; putBatch returns both. The typed entry points
-// use the pair so that a flush per frame reuses its submission buffers
-// as well as its working storage.
+// inside it, bound to r; putBatch returns both.
+// DrawTriangleStripBatchFunc uses the pair so that a flush per frame
+// reuses its submission buffers as well as its working storage.
 func getBatch(r *Rasterizer) *Batch {
 	sc := getScratch()
 	b := &sc.batch
@@ -421,17 +330,6 @@ func getBatch(r *Rasterizer) *Batch {
 func putBatch(b *Batch) {
 	b.r = nil
 	putScratch(b.sc)
-}
-
-// DrawLineBatch draws every segment through the tile-parallel backend;
-// equivalent to calling DrawLine for each segment in order.
-func (r *Rasterizer) DrawLineBatch(segs []LineSeg) {
-	b := getBatch(r)
-	for _, s := range segs {
-		b.Line(s.P0, s.P1, s.Width, s.C0, s.C1)
-	}
-	b.Flush()
-	putBatch(b)
 }
 
 // DrawTriangleStripBatchFunc draws len(counts) strips, in order, whose

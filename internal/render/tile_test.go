@@ -116,7 +116,7 @@ func paintScene(p scenePainter) {
 
 // ResetStats zeroes the primitive counters.
 func (r *Rasterizer) ResetStats() {
-	r.FragmentCount, r.TriangleCount, r.PointCount, r.LineCount = 0, 0, 0, 0
+	r.FragmentCount, r.TriangleCount, r.PointCount = 0, 0, 0
 }
 
 // DrawTriangleStrip draws vertices as a strip: (0,1,2), (1,2,3), ...
@@ -151,9 +151,9 @@ func (p immediatePainter) line(p0, p1 vec.V3, w float64, c0, c1 hybrid.RGBA) {
 func (p immediatePainter) triangle(v0, v1, v2 Vertex) { p.r.DrawTriangle(v0, v1, v2) }
 func (p immediatePainter) strip(verts []Vertex)       { p.r.DrawTriangleStrip(verts) }
 
-// batchPainter submits lines and triangles to a Batch and draws each
-// point with DrawPoint, flushing the batch first so that the draw order
-// is the submission order.
+// batchPainter submits triangles to a Batch and draws each point and
+// line with DrawPoint and DrawLine, flushing the batch first so that
+// the draw order is the submission order.
 type batchPainter struct{ b *Batch }
 
 func newBatchPainter(r *Rasterizer) *batchPainter { return &batchPainter{b: r.NewBatch()} }
@@ -163,7 +163,8 @@ func (p *batchPainter) point(pt vec.V3, radius float64, c hybrid.RGBA) {
 	p.b.r.DrawPoint(pt, radius, c)
 }
 func (p *batchPainter) line(p0, p1 vec.V3, w float64, c0, c1 hybrid.RGBA) {
-	p.b.Line(p0, p1, w, c0, c1)
+	p.b.Flush()
+	p.b.r.DrawLine(p0, p1, w, c0, c1)
 }
 func (p *batchPainter) triangle(v0, v1, v2 Vertex) { p.b.Triangle(v0, v1, v2) }
 func (p *batchPainter) strip(verts []Vertex)       { p.b.TriangleStrip(verts) }
@@ -232,58 +233,24 @@ func TestBatchMatchesSerialBitIdentical(t *testing.T) {
 			framebuffersEqual(t, label, fbSerial, fb)
 			if rast.FragmentCount != serial.FragmentCount ||
 				rast.PointCount != serial.PointCount ||
-				rast.LineCount != serial.LineCount ||
 				rast.TriangleCount != serial.TriangleCount {
-				t.Errorf("%s: stats (f=%d p=%d l=%d t=%d) != serial (f=%d p=%d l=%d t=%d)",
+				t.Errorf("%s: stats (f=%d p=%d t=%d) != serial (f=%d p=%d t=%d)",
 					label,
-					rast.FragmentCount, rast.PointCount, rast.LineCount, rast.TriangleCount,
-					serial.FragmentCount, serial.PointCount, serial.LineCount, serial.TriangleCount)
+					rast.FragmentCount, rast.PointCount, rast.TriangleCount,
+					serial.FragmentCount, serial.PointCount, serial.TriangleCount)
 			}
 		}
 	}
 }
 
-// TestBatchEntryPointsMatchImmediate covers the typed batch entry
-// points (as opposed to the mixed Batch) against their immediate
-// equivalents.
-func TestBatchEntryPointsMatchImmediate(t *testing.T) {
-	const w, h = 96, 96
-	cam, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, 1, 0.1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := lcg(7)
-	segs := make([]LineSeg, 80)
-	for i := range segs {
-		segs[i] = LineSeg{
-			P0:    vec.New(rng.rangeF(-2, 2), rng.rangeF(-2, 2), rng.rangeF(-2, 2)),
-			P1:    vec.New(rng.rangeF(-2, 2), rng.rangeF(-2, 2), rng.rangeF(-2, 2)),
-			Width: 1 + 3*rng.next(),
-			C0:    hybrid.RGBA{R: 1, A: 1}, C1: hybrid.RGBA{B: 1, A: 1},
-		}
-	}
-	fbC, _ := NewFramebuffer(w, h)
-	rc := NewRasterizer(fbC, cam)
-	for _, s := range segs {
-		rc.DrawLine(s.P0, s.P1, s.Width, s.C0, s.C1)
-	}
-	fbD, _ := NewFramebuffer(w, h)
-	rd := NewRasterizer(fbD, cam)
-	rd.Workers = 3
-	rd.DrawLineBatch(segs)
-	framebuffersEqual(t, "DrawLineBatch", fbC, fbD)
-	if rc.FragmentCount != rd.FragmentCount || rc.LineCount != rd.LineCount {
-		t.Errorf("line stats: serial f=%d l=%d, batch f=%d l=%d",
-			rc.FragmentCount, rc.LineCount, rd.FragmentCount, rd.LineCount)
-	}
-}
-
 // TestSmallFlushAfterLargeCountsExactly: flush scratch is reused with
-// whatever the previous flush left in it, and a flush of n primitives
+// whatever the previous flush left in it, and a flush of n triangles
 // on w workers runs fewer than w setup chunks when ceil(n/w) chunks of
-// that size already cover n (5 on 4 workers runs 3, 49 on 8 runs 7).
+// that size already cover n (2 on 4 workers runs 2, 17 on 8 runs 6).
 // The primitive counters of a small batch flushed after a large one
-// must still equal the serial ones.
+// must still equal the serial ones. A paint submits its lines after
+// its triangles, since drawing a line flushes the batch: the large
+// paint is one flush of 1000 triangles.
 func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 	const w, h = 96, 96
 	cam, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, 1, 0.1, 100)
@@ -292,6 +259,7 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 	}
 	rng := lcg(11)
 	paint := func(p scenePainter, n int) {
+		var lines []func()
 		for i := 0; i < n; i++ {
 			a := vec.New(rng.rangeF(-2, 2), rng.rangeF(-2, 2), rng.rangeF(-1, 1))
 			c := hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1}
@@ -302,10 +270,13 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 					Vertex{Pos: a.Add(vec.New(0.3, 0, 0)), Color: c},
 					Vertex{Pos: a.Add(vec.New(0, 0.3, 0)), Color: c})
 			case 1:
-				p.line(a, a.Add(vec.New(0, 0.3, 0)), 3, c, c)
+				lines = append(lines, func() { p.line(a, a.Add(vec.New(0, 0.3, 0)), 3, c, c) })
 			case 2:
-				p.line(a, a.Add(vec.New(0.4, 0.2, 0)), 1, c, c)
+				lines = append(lines, func() { p.line(a, a.Add(vec.New(0.4, 0.2, 0)), 1, c, c) })
 			}
+		}
+		for _, line := range lines {
+			line()
 		}
 	}
 	for _, tc := range []struct{ workers, small int }{{4, 5}, {8, 49}, {3, 4}} {
@@ -331,65 +302,61 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 		framebuffersEqual(t, label, fbSerial, fb)
 		if rast.FragmentCount != serial.FragmentCount ||
 			rast.PointCount != serial.PointCount ||
-			rast.LineCount != serial.LineCount ||
 			rast.TriangleCount != serial.TriangleCount {
-			t.Errorf("%s: stats (f=%d p=%d l=%d t=%d) != serial (f=%d p=%d l=%d t=%d)",
+			t.Errorf("%s: stats (f=%d p=%d t=%d) != serial (f=%d p=%d t=%d)",
 				label,
-				rast.FragmentCount, rast.PointCount, rast.LineCount, rast.TriangleCount,
-				serial.FragmentCount, serial.PointCount, serial.LineCount, serial.TriangleCount)
+				rast.FragmentCount, rast.PointCount, rast.TriangleCount,
+				serial.FragmentCount, serial.PointCount, serial.TriangleCount)
 		}
 	}
 }
 
-// TestOITBatchMatchesSerialResolve: capturing transparent geometry
-// through the OIT buffer from the batched tile path must fill the
-// buffer identically to the serial capture — same resolved image,
-// same fragment tally, same depth complexity.
-func TestOITBatchMatchesSerialResolve(t *testing.T) {
-	const w, h = 128, 96
-	cam, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, float64(w)/float64(h), 0.1, 100)
+// TestTriangleFlushAllocates pins what a warm DrawTriangleStripBatchFunc
+// allocates. The submission buffers and every flush array come from
+// the package's free list, so what is left is the closures handed to
+// par and the sort's per-pass state:
+//
+//   - at every worker count (2): the strip-fill closure of
+//     DrawTriangleStripBatchFunc and Flush's vertex-transform closure;
+//   - from 2 workers up (12), also Flush's setup, emitPairs,
+//     pair-expansion and tile closures (4), sortx.radix's key-range scan
+//     through par.MapReduce — its partials slice and chunk closure (2) —
+//     and, for each key byte that varies, sortx.scatterDigit's histogram
+//     array and its two closures (3 × 1: at 128² the 16 tile keys fit in
+//     one byte).
+func TestTriangleFlushAllocates(t *testing.T) {
+	cam, err := NewCamera(vec.New(0, 0, 6), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, 1, 0.1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drawOpaque := func(r *Rasterizer) {
-		// An opaque backdrop so capture-time depth testing is exercised.
-		v := func(x, y, z float64) Vertex {
-			return Vertex{Pos: vec.New(x, y, z), Color: hybrid.RGBA{R: 0.2, G: 0.2, B: 0.2, A: 1}}
+	rng := lcg(7)
+	strips := make([][]Vertex, 200)
+	counts := make([]int, len(strips))
+	for i := range strips {
+		strip := make([]Vertex, 32)
+		x0, y0 := rng.rangeF(-2.5, 2), rng.rangeF(-2.5, 2.5)
+		for j := range strip {
+			strip[j] = Vertex{
+				Pos:   vec.New(x0+float64(j/2)*0.07, y0+float64(j%2)*0.05, rng.rangeF(-1, 1)),
+				Color: hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1},
+			}
 		}
-		r.DrawTriangle(v(-3, -3, -1), v(3, -3, -1), v(0, 1.5, -1))
+		strips[i], counts[i] = strip, len(strip)
 	}
-
-	run := func(workers int, batched bool) (*Framebuffer, *OITBuffer) {
-		fb, _ := NewFramebuffer(w, h)
-		rast := NewRasterizer(fb, cam)
-		rast.Workers = workers
-		drawOpaque(rast)
-		oit := NewOITBuffer(w, h)
-		restore := rast.AttachOIT(oit)
-		rast.Mode = BlendAlpha
-		if batched {
-			bp := newBatchPainter(rast)
-			paintScene(bp)
-			bp.flush()
-		} else {
-			paintScene(immediatePainter{rast})
+	fill := func(k int, dst []Vertex) { copy(dst, strips[k]) }
+	fb, _ := NewFramebuffer(128, 128)
+	for _, tc := range []struct {
+		workers int
+		allocs  float64
+	}{{1, 2}, {2, 12}} {
+		r := NewRasterizer(fb, cam)
+		r.Workers = tc.workers
+		r.DrawTriangleStripBatchFunc(counts, fill) // warm the free list
+		if r.FragmentCount == 0 {
+			t.Fatal("scene drew nothing")
 		}
-		restore()
-		oit.Workers = 1 // the existing single-threaded-equivalent resolve
-		complexityBefore := oit.MaxDepthComplexity()
-		if complexityBefore == 0 {
-			t.Fatal("scene captured no transparent fragments")
-		}
-		oit.Resolve(fb)
-		return fb, oit
-	}
-
-	fbSerial, oitSerial := run(1, false)
-	for _, workers := range []int{1, 2, 4, 8} {
-		fb, oit := run(workers, true)
-		framebuffersEqual(t, fmt.Sprintf("oit/workers=%d", workers), fbSerial, fb)
-		if oit.FragmentCount != oitSerial.FragmentCount {
-			t.Errorf("workers=%d: OIT fragment count %d, serial %d", workers, oit.FragmentCount, oitSerial.FragmentCount)
+		if n := testing.AllocsPerRun(20, func() { r.DrawTriangleStripBatchFunc(counts, fill) }); n != tc.allocs {
+			t.Errorf("workers=%d: %v allocations per flush, want %v", tc.workers, n, tc.allocs)
 		}
 	}
 }
@@ -441,9 +408,6 @@ func TestFragmentCountCullsOffscreen(t *testing.T) {
 	r.ResetStats()
 	fb.Clear(hybrid.RGBA{})
 	r.DrawLine(vec.New(0, 0, 0), vec.New(100, 0, 0), 1, hybrid.RGBA{G: 1, A: 1}, hybrid.RGBA{G: 1, A: 1})
-	if r.LineCount != 1 {
-		t.Fatalf("line not drawn")
-	}
 	if r.FragmentCount == 0 || r.FragmentCount > int64(fb.W) {
 		t.Errorf("clipped line counted %d fragments, want 1..%d", r.FragmentCount, fb.W)
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // BenchmarkSortx compares the parallel radix sort against the stdlib
-// stable sort at the sizes the pipeline actually sorts (OIT fragment
-// lists sit below FallbackThreshold; Morton sorts at 1e5-1e6+), which
-// is the data behind the FallbackThreshold crossover choice.
+// stable sort at the sizes the pipeline actually sorts (a frame's
+// per-line depth sort sits below FallbackThreshold; a strip frame's
+// tile pairs run to 1e4-1e5 and Morton sorts to 1e5-1e6+), which is
+// the data behind the FallbackThreshold crossover choice.
 func BenchmarkSortx(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		rng := rand.New(rand.NewSource(int64(n)))

@@ -1,7 +1,7 @@
 // Package sortx provides the parallel keyed-sort primitive shared by
 // the pipeline's hot sorting paths: the Morton-code sort inside the
-// octree partitioner, the back-to-front fragment sort of the OIT
-// resolver, and the per-line depth sort of the self-orienting-surface
+// octree partitioner, the tile binning of the batched triangle
+// rasterizer, and the per-line depth sort of the self-orienting-surface
 // renderer. One optimized routine — a stable LSD radix sort over packed
 // (uint64 key, int64 payload) pairs — serves all three, so the
 // partitioner's terascale sort and the renderers' per-frame sorts share
@@ -9,8 +9,8 @@
 //
 // The sort is stable: pairs with equal keys keep their input order,
 // which is what makes the octree build deterministic at every worker
-// count and keeps equal-depth fragments compositing in submission
-// order.
+// count, keeps triangles in submission order inside each screen tile,
+// and keeps equal-depth lines in input order.
 package sortx
 
 import (
@@ -160,20 +160,3 @@ func Float64Key(f float64) uint64 {
 // Float64KeyDesc is Float64Key with the order reversed, for
 // back-to-front (descending) sorts.
 func Float64KeyDesc(f float64) uint64 { return ^Float64Key(f) }
-
-// Float32Key is Float64Key for float32 keys. The mapped key occupies
-// the low 32 bits, so the radix sort skips the four constant high
-// bytes automatically.
-func Float32Key(f float32) uint64 {
-	b := math.Float32bits(f)
-	if b>>31 != 0 {
-		b = ^b
-	} else {
-		b |= 1 << 31
-	}
-	return uint64(b)
-}
-
-// Float32KeyDesc reverses Float32Key's order within the low 32 bits
-// (the high bytes stay zero and cost no radix passes).
-func Float32KeyDesc(f float32) uint64 { return Float32Key(f) ^ 0xffffffff }

@@ -136,24 +136,6 @@ func TestFloat64KeyOrdering(t *testing.T) {
 	}
 }
 
-func TestFloat32KeyOrdering(t *testing.T) {
-	inf := float32(math.Inf(1))
-	vals := []float32{-inf, -1e30, -1, float32(math.Copysign(0, -1)), 0, 1, 1e30, inf}
-	for i := 1; i < len(vals); i++ {
-		a, b := vals[i-1], vals[i]
-		if a < b && Float32Key(a) >= Float32Key(b) {
-			t.Errorf("Float32Key not monotone: %g vs %g", a, b)
-		}
-		if a < b && Float32KeyDesc(a) <= Float32KeyDesc(b) {
-			t.Errorf("Float32KeyDesc not antitone: %g vs %g", a, b)
-		}
-	}
-	// The mapped keys stay in the low 32 bits so high radix passes skip.
-	if Float32Key(inf)>>32 != 0 || Float32KeyDesc(-inf)>>32 != 0 {
-		t.Error("Float32 keys leak into the high 32 bits")
-	}
-}
-
 // FuzzPairs feeds arbitrary byte strings as key material; the sorted
 // result must match the stdlib oracle element-for-element (payload
 // equality makes this a stability check too).

@@ -171,7 +171,7 @@ func rotateAround(v, axis vec.V3, angle float64) vec.V3 {
 // rendering needs. (The paper notes full depth sorting "is not
 // practical for very large data" and points at hardware
 // order-independent transparency; per-line midpoint sorting is the
-// standard interactive approximation.)
+// standard interactive approximation, and the one this package draws.)
 func SortByDepth(lines []*fieldline.Line, eye vec.V3) []int {
 	// Descending float keys sort ascending as uints; sortx is stable,
 	// so equal-depth lines keep their input order, matching the

@@ -25,12 +25,6 @@ const (
 	TechDense                        // (g) dense opaque lines
 	TechCutaway                      // (h) cutaway of the dense set
 	TechTransparent                  // (i) transparency-de-emphasized context
-
-	// TechTransparentOIT is the §3.3.3 extension: the same focus+context
-	// split resolved through an order-independent transparency buffer
-	// (the GeForce 3 feature the paper proposes coupling with), with
-	// bump mapping disabled as the paper notes it requires.
-	TechTransparentOIT
 )
 
 // String implements fmt.Stringer.
@@ -54,8 +48,6 @@ func (t Technique) String() string {
 		return "cutaway"
 	case TechTransparent:
 		return "transparent"
-	case TechTransparentOIT:
-		return "transparent-oit"
 	}
 	return fmt.Sprintf("Technique(%d)", int(t))
 }
@@ -126,11 +118,14 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 	}
 	mat := render.DefaultPhong()
 
-	// drawStripsIn draws the lines' strips in the given submission order.
-	// The rasterizer reserves every strip's vertices in its own batch and
-	// calls fillStrip (a pure function of one line) concurrently to
-	// build them in place.
-	drawStripsIn := func(ls []*fieldline.Line, order []int, params StripParams) {
+	// drawStrips draws the lines' strips back to front. The rasterizer
+	// reserves every strip's vertices in its own batch and calls
+	// fillStrip (a pure function of one line) concurrently to build
+	// them in place.
+	drawStrips := func(ls []*fieldline.Line, shader render.Shader, params StripParams, blend render.BlendMode) {
+		rast.Mode = blend
+		rast.Shade = shader
+		order := SortByDepth(ls, cam.Eye)
 		counts := make([]int, len(order))
 		for k, li := range order {
 			counts[k] = stripVertices(ls[li].NumPoints())
@@ -140,32 +135,25 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 		})
 	}
 
-	drawStrips := func(ls []*fieldline.Line, shader render.Shader, params StripParams, blend render.BlendMode) {
-		rast.Mode = blend
-		rast.Shade = shader
-		drawStripsIn(ls, SortByDepth(ls, cam.Eye), params)
-	}
-
+	// Lines are drawn one segment at a time on this goroutine: a
+	// segment covers a few pixels, so binning segments into screen
+	// tiles costs more than it saves.
 	switch tech {
 	case TechLines, TechDense:
-		var segs []render.LineSeg
 		for _, l := range lines {
 			for i := 1; i < l.NumPoints(); i++ {
-				segs = append(segs, render.LineSeg{P0: l.Points[i-1], P1: l.Points[i], Width: 1, C0: opts.Color, C1: opts.Color})
+				rast.DrawLine(l.Points[i-1], l.Points[i], 1, opts.Color, opts.Color)
 			}
 		}
-		rast.DrawLineBatch(segs)
 
 	case TechIlluminated:
-		var segs []render.LineSeg
 		for _, l := range lines {
 			for i := 1; i < l.NumPoints(); i++ {
 				c0 := render.IlluminatedLineColor(opts.Color, l.Tangents[i-1], headlight.Dir, cam.ViewDir(l.Points[i-1]), mat)
 				c1 := render.IlluminatedLineColor(opts.Color, l.Tangents[i], headlight.Dir, cam.ViewDir(l.Points[i]), mat)
-				segs = append(segs, render.LineSeg{P0: l.Points[i-1], P1: l.Points[i], Width: 1, C0: c0, C1: c1})
+				rast.DrawLine(l.Points[i-1], l.Points[i], 1, c0, c1)
 			}
 		}
-		rast.DrawLineBatch(segs)
 
 	case TechStreamtubes:
 		rast.Shade = render.PhongShader(lights, mat)
@@ -199,13 +187,11 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 			StripParams{Width: opts.Width, MaxStrength: opts.MaxStrength, Color: opts.Color},
 			render.BlendOpaque)
 
-	case TechTransparent, TechTransparentOIT:
+	case TechTransparent:
 		// Context (outside the focus region) drawn transparent; the
 		// region of interest stays opaque. Per the paper, transparency
 		// requires disabling the bump-map shading, so context strips use
-		// plain Phong on the strip side vector. TechTransparent sorts
-		// strips back-to-front; TechTransparentOIT instead resolves
-		// unsorted fragments through an order-independent buffer.
+		// plain Phong on the strip side vector, sorted back-to-front.
 		inFocus := func(l *fieldline.Line) bool {
 			mid := l.Points[l.NumPoints()/2]
 			return mid.Dist(opts.FocusCenter) < opts.FocusRadius
@@ -228,28 +214,11 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 		drawStrips(focus, render.TubeShader(lights, mat, opts.HaloStart),
 			StripParams{Width: opts.Width, Color: opts.Color},
 			render.BlendOpaque)
-		if tech == TechTransparentOIT {
-			oit := render.NewOITBuffer(fb.W, fb.H)
-			restore := rast.AttachOIT(oit)
-			rast.Mode = render.BlendAlpha
-			rast.Shade = render.PhongShader(lights, mat)
-			// Submission order deliberately unsorted: correctness comes
-			// from the resolve. The batched draw captures fragments into
-			// per-tile OIT buckets concurrently.
-			order := make([]int, len(context))
-			for i := range order {
-				order[i] = i
-			}
-			drawStripsIn(context, order, StripParams{Width: opts.Width, Color: ctxColor})
-			restore()
-			oit.Resolve(fb)
-		} else {
-			rast.DepthWrite = false
-			drawStrips(context, render.PhongShader(lights, mat),
-				StripParams{Width: opts.Width, Color: ctxColor},
-				render.BlendAlpha)
-			rast.DepthWrite = true
-		}
+		rast.DepthWrite = false
+		drawStrips(context, render.PhongShader(lights, mat),
+			StripParams{Width: opts.Width, Color: ctxColor},
+			render.BlendAlpha)
+		rast.DepthWrite = true
 	}
 
 	return Stats{

@@ -67,6 +67,9 @@ func main() {
 	if *threshold <= 0 && *budget <= 0 {
 		log.Fatal("one of -threshold or -budget is required")
 	}
+	if *workers < 1 {
+		log.Fatalf("-workers %d must be at least 1", *workers)
+	}
 	if *volres < 2 || !hybrid.PlausibleGrid(*volres, *volres, *volres) {
 		log.Fatalf("-volres %d must be at least 2 and give at most 2²⁴ voxels", *volres)
 	}

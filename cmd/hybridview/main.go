@@ -83,6 +83,9 @@ func main() {
 	if !render.PlausibleSize(*size, *size) {
 		log.Fatalf("-size %d out of range: a picture is 1 to 2048 pixels a side", *size)
 	}
+	if *workers < 1 {
+		log.Fatalf("-workers %d must be at least 1", *workers)
+	}
 	if !(*pointSize > 0) || math.IsInf(*pointSize, 1) {
 		log.Fatalf("-pointsize %g must be positive and finite", *pointSize)
 	}

@@ -32,16 +32,22 @@ import (
 	"repro/internal/pario"
 )
 
+// parsePlot reads -plot: three distinct axes.
 func parsePlot(s string) ([3]beam.Axis, error) {
 	parts := strings.Split(s, ",")
 	var axes [3]beam.Axis
 	if len(parts) != 3 {
-		return axes, fmt.Errorf("plot %q must name three axes like x,px,y", s)
+		return axes, fmt.Errorf("-plot %q must name three axes like x,px,y", s)
 	}
 	for i, p := range parts {
 		a, err := beam.ParseAxis(strings.TrimSpace(p))
 		if err != nil {
-			return axes, err
+			return axes, fmt.Errorf("-plot %q: %w", s, err)
+		}
+		for _, b := range axes[:i] {
+			if b == a {
+				return axes, fmt.Errorf("-plot %q names %s twice", s, a)
+			}
 		}
 		axes[i] = a
 	}
@@ -66,6 +72,9 @@ func main() {
 	}
 	if len(inputs) == 0 || *out == "" {
 		log.Fatal("-out and at least one input frame (-in or positional) are required")
+	}
+	if *workers < 1 {
+		log.Fatalf("-workers %d must be at least 1", *workers)
 	}
 	axes, err := parsePlot(*plot)
 	if err != nil {

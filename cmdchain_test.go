@@ -338,9 +338,11 @@ func TestCmdFieldChain(t *testing.T) {
 // one frame, -mismatch nan wrote frames of NaNs; extract -volres 100000
 // panicked in make and -threshold nan extracted; hybridview drew
 // pictures without a splat at -pointsize 0, -1 or nan, and ran out of
-// memory at -size 100000.
+// memory at -size 100000; partition ran -workers -3 as one worker and
+// laid -plot x,x,y on the x = y plane, and extract and hybridview
+// refused -workers 0 without naming the flag.
 func TestCmdParticleFlags(t *testing.T) {
-	bin := buildCommands(t, "beamsim", "extract", "hybridview")
+	bin := buildCommands(t, "beamsim", "partition", "extract", "hybridview")
 	dir, out := t.TempDir(), t.TempDir()
 
 	// A valid tree and hybrid frame, so that only the flag is wrong.
@@ -365,6 +367,14 @@ func TestCmdParticleFlags(t *testing.T) {
 	if err := rep.WriteFile(achy); err != nil {
 		t.Fatal(err)
 	}
+	sim, err := beam.NewSim(beam.DefaultConfig(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acpf := filepath.Join(dir, "beam.acpf")
+	if err := pario.WriteFrameFile(acpf, sim.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, c := range []struct {
 		cmd  string
@@ -384,11 +394,23 @@ func TestCmdParticleFlags(t *testing.T) {
 		{"hybridview", []string{"-size", "100000"}, "hybridview: -size"},
 		{"hybridview", []string{"-size", "2049"}, "hybridview: -size"},
 		{"hybridview", []string{"-size", "0"}, "hybridview: -size"},
+		{"partition", []string{"-workers", "-3"}, "partition: -workers"},
+		{"partition", []string{"-workers", "0"}, "partition: -workers"},
+		{"partition", []string{"-plot", "x,x,y"}, "partition: -plot"},
+		{"partition", []string{"-plot", "px,y,px"}, "partition: -plot"},
+		{"partition", []string{"-plot", "x,y"}, "partition: -plot"},
+		{"partition", []string{"-plot", "x,q,y"}, "partition: -plot"},
+		{"extract", []string{"-budget", "100", "-workers", "0"}, "extract: -workers"},
+		{"extract", []string{"-budget", "100", "-workers", "-1"}, "extract: -workers"},
+		{"hybridview", []string{"-workers", "0"}, "hybridview: -workers"},
+		{"hybridview", []string{"-workers", "-2"}, "hybridview: -workers"},
 	} {
 		var args []string
 		switch c.cmd {
 		case "beamsim":
 			args = append(c.args, "-n", "200", "-periods", "1", "-out", filepath.Join(out, "bad"))
+		case "partition":
+			args = append(c.args, "-out", filepath.Join(out, "bad"), acpf)
 		case "extract":
 			args = append(c.args, "-out", filepath.Join(out, "bad.achy"), base)
 		case "hybridview":
@@ -406,6 +428,103 @@ func TestCmdParticleFlags(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(out, "*")); len(left) != 0 {
 		t.Errorf("refused runs left files behind: %v", left)
+	}
+}
+
+// TestCmdCorruptInputNamed: a flipped byte in the middle frame of a
+// three-frame run — one case per format the §2 CLIs read — stops the
+// CLI with status 1 and a checksum error that names the file, so that
+// a multi-frame run says which frame is bad. A missing input in the
+// middle of the list fails the same way. Before, a checksum error
+// named only the stage and the format.
+func TestCmdCorruptInputNamed(t *testing.T) {
+	bin := buildCommands(t, "partition", "extract", "hybridview")
+	dir, out := t.TempDir(), t.TempDir()
+
+	sim, err := beam.NewSim(beam.DefaultConfig(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames, bases, achys []string
+	for i := 0; i < 3; i++ {
+		f := sim.Snapshot()
+		path := filepath.Join(dir, fmt.Sprintf("beam_%04d.acpf", i))
+		if err := pario.WriteFrameFile(path, f); err != nil {
+			t.Fatal(err)
+		}
+		pts := make([]vec.V3, f.E.Len())
+		for j := range pts {
+			pts[j] = vec.New(f.E.X[j], f.E.Px[j], f.E.Y[j])
+		}
+		tree, err := octree.Build(pts, octree.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := filepath.Join(dir, fmt.Sprintf("part_%04d", i))
+		if err := pario.WriteTreeFiles(base, tree); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: 8, Budget: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		achy := filepath.Join(dir, fmt.Sprintf("frame_%04d.achy", i))
+		if err := rep.WriteFile(achy); err != nil {
+			t.Fatal(err)
+		}
+		frames, bases, achys = append(frames, path), append(bases, base), append(achys, achy)
+		sim.RunPeriods(1)
+	}
+	// put copies the named file to dir/name, with one byte flipped
+	// halfway if flip is set, and returns the copy's path.
+	put := func(path, name string, flip bool) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flip {
+			data[len(data)/2] ^= 0x40
+		}
+		dst := filepath.Join(dir, name)
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	badFrame := put(frames[1], "flipped_0001.acpf", true)
+	put(bases[1]+".oct", "badoct_0001.oct", true)
+	put(bases[1]+".pts", "badoct_0001.pts", false)
+	put(bases[1]+".oct", "badpts_0001.oct", false)
+	put(bases[1]+".pts", "badpts_0001.pts", true)
+	badAchy := put(achys[1], "flipped_0001.achy", true)
+
+	partition := []string{"-plot", "x,px,y", "-out", filepath.Join(out, "run")}
+	extract := []string{"-budget", "50", "-volres", "8", "-out", filepath.Join(out, "run.achy")}
+	view := []string{"-size", "16", "-out", filepath.Join(out, "frame.png")}
+	list := func(flags []string, first, middle, last string) []string {
+		return append(append([]string(nil), flags...), first, middle, last)
+	}
+	for _, c := range []struct {
+		cmd  string
+		args []string
+		file string // the file the error must name
+		want string // and what it must say about it
+	}{
+		{"partition", list(partition, frames[0], badFrame, frames[2]), badFrame, "checksum"},
+		{"extract", list(extract, bases[0], filepath.Join(dir, "badoct_0001"), bases[2]), filepath.Join(dir, "badoct_0001.oct"), "checksum"},
+		{"extract", list(extract, bases[0], filepath.Join(dir, "badpts_0001"), bases[2]), filepath.Join(dir, "badpts_0001.pts"), "checksum"},
+		{"hybridview", list(view, achys[0], badAchy, achys[2]), badAchy, "checksum"},
+		{"partition", list(partition, frames[0], filepath.Join(dir, "gone.acpf"), frames[2]), filepath.Join(dir, "gone.acpf"), "no such file"},
+		{"extract", list(extract, bases[0], filepath.Join(dir, "gone"), bases[2]), filepath.Join(dir, "gone.oct"), "no such file"},
+		{"hybridview", list(view, achys[0], filepath.Join(dir, "gone.achy"), achys[2]), filepath.Join(dir, "gone.achy"), "no such file"},
+	} {
+		_, stderr, exit := runCommand(t, filepath.Join(bin, c.cmd), c.args...)
+		if exit != 1 {
+			t.Errorf("%s on %s: exit status %d, want 1", c.cmd, filepath.Base(c.file), exit)
+		}
+		if !strings.Contains(stderr, c.cmd+": ") || !strings.Contains(stderr, c.file) || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s on %s: error %q does not name the file and say %q", c.cmd, filepath.Base(c.file), strings.TrimSpace(stderr), c.want)
+		}
 	}
 }
 

@@ -123,13 +123,18 @@ func (r *Representation) Write(w io.Writer) error {
 	return nil
 }
 
-// ReadFile reads a representation from the named file.
+// ReadFile reads a representation from the named file. A decode error
+// names the file.
 func ReadFile(path string) (*Representation, error) {
 	p, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	return DecodeBinary(p)
+	rep, err := DecodeBinary(p)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, nil
 }
 
 // FileComplete reports whether the named file is a structurally

@@ -9,12 +9,12 @@ import (
 )
 
 // TestBuildDeterministicAcrossWorkers pins the partitioner's central
-// concurrency contract: the parallel carve, the radix scatter, and the
+// concurrency contract: the parallel scans, the radix scatter, and the
 // density gather change only the wall clock — Build over the same
 // points yields identical trees at every worker count.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	inputs := map[string][]vec.V3{
-		// Enough points that the carve actually fans out (grain 4096).
+		// Enough points that every parallel pass runs on several chunks.
 		"gaussian-halo": randomPoints(60_000, 42),
 		// Duplicate positions produce duplicate Morton codes, the case
 		// where only a stable sort keeps the output worker-invariant.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/par"
@@ -109,7 +110,7 @@ func refBuild(points []vec.V3, cfg Config) (*Tree, error) {
 	}
 	cv := &refCarver{pairs: pairs, cfg: cfg}
 	if workers > 1 {
-		cv.grp = par.NewGroup(workers)
+		cv.grp = newRefGroup(workers)
 		// Aim for several tasks per worker so irregular subtrees
 		// balance; below the grain a subtree is carved serially.
 		cv.grain = int64(n) / int64(workers*4)
@@ -179,7 +180,7 @@ type refCarver struct {
 	pairs []sortx.KV
 	cfg   Config
 	grain int64
-	grp   *par.Group
+	grp   *refGroup
 }
 
 // fill sets the per-node statistics every node carries, leaf or not.
@@ -303,6 +304,36 @@ func (cv *refCarver) carveSerial(nodes *[]Node, idx int32, lo, hi int64) {
 	for c := 0; c < 8; c++ {
 		cv.carveSerial(nodes, first+int32(c), splits[c], splits[c+1])
 	}
+}
+
+// refGroup is the oracle's own bounded fork-join, independent of the
+// par team: Do runs its tasks and returns when all have finished. A
+// task after the first runs on a goroutine of its own while the group
+// has a free slot across every nested Do (the caller counts as one
+// worker); any other task runs inline, the first one last, so
+// recursion never blocks on the budget.
+type refGroup struct{ slots chan struct{} }
+
+func newRefGroup(workers int) *refGroup {
+	return &refGroup{slots: make(chan struct{}, workers-1)}
+}
+
+func (g *refGroup) Do(tasks ...func()) {
+	var wg sync.WaitGroup
+	for _, task := range tasks[1:] {
+		select {
+		case g.slots <- struct{}{}:
+			wg.Add(1)
+			go func(task func()) {
+				defer func() { <-g.slots; wg.Done() }()
+				task()
+			}(task)
+		default:
+			task()
+		}
+	}
+	tasks[0]()
+	wg.Wait()
 }
 
 // treeDiff compares every field of two trees by bits and lengths and
@@ -633,4 +664,40 @@ func BenchmarkBuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestBuilderAllocationsIndependentOfWorkers: a warm BuildColumns at the
+// benchmark's 200k points allocates as often at 8 workers as at 1. What
+// is left is the same at every worker count (ROADMAP item 19): each
+// sortx radix pass's histograms and its two ForChunks closures; the
+// partials and closures of the MapReduce scans (the bounding box,
+// sortx's key range, the sortedness check); and the closure of the
+// leaf gather. A carve that fanned out per subtree allocated its task
+// closures and node buffers per worker: 77 allocations at 2 workers
+// and 364 at 8.
+func TestBuilderAllocationsIndependentOfWorkers(t *testing.T) {
+	const maxAllocs = 48
+	x, y, z := columns(randomPoints(200_000, 1))
+	allocs := map[int]float64{}
+	for _, workers := range []int{1, 2, 8} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		var b Builder
+		tree, err := b.BuildColumns(x, y, z, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[workers] = testing.AllocsPerRun(5, func() {
+			tree, err = b.BuildColumns(x, y, z, cfg, tree)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs[workers] > maxAllocs {
+			t.Errorf("%d workers: %v allocations per warm build, want at most %d", workers, allocs[workers], maxAllocs)
+		}
+	}
+	if allocs[2] != allocs[1] || allocs[8] != allocs[1] {
+		t.Errorf("allocations per warm build depend on the worker count: %v at 1, 2 and 8 workers", []float64{allocs[1], allocs[2], allocs[8]})
+	}
 }

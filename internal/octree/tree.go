@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/sortx"
@@ -90,9 +89,9 @@ func Build(points []vec.V3, cfg Config) (*Tree, error) {
 }
 
 // Builder carries a build's scratch from one frame to the next: the
-// Morton pairs and the radix ping-pong buffer, the leaf-density pairs,
-// the projected points of BuildColumns and the node buffers of the
-// carve. The zero value is ready; a Builder serves one build at a time.
+// Morton pairs and the radix ping-pong buffer, the leaf-density pairs
+// and the projected points of BuildColumns. The zero value is ready; a
+// Builder serves one build at a time.
 //
 // Every build also takes a retired tree — one whose last reader has
 // finished — and returns it refilled, its Nodes, Points, OrigIndex,
@@ -104,14 +103,7 @@ type Builder struct {
 	pairs, scratch []sortx.KV // Morton (key, index) pairs; the sorts' ping-pong
 	dens           []sortx.KV // (density key, node) per non-empty leaf
 	pts            []vec.V3   // BuildColumns' projected points
-
-	mu    sync.Mutex
-	nodes [][]Node // node buffers between uses, at most maxNodeBufs
 }
-
-// maxNodeBufs bounds the node buffers a Builder keeps: a concurrent
-// carve has eight live per fan-out, and fans out two or three deep.
-const maxNodeBufs = 32
 
 // Build is the package's Build on b's scratch, refilling retired (nil
 // for a fresh tree).
@@ -243,8 +235,7 @@ func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *T
 
 	// The carve's binary-search splits assume monotone codes, and a
 	// violated assumption would carve a silently corrupt tree — so
-	// spend one cheap parallel scan keeping the invariant loud (the
-	// role the serial carve's partition panic used to play).
+	// spend one cheap parallel scan keeping the invariant loud.
 	sorted := par.MapReduce(n, cfg.Workers,
 		func() bool { return true },
 		func(ok bool, lo, hi int) bool {
@@ -264,30 +255,15 @@ func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *T
 		panic("octree: Morton codes not sorted (sortx invariant violated)")
 	}
 
-	// Pass 4 (parallel): carve the tree out of the sorted array.
-	// Independent subtrees build concurrently into local buffers that
-	// are stitched back in depth-first order, so the node layout is
-	// identical at every worker count.
+	// Pass 4: carve the tree out of the sorted array, depth first, into
+	// the refilled tree's nodes. It is serial: a small share of a build,
+	// where a concurrent carve bought no time on two cores.
 	if t == nil {
 		t = new(Tree)
 	}
-	b.retire(t.Nodes)
 	t.Bounds, t.MaxLevel, t.LeafCap = root, cfg.MaxLevel, cfg.LeafCap
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	cv := &carver{pairs: pairs, cfg: cfg, b: b}
-	if workers > 1 {
-		cv.grp = par.NewGroup(workers)
-		// Aim for several tasks per worker so irregular subtrees
-		// balance; below the grain a subtree is carved serially.
-		cv.grain = int64(n) / int64(workers*4)
-		if cv.grain < 4096 {
-			cv.grain = 4096
-		}
-	}
-	t.Nodes = cv.carve(Node{Bounds: root, FirstChild: NoChild}, 0, int64(n))
+	t.Nodes = append(t.Nodes[:0], Node{Bounds: root, FirstChild: NoChild})
+	(&carver{pairs: pairs, cfg: cfg}).carve(&t.Nodes, 0, 0, int64(n))
 
 	// Pass 5 (parallel): order leaves by increasing density and emit the
 	// grouped, density-sorted point array (the paper's particle-file
@@ -347,31 +323,6 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// nodeBuf takes an empty node buffer of at least the given capacity
-// from the builder, or allocates one.
-func (b *Builder) nodeBuf(minCap int) []Node {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, buf := range b.nodes {
-		if cap(buf) >= minCap {
-			last := len(b.nodes) - 1
-			b.nodes[i], b.nodes[last] = b.nodes[last], nil
-			b.nodes = b.nodes[:last]
-			return buf[:0]
-		}
-	}
-	return make([]Node, 0, minCap)
-}
-
-// retire hands a node buffer nobody reads any more back to the builder.
-func (b *Builder) retire(buf []Node) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cap(buf) > 0 && len(b.nodes) < maxNodeBufs {
-		b.nodes = append(b.nodes, buf)
-	}
-}
-
 // cellCoord clamps a scaled coordinate to a valid cell index.
 func cellCoord(x float64, cells uint64) uint64 {
 	if x <= 0 {
@@ -385,18 +336,11 @@ func cellCoord(x float64, cells uint64) uint64 {
 }
 
 // carver carves the tree out of the Morton-sorted pair array. pairs is
-// shared, read-only, and positional: pairs[i].K is the code of the
-// i-th sorted point. A nil grp (or subtree sizes at or below grain)
-// means serial depth-first carving; otherwise the eight child subtrees
-// of a node are carved concurrently on the group and stitched back in
-// child order, which reproduces the serial depth-first node layout
-// exactly — concurrency changes only the wall clock, never the tree.
+// read-only and positional: pairs[i].K is the code of the i-th sorted
+// point.
 type carver struct {
 	pairs []sortx.KV
 	cfg   Config
-	grain int64
-	grp   *par.Group
-	b     *Builder // lends and takes back node buffers
 }
 
 // fill sets the per-node statistics every node carries, leaf or not.
@@ -414,8 +358,8 @@ func (cv *carver) fill(node *Node, lo, hi int64) {
 // split returns the nine boundaries of the eight child ranges of
 // [lo,hi) at the given level. The Morton sort makes each child's
 // points contiguous and the child id non-decreasing over the range, so
-// each boundary is a binary search — O(log n) per child instead of the
-// linear scan the serial carve used.
+// each boundary is a binary search — O(log n) per child instead of a
+// linear scan.
 func (cv *carver) split(lo, hi int64, level int) [9]int64 {
 	var s [9]int64
 	s[0] = lo
@@ -430,75 +374,11 @@ func (cv *carver) split(lo, hi int64, level int) [9]int64 {
 	return s
 }
 
-// carve builds the subtree rooted at root, whose points occupy sorted
-// positions [lo,hi), and returns its nodes in depth-first layout with
-// the root at index 0 and FirstChild indices local to the returned
-// slice. Offsets stored here are provisional (Morton order); Build
-// rewrites them in density order afterwards.
-func (cv *carver) carve(root Node, lo, hi int64) []Node {
-	if cv.grp == nil || hi-lo <= cv.grain {
-		nodes := append(cv.b.nodeBuf(0), root)
-		cv.carveSerial(&nodes, 0, lo, hi)
-		return nodes
-	}
-	cv.fill(&root, lo, hi)
-	if hi-lo <= int64(cv.cfg.LeafCap) || int(root.Level) >= cv.cfg.MaxLevel {
-		return append(cv.b.nodeBuf(0), root)
-	}
-	// Fan the eight children out on the group; each carves into its own
-	// buffer. Serial depth-first order is [root, child 0..7,
-	// descendants(0), descendants(1), ...] — children first (they are
-	// appended when the parent expands), each child's descendant block
-	// following in child order — so stitching the buffers back in child
-	// order with relabeled FirstChild indices is layout-identical to
-	// the serial carve.
-	splits := cv.split(lo, hi, int(root.Level))
-	var sub [8][]Node
-	tasks := make([]func(), 8)
-	for c := 0; c < 8; c++ {
-		c := c
-		child := Node{
-			Bounds:     root.Bounds.Octant(c),
-			FirstChild: NoChild,
-			Level:      root.Level + 1,
-		}
-		tasks[c] = func() { sub[c] = cv.carve(child, splits[c], splits[c+1]) }
-	}
-	cv.grp.Do(tasks...)
-
-	total := 9
-	var descStart [8]int32
-	for c := 0; c < 8; c++ {
-		descStart[c] = int32(total)
-		total += len(sub[c]) - 1
-	}
-	out := cv.b.nodeBuf(total)
-	root.FirstChild = 1
-	out = append(out, root)
-	// relabel maps a child-local node index (>= 1; nothing points back
-	// at a subtree's root) into the stitched layout.
-	relabel := func(nd Node, c int) Node {
-		if nd.FirstChild != NoChild {
-			nd.FirstChild = descStart[c] + nd.FirstChild - 1
-		}
-		return nd
-	}
-	for c := 0; c < 8; c++ {
-		out = append(out, relabel(sub[c][0], c))
-	}
-	for c := 0; c < 8; c++ {
-		for _, nd := range sub[c][1:] {
-			out = append(out, relabel(nd, c))
-		}
-		cv.b.retire(sub[c])
-	}
-	return out
-}
-
-// carveSerial recursively subdivides (*nodes)[idx], whose points occupy
-// sorted positions [lo,hi) — the serial depth-first carve, appending to
-// a local buffer.
-func (cv *carver) carveSerial(nodes *[]Node, idx int32, lo, hi int64) {
+// carve recursively subdivides (*nodes)[idx], whose points occupy
+// sorted positions [lo,hi), appending children depth first. Offsets
+// stored here are provisional (Morton order); finish rewrites them in
+// density order afterwards.
+func (cv *carver) carve(nodes *[]Node, idx int32, lo, hi int64) {
 	node := &(*nodes)[idx]
 	cv.fill(node, lo, hi)
 	if hi-lo <= int64(cv.cfg.LeafCap) || int(node.Level) >= cv.cfg.MaxLevel {
@@ -519,7 +399,7 @@ func (cv *carver) carveSerial(nodes *[]Node, idx int32, lo, hi int64) {
 	}
 	splits := cv.split(lo, hi, level)
 	for c := 0; c < 8; c++ {
-		cv.carveSerial(nodes, first+int32(c), splits[c], splits[c+1])
+		cv.carve(nodes, first+int32(c), splits[c], splits[c+1])
 	}
 }
 

@@ -8,18 +8,17 @@
 // goroutines so the code retains the parallel structure at any core
 // count, including one.
 //
-// ForChunks, For, MapReduce and Group.Do run on one team of 2 ×
-// GOMAXPROCS worker goroutines, started when the package loads and
-// never exited; a call spawns no goroutine and, with a pre-bound body,
-// allocates nothing. The team is parked on one unbuffered channel, so
-// handing a chunk to it succeeds only when a worker is idle at that
-// moment; a chunk that finds none runs inline on the caller, the way a
-// Group task beyond its budget always has. A call therefore never
-// blocks on the team, and nested calls — MapReduce inside ForChunks,
-// the octree carve inside a pipeline stage, several stages at once —
-// cannot deadlock. The caller hands out every chunk it can before it
-// waits: running chunk 0 itself leaves the worker it has just woken
-// queued behind it on the same processor. On a 2-core Xeon,
+// ForChunks, For and MapReduce run on one team of 2 × GOMAXPROCS
+// worker goroutines, started when the package loads and never exited;
+// a call spawns no goroutine and, with a pre-bound body, allocates
+// nothing. The team is parked on one unbuffered channel, so handing a
+// chunk to it succeeds only when a worker is idle at that moment; a
+// chunk that finds none runs inline on the caller. A call therefore
+// never blocks on the team, and nested calls — MapReduce inside
+// ForChunks, an octree build inside a pipeline stage, several stages at
+// once — cannot deadlock. The caller hands out every chunk it can
+// before it waits: running chunk 0 itself leaves the worker it has just
+// woken queued behind it on the same processor. On a 2-core Xeon,
 // BenchmarkAdvance/w2 (the FDTD step) took a median of 19.1 ms that
 // way, 16.2 ms with a goroutine per chunk, and 15.7 ms with every
 // chunk handed out. On the field_stream benchmark the team takes a
@@ -105,7 +104,13 @@ func ForChunks(n, workers int, body func(lo, hi int)) {
 	j := getJoin()
 	for c := 0; c < p.Count; c++ {
 		lo, hi := p.Bounds(c)
-		j.start(job{chunk: body, lo: lo, hi: hi, join: j})
+		jb := job{chunk: body, lo: lo, hi: hi, join: j}
+		j.wg.Add(1)
+		select {
+		case jobs <- jb: // an idle team worker took it
+		default:
+			jb.run()
+		}
 	}
 	j.wait()
 }
@@ -133,12 +138,10 @@ func MapReduce[T any](n, workers int, newPartial func() T, mapBody func(part T, 
 	return out
 }
 
-// job is one chunk or one Group task handed to the team.
+// job is one chunk handed to the team.
 type job struct {
 	chunk  func(lo, hi int)
-	task   func()
 	lo, hi int
-	slot   chan struct{} // the Group budget slot to give back, or nil
 	join   *join
 }
 
@@ -159,12 +162,8 @@ func init() {
 // run executes the job and reports it to its join, recovering a panic
 // so that the join can raise it on the caller.
 func (jb *job) run() {
-	defer jb.join.done(jb.slot)
-	if jb.task != nil {
-		jb.task()
-	} else {
-		jb.chunk(jb.lo, jb.hi)
-	}
+	defer jb.join.done()
+	jb.chunk(jb.lo, jb.hi)
 }
 
 // join is the reusable completion state of one call.
@@ -187,39 +186,14 @@ func getJoin() *join {
 	}
 }
 
-// start hands jb to an idle team worker, or runs it on the caller if
-// none is.
-func (j *join) start(jb job) {
-	j.wg.Add(1)
-	select {
-	case jobs <- jb:
-	default:
-		if jb.slot != nil {
-			<-jb.slot // running here takes none of the group's budget
-			jb.slot = nil
-		}
-		jb.run()
-	}
-}
-
-// inline runs jb on the caller as one of j's jobs.
-func (j *join) inline(jb job) {
-	j.wg.Add(1)
-	jb.run()
-}
-
-// done ends one job: it frees the job's budget slot and keeps the first
-// panic of the call.
-func (j *join) done(slot chan struct{}) {
+// done ends one job, keeping the first panic of the call.
+func (j *join) done() {
 	if v := recover(); v != nil {
 		j.mu.Lock()
 		if !j.panicked {
 			j.panicked, j.val = true, v
 		}
 		j.mu.Unlock()
-	}
-	if slot != nil {
-		<-slot
 	}
 	j.wg.Done()
 }
@@ -237,47 +211,4 @@ func (j *join) wait() {
 	if panicked {
 		panic(val)
 	}
-}
-
-// Group is a bounded fork-join scope for recursive divide-and-conquer
-// work (e.g. the octree's concurrent tree carve). Group.Do waits only
-// for the tasks of that call, and a task that cannot obtain a worker
-// slot simply runs on the calling goroutine — recursion never blocks on
-// the budget, it just degrades to serial execution.
-type Group struct {
-	slots chan struct{}
-}
-
-// NewGroup returns a group that runs at most `workers` tasks
-// concurrently across all nested Do calls (0 means Workers()). The
-// calling goroutine counts as one worker, so workers <= 1 yields fully
-// serial execution.
-func NewGroup(workers int) *Group {
-	if workers <= 0 {
-		workers = Workers()
-	}
-	return &Group{slots: make(chan struct{}, workers-1)}
-}
-
-// Do runs the given tasks and returns when all of them have completed.
-// A task after the first that gets a slot of the group's budget runs on
-// an idle team worker if there is one; every other task executes inline
-// on the caller, the first one last, preserving bounded parallelism
-// under arbitrary recursion depth. A panic is raised as ForChunks
-// raises it.
-func (g *Group) Do(tasks ...func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	j := getJoin()
-	for _, task := range tasks[1:] {
-		select {
-		case g.slots <- struct{}{}:
-			j.start(job{task: task, slot: g.slots, join: j})
-		default:
-			j.inline(job{task: task, join: j})
-		}
-	}
-	j.inline(job{task: tasks[0], join: j})
-	j.wait()
 }

@@ -159,62 +159,6 @@ func TestMapReduceEveryNAndW(t *testing.T) {
 	}
 }
 
-func TestGroupRecursiveSum(t *testing.T) {
-	// A recursive fork-join reduction must complete and be correct at
-	// any budget, including the fully-inline workers=1 case.
-	for _, w := range []int{1, 2, 8} {
-		g := NewGroup(w)
-		var sum func(lo, hi int) int64
-		sum = func(lo, hi int) int64 {
-			if hi-lo <= 64 {
-				var s int64
-				for i := lo; i < hi; i++ {
-					s += int64(i)
-				}
-				return s
-			}
-			mid := (lo + hi) / 2
-			var left, right int64
-			g.Do(
-				func() { left = sum(lo, mid) },
-				func() { right = sum(mid, hi) },
-			)
-			return left + right
-		}
-		const n = 100000
-		if got, want := sum(0, n), int64(n)*(n-1)/2; got != want {
-			t.Errorf("workers=%d: recursive sum = %d, want %d", w, got, want)
-		}
-	}
-}
-
-func TestGroupBoundsConcurrency(t *testing.T) {
-	const workers = 3
-	g := NewGroup(workers)
-	var cur, peak int64
-	var tasks []func()
-	for i := 0; i < 64; i++ {
-		tasks = append(tasks, func() {
-			c := atomic.AddInt64(&cur, 1)
-			for {
-				p := atomic.LoadInt64(&peak)
-				if c <= p || atomic.CompareAndSwapInt64(&peak, p, c) {
-					break
-				}
-			}
-			atomic.AddInt64(&cur, -1)
-		})
-	}
-	g.Do(tasks...)
-	if peak > workers {
-		t.Errorf("observed %d concurrent tasks, budget %d", peak, workers)
-	}
-}
-
-func TestGroupEmptyDo(t *testing.T) {
-	NewGroup(4).Do() // must not panic or hang
-}
-
 // TestSlabsPartition pins the one chunk plan, the slab decomposition
 // every pass uses: at every n and worker count its chunks are
 // non-empty, disjoint, in order and cover [0,n), there are no more of
@@ -298,8 +242,8 @@ func TestForChunksAllocatesNothing(t *testing.T) {
 }
 
 // nestedSum sums val over [lo,hi) through depth levels of ForChunks,
-// with a Group.Do of two MapReduce halves at the bottom.
-func nestedSum(depth, lo, hi, workers int, g *Group, val func(int) int64) int64 {
+// with two MapReduce halves at the bottom.
+func nestedSum(depth, lo, hi, workers int, val func(int) int64) int64 {
 	if depth == 0 {
 		half := func(lo, hi int) int64 {
 			return MapReduce(hi-lo, workers,
@@ -313,14 +257,12 @@ func nestedSum(depth, lo, hi, workers int, g *Group, val func(int) int64) int64 
 				func(a, b int64) int64 { return a + b })
 		}
 		mid := (lo + hi) / 2
-		var a, b int64
-		g.Do(func() { a = half(lo, mid) }, func() { b = half(mid, hi) })
-		return a + b
+		return half(lo, mid) + half(mid, hi)
 	}
 	p := Chunks(hi-lo, workers)
 	parts := make([]int64, p.Count)
 	ForChunks(hi-lo, workers, func(clo, chi int) {
-		parts[p.Index(clo)] = nestedSum(depth-1, lo+clo, lo+chi, workers, g, val)
+		parts[p.Index(clo)] = nestedSum(depth-1, lo+clo, lo+chi, workers, val)
 	})
 	var s int64
 	for _, v := range parts {
@@ -330,8 +272,8 @@ func nestedSum(depth, lo, hi, workers int, g *Group, val func(int) int64) int64 
 }
 
 // TestTeamNestedNeverDeadlocks: eight callers at once, each nesting
-// ForChunks four deep with Group.Do and MapReduce inside, at several
-// GOMAXPROCS values: every call returns, with the serial sum. The team
+// ForChunks four deep with MapReduce inside, at several GOMAXPROCS
+// values: every call returns, with the serial sum. The team
 // is far smaller than the chunks in flight, so this holds only because
 // a chunk that finds no idle worker runs on its caller.
 func TestTeamNestedNeverDeadlocks(t *testing.T) {
@@ -354,7 +296,7 @@ func TestTeamNestedNeverDeadlocks(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got[c] = nestedSum(4, 0, n, 3, NewGroup(4), val)
+					got[c] = nestedSum(4, 0, n, 3, val)
 				}()
 			}
 			wg.Wait()
@@ -374,8 +316,8 @@ func TestTeamNestedNeverDeadlocks(t *testing.T) {
 
 // TestForChunksPanicReachesCaller: a panic in any one chunk reaches the
 // caller with its value, whichever goroutine ran the chunk, and only
-// after every other chunk of the call has finished. Group.Do behaves
-// the same, and the team keeps working afterwards.
+// after every other chunk of the call has finished, and the team keeps
+// working afterwards.
 func TestForChunksPanicReachesCaller(t *testing.T) {
 	catch := func(f func()) (v any) {
 		defer func() { v = recover() }()
@@ -402,14 +344,6 @@ func TestForChunksPanicReachesCaller(t *testing.T) {
 			if f := finished.Load(); f != int64(p.Count-1) {
 				t.Errorf("workers=%d, chunk %d panics: %d of %d other chunks had finished", w, bad, f, p.Count-1)
 			}
-		}
-		tasks := make([]func(), w)
-		for i := range tasks {
-			tasks[i] = func() { time.Sleep(time.Millisecond) }
-		}
-		tasks[len(tasks)-1] = func() { panic("task failed") }
-		if got := catch(func() { NewGroup(w).Do(tasks...) }); got != "task failed" {
-			t.Errorf("workers=%d: Group.Do caller recovered %v", w, got)
 		}
 	}
 	var sum atomic.Int64

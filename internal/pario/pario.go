@@ -95,13 +95,27 @@ func ReadFrameFile(path string) (beam.Frame, error) {
 // ReadFrameFileInto is ReadFrameFile into the caller's storage: the
 // columns land in e, resized to the frame's count (nil means a fresh
 // ensemble). On error e's contents are unspecified.
-func ReadFrameFileInto(path string, e *beam.Ensemble) (beam.Frame, error) {
+func ReadFrameFileInto(path string, e *beam.Ensemble) (f beam.Frame, err error) {
+	err = decodeFile(path, func(p []byte) (err error) {
+		f, err = decodeFrame(p, e)
+		return err
+	})
+	return f, err
+}
+
+// decodeFile reads the named file and decodes it. A decode error is
+// wrapped with the path, so that a run of many frames says which one
+// is bad; an open or read error carries the path already.
+func decodeFile(path string, decode func(p []byte) error) error {
 	p, err := readFile(path)
 	if err != nil {
-		return beam.Frame{}, err
+		return err
 	}
 	defer releaseFile(p)
-	return decodeFrame(p, e)
+	if err := decode(p); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // fileBufs lends the file readers their read buffer: a decoder copies
@@ -179,9 +193,8 @@ func encodeTree(t *octree.Tree) (nodes, pts []byte) {
 	return nodes, wire.Finish(pts, 0)
 }
 
-// decodeTree decodes both parts and validates the reconstructed tree's
-// invariants before returning it.
-func decodeTree(nodes, pts []byte) (*octree.Tree, error) {
+// decodeNodes decodes the nodes part into a tree without points.
+func decodeNodes(nodes []byte) (*octree.Tree, error) {
 	rd := wire.Open("pario: nodes", nodes, magicNodes, formatVersion, 8, true)
 	t := &octree.Tree{Bounds: vec.Box(rd.V3(), rd.V3())}
 	t.MaxLevel, t.LeafCap = int(rd.I64()), int(rd.I64())
@@ -206,19 +219,17 @@ func decodeTree(nodes, pts []byte) (*octree.Tree, error) {
 	if err := rd.Done(); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
 
-	rd = wire.Open("pario: points", pts, magicPts, formatVersion, 8, true)
+// decodePoints decodes the points part into t.
+func decodePoints(t *octree.Tree, pts []byte) error {
+	rd := wire.Open("pario: points", pts, magicPts, formatVersion, 8, true)
 	nPts := rd.Count(rd.I64(), 24+8)
 	t.Points, t.OrigIndex = make([]vec.V3, nPts), make([]int64, nPts)
 	rd.V3s(t.Points)
 	rd.I64s(t.OrigIndex)
-	if err := rd.Done(); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("pario: loaded tree invalid: %w", err)
-	}
-	return t, nil
+	return rd.Done()
 }
 
 // WriteTreeFiles writes base+".oct" and base+".pts" — the paper's
@@ -231,19 +242,26 @@ func WriteTreeFiles(base string, t *octree.Tree) error {
 	return writeFile(base+".pts", pts)
 }
 
-// ReadTreeFiles reads the pair written by WriteTreeFiles.
+// ReadTreeFiles reads the pair written by WriteTreeFiles. A decode
+// error names the file it is in; a tree whose parts do not agree names
+// both.
 func ReadTreeFiles(base string) (*octree.Tree, error) {
-	nodes, err := readFile(base + ".oct")
+	oct, pts := base+".oct", base+".pts"
+	var t *octree.Tree
+	err := decodeFile(oct, func(p []byte) (err error) {
+		t, err = decodeNodes(p)
+		return err
+	})
+	if err == nil {
+		err = decodeFile(pts, func(p []byte) error { return decodePoints(t, p) })
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer releaseFile(nodes)
-	pts, err := readFile(base + ".pts")
-	if err != nil {
-		return nil, err
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("%s and %s: pario: loaded tree invalid: %w", oct, pts, err)
 	}
-	defer releaseFile(pts)
-	return decodeTree(nodes, pts)
+	return t, nil
 }
 
 // writeFile creates or truncates the named file and writes p to it.

@@ -1,8 +1,11 @@
 package pario
 
 import (
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +13,22 @@ import (
 	"repro/internal/octree"
 	"repro/internal/vec"
 )
+
+// decodeTree decodes both parts of a tree from memory the way
+// ReadTreeFiles decodes its two files, and validates the result.
+func decodeTree(nodes, pts []byte) (*octree.Tree, error) {
+	t, err := decodeNodes(nodes)
+	if err == nil {
+		err = decodePoints(t, pts)
+	}
+	if err == nil {
+		err = t.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 func testFrame(n int, seed int64) beam.Frame {
 	e := beam.NewEnsemble(n)
@@ -158,6 +177,67 @@ func TestTreeSwappedPartsRejected(t *testing.T) {
 	nodes, pts := encodeTree(tree)
 	if _, err := decodeTree(pts, nodes); err == nil {
 		t.Error("swapped parts accepted")
+	}
+}
+
+// TestReadErrorsNameTheFile: a file that fails to decode is named in
+// the error, which still wraps the decoder's own: a flipped byte in a
+// frame, in either part of a tree, and a pair of parts from two
+// different trees, which names both.
+func TestReadErrorsNameTheFile(t *testing.T) {
+	dir := t.TempDir()
+	frame := filepath.Join(dir, "f.acpf")
+	if err := WriteFrameFile(frame, testFrame(300, 1)); err != nil {
+		t.Fatal(err)
+	}
+	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := WriteTreeFiles(a, buildTestTree(t, 1000, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTreeFiles(b, buildTestTree(t, 1000, 11)); err != nil {
+		t.Fatal(err)
+	}
+	// put writes data, with one byte flipped halfway if flip is set.
+	put := func(path string, data []byte, flip bool) {
+		data = append([]byte(nil), data...)
+		if flip {
+			data[len(data)/2] ^= 0x40
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(path string) []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	frameBytes, aOct, aPts, bPts := read(frame), read(a+".oct"), read(a+".pts"), read(b+".pts")
+	bad := filepath.Join(dir, "bad")
+	for _, c := range []struct {
+		name  string
+		setup func()
+		read  func() error
+		want  string // the file the error names
+	}{
+		{"frame", func() { put(bad+".acpf", frameBytes, true) },
+			func() error { _, err := ReadFrameFileInto(bad+".acpf", nil); return err }, bad + ".acpf: pario: frame: checksum"},
+		{"nodes", func() { put(bad+".oct", aOct, true); put(bad+".pts", aPts, false) },
+			func() error { _, err := ReadTreeFiles(bad); return err }, bad + ".oct: pario: nodes: checksum"},
+		{"points", func() { put(bad+".oct", aOct, false); put(bad+".pts", aPts, true) },
+			func() error { _, err := ReadTreeFiles(bad); return err }, bad + ".pts: pario: points: checksum"},
+		{"parts of two trees", func() { put(bad+".oct", aOct, false); put(bad+".pts", bPts, false) },
+			func() error { _, err := ReadTreeFiles(bad); return err }, bad + ".oct and " + bad + ".pts: pario: loaded tree invalid"},
+	} {
+		c.setup()
+		err := c.read()
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one starting %q", c.name, err, c.want)
+		} else if errors.Unwrap(err) == nil {
+			t.Errorf("%s: error %v wraps nothing", c.name, err)
+		}
 	}
 }
 

@@ -314,7 +314,7 @@ func BenchmarkStreamingTimeSeries(b *testing.B) {
 		pp := core.NewParticlePipeline(n)
 		pp.Sim.Workers = 1
 		pp.Tree.Workers = 1
-		pp.Extract = hybrid.ExtractConfig{VolumeRes: benchVolHyb, Budget: int64(n / 20), Workers: 1}
+		pp.Extract = hybrid.ExtractConfig{VolumeRes: benchVolHyb, Budget: int64(n / 20)}
 		sim, err := pp.NewSim()
 		if err != nil {
 			b.Fatal(err)

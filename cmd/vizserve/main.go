@@ -27,7 +27,9 @@
 // depth-composite the partials before frames ever reach this server —
 // the sort-last half of the paper's parallel rendering architecture.
 // In live mode the Stats verb carries the pipeline's per-stage table
-// to vizclient -stats.
+// to vizclient -stats. Extraction gives the same bytes at every core
+// count, so a frame served here is the frame any host would extract
+// from the same snapshot.
 package main
 
 import (

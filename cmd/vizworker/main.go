@@ -1,6 +1,6 @@
 // Command vizworker hosts a compute worker for distributed stage
 // execution: it serves the service protocol's Compute verb with the
-// two built-in stage kernels (hybrid extraction hybrid.extract.v1 and
+// two built-in stage kernels (hybrid extraction hybrid.extract.v2 and
 // the sort-last partial render render.partial.v1), so a pipeline
 // elsewhere can place its heavy per-frame compute on this process with
 // core.StreamOptions.ExtractAddrs / RenderAddrs — the
@@ -9,7 +9,9 @@
 // which is how a fleet verifies provisioning before striping frames
 // here; render fleets use the same check to confirm a worker can
 // produce depth-augmented partial framebuffers before sub-volume
-// renders are fanned to it.
+// renders are fanned to it. An extraction runs on this host's cores,
+// however many: it gives the same bytes at every core count, so the
+// requester's and this worker's need not match.
 //
 // The worker is a remote.Service without a frame store, so it runs
 // the same session envelope as vizserve: it reaps a peer silent past

@@ -435,8 +435,10 @@ func TestCmdParticleFlags(t *testing.T) {
 // three-frame run — one case per format the §2 CLIs read — stops the
 // CLI with status 1 and a checksum error that names the file, so that
 // a multi-frame run says which frame is bad. A missing input in the
-// middle of the list fails the same way. Before, a checksum error
-// named only the stage and the format.
+// middle of the list fails the same way, and so does a tree pair whose
+// checksums hold but which has no points (before, extract -budget
+// panicked on it). Before, a checksum error named only the stage and
+// the format.
 func TestCmdCorruptInputNamed(t *testing.T) {
 	bin := buildCommands(t, "partition", "extract", "hybridview")
 	dir, out := t.TempDir(), t.TempDir()
@@ -497,6 +499,16 @@ func TestCmdCorruptInputNamed(t *testing.T) {
 	put(bases[1]+".oct", "badpts_0001.oct", false)
 	put(bases[1]+".pts", "badpts_0001.pts", true)
 	badAchy := put(achys[1], "flipped_0001.achy", true)
+	// A pair whose checksums hold but whose tree has no points.
+	box := vec.Box(vec.New(0, 0, 0), vec.New(1, 1, 1))
+	emptyTree := filepath.Join(dir, "empty_0001")
+	if err := pario.WriteTreeFiles(emptyTree, &octree.Tree{
+		Bounds: box, MaxLevel: 8, LeafCap: 64,
+		Nodes:       []octree.Node{{Bounds: box, FirstChild: octree.NoChild}},
+		LeafOffsets: []int64{0},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	partition := []string{"-plot", "x,px,y", "-out", filepath.Join(out, "run")}
 	extract := []string{"-budget", "50", "-volres", "8", "-out", filepath.Join(out, "run.achy")}
@@ -514,6 +526,7 @@ func TestCmdCorruptInputNamed(t *testing.T) {
 		{"extract", list(extract, bases[0], filepath.Join(dir, "badoct_0001"), bases[2]), filepath.Join(dir, "badoct_0001.oct"), "checksum"},
 		{"extract", list(extract, bases[0], filepath.Join(dir, "badpts_0001"), bases[2]), filepath.Join(dir, "badpts_0001.pts"), "checksum"},
 		{"hybridview", list(view, achys[0], badAchy, achys[2]), badAchy, "checksum"},
+		{"extract", list(extract, bases[0], emptyTree, bases[2]), emptyTree + ".oct", "no points"},
 		{"partition", list(partition, frames[0], filepath.Join(dir, "gone.acpf"), frames[2]), filepath.Join(dir, "gone.acpf"), "no such file"},
 		{"extract", list(extract, bases[0], filepath.Join(dir, "gone"), bases[2]), filepath.Join(dir, "gone.oct"), "no such file"},
 		{"hybridview", list(view, achys[0], filepath.Join(dir, "gone.achy"), achys[2]), filepath.Join(dir, "gone.achy"), "no such file"},

@@ -18,7 +18,10 @@ import (
 // of distributed stage execution: it builds the real cmd/vizworker
 // binary, runs it as a second OS process, and drives StreamFrames with
 // ExtractAddrs across the process boundary — the frames must come back
-// bit-identical to an all-local run of the same configuration.
+// bit-identical to an all-local run of the same configuration. The
+// worker runs at GOMAXPROCS=1, a core count other than this process's,
+// as a worker on another host would: nothing pins a worker count on
+// either side.
 func TestVizworkerTwoProcessRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-process test builds cmd/vizworker; skipped in -short")
@@ -31,6 +34,7 @@ func TestVizworkerTwoProcessRoundTrip(t *testing.T) {
 	}
 
 	worker := exec.Command(bin, "-addr", "127.0.0.1:0")
+	worker.Env = append(os.Environ(), "GOMAXPROCS=1")
 	stdout, err := worker.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +72,6 @@ func TestVizworkerTwoProcessRoundTrip(t *testing.T) {
 	pipelineFor := func() (*core.ParticlePipeline, core.FrameSource, error) {
 		pp := core.NewParticlePipeline(5000)
 		pp.Extract.VolumeRes = 12
-		pp.Extract.Workers = 2 // pin: splat slab boundaries must match across processes
-		pp.Tree.Workers = 2
 		sim, err := pp.NewSim()
 		if err != nil {
 			return nil, nil, err

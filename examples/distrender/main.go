@@ -88,9 +88,6 @@ func main() {
 	pipelineFor := func() (*core.ParticlePipeline, core.FrameSource, error) {
 		pp := core.NewParticlePipeline(particles)
 		pp.Extract.VolumeRes = volumeRes
-		// Pin the splat worker count so all runs are bit-identical
-		// even if the processes saw different GOMAXPROCS.
-		pp.Extract.Workers = 2
 		sim, err := pp.NewSim()
 		if err != nil {
 			return nil, nil, err

@@ -22,7 +22,8 @@
 // frame N+1 partitions while frame N extracts and frame N-1 renders,
 // and per-stage worker counts add frame-level parallelism within a
 // stage. Output arrives in frame order and — for equal per-stage
-// configurations — is bit-identical to the serial path. The one-shot
+// configurations — is bit-identical to the serial path, at every worker
+// count and on every core count. The one-shot
 // methods (ProcessFrame) are thin wrappers over a one-frame stream.
 //
 // Frames enter a stream through a FrameSource: live simulation

@@ -37,10 +37,6 @@ func noLeaks(t *testing.T, before int) {
 // frames in flight on the worker connection.
 func TestStreamRemoteExtractBitIdentical(t *testing.T) {
 	p, frames := streamFixture(t, 4000)
-	// Pin the splat worker count: the volume splat's slab boundaries
-	// depend on it, and bit-identity across processes requires both
-	// sides to use the same value.
-	p.Extract.Workers = 2
 
 	var want [][]byte
 	local := p.StreamFrames(context.Background(), FrameSliceSource(frames...), StreamOptions{
@@ -201,9 +197,6 @@ func TestStreamRemoteExtractOptionValidation(t *testing.T) {
 // all-local run — the failover is invisible in the output.
 func TestStreamFleetExtractSurvivesWorkerLoss(t *testing.T) {
 	p, frames := streamFixture(t, 3000)
-	// Pin the splat worker count: bit-identity across processes
-	// requires both sides to use the same value.
-	p.Extract.Workers = 2
 	long := append(frames, frames...)
 	long = append(long, frames...)
 	long = append(long, frames...) // 12 frames

@@ -322,7 +322,8 @@ type StreamOptions struct {
 	// compute across machines. The stage projects each frame locally
 	// (cheap), ships the point set over the service protocol's Compute
 	// verb, and receives the hybrid representation back, bit-identical
-	// to running the same configs locally. Frames stripe across the
+	// to running the same configs locally, whatever the core counts of
+	// the two hosts. Frames stripe across the
 	// healthy members of the fleet (ExtractWorkers in flight per worker,
 	// overlapping wide-area round-trips on one multiplexed connection
 	// each), a worker that fails or hangs mid-frame forfeits its frames
@@ -403,7 +404,8 @@ func (s *ParticleStream) RecycleFB(fb *render.Framebuffer) {
 // extracted and frame N-1 rendered; per-stage worker counts add
 // frame-level parallelism within a stage. Output order always matches
 // frame order and, for equal per-stage configurations, the results are
-// bit-identical to the serial one-shot path.
+// bit-identical to the serial one-shot path, at every worker count and
+// on every core count.
 func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, opts StreamOptions) *ParticleStream {
 	pl := pipeline.New(ctx)
 	fail := func(err error) *ParticleStream {

@@ -36,6 +36,48 @@ func streamFixture(t *testing.T, n int) (*ParticlePipeline, []beam.Frame) {
 	return p, frames
 }
 
+// TestStreamSameBytesAtEveryCoreCount: extraction gives the same bytes
+// on every host, so a volume written on one machine is the volume
+// another would write. StreamFrames at GOMAXPROCS 1, 2, 3 and 7, with
+// one and with three workers per stage, must write the .achy encodings
+// ProcessFrame writes at GOMAXPROCS=1. A density deposit summed from
+// per-core partial grids moves low bits of the volume with the core
+// count and fails here.
+func TestStreamSameBytesAtEveryCoreCount(t *testing.T) {
+	p, frames := streamFixture(t, 4000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var want [][]byte
+	for _, f := range frames {
+		rep, err := p.ProcessFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rep.AppendBinary(nil))
+	}
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 3} {
+			s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), StreamOptions{
+				PartitionWorkers: workers,
+				ExtractWorkers:   workers,
+			})
+			got := 0
+			for r := range s.Out {
+				if !bytes.Equal(r.Rep.AppendBinary(nil), want[r.Index]) {
+					t.Errorf("GOMAXPROCS=%d, %d workers per stage: frame %d differs from ProcessFrame at GOMAXPROCS=1", procs, workers, r.Index)
+				}
+				got++
+			}
+			if err := s.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got != len(want) {
+				t.Errorf("GOMAXPROCS=%d, %d workers per stage: %d frames, want %d", procs, workers, got, len(want))
+			}
+		}
+	}
+}
+
 // TestStreamMatchesSerialBitIdentical: the streaming engine must
 // produce byte-for-byte the same hybrid representations as the serial
 // partition+extract path on a fixed-seed 3-frame run, including with

@@ -9,13 +9,13 @@
 // indices and densities are copies, so the tree may be retired (see
 // package octree) as soon as Extract returns.
 //
-// The density deposit (Splat) has a fast path that is exact, not
-// approximate. A point's eight trilinear weights are the same products
-// in the same order whichever path computes them, the eight voxels of
-// an interior point are distinct, and points are deposited in input
-// order within a slab and slabs are summed in slab order — so every
-// voxel receives the same float32 additions in the same sequence as
-// under the fully guarded loop, which survives as the oracle of
+// The density deposit (Splat) is one serial pass in input order, so a
+// volume is the same bytes on every host at every core count. Its fast
+// path is exact, not approximate: a point's eight trilinear weights are
+// the same products in the same order whichever path computes them and
+// the eight voxels of an interior point are distinct, so every voxel
+// receives the same float32 additions in the same sequence as under the
+// fully guarded loop, which survives as the oracle of
 // TestDepositMatchesReference.
 package hybrid
 
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -183,52 +182,15 @@ func (g *Grid) SizeBytes() int64 { return int64(g.Len()) * 4 }
 // Splat deposits the given points onto a fresh nx*ny*nz grid over
 // bounds using cloud-in-cell (trilinear) weighting, producing the point
 // density volume that the hybrid representation renders for the dense
-// core. The deposit runs in parallel over contiguous slabs of the
-// points, slab 0 straight into the output grid and every other into a
-// partial grid of its own, the partials added in slab order at the end —
-// so it is deterministic regardless of scheduling, and 0 + x being x,
-// the same sums as a partial for every slab.
-func Splat(points []vec.V3, bounds vec.AABB, nx, ny, nz, workers int) (*Grid, error) {
+// core. The points are deposited one after another in input order.
+func Splat(points []vec.V3, bounds vec.AABB, nx, ny, nz int) (*Grid, error) {
 	out, err := NewGrid(nx, ny, nz, bounds)
 	if err != nil {
 		return nil, err
 	}
-	out.splat(points, workers)
+	c := newCIC(bounds, nx, ny, nz)
+	c.deposit(points, out.Data)
 	return out, nil
-}
-
-// splat adds the points' deposit to g, whose voxels must all be zero.
-func (g *Grid) splat(points []vec.V3, workers int) {
-	if len(points) == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	// Cap worker count so the partial-grid memory stays modest.
-	const maxPartialBytes = 256 << 20
-	if int64(workers)*g.SizeBytes() > maxPartialBytes {
-		workers = int(maxPartialBytes / g.SizeBytes())
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	c := newCIC(g.Bounds, g.Nx, g.Ny, g.Nz)
-	p := par.Chunks(len(points), workers)
-	partials := make([][]float32, p.Count)
-	par.ForChunks(len(points), workers, func(lo, hi int) {
-		s := p.Index(lo)
-		partials[s] = g.Data
-		if s > 0 {
-			partials[s] = make([]float32, g.Len())
-		}
-		c.deposit(points[lo:hi], partials[s])
-	})
-	for _, buf := range partials[1:] {
-		for i, v := range buf {
-			g.Data[i] += v
-		}
-	}
 }
 
 // cic is the cloud-in-cell deposit onto one grid, with everything that

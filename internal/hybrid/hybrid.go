@@ -38,7 +38,6 @@ type ExtractConfig struct {
 	VolumeRes int     // density volume resolution per axis (e.g. 64)
 	Threshold float64 // leaf-density threshold; <= 0 means use Budget
 	Budget    int64   // max points to keep when Threshold <= 0
-	Workers   int
 }
 
 // Extract converts a partitioned tree into a hybrid representation:
@@ -88,7 +87,7 @@ func Extract(t *octree.Tree, cfg ExtractConfig) (*Representation, error) {
 	}
 
 	// Density volume over the full data.
-	vol, err := Splat(t.Points, t.Bounds, cfg.VolumeRes, cfg.VolumeRes, cfg.VolumeRes, cfg.Workers)
+	vol, err := Splat(t.Points, t.Bounds, cfg.VolumeRes, cfg.VolumeRes, cfg.VolumeRes)
 	if err != nil {
 		return nil, err
 	}

@@ -107,7 +107,7 @@ func TestSplatConservesMass(t *testing.T) {
 		// Keep points well inside so no CIC weight falls off the grid.
 		pts[i] = vec.New(0.2+0.6*rng.Float64(), 0.2+0.6*rng.Float64(), 0.2+0.6*rng.Float64())
 	}
-	g, err := Splat(pts, unitBox(), 16, 16, 16, 4)
+	g, err := Splat(pts, unitBox(), 16, 16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,29 +116,8 @@ func TestSplatConservesMass(t *testing.T) {
 	}
 }
 
-func TestSplatDeterministicAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := make([]vec.V3, 3000)
-	for i := range pts {
-		pts[i] = vec.New(rng.Float64(), rng.Float64(), rng.Float64())
-	}
-	g1, err := Splat(pts, unitBox(), 8, 8, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g4, err := Splat(pts, unitBox(), 8, 8, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range g1.Data {
-		if math.Abs(float64(g1.Data[i]-g4.Data[i])) > 1e-3 {
-			t.Fatalf("voxel %d differs between 1 and 4 workers: %v vs %v", i, g1.Data[i], g4.Data[i])
-		}
-	}
-}
-
 func TestSplatEmpty(t *testing.T) {
-	g, err := Splat(nil, unitBox(), 4, 4, 4, 0)
+	g, err := Splat(nil, unitBox(), 4, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

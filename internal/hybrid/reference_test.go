@@ -168,9 +168,9 @@ var depositBoxes = map[string]vec.AABB{
 }
 
 // TestDepositMatchesReference: the hoisted deposit and its unguarded
-// interior path leave every voxel bit-identical to the reference, one
-// slab at a time and through Splat at 1, 2 and 3 workers, whose slab
-// boundaries and summation order must not move.
+// interior path leave every voxel bit-identical to the reference, both
+// deposited alone and through Splat, which must equal the reference's
+// one-slab run.
 func TestDepositMatchesReference(t *testing.T) {
 	for name, b := range depositBoxes {
 		for _, res := range [][3]int{{16, 16, 16}, {5, 9, 2}, {1, 4, 4}} {
@@ -184,18 +184,16 @@ func TestDepositMatchesReference(t *testing.T) {
 			if d := gridDiff(got, want); d != "" {
 				t.Errorf("%s %v: deposit: %s", name, res, d)
 			}
-			for _, workers := range []int{1, 2, 3} {
-				wantG, err := refSplat(pts, b, nx, ny, nz, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotG, err := Splat(pts, b, nx, ny, nz, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := gridDiff(gotG.Data, wantG.Data); d != "" {
-					t.Errorf("%s %v: Splat at %d workers: %s", name, res, workers, d)
-				}
+			wantG, err := refSplat(pts, b, nx, ny, nz, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotG, err := Splat(pts, b, nx, ny, nz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := gridDiff(gotG.Data, wantG.Data); d != "" {
+				t.Errorf("%s %v: Splat: %s", name, res, d)
 			}
 		}
 	}
@@ -208,7 +206,7 @@ func TestDepositMutantsFailDifferential(t *testing.T) {
 	b := depositBoxes["cube"]
 	const n = 16
 	pts := depositPoints(b, 20_000, 1)
-	want, err := refSplat(pts, b, n, n, n, 2)
+	want, err := refSplat(pts, b, n, n, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +215,15 @@ func TestDepositMutantsFailDifferential(t *testing.T) {
 		run  func() []float32
 	}{
 		{"unmutated deposit", func() []float32 {
-			g, _ := NewGrid(n, n, n, b)
-			g.splat(pts, 2)
+			g, _ := Splat(pts, b, n, n, n)
 			return g.Data
 		}},
-		{"slab 0 deposited into a grid that was not cleared", func() []float32 {
-			g, _ := NewGrid(n, n, n, b)
-			g.Data[n*n*n/2] = 1 // what a recycled grid would still hold
-			g.splat(pts, 2)
-			return g.Data
+		{"deposited into a grid that was not cleared", func() []float32 {
+			data := make([]float32, n*n*n)
+			data[n*n*n/2] = 1 // what a recycled grid would still hold
+			c := newCIC(b, n, n, n)
+			c.deposit(pts, data)
+			return data
 		}},
 	}
 	for axis, widen := range []func(*cic){
@@ -238,8 +236,8 @@ func TestDepositMutantsFailDifferential(t *testing.T) {
 		}{fmt.Sprintf("the interior test off by one voxel along axis %d", axis), func() []float32 {
 			c := newCIC(b, n, n, n)
 			widen(&c)
-			// One slab, with slack behind the grid so a deposit past the
-			// last voxel is a sum where zero should be and not a panic.
+			// Slack behind the grid, so a deposit past the last voxel is
+			// a sum where zero should be and not a panic.
 			data := make([]float32, n*n*n+n*n+n+1)
 			c.deposit(pts, data)
 			return data
@@ -265,7 +263,7 @@ func TestDepositMutantsFailDifferential(t *testing.T) {
 }
 
 // BenchmarkSplat times the density deposit of a benchmark-sized frame
-// (200 000 points into 64³, tight bounds); run with -cpu 1,2.
+// (200 000 points into 64³, tight bounds).
 func BenchmarkSplat(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]vec.V3, 200_000)
@@ -277,7 +275,7 @@ func BenchmarkSplat(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Splat(pts, bounds, 64, 64, 64, 0); err != nil {
+		if _, err := Splat(pts, bounds, 64, 64, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -423,6 +423,7 @@ func (t *Tree) MaxDepth() int {
 // Validate checks the tree's structural invariants. It is used by the
 // property tests and by the file reader to reject corrupt input:
 //
+//   - it holds at least one point, as every tree Build returns does
 //   - every child index is in range and every node is reached once (a
 //     forged file cannot make the walk run away)
 //   - children tile their parent and partition its count
@@ -431,6 +432,9 @@ func (t *Tree) MaxDepth() int {
 func (t *Tree) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("octree: empty tree")
+	}
+	if len(t.Points) == 0 {
+		return fmt.Errorf("octree: tree holds no points")
 	}
 	if len(t.OrigIndex) != len(t.Points) {
 		return fmt.Errorf("octree: %d original indices for %d points", len(t.OrigIndex), len(t.Points))

@@ -1,6 +1,6 @@
 // Package par provides the goroutine-parallel building blocks used by
-// every heavy stage of the pipeline: octree construction, density
-// splatting, FDTD slab updates, ray casting, and field-line seeding.
+// every heavy stage of the pipeline: octree construction, the particle
+// push, FDTD slab updates, ray casting, and field-line seeding.
 //
 // The paper's preprocessing ran on an IBM SP with thousands of CPUs and
 // on SLAC's 32-node cluster; here the same decompositions (range

@@ -182,8 +182,10 @@ func TestTreeSwappedPartsRejected(t *testing.T) {
 
 // TestReadErrorsNameTheFile: a file that fails to decode is named in
 // the error, which still wraps the decoder's own: a flipped byte in a
-// frame, in either part of a tree, and a pair of parts from two
-// different trees, which names both.
+// frame, in either part of a tree, a pair of parts from two different
+// trees, and a checksum-valid pair whose tree holds no points (which
+// loaded before, and extracting from it by budget indexed leaf −1);
+// the last two name both parts.
 func TestReadErrorsNameTheFile(t *testing.T) {
 	dir := t.TempDir()
 	frame := filepath.Join(dir, "f.acpf")
@@ -230,6 +232,16 @@ func TestReadErrorsNameTheFile(t *testing.T) {
 			func() error { _, err := ReadTreeFiles(bad); return err }, bad + ".pts: pario: points: checksum"},
 		{"parts of two trees", func() { put(bad+".oct", aOct, false); put(bad+".pts", bPts, false) },
 			func() error { _, err := ReadTreeFiles(bad); return err }, bad + ".oct and " + bad + ".pts: pario: loaded tree invalid"},
+		{"a tree with no points", func() {
+			box := vec.Box(vec.New(0, 0, 0), vec.New(1, 1, 1))
+			if err := WriteTreeFiles(bad, &octree.Tree{
+				Bounds: box, MaxLevel: 8, LeafCap: 64,
+				Nodes:       []octree.Node{{Bounds: box, FirstChild: octree.NoChild}},
+				LeafOffsets: []int64{0},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, func() error { _, err := ReadTreeFiles(bad); return err }, bad + ".oct and " + bad + ".pts: pario: loaded tree invalid: octree: tree holds no points"},
 	} {
 		c.setup()
 		err := c.read()

@@ -66,8 +66,7 @@ func BenchmarkRemoteFetch(b *testing.B) {
 func BenchmarkDistributedExtract(b *testing.B) {
 	pts := testPoints(7, 20_000)
 	tcfg := octree.DefaultConfig()
-	tcfg.Workers = 2
-	ecfg := hybrid.ExtractConfig{VolumeRes: 16, Budget: 2000, Workers: 2}
+	ecfg := hybrid.ExtractConfig{VolumeRes: 16, Budget: 2000}
 
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -282,8 +281,7 @@ func BenchmarkFanOut(b *testing.B) {
 func BenchmarkFleetExtract(b *testing.B) {
 	pts := testPoints(7, 20_000)
 	tcfg := octree.DefaultConfig()
-	tcfg.Workers = 2
-	ecfg := hybrid.ExtractConfig{VolumeRes: 16, Budget: 2000, Workers: 2}
+	ecfg := hybrid.ExtractConfig{VolumeRes: 16, Budget: 2000}
 
 	const members = 3
 	addrs := make([]string, members)

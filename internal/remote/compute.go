@@ -27,7 +27,7 @@ import (
 // suffix is part of the name — an incompatible blob layout gets a new
 // name, and old workers answer it with ErrCodeUnknownKernel instead of
 // misdecoding.
-const KernelHybridExtract = "hybrid.extract.v1"
+const KernelHybridExtract = "hybrid.extract.v2"
 
 // maxKernelName bounds the kernel-name field (it is length-prefixed
 // with one byte).
@@ -79,33 +79,27 @@ func decodeComputeRequest(p []byte) (kernel string, blob []byte, err error) {
 // the projected point set together with the partition and extraction
 // configs, so the worker reproduces the local Build+Extract exactly:
 //
-//	magic "ACPT" | u32 version | i64 MaxLevel | i64 LeafCap |
-//	i64 TreeWorkers | f64 Pad | i64 VolumeRes | f64 Threshold |
-//	i64 Budget | i64 ExtractWorkers | i64 n | n × (3 f64) |
+//	magic "ACPT" | u32 version | i64 MaxLevel | i64 LeafCap | f64 Pad |
+//	i64 VolumeRes | f64 Threshold | i64 Budget | i64 n | n × (3 f64) |
 //	u32 crc32 (all preceding bytes)
 //
-// Worker fields ship verbatim: octree.Build is bit-identical at every
-// worker count, and hybrid.Extract's volume splat depends on its
-// worker count only through slab boundaries — shipping the requester's
-// value keeps the distributed result bit-identical to the local run
-// (with Workers 0, both sides auto-size, which matches whenever the
-// two processes see the same core count — pin a count for bit-exact
-// runs across heterogeneous hosts).
+// No worker count ships: octree.Build and hybrid.Extract give the same
+// bytes at every worker count, so the worker builds on its own cores.
 
 var magicPointSet = [4]byte{'A', 'C', 'P', 'T'}
 
-const pointSetVersion = 1
+const pointSetVersion = 2
 
 // appendExtractRequest appends the extract kernel's request blob.
 func appendExtractRequest(dst []byte, pts []vec.V3, tcfg octree.Config, ecfg hybrid.ExtractConfig) []byte {
-	dst = wire.Grow(dst, 84+24*len(pts)) // exact, so a kept buffer of the last frame's size fits
+	dst = wire.Grow(dst, 68+24*len(pts)) // exact, so a kept buffer of the last frame's size fits
 	start := len(dst)
 	dst = wire.Begin(dst, magicPointSet, pointSetVersion, 4)
-	dst = wire.I64s(dst, int64(tcfg.MaxLevel), int64(tcfg.LeafCap), int64(tcfg.Workers))
+	dst = wire.I64s(dst, int64(tcfg.MaxLevel), int64(tcfg.LeafCap))
 	dst = wire.F64s(dst, tcfg.Pad)
 	dst = wire.I64(dst, int64(ecfg.VolumeRes))
 	dst = wire.F64s(dst, ecfg.Threshold)
-	dst = wire.I64s(dst, ecfg.Budget, int64(ecfg.Workers), int64(len(pts)))
+	dst = wire.I64s(dst, ecfg.Budget, int64(len(pts)))
 	dst = wire.V3s(dst, pts...)
 	return wire.Finish(dst, start)
 }
@@ -119,14 +113,12 @@ func decodeExtractRequest(p []byte, scratch []vec.V3) (pts []vec.V3, tcfg octree
 	tcfg = octree.Config{
 		MaxLevel: int(rd.I64()),
 		LeafCap:  int(rd.I64()),
-		Workers:  int(rd.I64()),
 		Pad:      rd.F64(),
 	}
 	ecfg = hybrid.ExtractConfig{
 		VolumeRes: int(rd.I64()),
 		Threshold: rd.F64(),
 		Budget:    rd.I64(),
-		Workers:   int(rd.I64()),
 	}
 	if n := rd.Count(rd.I64(), 24); cap(scratch) >= n {
 		pts = scratch[:n]

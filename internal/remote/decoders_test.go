@@ -274,7 +274,7 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 		{"ACPB 2048×2048 rect", forge("ACPB", 4, 1, false, uint32(2048), uint32(2048), uint32(0),
 			uint32(0), uint32(0), uint32(2048), uint32(2048), zeros(64)),
 			func(p []byte) error { _, err := render.DecompressPartial(p); return err }},
-		{"ACPT 2²⁷ points", forge("ACPT", 4, 1, true, zeros(64), uint64(1<<27)),
+		{"ACPT 2²⁷ points", forge("ACPT", 4, 2, true, zeros(48), uint64(1<<27)),
 			func(p []byte) error { _, _, _, err := decodeExtractRequest(p, nil); return err }},
 		{"ACPR 2²⁷ points", forge("ACPR", 4, 1, true, uint32(64), uint32(64), zeros(113), uint64(1<<27)),
 			func(p []byte) error { _, err := decodeRenderPartialRequest(p); return err }},

@@ -35,9 +35,7 @@ func fleetNoLeaks(t *testing.T, before int) {
 }
 
 func extractFixture() (octree.Config, hybrid.ExtractConfig) {
-	tcfg := octree.DefaultConfig()
-	tcfg.Workers = 2
-	return tcfg, hybrid.ExtractConfig{VolumeRes: 8, Budget: 600, Workers: 2}
+	return octree.DefaultConfig(), hybrid.ExtractConfig{VolumeRes: 8, Budget: 600}
 }
 
 // wantExtracts computes the local, bit-exact reference encodings for

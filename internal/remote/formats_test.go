@@ -17,8 +17,8 @@ import (
 // distinct so that a swapped or dropped field changes the bytes.
 var (
 	fixturePoints = []vec.V3{vec.New(1, 2, 3), vec.New(-0.5, 0.25, 1e-3)}
-	fixtureTree   = octree.Config{MaxLevel: 7, LeafCap: 48, Workers: 2, Pad: 0.01}
-	fixtureEcfg   = hybrid.ExtractConfig{VolumeRes: 16, Threshold: 0.375, Budget: 1 << 35, Workers: 3}
+	fixtureTree   = octree.Config{MaxLevel: 7, LeafCap: 48, Pad: 0.01}
+	fixtureEcfg   = hybrid.ExtractConfig{VolumeRes: 16, Threshold: 0.375, Budget: 1 << 35}
 	// Three names, one of a kernel no worker hosts any more: a kernel
 	// list is strings on the wire, and its recorded bytes stand.
 	fixtureKernel = []string{"fieldline.trace.v1", KernelHybridExtract, KernelRenderPartial}
@@ -61,13 +61,13 @@ func statsReportFixture() StatsReport {
 
 // The fixtures as the hand-rolled codecs encoded them at the commit
 // before they moved onto internal/wire (the Stats report as protocol v8
-// encodes it).
+// encodes it; ACPT and the two payloads naming the extract kernel as
+// ACPT version 2 and hybrid.extract.v2 encode them).
 const (
-	acptRecorded = "4143505401000000070000000000000030000000000000000200000000000000" +
-		"7b14ae47e17a843f1000000000000000000000000000d83f0000000008000000" +
-		"03000000000000000200000000000000000000000000f03f0000000000000040" +
-		"0000000000000840000000000000e0bf000000000000d03ffca9f1d24d62503f" +
-		"5c95db00" // 132 bytes in all
+	acptRecorded = "4143505402000000070000000000000030000000000000007b14ae47e17a843f" +
+		"1000000000000000000000000000d83f00000000080000000200000000000000" +
+		"000000000000f03f00000000000000400000000000000840000000000000e0bf" +
+		"000000000000d03ffca9f1d24d62503f62a0c319" // 116 bytes in all
 	acprRecorded = "414350520100000048000000400000000300000000000000020000009a999999" +
 		"9999d93f333333333333d33f000000000000f03f000000000000f83f01000000" +
 		"000000f0bf00000000000000c000000000000008c00000000000001040000000" +
@@ -75,13 +75,13 @@ const (
 		"0000000000000000000000f03f00000000000000400000000000000840000000" +
 		"000000e0bf000000000000d03ffca9f1d24d62503fcdcccc3d0000803f541c39" +
 		"83" // 193 bytes in all
-	computeHeaderRecorded = "116879627269642e657874726163742e7631" // 18 bytes
+	computeHeaderRecorded = "116879627269642e657874726163742e7632" // 18 bytes
 	listInfoRecorded      = "2900000000000000210000000000000001"   // 17 bytes
 	renderParamsRecorded  = "0300000040010000c80000009a9999999999d93f333333333333d33f00000000" +
 		"0000f03f000000000000e83f000000000000494001" // 53 bytes in all
 	getDeltaRecorded   = "0900000008000000" // 8 bytes
 	kernelListRecorded = "0300126669656c646c696e652e74726163652e7631116879627269642e657874" +
-		"726163742e76311172656e6465722e7061727469616c2e7631" // 57 bytes in all
+		"726163742e76321172656e6465722e7061727469616c2e7631" // 57 bytes in all
 	statsReportRecorded = "0e00010000000000000002000000000000000300000000000000040000000000" +
 		"0000050000000000000006000000000000000700000000000000080000000000" +
 		"000009000000000000000a000000000000000b000000000000000c0000000000" +

@@ -71,11 +71,11 @@ import (
 //	ACFQ   u32 1    no   quantized 8-bit preview framebuffer  render.DecompressFramebufferQuantized
 //	ACDL   u32 1    no*  XOR residual of two byte streams     render.DecompressDelta
 //	ACPB   u32 1    no   RGBA+depth partial framebuffer       render.DecompressPartial
-//	ACPT   u32 1    yes  hybrid.extract.v1 request: points    decodeExtractRequest
+//	ACPT   u32 2    yes  hybrid.extract.v2 request: points    decodeExtractRequest
 //	ACPR   u32 1    yes  render.partial.v1 request: a slice   decodeRenderPartialRequest
 //
 // (* ACDL carries the CRC-32 of the stream it reconstructs, which is
-// what catches a delta applied to the wrong base.) hybrid.extract.v1
+// what catches a delta applied to the wrong base.) hybrid.extract.v2
 // replies with ACHY, render.partial.v1 with ACPB. pario's ACPF, ACON
 // and ACOP files stream objects too large to hold twice and are not on
 // internal/wire.

@@ -91,7 +91,7 @@
 // CRC-framed request/reply encodings:
 //
 //	kernel             request  reply  wired in by
-//	hybrid.extract.v1  "ACPT"   .achy  core.StreamOptions.ExtractAddrs
+//	hybrid.extract.v2  "ACPT"   .achy  core.StreamOptions.ExtractAddrs
 //	render.partial.v1  "ACPR"   "ACPB" core.StreamOptions.RenderAddrs (v6)
 //
 // render.partial.v1 is the v6 sort-last kernel: the request carries a

@@ -20,13 +20,11 @@ import (
 // tests.
 func renderRepFixture(t testing.TB, n int) *hybrid.Representation {
 	t.Helper()
-	tcfg := octree.DefaultConfig()
-	tcfg.Workers = 2
-	tree, err := octree.Build(testPoints(11, n), tcfg)
+	tree, err := octree.Build(testPoints(11, n), octree.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: 8, Budget: int64(n / 4), Workers: 2})
+	rep, err := hybrid.Extract(tree, hybrid.ExtractConfig{VolumeRes: 8, Budget: int64(n / 4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,8 +74,7 @@ func TestComputeExtractBitIdentical(t *testing.T) {
 	fl := soloFleet(t, w.Addr(), FleetOptions{Kernel: KernelHybridExtract, Window: frames})
 
 	tcfg := octree.DefaultConfig()
-	tcfg.Workers = 2
-	ecfg := hybrid.ExtractConfig{VolumeRes: 8, Budget: 600, Workers: 2}
+	ecfg := hybrid.ExtractConfig{VolumeRes: 8, Budget: 600}
 
 	want := make([][]byte, frames)
 	for f := range want {

@@ -9,17 +9,24 @@ import (
 )
 
 // BenchmarkSortx compares the parallel radix sort against the stdlib
-// stable sort at the sizes the pipeline actually sorts (a frame's
-// per-line depth sort sits below FallbackThreshold; a strip frame's
-// tile pairs run to 1e4-1e5 and Morton sorts to 1e5-1e6+), which is
-// the data behind the FallbackThreshold crossover choice.
+// stable sort at the sizes the pipeline actually sorts: a frame's
+// per-line depth sort of about 1000 lines (the N=1000 and N=2048 rows,
+// depth keys, the fallback's side of FallbackThreshold), a strip
+// frame's tile pairs at 1e4-1e5 and Morton sorts at 1e5-1e6+. The radix
+// rows call radix directly, so they time it below the threshold too;
+// the rows are the data behind FallbackThreshold's comment.
 func BenchmarkSortx(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
+	for _, n := range []int{1000, 2048, 10_000, 100_000, 1_000_000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		master := make([]KV, n)
 		for i := range master {
-			// 24-bit Morton-like keys: the dominant workload.
-			master[i] = KV{K: uint64(rng.Intn(1 << 24)), V: int64(i)}
+			if n <= FallbackThreshold {
+				// Far-to-near depth keys, as sos sorts its lines.
+				master[i] = KV{K: Float64KeyDesc(4 * rng.NormFloat64()), V: int64(i)}
+			} else {
+				// 24-bit Morton-like keys: the dominant workload.
+				master[i] = KV{K: uint64(rng.Intn(1 << 24)), V: int64(i)}
+			}
 		}
 		work := make([]KV, n)
 		scratch := make([]KV, n)
@@ -35,14 +42,14 @@ func BenchmarkSortx(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(work, master)
-				PairsScratch(work, scratch, 1)
+				radix(work, scratch, 1)
 			}
 		})
 		b.Run(fmt.Sprintf("N=%d/radix/workers=%d", n, runtime.NumCPU()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(work, master)
-				PairsScratch(work, scratch, runtime.NumCPU())
+				radix(work, scratch, runtime.NumCPU())
 			}
 		})
 	}

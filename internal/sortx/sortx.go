@@ -31,10 +31,14 @@ type KV struct {
 	V int64
 }
 
-// FallbackThreshold is the length below which Pairs delegates to the
-// stdlib: a radix pass touches every element once per key byte plus a
-// histogram pass, so for small inputs the O(n log n) comparison sort's
-// constant factor wins. The crossover is measured by BenchmarkSortx.
+// FallbackThreshold is the length up to which Pairs delegates to the
+// stdlib stable sort. Speed is not the reason: BenchmarkSortx's N=1000
+// and N=2048 rows (depth keys, a 2-core Intel Xeon, Go 1.24) time radix
+// at 0.07 and 0.12 ms on one worker, 0.11 and 0.16 ms on two, against
+// 0.55 and 1.4 ms for the stdlib. But a radix call allocates 27 times —
+// 24 of them a histogram table and two closures for each of the eight
+// key bytes that vary — where the stdlib allocates 3, and sos's per-frame depth sort of about
+// 1000 lines goes through Pairs. The fallback stays for its allocations.
 const FallbackThreshold = 2048
 
 const (

@@ -1097,7 +1097,7 @@ func BenchmarkRayCast(b *testing.B) {
 			pts[i] = vec.New(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3, rng.NormFloat64()*0.3)
 		}
 	}
-	beam, err := hybrid.Splat(pts, bounds, res, res, res, 0)
+	beam, err := hybrid.Splat(pts, bounds, res, res, res)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,6 +52,7 @@ var unshipped = map[string]string{
 var unsetOptions = map[string]string{
 	"internal/beam.Config.Workers":                "seam: 1/2/3/7 workers in TestStepMatchesReference",
 	"internal/emsim.Config.Workers":               "seam: 1/2/7 workers in TestAdvanceMatchesReference and the span mutants",
+	"internal/octree.Config.Workers":              "seam: 1/2/3/7 workers in TestBuilderMatchesReference",
 	"internal/emsim.Config.Freq":                  "seam: TestCavityResonanceNearTM010 drives off the mode it then measures",
 	"internal/core.StreamOptions.KeepTrees":       "seam: TestStreamRecyclingLeavesCallerData and the partition-only tests keep the trees",
 	"internal/core.FieldStreamOptions.TraceB":     "seam: TestFieldStream turns the magnetic lines on",

@@ -44,6 +44,8 @@ func main() {
 		log.Fatalf("-snapshots must be at least 1, got %d", *snapshots)
 	case *lines < 0:
 		log.Fatalf("-lines must be 0 (no tracing) or more, got %d", *lines)
+	case !(*asym >= 0 && *asym < 1):
+		log.Fatalf("-asym must be in [0,1), got %g", *asym)
 	}
 
 	cav := hexmesh.DefaultCavity(*res)

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/fieldline"
@@ -31,6 +32,17 @@ func main() {
 		out     = flag.String("out", "lines.acfl", "output line file")
 	)
 	flag.Parse()
+	// Refuse misuse before the solve, which takes most of the run.
+	switch {
+	case !(*periods > 0) || math.IsInf(*periods, 0):
+		log.Fatalf("-periods must be a positive number of drive periods, got %g", *periods)
+	case *lines < 1:
+		log.Fatalf("-lines must be at least 1, got %d", *lines)
+	case *grid < 0:
+		log.Fatalf("-grid must be 0 (density seeding) or more, got %d", *grid)
+	case *workers < 0:
+		log.Fatalf("-workers must be 0 (all cores) or more, got %d", *workers)
+	}
 
 	p := core.NewFieldPipeline(*res, *lines)
 	frame, err := p.Solve(*periods)
@@ -46,7 +58,7 @@ func main() {
 	var traced []*fieldline.Line
 	if *grid > 0 {
 		// Uniform-grid preview mode: seeds are independent, so the
-		// whole batch integrates concurrently on fieldline.TraceAll's
+		// whole batch integrates concurrently on fieldline.TraceBothAll's
 		// chunked workers instead of one line at a time.
 		var seeds []vec.V3
 		b := mesh.Bounds

@@ -193,14 +193,16 @@ func runCommand(t *testing.T, bin string, args ...string) (stdout, stderr string
 }
 
 // TestCmdFieldChain drives the §3 commands as a user does: emsim solves
-// and writes one .acfl line file per snapshot, linerender draws one.
-// Flag misuse must fail with a named error and exit status 1 (it used
-// to "succeed": -periods -1 printed all-zero snapshots, -snapshots 0
-// printed nothing, both with status 0); every file must round-trip
-// CRC-exact; a flipped byte must be refused.
+// and writes one .acfl line file per snapshot, linerender draws one,
+// fieldlines solves and traces in one go. Flag misuse must fail with a
+// named error and exit status 1 (it used to "succeed": -periods -1
+// printed all-zero snapshots, -snapshots 0 printed nothing, -asym -0.5
+// was ignored, all with status 0, and -cells 12 -asym nan panicked);
+// every file must round-trip CRC-exact; a flipped byte must be refused.
 func TestCmdFieldChain(t *testing.T) {
-	bin := buildCommands(t, "emsim", "linerender")
+	bin := buildCommands(t, "emsim", "linerender", "fieldlines")
 	emsim, linerender := filepath.Join(bin, "emsim"), filepath.Join(bin, "linerender")
+	fieldlines := filepath.Join(bin, "fieldlines")
 	dir := t.TempDir()
 
 	for _, c := range []struct {
@@ -214,6 +216,9 @@ func TestCmdFieldChain(t *testing.T) {
 		{[]string{"-snapshots", "0"}, "-snapshots"},
 		{[]string{"-snapshots", "-3"}, "-snapshots"},
 		{[]string{"-lines", "-1"}, "-lines"},
+		{[]string{"-asym", "nan"}, "-asym"},
+		{[]string{"-asym", "-0.5"}, "-asym"},
+		{[]string{"-cells", "12", "-asym", "nan"}, "-asym"},
 	} {
 		args := append([]string{"-res", "4", "-out", filepath.Join(dir, "bad")}, c.args...)
 		stdout, stderr, exit := runCommand(t, emsim, args...)
@@ -227,8 +232,43 @@ func TestCmdFieldChain(t *testing.T) {
 			t.Errorf("emsim %v: printed snapshots before failing:\n%s", c.args, stdout)
 		}
 	}
+	// fieldlines refuses the same way, before the solve: -periods -1
+	// and NaN once failed after it with "field is identically zero",
+	// -lines 0 after it too, and -grid -2 and -workers -1 ran.
+	for _, c := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-periods", "-1"}, "-periods"},
+		{[]string{"-periods", "nan"}, "-periods"},
+		{[]string{"-lines", "0"}, "-lines"},
+		{[]string{"-grid", "-2"}, "-grid"},
+		{[]string{"-workers", "-1"}, "-workers"},
+	} {
+		args := append([]string{"-res", "4", "-out", filepath.Join(dir, "bad.acfl")}, c.args...)
+		stdout, stderr, exit := runCommand(t, fieldlines, args...)
+		if exit != 1 {
+			t.Errorf("fieldlines %v: exit status %d, want 1", c.args, exit)
+		}
+		if !strings.Contains(stderr, "fieldlines: "+c.name) {
+			t.Errorf("fieldlines %v: error %q does not name %s", c.args, strings.TrimSpace(stderr), c.name)
+		}
+		if strings.Contains(stdout, "field solved") {
+			t.Errorf("fieldlines %v: solved before failing:\n%s", c.args, stdout)
+		}
+	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "bad*")); len(left) != 0 {
 		t.Errorf("refused runs left files behind: %v", left)
+	}
+	for _, mode := range [][]string{{"-lines", "20"}, {"-grid", "6"}} {
+		path := filepath.Join(dir, "fl.acfl")
+		args := append([]string{"-res", "4", "-periods", "2", "-out", path}, mode...)
+		if _, stderr, exit := runCommand(t, fieldlines, args...); exit != 0 {
+			t.Fatalf("fieldlines %v: exit status %d\n%s", mode, exit, stderr)
+		}
+		if lines, err := lineio.ReadFile(path); err != nil || len(lines) == 0 {
+			t.Errorf("fieldlines %v: read back %d lines, err %v", mode, len(lines), err)
+		}
 	}
 
 	// emsim → .acfl.

@@ -75,13 +75,14 @@ func (c CavityConfig) Validate() error {
 	if c.Cells < 1 {
 		return fmt.Errorf("hexmesh: cavity needs >= 1 cell, got %d", c.Cells)
 	}
-	if c.CellRadius <= 0 || c.CellLength <= 0 {
+	// Every float check is written so that NaN fails it.
+	if !(c.CellRadius > 0) || !(c.CellLength > 0) {
 		return fmt.Errorf("hexmesh: cell radius/length must be positive")
 	}
-	if c.IrisRadius <= 0 || c.IrisRadius >= c.CellRadius {
+	if !(c.IrisRadius > 0 && c.IrisRadius < c.CellRadius) {
 		return fmt.Errorf("hexmesh: iris radius %g must be in (0, cell radius)", c.IrisRadius)
 	}
-	if c.IrisThickness < 0 || c.PipeLength < 0 || c.PortLength < 0 {
+	if !(c.IrisThickness >= 0) || !(c.PipeLength >= 0) || !(c.PortLength >= 0) {
 		return fmt.Errorf("hexmesh: negative geometry length")
 	}
 	if c.CellsPerRadius < 4 {
@@ -94,10 +95,10 @@ func (c CavityConfig) Validate() error {
 		if p.Cell < 0 || p.Cell >= c.Cells {
 			return fmt.Errorf("hexmesh: port cell %d out of range [0,%d)", p.Cell, c.Cells)
 		}
-		if p.Width <= 0 || p.Height <= 0 {
+		if !(p.Width > 0) || !(p.Height > 0) {
 			return fmt.Errorf("hexmesh: port dimensions must be positive")
 		}
-		if p.Asymmetry < 0 || p.Asymmetry >= 1 {
+		if !(p.Asymmetry >= 0 && p.Asymmetry < 1) {
 			return fmt.Errorf("hexmesh: port asymmetry %g outside [0,1)", p.Asymmetry)
 		}
 	}

@@ -42,6 +42,32 @@ func TestCavityValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("accepted out-of-range port cell")
 	}
+
+	// Every float field refuses NaN, which fails every comparison: a NaN
+	// asymmetry once passed and panicked in the solver's port setup.
+	nan := math.NaN()
+	for name, spoil := range map[string]func(c *CavityConfig){
+		"CellRadius":    func(c *CavityConfig) { c.CellRadius = nan },
+		"CellLength":    func(c *CavityConfig) { c.CellLength = nan },
+		"IrisRadius":    func(c *CavityConfig) { c.IrisRadius = nan },
+		"IrisThickness": func(c *CavityConfig) { c.IrisThickness = nan },
+		"PipeLength":    func(c *CavityConfig) { c.PipeLength = nan },
+		"PortLength":    func(c *CavityConfig) { c.PortLength = nan },
+		"Port.Width":    func(c *CavityConfig) { c.InputPort = &PortSpec{Width: nan, Height: 0.5} },
+		"Port.Height":   func(c *CavityConfig) { c.InputPort = &PortSpec{Width: 0.5, Height: nan} },
+		"Port.Asymmetry": func(c *CavityConfig) {
+			c.OutputPort = &PortSpec{Cell: 2, Width: 0.7, Height: 0.5, Asymmetry: nan}
+		},
+	} {
+		bad := good
+		spoil(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("accepted NaN %s", name)
+		}
+	}
+	if TwelveCellCavity(8, nan).Validate() == nil {
+		t.Error("accepted a twelve-cell cavity with NaN asymmetry")
+	}
 }
 
 func TestCavityHasElements(t *testing.T) {

@@ -6,13 +6,14 @@
 // bump mapping); alpha blending with back-to-front compositing; and
 // additive splatting for dense particle clouds.
 //
-// Triangles run through a tile-binned parallel backend: the batched
-// entry points (DrawTriangleStripBatchFunc, or a Batch) project and bin
-// triangles into fixed screen tiles, then rasterize the tiles
-// concurrently — each tile owned by exactly one worker, triangles
-// replayed in submission order, so the image is bit-identical to the
-// serial DrawTriangle path at every worker count with no locks or
-// atomics on pixel data. Triangles are indexed — a vertex shared by the
+// Triangles run through a row-band parallel backend: the batched entry
+// points (DrawTriangleStripBatchFunc, or a Batch) project and set up
+// triangles in parallel, then cut the screen into contiguous row bands
+// and rasterize the bands concurrently — each band owned by exactly
+// one worker, which replays every triangle meeting its rows in
+// submission order, so the image is bit-identical to the serial
+// DrawTriangle path at every worker count with no locks or atomics on
+// pixel data. Triangles are indexed — a vertex shared by the
 // triangles of a strip is stored and transformed once per flush — and
 // every flush works in scratch borrowed from one bounded free list (see
 // Batch and scratchList), so steady-state rendering allocates next to
@@ -21,8 +22,8 @@
 //
 // Points and lines have one path each, DrawPoint and DrawLine on the
 // calling goroutine: a splat's or a line segment's setup is a couple of
-// matrix applies and its footprint a few pixels, so binning them into
-// tiles costs more than it saves on the core counts measured here.
+// matrix applies and its footprint a few pixels, so a parallel pass
+// over them costs more than it saves on the core counts measured here.
 // Splats read a precomputed Gaussian kernel table instead of calling
 // math.Exp per fragment. Every fragment is written to the framebuffer.
 //

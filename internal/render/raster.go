@@ -29,7 +29,7 @@ type Fragment struct {
 // interpolated vertex color unchanged". It is the software analog of
 // the fragment stage the paper programs through texturing and register
 // combiners. Shaders must be pure functions of their fragment: the
-// batched path invokes them from concurrent tile workers.
+// batched path invokes them from concurrent row-band workers.
 type Shader func(f Fragment) hybrid.RGBA
 
 // Rasterizer draws primitives into a framebuffer through a camera.
@@ -41,9 +41,9 @@ type Shader func(f Fragment) hybrid.RGBA
 // per-triangle setup and per-fragment kernel, so they produce
 // bit-identical images: DrawTriangle rasterizes one triangle on the
 // calling goroutine, while the batched entry points
-// (DrawTriangleStripBatchFunc, or an explicit Batch) bin projected
-// triangles into fixed screen tiles and rasterize the tiles
-// concurrently — each tile owned by exactly one worker, triangles
+// (DrawTriangleStripBatchFunc, or an explicit Batch) set up every
+// triangle, then rasterize contiguous row bands of the screen
+// concurrently — each band owned by exactly one worker, triangles
 // replayed in submission order, with no locks or atomics on the pixel
 // data. Every fragment goes to the framebuffer.
 type Rasterizer struct {
@@ -66,8 +66,9 @@ type Rasterizer struct {
 	ClipDepth         bool
 	ClipNear, ClipFar float32
 
-	// Workers bounds the tile parallelism of the batched triangle path
-	// (0 = par.Workers()). The image is identical at every count.
+	// Workers is the number of setup chunks and row bands of the
+	// batched triangle path (0 = par.Workers()). The image is identical
+	// at every count.
 	// Points and lines are always drawn serially.
 	Workers int
 
@@ -81,10 +82,10 @@ type Rasterizer struct {
 }
 
 // emitCtx is one worker's view of the framebuffer: an inclusive clip
-// rectangle plus a local fragment counter. Tile workers use their tile
-// rect; the immediate-mode path uses the full screen. Keeping the
-// counter here is what lets tile workers run without shared mutable
-// state.
+// rectangle plus a local fragment counter. Band workers use the full
+// width and their band's rows; the immediate-mode path uses the full
+// screen. Keeping the counter here is what lets band workers run
+// without shared mutable state.
 type emitCtx struct {
 	r              *Rasterizer
 	x0, y0, x1, y1 int
@@ -504,7 +505,7 @@ func (r *Rasterizer) clipLerp(src *triSource, a, b int32, t float64) int32 {
 // indices of its three vertices (see triSource) and its edge functions
 // in affine form, wk(x, y) = basek + x·dwkdx + y·dwkdy evaluated at
 // pixel centers (w2 = 1 - w0 - w1). The affine form makes every pixel's
-// coverage and weights a pure function of its coordinates, so tile and
+// coverage and weights a pure function of its coordinates, so band and
 // full-screen iteration agree bitwise while each row costs just one
 // multiply-add per edge to step. Attributes, depths and inverse depths
 // are read through the indices, not copied in.
@@ -683,16 +684,6 @@ func rasterTriangle(s *triSetup, src *triSource, e *emitCtx) {
 	}
 }
 
-// drawSetup rasterizes what setupClipped made of one triangle into e.
-func drawSetup(n int, s *triSetup, src *triSource, e *emitCtx) {
-	if n >= 1 {
-		rasterTriangle(s, src, e)
-	}
-	if n == 2 {
-		rasterTriangle(&src.over.tris[s.next], src, e)
-	}
-}
-
 // DrawTriangle rasterizes one triangle with perspective-correct
 // attribute interpolation and near-plane clipping. It is the batched
 // path's kernels run on a three-vertex source, which is why the two
@@ -709,6 +700,11 @@ func (r *Rasterizer) DrawTriangle(v0, v1, v2 Vertex) {
 	var s triSetup
 	n := r.setupClipped(&src, 0, 1, 2, &s)
 	e := r.screenCtx()
-	drawSetup(n, &s, &src, &e)
+	if n >= 1 {
+		rasterTriangle(&s, &src, &e)
+	}
+	if n == 2 {
+		rasterTriangle(&over.tris[s.next], &src, &e)
+	}
 	r.FragmentCount += e.frags
 }

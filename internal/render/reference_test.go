@@ -68,7 +68,7 @@ func (r *Rasterizer) refClipTriangle(v0, v1, v2 Vertex, dst []refClipVert) []ref
 // edge functions in affine form: wk(x, y) = basek + x·dwkdx + y·dwkdy
 // evaluated at pixel centers (w2 = 1 - w0 - w1). The affine form makes
 // every pixel's coverage and weights a pure function of its
-// coordinates, so tile and full-screen iteration agree bitwise while
+// coordinates, so band and full-screen iteration agree bitwise while
 // each row costs just one multiply-add per edge to step.
 type refTriSetup struct {
 	a, b, c             refClipVert
@@ -264,7 +264,7 @@ func TestTrianglePathMatchesReference(t *testing.T) {
 		framebuffersEqual(t, mode+"/immediate", fbRef, fbImm)
 		sameStats(mode+"/immediate", imm, ref)
 
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range []int{1, 2, 3, 4, 7, 8, 200} {
 			fb, _ := NewFramebuffer(w, h)
 			rast := NewRasterizer(fb, cam)
 			configureMode(rast, mode)

@@ -11,10 +11,10 @@ import (
 // BenchmarkSortx compares the parallel radix sort against the stdlib
 // stable sort at the sizes the pipeline actually sorts: a frame's
 // per-line depth sort of about 1000 lines (the N=1000 and N=2048 rows,
-// depth keys, the fallback's side of FallbackThreshold), a strip
-// frame's tile pairs at 1e4-1e5 and Morton sorts at 1e5-1e6+. The radix
-// rows call radix directly, so they time it below the threshold too;
-// the rows are the data behind FallbackThreshold's comment.
+// depth keys, the fallback's side of FallbackThreshold) and Morton
+// sorts at 1e4-1e6+. The radix rows call radix directly, so they time
+// it below the threshold too; the rows are the data behind
+// FallbackThreshold's comment.
 func BenchmarkSortx(b *testing.B) {
 	for _, n := range []int{1000, 2048, 10_000, 100_000, 1_000_000} {
 		rng := rand.New(rand.NewSource(int64(n)))

@@ -1,16 +1,14 @@
 // Package sortx provides the parallel keyed-sort primitive shared by
-// the pipeline's hot sorting paths: the Morton-code sort inside the
-// octree partitioner, the tile binning of the batched triangle
-// rasterizer, and the per-line depth sort of the self-orienting-surface
-// renderer. One optimized routine — a stable LSD radix sort over packed
-// (uint64 key, int64 payload) pairs — serves all three, so the
-// partitioner's terascale sort and the renderers' per-frame sorts share
-// the same code and the same benchmarks.
+// the pipeline's two hot sorting paths: the Morton-code sort inside the
+// octree partitioner and the per-line depth sort of the
+// self-orienting-surface renderer. One optimized routine — a stable LSD
+// radix sort over packed (uint64 key, int64 payload) pairs — serves
+// both, so the partitioner's terascale sort and the renderer's
+// per-frame sort share the same code and the same benchmarks.
 //
 // The sort is stable: pairs with equal keys keep their input order,
 // which is what makes the octree build deterministic at every worker
-// count, keeps triangles in submission order inside each screen tile,
-// and keeps equal-depth lines in input order.
+// count and keeps equal-depth lines in input order.
 package sortx
 
 import (

@@ -136,8 +136,8 @@ func RenderLines(fb *render.Framebuffer, cam render.Camera, lines []*fieldline.L
 	}
 
 	// Lines are drawn one segment at a time on this goroutine: a
-	// segment covers a few pixels, so binning segments into screen
-	// tiles costs more than it saves.
+	// segment covers a few pixels, so a parallel pass over segments
+	// costs more than it saves.
 	switch tech {
 	case TechLines, TechDense:
 		for _, l := range lines {

@@ -38,7 +38,7 @@ import (
 var unshipped = map[string]string{
 	"internal/core.ParticlePipeline.Partition":  "oracle: the serial partition the streamed and distributed chains are held to, bit for bit",
 	"internal/core.ParticlePipeline.Hybrid":     "oracle: the serial extraction, the other half of that reference",
-	"internal/render.Rasterizer.DrawTriangle":   "oracle: the serial immediate path every batched and tiled triangle is compared with",
+	"internal/render.Rasterizer.DrawTriangle":   "oracle: the serial immediate path every batched, row-banded triangle is compared with",
 	"internal/core.ConvertPlotType":             "fig: Fig 2's phase-plot conversion without re-partitioning (§2.3), a row of item 8's table",
 	"internal/render.Framebuffer.CoveredPixels": "diag: \"did anything draw\" in the tests of core, sos, volren and the root",
 	"internal/hexmesh.BuildBox":                 "seam: the all-vacuum mesh seeding's tests substitute for a cavity",

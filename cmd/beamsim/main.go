@@ -66,7 +66,7 @@ func main() {
 		}
 		fmt.Printf("frame %2d: step %5d  s=%.2f  maxR=%.2f  halo=%.4f  -> %s (%d bytes)\n",
 			written, f.Step, f.S, sim.MaxRadius(),
-			beam.HaloFraction(f.E, 2.5, 0), path, pario.FrameBytes(int64(f.E.Len())))
+			beam.HaloFraction(f.E, 2.5), path, pario.FrameBytes(int64(f.E.Len())))
 		written++
 	}
 	save(sim.Snapshot())

@@ -63,6 +63,20 @@ func main() {
 		slow      = flag.String("slow", "skip", "slow-subscriber policy: skip, degrade or evict")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"frames", *frames, 1}, {"periods", *periods, 1}, {"particles", *particles, 1}, {"ring", *ring, 1},
+		{"queue", *queue, 0}, {"max-sessions", *maxSess, 0}, {"max-renders", *maxRend, 0},
+	} {
+		if f.v < f.min {
+			log.Fatalf("-%s %d must be at least %d", f.name, f.v, f.min)
+		}
+	}
+	if *volres < 2 || !hybrid.PlausibleGrid(*volres, *volres, *volres) {
+		log.Fatalf("-volres %d must be at least 2 and give at most 2²⁴ voxels", *volres)
+	}
 
 	policy, err := parseSlow(*slow)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/beam"
 	"repro/internal/core"
@@ -174,10 +175,14 @@ func buildCommands(t *testing.T, names ...string) string {
 }
 
 // runCommand runs one built command and returns its output streams and
-// exit status.
+// exit status. A command still running after two minutes is killed and
+// reports status -1, so that a server that should have refused its
+// flags fails the test instead of hanging it.
 func runCommand(t *testing.T, bin string, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, args...)
 	var so, se bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &so, &se
 	err := cmd.Run()
@@ -468,6 +473,47 @@ func TestCmdParticleFlags(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(out, "*")); len(left) != 0 {
 		t.Errorf("refused runs left files behind: %v", left)
+	}
+}
+
+// TestCmdVizserveFlags: vizserve refuses an out-of-domain count before
+// it simulates or listens, with status 1 and the flag named. Before,
+// -live -periods -1 published identical frames, a negative -queue,
+// -max-sessions or -max-renders was accepted silently, -live -frames 0
+// served nothing without saying why, and -volres 0 listened, then
+// failed in the extract stage with an error that named no flag.
+func TestCmdVizserveFlags(t *testing.T) {
+	vizserve := filepath.Join(buildCommands(t, "vizserve"), "vizserve")
+	// A valid small run, so that only the flag is wrong; each case's
+	// flags come after it, and the last one wins.
+	base := []string{"-addr", "127.0.0.1:0", "-particles", "300", "-frames", "1", "-periods", "1", "-volres", "8"}
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-frames", "0"}, "frames"},
+		{[]string{"-live", "-frames", "0"}, "frames"},
+		{[]string{"-live", "-periods", "-1"}, "periods"},
+		{[]string{"-periods", "0"}, "periods"},
+		{[]string{"-particles", "0"}, "particles"},
+		{[]string{"-live", "-ring", "0"}, "ring"},
+		{[]string{"-volres", "0"}, "volres"},
+		{[]string{"-live", "-volres", "1"}, "volres"},
+		{[]string{"-volres", "100000"}, "volres"},
+		{[]string{"-queue", "-1"}, "queue"},
+		{[]string{"-live", "-max-sessions", "-1"}, "max-sessions"},
+		{[]string{"-max-renders", "-1"}, "max-renders"},
+	} {
+		stdout, stderr, exit := runCommand(t, vizserve, append(base, c.args...)...)
+		if exit != 1 {
+			t.Errorf("vizserve %v: exit status %d, want 1", c.args, exit)
+		}
+		if want := "vizserve: -" + c.flag + " "; !strings.Contains(stderr, want) {
+			t.Errorf("vizserve %v: error %q does not say %q", c.args, strings.TrimSpace(stderr), want)
+		}
+		if strings.Contains(stdout, "serving") || strings.Contains(stdout, "service on") {
+			t.Errorf("vizserve %v: listened before refusing:\n%s", c.args, stdout)
+		}
 	}
 }
 

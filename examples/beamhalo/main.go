@@ -56,7 +56,7 @@ func main() {
 	var lastRep *hybrid.Representation
 	for r := range s.Out {
 		lastRep = r.Rep
-		halo := beam.FractionBeyondRadius(r.Frame.E, 2.5*(m.A+m.B)/2, 0)
+		halo := beam.FractionBeyondRadius(r.Frame.E, 2.5*(m.A+m.B)/2)
 		sym := beam.FourFoldSymmetry(r.Frame.E)
 		fmt.Printf("%-8d %-8d %-12.4f %-12.3f %-10.2f\n",
 			r.Index, (r.Index+1)*8, halo, sym, float64(r.Rep.SizeBytes())/1e6)

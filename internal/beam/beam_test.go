@@ -226,7 +226,7 @@ func TestSimMismatchedBeamGrowsHalo(t *testing.T) {
 		m := sim.Matched()
 		// Fraction of particles beyond 2.5 matched mean radii — the
 		// particle-core halo population.
-		return FractionBeyondRadius(sim.Particles, 2.5*(m.A+m.B)/2, 0)
+		return FractionBeyondRadius(sim.Particles, 2.5*(m.A+m.B)/2)
 	}
 	matched := mk(1.0)
 	mismatched := mk(1.5)

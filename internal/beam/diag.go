@@ -10,7 +10,7 @@ import (
 // radius exceeds k times the RMS transverse radius. Halo studies
 // conventionally quote the fraction beyond a few RMS radii; the paper's
 // point-rendered region is precisely this population.
-func HaloFraction(e *Ensemble, k float64, workers int) float64 {
+func HaloFraction(e *Ensemble, k float64) float64 {
 	n := e.Len()
 	if n == 0 {
 		return 0
@@ -21,7 +21,7 @@ func HaloFraction(e *Ensemble, k float64, workers int) float64 {
 	}
 	rms2 := sum / float64(n)
 	threshold2 := k * k * rms2
-	count := par.MapReduce(n, workers,
+	count := par.MapReduce(n, 0,
 		func() int { return 0 },
 		func(c, lo, hi int) int {
 			for i := lo; i < hi; i++ {
@@ -40,13 +40,13 @@ func HaloFraction(e *Ensemble, k float64, workers int) float64 {
 // transverse radius exceeds r (an absolute threshold, typically a
 // multiple of the matched envelope radius). Unlike HaloFraction it is
 // insensitive to the growth of the ensemble's own RMS as halo forms.
-func FractionBeyondRadius(e *Ensemble, r float64, workers int) float64 {
+func FractionBeyondRadius(e *Ensemble, r float64) float64 {
 	n := e.Len()
 	if n == 0 {
 		return 0
 	}
 	r2 := r * r
-	count := par.MapReduce(n, workers,
+	count := par.MapReduce(n, 0,
 		func() int { return 0 },
 		func(c, lo, hi int) int {
 			for i := lo; i < hi; i++ {

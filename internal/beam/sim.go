@@ -30,7 +30,6 @@ type Config struct {
 	DriftZ float64 // design longitudinal velocity added to z each unit s
 
 	StepsPerPeriod int // integrator resolution
-	Workers        int // goroutine count for particle pushes (0 = auto)
 }
 
 // DefaultConfig returns a configuration that develops a visible halo in
@@ -202,7 +201,7 @@ func (s *Sim) Advance(n int) {
 		// is, so no call holds the team longer than a step does.
 		per := e.Len() / m
 		for s.off = 0; s.off < e.Len(); s.off += per {
-			par.ForChunks(min(per, e.Len()-s.off), s.Config.Workers, s.push)
+			par.ForChunks(min(per, e.Len()-s.off), 0, s.push)
 		}
 		n -= m
 	}

@@ -3,6 +3,7 @@ package beam
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/par"
@@ -43,7 +44,7 @@ func refStep(s *Sim) {
 	a1, b1 := next.A, next.B
 
 	e := s.Particles
-	par.For(e.Len(), cfg.Workers, func(i int) {
+	par.For(e.Len(), par.Workers(), func(i int) {
 		x, y, z := e.X[i], e.Y[i], e.Z[i]
 		px, py, pz := e.Px[i], e.Py[i], e.Pz[i]
 
@@ -75,19 +76,20 @@ func refStep(s *Sim) {
 
 // TestStepMatchesReference: a single step, Advance(1), leaves every
 // particle and the envelope bit-identical to the reference, step after
-// step for 100 steps, at every worker count, with N not a multiple of
-// the worker count. Both branches of the kick must have run: the
+// step for 100 steps, at every core count, with N not a multiple of
+// the core count. Both branches of the kick must have run: the
 // mismatched core leaves particles outside it.
 func TestStepMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7} {
-		cfg := DefaultConfig(1013) // prime: no worker count divides it
-		cfg.Workers = workers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig(1013) // prime: no core count divides it
 		inside, outside, err := checkAdvance((*Sim).Advance, cfg, 1, 100)
 		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
 		if inside == 0 || outside == 0 {
-			t.Errorf("workers %d: at most %d particles inside the core and %d outside; the test needs both", workers, inside, outside)
+			t.Errorf("GOMAXPROCS %d: at most %d particles inside the core and %d outside; the test needs both", procs, inside, outside)
 		}
 	}
 }
@@ -153,25 +155,27 @@ func checkAdvance(advance func(*Sim, int), cfg Config, n, calls int) (inside, ou
 // TestAdvanceMatchesReference: Advance(n) leaves the particles, Core, S
 // and Steps bit-identical to n refSteps, call after call, for n below,
 // at and above StepsPerPeriod (one group, several, a short last one),
-// at every worker count including the default, with N prime (no
-// worker count divides it, and no block size) and with N below one
+// at every core count including the process's own, with N prime (no
+// core count divides it, and no block size) and with N below one
 // block and below n (groups cut to N steps, one particle per par call).
 // Every run must leave particles both inside and outside the core, so
 // that both branches of the kick are compared.
 func TestAdvanceMatchesReference(t *testing.T) {
+	own := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(own)
 	for _, n := range []int{1, 5, 64, 130} {
 		for _, size := range []int{1013, 50} {
-			for _, workers := range []int{1, 2, 3, 7, 0} {
+			for _, procs := range []int{1, 2, 3, 7, own} {
+				runtime.GOMAXPROCS(procs)
 				cfg := DefaultConfig(size)
-				cfg.Workers = workers
 				calls := (400 + n - 1) / n // past the first core oscillation
 				inside, outside, err := checkAdvance((*Sim).Advance, cfg, n, calls)
 				if err != nil {
-					t.Fatalf("n %d, N %d, workers %d: %v", n, size, workers, err)
+					t.Fatalf("n %d, N %d, GOMAXPROCS %d: %v", n, size, procs, err)
 				}
 				if inside == 0 || outside == 0 {
-					t.Errorf("n %d, N %d, workers %d: at most %d particles inside the core and %d outside; the test needs both",
-						n, size, workers, inside, outside)
+					t.Errorf("n %d, N %d, GOMAXPROCS %d: at most %d particles inside the core and %d outside; the test needs both",
+						n, size, procs, inside, outside)
 				}
 			}
 		}
@@ -246,31 +250,53 @@ func advanceCopy(stale bool) func(*Sim, int) {
 }
 
 // TestAdvanceAllocatesNothing: a period's push binds nothing per call —
-// the body is bound in NewSim and the kick table lives on the Sim.
+// the body is bound in NewSim and the kick table lives on the Sim — at
+// one core and at several.
 func TestAdvanceAllocatesNothing(t *testing.T) {
-	for _, workers := range []int{1, 2, 0} {
-		cfg := DefaultConfig(3000)
-		cfg.Workers = workers
-		s, err := NewSim(cfg)
+	for _, procs := range []int{1, 2, 8} {
+		s, err := NewSim(DefaultConfig(3000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(20, func() { s.RunPeriods(1) }); got != 0 {
-			t.Errorf("workers %d: %v allocations per period, want 0", workers, got)
+		if got := mallocsPerRun(procs, 20, func() { s.RunPeriods(1) }); got != 0 {
+			t.Errorf("GOMAXPROCS %d: %v allocations per period, want 0", procs, got)
 		}
 	}
 }
 
+// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
+// allocations per call of f, averaged over runs calls after one
+// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
+// every par call is one chunk on the caller, so it cannot see an
+// allocation made per chunk. It returns the least of three such
+// averages: at a processor count above the machine's, a collection
+// that falls among the runs can make the runtime allocate threads and
+// goroutines of its own, which a round without one does not count.
+func mallocsPerRun(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	least := uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return float64(least)
+}
+
 // TestAdvanceBoundsEachCall: no par call of Advance pushes more than N
 // particle-steps, whatever n and N are, and every particle is pushed
-// through every step of its group exactly once. At one worker a par
-// call is one call of the push body, on the caller.
+// through every step of its group exactly once. At one core a par call
+// is one call of the push body, on the caller.
 func TestAdvanceBoundsEachCall(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, n := range []int{1, 5, 64, 130} {
 		for _, size := range []int{1013, 50, 1} {
-			cfg := DefaultConfig(size)
-			cfg.Workers = 1
-			s, err := NewSim(cfg)
+			s, err := NewSim(DefaultConfig(size))
 			if err != nil {
 				t.Fatal(err)
 			}

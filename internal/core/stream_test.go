@@ -332,8 +332,10 @@ func TestFieldStream(t *testing.T) {
 // bits, the render statistics, and every traced line's points, tangents
 // and strengths — equals what the one-frame-at-a-time loop
 // AdvancePeriods → Snapshot → TraceE → RenderLines produces from a fresh
-// solver, at every trace and render stage worker count.
+// solver at GOMAXPROCS 1, at every trace and render stage worker count
+// and at GOMAXPROCS 1, 2, 3 and 7.
 func TestFieldStreamMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (
 		cells, lines, frames = 6, 40, 4
 		periods              = 0.5
@@ -375,61 +377,64 @@ func TestFieldStreamMatchesSerial(t *testing.T) {
 			math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
 			math.Float64bits(a.Z) == math.Float64bits(b.Z)
 	}
-	for _, traceWorkers := range []int{1, 2} {
-		for _, renderWorkers := range []int{1, 2} {
-			label := fmt.Sprintf("trace=%d/render=%d", traceWorkers, renderWorkers)
-			p := NewFieldPipeline(cells, lines)
-			s, err := p.StreamSolve(context.Background(), FieldStreamOptions{
-				Frames: frames, PeriodsPerFrame: periods, TraceWorkers: traceWorkers, Buffer: 2,
-				Render: &FieldRenderOptions{Technique: sos.TechSOS, Width: size, Height: size, ViewDir: view, Workers: renderWorkers},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for r := range s.Out {
-				if r.Index != n || n >= frames {
-					t.Fatalf("%s: frame %d arrived as number %d", label, r.Index, n)
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		for _, traceWorkers := range []int{1, 2} {
+			for _, renderWorkers := range []int{1, 2} {
+				label := fmt.Sprintf("GOMAXPROCS=%d/trace=%d/render=%d", procs, traceWorkers, renderWorkers)
+				p := NewFieldPipeline(cells, lines)
+				s, err := p.StreamSolve(context.Background(), FieldStreamOptions{
+					Frames: frames, PeriodsPerFrame: periods, TraceWorkers: traceWorkers, Buffer: 2,
+					Render: &FieldRenderOptions{Technique: sos.TechSOS, Width: size, Height: size, ViewDir: view, Workers: renderWorkers},
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				w := want[n]
-				n++
-				if r.Stats.Triangles != w.stats.Triangles || r.Stats.Fragments != w.stats.Fragments || r.Stats.Lines != w.stats.Lines {
-					t.Errorf("%s frame %d: %d lines / %d triangles / %d fragments, serial %d / %d / %d", label, r.Index,
-						r.Stats.Lines, r.Stats.Triangles, r.Stats.Fragments, w.stats.Lines, w.stats.Triangles, w.stats.Fragments)
-				}
-				for i := range w.fb.Color {
-					if math.Float32bits(r.FB.Color[i]) != math.Float32bits(w.fb.Color[i]) {
-						t.Fatalf("%s frame %d: color[%d] = %v, serial %v", label, r.Index, i, r.FB.Color[i], w.fb.Color[i])
+				n := 0
+				for r := range s.Out {
+					if r.Index != n || n >= frames {
+						t.Fatalf("%s: frame %d arrived as number %d", label, r.Index, n)
 					}
-				}
-				for i := range w.fb.Depth {
-					if math.Float32bits(r.FB.Depth[i]) != math.Float32bits(w.fb.Depth[i]) {
-						t.Fatalf("%s frame %d: depth[%d] = %v, serial %v", label, r.Index, i, r.FB.Depth[i], w.fb.Depth[i])
+					w := want[n]
+					n++
+					if r.Stats.Triangles != w.stats.Triangles || r.Stats.Fragments != w.stats.Fragments || r.Stats.Lines != w.stats.Lines {
+						t.Errorf("%s frame %d: %d lines / %d triangles / %d fragments, serial %d / %d / %d", label, r.Index,
+							r.Stats.Lines, r.Stats.Triangles, r.Stats.Fragments, w.stats.Lines, w.stats.Triangles, w.stats.Fragments)
 					}
-				}
-				if len(r.E.Lines) != len(w.res.Lines) {
-					t.Fatalf("%s frame %d: %d lines, serial %d", label, r.Index, len(r.E.Lines), len(w.res.Lines))
-				}
-				for li, l := range r.E.Lines {
-					wl := w.res.Lines[li]
-					if l.NumPoints() != wl.NumPoints() || len(l.Tangents) != len(wl.Tangents) ||
-						len(l.Strengths) != len(wl.Strengths) || l.Closed != wl.Closed ||
-						r.E.SeedElement[li] != w.res.SeedElement[li] {
-						t.Fatalf("%s frame %d line %d: shape or seed differs from serial", label, r.Index, li)
+					for i := range w.fb.Color {
+						if math.Float32bits(r.FB.Color[i]) != math.Float32bits(w.fb.Color[i]) {
+							t.Fatalf("%s frame %d: color[%d] = %v, serial %v", label, r.Index, i, r.FB.Color[i], w.fb.Color[i])
+						}
 					}
-					for i := range l.Points {
-						if !bits3(l.Points[i], wl.Points[i]) || !bits3(l.Tangents[i], wl.Tangents[i]) ||
-							math.Float64bits(l.Strengths[i]) != math.Float64bits(wl.Strengths[i]) {
-							t.Fatalf("%s frame %d line %d sample %d differs from serial", label, r.Index, li, i)
+					for i := range w.fb.Depth {
+						if math.Float32bits(r.FB.Depth[i]) != math.Float32bits(w.fb.Depth[i]) {
+							t.Fatalf("%s frame %d: depth[%d] = %v, serial %v", label, r.Index, i, r.FB.Depth[i], w.fb.Depth[i])
+						}
+					}
+					if len(r.E.Lines) != len(w.res.Lines) {
+						t.Fatalf("%s frame %d: %d lines, serial %d", label, r.Index, len(r.E.Lines), len(w.res.Lines))
+					}
+					for li, l := range r.E.Lines {
+						wl := w.res.Lines[li]
+						if l.NumPoints() != wl.NumPoints() || len(l.Tangents) != len(wl.Tangents) ||
+							len(l.Strengths) != len(wl.Strengths) || l.Closed != wl.Closed ||
+							r.E.SeedElement[li] != w.res.SeedElement[li] {
+							t.Fatalf("%s frame %d line %d: shape or seed differs from serial", label, r.Index, li)
+						}
+						for i := range l.Points {
+							if !bits3(l.Points[i], wl.Points[i]) || !bits3(l.Tangents[i], wl.Tangents[i]) ||
+								math.Float64bits(l.Strengths[i]) != math.Float64bits(wl.Strengths[i]) {
+								t.Fatalf("%s frame %d line %d sample %d differs from serial", label, r.Index, li, i)
+							}
 						}
 					}
 				}
-			}
-			if err := s.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			if n != frames {
-				t.Fatalf("%s: %d frames, want %d", label, n, frames)
+				if err := s.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if n != frames {
+					t.Fatalf("%s: %d frames, want %d", label, n, frames)
+				}
 			}
 		}
 	}

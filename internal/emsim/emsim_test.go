@@ -3,6 +3,7 @@ package emsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/hexmesh"
@@ -268,7 +269,7 @@ func refUpdateH(s *Sim) {
 	nx, ny, nz := s.nx, s.ny, s.nz
 	dx, dy, dz := s.Mesh.Dx, s.Mesh.Dy, s.Mesh.Dz
 	dt := s.dt
-	w := s.Cfg.Workers
+	w := par.Workers()
 	// Hx(i, j+1/2, k+1/2) -= dt * (dEz/dy - dEy/dz)
 	par.ForChunks(nz, w, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
@@ -312,7 +313,7 @@ func refUpdateE(s *Sim) {
 	nx, ny, nz := s.nx, s.ny, s.nz
 	dx, dy, dz := s.Mesh.Dx, s.Mesh.Dy, s.Mesh.Dz
 	dt := s.dt
-	w := s.Cfg.Workers
+	w := par.Workers()
 	// Ex(i+1/2, j, k) += dt * (dHz/dy - dHy/dz), interior edges only.
 	par.ForChunks(nz-1, w, func(lo, hi int) {
 		for k := lo + 1; k < hi+1; k++ {
@@ -407,7 +408,7 @@ type stepperCase struct {
 	asym    float64
 	res     int
 	courant float64
-	workers int
+	procs   int // GOMAXPROCS for the run
 }
 
 func (c stepperCase) config(t testing.TB) Config {
@@ -421,12 +422,11 @@ func (c stepperCase) config(t testing.TB) Config {
 	}
 	cfg := DefaultConfig(m, cav)
 	cfg.Courant = c.courant
-	cfg.Workers = c.workers
 	return cfg
 }
 
 // stepperMatrix covers both structures, symmetric and asymmetric ports,
-// resolutions 4/6/9, Courant factors 0.3/0.5/0.9 and worker counts
+// resolutions 4/6/9, Courant factors 0.3/0.5/0.9 and core counts
 // 1/2/7 (7 does not divide any plane count here).
 var stepperMatrix = []stepperCase{
 	{"3cell/res4/c0.5/w1", 3, 0, 4, 0.5, 1},
@@ -475,6 +475,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 	for _, c := range stepperMatrix {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 			if err := runDifferential(t, c.config(t), nil); err != nil {
 				t.Error(err)
 			}
@@ -643,7 +644,8 @@ func spanTables(s *Sim) []spanTable {
 // differential test reports each one: an oracle is only as good as the
 // bugs it can see.
 func TestSpanMutantsFailDifferential(t *testing.T) {
-	c := stepperMatrix[3] // asymmetric 3-cell, resolution 6, one worker
+	c := stepperMatrix[3] // asymmetric 3-cell, resolution 6, one core
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 	cfg := c.config(t)
 
 	// Where the field lives after the run decides which rows can expose
@@ -895,32 +897,27 @@ func TestCourantLimit(t *testing.T) {
 
 // BenchmarkAdvance times the stepper alone on the benchmark's lattice
 // (the 3-cell cavity at 16 cells per radius, 32x52x60) for one
-// field_stream frame: 37 steps, a quarter drive period.
+// field_stream frame: 37 steps, a quarter drive period. Run with
+// -cpu 1,2.
 func BenchmarkAdvance(b *testing.B) {
 	cav := hexmesh.DefaultCavity(16)
 	m, err := hexmesh.BuildCavity(cav)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			cfg := DefaultConfig(m, cav)
-			cfg.Workers = w
-			s, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.AdvancePeriods(2) // fill the structure: no denormals, ports ramped up
-			const steps = 37
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Advance(steps)
-			}
-			cells := float64(m.Nx * m.Ny * m.Nz)
-			b.ReportMetric(cells*steps*float64(b.N)/b.Elapsed().Seconds(), "cell_steps/s")
-		})
+	s, err := New(DefaultConfig(m, cav))
+	if err != nil {
+		b.Fatal(err)
 	}
+	s.AdvancePeriods(2) // fill the structure: no denormals, ports ramped up
+	const steps = 37
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Advance(steps)
+	}
+	cells := float64(m.Nx * m.Ny * m.Nz)
+	b.ReportMetric(cells*steps*float64(b.N)/b.Elapsed().Seconds(), "cell_steps/s")
 }
 
 // refSampleField is the sampler this package shipped before the padded

@@ -81,7 +81,6 @@ type Config struct {
 	// to ramp from 0 to full (a smooth turn-on avoids a broadband
 	// transient).
 	RampPeriods float64
-	Workers     int
 }
 
 // DefaultConfig returns a configuration for the given mesh/cavity.
@@ -350,9 +349,8 @@ func (s *Sim) AdvancePeriods(n float64) {
 }
 
 func (s *Sim) advanceOnce() {
-	w := s.Cfg.Workers
-	par.ForChunks(s.nz+1, w, s.sweepH)
-	par.ForChunks(s.nz, w, s.sweepE)
+	par.ForChunks(s.nz+1, 0, s.sweepH)
+	par.ForChunks(s.nz, 0, s.sweepE)
 	s.applyPorts()
 	s.time += s.dt
 	s.step++

@@ -11,7 +11,7 @@ import (
 // TestBuildDeterministicAcrossWorkers pins the partitioner's central
 // concurrency contract: the parallel scans, the radix scatter, and the
 // density gather change only the wall clock — Build over the same
-// points yields identical trees at every worker count.
+// points yields identical trees at every core count.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	inputs := map[string][]vec.V3{
 		// Enough points that every parallel pass runs on several chunks.
@@ -29,35 +29,35 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for name, pts := range inputs {
 		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			cfg := DefaultConfig()
-			cfg.Workers = 1
 			ref, err := Build(pts, cfg)
 			if err != nil {
-				t.Fatalf("Build(workers=1): %v", err)
+				t.Fatalf("Build at GOMAXPROCS=1: %v", err)
 			}
 			if err := ref.Validate(); err != nil {
 				t.Fatalf("reference tree invalid: %v", err)
 			}
 			for _, w := range []int{2, runtime.NumCPU()} {
-				cfg.Workers = w
+				runtime.GOMAXPROCS(w)
 				got, err := Build(pts, cfg)
 				if err != nil {
-					t.Fatalf("Build(workers=%d): %v", w, err)
+					t.Fatalf("Build at GOMAXPROCS=%d: %v", w, err)
 				}
 				if !reflect.DeepEqual(got.Nodes, ref.Nodes) {
-					t.Errorf("workers=%d: Nodes differ from serial build", w)
+					t.Errorf("GOMAXPROCS=%d: Nodes differ from serial build", w)
 				}
 				if !reflect.DeepEqual(got.LeafOffsets, ref.LeafOffsets) {
-					t.Errorf("workers=%d: LeafOffsets differ from serial build", w)
+					t.Errorf("GOMAXPROCS=%d: LeafOffsets differ from serial build", w)
 				}
 				if !reflect.DeepEqual(got.LeavesByDensity, ref.LeavesByDensity) {
-					t.Errorf("workers=%d: LeavesByDensity differ from serial build", w)
+					t.Errorf("GOMAXPROCS=%d: LeavesByDensity differ from serial build", w)
 				}
 				if !reflect.DeepEqual(got.OrigIndex, ref.OrigIndex) {
-					t.Errorf("workers=%d: OrigIndex differs from serial build", w)
+					t.Errorf("GOMAXPROCS=%d: OrigIndex differs from serial build", w)
 				}
 				if !reflect.DeepEqual(got.Points, ref.Points) {
-					t.Errorf("workers=%d: Points differ from serial build", w)
+					t.Errorf("GOMAXPROCS=%d: Points differ from serial build", w)
 				}
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ func refBuild(points []vec.V3, cfg Config) (*Tree, error) {
 	}
 
 	// Pass 1 (parallel): bounding box.
-	bounds := par.MapReduce(len(points), cfg.Workers,
+	bounds := par.MapReduce(len(points), par.Workers(),
 		vec.Empty,
 		func(b vec.AABB, lo, hi int) vec.AABB {
 			for i := lo; i < hi; i++ {
@@ -57,7 +58,7 @@ func refBuild(points []vec.V3, cfg Config) (*Tree, error) {
 	cells := uint64(1) << uint(cfg.MaxLevel)
 	pairs := make([]sortx.KV, n)
 	scale := float64(cells) / size
-	par.For(n, cfg.Workers, func(i int) {
+	par.For(n, par.Workers(), func(i int) {
 		p := points[i]
 		cx := cellCoord((p.X-root.Min.X)*scale, cells)
 		cy := cellCoord((p.Y-root.Min.Y)*scale, cells)
@@ -70,13 +71,13 @@ func refBuild(points []vec.V3, cfg Config) (*Tree, error) {
 	// Pass 3 (parallel): stable radix sort by code. Stability makes the
 	// whole build independent of the worker count: equal codes keep
 	// input order, so every downstream pass sees the same permutation.
-	sortx.Pairs(pairs, cfg.Workers)
+	sortx.Pairs(pairs, par.Workers())
 
 	// The carve's binary-search splits assume monotone codes, and a
 	// violated assumption would carve a silently corrupt tree — so
 	// spend one cheap parallel scan keeping the invariant loud (the
 	// role the serial carve's partition panic used to play).
-	sorted := par.MapReduce(n, cfg.Workers,
+	sorted := par.MapReduce(n, par.Workers(),
 		func() bool { return true },
 		func(ok bool, lo, hi int) bool {
 			if lo == 0 {
@@ -104,10 +105,7 @@ func refBuild(points []vec.V3, cfg Config) (*Tree, error) {
 		MaxLevel: cfg.MaxLevel,
 		LeafCap:  cfg.LeafCap,
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
+	workers := par.Workers()
 	cv := &refCarver{pairs: pairs, cfg: cfg}
 	if workers > 1 {
 		cv.grp = newRefGroup(workers)
@@ -135,7 +133,7 @@ func refBuild(points []vec.V3, cfg Config) (*Tree, error) {
 	for k, li := range leaves {
 		byDensity[k] = sortx.KV{K: sortx.Float64Key(t.Nodes[li].Density), V: int64(li)}
 	}
-	sortx.Pairs(byDensity, cfg.Workers)
+	sortx.Pairs(byDensity, par.Workers())
 	for k := range byDensity {
 		leaves[k] = int32(byDensity[k].V)
 	}
@@ -150,7 +148,7 @@ func refBuild(points []vec.V3, cfg Config) (*Tree, error) {
 		pos += t.Nodes[li].Count
 	}
 	t.LeafOffsets[len(leaves)] = pos
-	par.ForChunks(len(leaves), cfg.Workers, func(klo, khi int) {
+	par.ForChunks(len(leaves), par.Workers(), func(klo, khi int) {
 		for k := klo; k < khi; k++ {
 			node := &t.Nodes[leaves[k]]
 			// node.Offset holds the group start in the Morton-sorted
@@ -449,14 +447,15 @@ func referenceInputs() map[string][]vec.V3 {
 
 // TestBuilderMatchesReference: Build, Builder.Build and
 // Builder.BuildColumns equal the reference in every field, by bits, at
-// 1, 2, 3 and 7 workers.
+// GOMAXPROCS 1, 2, 3 and 7.
 func TestBuilderMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := DefaultConfig()
 	for name, pts := range referenceInputs() {
 		x, y, z := columns(pts)
 		var serial *Tree
 		for _, workers := range []int{1, 2, 3, 7} {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
+			runtime.GOMAXPROCS(workers)
 			want, err := refBuild(pts, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -464,7 +463,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 			if workers == 1 {
 				serial = want
 			} else if d := treeDiff(want, serial); d != "" {
-				t.Errorf("%s: the reference at %d workers is not the serial tree: %s", name, workers, d)
+				t.Errorf("%s: the reference at %d cores is not the serial tree: %s", name, workers, d)
 			}
 			var b Builder
 			for form, build := range map[string]func() (*Tree, error){
@@ -474,10 +473,10 @@ func TestBuilderMatchesReference(t *testing.T) {
 			} {
 				got, err := build()
 				if err != nil {
-					t.Fatalf("%s, %d workers, %s: %v", name, workers, form, err)
+					t.Fatalf("%s, %d cores, %s: %v", name, workers, form, err)
 				}
 				if d := treeDiff(got, want); d != "" {
-					t.Errorf("%s, %d workers, %s: %s", name, workers, form, d)
+					t.Errorf("%s, %d cores, %s: %s", name, workers, form, d)
 				}
 			}
 		}
@@ -491,12 +490,13 @@ func TestBuilderMatchesReference(t *testing.T) {
 // V3 form in between) on one builder and one retired tree: whatever the
 // scratch and the tree held from the frame before, every tree equals
 // the reference. The class of bug is stale state that only a second
-// use, and only some worker counts, can reach.
+// use, and only some core counts, can reach.
 func TestBuilderReuseMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	large, small, mid := randomPoints(50_000, 21), randomPoints(700, 22), randomPoints(9000, 23)
+	cfg := DefaultConfig()
 	for _, workers := range []int{1, 2, 3, 7} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
+		runtime.GOMAXPROCS(workers)
 		var b Builder
 		var tree *Tree
 		for step, pts := range [][]vec.V3{large, small, large, mid, small, large} {
@@ -514,10 +514,10 @@ func TestBuilderReuseMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := treeDiff(tree, want); d != "" {
-				t.Fatalf("%d workers, build %d of the sequence (%d points): %s", workers, step, len(pts), d)
+				t.Fatalf("%d cores, build %d of the sequence (%d points): %s", workers, step, len(pts), d)
 			}
 			if err := tree.Validate(); err != nil {
-				t.Fatalf("%d workers, build %d: %v", workers, step, err)
+				t.Fatalf("%d cores, build %d: %v", workers, step, err)
 			}
 		}
 	}
@@ -526,8 +526,8 @@ func TestBuilderReuseMatchesReference(t *testing.T) {
 // TestBuilderKeepsNothingOfItsTrees: a tree built with no retired tree
 // is the caller's — later builds on the same builder leave it alone.
 func TestBuilderKeepsNothingOfItsTrees(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	cfg := DefaultConfig()
-	cfg.Workers = 3
 	pts := randomPoints(30_000, 31)
 	x, y, z := columns(pts)
 	var b Builder
@@ -553,8 +553,8 @@ func TestBuilderKeepsNothingOfItsTrees(t *testing.T) {
 // reports every one.
 func TestBuilderMutantsFailDifferential(t *testing.T) {
 	const workers = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	cfg := DefaultConfig()
-	cfg.Workers = workers
 	pts := referenceInputs()["max-faces"]
 	x, y, z := columns(pts)
 	want, err := refBuild(pts, cfg)
@@ -573,10 +573,10 @@ func TestBuilderMutantsFailDifferential(t *testing.T) {
 		run  func(b *Builder) *Tree
 	}{
 		{"unmutated passes", want, func(b *Builder) *Tree {
-			return b.build(b.pts, b.load(x, y, z, workers), cfg, nil)
+			return b.build(b.pts, b.load(x, y, z), cfg, nil)
 		}},
 		{"a key built from the wrong column", want, func(b *Builder) *Tree {
-			root, size := rootCell(b.load(x, y, z, workers), cfg.Pad)
+			root, size := rootCell(b.load(x, y, z), cfg.Pad)
 			wrong := append([]vec.V3(nil), b.pts...)
 			for i := range wrong {
 				wrong[i].Y = wrong[i].X
@@ -586,8 +586,8 @@ func TestBuilderMutantsFailDifferential(t *testing.T) {
 		}},
 		{"the bounding box taken before the last chunk", want, func(b *Builder) *Tree {
 			last, _ := par.Chunks(len(x), workers).Bounds(workers - 1)
-			bounds := b.load(x[:last], y[:last], z[:last], workers-1)
-			b.load(x, y, z, workers)
+			bounds := b.load(x[:last], y[:last], z[:last])
+			b.load(x, y, z)
 			return b.build(b.pts, bounds, cfg, nil)
 		}},
 		{"a retired tree's LeafOffsets not truncated", wantSmall, func(b *Builder) *Tree {
@@ -604,14 +604,14 @@ func TestBuilderMutantsFailDifferential(t *testing.T) {
 			return got
 		}},
 		{"the key pass skipped: the sort runs on the pairs of the frame before", wantSmall, func(b *Builder) *Tree {
-			serial := cfg // the stale indices panic: keep that on this goroutine
-			serial.Workers = 1
-			if _, err := b.Build(pts, serial, nil); err != nil {
+			// The stale indices panic: keep that on this goroutine.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			if _, err := b.Build(pts, cfg, nil); err != nil {
 				t.Fatal(err)
 			}
 			sx, sy, sz := columns(small)
-			root, _ := rootCell(b.load(sx, sy, sz, 1), cfg.Pad)
-			return b.finish(b.pts, root, serial, nil)
+			root, _ := rootCell(b.load(sx, sy, sz), cfg.Pad)
+			return b.finish(b.pts, root, cfg, nil)
 		}},
 	}
 	for i, m := range mutants {
@@ -667,8 +667,8 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // TestBuilderAllocationsIndependentOfWorkers: a warm BuildColumns at the
-// benchmark's 200k points allocates as often at 8 workers as at 1. What
-// is left is the same at every worker count (ROADMAP item 19): each
+// benchmark's 200k points allocates as often at 8 cores as at 1. What
+// is left is the same at every core count (ROADMAP item 19): each
 // sortx radix pass's histograms and its two ForChunks closures; the
 // partials and closures of the MapReduce scans (the bounding box,
 // sortx's key range, the sortedness check); and the closure of the
@@ -679,25 +679,46 @@ func TestBuilderAllocationsIndependentOfWorkers(t *testing.T) {
 	const maxAllocs = 48
 	x, y, z := columns(randomPoints(200_000, 1))
 	allocs := map[int]float64{}
-	for _, workers := range []int{1, 2, 8} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
+	cfg := DefaultConfig()
+	for _, procs := range []int{1, 2, 8} {
 		var b Builder
-		tree, err := b.BuildColumns(x, y, z, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs[workers] = testing.AllocsPerRun(5, func() {
+		var tree *Tree
+		var err error
+		allocs[procs] = mallocsPerRun(procs, 5, func() {
 			tree, err = b.BuildColumns(x, y, z, cfg, tree)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs[workers] > maxAllocs {
-			t.Errorf("%d workers: %v allocations per warm build, want at most %d", workers, allocs[workers], maxAllocs)
+		if allocs[procs] > maxAllocs {
+			t.Errorf("GOMAXPROCS %d: %v allocations per warm build, want at most %d", procs, allocs[procs], maxAllocs)
 		}
 	}
 	if allocs[2] != allocs[1] || allocs[8] != allocs[1] {
-		t.Errorf("allocations per warm build depend on the worker count: %v at 1, 2 and 8 workers", []float64{allocs[1], allocs[2], allocs[8]})
+		t.Errorf("allocations per warm build depend on the core count: %v at GOMAXPROCS 1, 2 and 8", []float64{allocs[1], allocs[2], allocs[8]})
 	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
+// allocations per call of f, averaged over runs calls after one
+// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
+// every par call is one chunk on the caller, so it cannot see an
+// allocation made per chunk. It returns the least of three such
+// averages: at a processor count above the machine's, a collection
+// that falls among the runs can make the runtime allocate threads and
+// goroutines of its own, which a round without one does not count.
+func mallocsPerRun(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	least := uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return float64(least)
 }

@@ -54,7 +54,6 @@ type Tree struct {
 type Config struct {
 	MaxLevel int // maximal subdivision level (paper §2.3); 1..MaxLevel
 	LeafCap  int // target max points per leaf before subdividing further
-	Workers  int // parallelism (0 = auto)
 	// Pad expands the bounding box by this relative amount so points on
 	// the max faces land strictly inside the root cell.
 	Pad float64
@@ -111,7 +110,7 @@ func (b *Builder) Build(points []vec.V3, cfg Config, retired *Tree) (*Tree, erro
 	if err := checkBuild(len(points), cfg); err != nil {
 		return nil, err
 	}
-	bounds := par.MapReduce(len(points), cfg.Workers, vec.Empty,
+	bounds := par.MapReduce(len(points), 0, vec.Empty,
 		func(bb vec.AABB, lo, hi int) vec.AABB {
 			lo3, hi3 := bb.Min, bb.Max
 			for _, p := range points[lo:hi] {
@@ -133,7 +132,7 @@ func (b *Builder) BuildColumns(x, y, z []float64, cfg Config, retired *Tree) (*T
 	if err := checkBuild(len(x), cfg); err != nil {
 		return nil, err
 	}
-	bounds := b.load(x, y, z, cfg.Workers)
+	bounds := b.load(x, y, z)
 	return b.build(b.pts, bounds, cfg, retired), nil
 }
 
@@ -159,10 +158,10 @@ func extend(lo, hi, p vec.V3) (vec.V3, vec.V3) {
 
 // load is pass 1 of a column build (parallel): project the columns into
 // b.pts and return their bounding box.
-func (b *Builder) load(x, y, z []float64, workers int) vec.AABB {
+func (b *Builder) load(x, y, z []float64) vec.AABB {
 	b.pts = grow(b.pts, len(x))
 	pts := b.pts
-	return par.MapReduce(len(x), workers, vec.Empty,
+	return par.MapReduce(len(x), 0, vec.Empty,
 		func(bb vec.AABB, lo, hi int) vec.AABB {
 			xs, ys, zs, out := x[lo:hi], y[lo:hi], z[lo:hi], pts[lo:hi]
 			lo3, hi3 := bb.Min, bb.Max
@@ -209,7 +208,7 @@ func (b *Builder) keys(points []vec.V3, root vec.AABB, size float64, cfg Config)
 	pairs, lo3 := b.pairs, root.Min
 	cells := uint64(1) << uint(cfg.MaxLevel)
 	scale := float64(cells) / size
-	par.ForChunks(len(points), cfg.Workers, func(lo, hi int) {
+	par.ForChunks(len(points), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := points[i]
 			cx := cellCoord((p.X-lo3.X)*scale, cells)
@@ -231,12 +230,12 @@ func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *T
 	if n > sortx.FallbackThreshold {
 		b.scratch = grow(b.scratch, n)
 	}
-	sortx.PairsScratch(pairs, b.scratch, cfg.Workers)
+	sortx.PairsScratch(pairs, b.scratch)
 
 	// The carve's binary-search splits assume monotone codes, and a
 	// violated assumption would carve a silently corrupt tree — so
 	// spend one cheap parallel scan keeping the invariant loud.
-	sorted := par.MapReduce(n, cfg.Workers,
+	sorted := par.MapReduce(n, 0,
 		func() bool { return true },
 		func(ok bool, lo, hi int) bool {
 			if lo == 0 {
@@ -281,7 +280,7 @@ func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *T
 	for k, li := range leaves {
 		byDensity[k] = sortx.KV{K: sortx.Float64Key(t.Nodes[li].Density), V: int64(li)}
 	}
-	sortx.PairsScratch(byDensity, b.scratch, cfg.Workers)
+	sortx.PairsScratch(byDensity, b.scratch)
 	for k := range byDensity {
 		leaves[k] = int32(byDensity[k].V)
 	}
@@ -296,7 +295,7 @@ func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *T
 		pos += t.Nodes[li].Count
 	}
 	t.LeafOffsets[len(leaves)] = pos
-	par.ForChunks(len(leaves), cfg.Workers, func(klo, khi int) {
+	par.ForChunks(len(leaves), 0, func(klo, khi int) {
 		for k := klo; k < khi; k++ {
 			node := &t.Nodes[leaves[k]]
 			// node.Offset holds the group start in the Morton-sorted

@@ -19,9 +19,9 @@
 // once — cannot deadlock. The caller hands out every chunk it can
 // before it waits: running chunk 0 itself leaves the worker it has just
 // woken queued behind it on the same processor. On a 2-core Xeon,
-// BenchmarkAdvance/w2 (the FDTD step) took a median of 19.1 ms that
-// way, 16.2 ms with a goroutine per chunk, and 15.7 ms with every
-// chunk handed out. On the field_stream benchmark the team takes a
+// emsim's BenchmarkAdvance at -cpu 2 (the FDTD step) took a median of
+// 19.1 ms that way, 16.2 ms with a goroutine per chunk, and 15.7 ms with
+// every chunk handed out. On the field_stream benchmark the team takes a
 // frame from 569 allocations to 85: 444 of them were the goroutines
 // and method values of 74 sweeps a frame.
 //
@@ -31,6 +31,15 @@
 //
 // Every chunk boundary comes from one plan, Chunks: a caller that keeps
 // state per chunk sizes it by Plan.Count and finds it by Plan.Index.
+//
+// Kernels take their parallelism from Workers(), which follows
+// GOMAXPROCS, and every output is the same bytes at every core count.
+// A test that varies the count sets GOMAXPROCS and restores it with
+// defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n)). A test that pins
+// allocations at several core counts must not use testing.AllocsPerRun:
+// it sets GOMAXPROCS to 1 while it measures, where every call is one
+// chunk on the caller and an allocation made per chunk does not show.
+// Such a test counts runtime.MemStats.Mallocs around its calls instead.
 package par
 
 import (
@@ -125,7 +134,11 @@ func MapReduce[T any](n, workers int, newPartial func() T, mapBody func(part T, 
 		return newPartial()
 	}
 	// One slot per chunk of the plan, so that no zero T — which need not
-	// be newPartial() — is merged.
+	// be newPartial() — is merged. The count is resolved once, so that
+	// the plan is the one ForChunks runs.
+	if workers <= 0 {
+		workers = Workers()
+	}
 	p := Chunks(n, workers)
 	partials := make([]T, p.Count)
 	ForChunks(n, workers, func(lo, hi int) {

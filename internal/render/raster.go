@@ -66,12 +66,6 @@ type Rasterizer struct {
 	ClipDepth         bool
 	ClipNear, ClipFar float32
 
-	// Workers is the number of setup chunks and row bands of the
-	// batched triangle path (0 = par.Workers()). The image is identical
-	// at every count.
-	// Points and lines are always drawn serially.
-	Workers int
-
 	// Stats: fragments written and triangles submitted, the cost model
 	// the technique-comparison experiments report. Fragments are
 	// counted after screen culling, so off-screen splat and line

@@ -53,7 +53,8 @@ func BenchmarkRasterPoints(b *testing.B) {
 }
 
 // BenchmarkRasterTriangles measures the incremental edge-function fill
-// against worker counts on a strip-heavy scene (the SOS workload).
+// on a strip-heavy scene (the SOS workload), immediate and batched; run
+// with -cpu 1,2,4 for the batch's row bands.
 func BenchmarkRasterTriangles(b *testing.B) {
 	const size = 512
 	cam, err := NewCamera(vec.New(0, 0, 6), vec.New(0, 0, 0), vec.New(0, 1, 0),
@@ -75,14 +76,13 @@ func BenchmarkRasterTriangles(b *testing.B) {
 		}
 		strips[i] = strip
 	}
-	run := func(b *testing.B, workers int, batch bool) {
+	run := func(b *testing.B, batch bool) {
 		b.ReportAllocs()
 		fb, _ := NewFramebuffer(size, size)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fb.Clear(hybrid.RGBA{})
 			r := NewRasterizer(fb, cam)
-			r.Workers = workers
 			if batch {
 				r.DrawTriangleStripBatch(strips)
 			} else {
@@ -92,10 +92,8 @@ func BenchmarkRasterTriangles(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, false) })
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("batch/workers=%d", w), func(b *testing.B) { run(b, w, true) })
-	}
+	b.Run("serial", func(b *testing.B) { run(b, false) })
+	b.Run("batch", func(b *testing.B) { run(b, true) })
 
 	// substrip is the field_stream frame: 1000 strips of 24 points, 46k
 	// triangles at 384², each about half a pixel wide and a pixel and a
@@ -127,7 +125,6 @@ func BenchmarkRasterTriangles(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fb.Clear(hybrid.RGBA{})
 			r := NewRasterizer(fb, cam)
-			r.Workers = 2
 			r.DrawTriangleStripBatch(strips)
 			tris, frags = r.TriangleCount, r.FragmentCount
 		}

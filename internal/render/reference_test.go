@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/hybrid"
@@ -230,12 +231,13 @@ func (p refPainter) strip(verts []Vertex) {
 }
 
 // TestTrianglePathMatchesReference: the indexed triangle path — the
-// immediate DrawTriangle, the mixed Batch at every worker count and the
+// immediate DrawTriangle, the mixed Batch at every core count and the
 // strip entry points — writes the reference path's bits and counts the
 // reference path's fragments, in every blend mode, over a scene with
 // sub-pixel strips, near-plane crossings (one and two vertices behind
 // the plane), zero-area triangles and off-screen geometry.
 func TestTrianglePathMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const w, h = 193, 161
 	cam, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, float64(w)/float64(h), 0.1, 100)
 	if err != nil {
@@ -264,15 +266,15 @@ func TestTrianglePathMatchesReference(t *testing.T) {
 		framebuffersEqual(t, mode+"/immediate", fbRef, fbImm)
 		sameStats(mode+"/immediate", imm, ref)
 
-		for _, workers := range []int{1, 2, 3, 4, 7, 8, 200} {
+		for _, procs := range []int{1, 2, 3, 4, 7, 8, 200} {
+			runtime.GOMAXPROCS(procs)
 			fb, _ := NewFramebuffer(w, h)
 			rast := NewRasterizer(fb, cam)
 			configureMode(rast, mode)
-			rast.Workers = workers
 			bp := newBatchPainter(rast)
 			paintScene(bp)
 			bp.flush()
-			label := fmt.Sprintf("%s/batch/workers=%d", mode, workers)
+			label := fmt.Sprintf("%s/batch/GOMAXPROCS=%d", mode, procs)
 			framebuffersEqual(t, label, fbRef, fb)
 			sameStats(label, rast, ref)
 		}
@@ -298,19 +300,18 @@ func TestTrianglePathMatchesReference(t *testing.T) {
 	for _, s := range strips {
 		refPainter{ref}.strip(s)
 	}
-	for _, workers := range []int{1, 2, 3} {
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
 		fb, _ := NewFramebuffer(w, h)
 		rast := NewRasterizer(fb, cam)
-		rast.Workers = workers
 		rast.DrawTriangleStripBatch(strips)
-		framebuffersEqual(t, fmt.Sprintf("DrawTriangleStripBatch/workers=%d", workers), fbRef, fb)
+		framebuffersEqual(t, fmt.Sprintf("DrawTriangleStripBatch/GOMAXPROCS=%d", procs), fbRef, fb)
 		sameStats("DrawTriangleStripBatch", rast, ref)
 
 		// Twice over through one rasterizer: the second flush reuses the
 		// first one's scratch and must not see its leftovers.
 		fb2, _ := NewFramebuffer(w, h)
 		rast2 := NewRasterizer(fb2, cam)
-		rast2.Workers = workers
 		counts := make([]int, len(strips))
 		for k, s := range strips {
 			counts[k] = len(s)
@@ -320,7 +321,7 @@ func TestTrianglePathMatchesReference(t *testing.T) {
 		fb2.Clear(hybrid.RGBA{})
 		rast2.ResetStats()
 		rast2.DrawTriangleStripBatchFunc(counts, fill)
-		framebuffersEqual(t, fmt.Sprintf("DrawTriangleStripBatchFunc/workers=%d", workers), fbRef, fb2)
+		framebuffersEqual(t, fmt.Sprintf("DrawTriangleStripBatchFunc/GOMAXPROCS=%d", procs), fbRef, fb2)
 		sameStats("DrawTriangleStripBatchFunc", rast2, ref)
 	}
 }

@@ -108,8 +108,8 @@ func grow[T any](s *[]T, n int) []T {
 }
 
 // Flush projects and rasterizes every batched triangle, then empties
-// the batch. The phases all run on r.Workers goroutines
-// (0 = par.Workers()):
+// the batch. Every phase is cut into par.Workers() chunks, which
+// follows GOMAXPROCS:
 //
 //  1. setup — every submitted vertex is transformed once, then
 //     triangles are clipped, projected and screen-culled in parallel;
@@ -129,10 +129,7 @@ func (b *Batch) Flush() {
 	if n == 0 {
 		return
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
+	workers := par.Workers()
 	sc := b.sc
 	if sc == nil {
 		sc = getScratch()
@@ -215,9 +212,9 @@ func putBatch(b *Batch) {
 // vertices and fill(k, dst) must write every one of them to dst, which
 // is the batch's own vertex storage (its previous contents are
 // unspecified). fill is called once per strip, concurrently on
-// r.Workers goroutines, so it must only read shared state. This is how
-// a caller that computes its vertices (sos.RenderLines) avoids a slice
-// per strip and a copy of each into the batch.
+// par.Workers() goroutines, so it must only read shared state. This is
+// how a caller that computes its vertices (sos.RenderLines) avoids a
+// slice per strip and a copy of each into the batch.
 func (r *Rasterizer) DrawTriangleStripBatchFunc(counts []int, fill func(strip int, dst []Vertex)) {
 	b := getBatch(r)
 	total := 0
@@ -227,7 +224,7 @@ func (r *Rasterizer) DrawTriangleStripBatchFunc(counts []int, fill func(strip in
 	}
 	b.verts = grow(&b.verts, total)
 	verts := b.verts
-	par.ForChunks(len(counts), r.Workers, func(lo, hi int) {
+	par.ForChunks(len(counts), 0, func(lo, hi int) {
 		off := 0
 		for _, c := range counts[:lo] {
 			off += c

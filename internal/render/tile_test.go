@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/hybrid"
@@ -206,11 +207,12 @@ func configureMode(r *Rasterizer, mode string) {
 
 // TestBatchMatchesSerialBitIdentical is the batch's determinism
 // guarantee: the row-band parallel backend must reproduce the serial
-// immediate-mode image bit for bit at every worker count, for every
-// blend mode, including the primitive stats. At 200 workers the 161
+// immediate-mode image bit for bit at every core count, for every
+// blend mode, including the primitive stats. At GOMAXPROCS 200 the 161
 // rows are 161 one-row bands.
 func TestBatchMatchesSerialBitIdentical(t *testing.T) {
-	const w, h = 193, 161 // rows split unevenly at most worker counts
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const w, h = 193, 161 // rows split unevenly at most core counts
 	cam, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, float64(w)/float64(h), 0.1, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -221,16 +223,16 @@ func TestBatchMatchesSerialBitIdentical(t *testing.T) {
 		configureMode(serial, mode)
 		paintScene(immediatePainter{serial})
 
-		for _, workers := range []int{1, 2, 3, 4, 7, 8, 200} {
+		for _, procs := range []int{1, 2, 3, 4, 7, 8, 200} {
+			runtime.GOMAXPROCS(procs)
 			fb, _ := NewFramebuffer(w, h)
 			rast := NewRasterizer(fb, cam)
 			configureMode(rast, mode)
-			rast.Workers = workers
 			bp := newBatchPainter(rast)
 			paintScene(bp)
 			bp.flush()
 
-			label := fmt.Sprintf("%s/workers=%d", mode, workers)
+			label := fmt.Sprintf("%s/GOMAXPROCS=%d", mode, procs)
 			framebuffersEqual(t, label, fbSerial, fb)
 			if rast.FragmentCount != serial.FragmentCount ||
 				rast.PointCount != serial.PointCount ||
@@ -246,13 +248,14 @@ func TestBatchMatchesSerialBitIdentical(t *testing.T) {
 
 // TestSmallFlushAfterLargeCountsExactly: flush scratch is reused with
 // whatever the previous flush left in it, and a flush of n triangles
-// on w workers runs fewer than w setup chunks when ceil(n/w) chunks of
-// that size already cover n (2 on 4 workers runs 2, 17 on 8 runs 6).
+// at GOMAXPROCS w runs fewer than w setup chunks when ceil(n/w) chunks
+// of that size already cover n (2 at 4 runs 2, 17 at 8 runs 6).
 // The primitive counters of a small batch flushed after a large one
 // must still equal the serial ones. A paint submits its lines after
 // its triangles, since drawing a line flushes the batch: the large
 // paint is one flush of 1000 triangles.
 func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const w, h = 96, 96
 	cam, err := NewCamera(vec.New(0, 0, 5), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, 1, 0.1, 100)
 	if err != nil {
@@ -280,7 +283,8 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 			line()
 		}
 	}
-	for _, tc := range []struct{ workers, small int }{{4, 5}, {8, 49}, {3, 4}} {
+	for _, tc := range []struct{ procs, small int }{{4, 5}, {8, 49}, {3, 4}} {
+		runtime.GOMAXPROCS(tc.procs)
 		seed := rng
 		fbSerial, _ := NewFramebuffer(w, h)
 		serial := NewRasterizer(fbSerial, cam)
@@ -291,7 +295,6 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 		rng = seed
 		fb, _ := NewFramebuffer(w, h)
 		rast := NewRasterizer(fb, cam)
-		rast.Workers = tc.workers
 		bp := newBatchPainter(rast)
 		paint(bp, 3000)
 		bp.flush()
@@ -299,7 +302,7 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 		paint(bp, tc.small)
 		bp.flush()
 
-		label := fmt.Sprintf("workers=%d/small=%d", tc.workers, tc.small)
+		label := fmt.Sprintf("GOMAXPROCS=%d/small=%d", tc.procs, tc.small)
 		framebuffersEqual(t, label, fbSerial, fb)
 		if rast.FragmentCount != serial.FragmentCount ||
 			rast.PointCount != serial.PointCount ||
@@ -315,7 +318,7 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 // TestTriangleFlushAllocates pins what a warm DrawTriangleStripBatchFunc
 // allocates. The submission buffers and every flush array come from
 // the package's free list, so what is left is the closures handed to
-// par, the same four at every worker count: the strip-fill closure of
+// par, the same four at every core count: the strip-fill closure of
 // DrawTriangleStripBatchFunc, and Flush's vertex-transform, setup and
 // row-band closures.
 func TestTriangleFlushAllocates(t *testing.T) {
@@ -340,17 +343,39 @@ func TestTriangleFlushAllocates(t *testing.T) {
 	fill := func(k int, dst []Vertex) { copy(dst, strips[k]) }
 	fb, _ := NewFramebuffer(128, 128)
 	const want = 4
-	for _, workers := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
 		r := NewRasterizer(fb, cam)
-		r.Workers = workers
-		r.DrawTriangleStripBatchFunc(counts, fill) // warm the free list
+		if n := mallocsPerRun(procs, 20, func() { r.DrawTriangleStripBatchFunc(counts, fill) }); n != want {
+			t.Errorf("GOMAXPROCS=%d: %v allocations per flush, want %v", procs, n, want)
+		}
 		if r.FragmentCount == 0 {
 			t.Fatal("scene drew nothing")
 		}
-		if n := testing.AllocsPerRun(20, func() { r.DrawTriangleStripBatchFunc(counts, fill) }); n != want {
-			t.Errorf("workers=%d: %v allocations per flush, want %v", workers, n, want)
-		}
 	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
+// allocations per call of f, averaged over runs calls after one
+// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
+// every par call is one chunk on the caller, so it cannot see an
+// allocation made per chunk. It returns the least of three such
+// averages: at a processor count above the machine's, a collection
+// that falls among the runs can make the runtime allocate threads and
+// goroutines of its own, which a round without one does not count.
+func mallocsPerRun(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	least := uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return float64(least)
 }
 
 // TestFragmentCountCullsOffscreen is the stats/cost-model fix: splat

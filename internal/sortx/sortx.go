@@ -56,10 +56,10 @@ func Pairs(p []KV, workers int) {
 	radix(p, make([]KV, len(p)), workers)
 }
 
-// PairsScratch is Pairs with a caller-provided scratch buffer of at
-// least len(p) elements (a shorter one is replaced by a fresh
-// allocation, so the call is always correct).
-func PairsScratch(p, scratch []KV, workers int) {
+// PairsScratch is Pairs at par.Workers() workers with a caller-provided
+// scratch buffer of at least len(p) elements (a shorter one is replaced
+// by a fresh allocation, so the call is always correct).
+func PairsScratch(p, scratch []KV) {
 	if len(p) <= FallbackThreshold {
 		fallback(p)
 		return
@@ -67,7 +67,7 @@ func PairsScratch(p, scratch []KV, workers int) {
 	if len(scratch) < len(p) {
 		scratch = make([]KV, len(p))
 	}
-	radix(p, scratch[:len(p)], workers)
+	radix(p, scratch[:len(p)], 0)
 }
 
 func fallback(p []KV) {
@@ -81,6 +81,9 @@ func fallback(p []KV) {
 // 24-bit Morton codes or 32-bit float keys pay only for the bytes that
 // actually vary.
 func radix(p, scratch []KV, workers int) {
+	if workers <= 0 {
+		workers = par.Workers() // once: every pass cuts the same chunks
+	}
 	n := len(p)
 	// One scan bounds the key range: a byte position where OR and AND
 	// agree is constant across all keys and needs no pass.

@@ -114,7 +114,8 @@ func TestPairsScratchShortScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := distributions["uniform64"](10_000, rng)
 	ref := reference(p)
-	PairsScratch(p, make([]KV, 5), 2) // undersized scratch must still sort
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	PairsScratch(p, make([]KV, 5)) // undersized scratch must still sort
 	for i := range p {
 		if p[i] != ref[i] {
 			t.Fatalf("short-scratch sort wrong at %d", i)

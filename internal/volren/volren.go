@@ -61,12 +61,6 @@ type Renderer struct {
 	// StepScale is the ray sampling distance as a fraction of the voxel
 	// size; 0.5 gives the conventional 2x oversampling.
 	StepScale float64
-	// Jitter offsets ray starts by a per-pixel deterministic fraction of
-	// a step to break banding ("wood grain") artifacts.
-	Jitter bool
-	// Workers bounds goroutine parallelism (0 = auto). Scanlines are
-	// distributed in contiguous chunks.
-	Workers int
 
 	// SampleCount accumulates how many volume samples the last Render
 	// took; it is the cost metric the Fig 1 experiment reports (256^3
@@ -97,8 +91,7 @@ func (r *Renderer) Render(fb *render.Framebuffer, cam render.Camera) {
 	}
 	c := caster{
 		fb: fb, near: cam.Near, depth: newDepthRows(&cam), rays: cam.Rays(fb.W, fb.H),
-		bounds: r.Grid.Bounds, vol: r.Grid.Sampler(), bricks: newBrickMask(r.Grid),
-		tf: r.TF, jitter: r.Jitter,
+		bounds: r.Grid.Bounds, vol: r.Grid.Sampler(), bricks: newBrickMask(r.Grid), tf: r.TF,
 		step: voxel * r.stepScale(), refStep: voxel,
 	}
 
@@ -110,7 +103,7 @@ func (r *Renderer) Render(fb *render.Framebuffer, cam render.Camera) {
 	// leave one worker most of the samples.
 	rect := cam.ScreenRect(r.Grid.Bounds, fb.W, fb.H)
 	counts := make([]int64, 2*fb.H) // per scanline: samples, fetches
-	par.ForChunks(fb.H, r.Workers, func(lo, hi int) {
+	par.ForChunks(fb.H, 0, func(lo, hi int) {
 		for y := max(lo, rect.Y0); y < min(hi, rect.Y1); y++ {
 			var n, f int64
 			for x := rect.X0; x < rect.X1; x++ {
@@ -317,7 +310,6 @@ type caster struct {
 	vol    hybrid.Sampler
 	bricks brickMask
 	tf     *hybrid.LinkedTF
-	jitter bool
 	// step is the sampling distance and refStep the distance the
 	// transfer function's opacity refers to.
 	step, refStep float64
@@ -336,12 +328,6 @@ func (c *caster) castPixel(x, y int) (samples, fetches int64) {
 		tEnter = c.near
 	}
 	step := c.step
-	if c.jitter {
-		// Deterministic per-pixel jitter from a hash of the coordinates.
-		h := uint32(x)*374761393 + uint32(y)*668265263
-		h = (h ^ (h >> 13)) * 1274126177
-		tEnter += step * float64(h%1024) / 1024
-	}
 
 	// Existing opaque geometry limits the march.
 	zGeom := c.fb.DepthAt(x, y)

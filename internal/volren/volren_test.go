@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -234,25 +235,6 @@ func TestRenderHybridEndToEnd(t *testing.T) {
 	}
 }
 
-func TestJitterChangesNothingStructural(t *testing.T) {
-	grid := solidGrid(t, 16)
-	tf := testTF(t)
-	cam := testCam(t)
-	r1, _ := New(grid, tf)
-	fb1, _ := render.NewFramebuffer(32, 32)
-	r1.Render(fb1, cam)
-	r2, _ := New(grid, tf)
-	r2.Jitter = true
-	fb2, _ := render.NewFramebuffer(32, 32)
-	r2.Render(fb2, cam)
-	// Jitter must not change which pixels are covered, only shading.
-	a := fb1.CoveredPixels(0.01)
-	b := fb2.CoveredPixels(0.01)
-	if a == 0 || math.Abs(float64(a-b)) > float64(a)/5 {
-		t.Errorf("jitter changed coverage: %d vs %d", a, b)
-	}
-}
-
 func TestRenderHybridDynamicColoring(t *testing.T) {
 	// Build a hybrid representation whose points carry original indices.
 	rep, pts := clusterRep(t, 5, 10000, 8, 2000)
@@ -409,12 +391,6 @@ func referenceCastPixel(r *Renderer, fb *render.Framebuffer, cam render.Camera, 
 	}
 	if tEnter < cam.Near {
 		tEnter = cam.Near
-	}
-	if r.Jitter {
-		// Deterministic per-pixel jitter from a hash of the coordinates.
-		h := uint32(x)*374761393 + uint32(y)*668265263
-		h = (h ^ (h >> 13)) * 1274126177
-		tEnter += step * float64(h%1024) / 1024
 	}
 
 	// Existing opaque geometry limits the march.
@@ -749,6 +725,7 @@ func TestBrickMaskMatchesDefinition(t *testing.T) {
 // brick walk, Render writes the reference march's bits, counts its
 // samples and fetches those of them that lie in occupied bricks.
 func TestRayCastMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const w, h = 23, 17 // odd, so the centre ray of axisAligned is exact
 	tf := marchTF(t)
 	cams := matrixCams(t, w, h)
@@ -768,20 +745,19 @@ func TestRayCastMatchesReference(t *testing.T) {
 					}
 				}
 				for _, stepScale := range []float64{0.25, 0.37, 0.5, 1} {
-					for _, jitter := range []bool{false, true} {
-						for _, workers := range []int{1, 2, 7} {
-							name := fmt.Sprintf("%s/%s/splats=%v/step=%v/jitter=%v/workers=%d",
-								gc.name, cc.name, withSplats, stepScale, jitter, workers)
-							r, err := New(gc.grid, tf)
-							if err != nil {
-								t.Fatal(err)
-							}
-							r.StepScale, r.Jitter, r.Workers = stepScale, jitter, workers
-							before := t.Failed()
-							checkAgainstReference(t, r, base, cc.cam)
-							if !before && t.Failed() {
-								t.Fatalf("first mismatch: %s", name)
-							}
+					for _, procs := range []int{1, 2, 7} {
+						runtime.GOMAXPROCS(procs)
+						name := fmt.Sprintf("%s/%s/splats=%v/step=%v/GOMAXPROCS=%d",
+							gc.name, cc.name, withSplats, stepScale, procs)
+						r, err := New(gc.grid, tf)
+						if err != nil {
+							t.Fatal(err)
+						}
+						r.StepScale = stepScale
+						before := t.Failed()
+						checkAgainstReference(t, r, base, cc.cam)
+						if !before && t.Failed() {
+							t.Fatalf("first mismatch: %s", name)
 						}
 					}
 				}
@@ -853,8 +829,7 @@ func FuzzRayCastMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		r.StepScale = 0.2 + rng.Float64()
-		r.Jitter = rng.Intn(2) == 0
-		r.Workers = 1 + rng.Intn(4)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1 + rng.Intn(4)))
 		checkAgainstReference(t, r, base, cam)
 	})
 }

@@ -44,15 +44,12 @@ var unshipped = map[string]string{
 	"internal/hexmesh.BuildBox":                 "seam: the all-vacuum mesh seeding's tests substitute for a cavity",
 }
 
-// unsetOptions are the exported fields of internal/'s option structs
-// (a type named …Options, …Config, …Params or …Policy) that no shipped
-// declaration assigns and no binary, example or workload mentions: each
-// is a seam, listed with the test that varies it. A field no test varies
-// either is not an option; make it a constant.
-var unsetOptions = map[string]string{
-	"internal/beam.Config.Workers":                "seam: 1/2/3/7 workers in TestStepMatchesReference",
-	"internal/emsim.Config.Workers":               "seam: 1/2/7 workers in TestAdvanceMatchesReference and the span mutants",
-	"internal/octree.Config.Workers":              "seam: 1/2/3/7 workers in TestBuilderMatchesReference",
+// unsetFields are the exported fields of internal/'s exported struct
+// types that no shipped declaration assigns and no binary, example or
+// workload mentions: each is a seam, listed with the test that varies
+// it. An unkeyed composite literal assigns every field of its type. A
+// field no test varies either is not a setting; make it a constant.
+var unsetFields = map[string]string{
 	"internal/emsim.Config.Freq":                  "seam: TestCavityResonanceNearTM010 drives off the mode it then measures",
 	"internal/core.StreamOptions.KeepTrees":       "seam: TestStreamRecyclingLeavesCallerData and the partition-only tests keep the trees",
 	"internal/core.FieldStreamOptions.TraceB":     "seam: TestFieldStream turns the magnetic lines on",
@@ -241,6 +238,18 @@ func (g *shipGraph) reach() {
 				}
 			case *ast.KeyValueExpr:
 				g.assigned(n.Key)
+			case *ast.CompositeLit:
+				if len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+					break
+				}
+				if st, ok := g.info.Types[n].Type.Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						g.set[st.Field(i).Origin()] = true
+					}
+				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					g.assigned(lhs)
@@ -302,8 +311,9 @@ func loadShipGraph(t *testing.T) *shipGraph {
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 		info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		},
 		roots: map[string]bool{"bench": true},
 		decls: map[types.Object]*shipDecl{},
@@ -333,7 +343,7 @@ func loadShipGraph(t *testing.T) *shipGraph {
 
 // check walks the graph and holds internal/ to the two lists. It returns
 // what is wrong, one line each, and the per-package report.
-func (g *shipGraph) check(unshipped, unsetOptions map[string]string) (problems, report []string) {
+func (g *shipGraph) check(unshipped, unsetFields map[string]string) (problems, report []string) {
 	for _, ds := range g.byPkg {
 		for _, d := range ds {
 			d.live = false
@@ -356,12 +366,12 @@ func (g *shipGraph) check(unshipped, unsetOptions map[string]string) (problems, 
 	g.reach()
 	sort.Strings(internal)
 
-	// Options, before the allow-listed declarations join the walk.
+	// Fields, before the allow-listed declarations join the walk.
 	seen := map[string]bool{}
 	for _, dir := range internal {
 		for _, d := range g.byPkg[dir] {
 			ts, ok := d.node.(*ast.TypeSpec)
-			if !ok || !ts.Name.IsExported() || !isOptionsName(d.name) {
+			if !ok || !ts.Name.IsExported() {
 				continue
 			}
 			st, ok := g.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
@@ -374,20 +384,20 @@ func (g *shipGraph) check(unshipped, unsetOptions map[string]string) (problems, 
 					continue
 				}
 				name := d.String() + "." + f.Name()
-				_, listed := unsetOptions[name]
+				_, listed := unsetFields[name]
 				seen[name] = listed
 				switch {
 				case !g.set[f] && !listed:
-					complain("option %s is given a value by no binary, example or workload: make it a constant, or list the test that varies it", name)
+					complain("field %s is given a value by no binary, example or workload: make it a constant, or list the test that varies it", name)
 				case g.set[f] && listed:
-					complain("option %s is listed but ships with a value: drop the entry", name)
+					complain("field %s is listed but ships with a value: drop the entry", name)
 				}
 			}
 		}
 	}
-	for name := range unsetOptions {
+	for name := range unsetFields {
 		if !seen[name] {
-			complain("option list entry %s names no field of an option struct: drop it", name)
+			complain("field list entry %s names no field of an exported struct: drop it", name)
 		}
 	}
 
@@ -414,8 +424,8 @@ func (g *shipGraph) check(unshipped, unsetOptions map[string]string) (problems, 
 		}
 		total, totalLines = total+n, totalLines+lines
 	}
-	report = append(report, fmt.Sprintf("%d unreached declarations, %d lines; %d declarations and %d options listed",
-		total, totalLines, len(unshipped), len(unsetOptions)))
+	report = append(report, fmt.Sprintf("%d unreached declarations, %d lines; %d declarations and %d fields listed",
+		total, totalLines, len(unshipped), len(unsetFields)))
 	found := map[string]bool{}
 	for _, d := range listed {
 		found[d.String()] = true
@@ -443,20 +453,11 @@ func (g *shipGraph) check(unshipped, unsetOptions map[string]string) (problems, 
 			complain("%s has no shipped importer", dir)
 		}
 	}
-	if n := len(unshipped) + len(unsetOptions); n > 30 {
+	if n := len(unshipped) + len(unsetFields); n > 30 {
 		complain("%d allow-list entries; the ceiling is 30", n)
 	}
 	sort.Strings(problems)
 	return problems, report
-}
-
-func isOptionsName(name string) bool {
-	for _, suffix := range []string{"Options", "Config", "Params", "Policy"} {
-		if strings.HasSuffix(name, suffix) {
-			return true
-		}
-	}
-	return false
 }
 
 // TestInternalIsWhatShips: internal/ holds what a binary, an example or a
@@ -467,7 +468,7 @@ func isOptionsName(name string) bool {
 // for the per-package report.
 func TestInternalIsWhatShips(t *testing.T) {
 	g := loadShipGraph(t)
-	problems, report := g.check(unshipped, unsetOptions)
+	problems, report := g.check(unshipped, unsetFields)
 	for _, p := range problems {
 		t.Error(p)
 	}
@@ -490,23 +491,26 @@ func TestInternalIsWhatShips(t *testing.T) {
 		}
 		return out
 	}
+	// beam.Envelope is no option struct, and its Ap ships only through
+	// rk4Smooth's unkeyed Envelope{out.a, out.b, out.ap, out.bp}.
 	problems, _ = g.check(
 		without(unshipped, "internal/hexmesh.BuildBox", "internal/hexmesh.BuildCavity", "internal/hexmesh.Gone"),
-		without(unsetOptions, "internal/emsim.Config.Freq", "internal/emsim.Config.Mesh", "internal/emsim.Config.Gone"))
+		without(unsetFields, "internal/emsim.Config.Freq", "internal/emsim.Config.Mesh", "internal/emsim.Config.Gone", "internal/beam.Envelope.Ap"))
 	got := strings.Join(problems, "\n")
 	for _, want := range []string{
 		"internal/hexmesh.BuildBox (",
 		"internal/hexmesh.BuildCavity is listed but ships",
 		"internal/hexmesh.Gone names nothing",
-		"option internal/emsim.Config.Freq is given a value by no",
-		"option internal/emsim.Config.Mesh is listed but ships",
+		"field internal/emsim.Config.Freq is given a value by no",
+		"field internal/emsim.Config.Mesh is listed but ships",
 		"internal/emsim.Config.Gone names no field",
+		"field internal/beam.Envelope.Ap is listed but ships",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("the check missed a planted problem: no %q in\n%s", want, got)
 		}
 	}
-	if len(problems) != 6 {
-		t.Errorf("six problems planted, %d reported:\n%s", len(problems), got)
+	if len(problems) != 7 {
+		t.Errorf("seven problems planted, %d reported:\n%s", len(problems), got)
 	}
 }

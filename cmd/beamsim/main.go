@@ -6,8 +6,8 @@
 //
 //	beamsim -n 200000 -periods 30 -frames 10 -mismatch 1.5 -out data/beam
 //
-// writes data/beam_0000.acpf .. data/beam_0009.acpf plus the initial
-// state frame.
+// writes the initial state to data/beam_0000.acpf and the ten frames
+// after it to data/beam_0001.acpf .. data/beam_0010.acpf.
 package main
 
 import (
@@ -35,6 +35,9 @@ func main() {
 	flag.Parse()
 	if *frames < 1 {
 		log.Fatalf("-frames %d must be at least 1", *frames)
+	}
+	if *periods < 1 {
+		log.Fatalf("-periods %d must be at least 1", *periods)
 	}
 
 	cfg := beam.DefaultConfig(*n)

@@ -66,6 +66,12 @@ func main() {
 		stats     = flag.Bool("stats", false, "print the server's stats report and session table")
 	)
 	flag.Parse()
+	if !render.PlausibleSize(*size, *size) {
+		log.Fatalf("-size %d out of range: a picture is 1 to 2048 pixels a side", *size)
+	}
+	if *bw < 0 {
+		log.Fatalf("-bw %d must not be negative (0 = unthrottled)", *bw)
+	}
 
 	dir, err := parseVec(*view)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"image/png"
 	"math"
 	"math/rand"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -380,7 +381,8 @@ func TestCmdFieldChain(t *testing.T) {
 // TestCmdParticleFlags is the §2 chain's flag-misuse table: every case
 // must exit 1 with an error that names its flag and write nothing. Each
 // once did worse — beamsim -frames 0 divided by zero, -frames -2 wrote
-// one frame, -mismatch nan wrote frames of NaNs; extract -volres 100000
+// one frame, -mismatch nan wrote frames of NaNs, -periods 0 and -1
+// wrote the initial frame alone and exited 0; extract -volres 100000
 // panicked in make and -threshold nan extracted; hybridview drew
 // pictures without a splat at -pointsize 0, -1 or nan, and ran out of
 // memory at -size 100000; partition ran -workers -3 as one worker and
@@ -430,6 +432,8 @@ func TestCmdParticleFlags(t *testing.T) {
 		{"beamsim", []string{"-frames", "-2"}, "beamsim: -frames"},
 		{"beamsim", []string{"-mismatch", "nan"}, "mismatch factor NaN"},
 		{"beamsim", []string{"-mismatch", "inf"}, "mismatch factor +Inf"},
+		{"beamsim", []string{"-periods", "0"}, "beamsim: -periods"},
+		{"beamsim", []string{"-periods", "-1"}, "beamsim: -periods"},
 		{"extract", []string{"-budget", "100", "-volres", "100000"}, "extract: -volres"},
 		{"extract", []string{"-threshold", "nan"}, "extract: -threshold"},
 		{"extract", []string{"-threshold", "inf"}, "extract: -threshold"},
@@ -453,7 +457,8 @@ func TestCmdParticleFlags(t *testing.T) {
 		var args []string
 		switch c.cmd {
 		case "beamsim":
-			args = append(c.args, "-n", "200", "-periods", "1", "-out", filepath.Join(out, "bad"))
+			// The case's flags come after -periods 1: the last one wins.
+			args = append([]string{"-n", "200", "-periods", "1", "-out", filepath.Join(out, "bad")}, c.args...)
 		case "partition":
 			args = append(c.args, "-out", filepath.Join(out, "bad"), acpf)
 		case "extract":
@@ -513,6 +518,44 @@ func TestCmdVizserveFlags(t *testing.T) {
 		}
 		if strings.Contains(stdout, "serving") || strings.Contains(stdout, "service on") {
 			t.Errorf("vizserve %v: listened before refusing:\n%s", c.args, stdout)
+		}
+	}
+}
+
+// TestCmdVizclientFlags: vizclient refuses a -size no picture can have
+// and a negative -bw before it dials, with status 1 and the flag named.
+// Each row points at a closed port, so a client that dialled would say
+// so. Before, -fetch 0 -size 100000 fetched the frame and then ran out
+// of memory (exit 2), -size 0 and -3 failed after the fetch with a
+// render error that named no flag, and -bw -5 was accepted silently.
+func TestCmdVizclientFlags(t *testing.T) {
+	vizclient := filepath.Join(buildCommands(t, "vizclient"), "vizclient")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-fetch", "0", "-size", "100000"}, "size"},
+		{[]string{"-fetch", "0", "-size", "0"}, "size"},
+		{[]string{"-fetch", "0", "-size", "-3"}, "size"},
+		{[]string{"-render", "0", "-size", "2049"}, "size"},
+		{[]string{"-list", "-bw", "-5"}, "bw"},
+		{[]string{"-fetch", "0", "-bw", "-1"}, "bw"},
+	} {
+		_, stderr, exit := runCommand(t, vizclient, append([]string{"-addr", addr, "-out", filepath.Join(t.TempDir(), "bad.png")}, c.args...)...)
+		if exit != 1 {
+			t.Errorf("vizclient %v: exit status %d, want 1", c.args, exit)
+		}
+		if want := "vizclient: -" + c.flag + " "; !strings.Contains(stderr, want) {
+			t.Errorf("vizclient %v: error %q does not say %q", c.args, strings.TrimSpace(stderr), want)
+		}
+		if strings.Contains(stderr, "dial") {
+			t.Errorf("vizclient %v: dialled before refusing: %s", c.args, strings.TrimSpace(stderr))
 		}
 	}
 }

@@ -87,10 +87,21 @@ func Build(points []vec.V3, cfg Config) (*Tree, error) {
 	return new(Builder).Build(points, cfg, nil)
 }
 
-// Builder carries a build's scratch from one frame to the next: the
-// Morton pairs and the radix ping-pong buffer, the leaf-density pairs
-// and the projected points of BuildColumns. The zero value is ready; a
-// Builder serves one build at a time.
+// Builder carries a build's scratch from one frame to the next, so that
+// a warm build allocates nothing. It keeps:
+//
+//   - the Morton (key, index) pairs, the (density key, leaf) pairs and
+//     the projected points of BuildColumns;
+//   - one sortx.Sorter, which sorts both pair arrays on its kept buffer,
+//     histograms and bodies;
+//   - the per-chunk partials of its parallel scans (bounding boxes,
+//     sortedness) and the chunk bodies of its passes, bound once;
+//   - the node count of its last build, which a fresh tree's Nodes is
+//     reserved at.
+//
+// The zero value is ready; a Builder serves one build at a time and
+// must not be copied after its first build, since its bodies are bound
+// to it.
 //
 // Every build also takes a retired tree — one whose last reader has
 // finished — and returns it refilled, its Nodes, Points, OrigIndex,
@@ -99,9 +110,28 @@ func Build(points []vec.V3, cfg Config) (*Tree, error) {
 // with retired == nil is as much the caller's as one from Build, and a
 // tree stays valid until the caller itself hands it back as retired.
 type Builder struct {
-	pairs, scratch []sortx.KV // Morton (key, index) pairs; the sorts' ping-pong
-	dens           []sortx.KV // (density key, node) per non-empty leaf
-	pts            []vec.V3   // BuildColumns' projected points
+	pairs  []sortx.KV // Morton (key, index) pairs
+	dens   []sortx.KV // (density key, node) per non-empty leaf
+	pts    []vec.V3   // BuildColumns' projected points
+	sorter sortx.Sorter
+	nodes  int // node count of the last build
+
+	boxes   []vec.AABB // per chunk: the bounding box of its points
+	ordered []bool     // per chunk: its codes do not descend
+
+	// One pass's state, read by the bodies below; the pass that sets
+	// a reference clears it, so none outlives the build.
+	plan    par.Plan
+	workers int
+	x, y, z []float64
+	points  []vec.V3
+	origin  vec.V3 // the root cell's min corner
+	scale   float64
+	cells   uint64
+	tree    *Tree
+	leaves  []int32
+
+	loadBody, boxBody, keyBody, orderBody, gatherBody func(lo, hi int)
 }
 
 // Build is the package's Build on b's scratch, refilling retired (nil
@@ -110,14 +140,12 @@ func (b *Builder) Build(points []vec.V3, cfg Config, retired *Tree) (*Tree, erro
 	if err := checkBuild(len(points), cfg); err != nil {
 		return nil, err
 	}
-	bounds := par.MapReduce(len(points), 0, vec.Empty,
-		func(bb vec.AABB, lo, hi int) vec.AABB {
-			lo3, hi3 := bb.Min, bb.Max
-			for _, p := range points[lo:hi] {
-				lo3, hi3 = extend(lo3, hi3, p)
-			}
-			return vec.Box(lo3, hi3)
-		}, vec.AABB.ExtendBox)
+	if b.boxBody == nil {
+		b.boxBody = b.boxChunk
+	}
+	b.points = points
+	bounds := b.bounds(len(points), b.boxBody)
+	b.points = nil
 	return b.build(points, bounds, cfg, retired), nil
 }
 
@@ -159,19 +187,57 @@ func extend(lo, hi, p vec.V3) (vec.V3, vec.V3) {
 // load is pass 1 of a column build (parallel): project the columns into
 // b.pts and return their bounding box.
 func (b *Builder) load(x, y, z []float64) vec.AABB {
+	if b.loadBody == nil {
+		b.loadBody = b.loadChunk
+	}
 	b.pts = grow(b.pts, len(x))
-	pts := b.pts
-	return par.MapReduce(len(x), 0, vec.Empty,
-		func(bb vec.AABB, lo, hi int) vec.AABB {
-			xs, ys, zs, out := x[lo:hi], y[lo:hi], z[lo:hi], pts[lo:hi]
-			lo3, hi3 := bb.Min, bb.Max
-			for i := range out {
-				p := vec.V3{X: xs[i], Y: ys[i], Z: zs[i]}
-				out[i] = p
-				lo3, hi3 = extend(lo3, hi3, p)
-			}
-			return vec.Box(lo3, hi3)
-		}, vec.AABB.ExtendBox)
+	b.x, b.y, b.z = x, y, z
+	bounds := b.bounds(len(x), b.loadBody)
+	b.x, b.y, b.z = nil, nil, nil
+	return bounds
+}
+
+func (b *Builder) loadChunk(lo, hi int) {
+	xs, ys, zs, out := b.x[lo:hi], b.y[lo:hi], b.z[lo:hi], b.pts[lo:hi]
+	box := vec.Empty()
+	lo3, hi3 := box.Min, box.Max
+	for i := range out {
+		p := vec.V3{X: xs[i], Y: ys[i], Z: zs[i]}
+		out[i] = p
+		lo3, hi3 = extend(lo3, hi3, p)
+	}
+	b.boxes[b.plan.Index(lo)] = vec.Box(lo3, hi3)
+}
+
+func (b *Builder) boxChunk(lo, hi int) {
+	box := vec.Empty()
+	lo3, hi3 := box.Min, box.Max
+	for _, p := range b.points[lo:hi] {
+		lo3, hi3 = extend(lo3, hi3, p)
+	}
+	b.boxes[b.plan.Index(lo)] = vec.Box(lo3, hi3)
+}
+
+// bounds runs a box body over n points and merges the chunks' boxes in
+// chunk order, from the empty box — the fold par.MapReduce makes.
+func (b *Builder) bounds(n int, body func(lo, hi int)) vec.AABB {
+	b.boxes = grow(b.boxes, b.chunks(n))
+	par.ForChunks(n, b.workers, body)
+	bounds := vec.Empty()
+	for _, bb := range b.boxes {
+		bounds = bounds.ExtendBox(bb)
+	}
+	return bounds
+}
+
+// chunks fixes the plan of one parallel pass over n items at the
+// current core count and returns its chunk count: a pass runs
+// par.ForChunks(n, b.workers, …), and its body finds its chunk's slot
+// by b.plan.Index(lo).
+func (b *Builder) chunks(n int) int {
+	b.workers = par.Workers()
+	b.plan = par.Chunks(n, b.workers)
+	return b.plan.Count
 }
 
 // build runs the passes behind the bounding box.
@@ -204,83 +270,88 @@ func rootCell(bounds vec.AABB, pad float64) (vec.AABB, float64) {
 // computed at MaxLevel resolution; childAt uses cfg.MaxLevel
 // consistently.
 func (b *Builder) keys(points []vec.V3, root vec.AABB, size float64, cfg Config) {
+	if b.keyBody == nil {
+		b.keyBody = b.keyChunk
+	}
 	b.pairs = grow(b.pairs, len(points))
-	pairs, lo3 := b.pairs, root.Min
-	cells := uint64(1) << uint(cfg.MaxLevel)
-	scale := float64(cells) / size
-	par.ForChunks(len(points), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := points[i]
-			cx := cellCoord((p.X-lo3.X)*scale, cells)
-			cy := cellCoord((p.Y-lo3.Y)*scale, cells)
-			cz := cellCoord((p.Z-lo3.Z)*scale, cells)
-			pairs[i] = sortx.KV{K: Encode(cx, cy, cz), V: int64(i)}
-		}
-	})
+	b.points, b.origin = points, root.Min
+	b.cells = uint64(1) << uint(cfg.MaxLevel)
+	b.scale = float64(b.cells) / size
+	par.ForChunks(len(points), 0, b.keyBody)
+	b.points = nil
+}
+
+func (b *Builder) keyChunk(lo, hi int) {
+	pairs, o, scale, cells := b.pairs[lo:hi], b.origin, b.scale, b.cells
+	for i, p := range b.points[lo:hi] {
+		cx := cellCoord((p.X-o.X)*scale, cells)
+		cy := cellCoord((p.Y-o.Y)*scale, cells)
+		cz := cellCoord((p.Z-o.Z)*scale, cells)
+		pairs[i] = sortx.KV{K: Encode(cx, cy, cz), V: int64(lo + i)}
+	}
 }
 
 // finish sorts b.pairs and carves, orders and gathers the tree.
 func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *Tree {
+	if b.orderBody == nil {
+		b.orderBody, b.gatherBody = b.orderChunk, b.gatherChunk
+	}
 	n := len(points)
 	pairs := b.pairs[:n]
 
 	// Pass 3 (parallel): stable radix sort by code. Stability makes the
 	// whole build independent of the worker count: equal codes keep
 	// input order, so every downstream pass sees the same permutation.
-	if n > sortx.FallbackThreshold {
-		b.scratch = grow(b.scratch, n)
-	}
-	sortx.PairsScratch(pairs, b.scratch)
+	b.sorter.Sort(pairs)
 
 	// The carve's binary-search splits assume monotone codes, and a
 	// violated assumption would carve a silently corrupt tree — so
 	// spend one cheap parallel scan keeping the invariant loud.
-	sorted := par.MapReduce(n, 0,
-		func() bool { return true },
-		func(ok bool, lo, hi int) bool {
-			if lo == 0 {
-				lo = 1
-			}
-			for i := lo; i < hi; i++ {
-				if pairs[i-1].K > pairs[i].K {
-					return false
-				}
-			}
-			return ok
-		},
-		func(a, b bool) bool { return a && b },
-	)
-	if !sorted {
-		panic("octree: Morton codes not sorted (sortx invariant violated)")
+	b.ordered = grow(b.ordered, b.chunks(n))
+	par.ForChunks(n, b.workers, b.orderBody)
+	for _, ok := range b.ordered {
+		if !ok {
+			panic("octree: Morton codes not sorted (sortx invariant violated)")
+		}
 	}
 
 	// Pass 4: carve the tree out of the sorted array, depth first, into
-	// the refilled tree's nodes. It is serial: a small share of a build,
-	// where a concurrent carve bought no time on two cores.
+	// the refilled tree's nodes, reserved at the last build's count. It
+	// is serial: a small share of a build, where a concurrent carve
+	// bought no time on two cores.
 	if t == nil {
 		t = new(Tree)
+	}
+	if cap(t.Nodes) < b.nodes {
+		t.Nodes = make([]Node, 0, b.nodes)
 	}
 	t.Bounds, t.MaxLevel, t.LeafCap = root, cfg.MaxLevel, cfg.LeafCap
 	t.Nodes = append(t.Nodes[:0], Node{Bounds: root, FirstChild: NoChild})
 	(&carver{pairs: pairs, cfg: cfg}).carve(&t.Nodes, 0, 0, int64(n))
+	b.nodes = len(t.Nodes)
 
 	// Pass 5 (parallel): order leaves by increasing density and emit the
 	// grouped, density-sorted point array (the paper's particle-file
-	// layout). The density sort reuses sortx via an order-preserving
-	// float-to-uint key; the gather fans out over leaf groups, whose
-	// destination ranges are disjoint by construction.
-	leaves := t.LeavesByDensity[:0]
+	// layout). The density sort reuses the sorter via an
+	// order-preserving float-to-uint key; the gather fans out over leaf
+	// groups, whose destination ranges are disjoint by construction.
+	nl := 0
 	for i := range t.Nodes {
 		if t.Nodes[i].IsLeaf() && t.Nodes[i].Count > 0 {
-			leaves = append(leaves, int32(i))
+			nl++
 		}
 	}
-	b.dens = grow(b.dens, len(leaves))
+	b.dens = grow(b.dens, nl)
 	byDensity := b.dens
-	for k, li := range leaves {
-		byDensity[k] = sortx.KV{K: sortx.Float64Key(t.Nodes[li].Density), V: int64(li)}
+	k := 0
+	for i := range t.Nodes {
+		if t.Nodes[i].IsLeaf() && t.Nodes[i].Count > 0 {
+			byDensity[k] = sortx.KV{K: sortx.Float64Key(t.Nodes[i].Density), V: int64(i)}
+			k++
+		}
 	}
-	sortx.PairsScratch(byDensity, b.scratch)
+	b.sorter.Sort(byDensity)
+	leaves := grow(t.LeavesByDensity, nl)
 	for k := range byDensity {
 		leaves[k] = int32(byDensity[k].V)
 	}
@@ -288,29 +359,44 @@ func (b *Builder) finish(points []vec.V3, root vec.AABB, cfg Config, t *Tree) *T
 	t.Points = grow(t.Points, n)
 	t.OrigIndex = grow(t.OrigIndex, n)
 	t.LeavesByDensity = leaves
-	t.LeafOffsets = grow(t.LeafOffsets, len(leaves)+1)
+	t.LeafOffsets = grow(t.LeafOffsets, nl+1)
 	pos := int64(0)
 	for k, li := range leaves {
 		t.LeafOffsets[k] = pos
 		pos += t.Nodes[li].Count
 	}
-	t.LeafOffsets[len(leaves)] = pos
-	par.ForChunks(len(leaves), 0, func(klo, khi int) {
-		for k := klo; k < khi; k++ {
-			node := &t.Nodes[leaves[k]]
-			// node.Offset holds the group start in the Morton-sorted
-			// order; rewrite it to the density-sorted order.
-			src := node.Offset
-			dst := t.LeafOffsets[k]
-			for j := int64(0); j < node.Count; j++ {
-				oi := pairs[src+j].V
-				t.Points[dst+j] = points[oi]
-				t.OrigIndex[dst+j] = oi
-			}
-			node.Offset = dst
-		}
-	})
+	t.LeafOffsets[nl] = pos
+	b.tree, b.leaves, b.points = t, leaves, points
+	par.ForChunks(nl, 0, b.gatherBody)
+	b.tree, b.leaves, b.points = nil, nil, nil
 	return t
+}
+
+func (b *Builder) orderChunk(lo, hi int) {
+	pairs, ok := b.pairs, true
+	for i := max(lo, 1); i < hi; i++ {
+		if pairs[i-1].K > pairs[i].K {
+			ok = false
+			break
+		}
+	}
+	b.ordered[b.plan.Index(lo)] = ok
+}
+
+func (b *Builder) gatherChunk(klo, khi int) {
+	t, pairs, points := b.tree, b.pairs, b.points
+	for k := klo; k < khi; k++ {
+		node := &t.Nodes[b.leaves[k]]
+		// node.Offset holds the group start in the Morton-sorted order;
+		// rewrite it to the density-sorted order.
+		src, dst := node.Offset, t.LeafOffsets[k]
+		for j := int64(0); j < node.Count; j++ {
+			oi := pairs[src+j].V
+			t.Points[dst+j] = points[oi]
+			t.OrigIndex[dst+j] = oi
+		}
+		node.Offset = dst
+	}
 }
 
 // grow returns s with length n, reallocated only when its capacity is

@@ -142,9 +142,10 @@ func decoderCases(t testing.TB) []decoderCase {
 	}
 }
 
-// The decoder fuzz targets, one "//fuzz <package> <target>" line each.
-// CI greps these lines and runs every target for 3 s;
-// TestFuzzTargetList keeps them equal to the Fuzz functions that exist.
+// The fuzz targets — the decoders', and the octree's radix sort — one
+// "//fuzz <package> <target>" line each. CI greps these lines and runs
+// every target for 3 s; TestFuzzTargetList keeps them equal to the Fuzz
+// functions that exist.
 //
 //fuzz ./internal/hybrid FuzzDecodeBinary
 //fuzz ./internal/lineio FuzzDecode
@@ -161,6 +162,7 @@ func decoderCases(t testing.TB) []decoderCase {
 //fuzz ./internal/remote FuzzStatsPayload
 //fuzz ./internal/remote FuzzComputeFraming
 //fuzz ./internal/remote FuzzKernelList
+//fuzz ./internal/sortx FuzzPairs
 
 // TestDecodersRejectDamage drives every decoder through the three
 // damages a transfer can suffer: every truncation length errors, every
@@ -348,8 +350,9 @@ func FuzzKernelList(f *testing.F) {
 }
 
 // TestFuzzTargetList: the //fuzz lines above name exactly the Fuzz
-// functions of the five packages whose decoders the harness covers, so
-// a new target cannot be left out of CI and a renamed one cannot linger.
+// functions of the five packages whose decoders the harness covers and
+// of sortx, so a new target cannot be left out of CI and a renamed one
+// cannot linger.
 func TestFuzzTargetList(t *testing.T) {
 	src, err := os.ReadFile("decoders_test.go")
 	if err != nil {
@@ -363,7 +366,7 @@ func TestFuzzTargetList(t *testing.T) {
 	}
 	var found []string
 	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(f \*testing\.F\)`)
-	for _, pkg := range []string{"hybrid", "lineio", "pario", "render", "remote"} {
+	for _, pkg := range []string{"hybrid", "lineio", "pario", "render", "remote", "sortx"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*_test.go"))
 		if err != nil {
 			t.Fatal(err)

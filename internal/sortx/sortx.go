@@ -1,19 +1,23 @@
-// Package sortx provides the parallel keyed-sort primitive shared by
-// the pipeline's two hot sorting paths: the Morton-code sort inside the
-// octree partitioner and the per-line depth sort of the
-// self-orienting-surface renderer. One optimized routine — a stable LSD
-// radix sort over packed (uint64 key, int64 payload) pairs — serves
-// both, so the partitioner's terascale sort and the renderer's
-// per-frame sort share the same code and the same benchmarks.
+// Package sortx provides the parallel keyed sort of the octree
+// partitioner: a stable LSD radix sort over packed (uint64 key, int64
+// payload) pairs, run by a Sorter that keeps its scratch from call to
+// call, so that a partitioner rebuilding its tree every frame sorts
+// without allocating.
+//
+// The sort has one in-tree user, octree.Builder, which sorts the Morton
+// codes and the leaf densities on one Sorter; the SOS renderer uses only
+// KV and the key maps, and sorts its thousand line depths with the
+// standard library. The benchmark's sortx.pairs probe times Pairs on a
+// frame's float keys. The radix stays in a package of its own rather
+// than inside the octree because the benchmark module pins Pairs, KV
+// and Float64Key by name.
 //
 // The sort is stable: pairs with equal keys keep their input order,
-// which is what makes the octree build deterministic at every worker
-// count and keeps equal-depth lines in input order.
+// which is what makes the octree build the same at every core count.
 package sortx
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -29,16 +33,6 @@ type KV struct {
 	V int64
 }
 
-// FallbackThreshold is the length up to which Pairs delegates to the
-// stdlib stable sort. Speed is not the reason: BenchmarkSortx's N=1000
-// and N=2048 rows (depth keys, a 2-core Intel Xeon, Go 1.24) time radix
-// at 0.07 and 0.12 ms on one worker, 0.11 and 0.16 ms on two, against
-// 0.55 and 1.4 ms for the stdlib. But a radix call allocates 27 times —
-// 24 of them a histogram table and two closures for each of the eight
-// key bytes that vary — where the stdlib allocates 3, and sos's per-frame depth sort of about
-// 1000 lines goes through Pairs. The fallback stays for its allocations.
-const FallbackThreshold = 2048
-
 const (
 	radixBits = 8
 	buckets   = 1 << radixBits
@@ -46,106 +40,143 @@ const (
 )
 
 // Pairs sorts p by ascending key, stably, across the given number of
-// workers (0 = auto). It allocates a same-size scratch buffer; callers
-// sorting repeatedly should use PairsScratch to recycle one.
+// workers (0 = par.Workers()) on a fresh Sorter: it allocates the
+// scratch a kept Sorter reuses.
 func Pairs(p []KV, workers int) {
-	if len(p) <= FallbackThreshold {
-		fallback(p)
-		return
-	}
-	radix(p, make([]KV, len(p)), workers)
-}
-
-// PairsScratch is Pairs at par.Workers() workers with a caller-provided
-// scratch buffer of at least len(p) elements (a shorter one is replaced
-// by a fresh allocation, so the call is always correct).
-func PairsScratch(p, scratch []KV) {
-	if len(p) <= FallbackThreshold {
-		fallback(p)
-		return
-	}
-	if len(scratch) < len(p) {
-		scratch = make([]KV, len(p))
-	}
-	radix(p, scratch[:len(p)], 0)
-}
-
-func fallback(p []KV) {
-	sort.SliceStable(p, func(i, j int) bool { return p[i].K < p[j].K })
-}
-
-// radix runs a stable LSD radix sort over p using scratch as the
-// ping-pong buffer. Each needed key byte costs one parallel histogram
-// pass and one parallel stable scatter; bytes on which every key
-// agrees (detected with a single OR/AND scan) are skipped entirely, so
-// 24-bit Morton codes or 32-bit float keys pay only for the bytes that
-// actually vary.
-func radix(p, scratch []KV, workers int) {
 	if workers <= 0 {
-		workers = par.Workers() // once: every pass cuts the same chunks
+		workers = par.Workers()
 	}
-	n := len(p)
-	// One scan bounds the key range: a byte position where OR and AND
-	// agree is constant across all keys and needs no pass.
-	type orAnd struct{ or, and uint64 }
-	span := par.MapReduce(n, workers,
-		func() orAnd { return orAnd{0, ^uint64(0)} },
-		func(a orAnd, lo, hi int) orAnd {
-			for i := lo; i < hi; i++ {
-				k := p[i].K
-				a.or |= k
-				a.and &= k
-			}
-			return a
-		},
-		func(a, b orAnd) orAnd { return orAnd{a.or | b.or, a.and & b.and} },
-	)
+	new(Sorter).sort(p, workers)
+}
 
-	src, dst := p, scratch
+// Sorter is a stable parallel LSD radix sort that keeps, from call to
+// call, its ping-pong buffer, its per-chunk histograms and key-span
+// partials (sized by the chunk plan and re-sized when GOMAXPROCS grew),
+// and its three chunk bodies, bound once. A warm Sort allocates
+// nothing. The zero value is ready; a Sorter serves one sort at a time,
+// keeps no reference to a slice it sorted, and must not be copied after
+// its first sort, since its bodies are bound to it.
+//
+// Each key byte that varies costs one parallel histogram pass and one
+// parallel stable scatter. Bytes on which every key agrees, found by
+// one OR/AND scan, are skipped, so 24-bit Morton codes pay for three
+// passes.
+type Sorter struct {
+	buf   []KV
+	hist  [][buckets]int64 // per chunk; after the scan, each bucket's next slot
+	spans []span           // per chunk: the OR and AND of its keys
+
+	// One call's state, read by the bodies.
+	src, dst []KV
+	shift    uint
+	plan     par.Plan
+	workers  int
+
+	spanBody, countBody, scatterBody func(lo, hi int)
+}
+
+type span struct{ or, and uint64 }
+
+// Sort sorts p by ascending key, stably, at par.Workers() workers.
+func (s *Sorter) Sort(p []KV) { s.sort(p, par.Workers()) }
+
+func (s *Sorter) sort(p []KV, workers int) {
+	n := len(p)
+	if n < 2 {
+		return
+	}
+	s.prepare(n, workers)
+	keys := s.keySpan(p)
+	src, dst := p, s.buf[:n]
 	for d := 0; d < digits; d++ {
 		shift := uint(d * radixBits)
-		if byte(span.or>>shift) == byte(span.and>>shift) {
+		if byte(keys.or>>shift) == byte(keys.and>>shift) {
 			continue
 		}
-		scatterDigit(src, dst, shift, workers)
+		s.src, s.dst, s.shift = src, dst, shift
+		clear(s.hist[:s.plan.Count])
+		s.count()
+		s.scatter()
 		src, dst = dst, src
 	}
 	if &src[0] != &p[0] {
 		copy(p, src)
 	}
+	s.src, s.dst = nil, nil
 }
 
-// scatterDigit stably reorders src into dst by the key byte at shift:
-// per-worker histograms over contiguous chunks, an exclusive scan that
-// is bucket-major then worker-major (so equal keys keep chunk order,
-// and chunks keep input order — stability), then a parallel scatter in
-// which each worker writes its chunk to precomputed disjoint slots.
-func scatterDigit(src, dst []KV, shift uint, workers int) {
-	n := len(src)
-	plan := par.Chunks(n, workers)
-	hist := make([][buckets]int64, plan.Count)
-	par.ForChunks(n, workers, func(lo, hi int) {
-		h := &hist[plan.Index(lo)]
-		for i := lo; i < hi; i++ {
-			h[byte(src[i].K>>shift)]++
-		}
-	})
+// prepare fixes the call's chunk plan and sizes the scratch for it.
+func (s *Sorter) prepare(n, workers int) {
+	if s.spanBody == nil {
+		s.spanBody, s.countBody, s.scatterBody = s.spanChunk, s.countChunk, s.scatterChunk
+	}
+	s.workers, s.plan = workers, par.Chunks(n, workers)
+	if len(s.hist) < s.plan.Count {
+		s.hist = make([][buckets]int64, s.plan.Count)
+		s.spans = make([]span, s.plan.Count)
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]KV, n)
+	}
+}
+
+// keySpan returns the OR and the AND of every key of p: a byte position
+// where they agree is constant across all keys and needs no pass.
+func (s *Sorter) keySpan(p []KV) span {
+	s.src = p
+	par.ForChunks(len(p), s.workers, s.spanBody)
+	all := span{0, ^uint64(0)}
+	for _, c := range s.spans[:s.plan.Count] {
+		all.or |= c.or
+		all.and &= c.and
+	}
+	return all
+}
+
+func (s *Sorter) spanChunk(lo, hi int) {
+	c := span{0, ^uint64(0)}
+	for _, kv := range s.src[lo:hi] {
+		c.or |= kv.K
+		c.and &= kv.K
+	}
+	s.spans[s.plan.Index(lo)] = c
+}
+
+// count takes each chunk's histogram of the key byte at s.shift, then
+// turns the histograms into slots by an exclusive scan that is
+// bucket-major then chunk-major: equal bytes keep chunk order, and
+// chunks keep input order — the scatter is stable.
+func (s *Sorter) count() {
+	par.ForChunks(len(s.src), s.workers, s.countBody)
+	hist := s.hist[:s.plan.Count]
 	var total int64
 	for b := 0; b < buckets; b++ {
-		for w := range hist {
-			c := hist[w][b]
-			hist[w][b] = total
-			total += c
+		for c := range hist {
+			n := hist[c][b]
+			hist[c][b] = total
+			total += n
 		}
 	}
-	par.ForChunks(n, workers, func(lo, hi int) {
-		h := &hist[plan.Index(lo)]
-		for i := lo; i < hi; i++ {
-			b := byte(src[i].K >> shift)
-			dst[h[b]] = src[i]
-			h[b]++
-		}
-	})
+}
+
+func (s *Sorter) countChunk(lo, hi int) {
+	h, shift := &s.hist[s.plan.Index(lo)], s.shift
+	for _, kv := range s.src[lo:hi] {
+		h[byte(kv.K>>shift)]++
+	}
+}
+
+// scatter writes each chunk of s.src to its slots in s.dst; the
+// chunks' slots are disjoint.
+func (s *Sorter) scatter() { par.ForChunks(len(s.src), s.workers, s.scatterBody) }
+
+func (s *Sorter) scatterChunk(lo, hi int) {
+	h, shift, dst := &s.hist[s.plan.Index(lo)], s.shift, s.dst
+	for _, kv := range s.src[lo:hi] {
+		b := byte(kv.K >> shift)
+		dst[h[b]] = kv
+		h[b]++
+	}
 }
 
 // Float64Key maps a float64 to a uint64 whose unsigned order matches

@@ -1,11 +1,14 @@
 package sortx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // reference stably sorts a copy of p with the stdlib — the oracle every
@@ -84,7 +87,7 @@ var distributions = map[string]func(n int, rng *rand.Rand) []KV{
 
 func TestPairsMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	sizes := []int{0, 1, 2, 100, FallbackThreshold, FallbackThreshold + 1, 10_000, 65_537}
+	sizes := []int{0, 1, 2, 100, 2048, 2049, 10_000, 65_537}
 	for name, gen := range distributions {
 		for _, n := range sizes {
 			for _, w := range []int{1, 2, runtime.NumCPU()} {
@@ -110,19 +113,6 @@ func TestPairsStability(t *testing.T) {
 	}
 }
 
-func TestPairsScratchShortScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := distributions["uniform64"](10_000, rng)
-	ref := reference(p)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	PairsScratch(p, make([]KV, 5)) // undersized scratch must still sort
-	for i := range p {
-		if p[i] != ref[i] {
-			t.Fatalf("short-scratch sort wrong at %d", i)
-		}
-	}
-}
-
 func TestFloat64KeyOrdering(t *testing.T) {
 	vals := []float64{math.Inf(-1), -1e300, -2.5, -1, -math.SmallestNonzeroFloat64,
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, 2.5, 1e300, math.Inf(1)}
@@ -137,13 +127,166 @@ func TestFloat64KeyOrdering(t *testing.T) {
 	}
 }
 
+// TestSorterReuseMatchesStdlib runs one Sorter large → small → large
+// over every distribution, with GOMAXPROCS changed between the calls
+// (1 → 7 → 2): whatever its histograms, partials, plan and buffer held
+// from the call before, every result is the stdlib's. The class of bug
+// is stale state that only a second call, and only a core count that
+// grew, can reach.
+func TestSorterReuseMatchesStdlib(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(4))
+	var s Sorter
+	for name, gen := range distributions {
+		for i, n := range []int{40_000, 3, 700, 40_000, 1, 25_000} {
+			runtime.GOMAXPROCS([]int{1, 7, 2}[i%3])
+			p := gen(n, rng)
+			want := reference(p)
+			s.Sort(p)
+			for j := range p {
+				if p[j] != want[j] {
+					t.Fatalf("%s, call %d (%d pairs, GOMAXPROCS %d): element %d = %+v, want %+v",
+						name, i, n, runtime.GOMAXPROCS(0), j, p[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestSorterAllocatesNothing: a warm Sort of Morton-like keys and of
+// 64-bit keys allocates nothing at 1, 2 and 8 cores.
+func TestSorterAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range []string{"morton-like", "uniform64"} {
+		master := distributions[name](100_000, rng)
+		p := make([]KV, len(master))
+		for _, procs := range []int{1, 2, 8} {
+			var s Sorter
+			if got := mallocsPerRun(procs, 5, func() {
+				copy(p, master)
+				s.Sort(p)
+			}); got != 0 {
+				t.Errorf("%s, GOMAXPROCS %d: %v allocations per warm Sort, want 0", name, procs, got)
+			}
+		}
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
+// allocations per call of f, averaged over runs calls after one
+// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
+// every par call is one chunk on the caller, so it cannot see an
+// allocation made per chunk. It returns the least of three such
+// averages: at a processor count above the machine's, a collection
+// that falls among the runs can make the runtime allocate threads and
+// goroutines of its own, which a round without one does not count.
+func mallocsPerRun(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	least := uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return float64(least)
+}
+
+// TestSorterMutantsFail seeds the sorter with the mistakes a rewrite of
+// its reuse could make — each mutant is the sorter's own passes run
+// with one fault — and demands that the comparison with the stdlib
+// reports every one, as a wrong element or a panic.
+func TestSorterMutantsFail(t *testing.T) {
+	const workers = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	rng := rand.New(rand.NewSource(6))
+	master := distributions["morton-like"](20_000, rng)
+
+	mutants := []struct {
+		name string
+		run  func(s *Sorter, p []KV)
+	}{
+		{"unmutated passes", func(s *Sorter, p []KV) { s.Sort(p) }},
+		{"the histograms not cleared between digits", func(s *Sorter, p []KV) {
+			s.prepare(len(p), workers)
+			keys := s.keySpan(p)
+			src, dst := p, s.buf[:len(p)]
+			clear(s.hist)
+			for d := 0; d < digits; d++ {
+				shift := uint(d * radixBits)
+				if byte(keys.or>>shift) == byte(keys.and>>shift) {
+					continue
+				}
+				s.src, s.dst, s.shift = src, dst, shift
+				s.count()
+				s.scatter()
+				src, dst = dst, src
+			}
+			copy(p, src)
+		}},
+		{"the chunk plan kept from a call at a smaller GOMAXPROCS", func(s *Sorter, p []KV) {
+			warm := append([]KV(nil), p...)
+			s.sort(warm, 1) // sizes the histograms for one chunk
+			s.workers, s.plan = workers, par.Chunks(len(p), workers)
+			keys := s.keySpan(p)
+			src, dst := p, s.buf[:len(p)]
+			for d := 0; d < digits; d++ {
+				shift := uint(d * radixBits)
+				if byte(keys.or>>shift) == byte(keys.and>>shift) {
+					continue
+				}
+				s.src, s.dst, s.shift = src, dst, shift
+				clear(s.hist)
+				s.count()
+				s.scatter()
+				src, dst = dst, src
+			}
+			copy(p, src)
+		}},
+	}
+	want := reference(master)
+	for i, m := range mutants {
+		p := append([]KV(nil), master...)
+		var d string
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					d = fmt.Sprint("panic: ", r)
+				}
+			}()
+			m.run(new(Sorter), p)
+			for j := range p {
+				if p[j] != want[j] {
+					d = fmt.Sprintf("element %d = %+v, want %+v", j, p[j], want[j])
+					return
+				}
+			}
+		}()
+		switch {
+		case i == 0 && d != "":
+			t.Errorf("%s: %s", m.name, d)
+		case i > 0 && d == "":
+			t.Errorf("mutant %q passed the comparison", m.name)
+		case i > 0:
+			t.Logf("mutant %q caught: %s", m.name, d)
+		}
+	}
+}
+
 // FuzzPairs feeds arbitrary byte strings as key material; the sorted
 // result must match the stdlib oracle element-for-element (payload
-// equality makes this a stability check too).
+// equality makes this a stability check too). One Sorter serves every
+// input, at a worker count that changes with the input's length, so
+// state an earlier input left behind shows up as a wrong element.
 func FuzzPairs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(make([]byte, 4096))
+	var s Sorter
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := make([]KV, 0, len(data)/2+1)
 		// Low-entropy keys (one byte each, shifted by position parity)
@@ -151,6 +294,13 @@ func FuzzPairs(f *testing.F) {
 		for i, b := range data {
 			p = append(p, KV{K: uint64(b) << (8 * uint(i%3)), V: int64(i)})
 		}
-		checkAgainstStdlib(t, "fuzz", p, 1+len(data)%4)
+		want := reference(p)
+		workers := 1 + len(data)%4
+		s.sort(p, workers)
+		for i := range p {
+			if p[i] != want[i] {
+				t.Fatalf("workers=%d: element %d = %+v, want %+v", workers, i, p[i], want[i])
+			}
+		}
 	})
 }

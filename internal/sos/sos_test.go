@@ -2,11 +2,14 @@ package sos
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/fieldline"
 	"repro/internal/hybrid"
 	"repro/internal/render"
+	"repro/internal/sortx"
 	"repro/internal/vec"
 )
 
@@ -201,6 +204,43 @@ func TestSortByDepthBackToFront(t *testing.T) {
 	order := SortByDepth([]*fieldline.Line{near, farLine}, eye)
 	if order[0] != 1 || order[1] != 0 {
 		t.Errorf("depth order %v, want far line first", order)
+	}
+
+	// Ties keep input order. Each row is checked against sort.SliceStable
+	// on the same keys: a depth is a distance, so it is never -0, and
+	// both an empty line and a line through the eye are at +0.
+	at := func(x, z float64) *fieldline.Line {
+		l := &fieldline.Line{}
+		for i := 0; i < 3; i++ {
+			l.Points = append(l.Points, vec.New(x, 0, z))
+			l.Tangents = append(l.Tangents, vec.New(1, 0, 0))
+			l.Strengths = append(l.Strengths, 1)
+		}
+		return l
+	}
+	for _, c := range []struct {
+		name  string
+		lines []*fieldline.Line
+	}{
+		{"equal depths", []*fieldline.Line{at(1, 0), at(-1, 0), at(0, -5), at(1, 0), at(0, 1), at(-1, 0), at(0, -5)}},
+		{"zero depths", []*fieldline.Line{at(0, 8), {}, at(0, 0), at(0, 8), {}, at(0, 0)}},
+	} {
+		keys := make([]uint64, len(c.lines))
+		for i, l := range c.lines {
+			var depth float64
+			if l.NumPoints() > 0 {
+				depth = eye.Dist(l.Points[l.NumPoints()/2])
+			}
+			keys[i] = sortx.Float64KeyDesc(depth)
+		}
+		want := make([]int, len(c.lines))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return keys[want[i]] < keys[want[j]] })
+		if got := SortByDepth(c.lines, eye); !slices.Equal(got, want) {
+			t.Errorf("%s: depth order %v, want %v", c.name, got, want)
+		}
 	}
 }
 

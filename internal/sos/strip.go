@@ -10,7 +10,9 @@
 package sos
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/fieldline"
 	"repro/internal/hybrid"
@@ -173,9 +175,8 @@ func rotateAround(v, axis vec.V3, angle float64) vec.V3 {
 // order-independent transparency; per-line midpoint sorting is the
 // standard interactive approximation, and the one this package draws.)
 func SortByDepth(lines []*fieldline.Line, eye vec.V3) []int {
-	// Descending float keys sort ascending as uints; sortx is stable,
-	// so equal-depth lines keep their input order, matching the
-	// sort.SliceStable behavior this replaces.
+	// Descending float keys sort ascending as uints; the sort is
+	// stable, so equal-depth lines keep their input order.
 	kv := make([]sortx.KV, len(lines))
 	for i, l := range lines {
 		var depth float64
@@ -184,7 +185,7 @@ func SortByDepth(lines []*fieldline.Line, eye vec.V3) []int {
 		}
 		kv[i] = sortx.KV{K: sortx.Float64KeyDesc(depth), V: int64(i)}
 	}
-	sortx.Pairs(kv, 0)
+	slices.SortStableFunc(kv, func(a, b sortx.KV) int { return cmp.Compare(a.K, b.K) })
 	order := make([]int, len(lines))
 	for i := range kv {
 		order[i] = int(kv[i].V)

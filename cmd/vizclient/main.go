@@ -30,7 +30,7 @@
 // subscription — ordered, gapless, bit-identical across reconnects —
 // rendering every frame locally. -stats pretty-prints the server's v5
 // Stats report: service counters plus the per-session
-// queue/drop/degrade table.
+// queue/drop table.
 package main
 
 import (
@@ -234,8 +234,7 @@ func printStats(addr string, r remote.StatsReport) {
 	fmt.Printf("  deltas   %d encoded, %d cache hits\n", s.DeltaEncodes, s.DeltaHits)
 	fmt.Printf("  notifies %d inline, %d count-only\n", s.NotifyFrames, s.NotifyCounts)
 	fmt.Printf("  pings    %d\n", s.Pings)
-	fmt.Printf("  overload %d sessions refused, %d pushes dropped, %d degraded, %d evicted\n",
-		s.SessionsRefused, s.PushesDropped, s.PushesDegraded, s.SessionsEvicted)
+	fmt.Printf("  overload %d sessions refused, %d pushes dropped\n", s.SessionsRefused, s.PushesDropped)
 	fmt.Printf("sessions (%d):\n", len(r.Sessions))
 	for _, sess := range r.Sessions {
 		state := "idle"
@@ -249,8 +248,8 @@ func printStats(addr string, r remote.StatsReport) {
 		}
 		line := fmt.Sprintf("  #%d %s  %s", sess.ID, sess.Remote, state)
 		if sess.Subscribed {
-			line += fmt.Sprintf("  queue %d/%d  sent %d (last count %d)  dropped %d  degraded %d",
-				sess.QueueDepth, sess.QueueCap, sess.Sent, sess.LastSent, sess.Dropped, sess.Degraded)
+			line += fmt.Sprintf("  queue %d/%d  sent %d (last count %d)  dropped %d",
+				sess.QueueDepth, sess.QueueCap, sess.Sent, sess.LastSent, sess.Dropped)
 		}
 		fmt.Println(line)
 	}

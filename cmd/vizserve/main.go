@@ -14,18 +14,19 @@
 //
 //	vizserve -addr 127.0.0.1:9920 -live -frames 50 -particles 100000
 //	vizserve -dir ./frames
-//	vizserve -live -max-sessions 64 -max-renders 4 -slow evict
+//	vizserve -live -max-sessions 64 -max-renders 4 -queue 4
 //
 // The overload flags (protocol v5) bound what a viewer crowd can do
 // to the service: -max-sessions and -max-renders refuse excess work
 // with a retryable error (reconnecting clients back off and retry),
-// -queue bounds each subscriber's send queue, and -slow picks what
-// happens to a subscriber that can't keep up (skip | degrade |
-// evict). The service speaks protocol v8: the pipeline feeding it can
-// itself fan sub-volume renders across vizworker fleets
-// (core.StreamOptions.RenderAddrs, kernel render.partial.v1) and
-// depth-composite the partials before frames ever reach this server —
-// the sort-last half of the paper's parallel rendering architecture.
+// and -queue bounds each subscriber's send queue — a subscriber that
+// can't keep up loses its oldest pushes and skips to the newest frame,
+// and never slows the simulation. The service speaks protocol v9: the
+// pipeline feeding it can itself fan sub-volume renders across
+// vizworker fleets (core.StreamOptions.RenderAddrs, kernel
+// render.partial.v1) and depth-composite the partials before frames
+// ever reach this server — the sort-last half of the paper's parallel
+// rendering architecture.
 // In live mode the Stats verb carries the pipeline's per-stage table
 // to vizclient -stats. Extraction gives the same bytes at every core
 // count, so a frame served here is the frame any host would extract
@@ -60,7 +61,6 @@ func main() {
 		maxSess   = flag.Int("max-sessions", 0, "max concurrent client sessions (0 = unlimited)")
 		maxRend   = flag.Int("max-renders", 0, "max concurrent server-side renders (0 = unlimited)")
 		queue     = flag.Int("queue", 0, "per-subscriber send queue bound (0 = default)")
-		slow      = flag.String("slow", "skip", "slow-subscriber policy: skip, degrade or evict")
 	)
 	flag.Parse()
 	for _, f := range []struct {
@@ -78,15 +78,10 @@ func main() {
 		log.Fatalf("-volres %d must be at least 2 and give at most 2²⁴ voxels", *volres)
 	}
 
-	policy, err := parseSlow(*slow)
-	if err != nil {
-		log.Fatal(err)
-	}
 	opts := remote.ServiceOptions{
 		MaxSessions: *maxSess,
 		MaxRenders:  *maxRend,
 		SendQueue:   *queue,
-		Slow:        policy,
 	}
 
 	switch {
@@ -162,18 +157,6 @@ func serve(addr string, store remote.FrameStore, opts remote.ServiceOptions, wha
 	fmt.Printf("vizserve: serving %s on %s — Ctrl-C to stop\n", what, srv.Addr())
 	waitInterrupt()
 	srv.Close()
-}
-
-func parseSlow(s string) (remote.SlowPolicy, error) {
-	switch s {
-	case "skip":
-		return remote.SlowSkip, nil
-	case "degrade":
-		return remote.SlowDegrade, nil
-	case "evict":
-		return remote.SlowEvict, nil
-	}
-	return 0, fmt.Errorf("slow policy %q must be skip, degrade or evict", s)
 }
 
 func waitInterrupt() {

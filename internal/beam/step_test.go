@@ -253,6 +253,9 @@ func advanceCopy(stale bool) func(*Sim, int) {
 // the body is bound in NewSim and the kick table lives on the Sim — at
 // one core and at several.
 func TestAdvanceAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates in sync primitives; this pin runs without -race")
+	}
 	for _, procs := range []int{1, 2, 8} {
 		s, err := NewSim(DefaultConfig(3000))
 		if err != nil {

@@ -677,6 +677,9 @@ func BenchmarkBuild(b *testing.B) {
 // allocated its task closures and node buffers per worker: 77
 // allocations at 2 workers and 364 at 8.
 func TestBuilderAllocationsIndependentOfWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates in sync primitives; this pin runs without -race")
+	}
 	const maxAllocs = 0
 	x, y, z := columns(randomPoints(200_000, 1))
 	allocs := map[int]float64{}

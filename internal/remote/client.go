@@ -486,7 +486,7 @@ func (c *Client) Ping() (time.Duration, error) {
 }
 
 // Stats fetches the server's ServiceStats plus its per-session table
-// (queue depth, drop/degrade counters, admission verdicts) — the v5
+// (queue depth, drop counters, admission verdicts) — the v5
 // measurement surface for load balancing and operations.
 func (c *Client) Stats() (StatsReport, error) {
 	msg, err := c.roundTrip(opStats, nil)

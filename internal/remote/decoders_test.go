@@ -308,15 +308,18 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 }
 
 // TestStatsCounterCountIsExact: a Stats payload whose counter table is
-// one entry short or one too long is refused. The handshake is
-// exact-match, so no peer sends one; a decoder that read it anyway
-// would hand the caller counters in the wrong fields or none at all.
+// one entry short or one too long is refused, and so are protocol v8's
+// 14-counter table and one longer still. The handshake is exact-match, so no peer sends one;
+// a decoder that read it anyway would hand the caller counters in the
+// wrong fields or none at all.
 func TestStatsCounterCountIsExact(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		n    int
 	}{
-		{"Stats with 13 counters", 13},
+		{"Stats with 11 counters", numStats - 1},
+		{"Stats with 13 counters", numStats + 1},
+		{"Stats with 14 counters", 14},
 		{"Stats with 15 counters", 15},
 	} {
 		t.Run(c.name, func(t *testing.T) {

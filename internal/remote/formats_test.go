@@ -60,7 +60,7 @@ func statsReportFixture() StatsReport {
 }
 
 // The fixtures as the hand-rolled codecs encoded them at the commit
-// before they moved onto internal/wire (the Stats report as protocol v8
+// before they moved onto internal/wire (the Stats report as protocol v9
 // encodes it; ACPT and the two payloads naming the extract kernel as
 // ACPT version 2 and hybrid.extract.v2 encode them).
 const (
@@ -82,23 +82,21 @@ const (
 	getDeltaRecorded   = "0900000008000000" // 8 bytes
 	kernelListRecorded = "0300126669656c646c696e652e74726163652e7631116879627269642e657874" +
 		"726163742e76321172656e6465722e7061727469616c2e7631" // 57 bytes in all
-	statsReportRecorded = "0e00010000000000000002000000000000000300000000000000040000000000" +
+	statsReportRecorded = "0c00010000000000000002000000000000000300000000000000040000000000" +
 		"0000050000000000000006000000000000000700000000000000080000000000" +
 		"000009000000000000000a000000000000000b000000000000000c0000000000" +
-		"00000d000000000000000e000000000000000300000001000000000000000303" +
-		"0000000800000002000000000000000100000000000000280000000000000029" +
-		"000000000000000e31302e302e302e313a353132333402000000000000000400" +
-		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"0000030000000100000000000000030300000008000000020000000000000028" +
+		"0000000000000029000000000000000e31302e302e302e313a35313233340200" +
+		"0000000000000400000000000000000000000000000000000000000000000000" +
 		"000000000000000e31302e302e302e323a353132333503000000000000000000" +
 		"0000000000000000000000000000000000000000000000000000000000000000" +
-		"0000000000000000030000000100000000000000290000000000000000000000" +
-		"0000000080b2e60e000000000000000000806440000000000000000000000000" +
-		"000000001f85eb51b81eed3f06736f7572636501010300000004000000250000" +
-		"000000000000d430000000000080b2e60e0000000000000000008062400ad7a3" +
-		"703d0aef3f7b14ae47e17a843f7b14ae47e17a943f0765787472616374020201" +
-		"00000000000000210000000000000040420f0000000000000000000000000000" +
-		"0000000000000000000000000000000000000000000000000000000000000007" +
-		"7075626c697368" // 519 bytes in all
+		"0300000001000000000000002900000000000000000000000000000080b2e60e" +
+		"000000000000000000806440000000000000000000000000000000001f85eb51" +
+		"b81eed3f06736f7572636501010300000004000000250000000000000000d430" +
+		"000000000080b2e60e0000000000000000008062400ad7a3703d0aef3f7b14ae" +
+		"47e17a843f7b14ae47e17a943f07657874726163740202010000000000000021" +
+		"0000000000000040420f00000000000000000000000000000000000000000000" +
+		"0000000000000000000000000000000000000000000000077075626c697368" // 479 bytes in all
 	wireErrorRecorded = "0372656d6f74653a206e6f206b65726e656c" // 18 bytes
 )
 
@@ -115,9 +113,11 @@ func unhex(t testing.TB, s string) []byte {
 // bytes recorded from the codecs this package had before internal/wire,
 // and decodes those bytes back to the fixture. The one exception is the
 // Stats report, re-recorded for protocol v8 when the stage record lost
-// the balancer's columns; its counters and sessions kept their bytes.
+// the balancer's columns, and for v9 when the counters lost the degrade
+// and evict pair and the session record its degrade count; every other
+// byte of it is unchanged.
 func TestFormatsUnchanged(t *testing.T) {
-	if protoVersion != 8 {
+	if protoVersion != 9 {
 		t.Errorf("protoVersion = %d; a format change needs new recorded bytes as well", protoVersion)
 	}
 	header, err := appendComputeHeader(nil, KernelHybridExtract)

@@ -16,7 +16,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire protocol v8. Every connection starts with a handshake, and the
+// Wire protocol v9. Every connection starts with a handshake, and the
 // versions must match exactly — a peer of any other version is refused
 // here, before a frame-sized request crosses the wire, so no payload
 // below has a second accepted shape:
@@ -57,8 +57,8 @@ import (
 // Render, Subscribe) when it has a FrameStore, Compute and Kernels when
 // it has kernels, and Ping and Stats always. Any other verb gets a typed
 // ErrCodeUnknownVerb and the connection stays. ErrCodeUnavailable is the
-// explicit "retry later or elsewhere": a draining service, a service at
-// its session or render limit, an evicted slow subscriber.
+// explicit "retry later or elsewhere": a draining service, or a service
+// at its session or render limit.
 //
 // The blob formats that ride the verbs or sit on disk. All begin with a
 // magic and a version; "crc" is a trailing CRC-32 of all preceding
@@ -83,7 +83,7 @@ import (
 var protoMagic = [4]byte{'A', 'C', 'V', 'P'}
 
 const (
-	protoVersion = 8
+	protoVersion = 9
 
 	// maxBody bounds a message body so a corrupt or hostile length
 	// prefix cannot cause an arbitrary allocation.
@@ -140,9 +140,8 @@ const (
 	// ErrCodeUnavailable: the server did not start the request and
 	// says "later, or elsewhere" — a server draining toward shutdown, a
 	// service at its session limit (MaxSessions: the refused session
-	// gets it for every verb but Ping), a render gate that is full
-	// (MaxRenders), or a slow subscriber evicted under SlowEvict.
-	// Transient by definition — the same request is welcome on another
+	// gets it for every verb but Ping), or a render gate that is full
+	// (MaxRenders). Transient by definition — the same request is welcome on another
 	// fleet member or a fresh connection, so IsTransient classifies it
 	// retryable.
 	ErrCodeUnavailable ErrorCode = 4
@@ -554,8 +553,7 @@ type SessionStats struct {
 	Refused    bool   // admission-refused: every verb answers ErrCodeUnavailable
 	QueueDepth int    // pushes waiting in the send queue right now
 	QueueCap   int    // the queue's bound
-	Dropped    uint64 // pushes dropped by the skip policy (overflow)
-	Degraded   uint64 // pushes degraded to count-only notifies (overflow)
+	Dropped    uint64 // oldest pushes dropped on a full queue
 	Sent       uint64 // pushes actually written to the wire
 	LastSent   int    // frame count of the newest push written (0 = none)
 }
@@ -576,8 +574,7 @@ type StatsReport struct {
 //	u32 sessionCount | sessionCount × session | u16 stageCount | stageCount × stage
 //
 //	session = u64 id | u8 flags (subscribed, inline, refused) | u32 depth |
-//	          u32 cap | u64 dropped | u64 degraded | u64 sent | i64 lastSent |
-//	          str8 remote
+//	          u32 cap | u64 dropped | u64 sent | i64 lastSent | str8 remote
 //	stage   = u8 kind | u8 flags (critical, finished) | u32 workers |
 //	          u32 inFlight | u64 done | 2 × i64 ns (service EWMA, window) |
 //	          4 f64 (throughput, utilization, recv-wait, send-wait) |
@@ -598,7 +595,7 @@ func encodeStatsReport(r StatsReport) []byte {
 		out = wire.U64(out, s.ID)
 		out = wire.Flags(out, s.Subscribed, s.Inline, s.Refused)
 		out = wire.U32s(out, uint32(s.QueueDepth), uint32(s.QueueCap))
-		out = wire.U64s(out, s.Dropped, s.Degraded, s.Sent)
+		out = wire.U64s(out, s.Dropped, s.Sent)
 		out = wire.I64(out, int64(s.LastSent))
 		out = wire.Str8(out, s.Remote)
 	}
@@ -627,15 +624,15 @@ func decodeStatsReport(p []byte) (StatsReport, error) {
 	for _, f := range r.Stats.fields() {
 		*f = rd.U64()
 	}
-	// Count takes the shortest record each table can hold: 50 bytes for a
+	// Count takes the shortest record each table can hold: 42 bytes for a
 	// session with an empty remote, 67 for a stage with an empty name.
-	r.Sessions = make([]SessionStats, rd.Count(int64(rd.U32()), 50))
+	r.Sessions = make([]SessionStats, rd.Count(int64(rd.U32()), 42))
 	for i := range r.Sessions {
 		s := &r.Sessions[i]
 		s.ID = rd.U64()
 		rd.Flags(&s.Subscribed, &s.Inline, &s.Refused)
 		s.QueueDepth, s.QueueCap = int(rd.U32()), int(rd.U32())
-		s.Dropped, s.Degraded, s.Sent = rd.U64(), rd.U64(), rd.U64()
+		s.Dropped, s.Sent = rd.U64(), rd.U64()
 		s.LastSent = int(rd.I64())
 		s.Remote = rd.Str8()
 	}

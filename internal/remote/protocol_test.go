@@ -156,11 +156,11 @@ func statsFixture() StatsReport {
 			FrameEncodes: 1, FrameHits: 2, Renders: 3, RenderHits: 4,
 			DeltaEncodes: 5, DeltaHits: 6, NotifyFrames: 7, NotifyCounts: 8,
 			Pings: 9, SessionsRefused: 10, RendersRefused: 11,
-			PushesDropped: 12, PushesDegraded: 13, SessionsEvicted: 14,
+			PushesDropped: 12,
 		},
 		Sessions: []SessionStats{
 			{ID: 1, Remote: "10.0.0.1:51234", Subscribed: true, Inline: true,
-				QueueDepth: 3, QueueCap: 8, Dropped: 2, Degraded: 1, Sent: 40, LastSent: 41},
+				QueueDepth: 3, QueueCap: 8, Dropped: 2, Sent: 40, LastSent: 41},
 			{ID: 2, Remote: "10.0.0.2:51235", Refused: true},
 			{ID: 3, Remote: ""},
 		},

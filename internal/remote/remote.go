@@ -18,7 +18,7 @@
 // loop, session table and idle reaper, and the service answers the
 // verbs of what it holds. With a FrameStore (NewService) it serves the
 // store to concurrent clients over a versioned, length-prefixed,
-// CRC-framed, request-ID-multiplexed protocol (protocol.go, v8) with
+// CRC-framed, request-ID-multiplexed protocol (protocol.go, v9) with
 // these store verbs:
 //
 //   - List: frame range and liveness
@@ -56,23 +56,24 @@
 //     including admission-refused and draining sessions
 //   - Stats (v5): the measurement surface — ServiceStats counters plus
 //     a per-session table (admission verdict, subscription mode, send
-//     queue depth/capacity, drop/degrade/sent counters) and, when the
+//     queue depth/capacity, drop/sent counters) and, when the
 //     service fronts a live stream, its per-stage pipeline table (v7;
-//     v8 narrowed each stage record)
+//     v8 narrowed each stage record, v9 dropped the degrade and evict
+//     counters)
 //
 // v5 is the session-resilience revision. On the server, each
 // subscriber gets a bounded send queue (ServiceOptions.SendQueue)
 // drained by its own goroutine, so a stalled connection never blocks
-// the publisher or the other subscribers; overflow applies
-// ServiceOptions.Slow — SlowSkip drops the oldest pushes (latest
-// wins), SlowDegrade collapses an inline subscriber to count-only
-// notifies until it catches up, SlowEvict severs the connection with a
-// retryable error. Admission control (MaxSessions, MaxRenders) refuses
-// excess work with retryable ErrCodeUnavailable instead of degrading
-// admitted clients. On the client, one made by Dial redials with
-// pipeline.Retry backoff on any transient failure (connection loss,
-// heartbeat timeout, retryable refusal), re-handshakes, and re-issues
-// the interrupted call; one made by NewClientConn over a transport its
+// the publisher or the other subscribers, and memory per subscriber is
+// bounded; a full queue drops its oldest push, so the newest wins and a
+// subscriber that catches up skips to the live head. A peer that stops
+// reading altogether is bounded by the idle reaper and MaxSessions.
+// Admission control (MaxSessions, MaxRenders) refuses excess work with
+// retryable ErrCodeUnavailable instead of degrading admitted clients.
+// On the client, one made by Dial redials with pipeline.Retry backoff
+// on any transient failure (connection loss, heartbeat timeout,
+// retryable refusal), re-handshakes, and re-issues the interrupted
+// call; one made by NewClientConn over a transport its
 // owner controls never does. SubscribeResume keeps a subscription
 // across reconnects, catching up over GetDelta from the last delivered
 // frame so the resumed stream is ordered, gapless and bit-identical to

@@ -109,13 +109,16 @@ func (s *Service) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	w := newConnWriter(conn)
 
-	// On exit: cancel the requests' context first, then wait for them —
-	// the reverse order would deadlock behind a kernel parked on ctx
-	// (defers run last-in-first-out).
+	// On exit (defers run last-in-first-out): close the connection, so
+	// that a write parked on a peer that stopped reading — a reply, a
+	// subscriber's drain — returns; cancel the requests' context; then
+	// wait for them, which in the reverse order would deadlock behind a
+	// kernel parked on ctx; and last drop the session and its queue.
 	var reqs sync.WaitGroup
 	defer reqs.Wait()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	defer conn.Close()
 
 	for {
 		if idle > 0 {

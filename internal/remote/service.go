@@ -83,8 +83,6 @@ const (
 	statSessionsRefused
 	statRendersRefused
 	statPushesDropped
-	statPushesDegraded
-	statSessionsEvicted
 	numStats
 )
 
@@ -118,9 +116,7 @@ type ServiceStats struct {
 	Pings           uint64 // heartbeat round trips answered
 	SessionsRefused uint64 // connections refused by MaxSessions admission
 	RendersRefused  uint64 // renders refused by the MaxRenders gate
-	PushesDropped   uint64 // subscriber pushes dropped by the skip policy
-	PushesDegraded  uint64 // subscriber pushes degraded to count-only
-	SessionsEvicted uint64 // slow subscribers evicted (SlowEvict)
+	PushesDropped   uint64 // oldest queued pushes dropped on a full send queue
 }
 
 // fields lists the counters in the wire order of the Stats verb, the
@@ -132,7 +128,7 @@ func (s *ServiceStats) fields() [numStats]*uint64 {
 		&s.FrameEncodes, &s.FrameHits, &s.Renders, &s.RenderHits,
 		&s.DeltaEncodes, &s.DeltaHits, &s.NotifyFrames, &s.NotifyCounts,
 		&s.Pings, &s.SessionsRefused, &s.RendersRefused,
-		&s.PushesDropped, &s.PushesDegraded, &s.SessionsEvicted,
+		&s.PushesDropped,
 	}
 }
 
@@ -165,7 +161,7 @@ func NewService(addr string, store FrameStore) (*Service, error) {
 
 // NewServiceWith starts a service with explicit overload-protection
 // options — session and render admission limits, send-queue bound,
-// slow-subscriber policy, idle reaping.
+// idle reaping.
 func NewServiceWith(addr string, store FrameStore, opts ServiceOptions) (*Service, error) {
 	if store == nil {
 		return nil, fmt.Errorf("remote: nil frame store")

@@ -12,57 +12,17 @@ import (
 )
 
 // This file is the server half of the protocol v5 session-resilience
-// layer: per-connection sessions with bounded, policy-governed send
-// queues, so the service sheds or degrades slow viewers instead of
-// letting one stalled connection wedge the broadcast path — the ISAAC
-// idiom of degrading viewers rather than backpressuring the
-// simulation. The client half is the dialed Client's redial (client.go)
-// and the resumable subscription (resume.go).
-
-// SlowPolicy selects what the service does when a subscriber's bounded
-// send queue overflows — i.e. when the connection cannot drain pushes
-// as fast as the pipeline publishes frames. Whatever the policy, the
-// publisher itself never blocks: LiveRing.Publish's watcher callback
-// only enqueues.
-type SlowPolicy uint8
-
-const (
-	// SlowSkip (the default) drops the oldest queued pushes and keeps
-	// the newest — the subscriber skips to the live head when it
-	// catches up, exactly the latest-wins contract the client-side
-	// Subscription channels already expose.
-	SlowSkip SlowPolicy = iota
-	// SlowDegrade switches an inline-payload subscriber to the cheap
-	// tier while it is behind: queued pushes collapse to the newest and
-	// go out as count-only notifies (no frame payload) until the queue
-	// drains, so a struggling viewer keeps a live frame counter and
-	// catches frames back up via GetDelta at its own pace.
-	SlowDegrade
-	// SlowEvict drops the subscriber: a best-effort retryable
-	// ErrCodeUnavailable reply is sent (bounded by a write deadline —
-	// the connection may already be wedged) and the connection is
-	// closed. A client made by Dial classifies the loss transient and
-	// redials; the freed queue protects everyone else.
-	SlowEvict
-)
-
-func (p SlowPolicy) String() string {
-	switch p {
-	case SlowSkip:
-		return "skip"
-	case SlowDegrade:
-		return "degrade"
-	case SlowEvict:
-		return "evict"
-	}
-	return "unknown"
-}
+// layer: per-connection sessions with bounded send queues, so one
+// stalled connection never wedges the broadcast path — the ISAAC idiom
+// of a viewer that must never backpressure the simulation. The client
+// half is the dialed Client's redial (client.go) and the resumable
+// subscription (resume.go).
 
 // Defaults for ServiceOptions' zero values.
 const (
 	// DefaultSendQueue bounds each subscriber's pending-push queue: a
 	// briefly slow viewer still sees every frame, a persistently slow
-	// one hits the SlowPolicy.
+	// one skips to the newest.
 	DefaultSendQueue = 8
 	// DefaultServiceIdleTimeout reaps connections that go silent. v5
 	// clients heartbeat every DefaultHeartbeatInterval, so a live
@@ -71,9 +31,9 @@ const (
 	DefaultServiceIdleTimeout = 2 * time.Minute
 )
 
-// ServiceOptions tune the v5 overload protection. The zero value keeps
-// every historical behavior: unlimited sessions and renders, skip
-// (latest-wins) slow-subscriber handling, and the default idle reaper.
+// ServiceOptions tune the v5 overload protection. The zero value is
+// unlimited sessions and renders, the default send queue and the
+// default idle reaper.
 type ServiceOptions struct {
 	// MaxSessions bounds concurrent client connections; 0 means
 	// unlimited. Over-limit connections still handshake (the protocol
@@ -91,11 +51,9 @@ type ServiceOptions struct {
 	// DefaultServiceIdleTimeout; negative disables the reaper.
 	IdleTimeout time.Duration
 	// SendQueue bounds each subscriber's pending-push queue (0 means
-	// DefaultSendQueue, minimum 1).
+	// DefaultSendQueue, minimum 1). A full queue drops its oldest push,
+	// so the newest always wins.
 	SendQueue int
-	// Slow selects the overflow policy for subscribers whose queue
-	// fills: SlowSkip, SlowDegrade or SlowEvict.
-	Slow SlowPolicy
 }
 
 func (o ServiceOptions) sendQueue() int {
@@ -194,7 +152,6 @@ func (s *Service) statsReport() StatsReport {
 			row.QueueDepth = len(q.pending)
 			row.QueueCap = q.cap
 			row.Dropped = q.dropped
-			row.Degraded = q.degraded
 			row.Sent = q.sent
 			row.LastSent = q.lastSent
 			q.mu.Unlock()
@@ -223,17 +180,18 @@ func (s *Service) SetPipelineStats(fn func() []pipeline.StageSnapshot) {
 // subQueue is one subscriber's bounded send queue: the store's watcher
 // callback enqueues frame counts (never blocking — this is what keeps
 // a slow client from backpressuring the simulation), and a dedicated
-// drain goroutine writes them to the connection as fast as it accepts,
-// applying the service's SlowPolicy when the queue overflows.
+// drain goroutine writes them to the connection as fast as it accepts.
+// When the queue is full the oldest push is dropped, so a subscriber
+// that falls behind skips to the live head when it catches up — the
+// latest-wins contract the client-side Subscription channels expose.
 //
 // In inline mode each drained push ships the newest frame's wire
 // encoding in the notify itself. The encoding comes from the store's
 // publish-time cache or the service's single-flight frame cache, so
 // one encode feeds every subscriber and the same buffer is written to
 // every connection (only the 12-byte header is per-connection). A
-// frame that is gone by the time the drain runs (live rings evict), or
-// a push sent while the SlowDegrade policy has the subscriber marked
-// behind, degrades to a count-only notify.
+// frame that is gone by the time the drain runs (live rings evict)
+// goes out as a count-only notify.
 //
 // The queue owns the subscription's lifetime: it holds the store watch
 // it was registered with, and stop ends both.
@@ -243,20 +201,17 @@ type subQueue struct {
 	reqID   uint64
 	inline  bool
 	cap     int
-	policy  SlowPolicy
 	unwatch func() // cancels the store watch feeding update
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  []int // queued frame counts, ascending
-	behind   bool  // SlowDegrade latch: drain count-only until empty
-	stopped  bool
-	evicting bool
-	done     chan struct{}
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending []int // queued frame counts, ascending
+	stopped bool
+	done    chan struct{}
 
 	// Stats, guarded by mu.
-	dropped, degraded, sent uint64
-	lastSent                int
+	dropped, sent uint64
+	lastSent      int
 }
 
 // newSubQueue builds the queue, starts its drain goroutine and
@@ -268,7 +223,6 @@ func newSubQueue(s *Service, store LiveStore, w *connWriter, reqID uint64, inlin
 		reqID:  reqID,
 		inline: inline,
 		cap:    s.opts.sendQueue(),
-		policy: s.opts.Slow,
 		done:   make(chan struct{}),
 	}
 	q.cond = sync.NewCond(&q.mu)
@@ -278,8 +232,7 @@ func newSubQueue(s *Service, store LiveStore, w *connWriter, reqID uint64, inlin
 }
 
 // update is the store watcher callback. It never blocks: enqueue, and
-// on overflow apply the slow-subscriber policy inline (drop head,
-// latch degrade, or trigger eviction).
+// on overflow drop the oldest push.
 func (q *subQueue) update(frames int) {
 	q.mu.Lock()
 	if q.stopped {
@@ -291,48 +244,14 @@ func (q *subQueue) update(frames int) {
 		return // stale or duplicate count
 	}
 	q.pending = append(q.pending, frames)
-	var evict bool
 	if len(q.pending) > q.cap {
-		switch q.policy {
-		case SlowSkip:
-			q.pending = q.pending[1:]
-			q.dropped++
-			q.svc.stats[statPushesDropped].Add(1)
-		case SlowDegrade:
-			q.pending = q.pending[1:]
-			q.behind = true
-			q.degraded++
-			q.svc.stats[statPushesDegraded].Add(1)
-		case SlowEvict:
-			q.stopped = true
-			q.evicting = true
-			evict = true
-		}
+		q.pending = q.pending[1:]
+		q.dropped++
+		q.svc.stats[statPushesDropped].Add(1)
 	}
 	q.mu.Unlock()
 	q.cond.Signal()
-	if evict {
-		q.svc.stats[statSessionsEvicted].Add(1)
-		// Off the watcher callback — update runs inside the publisher's
-		// Publish, which must never block, not even for the bounded
-		// eviction write. Unwedge a drain blocked mid-write, best-effort
-		// deliver the typed refusal, then sever. The deadline covers
-		// both: a wedged in-flight write errors out, and the error reply
-		// cannot hang.
-		go func() {
-			q.w.conn.SetWriteDeadline(time.Now().Add(evictWriteDeadline))
-			q.w.sendErr(q.reqID, &WireError{
-				Code: ErrCodeUnavailable,
-				Msg:  "remote: subscriber too slow, evicted — reconnect and resume",
-			})
-			q.w.conn.Close()
-		}()
-	}
 }
-
-// evictWriteDeadline bounds the best-effort eviction notice to a
-// stalled subscriber before its connection is severed.
-const evictWriteDeadline = 250 * time.Millisecond
 
 // drain writes queued pushes in order until stopped or the connection
 // dies. Inline payloads are fetched through the service's encode-once
@@ -350,13 +269,9 @@ func (q *subQueue) drain() {
 		}
 		frames := q.pending[0]
 		q.pending = q.pending[1:]
-		degraded := q.behind
-		if len(q.pending) == 0 {
-			q.behind = false // caught up; inline service resumes
-		}
 		q.mu.Unlock()
 
-		if q.inline && !degraded && frames > 0 {
+		if q.inline && frames > 0 {
 			var buf [16]byte
 			head := appendNotifyFrameHeader(buf[:0], frames)
 			if enc, err := q.svc.encodedFrame(frames - 1); err == nil &&
@@ -385,9 +300,9 @@ func (q *subQueue) noteSent(frames int) {
 }
 
 // stop ends the store watch, terminates the drain goroutine and waits
-// for it. An evicted queue's drain may be parked in a write; the
-// eviction path already set a deadline and closed the connection, which
-// unblocks it.
+// for it. A drain parked in a write to a peer that stopped reading
+// returns once the peer reads or the connection closes, and the
+// connection loop closes the connection before it removes the session.
 func (q *subQueue) stop() {
 	q.unwatch()
 	q.mu.Lock()

@@ -156,6 +156,9 @@ func TestSorterReuseMatchesStdlib(t *testing.T) {
 // TestSorterAllocatesNothing: a warm Sort of Morton-like keys and of
 // 64-bit keys allocates nothing at 1, 2 and 8 cores.
 func TestSorterAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates in sync primitives; this pin runs without -race")
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, name := range []string{"morton-like", "uniform64"} {
 		master := distributions[name](100_000, rng)

@@ -3,7 +3,10 @@
 // supercomputer lives" and scientists connect from thousands of miles
 // away. It serves one of the three store modes:
 //
-//	-dir DIR    serve the .achy frames of a directory (batch workflow)
+//	-dir DIR    serve the .achy frames of a directory (batch workflow);
+//	            files of another .achy version, or cut short, are
+//	            skipped, and a directory of nothing else is refused
+//	            with the first file's name and why
 //	-live       run a beam simulation and publish each extracted frame
 //	            into a bounded latest-wins ring while serving it
 //	            (in-situ mode: clients subscribed with vizclient -follow
@@ -30,7 +33,13 @@
 // In live mode the Stats verb carries the pipeline's per-stage table
 // to vizclient -stats. Extraction gives the same bytes at every core
 // count, so a frame served here is the frame any host would extract
-// from the same snapshot.
+// from the same snapshot. A frame goes out in its .achy encoding
+// (version 3), the density volume as word-RLE ops: on beam frames about
+// half the in-memory size the extract and viewer logs print.
+//
+// A client that stops reading is cut off after the service's idle
+// timeout (two minutes): every write the server makes has that
+// deadline, as every read has.
 package main
 
 import (

@@ -1,6 +1,6 @@
 // Command vizworker hosts a compute worker for distributed stage
 // execution: it serves the service protocol's Compute verb with the
-// two built-in stage kernels (hybrid extraction hybrid.extract.v2 and
+// two built-in stage kernels (hybrid extraction hybrid.extract.v3 and
 // the sort-last partial render render.partial.v1), so a pipeline
 // elsewhere can place its heavy per-frame compute on this process with
 // core.StreamOptions.ExtractAddrs / RenderAddrs — the

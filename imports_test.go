@@ -46,15 +46,13 @@ func eachSource(t *testing.T, mode parser.Mode, fn func(path string, f *ast.File
 // fields into bytes and checksums them. Outside it, encoding/binary and
 // hash/crc32 are allowed only where the job is a different one: the
 // protocol's message framing (a CRC streamed across vectored segments
-// into a socket), the one RLE op pair with its host byte-order check
-// (binary.NativeEndian), and the delta codec's checksum of the stream it
+// into a socket) and the delta codec's checksum of the stream it
 // reconstructs. A new importer is a new hand-rolled codec: put it on
 // internal/wire instead.
 func TestBinaryLayerStaysSingle(t *testing.T) {
 	allowed := map[string]bool{
 		"internal/wire/wire.go":       true,
 		"internal/remote/protocol.go": true,
-		"internal/render/rle.go":      true,
 		"internal/render/delta.go":    true,
 	}
 	var importers []string

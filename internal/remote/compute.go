@@ -26,8 +26,9 @@ import (
 // projected point sets in, hybrid representations out. The version
 // suffix is part of the name — an incompatible blob layout gets a new
 // name, and old workers answer it with ErrCodeUnknownKernel instead of
-// misdecoding.
-const KernelHybridExtract = "hybrid.extract.v2"
+// misdecoding: v3 replies with ACHY version 3, whose volume is an RLE
+// op stream.
+const KernelHybridExtract = "hybrid.extract.v3"
 
 // maxKernelName bounds the kernel-name field (it is length-prefixed
 // with one byte).

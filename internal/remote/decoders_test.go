@@ -148,6 +148,7 @@ func decoderCases(t testing.TB) []decoderCase {
 // functions that exist.
 //
 //fuzz ./internal/hybrid FuzzDecodeBinary
+//fuzz ./internal/hybrid FuzzVolumeRoundTrip
 //fuzz ./internal/lineio FuzzDecode
 //fuzz ./internal/pario FuzzDecodeFrame
 //fuzz ./internal/pario FuzzDecodeTree
@@ -230,7 +231,8 @@ func forge(magic string, verBytes int, version uint64, sum bool, fields ...any) 
 }
 
 // TestHostileHeadersAllocateLittle: a forged input of at most 128
-// bytes (141 for ACPR, whose fixed fields alone are 137) — valid magic,
+// bytes (141 for ACPR, whose fixed fields alone are 137, and 130 for
+// ACHY, whose are 120, behind a 10-byte op stream) — valid magic,
 // version and checksum, hostile counts or sizes — is an error, and
 // costs under 1 MiB to refuse. Before internal/wire six of these rows
 // allocated between 256 MiB and 1.3 GiB; before pario moved onto it the
@@ -240,10 +242,20 @@ func forge(magic string, verBytes int, version uint64, sum bool, fields ...any) 
 func TestHostileHeadersAllocateLittle(t *testing.T) {
 	zeros := func(n int) []byte { return make([]byte, n) }
 	unit := []any{0.0, 0.0, 0.0, 1.0, 1.0, 1.0} // a unit bounding box
-	achy := func(dims [3]uint64, rest ...any) []byte {
-		fields := append(append([]any{}, unit...), 0.5, 2.0, dims[0], dims[1], dims[2])
-		return forge("ACHY", 8, 2, true, append(fields, rest...)...)
+	// achy forges a version-3 frame: dims, point count and op stream
+	// length, then the rest (points and ops) as given.
+	achy := func(dims [3]uint64, n, opsLen uint64, rest ...any) []byte {
+		fields := append(append([]any{}, unit...), 0.5, 2.0, dims[0], dims[1], dims[2], n, opsLen)
+		return forge("ACHY", 8, 3, true, append(fields, rest...)...)
 	}
+	repeat := func(words int) []byte { // ops: one word repeated words times
+		var ops []byte
+		for ; words > 0; words -= 129 {
+			ops = append(ops, 0x80|byte(min(words, 129)-2), 0, 0, 0, 0)
+		}
+		return ops
+	}
+	decodeACHY := func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }
 	harness := map[string]func([]byte) error{} // the table's decoders; a tree part is read beside the other, valid, part
 	for _, c := range decoderCases(t) {
 		harness[c.name] = c.decode
@@ -257,12 +269,15 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 		{"ACON 2²⁴ nodes", forge("ACON", 8, 1, true, append(append([]any{}, unit...), uint64(8), uint64(64), uint64(1<<24))...), harness["ACON"]},
 		{"ACON 2²⁴ leaves", forge("ACON", 8, 1, true, append(append([]any{}, unit...), uint64(8), uint64(64), uint64(0), uint64(1<<24))...), harness["ACON"]},
 		{"ACOP 2²⁷ points", forge("ACOP", 8, 1, true, uint64(1<<27)), harness["ACOP"]},
-		{"ACHY 512³ volume", achy([3]uint64{512, 512, 512}, uint64(0)),
-			func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
-		{"ACHY dims whose product overflows", achy([3]uint64{1 << 21, 1 << 21, 1 << 22}, uint64(0)),
-			func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
-		{"ACHY 2²⁷ points", achy([3]uint64{1, 1, 1}, zeros(4), uint64(1<<27)),
-			func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
+		{"ACHY 512³ volume", achy([3]uint64{512, 512, 512}, 0, 0), decodeACHY},
+		{"ACHY 512³ volume behind 10 bytes of ops", achy([3]uint64{512, 512, 512}, 0, 10, repeat(258)), decodeACHY},
+		{"ACHY 64³ volume behind 10 bytes of ops", achy([3]uint64{64, 64, 64}, 0, 10, repeat(258)), decodeACHY},
+		{"ACHY dims whose product overflows", achy([3]uint64{1 << 21, 1 << 21, 1 << 22}, 0, 0), decodeACHY},
+		{"ACHY 2²⁷ points", achy([3]uint64{1, 1, 1}, 1<<27, 5, repeat(2)), decodeACHY},
+		{"ACHY op stream length past the buffer", achy([3]uint64{2, 2, 2}, 0, 1<<40, repeat(8)), decodeACHY},
+		{"ACHY op stream ends short", achy([3]uint64{4, 4, 4}, 0, 5, repeat(63)), decodeACHY},
+		{"ACHY op stream overruns the volume", achy([3]uint64{4, 4, 4}, 0, 5, repeat(65)), decodeACHY},
+		{"ACHY op stream leaves trailing ops", achy([3]uint64{4, 4, 4}, 0, 8, repeat(64), zeros(3)), decodeACHY},
 		{"ACFL 2²⁸ lines", forge("ACFL", 4, 1, true, uint32(1<<28)),
 			func(p []byte) error { _, err := lineio.Decode(p); return err }},
 		{"ACFL line of 2²⁶ points", forge("ACFL", 4, 1, true, uint32(1), uint32(1<<26), uint8(0)),
@@ -290,8 +305,14 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 			func(p []byte) error { _, err := decodeStatsReport(p); return err }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if len(c.blob) > 128 && !strings.HasPrefix(c.name, "ACPR") {
-				t.Fatalf("the forged input is %d bytes, want at most 128", len(c.blob))
+			limit := 128
+			if strings.HasPrefix(c.name, "ACPR") {
+				limit = 141
+			} else if strings.HasPrefix(c.name, "ACHY") {
+				limit = 130
+			}
+			if len(c.blob) > limit {
+				t.Fatalf("the forged input is %d bytes, want at most %d", len(c.blob), limit)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

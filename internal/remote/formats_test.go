@@ -19,11 +19,14 @@ var (
 	fixturePoints = []vec.V3{vec.New(1, 2, 3), vec.New(-0.5, 0.25, 1e-3)}
 	fixtureTree   = octree.Config{MaxLevel: 7, LeafCap: 48, Pad: 0.01}
 	fixtureEcfg   = hybrid.ExtractConfig{VolumeRes: 16, Threshold: 0.375, Budget: 1 << 35}
-	// Three names, one of a kernel no worker hosts any more: a kernel
-	// list is strings on the wire, and its recorded bytes stand.
-	fixtureKernel = []string{"fieldline.trace.v1", KernelHybridExtract, KernelRenderPartial}
-	fixtureList   = ListInfo{Frames: 41, First: 33, Live: true}
-	fixtureRender = RenderParams{Frame: 3, Width: 320, Height: 200,
+	// Three names, two of kernels no worker hosts any more (the extract
+	// kernel is hybrid.extract.v3 since ACHY version 3): a kernel list
+	// and a Compute header carry names as strings, and their recorded
+	// bytes stand.
+	fixtureKernel  = []string{"fieldline.trace.v1", fixtureCompute, KernelRenderPartial}
+	fixtureCompute = "hybrid.extract.v2"
+	fixtureList    = ListInfo{Frames: 41, First: 33, Live: true}
+	fixtureRender  = RenderParams{Frame: 3, Width: 320, Height: 200,
 		ViewDir: vec.New(0.4, 0.3, 1), VolumeOpacity: 0.75, LogDomainK: 50, Quality: QualityPreview}
 	fixtureError = &WireError{Code: ErrCodeUnknownKernel, Msg: "remote: no kernel"}
 )
@@ -120,7 +123,7 @@ func TestFormatsUnchanged(t *testing.T) {
 	if protoVersion != 9 {
 		t.Errorf("protoVersion = %d; a format change needs new recorded bytes as well", protoVersion)
 	}
-	header, err := appendComputeHeader(nil, KernelHybridExtract)
+	header, err := appendComputeHeader(nil, fixtureCompute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestFormatsUnchanged(t *testing.T) {
 		}},
 		{"Compute header", computeHeaderRecorded, header, func(t *testing.T, blob []byte) {
 			kernel, rest, err := decodeComputeRequest(append(blob, "blob"...))
-			same(t, err, []any{kernel, string(rest)}, []any{KernelHybridExtract, "blob"})
+			same(t, err, []any{kernel, string(rest)}, []any{fixtureCompute, "blob"})
 		}},
 		{"ListInfo", listInfoRecorded, encodeListInfo(fixtureList), func(t *testing.T, blob []byte) {
 			li, err := decodeListInfo(blob)

@@ -65,20 +65,22 @@ import (
 // bytes, and the four without one are covered by the message CRC:
 //
 //	magic  version  crc  what                                 decoded by
-//	ACHY   u64 2    yes  hybrid representation (.achy)        hybrid.DecodeBinary
+//	ACHY   u64 3    yes  hybrid representation (.achy)        hybrid.DecodeBinary
 //	ACFL   u32 1    yes  stored field lines, f32 (.acfl)      lineio.Decode
 //	ACFB   u32 1    no   lossless RLE framebuffer             render.DecompressFramebuffer
 //	ACFQ   u32 1    no   quantized 8-bit preview framebuffer  render.DecompressFramebufferQuantized
 //	ACDL   u32 1    no*  XOR residual of two byte streams     render.DecompressDelta
 //	ACPB   u32 1    no   RGBA+depth partial framebuffer       render.DecompressPartial
-//	ACPT   u32 2    yes  hybrid.extract.v2 request: points    decodeExtractRequest
+//	ACPT   u32 2    yes  hybrid.extract.v3 request: points    decodeExtractRequest
 //	ACPR   u32 1    yes  render.partial.v1 request: a slice   decodeRenderPartialRequest
 //
 // (* ACDL carries the CRC-32 of the stream it reconstructs, which is
-// what catches a delta applied to the wrong base.) hybrid.extract.v2
+// what catches a delta applied to the wrong base.) hybrid.extract.v3
 // replies with ACHY, render.partial.v1 with ACPB. pario's ACPF, ACON
 // and ACOP files stream objects too large to hold twice and are not on
-// internal/wire.
+// internal/wire. A blob's version is its own: ACHY went from 2 to 3
+// (the volume as RLE ops) under protocol v9, and a peer that reads
+// only version 2 refuses such a Get reply by name.
 
 var protoMagic = [4]byte{'A', 'C', 'V', 'P'}
 

@@ -145,6 +145,34 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDirStoreNamesSkippedFiles: a directory whose every .achy file is
+// skipped — a version-2 frame, a truncated one — is refused with the
+// first file's name and what is wrong with it; beside a complete frame
+// they are skipped, and the complete one is served.
+func TestDirStoreNamesSkippedFiles(t *testing.T) {
+	dir := t.TempDir()
+	enc := testReps(t, 1)[0].AppendBinary(nil)
+	for name, data := range map[string][]byte{
+		"a_v2.achy":      forge("ACHY", 8, 2, true, make([]byte, 200)),
+		"b_partial.achy": enc[:len(enc)/2],
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := NewDirStore(dir)
+	if err == nil || !strings.Contains(err.Error(), "a_v2.achy") || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Fatalf("NewDirStore = %v, want the version-2 file named with its version", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "c_good.achy"), enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewDirStore(dir)
+	if err != nil || store.NumFrames() != 1 || filepath.Base(store.Path(0)) != "c_good.achy" {
+		t.Fatalf("NewDirStore beside a complete frame: %v", err)
+	}
+}
+
 // TestDirStoreReadsOncePerScrubStep: a scrub step asks the store for a
 // frame and, as its delta's base, for the frame the step before read.
 // Inside the window the second request is the first one's bytes — the

@@ -93,8 +93,12 @@ func (s *Service) acceptLoop() {
 // with a typed refusal (admit), and the connection stays up. The
 // session envelope: a session-table row with an admission verdict, a
 // read deadline that reaps a peer silent past the idle timeout from the
-// handshake on (live clients heartbeat well inside it), and a context
-// that cancels the work in flight when the connection dies.
+// handshake on (live clients heartbeat well inside it), a write
+// deadline of the same length on every write, so a peer that stops
+// reading cannot park the loop — behind a re-subscribe waiting out a
+// parked drain, or in a reply — where the read deadline never fires,
+// and a context that cancels the work in flight when the connection
+// dies.
 func (s *Service) handle(conn net.Conn) {
 	idle := orDefault(s.opts.IdleTimeout, DefaultServiceIdleTimeout)
 	if idle > 0 {
@@ -107,7 +111,7 @@ func (s *Service) handle(conn net.Conn) {
 	defer s.removeSession(sess)
 
 	br := bufio.NewReaderSize(conn, 1<<16)
-	w := newConnWriter(conn)
+	w := newConnWriter(conn, idle)
 
 	// On exit (defers run last-in-first-out): close the connection, so
 	// that a write parked on a peer that stopped reading — a reply, a
@@ -204,16 +208,18 @@ func (s *Service) serve(ctx context.Context, sess *session, w *connWriter, msg m
 
 // connWriter serializes response writes from concurrent request
 // handlers and the subscription notifier onto one connection. A write
-// error severs the connection: the response stream can no longer be
+// error — a write the peer did not take within the idle timeout among
+// them — severs the connection: the response stream can no longer be
 // trusted, and closing unblocks the read loop so the handler unwinds.
 type connWriter struct {
-	conn net.Conn
-	mu   sync.Mutex
-	bw   *bufio.Writer
+	conn    net.Conn
+	timeout time.Duration // per-write deadline; 0 or negative: none
+	mu      sync.Mutex
+	bw      *bufio.Writer
 }
 
-func newConnWriter(conn net.Conn) *connWriter {
-	return &connWriter{conn: conn, bw: bufio.NewWriterSize(conn, 1<<16)}
+func newConnWriter(conn net.Conn, timeout time.Duration) *connWriter {
+	return &connWriter{conn: conn, timeout: timeout, bw: bufio.NewWriterSize(conn, 1<<16)}
 }
 
 // send frames the segments as one payload without joining them — the
@@ -221,6 +227,9 @@ func newConnWriter(conn net.Conn) *connWriter {
 // only a per-connection header built fresh.
 func (w *connWriter) send(reqID uint64, op byte, segs ...[]byte) error {
 	w.mu.Lock()
+	if w.timeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
 	err := writeMessage(w.bw, reqID, op, segs...)
 	w.mu.Unlock()
 	if err != nil {

@@ -47,7 +47,8 @@ type ServiceOptions struct {
 	// bound behind the rasterizer.
 	MaxRenders int
 	// IdleTimeout reaps a connection that sends nothing (not even a
-	// heartbeat, nor its handshake) for this long. 0 means
+	// heartbeat, nor its handshake) for this long, or does not take one
+	// of the server's writes for this long. 0 means
 	// DefaultServiceIdleTimeout; negative disables the reaper.
 	IdleTimeout time.Duration
 	// SendQueue bounds each subscriber's pending-push queue (0 means

@@ -227,6 +227,34 @@ func TestStalledSubscriberReaped(t *testing.T) {
 	})
 }
 
+// TestStalledResubscriberIsReaped: a subscriber that stops reading and
+// then sends one more Subscribe parks its connection loop in the old
+// queue's stop, which waits for a drain parked in a write, so the read
+// deadline never fires again. The write deadline — the idle timeout —
+// ends that write, and the connection closes.
+func TestStalledResubscriberIsReaped(t *testing.T) {
+	// Eight copies of the points, about 150 kB a frame: 400 frames
+	// overfill a loopback socket's buffers many times over.
+	rep := *testReps(t, 1)[0]
+	for i := 0; i < 3; i++ {
+		rep.Points = append(rep.Points, rep.Points...)
+		rep.PointDensity = append(rep.PointDensity, rep.PointDensity...)
+		rep.OrigIndex = append(rep.OrigIndex, rep.OrigIndex...)
+	}
+	srv, ring := serveLive(t, 4, ServiceOptions{IdleTimeout: 300 * time.Millisecond})
+	conn := stalledInlineSub(t, srv.Addr())
+	waitSubscribed(t, srv, 1)
+	publishFrames(t, ring, &rep, 400, nil)
+	if err := writeMessage(bufio.NewWriter(conn), 2, opSubscribe, []byte{subFlagInline}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the stalled connection to close", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns) == 0
+	})
+}
+
 // TestSilentPeerBeforeHelloIsReaped: the idle reaper covers the
 // handshake. A peer that connects and never sends its hello must lose
 // its connection after the idle timeout, not hold a goroutine and a

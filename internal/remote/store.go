@@ -111,9 +111,10 @@ const maxDecodedFrames = 4
 // NewDirStore scans dir for *.achy files. Structurally incomplete
 // files — the partial leftovers of a writer killed mid-frame (current
 // writers rename atomically, but copies and older producers don't) —
-// are skipped rather than served: a partial frame would fail every Get
-// with a CRC error, and List/Frame indices must name frames that
-// actually decode.
+// and files of another format version are skipped rather than served:
+// such a frame would fail every Get, and List/Frame indices must name
+// frames that actually decode. When every file is skipped, the error
+// names the first and why (hybrid.FileComplete).
 func NewDirStore(dir string) (*DirStore, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.achy"))
 	if err != nil {
@@ -123,13 +124,16 @@ func NewDirStore(dir string) (*DirStore, error) {
 		return nil, fmt.Errorf("remote: no .achy frames in %s", dir)
 	}
 	complete := paths[:0]
+	var skipped error // the first file refused, and why
 	for _, p := range paths {
-		if hybrid.FileComplete(p) {
+		if err := hybrid.FileComplete(p); err == nil {
 			complete = append(complete, p)
+		} else if skipped == nil {
+			skipped = fmt.Errorf("%s: %w", filepath.Base(p), err)
 		}
 	}
 	if len(complete) == 0 {
-		return nil, fmt.Errorf("remote: no complete .achy frames in %s (partial files skipped)", dir)
+		return nil, fmt.Errorf("remote: no complete .achy frames in %s (%d skipped, first %v)", dir, len(paths), skipped)
 	}
 	sort.Strings(complete)
 	return &DirStore{

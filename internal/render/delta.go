@@ -9,7 +9,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Delta codec — the RLE op stream of rle.go over a residual plane.
+// Delta codec — wire's word-RLE op stream over a residual plane.
 // CompressDelta ships a byte stream cur as its XOR against a base
 // stream the receiver already holds: between nearby frames of a time
 // series most of the encoding is unchanged, so the residual is
@@ -27,7 +27,7 @@ import (
 // with zeros), zero-padded to whole 4-byte words. A word of the stream
 // is four bytes of cur in order on any host, so there is no byte order
 // to mind: this file adds only the XOR, one subtle.XORBytes a side, and
-// the CRC to rle.go's pair. The encoder borrows plane and op buffer
+// the CRC to wire's op pair. The encoder borrows plane and op buffer
 // from the scratch list; each side allocates only what it returns.
 
 var magicDelta = [4]byte{'A', 'C', 'D', 'L'}
@@ -53,7 +53,7 @@ func CompressDelta(cur, base []byte) []byte {
 	clear(plane[len(cur):])
 	ops := wire.Begin(sc.ops[:0], magicDelta, deltaCodecVersion, 4)
 	ops = wire.U32s(ops, uint32(len(cur)), uint32(len(base)), crc32.ChecksumIEEE(cur))
-	sc.ops = appendRLEPlane(ops, plane)
+	sc.ops = wire.AppendRLE(ops, plane)
 	return bytes.Clone(sc.ops)
 }
 
@@ -73,12 +73,12 @@ func DecompressDelta(data, base []byte) ([]byte, error) {
 	}
 	rest := rd.Take(rd.Len())
 	nw := (curLen + 3) / 4
-	rleBound(&rd, len(rest), nw)
+	rd.RLEBound(len(rest), nw)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	plane := make([]byte, 4*nw) // the one allocation: the caller keeps it as its next base
-	rest, err := decodeRLEPlane(rest, plane)
+	rest, err := wire.DecodeRLE(rest, plane)
 	if err != nil {
 		return nil, fmt.Errorf("render: delta residual: %w", err)
 	}

@@ -174,7 +174,7 @@ func refDecompressDelta(data, base []byte) ([]byte, error) {
 	}
 	rest := rd.Take(rd.Len())
 	nw := (curLen + 3) / 4
-	rleBound(&rd, len(rest), nw)
+	rd.RLEBound(len(rest), nw)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}

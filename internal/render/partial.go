@@ -13,8 +13,8 @@ import (
 // (zero color, +Inf depth) outside the cell's screen footprint, so the
 // codec ships only the bounding rectangle of the covered pixels, each
 // with both its RGBA words and its depth word (the compositor needs
-// depth per pixel to merge partials), RLE-compressed with the op
-// stream of rle.go through one plane borrowed from the scratch list.
+// depth per pixel to merge partials), RLE-compressed with wire's
+// word-RLE op stream through one plane borrowed from the scratch list.
 // The round trip is lossless: a decoded partial is bit-identical to
 // the worker's framebuffer.
 //
@@ -88,11 +88,11 @@ func AppendPartial(dst []byte, fb *Framebuffer, seq int) []byte {
 	color, depth := plane[:16*rw*rh], plane[16*rw*rh:]
 	for y := 0; y < rh; y++ {
 		src := (y0+y)*fb.W + x0
-		copy(color[16*rw*y:], floatBytes(fb.Color[4*src:4*(src+rw)]))
-		copy(depth[4*rw*y:], floatBytes(fb.Depth[src:src+rw]))
+		copy(color[16*rw*y:], wire.F32Bytes(fb.Color[4*src:4*(src+rw)]))
+		copy(depth[4*rw*y:], wire.F32Bytes(fb.Depth[src:src+rw]))
 	}
-	swapWords(plane)
-	return appendRLEPlane(appendRLEPlane(out, color), depth)
+	wire.SwapWords(plane)
+	return wire.AppendRLE(wire.AppendRLE(out, color), depth)
 }
 
 // DecompressPartial decodes a blob produced by CompressPartial.
@@ -109,7 +109,7 @@ func DecompressPartial(data []byte) (*PartialFrame, error) {
 		rd.Fail("rect %dx%d at (%d,%d) outside %dx%d frame", rw, rh, x0, y0, w, h)
 	}
 	rest := rd.Take(rd.Len())
-	rleBound(&rd, len(rest), int64(rw)*int64(rh)*5)
+	rd.RLEBound(len(rest), int64(rw)*int64(rh)*5)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
@@ -122,17 +122,17 @@ func DecompressPartial(data []byte) (*PartialFrame, error) {
 	defer putScratch(sc)
 	plane := grow(&sc.plane, 20*rw*rh)
 	color, depth := plane[:16*rw*rh], plane[16*rw*rh:]
-	if rest, err = decodeRLEPlane(rest, color); err != nil {
+	if rest, err = wire.DecodeRLE(rest, color); err != nil {
 		return nil, fmt.Errorf("render: partial color plane: %w", err)
 	}
-	if rest, err = decodeRLEPlane(rest, depth); err != nil {
+	if rest, err = wire.DecodeRLE(rest, depth); err != nil {
 		return nil, fmt.Errorf("render: partial depth plane: %w", err)
 	}
-	swapWords(plane)
+	wire.SwapWords(plane)
 	for y := 0; y < rh; y++ {
 		dst := (y0+y)*w + x0
-		copy(floatBytes(fb.Color[4*dst:4*(dst+rw)]), color[16*rw*y:])
-		copy(floatBytes(fb.Depth[dst:dst+rw]), depth[4*rw*y:])
+		copy(wire.F32Bytes(fb.Color[4*dst:4*(dst+rw)]), color[16*rw*y:])
+		copy(wire.F32Bytes(fb.Depth[dst:dst+rw]), depth[4*rw*y:])
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("render: %d trailing bytes after partial framebuffer", len(rest))

@@ -10,7 +10,7 @@ import (
 // Quantized framebuffer codec — the preview quality tier of the remote
 // service's thin-client mode. Each pixel's RGBA is clamped to [0,1]
 // and quantized to 8 bits per channel, packed into one 4-byte word,
-// and RLE-compressed with the op stream of rle.go; the depth plane is
+// and RLE-compressed with wire's word-RLE op stream; the depth plane is
 // dropped entirely. That is 4 bytes/pixel raw against the lossless
 // codec's 20 — ~5x smaller before RLE — at preview-grade fidelity:
 // the tier is LOSSY relative to the float framebuffer (quantized
@@ -43,7 +43,7 @@ func CompressFramebufferQuantized(fb *Framebuffer) []byte {
 	}
 	out := wire.Begin(sc.ops[:0], magicFBQ, fbqCodecVersion, 4)
 	out = wire.U32s(out, uint32(fb.W), uint32(fb.H))
-	sc.ops = appendRLEPlane(out, plane)
+	sc.ops = wire.AppendRLE(out, plane)
 	return bytes.Clone(sc.ops)
 }
 
@@ -59,7 +59,7 @@ func DecompressFramebufferQuantized(data []byte) (*Framebuffer, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	plane := grow(&sc.plane, 4*w*h)
-	if rest, err = decodeRLEPlane(rest, plane); err != nil {
+	if rest, err = wire.DecodeRLE(rest, plane); err != nil {
 		return nil, fmt.Errorf("render: quantized color plane: %w", err)
 	}
 	if len(rest) != 0 {

@@ -390,7 +390,7 @@ func refDecompressPartial(data []byte) (*PartialFrame, error) {
 		rd.Fail("rect %dx%d at (%d,%d) outside %dx%d frame", rw, rh, x0, y0, w, h)
 	}
 	rest := rd.Take(rd.Len())
-	rleBound(&rd, len(rest), int64(rw)*int64(rh)*5)
+	rd.RLEBound(len(rest), int64(rw)*int64(rh)*5)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
@@ -513,9 +513,9 @@ func pictureDecodeDiff(c pictureCodec, blob []byte) (d string) {
 		return fmt.Sprintf("decoder: %s, want %s", gotHdr, wantHdr)
 	case got.W != want.W || got.H != want.H:
 		return fmt.Sprintf("decoder: %dx%d, want %dx%d", got.W, got.H, want.W, want.H)
-	case !bytes.Equal(floatBytes(got.Color), floatBytes(want.Color)):
+	case !bytes.Equal(wire.F32Bytes(got.Color), wire.F32Bytes(want.Color)):
 		return "decoder: color plane differs in bits"
-	case !bytes.Equal(floatBytes(got.Depth), floatBytes(want.Depth)):
+	case !bytes.Equal(wire.F32Bytes(got.Depth), wire.F32Bytes(want.Depth)):
 		return "decoder: depth plane differs in bits"
 	}
 	return ""

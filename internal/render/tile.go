@@ -70,7 +70,7 @@ func (b *Batch) reset() {
 // (transformed vertices, one triSetup per triangle, the per-chunk
 // overflow and one fragment count per row band), the submission
 // buffers of a borrowed batch, and the plane and op buffer of one
-// codec call (rle.go).
+// codec call (rle.go, quant.go, partial.go, delta.go).
 type flushScratch struct {
 	batch Batch
 

@@ -37,6 +37,9 @@
 // A decoder's own validation (image size, quality tier) goes through
 // Fail, which keeps the error sticky and prefixed like the rest.
 //
+// Planes of 4-byte words — a density volume, a framebuffer — go out as
+// the word-RLE op stream of rle.go (AppendRLE, DecodeRLE, RLEBound).
+//
 // Reader is a value, used through an addressable local. Returned by
 // pointer it escapes to the heap — one allocation per decode, on paths
 // that decode several blobs a frame.
@@ -52,6 +55,9 @@ import (
 )
 
 var le = binary.LittleEndian
+
+// NativeLE reports whether the host stores a float32 in wire order.
+var NativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // ---- encoding --------------------------------------------------------
 
@@ -187,7 +193,7 @@ func Open(what string, p []byte, magic [4]byte, version uint64, verBytes int, su
 		v = uint64(r.U32())
 	}
 	if r.err == nil && v != version {
-		r.Fail("unsupported version %d", v)
+		r.Fail("unsupported version %d, want %d", v, version)
 	}
 	if r.err == nil && sum {
 		if got, want := le.Uint32(tail), crc32.ChecksumIEEE(p[:len(p)-4]); got != want {

@@ -24,7 +24,7 @@
 // with a retryable error (reconnecting clients back off and retry),
 // and -queue bounds each subscriber's send queue — a subscriber that
 // can't keep up loses its oldest pushes and skips to the newest frame,
-// and never slows the simulation. The service speaks protocol v9: the
+// and never slows the simulation. The service speaks protocol v10: the
 // pipeline feeding it can itself fan sub-volume renders across
 // vizworker fleets (core.StreamOptions.RenderAddrs, kernel
 // render.partial.v1) and depth-composite the partials before frames

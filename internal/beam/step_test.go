@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/mallocs"
 	"repro/internal/par"
 )
 
@@ -253,42 +254,15 @@ func advanceCopy(stale bool) func(*Sim, int) {
 // the body is bound in NewSim and the kick table lives on the Sim — at
 // one core and at several.
 func TestAdvanceAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates in sync primitives; this pin runs without -race")
-	}
 	for _, procs := range []int{1, 2, 8} {
 		s, err := NewSim(DefaultConfig(3000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := mallocsPerRun(procs, 20, func() { s.RunPeriods(1) }); got != 0 {
+		if got := mallocs.PerRun(t, procs, 20, func() { s.RunPeriods(1) }); got != 0 {
 			t.Errorf("GOMAXPROCS %d: %v allocations per period, want 0", procs, got)
 		}
 	}
-}
-
-// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
-// allocations per call of f, averaged over runs calls after one
-// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
-// every par call is one chunk on the caller, so it cannot see an
-// allocation made per chunk. It returns the least of three such
-// averages: at a processor count above the machine's, a collection
-// that falls among the runs can make the runtime allocate threads and
-// goroutines of its own, which a round without one does not count.
-func mallocsPerRun(procs, runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	f()
-	least := uint64(math.MaxUint64)
-	for round := 0; round < 3; round++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
-	}
-	return float64(least)
 }
 
 // TestAdvanceBoundsEachCall: no par call of Advance pushes more than N

@@ -179,7 +179,6 @@ func TestStreamRemoteExtractOptionValidation(t *testing.T) {
 	p, frames := streamFixture(t, 500)
 	for name, opts := range map[string]StreamOptions{
 		"skip extract": {ExtractAddrs: []string{"127.0.0.1:1"}, SkipExtract: true},
-		"keep trees":   {ExtractAddrs: []string{"127.0.0.1:1"}, KeepTrees: true},
 	} {
 		s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), opts)
 		for range s.Out {
@@ -322,7 +321,6 @@ func TestStreamExtractAddrsValidation(t *testing.T) {
 	p, frames := streamFixture(t, 500)
 	for name, opts := range map[string]StreamOptions{
 		"skip extract": {ExtractAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, SkipExtract: true},
-		"keep trees":   {ExtractAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, KeepTrees: true},
 	} {
 		s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), opts)
 		for range s.Out {

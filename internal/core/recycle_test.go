@@ -86,7 +86,7 @@ func collect(t *testing.T, s *ParticleStream, want int) []StreamResult {
 
 // TestStreamRecyclingLeavesCallerData: a stream recycles only storage it
 // lent and nobody else holds. The caller's frames pass through
-// untouched; whatever KeepFrames, KeepTrees and SkipExtract hand the
+// untouched; whatever KeepFrames and SkipExtract hand the
 // consumer still equals the serial result after all later frames have
 // flowed; a cancelled stream leaks nothing, and the pipeline streams
 // bit-identically again afterwards.
@@ -161,8 +161,6 @@ func TestStreamRecyclingLeavesCallerData(t *testing.T) {
 	}{
 		{"files, nothing kept", busy, false, false, true},
 		{"files, KeepFrames", StreamOptions{KeepFrames: true, PartitionWorkers: 3, ExtractWorkers: 2, Buffer: 2}, true, false, true},
-		{"files, KeepTrees", StreamOptions{KeepTrees: true, PartitionWorkers: 3, ExtractWorkers: 2, Buffer: 2}, false, true, true},
-		{"files, KeepFrames and KeepTrees", StreamOptions{KeepFrames: true, KeepTrees: true, PartitionWorkers: 2, ExtractWorkers: 3, Buffer: 1}, true, true, true},
 		{"files, SkipExtract", StreamOptions{SkipExtract: true, PartitionWorkers: 3, Buffer: 2}, false, true, false},
 		{"files, SkipExtract and KeepFrames", StreamOptions{SkipExtract: true, KeepFrames: true, PartitionWorkers: 3, Buffer: 2}, true, true, false},
 	} {

@@ -92,8 +92,8 @@ func FrameFileSource(paths ...string) FrameSource {
 //   - builders never leave the partition stage;
 //   - a tree is retired by the extract stage the moment hybrid.Extract
 //     returns (Extract copies what it keeps) and refilled by a later
-//     partition. With KeepTrees or SkipExtract the trees are the
-//     consumer's and none is ever retired.
+//     partition. With SkipExtract the trees are the consumer's and none
+//     is ever retired.
 //
 // Every list is bounded by a constant; frames in flight beyond it are
 // allocated and dropped as before.
@@ -297,8 +297,7 @@ type StreamOptions struct {
 	Buffer           int // inter-stage channel depth in frames (0 = 1)
 
 	KeepFrames  bool // retain each frame's ensemble in its result
-	KeepTrees   bool // retain each frame's octree in its result
-	SkipExtract bool // stop after partition (the paper's partitioning program)
+	SkipExtract bool // stop after partition (the paper's partitioning program), keeping the trees
 
 	// Render, when non-nil, appends a render stage. Rendering needs a
 	// hybrid representation, so Render is incompatible with SkipExtract;
@@ -333,8 +332,8 @@ type StreamOptions struct {
 	// drain — only when no worker can serve a frame within the retry
 	// policy. Every member must advertise the hybrid-extraction kernel;
 	// a mis-provisioned member fails the stream at startup.
-	// Incompatible with SkipExtract and KeepTrees (the tree only ever
-	// exists on the worker).
+	// Incompatible with SkipExtract (the tree only ever exists on the
+	// worker).
 	ExtractAddrs []string
 
 	// ExtractPolicy optionally tunes the extraction fleet's
@@ -371,7 +370,7 @@ type StreamOptions struct {
 type StreamResult struct {
 	Index int
 	Frame beam.Frame             // Frame.E is nil unless KeepFrames
-	Tree  *octree.Tree           // nil unless KeepTrees or SkipExtract
+	Tree  *octree.Tree           // nil unless SkipExtract
 	Rep   *hybrid.Representation // nil when SkipExtract
 	FB    *render.Framebuffer    // nil unless Render
 	Rast  *render.Rasterizer     // point-pass stats; nil when the point pass ran on a render fleet
@@ -421,13 +420,8 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		return fail(fmt.Errorf("core: StreamOptions.RenderAddrs places rendering remotely; set Render"))
 	}
 	addrs := opts.ExtractAddrs
-	if len(addrs) > 0 {
-		if opts.SkipExtract {
-			return fail(fmt.Errorf("core: StreamOptions.ExtractAddrs places extraction remotely; unset SkipExtract"))
-		}
-		if opts.KeepTrees {
-			return fail(fmt.Errorf("core: StreamOptions.KeepTrees is incompatible with ExtractAddrs (the tree lives on the worker)"))
-		}
+	if len(addrs) > 0 && opts.SkipExtract {
+		return fail(fmt.Errorf("core: StreamOptions.ExtractAddrs places extraction remotely; unset SkipExtract"))
 	}
 	buf := opts.Buffer
 	if buf < 1 {
@@ -489,14 +483,13 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 			x.Apply)
 	} else {
 		// Partition: build the tree from the ensemble's plotted columns.
-		// A tree the consumer will see (KeepTrees, SkipExtract) is the
-		// consumer's; any other is retired by the extract stage.
-		reuseTrees := !opts.KeepTrees && !opts.SkipExtract
+		// A tree the consumer will see (SkipExtract) is the consumer's;
+		// any other is retired by the extract stage.
 		trees := pipeline.Map(pl, frames,
 			pipeline.StageConfig{Name: "partition", Workers: partW, Buf: buf},
 			func(_ context.Context, r StreamResult) (StreamResult, error) {
 				var err error
-				r.Tree, err = st.partition(p, &r, opts.KeepFrames, reuseTrees)
+				r.Tree, err = st.partition(p, &r, opts.KeepFrames, !opts.SkipExtract)
 				return r, err
 			})
 
@@ -510,10 +503,8 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 						return r, fmt.Errorf("frame %d: %w", r.Index, err)
 					}
 					r.Rep = rep
-					if !opts.KeepTrees {
-						st.trees.Put(r.Tree)
-						r.Tree = nil
-					}
+					st.trees.Put(r.Tree)
+					r.Tree = nil
 					return r, nil
 				})
 		}

@@ -143,7 +143,6 @@ func TestStreamFromSim(t *testing.T) {
 	}
 	s := p.StreamFrames(context.Background(), SimSource(sim, 3, 1), StreamOptions{
 		KeepFrames: true,
-		KeepTrees:  true,
 		Render:     &RenderOptions{Width: 48, Height: 48},
 	})
 	n := 0
@@ -151,8 +150,8 @@ func TestStreamFromSim(t *testing.T) {
 		if r.Frame.E == nil {
 			t.Fatal("KeepFrames did not retain the ensemble")
 		}
-		if r.Tree == nil {
-			t.Fatal("KeepTrees did not retain the tree")
+		if r.Tree != nil {
+			t.Fatal("an extracting stream handed out its tree")
 		}
 		if r.Rep == nil || r.Rep.NumPoints() == 0 {
 			t.Fatal("no hybrid representation extracted")

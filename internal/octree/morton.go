@@ -24,7 +24,7 @@
 // it belongs to the build that refills it. A tree that is never handed
 // back is never touched: nothing of it aliases the builder. The streams
 // of internal/core retire trees through a free list the stream owns —
-// never a tree a consumer was given (KeepTrees, SkipExtract).
+// never a tree a consumer was given (SkipExtract).
 package octree
 
 // MaxLevel is the deepest supported subdivision level: 21 levels of 3

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mallocs"
 	"repro/internal/par"
 	"repro/internal/sortx"
 	"repro/internal/vec"
@@ -677,9 +678,6 @@ func BenchmarkBuild(b *testing.B) {
 // allocated its task closures and node buffers per worker: 77
 // allocations at 2 workers and 364 at 8.
 func TestBuilderAllocationsIndependentOfWorkers(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates in sync primitives; this pin runs without -race")
-	}
 	const maxAllocs = 0
 	x, y, z := columns(randomPoints(200_000, 1))
 	allocs := map[int]float64{}
@@ -688,7 +686,7 @@ func TestBuilderAllocationsIndependentOfWorkers(t *testing.T) {
 		var b Builder
 		var tree *Tree
 		var err error
-		allocs[procs] = mallocsPerRun(procs, 5, func() {
+		allocs[procs] = mallocs.PerRun(t, procs, 5, func() {
 			tree, err = b.BuildColumns(x, y, z, cfg, tree)
 		})
 		if err != nil {
@@ -701,28 +699,4 @@ func TestBuilderAllocationsIndependentOfWorkers(t *testing.T) {
 	if allocs[2] != allocs[1] || allocs[8] != allocs[1] {
 		t.Errorf("allocations per warm build depend on the core count: %v at GOMAXPROCS 1, 2 and 8", []float64{allocs[1], allocs[2], allocs[8]})
 	}
-}
-
-// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
-// allocations per call of f, averaged over runs calls after one
-// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
-// every par call is one chunk on the caller, so it cannot see an
-// allocation made per chunk. It returns the least of three such
-// averages: at a processor count above the machine's, a collection
-// that falls among the runs can make the runtime allocate threads and
-// goroutines of its own, which a round without one does not count.
-func mallocsPerRun(procs, runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	f()
-	least := uint64(math.MaxUint64)
-	for round := 0; round < 3; round++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
-	}
-	return float64(least)
 }

@@ -109,7 +109,7 @@ func decoderCases(t testing.TB) []decoderCase {
 			decode: func(p []byte) error { _, err := hybrid.DecodeBinary(p); return err }},
 		{name: "ACFL", sum: true, blob: lineio.Append(nil, traceLinesFixture()),
 			decode: func(p []byte) error { _, err := lineio.Decode(p); return err }},
-		{name: "ACFB", blob: render.CompressFramebuffer(fb),
+		{name: "ACPB frame", blob: render.CompressFramebuffer(fb),
 			decode: func(p []byte) error { _, err := render.DecompressFramebuffer(p); return err }},
 		{name: "ACFQ", blob: render.CompressFramebufferQuantized(fb),
 			decode: func(p []byte) error { _, err := render.DecompressFramebufferQuantized(p); return err }},
@@ -152,7 +152,6 @@ func decoderCases(t testing.TB) []decoderCase {
 //fuzz ./internal/lineio FuzzDecode
 //fuzz ./internal/pario FuzzDecodeFrame
 //fuzz ./internal/pario FuzzDecodeTree
-//fuzz ./internal/render FuzzDecompressFramebuffer
 //fuzz ./internal/render FuzzQuantizedCodec
 //fuzz ./internal/render FuzzDeltaCodec
 //fuzz ./internal/render FuzzDeltaMatchesReference
@@ -282,7 +281,8 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 			func(p []byte) error { _, err := lineio.Decode(p); return err }},
 		{"ACFL line of 2²⁶ points", forge("ACFL", 4, 1, true, uint32(1), uint32(1<<26), uint8(0)),
 			func(p []byte) error { _, err := lineio.Decode(p); return err }},
-		{"ACFB 8192×8192", forge("ACFB", 4, 1, false, uint32(8192), uint32(8192)),
+		{"ACPB 8192×8192", forge("ACPB", 4, 1, false, uint32(8192), uint32(8192), uint32(0),
+			uint32(0), uint32(0), uint32(8192), uint32(8192), zeros(64)),
 			func(p []byte) error { _, err := render.DecompressFramebuffer(p); return err }},
 		{"ACFQ 8192×8192", forge("ACFQ", 4, 1, false, uint32(8192), uint32(8192)),
 			func(p []byte) error { _, err := render.DecompressFramebufferQuantized(p); return err }},

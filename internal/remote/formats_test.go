@@ -118,9 +118,10 @@ func unhex(t testing.TB, s string) []byte {
 // Stats report, re-recorded for protocol v8 when the stage record lost
 // the balancer's columns, and for v9 when the counters lost the degrade
 // and evict pair and the session record its degrade count; every other
-// byte of it is unchanged.
+// byte of it is unchanged. v10 changed only the lossless Render reply,
+// which render's TestFormatsUnchanged records.
 func TestFormatsUnchanged(t *testing.T) {
-	if protoVersion != 9 {
+	if protoVersion != 10 {
 		t.Errorf("protoVersion = %d; a format change needs new recorded bytes as well", protoVersion)
 	}
 	header, err := appendComputeHeader(nil, fixtureCompute)

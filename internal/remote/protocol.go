@@ -16,7 +16,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire protocol v9. Every connection starts with a handshake, and the
+// Wire protocol v10. Every connection starts with a handshake, and the
 // versions must match exactly — a peer of any other version is refused
 // here, before a frame-sized request crosses the wire, so no payload
 // below has a second accepted shape:
@@ -46,7 +46,7 @@ import (
 //	Subscribe   — or u8 flags (inline)      u64 frames; then pushes: opNotify
 //	                                        (u64 frames) or opNotifyFrame (u64
 //	                                        frames | u32 index | .achy encoding)
-//	Render      RenderParams                "ACFB" (lossless) or "ACFQ" (preview)
+//	Render      RenderParams                "ACPB" (lossless) or "ACFQ" (preview)
 //	Compute     str8 kernel | request blob  the kernel's reply blob
 //	Kernels     —                           u16 count | count × str8 name
 //	Ping        —                           —
@@ -62,22 +62,24 @@ import (
 //
 // The blob formats that ride the verbs or sit on disk. All begin with a
 // magic and a version; "crc" is a trailing CRC-32 of all preceding
-// bytes, and the four without one are covered by the message CRC:
+// bytes, and the three without one are covered by the message CRC:
 //
 //	magic  version  crc  what                                 decoded by
 //	ACHY   u64 3    yes  hybrid representation (.achy)        hybrid.DecodeBinary
 //	ACFL   u32 1    yes  stored field lines, f32 (.acfl)      lineio.Decode
-//	ACFB   u32 1    no   lossless RLE framebuffer             render.DecompressFramebuffer
 //	ACFQ   u32 1    no   quantized 8-bit preview framebuffer  render.DecompressFramebufferQuantized
 //	ACDL   u32 1    no*  XOR residual of two byte streams     render.DecompressDelta
-//	ACPB   u32 1    no   RGBA+depth partial framebuffer       render.DecompressPartial
+//	ACPB   u32 1    no   RGBA+depth framebuffer, covered rect render.DecompressPartial
 //	ACPT   u32 2    yes  hybrid.extract.v3 request: points    decodeExtractRequest
 //	ACPR   u32 1    yes  render.partial.v1 request: a slice   decodeRenderPartialRequest
 //
 // (* ACDL carries the CRC-32 of the stream it reconstructs, which is
 // what catches a delta applied to the wrong base.) hybrid.extract.v3
-// replies with ACHY, render.partial.v1 with ACPB. pario's ACPF, ACON
-// and ACOP files stream objects too large to hold twice and are not on
+// replies with ACHY, render.partial.v1 with ACPB, and the lossless
+// Render tier with ACPB too, a whole frame at sequence number 0
+// (render.CompressFramebuffer); v10 moved that reply to ACPB from a
+// whole-frame format of its own, now gone. pario's ACPF, ACON and ACOP
+// files stream objects too large to hold twice and are not on
 // internal/wire. A blob's version is its own: ACHY went from 2 to 3
 // (the volume as RLE ops) under protocol v9, and a peer that reads
 // only version 2 refuses such a Get reply by name.
@@ -85,7 +87,7 @@ import (
 var protoMagic = [4]byte{'A', 'C', 'V', 'P'}
 
 const (
-	protoVersion = 9
+	protoVersion = 10
 
 	// maxBody bounds a message body so a corrupt or hostile length
 	// prefix cannot cause an arbitrary allocation.

@@ -18,7 +18,7 @@
 // loop, session table and idle reaper, and the service answers the
 // verbs of what it holds. With a FrameStore (NewService) it serves the
 // store to concurrent clients over a versioned, length-prefixed,
-// CRC-framed, request-ID-multiplexed protocol (protocol.go, v9) with
+// CRC-framed, request-ID-multiplexed protocol (protocol.go, v10) with
 // these store verbs:
 //
 //   - List: frame range and liveness
@@ -38,7 +38,8 @@
 //     buffer, so per-frame server work is independent of audience size
 //   - Render: thin-client mode — the client ships camera/transfer-
 //     function parameters, the server renders the frame and
-//     returns an RLE-compressed framebuffer,
+//     returns its covered rectangle as an RLE-compressed RGBA+depth
+//     framebuffer (ACPB, the sort-last partials' codec, since v10),
 //     bit-identical to a local render at ~1-2 orders of magnitude
 //     fewer bytes than the frame itself. v3 adds a negotiated quality
 //     tier: the default stays lossless; QualityPreview opts into a

@@ -425,6 +425,70 @@ func TestRenderMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRenderLosslessEdgeCases: the lossless tier through Client.Render
+// on the shapes of the covered rectangle it ships — an odd size, a
+// picture with nothing on it (a 0×0 rectangle) and a picture covered
+// out to all four edges. Each reply decodes bit-equal to a local
+// RenderStill of the same frame.
+func TestRenderLosslessEdgeCases(t *testing.T) {
+	reps := testReps(t, 1)
+	// Framing a box a tenth of the cloud's size puts the cloud's dense
+	// core behind every pixel.
+	zoomed := *reps[0]
+	c, half := zoomed.Bounds.Center(), zoomed.Bounds.Size().Scale(0.05)
+	zoomed.Bounds = vec.Box(c.Sub(half), c.Add(half))
+	// No points and an all-zero volume: nothing is drawn.
+	blank := *reps[0]
+	blank.Points, blank.PointDensity, blank.OrigIndex = nil, nil, nil
+	vol := *blank.Volume
+	vol.Data = make([]float32, len(vol.Data))
+	blank.Volume = &vol
+	reps = append(reps, &zoomed, &blank)
+	srv, _ := serveMem(t, reps)
+	cli := dial(t, srv.Addr())
+
+	for _, c := range []struct {
+		name           string
+		frame, w, h    int
+		x0, y0, rw, rh int // the covered rectangle; rw < 0: any non-empty one
+	}{
+		{"odd size", 0, 191, 97, 0, 0, -1, 0},
+		{"empty picture", 2, 64, 48, 0, 0, 0, 0},
+		{"covered to all four edges", 1, 95, 61, 0, 0, 95, 61},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			viewDir := vec.New(0.4, 0.3, 1)
+			got, size, _, err := cli.Render(RenderParams{Frame: c.frame, Width: c.w, Height: c.h, ViewDir: viewDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tf, err := hybrid.DefaultTF(reps[c.frame])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, _, err := volren.RenderStill(reps[c.frame], tf, c.w, c.h, viewDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			framesEqual(t, got, want, c.name)
+			pf, err := render.DecompressPartial(render.CompressFramebuffer(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.rw < 0 {
+				if pf.RW == 0 || pf.RH == 0 {
+					t.Errorf("nothing drawn at %dx%d", c.w, c.h)
+				}
+			} else if pf.X0 != c.x0 || pf.Y0 != c.y0 || pf.RW != c.rw || pf.RH != c.rh {
+				t.Errorf("covered rectangle %dx%d at (%d,%d), want %dx%d at (%d,%d)", pf.RW, pf.RH, pf.X0, pf.Y0, c.rw, c.rh, c.x0, c.y0)
+			}
+			if c.rw == 0 && size != 36 {
+				t.Errorf("an empty picture travelled in %d bytes, want the 36-byte header", size)
+			}
+		})
+	}
+}
+
 // TestRenderRefusesNonFiniteView sends a Render request whose view
 // direction is NaN, as any float64 bits pass the wire. The camera built
 // from it must be refused with a named error; a NaN camera's rays march

@@ -135,24 +135,14 @@ func TestRLEDecodeMalformed(t *testing.T) {
 	}
 }
 
-func FuzzDecompressFramebuffer(f *testing.F) {
-	fb, _ := NewFramebuffer(8, 8)
-	f.Add(CompressFramebuffer(fb))
-	f.Add([]byte("ACFB\x01\x00\x00\x00"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fb, err := DecompressFramebuffer(data) // must never panic
-		if err == nil && fb == nil {
-			t.Fatal("nil framebuffer without error")
-		}
-	})
-}
-
 // The picture codecs as they stood before they moved onto the byte-plane
 // pair: every plane held as uint32 words, the op stream written and read
 // word by word. They are the oracle TestCodecsMatchReference and
-// FuzzCodecsMatchReference hold the shipped ACFB, ACFQ and ACPB codecs
-// to, byte for byte and refusal for refusal, and refCompressDelta and
-// refDecompressDelta (delta_test.go) are built on the same pair.
+// FuzzCodecsMatchReference hold the shipped ACFQ and ACPB codecs to,
+// byte for byte and refusal for refusal, and refCompressDelta and
+// refDecompressDelta (delta_test.go) are built on the same pair. The
+// partial oracle's background test compares bits, as the shipped
+// encoder's does: a −0 color word is a covered pixel.
 
 // bitWords views a float32 plane as its bit patterns, the words the RLE
 // ops run over: no copy, and a NaN keeps its payload.
@@ -261,34 +251,6 @@ func refDecodeRLEWords(data []byte, dst []uint32) ([]byte, error) {
 	return data, nil
 }
 
-func refCompressFramebuffer(fb *Framebuffer) []byte {
-	out := wire.Begin(make([]byte, 0, 16+len(fb.Color)), magicFB, fbCodecVersion, 4)
-	out = wire.U32s(out, uint32(fb.W), uint32(fb.H))
-	out = refAppendRLEWords(out, bitWords(fb.Color))
-	return refAppendRLEWords(out, bitWords(fb.Depth))
-}
-
-func refDecompressFramebuffer(data []byte) (*Framebuffer, error) {
-	w, h, rest, err := openFramebuffer("render: framebuffer", data, magicFB, fbCodecVersion, 5)
-	if err != nil {
-		return nil, err
-	}
-	fb, err := NewFramebuffer(w, h)
-	if err != nil {
-		return nil, err
-	}
-	if rest, err = refDecodeRLEWords(rest, bitWords(fb.Color)); err != nil {
-		return nil, fmt.Errorf("render: color plane: %w", err)
-	}
-	if rest, err = refDecodeRLEWords(rest, bitWords(fb.Depth)); err != nil {
-		return nil, fmt.Errorf("render: depth plane: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("render: %d trailing bytes after framebuffer", len(rest))
-	}
-	return fb, nil
-}
-
 func refCompressFramebufferQuantized(fb *Framebuffer) []byte {
 	words := make([]uint32, fb.W*fb.H)
 	for i := range words {
@@ -304,12 +266,19 @@ func refCompressFramebufferQuantized(fb *Framebuffer) []byte {
 }
 
 func refDecompressFramebufferQuantized(data []byte) (*Framebuffer, error) {
-	w, h, rest, err := openFramebuffer("render: quantized framebuffer", data, magicFBQ, fbqCodecVersion, 1)
-	if err != nil {
+	rd := wire.Open("render: quantized framebuffer", data, magicFBQ, fbqCodecVersion, 4, false)
+	w, h := int(rd.U32()), int(rd.U32())
+	if w < 1 || h < 1 || w > 4096 || h > 4096 || int64(w)*int64(h) > 1<<22 {
+		rd.Fail("implausible size %dx%d", w, h)
+	}
+	rest := rd.Take(rd.Len())
+	rd.RLEBound(len(rest), int64(w)*int64(h))
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	words := make([]uint32, w*h)
-	if rest, err = refDecodeRLEWords(rest, words); err != nil {
+	rest, err := refDecodeRLEWords(rest, words)
+	if err != nil {
 		return nil, fmt.Errorf("render: quantized color plane: %w", err)
 	}
 	if len(rest) != 0 {
@@ -337,8 +306,8 @@ func refCompressPartial(fb *Framebuffer, seq int) []byte {
 			i := row + x
 			ci := i * 4
 			if math.Float32bits(fb.Depth[i]) == inf &&
-				fb.Color[ci] == 0 && fb.Color[ci+1] == 0 &&
-				fb.Color[ci+2] == 0 && fb.Color[ci+3] == 0 {
+				math.Float32bits(fb.Color[ci]) == 0 && math.Float32bits(fb.Color[ci+1]) == 0 &&
+				math.Float32bits(fb.Color[ci+2]) == 0 && math.Float32bits(fb.Color[ci+3]) == 0 {
 				continue
 			}
 			if x < x0 {
@@ -446,9 +415,18 @@ func pictureCodecs() []pictureCodec {
 			return pf.FB, fmt.Sprintf("seq %d, %dx%d at (%d,%d)", pf.Seq, pf.RW, pf.RH, pf.X0, pf.Y0), nil
 		}
 	}
+	// The whole-frame entry points write and read a partial of
+	// sequence number 0.
+	wholeFrame := func(p []byte) (*Framebuffer, string, error) {
+		pf, err := refDecompressPartial(p)
+		if err != nil {
+			return nil, "", err
+		}
+		return pf.FB, "", nil
+	}
 	return []pictureCodec{
-		{"ACFB", 16, CompressFramebuffer, refCompressFramebuffer,
-			frame(DecompressFramebuffer), frame(refDecompressFramebuffer)},
+		{"ACPB frame", 36, CompressFramebuffer, func(fb *Framebuffer) []byte { return refCompressPartial(fb, 0) },
+			frame(DecompressFramebuffer), wholeFrame},
 		{"ACFQ", 16, CompressFramebufferQuantized, refCompressFramebufferQuantized,
 			frame(DecompressFramebufferQuantized), frame(refDecompressFramebufferQuantized)},
 		{"ACPB", 36, func(fb *Framebuffer) []byte { return AppendPartial(nil, fb, 7) },
@@ -643,7 +621,7 @@ func pictureCases(t testing.TB) []pictureCase {
 	return cases
 }
 
-// TestCodecsMatchReference: the shipped ACFB, ACFQ and ACPB codecs
+// TestCodecsMatchReference: the shipped ACFQ and ACPB codecs
 // write the oracle's blob and decode it, and damaged copies of it, to
 // the oracle's frame or the oracle's refusal on every row of the matrix.
 func TestCodecsMatchReference(t *testing.T) {
@@ -722,10 +700,13 @@ func TestCodecsAllocate(t *testing.T) {
 	frameBytes := uint64(20*len(fb.Depth)) + uint64(unsafe.Sizeof(Framebuffer{}))
 	fbBlob, quantBlob, partBlob := CompressFramebuffer(fb), CompressFramebufferQuantized(fb), CompressPartial(part, 1)
 	dst := make([]byte, 0, 21*len(part.Depth))
-	decoded := func(_ any, err error) {
+	// A decoded result escapes, as it does in use: an inlined decoder
+	// whose result stays in the closure would build it on the stack.
+	decoded := func(v any, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		decodedSink = v
 	}
 	for _, c := range []struct {
 		name   string
@@ -753,6 +734,8 @@ func TestCodecsAllocate(t *testing.T) {
 	}
 }
 
+var decodedSink any
+
 // TestDecodersRefuseUnrenderedSizes: a picture header larger than any
 // frame the service renders is refused before anything is allocated,
 // however many ops follow it. Each forged blob here carries exactly the
@@ -771,16 +754,19 @@ func TestDecodersRefuseUnrenderedSizes(t *testing.T) {
 		}
 		return ops
 	}
-	header := func(magic string) []byte {
-		le := binary.LittleEndian
-		return le.AppendUint32(le.AppendUint32(le.AppendUint32([]byte(magic), 1), side), side)
+	header := func(magic string, fields ...uint32) []byte {
+		out := []byte(magic)
+		for _, v := range append([]uint32{1, side, side}, fields...) {
+			out = binary.LittleEndian.AppendUint32(out, v)
+		}
+		return out
 	}
 	for _, c := range []struct {
 		name   string
 		blob   []byte
 		decode func([]byte) error
 	}{
-		{"ACFB", append(append(header("ACFB"), repeats(4*side*side)...), repeats(side*side)...),
+		{"ACPB", append(append(header("ACPB", 0, 0, 0, side, side), repeats(4*side*side)...), repeats(side*side)...),
 			func(p []byte) error { _, err := DecompressFramebuffer(p); return err }},
 		{"ACFQ", append(header("ACFQ"), repeats(side*side)...),
 			func(p []byte) error { _, err := DecompressFramebufferQuantized(p); return err }},

@@ -62,22 +62,38 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 	}
 	fb := &Framebuffer{
 		W: w, H: h,
-		Color: make([]float32, w*h*4),
+		Color: make([]float32, w*h*4), // transparent black as made
 		Depth: make([]float32, w*h),
 	}
-	fb.Clear(hybrid.RGBA{})
+	fill(fb.Depth, float32(math.Inf(1)))
 	return fb, nil
 }
 
-// Clear fills the color buffer with c and resets depth to +Inf.
+// PlausibleSize reports whether w x h is a framebuffer the remote
+// service renders — at most 4096 a side and 2²² pixels — the bound
+// every picture decoder and every render request is held to.
+func PlausibleSize(w, h int) bool {
+	return w >= 1 && h >= 1 && w <= 4096 && h <= 4096 && w*h <= 1<<22
+}
+
+// Clear fills the color buffer with c and resets depth to +Inf. A
+// color of four +0 channels clears the color plane outright.
 func (fb *Framebuffer) Clear(c hybrid.RGBA) {
-	inf := float32(math.Inf(1))
-	for i := 0; i < len(fb.Depth); i++ {
-		fb.Color[i*4+0] = float32(c.R)
-		fb.Color[i*4+1] = float32(c.G)
-		fb.Color[i*4+2] = float32(c.B)
-		fb.Color[i*4+3] = float32(c.A)
-		fb.Depth[i] = inf
+	color := fb.Color[:4*len(fb.Depth)]
+	px := [4]float32{float32(c.R), float32(c.G), float32(c.B), float32(c.A)}
+	if math.Float32bits(px[0])|math.Float32bits(px[1])|math.Float32bits(px[2])|math.Float32bits(px[3]) == 0 {
+		clear(color)
+	} else {
+		fill(color, px[:]...)
+	}
+	fill(fb.Depth, float32(math.Inf(1)))
+}
+
+// fill repeats v over all of s, doubling the filled prefix with each
+// copy.
+func fill(s []float32, v ...float32) {
+	for n := copy(s, v); n < len(s); {
+		n += copy(s[n:], s[:n])
 	}
 }
 

@@ -31,19 +31,20 @@ func deltaFixture() (cur, base []byte) {
 	return cur, base
 }
 
-// The fixtures as the four codecs encoded them at the commit before
-// their headers moved onto internal/wire.
+// The fixtures as the codecs encoded them at the commit before their
+// headers moved onto internal/wire. A whole frame is the partial of
+// sequence number 0: the ACPB bytes with 0 in the seq word.
 const (
-	acfbRecorded = "414346420100000005000000030000008200000000020000803f0000003f0000" + // 136 bytes
-		"803e800000803f020000003f0000803e0000803f920000000003cdcc4c3ecdcc" +
-		"cc3e9a99193fcdcc4c3f86000000000300000040000080bf6f12833a77be7f3f" +
-		"8a00000000000000807f8000002040830000807f000000e040800000807f0000" +
-		"00003e810000807f"
 	acfqRecorded = "41434651010000000500000003000000000000000080ff8040ff830000000000" + // 51 bytes
 		"336699cc800000000000ff0000ff8100000000"
 	acdlRecorded = "4143444c010000004600000044000000aa7e3534880000000000070e13008400" + // 40 bytes
 		"0000000021210000"
 	acpbRecorded = "4143504201000000050000000300000003000000010000000000000003000000" + // 134 bytes, seq 3
+		"03000000020000803f0000003f0000803e800000803f020000003f0000803e00" +
+		"00803f8a0000000007cdcc4c3ecdcccc3e9a99193fcdcc4c3f00000040000080" +
+		"bf6f12833a77be7f3f86000000008000002040810000807f010000e040000000" +
+		"3e800000807f"
+	acpbFrameRecorded = "4143504201000000050000000300000000000000010000000000000003000000" + // 134 bytes, seq 0
 		"03000000020000803f0000003f0000803e800000803f020000003f0000803e00" +
 		"00803f8a0000000007cdcc4c3ecdcccc3e9a99193fcdcc4c3f00000040000080" +
 		"bf6f12833a77be7f3f86000000008000002040810000807f010000e040000000" +
@@ -61,7 +62,7 @@ func TestFormatsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both planes bit for bit, through the lossless codec pinned above.
+	// Both planes bit for bit, through the lossless codec pinned below.
 	sameFB := func(t *testing.T, got *Framebuffer) {
 		t.Helper()
 		if !bytes.Equal(CompressFramebuffer(got), CompressFramebuffer(fb)) {
@@ -74,13 +75,6 @@ func TestFormatsUnchanged(t *testing.T) {
 		encode   func() []byte
 		check    func(t *testing.T, blob []byte)
 	}{
-		{"ACFB", acfbRecorded, func() []byte { return CompressFramebuffer(fb) }, func(t *testing.T, blob []byte) {
-			got, err := DecompressFramebuffer(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFB(t, got)
-		}},
 		{"ACFQ", acfqRecorded, func() []byte { return CompressFramebufferQuantized(fb) }, func(t *testing.T, blob []byte) {
 			got, err := DecodeFramebuffer(blob) // sniffs the magic
 			if err != nil {
@@ -109,6 +103,16 @@ func TestFormatsUnchanged(t *testing.T) {
 				t.Errorf("partial header %+v", got)
 			}
 			sameFB(t, got.FB)
+		}},
+		{"ACPB frame", acpbFrameRecorded, func() []byte { return CompressFramebuffer(fb) }, func(t *testing.T, blob []byte) {
+			if !bytes.Equal(blob, CompressPartial(fb, 0)) {
+				t.Error("a whole frame is not the partial of sequence number 0")
+			}
+			got, err := DecodeFramebuffer(blob) // sniffs the magic
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFB(t, got)
 		}},
 		{"ACPB empty", acpbEmptyRecorded, func() []byte { return CompressPartial(empty, 9) }, func(t *testing.T, blob []byte) {
 			got, err := DecompressPartial(blob)

@@ -2,11 +2,14 @@ package render
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/hybrid"
 	"repro/internal/vec"
+	"repro/internal/wire"
 )
 
 // partialFixture renders a deterministic splat cloud into a small
@@ -104,6 +107,47 @@ func TestPartialFramebufferEmpty(t *testing.T) {
 	}
 }
 
+// TestPartialKeepsEveryWord: a pixel is background only when it is
+// bit for bit four +0 color words at +Inf depth. An 8×8 frame holds one
+// lit pixel at (6, 6) and, at (1, 2), a pixel at +Inf depth whose only
+// mark is one odd color word: the rectangle must reach it, and both the
+// partial and the whole-frame round trip must return every word.
+func TestPartialKeepsEveryWord(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		word uint32
+	}{
+		{"−0 green", 0x80000000},
+		{"NaN-payload green", 0x7fc00123},
+	} {
+		fb, err := NewFramebuffer(8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := 6*8 + 6
+		copy(fb.Color[4*lit:], []float32{0.5, 0.25, 1, 1})
+		fb.Depth[lit] = 0.5
+		fb.Color[4*(2*8+1)+1] = math.Float32frombits(c.word)
+		pf, err := DecompressPartial(CompressPartial(fb, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pf.X0 != 1 || pf.Y0 != 2 || pf.RW != 6 || pf.RH != 5 {
+			t.Errorf("%s: rect %dx%d at (%d,%d), want 6x5 at (1,2)", c.name, pf.RW, pf.RH, pf.X0, pf.Y0)
+		}
+		whole, err := DecompressFramebuffer(CompressFramebuffer(fb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*Framebuffer{pf.FB, whole} {
+			if !bytes.Equal(wire.F32Bytes(got.Color), wire.F32Bytes(fb.Color)) ||
+				!bytes.Equal(wire.F32Bytes(got.Depth), wire.F32Bytes(fb.Depth)) {
+				t.Errorf("%s: the round trip changed a word", c.name)
+			}
+		}
+	}
+}
+
 // TestPartialFramebufferMalformed: every corruption class errors
 // cleanly — no panic, no acceptance.
 func TestPartialFramebufferMalformed(t *testing.T) {
@@ -136,8 +180,9 @@ func TestPartialFramebufferMalformed(t *testing.T) {
 }
 
 // FuzzPartialFramebuffer: the decoder must never panic or
-// over-allocate on hostile input, and everything it accepts must
-// re-encode to a decodable blob.
+// over-allocate on hostile input, the whole-frame decoder must accept
+// exactly what it accepts and return the same frame, and everything
+// it accepts must re-encode to a blob that decodes to the same words.
 func FuzzPartialFramebuffer(f *testing.F) {
 	f.Add(CompressPartial(partialFixture(f, 80), 2))
 	empty, err := NewFramebuffer(8, 8)
@@ -146,10 +191,18 @@ func FuzzPartialFramebuffer(f *testing.F) {
 	}
 	empty.Clear(hybrid.RGBA{})
 	f.Add(CompressPartial(empty, 0))
+	negZero := *empty
+	negZero.Color = slices.Clone(empty.Color)
+	negZero.Color[4*(3*8+2)+1] = float32(math.Copysign(0, -1))
+	f.Add(CompressFramebuffer(&negZero))
 	f.Add([]byte("ACPB"))
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pf, err := DecompressPartial(data)
+		whole, wholeErr := DecompressFramebuffer(data)
+		if fmt.Sprint(err) != fmt.Sprint(wholeErr) {
+			t.Fatalf("DecompressFramebuffer: %v, DecompressPartial: %v", wholeErr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -157,9 +210,12 @@ func FuzzPartialFramebuffer(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted partial failed to round-trip: %v", err)
 		}
-		for i := range pf.FB.Color {
-			if math.Float32bits(back.FB.Color[i]) != math.Float32bits(pf.FB.Color[i]) {
-				t.Fatal("re-encoded partial lost a color word")
+		for _, got := range []*Framebuffer{whole, back.FB} {
+			if !bytes.Equal(wire.F32Bytes(got.Color), wire.F32Bytes(pf.FB.Color)) {
+				t.Fatal("a color word differs")
+			}
+			if !bytes.Equal(wire.F32Bytes(got.Depth), wire.F32Bytes(pf.FB.Depth)) {
+				t.Fatal("a depth word differs")
 			}
 		}
 	})

@@ -52,14 +52,21 @@ func CompressFramebufferQuantized(fb *Framebuffer) []byte {
 // v/255 and depth cleared to +Inf. Malformed input returns an error;
 // it never panics.
 func DecompressFramebufferQuantized(data []byte) (*Framebuffer, error) {
-	w, h, rest, err := openFramebuffer("render: quantized framebuffer", data, magicFBQ, fbqCodecVersion, 1)
-	if err != nil {
+	rd := wire.Open("render: quantized framebuffer", data, magicFBQ, fbqCodecVersion, 4, false)
+	w, h := int(rd.U32()), int(rd.U32())
+	if !PlausibleSize(w, h) {
+		rd.Fail("implausible size %dx%d", w, h)
+	}
+	rest := rd.Take(rd.Len())
+	rd.RLEBound(len(rest), int64(w)*int64(h))
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	plane := grow(&sc.plane, 4*w*h)
-	if rest, err = wire.DecodeRLE(rest, plane); err != nil {
+	rest, err := wire.DecodeRLE(rest, plane)
+	if err != nil {
 		return nil, fmt.Errorf("render: quantized color plane: %w", err)
 	}
 	if len(rest) != 0 {
@@ -75,9 +82,10 @@ func DecompressFramebufferQuantized(data []byte) (*Framebuffer, error) {
 	return fb, nil
 }
 
-// DecodeFramebuffer decodes either framebuffer wire format, sniffing
-// the magic — what a thin client calls when the server chose the codec
-// from a negotiated quality tier.
+// DecodeFramebuffer decodes either picture format the Render verb
+// replies with, ACFQ or ACPB, telling them apart by magic — what a thin
+// client calls when the server chose the codec from a negotiated
+// quality tier.
 func DecodeFramebuffer(data []byte) (*Framebuffer, error) {
 	if len(data) >= 4 && [4]byte(data[:4]) == magicFBQ {
 		return DecompressFramebufferQuantized(data)

@@ -45,6 +45,50 @@ func TestClearAndAt(t *testing.T) {
 	}
 }
 
+// TestClearMatchesPerPixelDefinition: Clear writes, bit for bit, what
+// setting every pixel to the color and +Inf depth one at a time writes —
+// at sizes on both sides of each doubling, over a dirty buffer, for the
+// zero color and for colors with a −0, a NaN payload and a negative
+// channel.
+func TestClearMatchesPerPixelDefinition(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0x7ff8000000000123)
+	for _, c := range []hybrid.RGBA{
+		{},
+		{R: 0.5, G: negZero, B: 0.125, A: 1},
+		{G: negZero},
+		{R: nan, G: -3, B: 1e-40, A: 0.75},
+	} {
+		for _, size := range [][2]int{{1, 1}, {2, 1}, {3, 1}, {4, 4}, {5, 3}, {191, 97}} {
+			fb, err := NewFramebuffer(size[0], size[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range fb.Color {
+				fb.Color[i] = float32(i) - 7
+			}
+			for i := range fb.Depth {
+				fb.Depth[i] = float32(i)
+			}
+			fb.Clear(c)
+			want := [4]uint32{
+				math.Float32bits(float32(c.R)), math.Float32bits(float32(c.G)),
+				math.Float32bits(float32(c.B)), math.Float32bits(float32(c.A)),
+			}
+			for i, d := range fb.Depth {
+				if math.Float32bits(d) != 0x7f800000 {
+					t.Fatalf("%v, %dx%d: depth %d = %v, want +Inf", c, size[0], size[1], i, d)
+				}
+				for k := 0; k < 4; k++ {
+					if got := math.Float32bits(fb.Color[4*i+k]); got != want[k] {
+						t.Fatalf("%v, %dx%d: pixel %d channel %d = %#08x, want %#08x", c, size[0], size[1], i, k, got, want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestCameraValidation(t *testing.T) {
 	if _, err := NewCamera(vec.New(0, 0, 0), vec.New(0, 0, 0), vec.New(0, 1, 0), 1, 1, 0.1, 10); err == nil {
 		t.Error("accepted coincident eye/target")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hybrid"
+	"repro/internal/mallocs"
 	"repro/internal/vec"
 )
 
@@ -322,9 +323,6 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 // DrawTriangleStripBatchFunc, and Flush's vertex-transform, setup and
 // row-band closures.
 func TestTriangleFlushAllocates(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates in sync primitives; this pin runs without -race")
-	}
 	cam, err := NewCamera(vec.New(0, 0, 6), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, 1, 0.1, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -348,37 +346,13 @@ func TestTriangleFlushAllocates(t *testing.T) {
 	const want = 4
 	for _, procs := range []int{1, 2, 8} {
 		r := NewRasterizer(fb, cam)
-		if n := mallocsPerRun(procs, 20, func() { r.DrawTriangleStripBatchFunc(counts, fill) }); n != want {
+		if n := mallocs.PerRun(t, procs, 20, func() { r.DrawTriangleStripBatchFunc(counts, fill) }); n != want {
 			t.Errorf("GOMAXPROCS=%d: %v allocations per flush, want %v", procs, n, want)
 		}
 		if r.FragmentCount == 0 {
 			t.Fatal("scene drew nothing")
 		}
 	}
-}
-
-// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
-// allocations per call of f, averaged over runs calls after one
-// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
-// every par call is one chunk on the caller, so it cannot see an
-// allocation made per chunk. It returns the least of three such
-// averages: at a processor count above the machine's, a collection
-// that falls among the runs can make the runtime allocate threads and
-// goroutines of its own, which a round without one does not count.
-func mallocsPerRun(procs, runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	f()
-	least := uint64(math.MaxUint64)
-	for round := 0; round < 3; round++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
-	}
-	return float64(least)
 }
 
 // TestFragmentCountCullsOffscreen is the stats/cost-model fix: splat

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/mallocs"
 	"repro/internal/par"
 )
 
@@ -156,16 +157,13 @@ func TestSorterReuseMatchesStdlib(t *testing.T) {
 // TestSorterAllocatesNothing: a warm Sort of Morton-like keys and of
 // 64-bit keys allocates nothing at 1, 2 and 8 cores.
 func TestSorterAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates in sync primitives; this pin runs without -race")
-	}
 	rng := rand.New(rand.NewSource(5))
 	for _, name := range []string{"morton-like", "uniform64"} {
 		master := distributions[name](100_000, rng)
 		p := make([]KV, len(master))
 		for _, procs := range []int{1, 2, 8} {
 			var s Sorter
-			if got := mallocsPerRun(procs, 5, func() {
+			if got := mallocs.PerRun(t, procs, 5, func() {
 				copy(p, master)
 				s.Sort(p)
 			}); got != 0 {
@@ -173,30 +171,6 @@ func TestSorterAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
-}
-
-// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs: heap
-// allocations per call of f, averaged over runs calls after one
-// uncounted call. AllocsPerRun itself measures at GOMAXPROCS 1, where
-// every par call is one chunk on the caller, so it cannot see an
-// allocation made per chunk. It returns the least of three such
-// averages: at a processor count above the machine's, a collection
-// that falls among the runs can make the runtime allocate threads and
-// goroutines of its own, which a round without one does not count.
-func mallocsPerRun(procs, runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	f()
-	least := uint64(math.MaxUint64)
-	for round := 0; round < 3; round++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, (after.Mallocs-before.Mallocs)/uint64(runs))
-	}
-	return float64(least)
 }
 
 // TestSorterMutantsFail seeds the sorter with the mistakes a rewrite of

@@ -11,8 +11,8 @@ import (
 //	control c < 0x80:  c+1 literal words follow           (1..128)
 //	control c >= 0x80: the next word repeats (c&0x7f)+2 times (2..129)
 //
-// It carries the ACHY density volume and the four picture codecs
-// (ACFB, ACFQ, ACPB, ACDL): one pair writes and reads it over byte
+// It carries the ACHY density volume and the three picture codecs
+// (ACFQ, ACPB, ACDL): one pair writes and reads it over byte
 // planes, AppendRLE and DecodeRLE. A plane that is mostly one word —
 // background pixels, empty voxels — shrinks to the size of the rest.
 //

@@ -42,6 +42,7 @@ var unshipped = map[string]string{
 	"internal/core.ConvertPlotType":             "fig: Fig 2's phase-plot conversion without re-partitioning (§2.3), a row of item 8's table",
 	"internal/render.Framebuffer.CoveredPixels": "diag: \"did anything draw\" in the tests of core, sos, volren and the root",
 	"internal/hexmesh.BuildBox":                 "seam: the all-vacuum mesh seeding's tests substitute for a cavity",
+	"internal/mallocs.PerRun":                   "diag: the multi-core allocation pins of the tests of octree, sortx, beam and render",
 }
 
 // unsetFields are the exported fields of internal/'s exported struct
@@ -51,7 +52,6 @@ var unshipped = map[string]string{
 // field no test varies either is not a setting; make it a constant.
 var unsetFields = map[string]string{
 	"internal/emsim.Config.Freq":                  "seam: TestCavityResonanceNearTM010 drives off the mode it then measures",
-	"internal/core.StreamOptions.KeepTrees":       "seam: TestStreamRecyclingLeavesCallerData and the partition-only tests keep the trees",
 	"internal/core.FieldStreamOptions.TraceB":     "seam: TestFieldStream turns the magnetic lines on",
 	"internal/remote.FleetOptions.RequestTimeout": "seam: shortened per-attempt deadlines in the fleet fault tests",
 	"internal/remote.FleetOptions.Retry":          "seam: millisecond backoff in the fleet fault tests",

@@ -45,9 +45,22 @@ func main() {
 	// through the frame-overlapped engine.
 	const nFrames = 6
 	fmt.Printf("\n%-8s %-8s %-12s %-12s %-10s\n", "frame", "period", "halo frac", "4-fold sym", "hybrid MB")
-	s := pp.StreamFrames(context.Background(), core.SimSource(sim, nFrames, 8), core.StreamOptions{
-		KeepFrames: true, // per-frame halo statistics need the ensemble
-		Buffer:     2,
+	// The stream takes each ensemble back once the frame is partitioned,
+	// so the halo statistics are taken in the source, before emit, into
+	// a slot per frame that the consumer reads after the frame arrives.
+	type haloStats struct{ frac, sym float64 }
+	stats := make([]haloStats, nFrames)
+	snapshots := core.SimSource(sim, nFrames, 8)
+	src := func(ctx context.Context, emit func(beam.Frame) bool) error {
+		i := 0
+		return snapshots(ctx, func(f beam.Frame) bool {
+			stats[i] = haloStats{beam.FractionBeyondRadius(f.E, 2.5*(m.A+m.B)/2), beam.FourFoldSymmetry(f.E)}
+			i++
+			return emit(f)
+		})
+	}
+	s := pp.StreamFrames(context.Background(), src, core.StreamOptions{
+		Buffer: 2,
 		Render: &core.RenderOptions{
 			Width: 384, Height: 384,
 			ViewDir: vec.New(0, 0, 1),
@@ -56,10 +69,8 @@ func main() {
 	var lastRep *hybrid.Representation
 	for r := range s.Out {
 		lastRep = r.Rep
-		halo := beam.FractionBeyondRadius(r.Frame.E, 2.5*(m.A+m.B)/2)
-		sym := beam.FourFoldSymmetry(r.Frame.E)
 		fmt.Printf("%-8d %-8d %-12.4f %-12.3f %-10.2f\n",
-			r.Index, (r.Index+1)*8, halo, sym, float64(r.Rep.SizeBytes())/1e6)
+			r.Index, (r.Index+1)*8, stats[r.Index].frac, stats[r.Index].sym, float64(r.Rep.SizeBytes())/1e6)
 		if err := r.FB.WritePNG(fmt.Sprintf("beamhalo_frame%02d.png", r.Index)); err != nil {
 			log.Fatal(err)
 		}

@@ -30,7 +30,11 @@
 // snapshots (SimSource), in-memory frames (FrameSliceSource), or
 // pario frame files (FrameFileSource); the partition/extract/render
 // commands and the time-series benchmarks all drive this same entry
-// point.
+// point. A stream takes each frame's ensemble back once the frame is
+// partitioned, so a consumer that needs the particles wraps its
+// source and reads them before the frame is emitted, as
+// examples/beamhalo does for its halo statistics. A failed stage names
+// itself and the frame: "pipeline: stage extract: frame 3: …".
 //
 // Every stage is also available directly from its own package for
 // callers that need finer control; the pipelines wire the defaults the
@@ -161,7 +165,6 @@ func RenderFrame(rep *hybrid.Representation, tf *hybrid.LinkedTF, w, h int, view
 // FieldPipeline runs the §3 field-line visualization pipeline.
 type FieldPipeline struct {
 	Cavity  hexmesh.CavityConfig
-	Solver  func(m *hexmesh.Mesh, cav hexmesh.CavityConfig) emsim.Config
 	Seeding seeding.Config
 
 	mesh *hexmesh.Mesh
@@ -173,7 +176,6 @@ type FieldPipeline struct {
 func NewFieldPipeline(cellsPerRadius, lines int) *FieldPipeline {
 	return &FieldPipeline{
 		Cavity: hexmesh.DefaultCavity(cellsPerRadius),
-		Solver: emsim.DefaultConfig,
 		Seeding: seeding.Config{
 			TotalLines: lines,
 			Trace:      fieldline.Config{Step: 0, MaxSteps: 600, MinMag: 0},
@@ -201,7 +203,7 @@ func (p *FieldPipeline) ensureSim() (*emsim.Sim, error) {
 		return nil, err
 	}
 	if p.sim == nil {
-		sim, err := emsim.New(p.Solver(m, p.Cavity))
+		sim, err := emsim.New(emsim.DefaultConfig(m, p.Cavity))
 		if err != nil {
 			return nil, err
 		}

@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/compositor"
 	"repro/internal/hybrid"
 	"repro/internal/remote"
 	"repro/internal/render"
-	"repro/internal/volren"
 )
 
 // Sort-last distributed rendering: the frame's halo points — the part
@@ -60,23 +58,13 @@ func splitPoints(density []float32, parts int) []int {
 	return cuts
 }
 
-// renderDistributed renders one frame with the point pass fanned
-// across the render fleet in parts sub-volume partitions, composites
-// the partials into fb (which must be cleared), and runs the volume
-// pass over the merged image. It returns the volume renderer for its
-// stats; there is no local rasterizer — the point-pass stats live on
-// the workers.
+// renderDistributed runs one frame's point pass fanned across the
+// render fleet in parts sub-volume partitions and composites the
+// partials into fb, which must be cleared. There is no local
+// rasterizer: the point-pass stats live on the workers.
 func renderDistributed(ctx context.Context, fl *remote.Fleet, rep *hybrid.Representation,
-	ro RenderOptions, parts int, fb *render.Framebuffer) (*volren.Renderer, error) {
+	ro RenderOptions, parts int, fb *render.Framebuffer) error {
 
-	tf, err := DefaultTF(rep)
-	if err != nil {
-		return nil, err
-	}
-	cam, err := render.LookAtBounds(rep.Bounds, ro.ViewDir, math.Pi/3, float64(ro.Width)/float64(ro.Height))
-	if err != nil {
-		return nil, err
-	}
 	cuts := splitPoints(rep.PointDensity, parts)
 
 	// Fan the sub-volume renders out concurrently; the fleet stripes
@@ -112,20 +100,8 @@ func renderDistributed(ctx context.Context, fl *remote.Fleet, rep *hybrid.Repres
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := compositor.CompositeDepth(fb, partials, 0); err != nil {
-		return nil, err
-	}
-	// The volume is fixed-resolution (it does not scale with the data),
-	// so its ray cast stays on the compositing node, marching over the
-	// merged depth buffer exactly as the single-node pass marches over
-	// its own — same inputs, same image.
-	vr, err := volren.New(rep.Volume, tf)
-	if err != nil {
-		return nil, err
-	}
-	vr.Render(fb, cam)
-	return vr, nil
+	return compositor.CompositeDepth(fb, partials, 0)
 }

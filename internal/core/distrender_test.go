@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -146,6 +147,51 @@ func TestStreamDistributedRenderBitIdentical(t *testing.T) {
 		}
 		if got != len(frames) {
 			t.Fatalf("%s: %d frames, want %d", tc.name, got, len(frames))
+		}
+	}
+}
+
+// TestStreamRenderNonSquare: at a wide and a tall framebuffer, on both
+// placements, every frame of the render stage equals the one-shot
+// RenderFrame at that size bit for bit, so the camera's aspect ratio
+// (width over height) is the one RenderFrame uses.
+func TestStreamRenderNonSquare(t *testing.T) {
+	p, frames := streamFixture(t, 2000)
+	w := startRenderWorker(t)
+	for _, tc := range []struct {
+		w, h  int
+		addrs []string
+	}{
+		{95, 61, nil},
+		{61, 95, nil},
+		{95, 61, []string{w.Addr()}},
+		{61, 95, []string{w.Addr()}},
+	} {
+		name := fmt.Sprintf("%dx%d, %d render workers", tc.w, tc.h, len(tc.addrs))
+		s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), StreamOptions{
+			Render:      &RenderOptions{Width: tc.w, Height: tc.h, Partitions: 2},
+			RenderAddrs: tc.addrs,
+		})
+		got := 0
+		for r := range s.Out {
+			tf, err := DefaultTF(r.Rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			still, _, _, err := RenderFrame(r.Rep, tf, tc.w, tc.h, vec.New(0.4, 0.3, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFrame(r.FB, still) {
+				t.Errorf("%s: frame %d differs from RenderFrame", name, r.Index)
+			}
+			got++
+		}
+		if err := s.Wait(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != len(frames) {
+			t.Fatalf("%s: %d frames, want %d", name, got, len(frames))
 		}
 	}
 }

@@ -120,7 +120,21 @@ func TestStreamRemoteExtractWorkerCrash(t *testing.T) {
 
 	long := append(frames, frames...)
 	long = append(long, frames...) // 9 frames
-	s := p.StreamFrames(context.Background(), FrameSliceSource(long...), StreamOptions{
+	// The source holds the last eight frames back until the worker is
+	// gone, so the crash always lands mid-stream.
+	crashed := make(chan struct{})
+	gated := func(ctx context.Context, emit func(beam.Frame) bool) error {
+		if !emit(long[0]) {
+			return nil
+		}
+		select {
+		case <-crashed:
+		case <-ctx.Done():
+			return nil
+		}
+		return FrameSliceSource(long[1:]...)(ctx, emit)
+	}
+	s := p.StreamFrames(context.Background(), gated, StreamOptions{
 		ExtractAddrs:   []string{w.Addr()},
 		ExtractWorkers: 2,
 	})
@@ -129,6 +143,7 @@ func TestStreamRemoteExtractWorkerCrash(t *testing.T) {
 		t.Fatal("stream produced nothing before the crash")
 	}
 	w.Close()
+	close(crashed)
 	for range s.Out {
 	}
 	if err := s.Wait(); err == nil {

@@ -86,10 +86,12 @@ func collect(t *testing.T, s *ParticleStream, want int) []StreamResult {
 
 // TestStreamRecyclingLeavesCallerData: a stream recycles only storage it
 // lent and nobody else holds. The caller's frames pass through
-// untouched; whatever KeepFrames and SkipExtract hand the
-// consumer still equals the serial result after all later frames have
-// flowed; a cancelled stream leaks nothing, and the pipeline streams
-// bit-identically again afterwards.
+// untouched; a frame a source fills into a lent ensemble is whole when
+// the source emits it; whatever the stream hands the consumer (trees
+// under SkipExtract, representations otherwise) still equals the
+// serial result after all later frames have flowed; a cancelled stream
+// leaks nothing, and the pipeline streams bit-identically again
+// afterwards.
 func TestStreamRecyclingLeavesCallerData(t *testing.T) {
 	p, frames := recycleFixture(t)
 	pristine := cloneFrames(frames)
@@ -152,23 +154,23 @@ func TestStreamRecyclingLeavesCallerData(t *testing.T) {
 		t.Fatal("a stream changed frames its caller owns")
 	}
 
-	// File and simulation sources fill lent ensembles; each Keep option
-	// takes one kind of storage out of circulation.
+	// File and simulation sources fill lent ensembles; SkipExtract takes
+	// the trees out of circulation.
 	for _, c := range []struct {
 		name             string
 		opts             StreamOptions
 		frame, tree, rep bool
 	}{
 		{"files, nothing kept", busy, false, false, true},
-		{"files, KeepFrames", StreamOptions{KeepFrames: true, PartitionWorkers: 3, ExtractWorkers: 2, Buffer: 2}, true, false, true},
 		{"files, SkipExtract", StreamOptions{SkipExtract: true, PartitionWorkers: 3, Buffer: 2}, false, true, false},
-		{"files, SkipExtract and KeepFrames", StreamOptions{SkipExtract: true, KeepFrames: true, PartitionWorkers: 3, Buffer: 2}, true, true, false},
 	} {
 		got := collect(t, p.StreamFrames(context.Background(), FrameFileSource(paths...), c.opts), len(frames))
 		check(c.name, got, c.frame, c.tree, c.rep)
 	}
 
-	// A live source: snapshots into lent ensembles equal Snapshot().
+	// A live source: snapshots into lent ensembles equal Snapshot(),
+	// checked in a wrapping source before emit, since the stream takes
+	// each ensemble back once the frame is partitioned.
 	newSim := func() *beam.Sim {
 		sim, err := p.NewSim()
 		if err != nil {
@@ -177,19 +179,26 @@ func TestStreamRecyclingLeavesCallerData(t *testing.T) {
 		return sim
 	}
 	ref, live := newSim(), newSim()
-	for _, keep := range []bool{false, true} {
-		opts := busy
-		opts.KeepFrames = keep
-		for i, r := range collect(t, p.StreamFrames(context.Background(), SimSource(live, 5, 1), opts), 5) {
-			ref.RunPeriods(1)
-			snap := ref.Snapshot()
-			_, want := serialFrame(t, p, snap)
-			if !reflect.DeepEqual(r.Rep, want) || r.Frame.Step != snap.Step || r.Frame.S != snap.S {
-				t.Errorf("live source, KeepFrames %v: frame %d differs from the serial snapshot", keep, i)
+	snaps := make([]beam.Frame, 5)
+	for i := range snaps {
+		ref.RunPeriods(1)
+		snaps[i] = ref.Snapshot()
+	}
+	filled := SimSource(live, len(snaps), 1)
+	checked := func(ctx context.Context, emit func(beam.Frame) bool) error {
+		i := 0
+		return filled(ctx, func(f beam.Frame) bool {
+			if !reflect.DeepEqual(f, snaps[i]) {
+				t.Errorf("live source: frame %d's lent ensemble differs from Snapshot()", i)
 			}
-			if keep && !reflect.DeepEqual(r.Frame, snap) {
-				t.Errorf("live source: frame %d's retained ensemble differs from Snapshot()", i)
-			}
+			i++
+			return emit(f)
+		})
+	}
+	for i, r := range collect(t, p.StreamFrames(context.Background(), checked, busy), len(snaps)) {
+		_, want := serialFrame(t, p, snaps[i])
+		if !reflect.DeepEqual(r.Rep, want) || r.Frame.Step != snaps[i].Step || r.Frame.S != snaps[i].S {
+			t.Errorf("live source: frame %d differs from the serial snapshot", i)
 		}
 	}
 

@@ -29,9 +29,9 @@ type FrameSource func(ctx context.Context, emit func(beam.Frame) bool) error
 // SimSource captures nFrames snapshots from sim, advancing
 // periodsPerFrame lattice periods before each capture. The simulation
 // steps serially on the source goroutine, so frame N+1 simulates while
-// frame N flows through the downstream stages. Inside a stream that
-// does not keep its frames a snapshot refills an ensemble the stream
-// lends (see streamStorage) instead of cloning a fresh one.
+// frame N flows through the downstream stages. Inside a stream a
+// snapshot refills an ensemble the stream lends (see streamStorage)
+// instead of cloning a fresh one.
 func SimSource(sim *beam.Sim, nFrames, periodsPerFrame int) FrameSource {
 	return func(ctx context.Context, emit func(beam.Frame) bool) error {
 		for i := 0; i < nFrames; i++ {
@@ -61,8 +61,8 @@ func FrameSliceSource(frames ...beam.Frame) FrameSource {
 }
 
 // FrameFileSource reads pario frame files (.acpf) in order, so file
-// I/O overlaps the compute stages downstream. Inside a stream that does
-// not keep its frames the columns land in an ensemble the stream lends.
+// I/O overlaps the compute stages downstream. Inside a stream the
+// columns land in an ensemble the stream lends.
 func FrameFileSource(paths ...string) FrameSource {
 	return func(ctx context.Context, emit func(beam.Frame) bool) error {
 		for _, path := range paths {
@@ -85,10 +85,11 @@ func FrameFileSource(paths ...string) FrameSource {
 // whichever stage finishes with it, and only storage the stream lent:
 //
 //   - ensembles reach a source through its context (lendEnsemble) and
-//     come back from the partition stage. put ignores an ensemble the
+//     come back from the partition stage, or from the fleet extract
+//     stage once the fleet has answered. put ignores an ensemble the
 //     list did not lend, so the frames of a FrameSliceSource, or of any
-//     source that allocates its own, stay the caller's; with KeepFrames
-//     the context carries no list at all;
+//     source that allocates its own, stay the caller's. A source that
+//     needs a frame's particles reads them before it emits the frame;
 //   - builders never leave the partition stage;
 //   - a tree is retired by the extract stage the moment hybrid.Extract
 //     returns (Extract copies what it keeps) and refilled by a later
@@ -112,9 +113,8 @@ func newStreamStorage() *streamStorage {
 
 // partition builds the frame's octree straight from the ensemble's
 // three plotted columns on one of the stream's builders — refilling a
-// retired tree when reuseTree is set — and hands the ensemble back
-// unless the consumer keeps it.
-func (st *streamStorage) partition(p *ParticlePipeline, r *StreamResult, keepFrames, reuseTree bool) (*octree.Tree, error) {
+// retired tree when reuseTree is set — and hands the ensemble back.
+func (st *streamStorage) partition(p *ParticlePipeline, r *StreamResult, reuseTree bool) (*octree.Tree, error) {
 	e := r.Frame.E
 	var retired *octree.Tree
 	if reuseTree {
@@ -124,19 +124,17 @@ func (st *streamStorage) partition(p *ParticlePipeline, r *StreamResult, keepFra
 	t, err := b.BuildColumns(e.Coord(p.Axes[0]), e.Coord(p.Axes[1]), e.Coord(p.Axes[2]), p.Tree, retired)
 	st.builders.Put(b)
 	if err != nil {
-		return nil, fmt.Errorf("frame %d: %w", r.Index, err)
+		return nil, err
 	}
-	st.release(r, keepFrames)
+	st.release(r)
 	return t, nil
 }
 
-// release drops the result's ensemble unless the consumer keeps it,
-// handing it back to the list if the list lent it.
-func (st *streamStorage) release(r *StreamResult, keepFrames bool) {
-	if !keepFrames {
-		st.ens.put(r.Frame.E)
-		r.Frame.E = nil
-	}
+// release drops the result's ensemble, handing it back to the list if
+// the list lent it.
+func (st *streamStorage) release(r *StreamResult) {
+	st.ens.put(r.Frame.E)
+	r.Frame.E = nil
 }
 
 // ensembleList lends ensembles and takes back only what it lent.
@@ -194,39 +192,6 @@ type FrameSink interface {
 // LiveRing is the FrameSink the in-situ examples and CLIs publish
 // into.
 var _ FrameSink = (*remote.LiveRing)(nil)
-
-// remoteExtractExecutor's Apply is the stage body that places the
-// partition+extract pair on a remote worker: the frame's projected
-// point set goes over the wire (CRC-framed, configs included), the
-// hybrid representation comes back, bit-identical to the local stage
-// pair for the same configs. Projection scratch recycles through the
-// stream's free list and the wire payloads through the remote
-// package's, so a steady-state distributed stream allocates like the
-// local one.
-type remoteExtractExecutor struct {
-	fl         *remote.Fleet
-	p          *ParticlePipeline
-	proj       *pipeline.FreeList[[]vec.V3]
-	st         *streamStorage
-	keepFrames bool
-}
-
-// Apply is called from up to the stage's Workers goroutines, keeping
-// Window frames in flight per healthy fleet member. A lost attempt is
-// re-dispatched by the fleet beneath the stage's sequence tagging, so
-// failover never disturbs frame order or content.
-func (x *remoteExtractExecutor) Apply(ctx context.Context, r StreamResult) (StreamResult, error) {
-	pts := pipeline.GetSlice(x.proj, r.Frame.E.Len())
-	x.p.project(r.Frame.E, pts)
-	rep, err := x.fl.ComputeExtract(ctx, pts, x.p.Tree, x.p.Extract)
-	pipeline.PutSlice(x.proj, pts)
-	if err != nil {
-		return r, fmt.Errorf("frame %d: %w", r.Index, err)
-	}
-	r.Rep = rep
-	x.st.release(&r, x.keepFrames)
-	return r, nil
-}
 
 // placeStage dials the fleet that runs a placed stage's kernel at
 // addrs (nil when addrs is empty: the stage runs locally) and closes it
@@ -290,13 +255,13 @@ func (o RenderOptions) withDefaults() RenderOptions {
 // StreamOptions sizes the stages of a particle frame stream. The zero
 // value gives a fully serial stream (one frame in flight per stage)
 // that still overlaps stages: with three pipeline stages, three
-// successive frames are in flight at once.
+// successive frames are in flight at once. No option keeps a frame's
+// ensemble for the consumer; see StreamResult.
 type StreamOptions struct {
 	PartitionWorkers int // concurrent frames in the partition stage (0 = 1)
 	ExtractWorkers   int // concurrent frames in the extract stage (0 = 1)
 	Buffer           int // inter-stage channel depth in frames (0 = 1)
 
-	KeepFrames  bool // retain each frame's ensemble in its result
 	SkipExtract bool // stop after partition (the paper's partitioning program), keeping the trees
 
 	// Render, when non-nil, appends a render stage. Rendering needs a
@@ -366,10 +331,13 @@ type StreamOptions struct {
 }
 
 // StreamResult is the per-frame output of StreamFrames, emitted in
-// frame order regardless of per-stage worker counts.
+// frame order regardless of per-stage worker counts. The stream takes
+// each frame's ensemble back once the frame is partitioned, so a
+// consumer that needs the particles reads them in its FrameSource,
+// before it emits the frame.
 type StreamResult struct {
 	Index int
-	Frame beam.Frame             // Frame.E is nil unless KeepFrames
+	Frame beam.Frame             // Step and S; Frame.E is nil
 	Tree  *octree.Tree           // nil unless SkipExtract
 	Rep   *hybrid.Representation // nil when SkipExtract
 	FB    *render.Framebuffer    // nil unless Render
@@ -448,14 +416,12 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		return fail(err)
 	}
 
-	// Source: number the frames as they arrive. Unless the consumer
-	// keeps the frames, the source's context carries the stream's
-	// ensemble list, for the sources that know to look (lendEnsemble).
+	// Source: number the frames as they arrive. The source's context
+	// carries the stream's ensemble list, for the sources that know to
+	// look (lendEnsemble).
 	st := newStreamStorage()
 	frames := pipeline.Source(pl, buf, func(ctx context.Context, emit func(StreamResult) bool) error {
-		if !opts.KeepFrames {
-			ctx = context.WithValue(ctx, ensembleListKey{}, &st.ens)
-		}
+		ctx = context.WithValue(ctx, ensembleListKey{}, &st.ens)
 		i := 0
 		return src(ctx, func(f beam.Frame) bool {
 			r := StreamResult{Index: i, Frame: f}
@@ -464,43 +430,54 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		})
 	})
 
-	proj := pipeline.NewFreeList(func() []vec.V3 { return nil }) // the fleet executor's projections
 	var out <-chan StreamResult
 	if fleet != nil {
 		// Distributed placement: partition+extract fuse into one stage
-		// whose executor ships each frame's projected point set to the
-		// fleet and gets the hybrid representation back. ExtractWorkers
-		// bounds the concurrent kernel runs (and memory) on each
-		// worker — it is the fleet's per-member window — so the stage
-		// runs ExtractWorkers × members dispatch goroutines to keep
-		// every member's window fillable. Each in-flight frame overlaps
-		// its WAN round-trip on the member's multiplexed connection;
-		// the stage's reorderer restores frame order exactly as it does
-		// for in-process stages, so fleet failover never reorders output.
-		x := &remoteExtractExecutor{fl: fleet, p: p, proj: proj, st: st, keepFrames: opts.KeepFrames}
+		// that ships each frame's projected point set (CRC-framed,
+		// configs included) to the fleet and gets the hybrid
+		// representation back, bit-identical to the local stage pair.
+		// ExtractWorkers bounds the concurrent kernel runs (and memory)
+		// on each worker — it is the fleet's per-member window — so the
+		// stage runs ExtractWorkers × members goroutines to keep every
+		// member's window fillable. A lost attempt is re-dispatched by
+		// the fleet beneath the stage's reorderer, so failover never
+		// disturbs frame order or content. Projections recycle through
+		// proj and the wire payloads through the remote package's free
+		// lists, so a steady distributed stream allocates like the
+		// local one.
+		proj := pipeline.NewFreeList(func() []vec.V3 { return nil })
 		out = pipeline.Map(pl, frames,
 			pipeline.StageConfig{Name: "extract@" + strings.Join(addrs, ","), Workers: extW * len(addrs), Buf: buf},
-			x.Apply)
+			func(ctx context.Context, r StreamResult) (StreamResult, error) {
+				pts := pipeline.GetSlice(proj, r.Frame.E.Len())
+				p.project(r.Frame.E, pts)
+				rep, err := fleet.ComputeExtract(ctx, pts, p.Tree, p.Extract)
+				pipeline.PutSlice(proj, pts)
+				if err != nil {
+					return r, err
+				}
+				r.Rep = rep
+				st.release(&r)
+				return r, nil
+			})
 	} else {
 		// Partition: build the tree from the ensemble's plotted columns.
 		// A tree the consumer will see (SkipExtract) is the consumer's;
 		// any other is retired by the extract stage.
-		trees := pipeline.Map(pl, frames,
+		out = pipeline.Map(pl, frames,
 			pipeline.StageConfig{Name: "partition", Workers: partW, Buf: buf},
 			func(_ context.Context, r StreamResult) (StreamResult, error) {
 				var err error
-				r.Tree, err = st.partition(p, &r, opts.KeepFrames, !opts.SkipExtract)
+				r.Tree, err = st.partition(p, &r, !opts.SkipExtract)
 				return r, err
 			})
-
-		out = trees
 		if !opts.SkipExtract {
 			out = pipeline.Map(pl, out,
 				pipeline.StageConfig{Name: "extract", Workers: extW, Buf: buf},
 				func(_ context.Context, r StreamResult) (StreamResult, error) {
 					rep, err := hybrid.Extract(r.Tree, p.Extract)
 					if err != nil {
-						return r, fmt.Errorf("frame %d: %w", r.Index, err)
+						return r, err
 					}
 					r.Rep = rep
 					st.trees.Put(r.Tree)
@@ -516,10 +493,7 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 		out = pipeline.Map(pl, out,
 			pipeline.StageConfig{Name: "publish", Workers: 1, Buf: buf},
 			func(_ context.Context, r StreamResult) (StreamResult, error) {
-				if err := opts.Sink.Publish(r.Index, r.Rep); err != nil {
-					return r, fmt.Errorf("frame %d: %w", r.Index, err)
-				}
-				return r, nil
+				return r, opts.Sink.Publish(r.Index, r.Rep)
 			})
 	}
 
@@ -533,55 +507,51 @@ func (p *ParticlePipeline) StreamFrames(ctx context.Context, src FrameSource, op
 			}
 			return fb
 		})
+		// The point pass is the only part of a frame's render that
+		// depends on placement. On a render fleet (sort-last) it splits
+		// into parts sub-volumes fanned across the fleet and composited
+		// back in partition order; Workers frames overlap their
+		// fan-outs, and within a frame the fleet's striping and windows
+		// bound the per-member load. The volume is fixed-resolution (it
+		// does not scale with the data), so its ray cast always runs
+		// here, over the frame's own or the composited point image.
+		name, parts := "render", 0
 		if renderFleet != nil {
-			// Sort-last distributed placement: each frame's point pass
-			// splits into parts sub-volumes fanned across the fleet;
-			// the partials composite back in partition order and the
-			// volume pass runs locally over the merged image. Workers
-			// frames overlap their fan-outs; within a frame the fleet's
-			// striping and windows bound the per-member load.
-			parts := ro.Partitions
-			if parts < 1 {
+			name += "@" + strings.Join(opts.RenderAddrs, ",")
+			if parts = ro.Partitions; parts < 1 {
 				parts = len(opts.RenderAddrs)
 			}
-			fl := renderFleet
-			out = pipeline.Map(pl, out,
-				pipeline.StageConfig{Name: "render@" + strings.Join(opts.RenderAddrs, ","), Workers: renderW, Buf: buf},
-				func(ctx context.Context, r StreamResult) (StreamResult, error) {
-					fb := s.fbs.Get()
-					fb.Clear(hybrid.RGBA{})
-					vr, err := renderDistributed(ctx, fl, r.Rep, ro, parts, fb)
-					if err != nil {
-						s.fbs.Put(fb)
-						return r, fmt.Errorf("frame %d: %w", r.Index, err)
-					}
-					r.FB, r.VR = fb, vr
-					return r, nil
-				})
-		} else {
-			aspect := float64(ro.Width) / float64(ro.Height)
-			out = pipeline.Map(pl, out,
-				pipeline.StageConfig{Name: "render", Workers: renderW, Buf: buf},
-				func(_ context.Context, r StreamResult) (StreamResult, error) {
-					tf, err := DefaultTF(r.Rep)
-					if err != nil {
-						return r, fmt.Errorf("frame %d: %w", r.Index, err)
-					}
-					cam, err := render.LookAtBounds(r.Rep.Bounds, ro.ViewDir, math.Pi/3, aspect)
-					if err != nil {
-						return r, fmt.Errorf("frame %d: %w", r.Index, err)
-					}
-					fb := s.fbs.Get()
-					fb.Clear(hybrid.RGBA{})
-					rast, vr, err := volren.RenderHybrid(r.Rep, tf, fb, cam, ro.PointScale, ro.Opaque)
-					if err != nil {
-						s.fbs.Put(fb)
-						return r, fmt.Errorf("frame %d: %w", r.Index, err)
-					}
-					r.FB, r.Rast, r.VR = fb, rast, vr
-					return r, nil
-				})
 		}
+		aspect := float64(ro.Width) / float64(ro.Height)
+		out = pipeline.Map(pl, out,
+			pipeline.StageConfig{Name: name, Workers: renderW, Buf: buf},
+			func(ctx context.Context, r StreamResult) (StreamResult, error) {
+				tf, err := DefaultTF(r.Rep)
+				if err != nil {
+					return r, err
+				}
+				cam, err := render.LookAtBounds(r.Rep.Bounds, ro.ViewDir, math.Pi/3, aspect)
+				if err != nil {
+					return r, err
+				}
+				fb := s.fbs.Get()
+				fb.Clear(hybrid.RGBA{})
+				if renderFleet != nil {
+					err = renderDistributed(ctx, renderFleet, r.Rep, ro, parts, fb)
+				} else {
+					r.Rast = volren.RenderPointPass(r.Rep, tf, fb, cam, ro.PointScale, ro.Opaque, volren.PointPassOptions{})
+				}
+				if err == nil {
+					r.VR, err = volren.New(r.Rep.Volume, tf)
+				}
+				if err != nil {
+					s.fbs.Put(fb)
+					return r, err
+				}
+				r.VR.Render(fb, cam)
+				r.FB = fb
+				return r, nil
+			})
 	}
 	s.Stream = pipeline.NewStream(pl, out)
 	return s
@@ -597,8 +567,8 @@ func workersOr1(n int) int {
 }
 
 // project fills dst with the ensemble's points projected onto the
-// pipeline's axes, for the fleet executor, which ships them; the local
-// stages build from the columns. len(dst) must equal e.Len().
+// pipeline's axes, for the fleet extract stage, which ships them; the
+// local stages build from the columns. len(dst) must equal e.Len().
 func (p *ParticlePipeline) project(e *beam.Ensemble, dst []vec.V3) {
 	for i := range dst {
 		dst[i] = e.Point3(i, p.Axes)
@@ -687,17 +657,11 @@ func (p *FieldPipeline) StreamSolve(ctx context.Context, opts FieldStreamOptions
 	lines := pipeline.Map(pl, frames,
 		pipeline.StageConfig{Name: "trace", Workers: workersOr1(opts.TraceWorkers), Buf: buf},
 		func(_ context.Context, r FieldStreamResult) (FieldStreamResult, error) {
-			res, err := p.TraceE(r.Frame)
-			if err != nil {
-				return r, fmt.Errorf("frame %d: %w", r.Index, err)
+			var err error
+			if r.E, err = p.TraceE(r.Frame); err == nil && opts.TraceB {
+				r.B, err = p.TraceB(r.Frame)
 			}
-			r.E = res
-			if opts.TraceB {
-				if r.B, err = p.TraceB(r.Frame); err != nil {
-					return r, fmt.Errorf("frame %d: %w", r.Index, err)
-				}
-			}
-			return r, nil
+			return r, err
 		})
 
 	out := lines
@@ -706,12 +670,9 @@ func (p *FieldPipeline) StreamSolve(ctx context.Context, opts FieldStreamOptions
 		out = pipeline.Map(pl, out,
 			pipeline.StageConfig{Name: "render", Workers: workersOr1(ro.Workers), Buf: buf},
 			func(_ context.Context, r FieldStreamResult) (FieldStreamResult, error) {
-				fb, st, err := p.RenderLines(r.E.Lines, ro.Technique, ro.Width, ro.Height, ro.ViewDir)
-				if err != nil {
-					return r, fmt.Errorf("frame %d: %w", r.Index, err)
-				}
-				r.FB, r.Stats = fb, st
-				return r, nil
+				var err error
+				r.FB, r.Stats, err = p.RenderLines(r.E.Lines, ro.Technique, ro.Width, ro.Height, ro.ViewDir)
+				return r, err
 			})
 	}
 	return pipeline.NewStream(pl, out), nil

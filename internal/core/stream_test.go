@@ -142,13 +142,12 @@ func TestStreamFromSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.StreamFrames(context.Background(), SimSource(sim, 3, 1), StreamOptions{
-		KeepFrames: true,
-		Render:     &RenderOptions{Width: 48, Height: 48},
+		Render: &RenderOptions{Width: 48, Height: 48},
 	})
 	n := 0
 	for r := range s.Out {
-		if r.Frame.E == nil {
-			t.Fatal("KeepFrames did not retain the ensemble")
+		if r.Frame.E != nil {
+			t.Fatal("the stream handed out a partitioned frame's ensemble")
 		}
 		if r.Tree != nil {
 			t.Fatal("an extracting stream handed out its tree")
@@ -209,6 +208,32 @@ func TestStreamRenderRequiresExtract(t *testing.T) {
 	}
 	if err := s.Wait(); err == nil {
 		t.Fatal("Render+SkipExtract accepted")
+	}
+}
+
+type sinkFunc func(index int, rep *hybrid.Representation) error
+
+func (f sinkFunc) Publish(index int, rep *hybrid.Representation) error { return f(index, rep) }
+
+// TestStreamErrorNamesFrame: a stage that fails on a frame reports the
+// stage and the frame's index, and the cause stays reachable.
+func TestStreamErrorNamesFrame(t *testing.T) {
+	p, frames := streamFixture(t, 2000)
+	refused := errors.New("refused")
+	s := p.StreamFrames(context.Background(), FrameSliceSource(frames...), StreamOptions{
+		Sink: sinkFunc(func(index int, _ *hybrid.Representation) error {
+			if index == 2 {
+				return refused
+			}
+			return nil
+		}),
+	})
+	err := s.Wait()
+	if want := "pipeline: stage publish: frame 2: refused"; err == nil || err.Error() != want {
+		t.Fatalf("Wait = %v, want %q", err, want)
+	}
+	if !errors.Is(err, refused) {
+		t.Errorf("Wait = %v does not wrap its cause", err)
 	}
 }
 

@@ -276,7 +276,8 @@ type seqItem[T any] struct {
 // cfg.Workers frames are processed concurrently, so fn must be safe for
 // concurrent use; output order always matches input order regardless
 // of worker count. A fn error fails the pipeline and cancels the
-// stream.
+// stream; Wait reports it as "pipeline: stage <name>: frame <seq>:
+// <err>", seq being the item's position in the stage's input.
 //
 // Where fn runs is fn's business: a body that ships the frame to a
 // remote worker and blocks for the reply keeps Workers frames in flight
@@ -338,7 +339,7 @@ func Map[I, O any](p *Pipeline, in <-chan I, cfg StageConfig, fn func(ctx contex
 				if err != nil {
 					m.inFlight.Add(-1)
 					if p.ctx.Err() == nil {
-						p.fail(stageError(cfg.Name, err))
+						p.fail(stageError(cfg.Name, fmt.Errorf("frame %d: %w", t.seq, err)))
 					}
 					continue
 				}

@@ -102,6 +102,36 @@ func TestFirstErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestMapErrorNamesFrame: a stage body's error reaches Wait named by
+// the stage and by the failed item's input position, and still wraps
+// its cause.
+func TestMapErrorNamesFrame(t *testing.T) {
+	boom := errors.New("boom")
+	p := New(context.Background())
+	in := Source(p, 1, func(_ context.Context, emit func(int) bool) error {
+		for i := 10; i < 20; i++ {
+			if !emit(i) {
+				return nil
+			}
+		}
+		return nil
+	})
+	out := Map(p, in, StageConfig{Name: "extract", Workers: 3}, func(_ context.Context, v int) (int, error) {
+		if v == 12 {
+			return 0, boom
+		}
+		return v, nil
+	})
+	Sink(p, out, "drain", func(context.Context, int) error { return nil })
+	err := p.Wait()
+	if want := "pipeline: stage extract: frame 2: boom"; err == nil || err.Error() != want {
+		t.Fatalf("Wait = %v, want %q", err, want)
+	}
+	if !errors.Is(err, boom) {
+		t.Errorf("Wait = %v does not wrap its cause", err)
+	}
+}
+
 // TestCancellationNoGoroutineLeak: cancelling a stream mid-frame
 // returns promptly and leaves no goroutines behind.
 func TestCancellationNoGoroutineLeak(t *testing.T) {

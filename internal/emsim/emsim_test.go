@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/hexmesh"
@@ -25,6 +26,11 @@ func smallSim(t *testing.T, res int) *Sim {
 	return s
 }
 
+// TestNewValidation: New refuses every configuration it cannot step,
+// NaN included, with an error that names the setting. A NaN Courant
+// factor gave dt = NaN, and a NaN, infinite or negative drive
+// frequency a step count AdvancePeriods could not use, so both used to
+// advance nothing without a word.
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("accepted nil mesh")
@@ -34,10 +40,34 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(m, cav)
-	cfg.Courant = 1.5
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted Courant factor > 1")
+	for _, c := range []struct {
+		name    string
+		courant float64
+		freq    float64
+		want    string // substring of the error; "" means accepted
+	}{
+		{"defaults", 0.5, 0, ""},
+		{"explicit frequency", 0.5, 2.4, ""},
+		{"Courant 1.5", 1.5, 0, "Courant factor 1.5"},
+		{"Courant 1", 1, 0, "Courant factor 1"},
+		{"Courant 0", 0, 0, "Courant factor 0"},
+		{"Courant NaN", math.NaN(), 0, "Courant factor NaN"},
+		{"frequency NaN", 0.5, math.NaN(), "drive frequency NaN"},
+		{"frequency +Inf", 0.5, math.Inf(1), "drive frequency +Inf"},
+		{"frequency -Inf", 0.5, math.Inf(-1), "drive frequency -Inf"},
+		{"frequency -1", 0.5, -1, "drive frequency -1"},
+	} {
+		cfg := DefaultConfig(m, cav)
+		cfg.Courant, cfg.Freq = c.courant, c.freq
+		_, err := New(cfg)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -426,8 +456,10 @@ func (c stepperCase) config(t testing.TB) Config {
 }
 
 // stepperMatrix covers both structures, symmetric and asymmetric ports,
-// resolutions 4/6/9, Courant factors 0.3/0.5/0.9 and core counts
-// 1/2/7 (7 does not divide any plane count here).
+// resolutions 4/6/8/9, Courant factors 0.3/0.5/0.9 and core counts
+// 1/2/7 (7 does not divide any plane count here). Resolutions 4 and 8
+// have power-of-two spacings, so the product stepper multiplies there
+// and divides at 6 and 9 (TestSweepPathFollowsSpacing).
 var stepperMatrix = []stepperCase{
 	{"3cell/res4/c0.5/w1", 3, 0, 4, 0.5, 1},
 	{"3cell/res6/c0.3/w2", 3, 0, 6, 0.3, 2},
@@ -435,6 +467,7 @@ var stepperMatrix = []stepperCase{
 	{"3cell/asym/res6/c0.9/w1", 3, 0.4, 6, 0.9, 1},
 	{"12cell/asym/res4/c0.5/w2", 12, 0.5, 4, 0.5, 2},
 	{"12cell/asym/res6/c0.9/w7", 12, 0.3, 6, 0.9, 7},
+	{"3cell/res8/c0.5/w2", 3, 0, 8, 0.5, 2},
 }
 
 // runDifferential steps a product solver (after mutate, if any, has
@@ -640,9 +673,9 @@ func spanTables(s *Sim) []spanTable {
 }
 
 // TestSpanMutantsFailDifferential seeds the span tables with the
-// mistakes a rewrite of them could make and demands that the
-// differential test reports each one: an oracle is only as good as the
-// bugs it can see.
+// mistakes a rewrite of them could make, and the sweeps with a multiply
+// by an inexact reciprocal, and demands that the differential test
+// reports each one: an oracle is only as good as the bugs it can see.
 func TestSpanMutantsFailDifferential(t *testing.T) {
 	c := stepperMatrix[3] // asymmetric 3-cell, resolution 6, one core
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
@@ -696,6 +729,12 @@ func TestSpanMutantsFailDifferential(t *testing.T) {
 			})
 		}
 	}
+	// Not a span mutant: the multiply forced where the spacing, 1/6, is
+	// not a power of two, so x*(1/d) is not x/d. New's choice exists to
+	// rule this out.
+	mutants = append(mutants, mutant{"multiply forced at resolution 6", func(s *Sim) {
+		s.fx, s.fy, s.fz, s.mul = 1/s.Mesh.Dx, 1/s.Mesh.Dy, 1/s.Mesh.Dz, true
+	}})
 	// The ex span table read with ey's row stride (ny rows a plane
 	// where ex has ny+1).
 	mutants = append(mutants, mutant{"ex spans indexed with ey's row stride", func(s *Sim) {
@@ -895,29 +934,34 @@ func TestCourantLimit(t *testing.T) {
 	t.Logf("above the limit: %.3gx at step %d", r, at)
 }
 
-// BenchmarkAdvance times the stepper alone on the benchmark's lattice
-// (the 3-cell cavity at 16 cells per radius, 32x52x60) for one
-// field_stream frame: 37 steps, a quarter drive period. Run with
-// -cpu 1,2.
+// BenchmarkAdvance times the stepper alone on the 3-cell cavity for
+// one field_stream frame's worth of steps, a quarter drive period, on
+// each sweep path: res16 is the benchmark's lattice (32x52x60, 37
+// steps), whose power-of-two spacing takes the multiply; res10 is the
+// CLI default (20x32x37, 23 steps), which divides. Run with -cpu 1,2.
 func BenchmarkAdvance(b *testing.B) {
-	cav := hexmesh.DefaultCavity(16)
-	m, err := hexmesh.BuildCavity(cav)
-	if err != nil {
-		b.Fatal(err)
+	for _, res := range []int{16, 10} {
+		b.Run(fmt.Sprintf("res%d", res), func(b *testing.B) {
+			cav := hexmesh.DefaultCavity(res)
+			m, err := hexmesh.BuildCavity(cav)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := New(DefaultConfig(m, cav))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.AdvancePeriods(2) // fill the structure: no denormals, ports ramped up
+			steps := int(math.Ceil(0.25 * 2 * math.Pi / s.omega / s.dt))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Advance(steps)
+			}
+			cells := float64(m.Nx * m.Ny * m.Nz)
+			b.ReportMetric(cells*float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "cell_steps/s")
+		})
 	}
-	s, err := New(DefaultConfig(m, cav))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.AdvancePeriods(2) // fill the structure: no denormals, ports ramped up
-	const steps = 37
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Advance(steps)
-	}
-	cells := float64(m.Nx * m.Ny * m.Nz)
-	b.ReportMetric(cells*steps*float64(b.N)/b.Elapsed().Seconds(), "cell_steps/s")
 }
 
 // refSampleField is the sampler this package shipped before the padded

@@ -50,12 +50,29 @@
 //     it, so its curl is (0-0)/dy - (0-0)/dz = +0 and h -= dt*0 leaves
 //     h — itself +0 since the start — untouched;
 //   - inside the spans every expression keeps the shape of the full
-//     sweep (divisions by the spacings, curl as its own value, then
-//     h -= dt*curl or e += dt*curl).
+//     sweep (each difference over its spacing, curl as its own value,
+//     then h -= dt*curl or e += dt*curl).
 //
 // The full-lattice sweeps survive as the reference stepper of
 // TestAdvanceMatchesReference, which compares all six arrays bit for
 // bit and is itself checked against seeded span mutants.
+//
+// # Multiplying by the spacing's reciprocal, and why it is exact
+//
+// The reference divides each difference by its spacing d. Where every
+// spacing of the mesh is a positive power of two whose reciprocal is
+// finite (exactRecip; -res 4, 8 and 16 on the stock cavities), r = 1/d
+// is itself exact, so x/d and x*r are the correctly rounded values of
+// the same real number: the same bits for every x, infinities, NaN and
+// gradual underflow included. New decides this from the mesh it is
+// given and never assumes it; any other spacing keeps the division.
+// Each product is rounded on its own, float64((a1-a0)*r), so that no
+// architecture fuses it into the subtraction that follows: a fused
+// multiply-subtract rounds the product and the difference together,
+// where the division path rounds the quotient first.
+// TestMultiplyLoopsAddNoFusedArithmetic holds this on arm64, and
+// TestSpanMutantsFailDifferential shows the oracle refusing the
+// multiply forced at a spacing of 1/6.
 package emsim
 
 import (
@@ -116,6 +133,12 @@ type Sim struct {
 
 	ports []portPlane
 
+	// The spacing factors the sweeps apply to each difference: the
+	// spacings, divided by, or, where mul is set (every spacing passed
+	// exactRecip), their reciprocals, multiplied by.
+	fx, fy, fz float64
+	mul        bool
+
 	// The sweeps as bound once in New: a method value built per step
 	// would allocate on every ForChunks call.
 	sweepH, sweepE func(kLo, kHi int)
@@ -144,8 +167,12 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("emsim: nil mesh")
 	}
-	if cfg.Courant <= 0 || cfg.Courant >= 1 {
+	// Every float check is written so that NaN fails it.
+	if !(cfg.Courant > 0 && cfg.Courant < 1) {
 		return nil, fmt.Errorf("emsim: Courant factor %g outside (0,1)", cfg.Courant)
+	}
+	if !(cfg.Freq >= 0 && cfg.Freq <= math.MaxFloat64) {
+		return nil, fmt.Errorf("emsim: drive frequency %g must be finite and >= 0", cfg.Freq)
 	}
 	m := cfg.Mesh
 	s := &Sim{Cfg: cfg, Mesh: m, nx: m.Nx, ny: m.Ny, nz: m.Nz}
@@ -168,8 +195,31 @@ func New(cfg Config) (*Sim, error) {
 	s.buildMasks()
 	s.buildHSpans()
 	s.buildPorts()
+	s.fx, s.fy, s.fz = m.Dx, m.Dy, m.Dz
+	rx, okx := exactRecip(m.Dx)
+	ry, oky := exactRecip(m.Dy)
+	rz, okz := exactRecip(m.Dz)
+	if okx && oky && okz {
+		s.fx, s.fy, s.fz, s.mul = rx, ry, rz, true
+	}
 	s.sweepH, s.sweepE = s.updateH, s.updateE
 	return s, nil
+}
+
+// exactRecip returns 1/d and true when d is a positive power of two
+// whose reciprocal is finite: then 1/d is exact, and x*(1/d) has the
+// bits of x/d for every x. Any other d gives false.
+func exactRecip(d float64) (float64, bool) {
+	// Frexp's fraction is 0.5 exactly for the positive powers of two,
+	// and something else for 0, negatives, NaN and ±Inf.
+	if frac, _ := math.Frexp(d); frac != 0.5 {
+		return 0, false
+	}
+	r := 1 / d // 2^-e for d = 2^e: exact unless it overflows
+	if math.IsInf(r, 0) {
+		return 0, false
+	}
+	return r, true
 }
 
 // CourantDT returns the stability limit dt_max = 1/(c sqrt(sum dx_i^-2))
@@ -357,25 +407,44 @@ func (s *Sim) advanceOnce() {
 }
 
 // subCurl is one H row of the step: h -= dt * ((a1-a0)/da - (b1-b0)/db)
-// over the first len(h) values of every slice. The divisions stay divisions and curl stays
-// its own value: the reference stepper's expression, bit for bit.
-func subCurl(h, a1, a0 []float64, da float64, b1, b0 []float64, db, dt float64) {
+// over the first len(h) values of every slice, where fa and fb are the
+// spacings da and db, or with mul their exact reciprocals (see the
+// package doc). Either way curl stays its own value: the reference
+// stepper's expression, bit for bit.
+func subCurl(h, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64, mul bool) {
 	a1, a0, b1, b0 = a1[:len(h)], a0[:len(h)], b1[:len(h)], b0[:len(h)]
+	if mul {
+		for i := range h {
+			curl := float64((a1[i]-a0[i])*fa) - float64((b1[i]-b0[i])*fb)
+			h[i] -= dt * curl
+		}
+		return
+	}
 	for i := range h {
-		curl := (a1[i]-a0[i])/da - (b1[i]-b0[i])/db
+		curl := (a1[i]-a0[i])/fa - (b1[i]-b0[i])/fb
 		h[i] -= dt * curl
 	}
 }
 
 // addCurl is one E row: e += dt * ((a1-a0)/da - (b1-b0)/db) on the
-// edges whose mask is set.
-func addCurl(e []float64, m []bool, a1, a0 []float64, da float64, b1, b0 []float64, db, dt float64) {
+// edges whose mask is set, with fa, fb and mul as in subCurl.
+func addCurl(e []float64, m []bool, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64, mul bool) {
 	m, a1, a0, b1, b0 = m[:len(e)], a1[:len(e)], a0[:len(e)], b1[:len(e)], b0[:len(e)]
+	if mul {
+		for i := range e {
+			if !m[i] {
+				continue
+			}
+			curl := float64((a1[i]-a0[i])*fa) - float64((b1[i]-b0[i])*fb)
+			e[i] += dt * curl
+		}
+		return
+	}
 	for i := range e {
 		if !m[i] {
 			continue
 		}
-		curl := (a1[i]-a0[i])/da - (b1[i]-b0[i])/db
+		curl := (a1[i]-a0[i])/fa - (b1[i]-b0[i])/fb
 		e[i] += dt * curl
 	}
 }
@@ -384,7 +453,7 @@ func addCurl(e []float64, m []bool, a1, a0 []float64, da float64, b1, b0 []float
 // planes [kLo, kHi) of the nz+1 planes Hz has; Hx and Hy have nz.
 func (s *Sim) updateH(kLo, kHi int) {
 	nx, ny, nz := s.nx, s.ny, s.nz
-	dx, dy, dz := s.Mesh.Dx, s.Mesh.Dy, s.Mesh.Dz
+	fx, fy, fz, mul := s.fx, s.fy, s.fz, s.mul
 	dt := s.dt
 	sx, sx1 := nx, nx+1 // row strides: ex/hy/hz rows hold nx values, ey/ez/hx rows nx+1
 	for k := kLo; k < kHi; k++ {
@@ -397,7 +466,7 @@ func (s *Sim) updateH(kLo, kHi int) {
 				}
 				b := (k*ny+j)*sx1 + lo      // hx(lo, j, k), and ey's
 				bz := (k*(ny+1)+j)*sx1 + lo // ez(lo, j, k)
-				subCurl(s.hx[b:][:n], s.ez[bz+sx1:], s.ez[bz:], dy, s.ey[b+ny*sx1:], s.ey[b:], dz, dt)
+				subCurl(s.hx[b:][:n], s.ez[bz+sx1:], s.ez[bz:], fy, s.ey[b+ny*sx1:], s.ey[b:], fz, dt, mul)
 			}
 			// Hy(i+1/2, j, k+1/2) -= dt * (dEx/dz - dEz/dx)
 			for j := 0; j <= ny; j++ {
@@ -407,7 +476,7 @@ func (s *Sim) updateH(kLo, kHi int) {
 				}
 				b := (k*(ny+1)+j)*sx + lo   // hy(lo, j, k), and ex's
 				bz := (k*(ny+1)+j)*sx1 + lo // ez(lo, j, k)
-				subCurl(s.hy[b:][:n], s.ex[b+(ny+1)*sx:], s.ex[b:], dz, s.ez[bz+1:], s.ez[bz:], dx, dt)
+				subCurl(s.hy[b:][:n], s.ex[b+(ny+1)*sx:], s.ex[b:], fz, s.ez[bz+1:], s.ez[bz:], fx, dt, mul)
 			}
 		}
 		// Hz(i+1/2, j+1/2, k) -= dt * (dEy/dx - dEx/dy)
@@ -419,7 +488,7 @@ func (s *Sim) updateH(kLo, kHi int) {
 			b := (k*ny+j)*sx + lo      // hz(lo, j, k)
 			by := (k*ny+j)*sx1 + lo    // ey(lo, j, k)
 			bx := (k*(ny+1)+j)*sx + lo // ex(lo, j, k)
-			subCurl(s.hz[b:][:n], s.ey[by+1:], s.ey[by:], dx, s.ex[bx+sx:], s.ex[bx:], dy, dt)
+			subCurl(s.hz[b:][:n], s.ey[by+1:], s.ey[by:], fx, s.ex[bx+sx:], s.ex[bx:], fy, dt, mul)
 		}
 	}
 }
@@ -429,7 +498,7 @@ func (s *Sim) updateH(kLo, kHi int) {
 // are never active, so their rows have empty spans.
 func (s *Sim) updateE(kLo, kHi int) {
 	nx, ny := s.nx, s.ny
-	dx, dy, dz := s.Mesh.Dx, s.Mesh.Dy, s.Mesh.Dz
+	fx, fy, fz, mul := s.fx, s.fy, s.fz, s.mul
 	dt := s.dt
 	sx, sx1 := nx, nx+1
 	for k := kLo; k < kHi; k++ {
@@ -442,7 +511,7 @@ func (s *Sim) updateE(kLo, kHi int) {
 				}
 				b := (k*(ny+1)+j)*sx + lo // ex(lo, j, k), and hy's
 				bz := (k*ny+j)*sx + lo    // hz(lo, j, k)
-				addCurl(s.ex[b:][:n], s.mx[b:], s.hz[bz:], s.hz[bz-sx:], dy, s.hy[b:], s.hy[b-(ny+1)*sx:], dz, dt)
+				addCurl(s.ex[b:][:n], s.mx[b:], s.hz[bz:], s.hz[bz-sx:], fy, s.hy[b:], s.hy[b-(ny+1)*sx:], fz, dt, mul)
 			}
 			// Ey(i, j+1/2, k) += dt * (dHx/dz - dHz/dx)
 			for j := 0; j < ny; j++ {
@@ -452,7 +521,7 @@ func (s *Sim) updateE(kLo, kHi int) {
 				}
 				b := (k*ny+j)*sx1 + lo // ey(lo, j, k), and hx's
 				bz := (k*ny+j)*sx + lo // hz(lo, j, k)
-				addCurl(s.ey[b:][:n], s.my[b:], s.hx[b:], s.hx[b-ny*sx1:], dz, s.hz[bz:], s.hz[bz-1:], dx, dt)
+				addCurl(s.ey[b:][:n], s.my[b:], s.hx[b:], s.hx[b-ny*sx1:], fz, s.hz[bz:], s.hz[bz-1:], fx, dt, mul)
 			}
 		}
 		// Ez(i, j, k+1/2) += dt * (dHy/dx - dHx/dy)
@@ -464,7 +533,7 @@ func (s *Sim) updateE(kLo, kHi int) {
 			b := (k*(ny+1)+j)*sx1 + lo // ez(lo, j, k)
 			by := (k*(ny+1)+j)*sx + lo // hy(lo, j, k)
 			bx := (k*ny+j)*sx1 + lo    // hx(lo, j, k)
-			addCurl(s.ez[b:][:n], s.mz[b:], s.hy[by:], s.hy[by-1:], dx, s.hx[bx:], s.hx[bx-sx1:], dy, dt)
+			addCurl(s.ez[b:][:n], s.mz[b:], s.hy[by:], s.hy[by-1:], fx, s.hx[bx:], s.hx[bx-sx1:], fy, dt, mul)
 		}
 	}
 }

@@ -110,8 +110,9 @@ var fusedRE = regexp.MustCompile(`\bsim\.go:(\d+)\)\s+FN?M(?:ADD|SUB)[DS]\s`)
 // TestMultiplyLoopsAddNoFusedArithmetic cross-compiles the package for
 // arm64, which fuses a multiply into a following add or subtract unless
 // the source rounds the product explicitly, and checks the multiply
-// loops of subCurl and addCurl: each may fuse only what its divide loop
-// fuses, dt*curl into the update. A fused curl would round (a1-a0)*r
+// loops of subCurlMul and addCurlMul: each may fuse only what the
+// divide loop of its twin (subCurlDiv, addCurlDiv) fuses, dt*curl into
+// the update. A fused curl would round (a1-a0)*r
 // together with the subtraction, where the division path rounds the
 // quotient first, and the multiply path would leave the reference's
 // bits on arm64.
@@ -142,37 +143,39 @@ func TestMultiplyLoopsAddNoFusedArithmetic(t *testing.T) {
 	}
 	line := func(p token.Pos) int { return fset.Position(p).Line }
 	for _, name := range []string{"subCurl", "addCurl"} {
-		var fn *ast.FuncDecl
-		for _, d := range f.Decls {
-			if d, ok := d.(*ast.FuncDecl); ok && d.Name.Name == name {
-				fn = d
-			}
-		}
-		if fn == nil {
-			t.Fatalf("sim.go declares no %s", name)
-		}
-		// The two loops, told apart by whether they divide, and each
-		// loop's update statement (h -= dt*curl, e += dt*curl).
+		// The two loops of the twins, told apart by whether they divide,
+		// and each loop's update statement (h -= dt*curl, e += dt*curl).
 		var mulLoop, divLoop *ast.RangeStmt
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			loop, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			divides := false
-			ast.Inspect(loop.Body, func(n ast.Node) bool {
-				if b, ok := n.(*ast.BinaryExpr); ok && b.Op == token.QUO {
-					divides = true
+		for _, twin := range []string{name + "Div", name + "Mul"} {
+			var fn *ast.FuncDecl
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.FuncDecl); ok && d.Name.Name == twin {
+					fn = d
 				}
-				return true
-			})
-			if divides {
-				divLoop = loop
-			} else {
-				mulLoop = loop
 			}
-			return false
-		})
+			if fn == nil {
+				t.Fatalf("sim.go declares no %s", twin)
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				loop, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				divides := false
+				ast.Inspect(loop.Body, func(n ast.Node) bool {
+					if b, ok := n.(*ast.BinaryExpr); ok && b.Op == token.QUO {
+						divides = true
+					}
+					return true
+				})
+				if divides {
+					divLoop = loop
+				} else {
+					mulLoop = loop
+				}
+				return false
+			})
+		}
 		if mulLoop == nil || divLoop == nil {
 			t.Fatalf("%s: want one multiply loop and one divide loop", name)
 		}

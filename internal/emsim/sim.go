@@ -406,45 +406,50 @@ func (s *Sim) advanceOnce() {
 	s.step++
 }
 
-// subCurl is one H row of the step: h -= dt * ((a1-a0)/da - (b1-b0)/db)
+// subCurlDiv is one H row of the step: h -= dt * ((a1-a0)/da - (b1-b0)/db)
 // over the first len(h) values of every slice, where fa and fb are the
-// spacings da and db, or with mul their exact reciprocals (see the
-// package doc). Either way curl stays its own value: the reference
-// stepper's expression, bit for bit.
-func subCurl(h, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64, mul bool) {
+// spacings da and db. subCurlMul is the same row where fa and fb are
+// their exact reciprocals (see the package doc). Either way curl stays
+// its own value: the reference stepper's expression, bit for bit. The
+// sweeps choose between the two at each call, so that each is one loop
+// small enough to inline.
+func subCurlDiv(h, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64) {
 	a1, a0, b1, b0 = a1[:len(h)], a0[:len(h)], b1[:len(h)], b0[:len(h)]
-	if mul {
-		for i := range h {
-			curl := float64((a1[i]-a0[i])*fa) - float64((b1[i]-b0[i])*fb)
-			h[i] -= dt * curl
-		}
-		return
-	}
 	for i := range h {
 		curl := (a1[i]-a0[i])/fa - (b1[i]-b0[i])/fb
 		h[i] -= dt * curl
 	}
 }
 
-// addCurl is one E row: e += dt * ((a1-a0)/da - (b1-b0)/db) on the
-// edges whose mask is set, with fa, fb and mul as in subCurl.
-func addCurl(e []float64, m []bool, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64, mul bool) {
-	m, a1, a0, b1, b0 = m[:len(e)], a1[:len(e)], a0[:len(e)], b1[:len(e)], b0[:len(e)]
-	if mul {
-		for i := range e {
-			if !m[i] {
-				continue
-			}
-			curl := float64((a1[i]-a0[i])*fa) - float64((b1[i]-b0[i])*fb)
-			e[i] += dt * curl
-		}
-		return
+func subCurlMul(h, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64) {
+	a1, a0, b1, b0 = a1[:len(h)], a0[:len(h)], b1[:len(h)], b0[:len(h)]
+	for i := range h {
+		curl := float64((a1[i]-a0[i])*fa) - float64((b1[i]-b0[i])*fb)
+		h[i] -= dt * curl
 	}
+}
+
+// addCurlDiv is one E row: e += dt * ((a1-a0)/da - (b1-b0)/db) on the
+// edges whose mask is set, and addCurlMul its multiplying twin, with
+// fa and fb as in subCurlDiv and subCurlMul.
+func addCurlDiv(e []float64, m []bool, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64) {
+	m, a1, a0, b1, b0 = m[:len(e)], a1[:len(e)], a0[:len(e)], b1[:len(e)], b0[:len(e)]
 	for i := range e {
 		if !m[i] {
 			continue
 		}
 		curl := (a1[i]-a0[i])/fa - (b1[i]-b0[i])/fb
+		e[i] += dt * curl
+	}
+}
+
+func addCurlMul(e []float64, m []bool, a1, a0 []float64, fa float64, b1, b0 []float64, fb, dt float64) {
+	m, a1, a0, b1, b0 = m[:len(e)], a1[:len(e)], a0[:len(e)], b1[:len(e)], b0[:len(e)]
+	for i := range e {
+		if !m[i] {
+			continue
+		}
+		curl := float64((a1[i]-a0[i])*fa) - float64((b1[i]-b0[i])*fb)
 		e[i] += dt * curl
 	}
 }
@@ -466,7 +471,11 @@ func (s *Sim) updateH(kLo, kHi int) {
 				}
 				b := (k*ny+j)*sx1 + lo      // hx(lo, j, k), and ey's
 				bz := (k*(ny+1)+j)*sx1 + lo // ez(lo, j, k)
-				subCurl(s.hx[b:][:n], s.ez[bz+sx1:], s.ez[bz:], fy, s.ey[b+ny*sx1:], s.ey[b:], fz, dt, mul)
+				if mul {
+					subCurlMul(s.hx[b:][:n], s.ez[bz+sx1:], s.ez[bz:], fy, s.ey[b+ny*sx1:], s.ey[b:], fz, dt)
+				} else {
+					subCurlDiv(s.hx[b:][:n], s.ez[bz+sx1:], s.ez[bz:], fy, s.ey[b+ny*sx1:], s.ey[b:], fz, dt)
+				}
 			}
 			// Hy(i+1/2, j, k+1/2) -= dt * (dEx/dz - dEz/dx)
 			for j := 0; j <= ny; j++ {
@@ -476,7 +485,11 @@ func (s *Sim) updateH(kLo, kHi int) {
 				}
 				b := (k*(ny+1)+j)*sx + lo   // hy(lo, j, k), and ex's
 				bz := (k*(ny+1)+j)*sx1 + lo // ez(lo, j, k)
-				subCurl(s.hy[b:][:n], s.ex[b+(ny+1)*sx:], s.ex[b:], fz, s.ez[bz+1:], s.ez[bz:], fx, dt, mul)
+				if mul {
+					subCurlMul(s.hy[b:][:n], s.ex[b+(ny+1)*sx:], s.ex[b:], fz, s.ez[bz+1:], s.ez[bz:], fx, dt)
+				} else {
+					subCurlDiv(s.hy[b:][:n], s.ex[b+(ny+1)*sx:], s.ex[b:], fz, s.ez[bz+1:], s.ez[bz:], fx, dt)
+				}
 			}
 		}
 		// Hz(i+1/2, j+1/2, k) -= dt * (dEy/dx - dEx/dy)
@@ -488,7 +501,11 @@ func (s *Sim) updateH(kLo, kHi int) {
 			b := (k*ny+j)*sx + lo      // hz(lo, j, k)
 			by := (k*ny+j)*sx1 + lo    // ey(lo, j, k)
 			bx := (k*(ny+1)+j)*sx + lo // ex(lo, j, k)
-			subCurl(s.hz[b:][:n], s.ey[by+1:], s.ey[by:], fx, s.ex[bx+sx:], s.ex[bx:], fy, dt, mul)
+			if mul {
+				subCurlMul(s.hz[b:][:n], s.ey[by+1:], s.ey[by:], fx, s.ex[bx+sx:], s.ex[bx:], fy, dt)
+			} else {
+				subCurlDiv(s.hz[b:][:n], s.ey[by+1:], s.ey[by:], fx, s.ex[bx+sx:], s.ex[bx:], fy, dt)
+			}
 		}
 	}
 }
@@ -511,7 +528,11 @@ func (s *Sim) updateE(kLo, kHi int) {
 				}
 				b := (k*(ny+1)+j)*sx + lo // ex(lo, j, k), and hy's
 				bz := (k*ny+j)*sx + lo    // hz(lo, j, k)
-				addCurl(s.ex[b:][:n], s.mx[b:], s.hz[bz:], s.hz[bz-sx:], fy, s.hy[b:], s.hy[b-(ny+1)*sx:], fz, dt, mul)
+				if mul {
+					addCurlMul(s.ex[b:][:n], s.mx[b:], s.hz[bz:], s.hz[bz-sx:], fy, s.hy[b:], s.hy[b-(ny+1)*sx:], fz, dt)
+				} else {
+					addCurlDiv(s.ex[b:][:n], s.mx[b:], s.hz[bz:], s.hz[bz-sx:], fy, s.hy[b:], s.hy[b-(ny+1)*sx:], fz, dt)
+				}
 			}
 			// Ey(i, j+1/2, k) += dt * (dHx/dz - dHz/dx)
 			for j := 0; j < ny; j++ {
@@ -521,7 +542,11 @@ func (s *Sim) updateE(kLo, kHi int) {
 				}
 				b := (k*ny+j)*sx1 + lo // ey(lo, j, k), and hx's
 				bz := (k*ny+j)*sx + lo // hz(lo, j, k)
-				addCurl(s.ey[b:][:n], s.my[b:], s.hx[b:], s.hx[b-ny*sx1:], fz, s.hz[bz:], s.hz[bz-1:], fx, dt, mul)
+				if mul {
+					addCurlMul(s.ey[b:][:n], s.my[b:], s.hx[b:], s.hx[b-ny*sx1:], fz, s.hz[bz:], s.hz[bz-1:], fx, dt)
+				} else {
+					addCurlDiv(s.ey[b:][:n], s.my[b:], s.hx[b:], s.hx[b-ny*sx1:], fz, s.hz[bz:], s.hz[bz-1:], fx, dt)
+				}
 			}
 		}
 		// Ez(i, j, k+1/2) += dt * (dHy/dx - dHx/dy)
@@ -533,7 +558,11 @@ func (s *Sim) updateE(kLo, kHi int) {
 			b := (k*(ny+1)+j)*sx1 + lo // ez(lo, j, k)
 			by := (k*(ny+1)+j)*sx + lo // hy(lo, j, k)
 			bx := (k*ny+j)*sx1 + lo    // hx(lo, j, k)
-			addCurl(s.ez[b:][:n], s.mz[b:], s.hy[by:], s.hy[by-1:], fx, s.hx[bx:], s.hx[bx-sx1:], fy, dt, mul)
+			if mul {
+				addCurlMul(s.ez[b:][:n], s.mz[b:], s.hy[by:], s.hy[by-1:], fx, s.hx[bx:], s.hx[bx-sx1:], fy, dt)
+			} else {
+				addCurlDiv(s.ez[b:][:n], s.mz[b:], s.hy[by:], s.hy[by-1:], fx, s.hx[bx:], s.hx[bx-sx1:], fy, dt)
+			}
 		}
 	}
 }

@@ -72,8 +72,9 @@ func LookAtBounds(b vec.AABB, dir vec.V3, fovy, aspect float64) (Camera, error) 
 }
 
 // viewSpace transforms a world point into view space (camera at origin
-// looking down -Z). It, project and ViewDir run once per vertex or per
-// fragment and take the camera by pointer: a Camera is 300 bytes.
+// looking down -Z). It, project, WorldToScreen and ViewDir run once per
+// vertex, splat or fragment and take the camera by pointer: a Camera is
+// 300 bytes.
 func (c *Camera) viewSpace(p vec.V3) vec.V3 { return c.View.Apply(p) }
 
 // project maps a view-space point to screen coordinates and depth.
@@ -89,7 +90,7 @@ func (c *Camera) project(v vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
 }
 
 // WorldToScreen maps a world point directly to screen coordinates.
-func (c Camera) WorldToScreen(p vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
+func (c *Camera) WorldToScreen(p vec.V3, w, h int) (sx, sy, depth float64, ok bool) {
 	return c.project(c.viewSpace(p), w, h)
 }
 

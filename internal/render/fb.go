@@ -27,6 +27,22 @@
 // Splats read a precomputed Gaussian kernel table instead of calling
 // math.Exp per fragment. Every fragment is written to the framebuffer.
 //
+// A shader receives a *Fragment that the rasterizer fills in place: one
+// per row band, kept in the flush scratch, or one per DrawTriangle
+// call. The Phong shaders normalize their lights once, when built, and
+// take the specular power x^s for s = 2^k, 2 <= s <= 128 (DefaultPhong
+// uses 32), by k squarings when x lies in [2^-floor(1022/s),
+// 2^floor(1023/s)], calling math.Pow otherwise. Both give the same
+// bits. Go's math.Pow raises x to 2^k by squaring the mantissa from
+// math.Frexp k times, renormalising by powers of two, and applies the
+// exponent at the end with math.Ldexp. In that range of x every square,
+// and the result, is a normal number. Scaling a normal number by a
+// power of two is exact, so each of Pow's roundings is the rounding of
+// the plain square. Below the range a square can round into the
+// subnormals once where Pow rounds twice. The reference is the pure-Go
+// math.Pow of every GOARCH but s390x, whose math.Pow is assembly;
+// there the squarings set the bits.
+//
 // Absolute speed is not the reproduction target — the *ratios* between
 // techniques (triangles per field line, hybrid vs full-resolution
 // volume cost) are, and those are preserved because every primitive

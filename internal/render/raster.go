@@ -28,9 +28,13 @@ type Fragment struct {
 // Shader computes a fragment's final color; nil means "use the
 // interpolated vertex color unchanged". It is the software analog of
 // the fragment stage the paper programs through texturing and register
-// combiners. Shaders must be pure functions of their fragment: the
-// batched path invokes them from concurrent row-band workers.
-type Shader func(f Fragment) hybrid.RGBA
+// combiners. A shader owns its fragment for the duration of the call:
+// it may overwrite any field, and must not keep the pointer, because
+// the rasterizer refills the same fragment for the next pixel. Shaders
+// must otherwise be pure functions of their fragment: the batched path
+// invokes them from concurrent row-band workers, each on its own
+// fragment.
+type Shader func(f *Fragment) hybrid.RGBA
 
 // Rasterizer draws primitives into a framebuffer through a camera.
 // Configure the public fields, then call the Draw methods. The zero
@@ -76,14 +80,17 @@ type Rasterizer struct {
 }
 
 // emitCtx is one worker's view of the framebuffer: an inclusive clip
-// rectangle plus a local fragment counter. Band workers use the full
-// width and their band's rows; the immediate-mode path uses the full
-// screen. Keeping the counter here is what lets band workers run
-// without shared mutable state.
+// rectangle, a local fragment counter and, when the rasterizer shades,
+// the worker's own fragment that rasterTriangle fills for the shader.
+// Band workers use the full width and their band's rows; the
+// immediate-mode path uses the full screen. Keeping the counter and the
+// fragment here is what lets band workers run without shared mutable
+// state.
 type emitCtx struct {
 	r              *Rasterizer
 	x0, y0, x1, y1 int
 	frags          int64
+	frag           *Fragment
 }
 
 // emit writes one in-rect fragment to the framebuffer. Fragments
@@ -526,10 +533,12 @@ func (r *Rasterizer) setupTriangle(src *triSource, a, b, c int32, s *triSetup) b
 	ax, ay := ta.x, ta.y
 	bx, by := tb.x, tb.y
 	cx, cy := tc.x, tc.y
-	minX := int(math.Floor(math.Min(ax, math.Min(bx, cx))))
-	maxX := int(math.Ceil(math.Max(ax, math.Max(bx, cx))))
-	minY := int(math.Floor(math.Min(ay, math.Min(by, cy))))
-	maxY := int(math.Ceil(math.Max(ay, math.Max(by, cy))))
+	// The min and max builtins keep math.Min's and math.Max's NaN and
+	// signed-zero rules exactly, and compile inline.
+	minX := int(math.Floor(min(ax, bx, cx)))
+	maxX := int(math.Ceil(max(ax, bx, cx)))
+	minY := int(math.Floor(min(ay, by, cy)))
+	maxY := int(math.Ceil(max(ay, by, cy)))
 	if minX < 0 {
 		minX = 0
 	}
@@ -615,9 +624,11 @@ func (r *Rasterizer) setupClipped(src *triSource, i0, i1, i2 int32, s *triSetup)
 }
 
 // rasterTriangle fills the triangle inside e's rect with
-// perspective-correct attribute interpolation.
+// perspective-correct attribute interpolation. When the rasterizer
+// shades, each covered pixel's attributes are written into e.frag.
 func rasterTriangle(s *triSetup, src *triSource, e *emitCtx) {
 	r := e.r
+	shade, f := r.Shade, e.frag
 	x0, y0, x1, y1 := s.x0, s.y0, s.x1, s.y1
 	if x0 < e.x0 {
 		x0 = e.x0
@@ -659,16 +670,13 @@ func rasterTriangle(s *triSetup, src *triSource, e *emitCtx) {
 				B: u0*a.Color.B + u1*b.Color.B + u2*c.Color.B,
 				A: u0*a.Color.A + u1*b.Color.A + u2*c.Color.A,
 			}
-			if r.Shade != nil {
-				world := a.Pos.Scale(u0).Add(b.Pos.Scale(u1)).Add(c.Pos.Scale(u2))
-				frag := Fragment{
-					Pos:     world,
-					N:       a.N.Scale(u0).Add(b.N.Scale(u1)).Add(c.N.Scale(u2)),
-					UV:      [2]float64{u0*a.UV[0] + u1*b.UV[0] + u2*c.UV[0], u0*a.UV[1] + u1*b.UV[1] + u2*c.UV[1]},
-					Color:   col,
-					ViewDir: r.Cam.ViewDir(world),
-				}
-				col = r.Shade(frag)
+			if shade != nil {
+				f.Pos = a.Pos.Scale(u0).Add(b.Pos.Scale(u1)).Add(c.Pos.Scale(u2))
+				f.N = a.N.Scale(u0).Add(b.N.Scale(u1)).Add(c.N.Scale(u2))
+				f.UV = [2]float64{u0*a.UV[0] + u1*b.UV[0] + u2*c.UV[0], u0*a.UV[1] + u1*b.UV[1] + u2*c.UV[1]}
+				f.Color = col
+				f.ViewDir = r.Cam.ViewDir(f.Pos)
+				col = shade(f)
 				if col.A <= 0 {
 					continue
 				}
@@ -681,7 +689,7 @@ func rasterTriangle(s *triSetup, src *triSource, e *emitCtx) {
 // DrawTriangle rasterizes one triangle with perspective-correct
 // attribute interpolation and near-plane clipping. It is the batched
 // path's kernels run on a three-vertex source, which is why the two
-// agree bit for bit.
+// agree bit for bit. A shaded call allocates its one fragment.
 func (r *Rasterizer) DrawTriangle(v0, v1, v2 Vertex) {
 	r.TriangleCount++
 	verts := [3]Vertex{v0, v1, v2}
@@ -694,6 +702,9 @@ func (r *Rasterizer) DrawTriangle(v0, v1, v2 Vertex) {
 	var s triSetup
 	n := r.setupClipped(&src, 0, 1, 2, &s)
 	e := r.screenCtx()
+	if r.Shade != nil {
+		e.frag = new(Fragment)
+	}
 	if n >= 1 {
 		rasterTriangle(&s, &src, &e)
 	}

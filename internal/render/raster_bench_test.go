@@ -99,36 +99,42 @@ func BenchmarkRasterTriangles(b *testing.B) {
 	// triangles at 384², each about half a pixel wide and a pixel and a
 	// half long, so a triangle yields about one fragment and the cost is
 	// set-up, not fill. Scratch comes from the package's free list, so
-	// B/op is the same whenever the collector runs.
-	b.Run("substrip", func(b *testing.B) {
-		const size = 384
-		rng := lcg(11)
-		px := 2 * 6 * math.Tan(math.Pi/6) / size // world units per pixel at the target
-		strips := make([][]Vertex, 1000)
-		for i := range strips {
-			strip := make([]Vertex, 48)
-			x0, y0, z0 := rng.rangeF(-3, 2), rng.rangeF(-3, 3), rng.rangeF(-1, 1)
-			for j := range strip {
-				strip[j] = Vertex{
-					Pos:   vec.New(x0+float64(j/2)*1.5*px, y0+float64(j%2)*0.5*px, z0),
-					N:     vec.New(0, 1, 0),
-					UV:    [2]float64{float64(j%2)*2 - 1, 0.5},
-					Color: hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1},
-				}
+	// B/op is the same whenever the collector runs. substrip-tube is the
+	// same frame through TubeShader with the SOS headlight and material,
+	// the field-line fragment path.
+	const subSize = 384
+	rng = lcg(11)
+	px := 2 * 6 * math.Tan(math.Pi/6) / subSize // world units per pixel at the target
+	sub := make([][]Vertex, 1000)
+	for i := range sub {
+		strip := make([]Vertex, 48)
+		x0, y0, z0 := rng.rangeF(-3, 2), rng.rangeF(-3, 3), rng.rangeF(-1, 1)
+		for j := range strip {
+			strip[j] = Vertex{
+				Pos:   vec.New(x0+float64(j/2)*1.5*px, y0+float64(j%2)*0.5*px, z0),
+				N:     vec.New(0, 1, 0),
+				UV:    [2]float64{float64(j%2)*2 - 1, 0.5},
+				Color: hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1},
 			}
-			strips[i] = strip
 		}
-		fb, _ := NewFramebuffer(size, size)
+		sub[i] = strip
+	}
+	runSub := func(b *testing.B, shade Shader) {
+		fb, _ := NewFramebuffer(subSize, subSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var tris, frags int64
 		for i := 0; i < b.N; i++ {
 			fb.Clear(hybrid.RGBA{})
 			r := NewRasterizer(fb, cam)
-			r.DrawTriangleStripBatch(strips)
+			r.Shade = shade
+			r.DrawTriangleStripBatch(sub)
 			tris, frags = r.TriangleCount, r.FragmentCount
 		}
 		b.ReportMetric(float64(tris), "triangles")
 		b.ReportMetric(float64(frags), "fragments")
-	})
+	}
+	b.Run("substrip", func(b *testing.B) { runSub(b, nil) })
+	headlight := Light{Dir: cam.Eye.Norm(), Color: hybrid.RGBA{R: 1, G: 1, B: 1, A: 1}, Intensity: 1}
+	b.Run("substrip-tube", func(b *testing.B) { runSub(b, TubeShader([]Light{headlight}, DefaultPhong(), 0.8)) })
 }

@@ -181,7 +181,7 @@ func refRasterTriangle(s *refTriSetup, e *emitCtx) {
 					Color:   col,
 					ViewDir: r.Cam.ViewDir(world),
 				}
-				col = r.Shade(frag)
+				col = r.Shade(&frag)
 				if col.A <= 0 {
 					continue
 				}

@@ -315,12 +315,12 @@ func TestTriangleStripCount(t *testing.T) {
 func TestPhongShaderLightsFacingSurface(t *testing.T) {
 	lights := []Light{{Dir: vec.New(0, 0, 1), Color: white(), Intensity: 1}}
 	shader := PhongShader(lights, DefaultPhong())
-	lit := shader(Fragment{
+	lit := shader(&Fragment{
 		N:       vec.New(0, 0, 1),
 		Color:   hybrid.RGBA{R: 0.5, G: 0.5, B: 0.5, A: 1},
 		ViewDir: vec.New(0, 0, 1),
 	})
-	grazing := shader(Fragment{
+	grazing := shader(&Fragment{
 		N:       vec.New(1, 0, 0.01).Norm(),
 		Color:   hybrid.RGBA{R: 0.5, G: 0.5, B: 0.5, A: 1},
 		ViewDir: vec.New(0, 0, 1),
@@ -333,8 +333,8 @@ func TestPhongShaderLightsFacingSurface(t *testing.T) {
 func TestTubeShaderProfile(t *testing.T) {
 	lights := []Light{{Dir: vec.New(0, 0, 1), Color: white(), Intensity: 1}}
 	shader := TubeShader(lights, DefaultPhong(), 0.8)
-	frag := func(u float64) Fragment {
-		return Fragment{
+	frag := func(u float64) *Fragment {
+		return &Fragment{
 			N:       vec.New(1, 0, 0), // side vector
 			UV:      [2]float64{u, 0},
 			Color:   white(),

@@ -29,43 +29,104 @@ func DefaultPhong() PhongParams {
 	return PhongParams{Ambient: 0.08, Diffuse: 0.75, Specular: 0.5, Shininess: 32}
 }
 
+// phong is Phong illumination as fixed when a shader is built: the
+// lights with their directions normalized once, the material, and its
+// specular exponent classified once (see specPower).
+type phong struct {
+	lights []Light
+	mat    PhongParams
+	spec   specPower
+}
+
+func newPhong(lights []Light, mat PhongParams) phong {
+	ls := make([]Light, len(lights))
+	for i, l := range lights {
+		l.Dir = l.Dir.Norm()
+		ls[i] = l
+	}
+	return phong{lights: ls, mat: mat, spec: newSpecPower(mat.Shininess)}
+}
+
+// shade lights f's color with f's normal, two-sided, as seen along
+// f.ViewDir. A zero normal leaves the color unlit.
+func (p phong) shade(f *Fragment) hybrid.RGBA {
+	n := f.N.Norm()
+	if n.Len2() == 0 {
+		return f.Color
+	}
+	// Two-sided shading: flip the normal toward the viewer.
+	if n.Dot(f.ViewDir) < 0 {
+		n = n.Neg()
+	}
+	mat := p.mat
+	var r, g, b float64
+	r = mat.Ambient * f.Color.R
+	g = mat.Ambient * f.Color.G
+	b = mat.Ambient * f.Color.B
+	for i := range p.lights {
+		l := &p.lights[i]
+		diff := n.Dot(l.Dir)
+		if diff < 0 {
+			diff = 0
+		}
+		half := l.Dir.Add(f.ViewDir).Norm()
+		spec := 0.0
+		if diff > 0 {
+			spec = p.spec.pow(max(n.Dot(half), 0)) // the builtin: math.Max's rules, inline
+		}
+		w := l.Intensity
+		r += w * (mat.Diffuse*diff*f.Color.R*l.Color.R + mat.Specular*spec*l.Color.R)
+		g += w * (mat.Diffuse*diff*f.Color.G*l.Color.G + mat.Specular*spec*l.Color.G)
+		b += w * (mat.Diffuse*diff*f.Color.B*l.Color.B + mat.Specular*spec*l.Color.B)
+	}
+	return hybrid.RGBA{R: r, G: g, B: b, A: f.Color.A}
+}
+
+// specPower is x^y for a specular exponent y, classified once: when y
+// is 2^k, x in [lo, hi] is raised by k squarings, which give
+// math.Pow's bits there (see the package doc); any other x, and every x
+// for any other y, goes to math.Pow. Exponents from 2 to 2^maxSquarings
+// take the squarings.
+type specPower struct {
+	y      float64
+	k      int
+	lo, hi float64 // lo > hi when y takes no squarings
+}
+
+// maxSquarings bounds the exponents specPower squares for: 2^7 = 128
+// covers the usual range of Phong shininess.
+const maxSquarings = 7
+
+func newSpecPower(y float64) specPower {
+	frac, exp := math.Frexp(y) // y = 2^(exp-1) exactly when frac is 1/2
+	k := exp - 1
+	if frac != 0.5 || k < 1 || k > maxSquarings {
+		return specPower{y: y, lo: 1, hi: 0}
+	}
+	// Every square x_j = x^(2^j), j <= k, stays normal and finite for
+	// x in [2^-floor(1022/2^k), 2^floor(1023/2^k)].
+	n := 1 << k
+	return specPower{y: y, k: k, lo: math.Ldexp(1, -(1022 / n)), hi: math.Ldexp(1, 1023/n)}
+}
+
+func (p *specPower) pow(x float64) float64 {
+	if !(x >= p.lo && x <= p.hi) { // NaN fails too
+		return math.Pow(x, p.y)
+	}
+	for i := 0; i < p.k; i++ {
+		x *= x
+	}
+	return x
+}
+
 // PhongShader returns a fragment shader applying Phong illumination
 // with the given lights to the interpolated vertex color. Enhanced
 // lighting (§3.3.1) is simply this shader with more than one light; it
 // carries no extra per-fragment cost beyond the additional light loop,
 // matching the paper's "no significant performance penalty" note.
 func PhongShader(lights []Light, mat PhongParams) Shader {
-	return func(f Fragment) hybrid.RGBA {
-		n := f.N.Norm()
-		if n.Len2() == 0 {
-			return f.Color
-		}
-		// Two-sided shading: flip the normal toward the viewer.
-		if n.Dot(f.ViewDir) < 0 {
-			n = n.Neg()
-		}
-		var r, g, b float64
-		r = mat.Ambient * f.Color.R
-		g = mat.Ambient * f.Color.G
-		b = mat.Ambient * f.Color.B
-		for _, l := range lights {
-			ld := l.Dir.Norm()
-			diff := n.Dot(ld)
-			if diff < 0 {
-				diff = 0
-			}
-			half := ld.Add(f.ViewDir).Norm()
-			spec := 0.0
-			if diff > 0 {
-				spec = math.Pow(math.Max(n.Dot(half), 0), mat.Shininess)
-			}
-			w := l.Intensity
-			r += w * (mat.Diffuse*diff*f.Color.R*l.Color.R + mat.Specular*spec*l.Color.R)
-			g += w * (mat.Diffuse*diff*f.Color.G*l.Color.G + mat.Specular*spec*l.Color.G)
-			b += w * (mat.Diffuse*diff*f.Color.B*l.Color.B + mat.Specular*spec*l.Color.B)
-		}
-		return hybrid.RGBA{R: r, G: g, B: b, A: f.Color.A}
-	}
+	p := newPhong(lights, mat)
+	return func(f *Fragment) hybrid.RGBA { return p.shade(f) }
 }
 
 // TubeShader returns the self-orienting-surface fragment program: the
@@ -83,10 +144,11 @@ func PhongShader(lights []Light, mat PhongParams) Shader {
 // polygonal tube would have, so ... the lighting appears exact."
 // Fragments beyond |u| > haloStart are painted black (the halo rim of
 // §3.3.2); fragments beyond |u| > 1 would be outside the tube and are
-// discarded (alpha 0).
+// discarded (alpha 0). The reconstructed normal is written into the
+// fragment's N.
 func TubeShader(lights []Light, mat PhongParams, haloStart float64) Shader {
-	phong := PhongShader(lights, mat)
-	return func(f Fragment) hybrid.RGBA {
+	p := newPhong(lights, mat)
+	return func(f *Fragment) hybrid.RGBA {
 		u := f.UV[0]
 		au := math.Abs(u)
 		if au > 1 {
@@ -97,10 +159,8 @@ func TubeShader(lights []Light, mat PhongParams, haloStart float64) Shader {
 			return hybrid.RGBA{R: 0, G: 0, B: 0, A: f.Color.A}
 		}
 		side := f.N.Norm()
-		n := side.Scale(u).Add(f.ViewDir.Scale(math.Sqrt(1 - u*u)))
-		f2 := f
-		f2.N = n
-		return phong(f2)
+		f.N = side.Scale(u).Add(f.ViewDir.Scale(math.Sqrt(1 - u*u)))
+		return p.shade(f)
 	}
 }
 
@@ -109,8 +169,8 @@ func TubeShader(lights []Light, mat PhongParams, haloStart float64) Shader {
 // field strength carried in UV[1] (0..1). stripes controls the maximum
 // line count across the ribbon.
 func RibbonDensityShader(lights []Light, mat PhongParams, stripes float64) Shader {
-	phong := PhongShader(lights, mat)
-	return func(f Fragment) hybrid.RGBA {
+	p := newPhong(lights, mat)
+	return func(f *Fragment) hybrid.RGBA {
 		u := f.UV[0] // across the ribbon, -1..1
 		if math.Abs(u) > 1 {
 			return hybrid.RGBA{}
@@ -122,7 +182,7 @@ func RibbonDensityShader(lights []Light, mat PhongParams, stripes float64) Shade
 		if phase < 0.55 {
 			return hybrid.RGBA{} // between stripes: transparent
 		}
-		return phong(f)
+		return p.shade(f)
 	}
 }
 

@@ -68,9 +68,15 @@ func (b *Batch) reset() {
 
 // flushScratch holds the reusable working storage of one Batch.Flush
 // (transformed vertices, one triSetup per triangle, the per-chunk
-// overflow and one fragment count per row band), the submission
-// buffers of a borrowed batch, and the plane and op buffer of one
-// codec call (rle.go, quant.go, partial.go, delta.go).
+// overflow, and one fragment count and one shading fragment per row
+// band), the submission buffers of a borrowed batch, and the plane and
+// op buffer of one codec call (rle.go, quant.go, partial.go, delta.go).
+//
+// It also keeps the chunk bodies of a flush's parallel phases and of
+// DrawTriangleStripBatchFunc's strip fill, bound once as method values
+// like octree.Builder's, so a warm flush allocates nothing. The state
+// those bodies read sits in fields, set for one call and cleared when
+// it returns, so a scratch on the free list keeps no caller's data.
 type flushScratch struct {
 	batch Batch
 
@@ -80,6 +86,17 @@ type flushScratch struct {
 	tris  []triSetup
 	over  []overflow
 	frags []int64
+	slots []Fragment
+
+	// One call's state, read by the bodies below.
+	r           *Rasterizer
+	verts       []Vertex
+	prims       []triPrim
+	setup, band par.Plan
+	counts      []int
+	fill        func(strip int, dst []Vertex)
+
+	transformBody, setupBody, bandBody, fillBody func(lo, hi int)
 }
 
 // scratchList is the free list every Batch.Flush and codec call
@@ -129,7 +146,6 @@ func (b *Batch) Flush() {
 	if n == 0 {
 		return
 	}
-	workers := par.Workers()
 	sc := b.sc
 	if sc == nil {
 		sc = getScratch()
@@ -137,58 +153,84 @@ func (b *Batch) Flush() {
 	}
 	defer b.reset()
 	r.TriangleCount += int64(n)
+	sc.flush(r, b.verts, b.tris)
+}
+
+// bind binds the scratch's chunk bodies, once.
+func (sc *flushScratch) bind() {
+	if sc.transformBody == nil {
+		sc.transformBody, sc.setupBody, sc.bandBody, sc.fillBody = sc.transformChunk, sc.setupChunk, sc.bandChunk, sc.fillChunk
+	}
+}
+
+// flush runs Flush's phases over verts and prims on sc.
+func (sc *flushScratch) flush(r *Rasterizer, verts []Vertex, prims []triPrim) {
+	sc.bind()
+	workers := par.Workers()
+	n := len(prims)
+	sc.r, sc.verts, sc.prims = r, verts, prims
 
 	// Phase 1a — transform every vertex once.
-	tv := grow(&sc.tv, len(b.verts))
-	par.ForChunks(len(b.verts), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r.transformVertex(b.verts[i].Pos, &tv[i])
-		}
-	})
+	sc.tv = grow(&sc.tv, len(verts))
+	par.ForChunks(len(verts), workers, sc.transformBody)
 
 	// Phase 1b — parallel setup into slot-indexed arrays; an empty
 	// record carries an empty-bbox sentinel (x1 < x0). Each setup chunk
 	// has its own overflow, found again from a triangle's index as
-	// over[plan.Index(i)].
-	tris := grow(&sc.tris, n)
-	plan := par.Chunks(n, workers)
-	over := grow(&sc.over, plan.Count)
-	par.ForChunks(n, workers, func(lo, hi int) {
-		ov := &over[plan.Index(lo)]
-		ov.reset()
-		src := triSource{verts: b.verts, tv: tv, over: ov}
-		for i := lo; i < hi; i++ {
-			tp := b.tris[i]
-			r.setupClipped(&src, tp.i0, tp.i1, tp.i2, &tris[i])
-		}
-	})
+	// over[setup.Index(i)].
+	sc.tris = grow(&sc.tris, n)
+	sc.setup = par.Chunks(n, workers)
+	sc.over = grow(&sc.over, sc.setup.Count)
+	par.ForChunks(n, workers, sc.setupBody)
 
 	// Phase 2 — rasterize row bands concurrently, one owner per band.
-	bands := par.Chunks(r.FB.H, workers)
-	frags := grow(&sc.frags, bands.Count)
-	par.ForChunks(r.FB.H, workers, func(lo, hi int) {
-		e := emitCtx{r: r, y0: lo, x1: r.FB.W - 1, y1: hi - 1}
-		src := triSource{verts: b.verts, tv: tv}
-		for i := range tris {
-			s := &tris[i]
-			if s.x1 < s.x0 {
-				continue
-			}
-			src.over = &over[plan.Index(i)]
-			if s.y0 <= e.y1 && s.y1 >= e.y0 {
-				rasterTriangle(s, &src, &e)
-			}
-			if s.next >= 0 {
-				if s2 := &src.over.tris[s.next]; s2.y0 <= e.y1 && s2.y1 >= e.y0 {
-					rasterTriangle(s2, &src, &e)
-				}
-			}
-		}
-		frags[bands.Index(lo)] = e.frags
-	})
-	for _, f := range frags {
+	sc.band = par.Chunks(r.FB.H, workers)
+	sc.frags = grow(&sc.frags, sc.band.Count)
+	sc.slots = grow(&sc.slots, sc.band.Count)
+	par.ForChunks(r.FB.H, workers, sc.bandBody)
+	for _, f := range sc.frags {
 		r.FragmentCount += f
 	}
+	sc.r, sc.verts, sc.prims = nil, nil, nil
+}
+
+func (sc *flushScratch) transformChunk(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		sc.r.transformVertex(sc.verts[i].Pos, &sc.tv[i])
+	}
+}
+
+func (sc *flushScratch) setupChunk(lo, hi int) {
+	ov := &sc.over[sc.setup.Index(lo)]
+	ov.reset()
+	src := triSource{verts: sc.verts, tv: sc.tv, over: ov}
+	for i := lo; i < hi; i++ {
+		tp := sc.prims[i]
+		sc.r.setupClipped(&src, tp.i0, tp.i1, tp.i2, &sc.tris[i])
+	}
+}
+
+func (sc *flushScratch) bandChunk(lo, hi int) {
+	r := sc.r
+	band := sc.band.Index(lo)
+	e := emitCtx{r: r, y0: lo, x1: r.FB.W - 1, y1: hi - 1, frag: &sc.slots[band]}
+	src := triSource{verts: sc.verts, tv: sc.tv}
+	for i := range sc.tris {
+		s := &sc.tris[i]
+		if s.x1 < s.x0 {
+			continue
+		}
+		src.over = &sc.over[sc.setup.Index(i)]
+		if s.y0 <= e.y1 && s.y1 >= e.y0 {
+			rasterTriangle(s, &src, &e)
+		}
+		if s.next >= 0 {
+			if s2 := &src.over.tris[s.next]; s2.y0 <= e.y1 && s2.y1 >= e.y0 {
+				rasterTriangle(s2, &src, &e)
+			}
+		}
+	}
+	sc.frags[band] = e.frags
 }
 
 // getBatch borrows a scratch from the free list and returns the batch
@@ -217,23 +259,30 @@ func putBatch(b *Batch) {
 // slice per strip and a copy of each into the batch.
 func (r *Rasterizer) DrawTriangleStripBatchFunc(counts []int, fill func(strip int, dst []Vertex)) {
 	b := getBatch(r)
+	sc := b.sc
 	total := 0
 	for _, c := range counts {
 		b.stripTriangles(total, c)
 		total += c
 	}
 	b.verts = grow(&b.verts, total)
-	verts := b.verts
-	par.ForChunks(len(counts), 0, func(lo, hi int) {
-		off := 0
-		for _, c := range counts[:lo] {
-			off += c
-		}
-		for k := lo; k < hi; k++ {
-			fill(k, verts[off:off+counts[k]:off+counts[k]])
-			off += counts[k]
-		}
-	})
+	sc.bind()
+	sc.counts, sc.fill = counts, fill
+	par.ForChunks(len(counts), 0, sc.fillBody)
+	sc.counts, sc.fill = nil, nil
 	b.Flush()
 	putBatch(b)
+}
+
+func (sc *flushScratch) fillChunk(lo, hi int) {
+	off := 0
+	for _, c := range sc.counts[:lo] {
+		off += c
+	}
+	verts := sc.batch.verts
+	for k := lo; k < hi; k++ {
+		c := sc.counts[k]
+		sc.fill(k, verts[off:off+c:off+c])
+		off += c
+	}
 }

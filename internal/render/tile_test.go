@@ -317,11 +317,13 @@ func TestSmallFlushAfterLargeCountsExactly(t *testing.T) {
 }
 
 // TestTriangleFlushAllocates pins what a warm DrawTriangleStripBatchFunc
-// allocates. The submission buffers and every flush array come from
-// the package's free list, so what is left is the closures handed to
-// par, the same four at every core count: the strip-fill closure of
-// DrawTriangleStripBatchFunc, and Flush's vertex-transform, setup and
-// row-band closures.
+// allocates: nothing, at every core count, shaded or not. The
+// submission buffers and every flush array come from the package's
+// free list, the chunk bodies handed to par are bound once on that
+// scratch, and a shading band fills its own fragment slot there. The
+// shaded row is the field-line configuration (TubeShader with the SOS
+// headlight and material): a fragment that escaped per pixel would
+// cost about one allocation per fragment.
 func TestTriangleFlushAllocates(t *testing.T) {
 	cam, err := NewCamera(vec.New(0, 0, 6), vec.New(0, 0, 0), vec.New(0, 1, 0), math.Pi/3, 1, 0.1, 100)
 	if err != nil {
@@ -336,21 +338,32 @@ func TestTriangleFlushAllocates(t *testing.T) {
 		for j := range strip {
 			strip[j] = Vertex{
 				Pos:   vec.New(x0+float64(j/2)*0.07, y0+float64(j%2)*0.05, rng.rangeF(-1, 1)),
+				N:     vec.New(0, 1, 0),
+				UV:    [2]float64{float64(j%2)*2 - 1, 0.5},
 				Color: hybrid.RGBA{R: rng.next(), G: rng.next(), B: rng.next(), A: 1},
 			}
 		}
 		strips[i], counts[i] = strip, len(strip)
 	}
 	fill := func(k int, dst []Vertex) { copy(dst, strips[k]) }
+	headlight := Light{Dir: cam.Eye.Norm(), Color: hybrid.RGBA{R: 1, G: 1, B: 1, A: 1}, Intensity: 1}
 	fb, _ := NewFramebuffer(128, 128)
-	const want = 4
-	for _, procs := range []int{1, 2, 8} {
-		r := NewRasterizer(fb, cam)
-		if n := mallocs.PerRun(t, procs, 20, func() { r.DrawTriangleStripBatchFunc(counts, fill) }); n != want {
-			t.Errorf("GOMAXPROCS=%d: %v allocations per flush, want %v", procs, n, want)
-		}
-		if r.FragmentCount == 0 {
-			t.Fatal("scene drew nothing")
+	for _, row := range []struct {
+		name  string
+		shade Shader
+	}{
+		{"unshaded", nil},
+		{"TubeShader", TubeShader([]Light{headlight}, DefaultPhong(), 0.8)},
+	} {
+		for _, procs := range []int{1, 2, 8} {
+			r := NewRasterizer(fb, cam)
+			r.Shade = row.shade
+			if n := mallocs.PerRun(t, procs, 20, func() { r.DrawTriangleStripBatchFunc(counts, fill) }); n != 0 {
+				t.Errorf("%s, GOMAXPROCS=%d: %v allocations per flush, want 0", row.name, procs, n)
+			}
+			if r.FragmentCount == 0 {
+				t.Fatalf("%s: scene drew nothing", row.name)
+			}
 		}
 	}
 }

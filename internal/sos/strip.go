@@ -92,9 +92,11 @@ func fillStrip(dst []render.Vertex, line *fieldline.Line, eye vec.V3, p StripPar
 		}
 		half := side.Scale(p.Width / 2)
 		// The vertex normal slot carries the side vector for the tube
-		// shader's normal reconstruction.
-		dst[2*i] = render.Vertex{Pos: pt.Sub(half), N: side, UV: [2]float64{-1, strength}, Color: p.Color}
-		dst[2*i+1] = render.Vertex{Pos: pt.Add(half), N: side, UV: [2]float64{+1, strength}, Color: p.Color}
+		// shader's normal reconstruction. The fields are written in
+		// place: assigning a Vertex literal builds it and copies it.
+		v0, v1 := &dst[2*i], &dst[2*i+1]
+		v0.Pos, v0.N, v0.UV, v0.Color = pt.Sub(half), side, [2]float64{-1, strength}, p.Color
+		v1.Pos, v1.N, v1.UV, v1.Color = pt.Add(half), side, [2]float64{+1, strength}, p.Color
 	}
 }
 

@@ -7,8 +7,10 @@ import "math"
 type M4 [16]float64
 
 // Apply transforms the point p (w=1) by m and performs the perspective
-// divide. Points at w=0 are returned untransformed in w.
-func (m M4) Apply(p V3) V3 {
+// divide. Points at w=0 are returned untransformed in w. It takes the
+// matrix by pointer: the renderer applies one per vertex, and a value
+// receiver copies its 128 bytes on every call.
+func (m *M4) Apply(p V3) V3 {
 	x := m[0]*p.X + m[1]*p.Y + m[2]*p.Z + m[3]
 	y := m[4]*p.X + m[5]*p.Y + m[6]*p.Z + m[7]
 	z := m[8]*p.X + m[9]*p.Y + m[10]*p.Z + m[11]
